@@ -127,49 +127,15 @@ func NewServer(e *Engine) http.Handler {
 	return mux
 }
 
+// Request body limits. A longer body is refused with 413 too_large,
+// never truncated and run.
+const (
+	maxQueryBody = 1 << 20
+	maxBatchBody = 8 << 20
+)
+
 func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErrorCode(w, http.StatusMethodNotAllowed, "method_not_allowed", false, errors.New("POST required"))
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
-		return
-	}
-	var req QueryRequest
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
-			return
-		}
-	} else {
-		req.Program = string(body)
-	}
-	if strings.TrimSpace(req.Program) == "" {
-		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, errors.New("empty program"))
-		return
-	}
-
-	ctx := r.Context()
-	if req.TimeoutMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
-		defer cancel()
-	}
-
-	prog, err := e.Compile(req.Program)
-	if err != nil {
-		e.writeError(w, err)
-		return
-	}
-	start := time.Now()
-	res, err := e.Submit(ctx, prog)
-	if err != nil {
-		e.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, e.queryResponse(prog, res, time.Since(start)))
+	e.handleProgram(w, r, e.Submit)
 }
 
 // handleMutate answers POST /v1/mutate: one topology-mutating SNAP
@@ -179,23 +145,30 @@ func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 // written, every subsequently admitted read observes the mutation.
 // Engines without Config.Writes answer 403 writes_disabled.
 func (e *Engine) handleMutate(w http.ResponseWriter, r *http.Request) {
+	e.handleProgram(w, r, e.SubmitWrite)
+}
+
+// handleProgram is /v1/query and /v1/mutate: one program in (JSON or
+// text/plain), one QueryResponse out; the two differ only in submit.
+func (e *Engine) handleProgram(w http.ResponseWriter, r *http.Request,
+	submit func(context.Context, *isa.Program) (*machine.Result, error)) {
 	if r.Method != http.MethodPost {
 		writeErrorCode(w, http.StatusMethodNotAllowed, "method_not_allowed", false, errors.New("POST required"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
+	buf := bufPool.Get().(*[]byte)
+	defer putBuf(buf)
+	if !readBody(w, r, maxQueryBody, buf) {
 		return
 	}
 	var req QueryRequest
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := json.Unmarshal(*buf, &req); err != nil {
 			writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
 			return
 		}
 	} else {
-		req.Program = string(body)
+		req.Program = string(*buf)
 	}
 	if strings.TrimSpace(req.Program) == "" {
 		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, errors.New("empty program"))
@@ -215,12 +188,19 @@ func (e *Engine) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	res, err := e.SubmitWrite(ctx, prog)
+	res, err := submit(ctx, prog)
 	if err != nil {
 		e.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, e.queryResponse(prog, res, time.Since(start)))
+	// The body is decoded (req holds copies), so the answer reuses buf.
+	*buf, err = e.appendQueryResponse((*buf)[:0], prog, res, time.Since(start))
+	if err != nil {
+		e.writeError(w, err)
+		return
+	}
+	*buf = append(*buf, '\n')
+	writeBody(w, *buf)
 }
 
 func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
@@ -228,13 +208,13 @@ func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		writeErrorCode(w, http.StatusMethodNotAllowed, "method_not_allowed", false, errors.New("POST required"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
-	if err != nil {
-		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
+	buf := bufPool.Get().(*[]byte)
+	defer putBuf(buf)
+	if !readBody(w, r, maxBatchBody, buf) {
 		return
 	}
 	var req BatchQueryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := json.Unmarshal(*buf, &req); err != nil {
 		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
 		return
 	}
@@ -255,70 +235,58 @@ func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	out := BatchQueryResponse{Results: make([]BatchElement, len(req.Programs))}
+	// progs holds the programs that compiled, in request order; a nil
+	// compileErrs[i] says element i is answered by the next of them.
+	compileErrs := make([]error, len(req.Programs))
 	progs := make([]*isa.Program, 0, len(req.Programs))
-	indices := make([]int, 0, len(req.Programs)) // progs[j] answers element indices[j]
 	for i, src := range req.Programs {
 		prog, err := e.Compile(src)
 		if err != nil {
-			out.Results[i].Error = errorBody(err)
+			compileErrs[i] = err
 			continue
 		}
 		progs = append(progs, prog)
-		indices = append(indices, i)
 	}
 
 	start := time.Now()
 	results, errs := e.SubmitBatch(ctx, progs)
 	wall := time.Since(start)
-	for j, i := range indices {
-		if errs[j] != nil {
-			out.Results[i].Error = errorBody(errs[j])
+
+	*buf = e.appendBatchResponse((*buf)[:0], compileErrs, progs, results, errs, wall)
+	writeBody(w, *buf)
+}
+
+// readBody reads the request body into *buf, sized up front from
+// Content-Length. On failure it has written the error answer — 413
+// too_large for a body over limit — and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf *[]byte) bool {
+	b := (*buf)[:0]
+	if n := r.ContentLength; n <= limit && int64(cap(b)) <= n {
+		b = make([]byte, 0, n+1) // +1: the read that reports EOF needs room too
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == nil {
 			continue
 		}
-		resp := e.queryResponse(progs[j], results[j], wall)
-		out.Results[i].Result = &resp
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// errorBody classifies err into the typed per-element envelope body.
-func errorBody(err error) *ErrorBody {
-	_, code, retryable := classify(err)
-	return &ErrorBody{Code: code, Message: err.Error(), Retryable: retryable}
-}
-
-func (e *Engine) queryResponse(prog *isa.Program, res *machine.Result, wall time.Duration) QueryResponse {
-	kb := e.kb
-	out := QueryResponse{
-		VirtualTime:  res.Time.String(),
-		VirtualPicos: int64(res.Time),
-		WallMicros:   wall.Microseconds(),
-		ProgramHash:  hashString(prog.Hash()),
-		Instructions: prog.Len(),
-		Fused:        res.Fused,
-		KBGeneration: res.KBGen,
-	}
-	for _, coll := range res.Collections {
-		qc := QueryCollection{Instr: coll.Instr, Op: coll.Op.String()}
-		for _, it := range coll.Items {
-			qi := QueryItem{Node: kb.Name(kb.Canonical(it.Node))}
-			switch coll.Op {
-			case isa.OpCollectRelation:
-				qi.Rel = kb.RelationName(it.Rel)
-				qi.Weight = it.Weight
-				qi.To = kb.Name(kb.Canonical(it.To))
-			case isa.OpCollectColor:
-				qi.Color = kb.ColorName(it.Color)
-			default:
-				qi.Value = it.Value
-				qi.Origin = kb.Name(kb.Canonical(it.Origin))
-			}
-			qc.Items = append(qc.Items, qi)
+		*buf = b
+		if err == io.EOF {
+			return true
 		}
-		out.Collections = append(out.Collections, qc)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeErrorCode(w, http.StatusRequestEntityTooLarge, "too_large", false,
+				fmt.Errorf("request body exceeds %d bytes", limit))
+		} else {
+			writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
+		}
+		return false
 	}
-	return out
 }
 
 // StatsResponse is the JSON body answering GET /v1/stats.
@@ -409,6 +377,7 @@ var envelopeCodes = []string{
 	"overloaded",
 	"shutting_down",
 	"timeout",
+	"too_large",
 	"write_failed",
 	"writes_disabled",
 }
@@ -437,6 +406,16 @@ func (e *Engine) retryAfterSeconds() int {
 	return secs
 }
 
+// writeBody answers 200 with an encoded body in one Write of known
+// length, so net/http neither chunks it nor copies it twice.
+func writeBody(w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write means the client is gone; nobody is left to tell
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -459,14 +438,4 @@ func (e *Engine) writeError(w http.ResponseWriter, err error) {
 // sentinel to classify (malformed requests, wrong methods).
 func writeErrorCode(w http.ResponseWriter, status int, code string, retryable bool, err error) {
 	writeJSON(w, status, ErrorEnvelope{Error: ErrorBody{Code: code, Message: err.Error(), Retryable: retryable}})
-}
-
-func hashString(h uint64) string {
-	const hexdig = "0123456789abcdef"
-	var buf [16]byte
-	for i := 15; i >= 0; i-- {
-		buf[i] = hexdig[h&0xf]
-		h >>= 4
-	}
-	return string(buf[:])
 }

@@ -219,7 +219,7 @@ func TestBatchSendGroupsByNextHop(t *testing.T) {
 	// same next hop must land as one put each.
 	msgs := []Message{
 		{DestCluster: 1}, {DestCluster: 1}, // next hop 1
-		{DestCluster: 2},                   // next hop 2
+		{DestCluster: 2},                     // next hop 2
 		{DestCluster: 16}, {DestCluster: 16}, // next hop 16
 	}
 	if sent := n.TrySendBatch(0, msgs); sent != 5 {

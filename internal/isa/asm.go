@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"snap1/internal/rules"
 	"snap1/internal/semnet"
@@ -63,15 +64,26 @@ var opByName = func() map[string]Opcode {
 	return m
 }()
 
+// nextField cuts the first whitespace-separated field off s. Calling it
+// until field is empty yields what strings.Fields(s) holds, without
+// allocating the slice.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
+}
+
 func (a *Assembler) assembleLine(p *Program, line string) error {
-	fields := strings.Fields(line)
-	op, ok := opByName[strings.ToLower(fields[0])]
+	name, rest := nextField(line)
+	op, ok := opByName[strings.ToLower(name)]
 	if !ok {
-		return fmt.Errorf("unknown opcode %q", fields[0])
+		return fmt.Errorf("unknown opcode %q", name)
 	}
 	in := Instruction{Op: op}
 	var ruleSpec *rules.Spec
-	for _, f := range fields[1:] {
+	for f, rest := nextField(rest); f != ""; f, rest = nextField(rest) {
 		key, val, found := strings.Cut(f, "=")
 		if !found {
 			return fmt.Errorf("operand %q is not key=value", f)

@@ -87,6 +87,53 @@ func TestAssembleErrors(t *testing.T) {
 	}
 }
 
+// TestNextFieldMatchesStringsFields holds the assembler's allocation-free
+// splitter to strings.Fields, which it replaced, on ASCII and Unicode
+// white space alike, and checks that mixed-case lines still assemble to
+// the program their lower-case form does.
+func TestNextFieldMatchesStringsFields(t *testing.T) {
+	lines := []string{
+		"", " ", "comm-end", "collect-node marker=c3",
+		"search-node   node=we\tmarker=c1 \v value=0 ",
+		"search-node\u00a0node=we\u2003marker=c1\u0085value=0",
+		"a\xffb \xff", "µ=1 é",
+	}
+	for _, line := range lines {
+		var got []string
+		for f, rest := nextField(line); f != ""; f, rest = nextField(rest) {
+			got = append(got, f)
+		}
+		if want := strings.Fields(line); strings.Join(got, "|") != strings.Join(want, "|") || len(got) != len(want) {
+			t.Errorf("%q split into %q, strings.Fields gives %q", line, got, want)
+		}
+	}
+	const line = "propagate m1=c1 m2=c2 rule=spread(is-a,last) fn=add"
+	if n := testing.AllocsPerRun(100, func() {
+		for f, rest := nextField(line); f != ""; f, rest = nextField(rest) {
+		}
+	}); n != 0 {
+		t.Errorf("splitting a line allocates %v times", n)
+	}
+
+	kb := asmKB(t)
+	lower, err := NewAssembler(kb).Assemble(strings.NewReader(sampleAsm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Operand values (node, relation and color names) are case-sensitive;
+	// opcodes and operand keys are not.
+	mixed := strings.NewReplacer(
+		"search-node node=", "Search-Node NODE=", "propagate m1=", "PROPAGATE M1=",
+		"collect-node marker=", "COLLECT-NODE Marker=", "fn=add", "FN=add").Replace(sampleAsm)
+	upper, err := NewAssembler(kb).Assemble(strings.NewReader(mixed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lower.Hash() != upper.Hash() {
+		t.Error("a mixed-case program assembled differently from its lower-case form")
+	}
+}
+
 func TestAssembleNumericNode(t *testing.T) {
 	kb := asmKB(t)
 	p, err := NewAssembler(kb).Assemble(strings.NewReader("search-node node=1 marker=c0 value=0"))

@@ -76,7 +76,7 @@ func PlaceOrder(kb *semnet.KB, a Assignment, clusters int) []int {
 
 	// Greedy seeding. attach[r] tracks r's traffic to already-placed
 	// regions; the heaviest-total region anchors address 0.
-	placed := make([]bool, clusters)  // region placed?
+	placed := make([]bool, clusters) // region placed?
 	usedAddr := make([]bool, clusters)
 	addrOf := make([]int, clusters) // region -> address
 	attach := make([]int64, clusters)

@@ -283,6 +283,10 @@ func (kb *KB) Relation(name string) RelType {
 func (kb *KB) RelationName(r RelType) string {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
+	return kb.relationNameLocked(r)
+}
+
+func (kb *KB) relationNameLocked(r RelType) string {
 	if n, ok := kb.relNames[r]; ok {
 		return n
 	}
@@ -313,6 +317,10 @@ func (kb *KB) ColorFor(name string) Color {
 func (kb *KB) ColorName(c Color) string {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
+	return kb.colorNameLocked(c)
+}
+
+func (kb *KB) colorNameLocked(c Color) string {
 	if n, ok := kb.colorNames[c]; ok {
 		return n
 	}
@@ -321,6 +329,30 @@ func (kb *KB) ColorName(c Color) string {
 	}
 	return fmt.Sprintf("color#%d", c)
 }
+
+// View is a read-only window on the name tables, handed to the function
+// passed to KB.View and valid only until that function returns.
+type View struct{ kb *KB }
+
+// View calls fn with the KB read-locked once for the whole call, so
+// resolving every name of a result costs one lock pair, not one per
+// lookup. fn must not call methods of kb itself.
+func (kb *KB) View(fn func(View)) {
+	kb.mu.RLock()
+	defer kb.mu.RUnlock()
+	fn(View{kb})
+}
+
+// CanonicalName is Name(Canonical(id)).
+func (v View) CanonicalName(id NodeID) string {
+	return v.kb.nameLocked(v.kb.canonicalLocked(id))
+}
+
+// RelationName is KB.RelationName.
+func (v View) RelationName(r RelType) string { return v.kb.relationNameLocked(r) }
+
+// ColorName is KB.ColorName.
+func (v View) ColorName(c Color) string { return v.kb.colorNameLocked(c) }
 
 // Names resolves a set of node IDs to sorted canonical concept names,
 // deduplicating preprocessor subnodes.

@@ -8,8 +8,8 @@
 package timing
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 	"time"
 )
 
@@ -47,19 +47,27 @@ func (t Time) Duration() time.Duration {
 
 // String formats t with an auto-selected unit.
 func (t Time) String() string {
+	var buf [24]byte
+	return string(t.AppendTo(buf[:0]))
+}
+
+// AppendTo appends String's text to dst without going through fmt.
+func (t Time) AppendTo(dst []byte) []byte {
+	if t < 0 {
+		dst = append(dst, '-')
+		t = -t
+	}
 	switch {
-	case t < 0:
-		return "-" + (-t).String()
 	case t < Nanosecond:
-		return fmt.Sprintf("%dps", int64(t))
+		return append(strconv.AppendInt(dst, int64(t), 10), "ps"...)
 	case t < Microsecond:
-		return fmt.Sprintf("%.2fns", t.Nanoseconds())
+		return append(strconv.AppendFloat(dst, t.Nanoseconds(), 'f', 2, 64), "ns"...)
 	case t < Millisecond:
-		return fmt.Sprintf("%.2fµs", t.Microseconds())
+		return append(strconv.AppendFloat(dst, t.Microseconds(), 'f', 2, 64), "µs"...)
 	case t < Second:
-		return fmt.Sprintf("%.2fms", t.Milliseconds())
+		return append(strconv.AppendFloat(dst, t.Milliseconds(), 'f', 2, 64), "ms"...)
 	default:
-		return fmt.Sprintf("%.3fs", t.Seconds())
+		return append(strconv.AppendFloat(dst, t.Seconds(), 'f', 3, 64), 's')
 	}
 }
 

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -54,6 +55,59 @@ func TestTimeString(t *testing.T) {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("%d ps → %q, want %q", int64(c.t), got, c.want)
 		}
+	}
+}
+
+// sprintfString is the fmt-based format String had before AppendTo; it
+// stays here as the reference the strconv path is held to.
+func sprintfString(t Time) string {
+	switch {
+	case t < 0:
+		return "-" + sprintfString(-t)
+	case t < Nanosecond:
+		return fmt.Sprintf("%dps", int64(t))
+	case t < Microsecond:
+		return fmt.Sprintf("%.2fns", t.Nanoseconds())
+	case t < Millisecond:
+		return fmt.Sprintf("%.2fµs", t.Microseconds())
+	case t < Second:
+		return fmt.Sprintf("%.2fms", t.Milliseconds())
+	default:
+		return fmt.Sprintf("%.3fs", t.Seconds())
+	}
+}
+
+func TestAppendToMatchesSprintf(t *testing.T) {
+	cases := []Time{
+		0, 1, 999, // ps
+		Nanosecond, 1005, 80 * Nanosecond, 999_994, 999_995, 999_999, // ns, and rounding up to "1000.00ns"
+		Microsecond, 250_850_000, 999_999_999, // µs
+		Millisecond, 3 * Millisecond, 12_345_678_901, 999_999_999_999, // ms
+		Second, 2 * Second, 1_234_567_890_123, 106 * 24 * 3600 * Second, // s
+	}
+	for _, c := range cases {
+		for _, v := range []Time{c, -c} {
+			want := sprintfString(v)
+			if got := v.String(); got != want {
+				t.Errorf("%d ps: String %q, fmt reference %q", int64(v), got, want)
+			}
+			if got := string(v.AppendTo([]byte("t="))); got != "t="+want {
+				t.Errorf("%d ps: AppendTo %q, want %q appended to the prefix", int64(v), got, want)
+			}
+		}
+	}
+	same := func(ps int64) bool {
+		if ps == -1<<63 { // has no positive counterpart; the reference recurses forever on it
+			return true
+		}
+		return Time(ps).String() == sprintfString(Time(ps))
+	}
+	if err := quick.Check(same, nil); err != nil {
+		t.Error(err)
+	}
+	var buf [32]byte
+	if n := testing.AllocsPerRun(100, func() { _ = Time(250_850_000).AppendTo(buf[:0]) }); n != 0 {
+		t.Errorf("AppendTo into a buffer with room allocates %v times", n)
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -353,8 +352,7 @@ type Engine struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	cache   *lruCache[uint64, *isa.Program]   // assembly-source hash -> program
-	valid   sync.Map                          // program content hash -> struct{}: validated
+	cache   *lruCache[uint64, *isa.Program]   // assembly-source hash -> sealed program
 	opts    *lruCache[uint64, *isa.Optimized] // program content hash -> optimization product
 	results *resultCache                      // nil when disabled
 	flights *flightGroup                      // nil when results is nil
@@ -583,14 +581,11 @@ func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result
 		e.st.reject()
 		return nil, ErrMutatingProgram
 	}
-	h := prog.Hash()
-	if _, ok := e.valid.Load(h); !ok {
-		if err := prog.Validate(); err != nil {
-			e.st.reject()
-			return nil, err
-		}
-		e.valid.Store(h, struct{}{})
+	if err := prog.Validate(); err != nil {
+		e.st.reject()
+		return nil, err
 	}
+	h := prog.Hash()
 	if e.results == nil {
 		return e.executeRetry(ctx, prog, h)
 	}
@@ -741,8 +736,8 @@ func (e *Engine) SubmitSource(ctx context.Context, src string) (*machine.Result,
 }
 
 // Compile assembles src through the engine's LRU compile cache and
-// returns the shared compiled program. The returned program must be
-// treated as immutable.
+// returns the shared compiled program. The program is sealed: it is
+// immutable, and its content hash was computed once, here.
 func (e *Engine) Compile(src string) (*isa.Program, error) {
 	key := sourceHash(src)
 	if prog, ok := e.cache.get(key); ok {
@@ -750,11 +745,12 @@ func (e *Engine) Compile(src string) (*isa.Program, error) {
 		return prog, nil
 	}
 	start := time.Now()
-	prog, err := e.asm.Assemble(strings.NewReader(src))
+	prog, err := e.asm.AssembleString(src)
 	if err != nil {
 		e.st.reject()
 		return nil, err
 	}
+	prog.Seal()
 	e.st.cacheMiss(time.Since(start))
 	e.cache.put(key, prog)
 	return prog, nil

@@ -337,6 +337,20 @@ func TestCompileCacheLRU(t *testing.T) {
 	if n := e.cache.len(); n != 2 {
 		t.Errorf("cache resident entries = %d, want 2", n)
 	}
+
+	// What the cache hands out is shared by every caller: it is sealed,
+	// so its hash is computed once and nobody can grow it.
+	prog, err := e.Compile(q(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := prog.Hash()
+	if err := prog.Add(isa.Instruction{Op: isa.OpCommEnd}); !errors.Is(err, isa.ErrBadProgram) {
+		t.Errorf("Add on a compiled program: %v, want a refusal", err)
+	}
+	if prog.Hash() != h || prog.Len() != 3 {
+		t.Error("a compiled program changed under Add")
+	}
 }
 
 // TestSubmitAfterClose verifies the shutdown path.

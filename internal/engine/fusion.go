@@ -185,22 +185,20 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 	}
 
 	gen := e.readGen()
-	pending := make([]int, 0, len(progs)) // indices awaiting execution
+	pending := make([]int, 0, len(progs))   // indices awaiting execution
+	hashes := make([]uint64, 0, len(progs)) // hashes[j] is progs[pending[j]]'s
 	for i, prog := range progs {
 		if prog.Mutating() {
 			e.st.reject()
 			errs[i] = ErrMutatingProgram
 			continue
 		}
-		h := prog.Hash()
-		if _, ok := e.valid.Load(h); !ok {
-			if err := prog.Validate(); err != nil {
-				e.st.reject()
-				errs[i] = err
-				continue
-			}
-			e.valid.Store(h, struct{}{})
+		if err := prog.Validate(); err != nil {
+			e.st.reject()
+			errs[i] = err
+			continue
 		}
+		h := prog.Hash()
 		if e.results != nil {
 			if res, ok := e.results.get(h, gen); ok {
 				e.st.resultHit()
@@ -211,6 +209,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 			e.st.resultMiss()
 		}
 		pending = append(pending, i)
+		hashes = append(hashes, h)
 	}
 	if len(pending) == 0 {
 		return results, errs
@@ -220,7 +219,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 	// before admission, so it never occupies queue or in-flight slots.
 	opts := make([]*isa.Optimized, len(pending))
 	for j, i := range pending {
-		opts[j] = e.optimize(progs[i], progs[i].Hash())
+		opts[j] = e.optimize(progs[i], hashes[j])
 	}
 
 	// Admission control covers the whole pending set at once.
@@ -249,7 +248,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 	reqs := make([]*request, len(pending))
 	for j, i := range pending {
 		reqs[j] = &request{
-			ctx: ctx, prog: progs[i], opt: opts[j], hash: progs[i].Hash(),
+			ctx: ctx, prog: progs[i], opt: opts[j], hash: hashes[j],
 			gen:  gen,
 			resp: make(chan response, 1), enqueued: time.Now(),
 		}

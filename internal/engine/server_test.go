@@ -493,3 +493,56 @@ func TestEnvelopeCodesDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestHostileNamesAnswerTyped: a client inventing names in operands that
+// only read the network gets a typed 400 naming the unknown name, every
+// time, and the KB's name tables do not grow. Before, each invented name
+// was interned under the KB write lock, the 255-color space ran out after
+// ~250 requests, and from there every request panicked the handler (the
+// connection dropped with no envelope) for every client.
+func TestHostileNamesAnswerTyped(t *testing.T) {
+	g, srv := newTestServer(t, 200)
+	shapes := []string{
+		"search-color color=%s marker=c1 value=0",
+		"search-relation rel=%s marker=c1 value=0",
+		"set-marker marker=c1 value=0\ncollect-relation marker=c1 rel=%s",
+		"set-marker marker=c1 value=0\npropagate m1=c1 m2=c2 rule=path(%s) fn=add",
+		"set-marker marker=c1 value=0\npropagate m1=c1 m2=c2 rule=spread(is-a,%s) fn=add",
+		"delete src=thing rel=%s dst=thing",
+	}
+	const requests = 300
+	for i := 0; i < requests; i++ {
+		name := fmt.Sprintf("junk%d", i)
+		resp, err := http.Post(srv.URL+"/v1/query", "text/plain",
+			strings.NewReader(fmt.Sprintf(shapes[i%len(shapes)], name)))
+		if err != nil {
+			t.Fatalf("request %d: no answer: %v", i, err)
+		}
+		var env ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_program" || env.Error.Retryable {
+			t.Fatalf("request %d: status %d, envelope %+v (%v); want 400 bad_program", i, resp.StatusCode, env.Error, err)
+		}
+		if !strings.Contains(env.Error.Message, name) {
+			t.Fatalf("request %d: message %q does not name %q", i, env.Error.Message, name)
+		}
+	}
+	for i := 0; i < requests; i++ {
+		name := fmt.Sprintf("junk%d", i)
+		if _, ok := g.KB.LookupColor(name); ok {
+			t.Fatalf("color %q was interned by a read", name)
+		}
+		if _, ok := g.KB.LookupRelation(name); ok {
+			t.Fatalf("relation %q was interned by a read", name)
+		}
+	}
+	// The spaces are as roomy as before, and the engine still answers.
+	if _, err := g.KB.InternColor("a-new-color"); err != nil {
+		t.Fatal(err)
+	}
+	concept := queryConcepts(g, 1)[0]
+	if out := postQuery(t, srv.URL, inheritanceQuery(g, concept)); len(out.Collections) != 1 {
+		t.Fatalf("engine unhealthy after the hostile sweep: %+v", out)
+	}
+}

@@ -1,7 +1,6 @@
 package isa
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -15,10 +14,13 @@ import (
 // Assembler parses the textual SNAP assembly accepted by cmd/snapsim.
 //
 // One instruction per line, lower- or upper-case opcode followed by
-// key=value operands; '#' starts a comment. Node, relation and color
-// operands are resolved by name against the knowledge base. Markers are
-// written c0..c63 (complex), b0..b63 (binary), or m<k> as an alias for
-// c<k>. Example:
+// key=value operands, each of them one the opcode takes; '#' starts a
+// comment. Node, relation and color operands are resolved by name against
+// the knowledge base (a node also by its number). A name the KB does not
+// hold is an error, except where the instruction writes it into the
+// network: the relation of create and marker-create, the color of
+// set-color and marker-set-color. Markers are written c0..c63 (complex),
+// b0..b63 (binary), or m<k> as an alias for c<k>. Example:
 //
 //	search-node node=we marker=c1 value=0
 //	propagate m1=c1 m2=c2 rule=spread(is-a,last) fn=add
@@ -30,14 +32,32 @@ type Assembler struct {
 // NewAssembler returns an assembler resolving names against kb.
 func NewAssembler(kb *semnet.KB) *Assembler { return &Assembler{kb: kb} }
 
-// Assemble parses a full program from r.
+// maxLineBytes bounds one line of assembly, newline included.
+const maxLineBytes = 64 << 10
+
+// Assemble drains r and parses it as a full program.
 func (a *Assembler) Assemble(r io.Reader) (*Program, error) {
+	var src strings.Builder
+	if _, err := io.Copy(&src, r); err != nil {
+		return nil, err
+	}
+	return a.AssembleString(src.String())
+}
+
+// AssembleString parses a full program from src, in place: one pass over
+// the text, nothing copied out of it. Every rejection wraps ErrBadProgram.
+func (a *Assembler) AssembleString(src string) (*Program, error) {
 	p := NewProgram()
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
+	for lineNo := 1; src != ""; lineNo++ {
+		line := src
+		if i := strings.IndexByte(src, '\n'); i >= 0 {
+			line, src = src[:i], src[i+1:]
+		} else {
+			src = ""
+		}
+		if len(line) >= maxLineBytes {
+			return nil, fmt.Errorf("%w: line %d is longer than %d bytes", ErrBadProgram, lineNo, maxLineBytes-1)
+		}
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
@@ -46,11 +66,8 @@ func (a *Assembler) Assemble(r io.Reader) (*Program, error) {
 			continue
 		}
 		if err := a.assembleLine(p, line); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrBadProgram, lineNo, err)
+			return nil, fmt.Errorf("%w: line %d: %w", ErrBadProgram, lineNo, err)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	return p, nil
 }
@@ -75,116 +92,195 @@ func nextField(s string) (field, rest string) {
 	return s, ""
 }
 
+// lineAsm is one line being assembled: the instruction so far and the
+// rule= operand, which becomes a token once the whole line has parsed.
+type lineAsm struct {
+	in      Instruction
+	rule    rules.Spec
+	hasRule bool
+}
+
 func (a *Assembler) assembleLine(p *Program, line string) error {
 	name, rest := nextField(line)
 	op, ok := opByName[strings.ToLower(name)]
 	if !ok {
 		return fmt.Errorf("unknown opcode %q", name)
 	}
-	in := Instruction{Op: op}
-	var ruleSpec *rules.Spec
+	l := lineAsm{in: Instruction{Op: op}}
 	for f, rest := nextField(rest); f != ""; f, rest = nextField(rest) {
 		key, val, found := strings.Cut(f, "=")
 		if !found {
 			return fmt.Errorf("operand %q is not key=value", f)
 		}
-		if err := a.setOperand(&in, &ruleSpec, key, val); err != nil {
+		if err := a.setOperand(&l, key, val); err != nil {
 			return err
 		}
 	}
 	if op == OpPropagate {
-		if ruleSpec == nil {
+		if !l.hasRule {
 			return fmt.Errorf("propagate requires rule=")
 		}
-		tok, err := p.Rules.Add(*ruleSpec)
+		tok, err := p.Rules.Add(l.rule)
 		if err != nil {
 			return err
 		}
-		in.Rule = tok
+		l.in.Rule = tok
 	}
-	return p.Add(in)
+	return p.Add(l.in)
 }
 
-func (a *Assembler) setOperand(in *Instruction, ruleSpec **rules.Spec, key, val string) error {
+// operand is one operand position of Table II; operandsOf lists the
+// positions each opcode takes. An operand the opcode does not take is an
+// error rather than a field silently carried into the program's hash.
+type operand uint16
+
+const (
+	opdNode operand = 1 << iota
+	opdEnd
+	opdRel
+	opdRev
+	opdColor
+	opdM1
+	opdM2
+	opdM3
+	opdValue
+	opdWeight
+	opdFn
+	opdCond
+	opdRule
+)
+
+var operandsOf = [NumOpcodes]operand{
+	OpCreate:          opdNode | opdRel | opdWeight | opdEnd,
+	OpDelete:          opdNode | opdRel | opdEnd,
+	OpSetColor:        opdNode | opdColor,
+	OpSearchNode:      opdNode | opdM1 | opdValue,
+	OpSearchRelation:  opdRel | opdM1 | opdValue,
+	OpSearchColor:     opdColor | opdM1 | opdValue,
+	OpPropagate:       opdM1 | opdM2 | opdRule | opdFn,
+	OpMarkerCreate:    opdM1 | opdRel | opdEnd | opdRev,
+	OpMarkerDelete:    opdM1 | opdRel | opdEnd | opdRev,
+	OpMarkerSetColor:  opdM1 | opdColor,
+	OpAndMarker:       opdM1 | opdM2 | opdM3 | opdFn,
+	OpOrMarker:        opdM1 | opdM2 | opdM3 | opdFn,
+	OpNotMarker:       opdM1 | opdM2 | opdValue | opdCond,
+	OpSetMarker:       opdM1 | opdValue,
+	OpClearMarker:     opdM1,
+	OpFuncMarker:      opdM1 | opdFn | opdValue,
+	OpCollectNode:     opdM1,
+	OpCollectRelation: opdM1 | opdRel,
+	OpCollectColor:    opdM1,
+	OpCommEnd:         0,
+}
+
+func (a *Assembler) setOperand(l *lineAsm, key, val string) error {
+	var opd operand
 	switch strings.ToLower(key) {
 	case "node", "source-node", "src":
-		id, err := a.node(val)
-		if err != nil {
-			return err
-		}
-		in.Node = id
+		opd = opdNode
 	case "end-node", "end", "dst":
-		id, err := a.node(val)
-		if err != nil {
-			return err
-		}
-		in.EndNode = id
+		opd = opdEnd
 	case "relation", "rel", "forward-relation":
-		in.Rel = a.kb.Relation(val)
+		opd = opdRel
 	case "reverse-relation", "rev":
-		in.RevRel = a.kb.Relation(val)
-		in.HasRev = true
+		opd = opdRev
 	case "color":
-		in.Color = a.kb.ColorFor(val)
+		opd = opdColor
 	case "marker", "m1", "marker-1":
-		m, err := parseMarker(val)
-		if err != nil {
-			return err
-		}
-		in.M1 = m
+		opd = opdM1
 	case "m2", "marker-2":
-		m, err := parseMarker(val)
-		if err != nil {
-			return err
-		}
-		in.M2 = m
+		opd = opdM2
 	case "m3", "marker-3":
-		m, err := parseMarker(val)
-		if err != nil {
-			return err
-		}
-		in.M3 = m
+		opd = opdM3
 	case "value", "operand":
-		v, err := strconv.ParseFloat(val, 32)
-		if err != nil {
-			return fmt.Errorf("bad value %q: %v", val, err)
-		}
-		in.Value = float32(v)
+		opd = opdValue
 	case "weight", "w":
-		v, err := strconv.ParseFloat(val, 32)
-		if err != nil {
-			return fmt.Errorf("bad weight %q: %v", val, err)
-		}
-		in.Weight = float32(v)
+		opd = opdWeight
 	case "fn", "function":
-		fn, err := parseFunc(val)
-		if err != nil {
-			return err
-		}
-		in.Fn = fn
+		opd = opdFn
 	case "cond", "condition":
-		c, err := parseCond(val)
-		if err != nil {
-			return err
-		}
-		in.Cond = c
+		opd = opdCond
 	case "rule":
-		spec, err := a.parseRule(val)
-		if err != nil {
-			return err
-		}
-		*ruleSpec = &spec
+		opd = opdRule
 	default:
 		return fmt.Errorf("unknown operand key %q", key)
 	}
-	return nil
+	in := &l.in
+	if operandsOf[in.Op]&opd == 0 {
+		return fmt.Errorf("%s takes no %s operand", strings.ToLower(in.Op.String()), key)
+	}
+	var err error
+	switch opd {
+	case opdNode:
+		in.Node, err = a.node(val)
+	case opdEnd:
+		in.EndNode, err = a.node(val)
+	case opdRel:
+		in.Rel, err = a.relation(val, in.Op == OpCreate || in.Op == OpMarkerCreate)
+	case opdRev:
+		in.RevRel, err = a.relation(val, in.Op == OpMarkerCreate)
+		in.HasRev = true
+	case opdColor:
+		in.Color, err = a.color(val, in.Op == OpSetColor || in.Op == OpMarkerSetColor)
+	case opdM1:
+		in.M1, err = parseMarker(val)
+	case opdM2:
+		in.M2, err = parseMarker(val)
+	case opdM3:
+		in.M3, err = parseMarker(val)
+	case opdValue:
+		in.Value, err = parseFloat32("value", val)
+	case opdWeight:
+		in.Weight, err = parseFloat32("weight", val)
+	case opdFn:
+		in.Fn, err = parseFunc(val)
+	case opdCond:
+		in.Cond, err = parseCond(val)
+	case opdRule:
+		l.rule, err = a.parseRule(val)
+		l.hasRule = true
+	}
+	return err
+}
+
+func parseFloat32(what, s string) (float32, error) {
+	v, err := strconv.ParseFloat(s, 32)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q: %v", what, s, err)
+	}
+	return float32(v), nil
+}
+
+// relation resolves a relation-type name. Only an operand that writes
+// the relation into the network (create) may bring a new name into the
+// KB; everywhere else an unknown name is an error, so that reading never
+// grows — or exhausts — the name space.
+func (a *Assembler) relation(name string, create bool) (semnet.RelType, error) {
+	if create {
+		return a.kb.InternRelation(name)
+	}
+	if r, ok := a.kb.LookupRelation(name); ok {
+		return r, nil
+	}
+	return 0, fmt.Errorf("unknown relation %q", name)
+}
+
+// color resolves a color name under the same rule as relation.
+func (a *Assembler) color(name string, create bool) (semnet.Color, error) {
+	if create {
+		return a.kb.InternColor(name)
+	}
+	if c, ok := a.kb.LookupColor(name); ok {
+		return c, nil
+	}
+	return 0, fmt.Errorf("unknown color %q", name)
 }
 
 func (a *Assembler) node(name string) (semnet.NodeID, error) {
 	if id, ok := a.kb.Lookup(name); ok {
 		return id, nil
 	}
-	if n, err := strconv.ParseUint(name, 10, 32); err == nil {
+	if n, err := strconv.ParseUint(name, 10, 32); err == nil && n < uint64(a.kb.NumNodes()) {
 		return semnet.NodeID(n), nil
 	}
 	return semnet.InvalidNode, fmt.Errorf("unknown node %q", name)
@@ -256,33 +352,35 @@ func (a *Assembler) parseRule(s string) (rules.Spec, error) {
 	if open < 0 || !strings.HasSuffix(s, ")") {
 		return rules.Spec{}, fmt.Errorf("bad rule %q (want kind(r1[,r2]))", s)
 	}
-	kindName := s[:open]
-	args := strings.Split(s[open+1:len(s)-1], ",")
-	for i := range args {
-		args[i] = strings.TrimSpace(args[i])
-	}
 	var kind rules.Kind
-	two := false
-	switch strings.ToLower(kindName) {
+	switch kindName := s[:open]; strings.ToLower(kindName) {
 	case "step":
 		kind = rules.KindStep
 	case "path":
 		kind = rules.KindPath
 	case "spread":
-		kind, two = rules.KindSpread, true
+		kind = rules.KindSpread
 	case "seq":
-		kind, two = rules.KindSeq, true
+		kind = rules.KindSeq
 	case "comb":
-		kind, two = rules.KindComb, true
+		kind = rules.KindComb
 	default:
 		return rules.Spec{}, fmt.Errorf("unknown rule kind %q", kindName)
 	}
-	if two && len(args) != 2 || !two && len(args) != 1 {
+	two := kind.Arity() == 2
+	r1, r2, comma := strings.Cut(s[open+1:len(s)-1], ",")
+	if comma != two || strings.Contains(r2, ",") {
 		return rules.Spec{}, fmt.Errorf("rule %q has wrong arity", s)
 	}
-	spec := rules.Spec{Kind: kind, R1: a.kb.Relation(args[0])}
+	spec := rules.Spec{Kind: kind}
+	var err error
+	if spec.R1, err = a.relation(strings.TrimSpace(r1), false); err != nil {
+		return rules.Spec{}, err
+	}
 	if two {
-		spec.R2 = a.kb.Relation(args[1])
+		if spec.R2, err = a.relation(strings.TrimSpace(r2), false); err != nil {
+			return rules.Spec{}, err
+		}
 	}
 	return spec, nil
 }
@@ -331,6 +429,15 @@ func Disassemble(in *Instruction, kb *semnet.KB, tbl *rules.Table) string {
 		if tbl != nil {
 			if r := tbl.Rule(in.Rule); r != nil {
 				name = r.Name()
+				// A rule compiled from a spec renders as the text that
+				// assembles back to it.
+				if spec, ok := r.Spec(); ok {
+					name = spec.Kind.String() + "(" + kb.RelationName(spec.R1)
+					if spec.Kind.Arity() == 2 {
+						name += "," + kb.RelationName(spec.R2)
+					}
+					name += ")"
+				}
 			}
 		}
 		emit("rule", name)

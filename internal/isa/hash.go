@@ -15,7 +15,18 @@ import (
 // The digest covers rule *behavior* (the compiled FSM), not rule table
 // tokens alone: the same token number bound to a different rule hashes
 // differently.
+//
+// A sealed program (Seal) answers with the hash it was sealed with; any
+// other program is hashed afresh on every call, so the value cannot go
+// stale.
 func (p *Program) Hash() uint64 {
+	if p.sealed {
+		return p.hash
+	}
+	return p.contentHash()
+}
+
+func (p *Program) contentHash() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	w32 := func(v uint32) {

@@ -15,6 +15,10 @@ import (
 type Program struct {
 	Instrs []Instruction
 	Rules  *rules.Table
+
+	// sealed programs are immutable and carry their content hash; see Seal.
+	sealed bool
+	hash   uint64
 }
 
 // NewProgram returns an empty program with a fresh rule table.
@@ -25,8 +29,20 @@ func NewProgram() *Program {
 // Len reports the instruction count.
 func (p *Program) Len() int { return len(p.Instrs) }
 
-// Add appends an already-formed instruction after validating it.
+// Seal computes the program's content hash once and freezes the program:
+// Hash returns the kept value from here on, and Add refuses. The owner of
+// a shared program (the engine's compile cache) seals it before handing it
+// out; nobody may write Instrs or Rules of a sealed program.
+func (p *Program) Seal() {
+	p.hash, p.sealed = p.contentHash(), true
+}
+
+// Add appends an already-formed instruction after validating it. A sealed
+// program refuses it.
 func (p *Program) Add(in Instruction) error {
+	if p.sealed {
+		return fmt.Errorf("%w: %s added to a sealed program", ErrBadProgram, in.Op)
+	}
 	if err := in.Validate(); err != nil {
 		return err
 	}

@@ -2,7 +2,7 @@ package machine
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"snap1/internal/isa"
 	"snap1/internal/perfmon"
@@ -271,53 +271,17 @@ func (m *Machine) execMarkerLinks(in *isa.Instruction, bAt timing.Time) (timing.
 	return excl, firstErr
 }
 
-// collectLess orders collection rows by (Node, To), the retrieval
-// contract shared by the merge and the fallback comparison sort.
-func collectLess(a, b *Item) bool {
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	return a.To < b.To
-}
-
-// mergeCollectRuns merges len(runs)-1 presorted contiguous runs of
-// items into one sorted slice. The run count is the cluster count
-// (≤128, typically 16), so a linear scan of the run heads per output
-// element beats a heap and needs no per-item allocation.
-func mergeCollectRuns(items []Item, runs []int) []Item {
-	nonEmpty := 0
-	for r := 0; r+1 < len(runs); r++ {
-		if runs[r+1] > runs[r] {
-			nonEmpty++
-		}
-	}
-	if nonEmpty <= 1 {
-		return items
-	}
-	out := make([]Item, 0, len(items))
-	heads := make([]int, len(runs)-1)
-	for r := range heads {
-		heads[r] = runs[r]
-	}
-	for len(out) < len(items) {
-		best := -1
-		for r := range heads {
-			if heads[r] >= runs[r+1] {
-				continue
-			}
-			if best < 0 || collectLess(&items[heads[r]], &items[heads[best]]) {
-				best = r
-			}
-		}
-		out = append(out, items[heads[best]])
-		heads[best]++
-	}
-	return out
-}
-
 // execCollect implements the retrieval group: the controller switches to
 // each cluster's dual-port memory in turn and pulls the matching rows —
 // the cost component that grows proportionally to cluster count (Fig. 21).
+//
+// The host does not merge per-cluster row lists. Every cluster's set bits
+// of the collected marker are projected onto one bitmap indexed by global
+// node ID, and that bitmap is walked ascending, so rows come out in the
+// (Node, To) order of the retrieval contract by construction. The
+// controller is charged what the per-cluster transfer costs — setup, then
+// CollectNodeCycles per row, cluster by cluster — whatever order the host
+// gathered the rows in.
 func (m *Machine) execCollect(st *runState, idx int, in *isa.Instruction, bAt timing.Time) (timing.Time, error) {
 	// The controller must see completed array state.
 	m.ctrl.Sync(bAt)
@@ -326,116 +290,78 @@ func (m *Machine) execCollect(st *runState, idx int, in *isa.Instruction, bAt ti
 	}
 	startCtrl := m.ctrl.Now()
 
-	var items []Item
-	emit := func(s *semnet.Store, local int) int64 {
-		return emitCollect(in, s, local, &items)
+	if need := (len(m.assign) + semnet.HostWordBits - 1) / semnet.HostWordBits; len(m.collectBits) < need {
+		m.collectBits = make([]uint64, need)
 	}
-
-	// The result contract is (Node, To)-sorted rows. Two host paths
-	// build that order without the seed's reflection sort; both charge
-	// the identical virtual-time pattern (per-cluster setup plus
-	// per-row transfer cycles).
+	if len(m.collectRows) < len(m.clusters) {
+		m.collectRows = make([]int64, len(m.clusters))
+	}
+	marked, rows := m.collectBits, m.collectRows[:len(m.clusters)]
+	clear(rows)
 	total := 0
 	for _, c := range m.clusters {
-		total += c.store.CountSet(in.M1)
-	}
-	if total*4 >= len(m.assign) {
-		// Dense frontier: walk nodes in global-ID order, probing each
-		// node's bit — already sorted, no merge. One probe per node
-		// beats merging K runs once a quarter of the array is marked.
-		counts := make([]int64, len(m.clusters))
-		for id := range m.assign {
-			ci := m.assign[id]
-			c := m.clusters[ci]
-			local := int(m.localIdx[id])
-			if !c.store.Test(local, in.M1) {
-				continue
+		globals := c.store.Globals()
+		for w, word := range c.store.StatusRow(in.M1) {
+			total += bits.OnesCount64(word)
+			for base := w * semnet.HostWordBits; word != 0; word &= word - 1 {
+				g := globals[base+bits.TrailingZeros64(word)]
+				marked[g/semnet.HostWordBits] |= 1 << (g % semnet.HostWordBits)
 			}
-			counts[ci] += emit(c.store, local)
 		}
-		for ci := range m.clusters {
-			m.ctrl.Tick(m.cost.CollectSetupPerCluster)
-			m.ctrl.Tick(m.cost.CollectNodeCycles * counts[ci])
-		}
-	} else {
-		// Sparse frontier: gather per cluster (skipping empty words via
-		// the frontier-adaptive scan), then merge the presorted runs.
-		// LoadKB buckets each cluster's members in ascending global-ID
-		// order and ForEachSet yields ascending locals, so per-cluster
-		// runs are almost always presorted; topology mutations can break
-		// that, detected below, falling back to a comparison sort.
-		runs := make([]int, 0, len(m.clusters)+1)
-		sorted := true
-		for _, c := range m.clusters {
-			m.ctrl.Tick(m.cost.CollectSetupPerCluster)
-			runs = append(runs, len(items))
-			runStart := len(items)
-			var n int64
-			c.store.ForEachSet(in.M1, func(local int) {
-				n += emit(c.store, local)
-			})
-			m.ctrl.Tick(m.cost.CollectNodeCycles * n)
-			if sorted {
-				for i := runStart + 1; i < len(items); i++ {
-					if collectLess(&items[i], &items[i-1]) {
-						sorted = false
-						break
+	}
+
+	items := make([]Item, 0, total)
+	for w, word := range marked {
+		marked[w] = 0 // leave the scratch clear for the next collect
+		for base := w * semnet.HostWordBits; word != 0; word &= word - 1 {
+			id := base + bits.TrailingZeros64(word)
+			ci := m.assign[id]
+			s, local := m.clusters[ci].store, int(m.localIdx[id])
+			first := len(items)
+			switch in.Op {
+			case isa.OpCollectNode:
+				items = append(items, Item{
+					Node:   semnet.NodeID(id),
+					Value:  s.Value(local, in.M1),
+					Origin: s.Origin(local, in.M1),
+					Color:  s.Color(local),
+				})
+			case isa.OpCollectColor:
+				items = append(items, Item{Node: semnet.NodeID(id), Color: s.Color(local)})
+			case isa.OpCollectRelation:
+				for _, l := range s.Links(local) {
+					if l.Rel != in.Rel {
+						continue
 					}
+					// Insertion sort by To within the node, equal To in link
+					// order: a node has at most RelationSlots links, and
+					// nothing moves unless the network or a mutation listed
+					// them out of To order.
+					j := len(items)
+					items = append(items, Item{})
+					for ; j > first && items[j-1].To > l.To; j-- {
+						items[j] = items[j-1]
+					}
+					items[j] = Item{Node: semnet.NodeID(id), Rel: l.Rel, Weight: l.Weight, To: l.To}
 				}
 			}
-		}
-		runs = append(runs, len(items))
-		if sorted {
-			items = mergeCollectRuns(items, runs)
-		} else {
-			sort.Slice(items, func(i, j int) bool {
-				return collectLess(&items[i], &items[j])
-			})
+			rows[ci] += int64(len(items) - first)
 		}
 	}
-	return m.finishCollect(st, idx, in, startCtrl, items), nil
-}
+	if len(items) == 0 {
+		items = nil // no rows is a nil Items, as it is for a collect never run
+	}
+	for _, n := range rows {
+		m.ctrl.Tick(m.cost.CollectSetupPerCluster)
+		m.ctrl.Tick(m.cost.CollectNodeCycles * n)
+	}
 
-// finishCollect records a collect's rows and controller-time attribution.
-func (m *Machine) finishCollect(st *runState, idx int, in *isa.Instruction, startCtrl timing.Time, items []Item) timing.Time {
 	st.res.Collections = append(st.res.Collections, Collection{Instr: idx, Op: in.Op, Items: items})
 	st.prof.CollectedNodes += int64(len(items))
-
 	end := m.ctrl.Now()
 	st.prof.Overhead.Collection += end - startCtrl
 	if mon := m.cfg.Monitor; mon != nil {
 		mon.Emit(-1, perfmon.EvCollect, uint32(len(items)), end)
 	}
-	return end - startCtrl
-}
-
-// emitCollect appends local's rows for one collect instruction and
-// returns the number of rows transferred (the virtual-time unit).
-func emitCollect(in *isa.Instruction, s *semnet.Store, local int, items *[]Item) int64 {
-	node := s.Global(local)
-	switch in.Op {
-	case isa.OpCollectNode:
-		*items = append(*items, Item{
-			Node:   node,
-			Value:  s.Value(local, in.M1),
-			Origin: s.Origin(local, in.M1),
-			Color:  s.Color(local),
-		})
-		return 1
-	case isa.OpCollectRelation:
-		var n int64
-		for _, l := range s.Links(local) {
-			if l.Rel == in.Rel {
-				*items = append(*items, Item{
-					Node: node, Rel: l.Rel, Weight: l.Weight, To: l.To,
-				})
-				n++
-			}
-		}
-		return n
-	case isa.OpCollectColor:
-		*items = append(*items, Item{Node: node, Color: s.Color(local)})
-		return 1
-	}
-	return 0
+	return end - startCtrl, nil
 }

@@ -57,12 +57,7 @@ type fusedRun struct {
 // maxWideLanes bounds a wide group's lane count to the task mask width.
 const maxWideLanes = 16
 
-// RunFused executes a fused program. On success the result is the
-// fused run's (demultiplexing to per-query results is the caller's
-// job, via f.InstrOf on each Collection.Instr). ErrFusionAmbiguous
-// means the run detected an origin tie; any other error is as for
-// RunContext.
-func (m *Machine) RunFused(ctx context.Context, f *isa.Fused) (*Result, error) {
+func newFusedRun(f *isa.Fused) *fusedRun {
 	fc := &fusedRun{f: f, groupOf: make([]int16, len(f.Program.Instrs))}
 	for i := range fc.groupOf {
 		fc.groupOf[i] = -1
@@ -75,6 +70,16 @@ func (m *Machine) RunFused(ctx context.Context, f *isa.Fused) (*Result, error) {
 			fc.groupOf[idx] = int16(gi)
 		}
 	}
+	return fc
+}
+
+// RunFused executes a fused program. On success the result is the
+// fused run's (demultiplexing to per-query results is the caller's
+// job, via f.InstrOf on each Collection.Instr). ErrFusionAmbiguous
+// means the run detected an origin tie; any other error is as for
+// RunContext.
+func (m *Machine) RunFused(ctx context.Context, f *isa.Fused) (*Result, error) {
+	fc := newFusedRun(f)
 	m.fusedCtx = fc
 	res, err := m.RunContext(ctx, f.Program)
 	m.fusedCtx = nil

@@ -64,6 +64,12 @@ type Machine struct {
 	// current flush's wide schedules (lockstep engine only).
 	fusedCtx  *fusedRun
 	widePlans []widePlan
+
+	// COLLECT scratch, reused across runs: collectBits is a bitmap over
+	// global node IDs (all zero between collects), collectRows the rows
+	// each cluster transferred.
+	collectBits []uint64
+	collectRows []int64
 }
 
 // allDirty marks every marker plane dirty.

@@ -16,6 +16,7 @@ package rules
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"snap1/internal/semnet"
 )
@@ -58,6 +59,16 @@ func (k Kind) String() string {
 	}
 }
 
+// Arity reports how many relation types a rule of kind k names: R2 is
+// ignored by the single-relation kinds.
+func (k Kind) Arity() int {
+	switch k {
+	case KindSpread, KindSeq, KindComb:
+		return 2
+	}
+	return 1
+}
+
 // Spec names a rule to be compiled: a predefined kind over one or two
 // relation types. R2 is ignored by single-relation kinds.
 type Spec struct {
@@ -97,11 +108,28 @@ type Transition struct {
 	Next State
 }
 
-// Compiled is a rule FSM ready for the marker units.
+// Compiled is a rule FSM ready for the marker units. It is immutable once
+// built, so one Compiled may sit in any number of rule tables and be read
+// by any number of running machines at once.
 type Compiled struct {
 	name   string
 	states [][]Transition
+	fp     uint64 // Fingerprint, fixed at construction
+
+	// spec is what Compile lowered; fromSpec is false for a Builder rule.
+	spec     Spec
+	fromSpec bool
 }
+
+func newCompiled(name string, states [][]Transition) *Compiled {
+	c := &Compiled{name: name, states: states}
+	c.fp = c.fingerprint()
+	return c
+}
+
+// Spec returns the spec the rule was compiled from; ok is false for a
+// rule assembled by a Builder.
+func (c *Compiled) Spec() (spec Spec, ok bool) { return c.spec, c.fromSpec }
 
 // Name returns the rule's diagnostic name.
 func (c *Compiled) Name() string { return c.name }
@@ -131,7 +159,9 @@ func (c *Compiled) Terminal(s State) bool {
 // Fingerprint returns a 64-bit FNV-1a digest of the FSM's transition
 // structure. Two rules with equal fingerprints follow exactly the same
 // links, so the digest participates in program content hashing.
-func (c *Compiled) Fingerprint() uint64 {
+func (c *Compiled) Fingerprint() uint64 { return c.fp }
+
+func (c *Compiled) fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -153,35 +183,64 @@ func (c *Compiled) Fingerprint() uint64 {
 
 // Compile lowers a Spec to its FSM.
 func Compile(spec Spec) (*Compiled, error) {
-	name := fmt.Sprintf("%s(%d,%d)", spec.Kind, spec.R1, spec.R2)
+	var states [][]Transition
 	switch spec.Kind {
 	case KindStep:
-		return &Compiled{name: name, states: [][]Transition{
+		states = [][]Transition{
 			{{Rel: spec.R1, Next: 1}},
 			nil,
-		}}, nil
+		}
 	case KindPath:
-		return &Compiled{name: name, states: [][]Transition{
+		states = [][]Transition{
 			{{Rel: spec.R1, Next: 0}},
-		}}, nil
+		}
 	case KindSpread:
-		return &Compiled{name: name, states: [][]Transition{
+		states = [][]Transition{
 			{{Rel: spec.R1, Next: 0}, {Rel: spec.R2, Next: 1}},
 			{{Rel: spec.R2, Next: 1}},
-		}}, nil
+		}
 	case KindSeq:
-		return &Compiled{name: name, states: [][]Transition{
+		states = [][]Transition{
 			{{Rel: spec.R1, Next: 1}},
 			{{Rel: spec.R2, Next: 2}},
 			nil,
-		}}, nil
+		}
 	case KindComb:
-		return &Compiled{name: name, states: [][]Transition{
+		states = [][]Transition{
 			{{Rel: spec.R1, Next: 0}, {Rel: spec.R2, Next: 0}},
-		}}, nil
+		}
 	default:
 		return nil, fmt.Errorf("rules: unknown kind %d", spec.Kind)
 	}
+	c := newCompiled(fmt.Sprintf("%s(%d,%d)", spec.Kind, spec.R1, spec.R2), states)
+	c.spec, c.fromSpec = spec, true
+	return c, nil
+}
+
+// interned memoizes Compile by Spec for every rule table in the process:
+// the same few specs (path(is-a), …) head almost every query, and their
+// FSMs are immutable. The table is direct-mapped and never grows — a slot
+// holds the last spec that hashed to it, so a collision or a lost race
+// costs one recompile and nothing else.
+var interned [256]atomic.Pointer[internedRule]
+
+type internedRule struct {
+	spec Spec
+	rule *Compiled
+}
+
+func compileInterned(spec Spec) (*Compiled, error) {
+	h := (uint(spec.Kind)*31+uint(spec.R1))*31 + uint(spec.R2)
+	slot := &interned[h%uint(len(interned))]
+	if e := slot.Load(); e != nil && e.spec == spec {
+		return e.rule, nil
+	}
+	c, err := Compile(spec)
+	if err != nil {
+		return nil, err
+	}
+	slot.Store(&internedRule{spec: spec, rule: c})
+	return c, nil
 }
 
 // Builder assembles a custom rule FSM state by state.
@@ -229,47 +288,55 @@ func (b *Builder) Build() (*Compiled, error) {
 	if len(b.states) == 0 {
 		return nil, fmt.Errorf("rules: rule %q has no states", b.name)
 	}
-	return &Compiled{name: b.name, states: b.states}, nil
+	// Copy, so a builder used again cannot reach into the built rule.
+	states := make([][]Transition, len(b.states))
+	for s, ts := range b.states {
+		states[s] = append([]Transition(nil), ts...)
+	}
+	return newCompiled(b.name, states), nil
 }
 
 // Table is the per-program rule microcode table, downloaded to every
 // cluster before execution. Token 0 is reserved as "no rule".
 type Table struct {
-	rules []*Compiled
-	bySig map[string]Token
+	rules  []*Compiled
+	bySpec map[Spec]Token // made by the first Add
 }
 
 // NewTable returns an empty rule table.
 func NewTable() *Table {
-	return &Table{rules: []*Compiled{nil}, bySig: make(map[string]Token)}
+	return &Table{rules: []*Compiled{nil}}
 }
 
 // Add compiles and interns spec, returning its message token. Identical
 // specs share a token.
 func (t *Table) Add(spec Spec) (Token, error) {
-	sig := fmt.Sprintf("%d/%d/%d", spec.Kind, spec.R1, spec.R2)
-	if tok, ok := t.bySig[sig]; ok {
+	if tok, ok := t.bySpec[spec]; ok {
 		return tok, nil
 	}
-	c, err := Compile(spec)
+	c, err := compileInterned(spec)
 	if err != nil {
 		return 0, err
 	}
-	return t.addCompiled(sig, c)
+	tok, err := t.AddCustom(c)
+	if err != nil {
+		return 0, err
+	}
+	if t.bySpec == nil {
+		t.bySpec = make(map[Spec]Token)
+	}
+	t.bySpec[spec] = tok
+	return tok, nil
 }
 
-// AddCustom interns a custom-built rule under its own token.
+// AddCustom appends a built rule under a token of its own, every time it
+// is called.
 func (t *Table) AddCustom(c *Compiled) (Token, error) {
-	return t.addCompiled(fmt.Sprintf("custom/%p", c), c)
-}
-
-func (t *Table) addCompiled(sig string, c *Compiled) (Token, error) {
 	if len(t.rules) >= 256 {
 		return 0, fmt.Errorf("rules: table full (255 rules)")
 	}
 	tok := Token(len(t.rules))
 	t.rules = append(t.rules, c)
-	t.bySig[sig] = tok
 	return tok, nil
 }
 

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"snap1/internal/semnet"
@@ -199,5 +200,121 @@ func TestNextOutOfRangeState(t *testing.T) {
 	}
 	if !c.Terminal(7) {
 		t.Error("out-of-range state is terminal")
+	}
+}
+
+// TestTableAddPinned holds Table.Add to the tokens, fingerprints and
+// names it gave when specs were keyed by a formatted string and compiled
+// afresh per table: program hashes are built from these.
+func TestTableAddPinned(t *testing.T) {
+	tbl := NewTable()
+	for _, c := range []struct {
+		spec Spec
+		tok  Token
+		fp   uint64
+		name string
+	}{
+		{Step(1), 1, 0x907d69904d19d4a1, "step(1,0)"},
+		{Path(1), 2, 0xd0a497186728e40c, "path(1,0)"},
+		{Spread(1, 2), 3, 0xd60fb7c006592d7a, "spread(1,2)"},
+		{Seq(1, 2), 4, 0x57f353df38ec7948, "seq(1,2)"},
+		{Comb(1, 2), 5, 0xb092ca774a7ee664, "comb(1,2)"},
+		{Path(1), 2, 0xd0a497186728e40c, "path(1,0)"},
+		{Step(2), 6, 0x864b6990447059a1, "step(2,0)"},
+		// An R2 a single-relation kind ignores still makes a spec of its own.
+		{Spec{Kind: KindStep, R1: 1, R2: 9}, 7, 0x907d69904d19d4a1, "step(1,9)"},
+	} {
+		tok, err := tbl.Add(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := tbl.Rule(tok)
+		if tok != c.tok || r.Fingerprint() != c.fp || r.Name() != c.name {
+			t.Errorf("%v: token %d fingerprint %#x name %s, want %d %#x %s",
+				c.spec, tok, r.Fingerprint(), r.Name(), c.tok, c.fp, c.name)
+		}
+		if spec, ok := r.Spec(); !ok || spec != c.spec {
+			t.Errorf("%v: Spec() = %v, %v", c.spec, spec, ok)
+		}
+	}
+	// AddCustom gives every call a token of its own, the same rule or not
+	// (a fused program relies on it: one token per member PROPAGATE).
+	c, _ := NewBuilder("x").On(0, rA, 0).Build()
+	tok1, _ := tbl.AddCustom(c)
+	tok2, _ := tbl.AddCustom(c)
+	if tok1 == tok2 || tbl.Rule(tok1) != c || tbl.Rule(tok2) != c {
+		t.Errorf("AddCustom tokens %d, %d", tok1, tok2)
+	}
+	if _, ok := c.Spec(); ok {
+		t.Error("a Builder rule claims a spec")
+	}
+}
+
+// TestBuiltRuleIsDetachedFromItsBuilder: a Compiled is immutable, so a
+// builder used again must not reach into a rule it already built.
+func TestBuiltRuleIsDetachedFromItsBuilder(t *testing.T) {
+	b := NewBuilder("x").On(0, rA, 1)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := c.Fingerprint()
+	b.On(0, rB, 1).On(1, rC, 0)
+	if _, ok := c.Next(0, rB); ok || !c.Terminal(1) || c.Fingerprint() != fp {
+		t.Error("the builder changed a built rule")
+	}
+}
+
+// TestInternedRulesAreSharedAndImmutable: tables in any number of
+// goroutines adding the same specs get the one interned FSM per spec (a
+// slot collision may recompile, never corrupt), and reading it from all
+// of them at once is race-free — run under -race.
+func TestInternedRulesAreSharedAndImmutable(t *testing.T) {
+	specs := []Spec{Step(rA), Path(rA), Spread(rA, rB), Seq(rB, rC), Comb(rA, rC)}
+	// 300 more specs than the interning table has slots, to force evictions.
+	for r := semnet.RelType(10); r < 310; r++ {
+		specs = append(specs, Path(r))
+	}
+	want := make([]uint64, len(specs))
+	for i, s := range specs {
+		want[i] = compile(t, s).Fingerprint()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				tbl := NewTable()
+				for i := range specs {
+					j := (i*7 + g) % len(specs) // each goroutine in its own order
+					tok, err := tbl.Add(specs[j])
+					if err != nil {
+						if tbl.Len() == 255 {
+							break // the table, not the interning, is full
+						}
+						t.Error(err)
+						return
+					}
+					r := tbl.Rule(tok)
+					if spec, _ := r.Spec(); spec != specs[j] || r.Fingerprint() != want[j] {
+						t.Errorf("%v resolved to %v (%#x)", specs[j], spec, r.Fingerprint())
+						return
+					}
+					if _, ok := r.Next(0, specs[j].R1); !ok || r.Terminal(0) {
+						t.Errorf("%v does not follow its own relation", specs[j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	a, b := NewTable(), NewTable()
+	ta, _ := a.Add(Spread(rA, rB))
+	tb, _ := b.Add(Spread(rA, rB))
+	if a.Rule(ta) != b.Rule(tb) {
+		t.Error("two tables compiled the same spec twice")
 	}
 }

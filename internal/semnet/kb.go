@@ -263,20 +263,41 @@ func (kb *KB) NumLinks() int {
 }
 
 // Relation interns a relation-type name, assigning the next free type.
+// It panics when the type space is exhausted: construction code, where
+// that is a bug. Code resolving names it did not choose uses
+// LookupRelation or InternRelation.
 func (kb *KB) Relation(name string) RelType {
+	r, err := kb.InternRelation(name)
+	if err != nil {
+		panic("semnet: relation type space exhausted")
+	}
+	return r
+}
+
+// InternRelation is Relation with the exhausted type space (RelCont is
+// reserved) reported as ErrCapacity.
+func (kb *KB) InternRelation(name string) (RelType, error) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
 	if r, ok := kb.relByName[name]; ok {
-		return r
+		return r, nil
 	}
 	r := kb.nextRel
 	if r == RelCont {
-		panic("semnet: relation type space exhausted")
+		return 0, fmt.Errorf("%w: relation type space exhausted, cannot name %q", ErrCapacity, name)
 	}
 	kb.nextRel++
 	kb.relByName[name] = r
 	kb.relNames[r] = name
-	return r
+	return r, nil
+}
+
+// LookupRelation resolves a relation-type name without interning it.
+func (kb *KB) LookupRelation(name string) (RelType, bool) {
+	kb.mu.RLock()
+	defer kb.mu.RUnlock()
+	r, ok := kb.relByName[name]
+	return r, ok
 }
 
 // RelationName returns the interned name for r, or a numeric placeholder.
@@ -296,21 +317,41 @@ func (kb *KB) relationNameLocked(r RelType) string {
 	return fmt.Sprintf("rel#%d", r)
 }
 
-// ColorFor interns a color name, assigning the next free color.
+// ColorFor interns a color name, assigning the next free color. Like
+// Relation it panics when the space is exhausted; see LookupColor and
+// InternColor.
 func (kb *KB) ColorFor(name string) Color {
+	c, err := kb.InternColor(name)
+	if err != nil {
+		panic("semnet: color space exhausted")
+	}
+	return c
+}
+
+// InternColor is ColorFor with the exhausted color space (ColorSubnode
+// is reserved) reported as ErrCapacity.
+func (kb *KB) InternColor(name string) (Color, error) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
 	if c, ok := kb.colorByNm[name]; ok {
-		return c
+		return c, nil
 	}
 	c := kb.nextColor
 	if c == ColorSubnode {
-		panic("semnet: color space exhausted")
+		return 0, fmt.Errorf("%w: color space exhausted, cannot name %q", ErrCapacity, name)
 	}
 	kb.nextColor++
 	kb.colorByNm[name] = c
 	kb.colorNames[c] = name
-	return c
+	return c, nil
+}
+
+// LookupColor resolves a color name without interning it.
+func (kb *KB) LookupColor(name string) (Color, bool) {
+	kb.mu.RLock()
+	defer kb.mu.RUnlock()
+	c, ok := kb.colorByNm[name]
+	return c, ok
 }
 
 // ColorName returns the interned name for c, or a numeric placeholder.

@@ -26,12 +26,6 @@
 //
 //	go run ./cmd/snapbench -partition-o BENCH_PARTITION.json
 //
-// With -fusion-o it runs the query-fusion suite (SubmitBatch of K
-// distinct queries per op at K = 1/2/4/8, cold and mixed temperature,
-// fused vs fusion-disabled serving) and writes BENCH_FUSION.json:
-//
-//	go run ./cmd/snapbench -fusion-o BENCH_FUSION.json
-//
 // With -opt-o it runs the program-optimizer suite (the same cold query
 // pool served with the compile-tier optimizer off and at full level)
 // and writes BENCH_OPT.json:
@@ -54,15 +48,13 @@
 // allocates more than N times per op (the kernels are expected to stay
 // at exactly zero). -fence-partition-cut F fails the run unless the
 // refined strategy's cut ratio undercuts semantic's by at least the
-// fraction F (CI uses 0.30). -fence-fusion-speedup F fails the run
-// unless fused cold serving at batch >= 4 delivers at least F times the
-// unfused cold throughput (CI uses 1.5). -fence-opt-speedup F fails the
-// run unless optimized (O2) cold serving delivers at least F times the
-// unoptimized (O0) cold throughput (CI uses 1.1). -fence-delta-speedup F
-// fails the run unless per-replica delta replay of the <=1% mutation
-// batch is at least F times faster than the full LoadKB re-download it
-// replaces (CI uses 20); the write suite also fails unconditionally if
-// any read errors under write churn.
+// fraction F (CI uses 0.30). -fence-opt-speedup F fails the run unless
+// optimized (O2) cold serving delivers at least F times the unoptimized
+// (O0) cold throughput (CI uses 1.1). -fence-delta-speedup F fails the
+// run unless per-replica delta replay of the <=1% mutation batch is at
+// least F times faster than the full LoadKB re-download it replaces (CI
+// uses 20); the write suite also fails unconditionally if any read
+// errors under write churn.
 //
 // See docs/PERF.md for the measurement methodology and the history of
 // what these numbers looked like before the host hot-path overhaul.
@@ -125,13 +117,11 @@ func main() {
 	engineOut := flag.String("engine-o", "", "also run the sharded engine suite and write its JSON report here")
 	kernelOut := flag.String("kernel-o", "", "also run the store-kernel suite and write its JSON report here")
 	partitionOut := flag.String("partition-o", "", "also score the partition strategies and write their JSON report here")
-	fusionOut := flag.String("fusion-o", "", "also run the query-fusion suite and write its JSON report here")
 	optOut := flag.String("opt-o", "", "also run the program-optimizer suite and write its JSON report here")
 	writeOut := flag.String("write-o", "", "also run the online write-path suite and write its JSON report here")
 	fence := flag.Int64("fence-hot-allocs", -1, "fail if the hot serving path at 16 replicas exceeds this allocs/query (-1 disables)")
 	kernelFence := flag.Int64("fence-kernel-allocs", -1, "fail if any store kernel exceeds this allocs/op (-1 disables)")
 	partitionFence := flag.Float64("fence-partition-cut", -1, "fail unless refined beats semantic's cut ratio by at least this fraction (-1 disables)")
-	fusionFence := flag.Float64("fence-fusion-speedup", -1, "fail unless fused cold serving at batch >= 4 beats unfused cold throughput by at least this factor (-1 disables)")
 	optFence := flag.Float64("fence-opt-speedup", -1, "fail unless optimized (O2) cold serving beats unoptimized (O0) cold throughput by at least this factor (-1 disables)")
 	deltaFence := flag.Float64("fence-delta-speedup", -1, "fail unless per-replica delta replay beats the full LoadKB re-download by at least this factor (-1 disables)")
 	benchtime := flag.Duration("benchtime", 0, "minimum run time per benchmark (0 = testing default of 1s)")
@@ -146,7 +136,7 @@ func main() {
 	// The propagate report keeps its historical default (stdout); it is
 	// skipped only when the run asks solely for the engine, kernel, or
 	// partition report.
-	if *out != "" || (*engineOut == "" && *kernelOut == "" && *partitionOut == "" && *fusionOut == "" && *optOut == "" && *writeOut == "") {
+	if *out != "" || (*engineOut == "" && *kernelOut == "" && *partitionOut == "" && *optOut == "" && *writeOut == "") {
 		rep := Report{
 			GoVersion:  runtime.Version(),
 			GOOS:       runtime.GOOS,
@@ -171,10 +161,6 @@ func main() {
 
 	if *partitionOut != "" || *partitionFence >= 0 {
 		runPartitionSuite(*partitionOut, *partitionFence)
-	}
-
-	if *fusionOut != "" || *fusionFence >= 0 {
-		runFusionSuite(*fusionOut, *fusionFence)
 	}
 
 	if *optOut != "" || *optFence >= 0 {
@@ -466,123 +452,6 @@ func runPartitionSuite(path string, fenceFrac float64) {
 			log.Fatalf("partition fence: refined cut ratio %.4f does not beat semantic %.4f by %.0f%%",
 				ref, sem, fenceFrac*100)
 		}
-	}
-}
-
-// runFusionSuite measures marker-plane query fusion end to end through
-// the engine: SubmitBatch of K distinct queries per op on a
-// single-replica engine, fused (default coalescing, Fusion=8) against
-// fusion-disabled (WithFusion(1)) serving of the identical batches.
-// Cold rows cycle 256 uncached queries with the result cache off;
-// mixed rows interleave cache-hit members with cold members, so half
-// the batch never reaches a machine. The fence compares fused cold
-// throughput at batch 4 and 8 against the unfused cold batch-4
-// baseline: fusion pays the array bring-up (clear, broadcast, topology
-// sweep) once per batch instead of once per query, and the fence fails
-// the run if that stops buying at least the given factor.
-func runFusionSuite(path string, fence float64) {
-	w := kbgen.Chains(1, 128, 8, 1)
-	rep := Report{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workload:   "alpha=128 depth-8 chains, PaperConfig (16 clusters), 1 replica, SubmitBatch of K distinct queries per op; cold = result cache off, mixed = every other member a warm cache hit; fused = default coalescing (Fusion=8), unfused = WithFusion(1) solo serving",
-	}
-	qps := map[string]float64{}
-	for _, mix := range []string{"cold", "mixed"} {
-		for _, k := range []int{1, 2, 4, 8} {
-			for _, fused := range []bool{false, true} {
-				mode := "unfused"
-				if fused {
-					mode = "fused"
-				}
-				name := fmt.Sprintf("query_fusion/%s/batch=%d/%s", mix, k, mode)
-				br := testing.Benchmark(fusionBench(w, k, mix, fused))
-				r := toResult(name, br)
-				r.QueriesPerSec = float64(br.N*k) / br.T.Seconds()
-				qps[name] = r.QueriesPerSec
-				rep.Results = append(rep.Results, r)
-			}
-		}
-	}
-	writeReport(rep, path)
-	if fence >= 0 {
-		base := qps["query_fusion/cold/batch=4/unfused"]
-		best := qps["query_fusion/cold/batch=4/fused"]
-		if v := qps["query_fusion/cold/batch=8/fused"]; v > best {
-			best = v
-		}
-		if best < base*fence {
-			log.Fatalf("fusion fence: fused cold throughput %.0f q/s is only %.2fx the unfused %.0f q/s, fence is %.2fx",
-				best, best/base, base, fence)
-		}
-	}
-}
-
-// fusionBench builds one query-fusion benchmark: per op, one
-// SubmitBatch of k programs against a single-replica engine. Cold
-// batches cycle a 256-program uncached pool; mixed batches alternate
-// warm cache hits with cold members.
-func fusionBench(w *kbgen.Workload, k int, mix string, fused bool) func(b *testing.B) {
-	return func(b *testing.B) {
-		cfg := machine.PaperConfig()
-		cfg.Deterministic = true
-		opts := []engine.Option{engine.WithReplicas(1), engine.WithMachineConfig(cfg), engine.WithQueueCap(4096)}
-		if !fused {
-			opts = append(opts, engine.WithFusion(1))
-		}
-		hotSize := 0
-		if mix == "mixed" {
-			opts = append(opts, engine.WithResultCache(128))
-			hotSize = 64
-		} else {
-			opts = append(opts, engine.WithResultCache(0))
-		}
-		e, err := engine.New(w.KB, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer e.Close()
-
-		const poolSize = 256
-		pool := make([]*isa.Program, poolSize)
-		for i := range pool {
-			pool[i] = shardedProgram(w, i)
-		}
-		hot := make([]*isa.Program, hotSize)
-		for i := range hot {
-			hot[i] = shardedProgram(w, -2-i)
-			if _, err := e.Submit(context.Background(), hot[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-
-		batch := make([]*isa.Program, k)
-		next := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := range batch {
-				if hotSize > 0 && j%2 == 1 {
-					batch[j] = hot[(next+j)%hotSize]
-				} else {
-					batch[j] = pool[next%poolSize]
-					next++
-				}
-			}
-			results, errs := e.SubmitBatch(context.Background(), batch)
-			for j := range errs {
-				if errs[j] != nil {
-					b.Fatal(errs[j])
-				}
-				if len(results[j].Collected(0)) == 0 {
-					b.Fatal("empty collection")
-				}
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k), "ns/query")
 	}
 }
 

@@ -577,38 +577,32 @@ func (e *Engine) readGen() uint64 {
 // onto one execution. The returned Result is shared and must be treated
 // as immutable.
 func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result, error) {
-	if prog.Mutating() {
-		e.st.reject()
-		return nil, ErrMutatingProgram
+	gen := e.readGen()
+	h, res, err := e.precheck(prog, gen)
+	if res != nil || err != nil {
+		return res, err
 	}
-	if err := prog.Validate(); err != nil {
-		e.st.reject()
-		return nil, err
-	}
-	h := prog.Hash()
 	if e.results == nil {
 		return e.executeRetry(ctx, prog, h)
 	}
-
-	gen := e.readGen()
-	if res, ok := e.results.get(h, gen); ok {
-		e.st.resultHit()
-		e.emit(-1, perfmon.EvResultHit, uint32(res.Time), res.Time)
-		return res, nil
-	}
-	e.st.resultMiss()
 	for {
 		f, leader := e.flights.join(h)
 		if leader {
-			res, err := e.executeRetry(ctx, prog, h)
-			if err == nil && !res.Fused {
-				// A fused result reports the fused run's end time, not
-				// the solo-reproducible time the cache's bit-identity
-				// contract promises — serve it, but don't memoize it.
-				// The entry is keyed by the generation the run actually
-				// observed (under write churn the serving replica may
-				// have synced past the admission epoch).
-				e.results.put(h, res.KBGen, res)
+			// The previous leader may have memoized its result and left
+			// between this caller's miss and its join: look again before
+			// executing, or the query runs twice.
+			res, ok := e.cached(h, gen)
+			if !ok {
+				res, err = e.executeRetry(ctx, prog, h)
+				if err == nil && !res.Fused {
+					// A fused result reports the fused run's end time, not
+					// the solo-reproducible time the cache's bit-identity
+					// contract promises — serve it, but don't memoize it.
+					// The entry is keyed by the generation the run actually
+					// observed (under write churn the serving replica may
+					// have synced past the admission epoch).
+					e.results.put(h, res.KBGen, res)
+				}
 			}
 			e.flights.finish(h, f, res, err)
 			return res, err
@@ -638,39 +632,87 @@ func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result
 	}
 }
 
-// execute admits a validated (and already optimized) query, enqueues
-// it on its hash shard (rotated by the attempt number, skipping
-// quarantined replicas), and waits for the serving replica's response.
-func (e *Engine) execute(ctx context.Context, prog *isa.Program, opt *isa.Optimized, h uint64, attempt int) (*machine.Result, error) {
-	select {
-	case <-e.done:
-		return nil, ErrClosed
-	default:
+// precheck is the per-query admission check Submit and SubmitBatch
+// share: mutating and invalid programs are rejected, and a result
+// memoized under gen is returned in place of an execution. Otherwise
+// the program's hash comes back for the caller to execute under.
+func (e *Engine) precheck(prog *isa.Program, gen uint64) (h uint64, hit *machine.Result, err error) {
+	if prog.Mutating() {
+		e.st.reject()
+		return 0, nil, ErrMutatingProgram
 	}
-	if n := e.queued.Add(1); int(n) > e.cfg.QueueCap {
-		e.queued.Add(-1)
-		return nil, e.shed()
+	if err = prog.Validate(); err != nil {
+		e.st.reject()
+		return 0, nil, err
 	}
-	if e.cfg.MaxInFlight > 0 {
-		if n := e.inflight.Add(1); int(n) > e.cfg.MaxInFlight {
-			e.inflight.Add(-1)
-			e.queued.Add(-1)
-			return nil, e.shed()
+	h = prog.Hash()
+	if e.results != nil {
+		if res, ok := e.cached(h, gen); ok {
+			return h, res, nil
 		}
-	} else {
-		e.inflight.Add(1)
+		e.st.resultMiss()
 	}
-	defer e.inflight.Add(-1)
+	return h, nil, nil
+}
 
-	req := &request{
-		ctx: ctx, prog: prog, opt: opt, hash: h, gen: e.readGen(),
+// cached looks a query up in the result cache (which must be enabled)
+// and counts the hit.
+func (e *Engine) cached(h, gen uint64) (*machine.Result, bool) {
+	res, ok := e.results.get(h, gen)
+	if ok {
+		e.st.resultHit()
+		e.emit(-1, perfmon.EvResultHit, uint32(res.Time), res.Time)
+	}
+	return res, ok
+}
+
+// newRequest builds the queue entry for one validated (and already
+// optimized) query admitted under KB generation gen.
+func newRequest(ctx context.Context, prog *isa.Program, opt *isa.Optimized, h, gen uint64) *request {
+	return &request{
+		ctx: ctx, prog: prog, opt: opt, hash: h, gen: gen,
 		resp: make(chan response, 1), enqueued: time.Now(),
 	}
-	depth := e.shards[e.pickShard(h, attempt)].push(req)
-	e.st.submit()
+}
+
+// enqueue admits reqs as one unit — all or none — and pushes them
+// contiguously onto the head's hash shard (rotated by the attempt
+// number, skipping quarantined replicas), so one serving round can
+// drain them together. On success the caller owns len(reqs) in-flight
+// slots, released with inflight.Add once the requests are answered or
+// abandoned; the queue slots are released by the replica that drains
+// them.
+func (e *Engine) enqueue(reqs []*request, attempt int) error {
+	select {
+	case <-e.done:
+		return ErrClosed
+	default:
+	}
+	n := int64(len(reqs))
+	if q := e.queued.Add(n); int(q) > e.cfg.QueueCap {
+		e.queued.Add(-n)
+		return e.shed()
+	}
+	if f := e.inflight.Add(n); e.cfg.MaxInFlight > 0 && int(f) > e.cfg.MaxInFlight {
+		e.inflight.Add(-n)
+		e.queued.Add(-n)
+		return e.shed()
+	}
+	depth := e.shards[e.pickShard(reqs[0].hash, attempt)].push(reqs)
+	e.st.submit(len(reqs))
 	e.emit(-1, perfmon.EvQuerySubmit, uint32(depth), 0)
 	e.wake()
+	return nil
+}
 
+// execute enqueues a validated (and already optimized) query and waits
+// for the serving replica's response.
+func (e *Engine) execute(ctx context.Context, prog *isa.Program, opt *isa.Optimized, h uint64, attempt int) (*machine.Result, error) {
+	req := newRequest(ctx, prog, opt, h, e.readGen())
+	if err := e.enqueue([]*request{req}, attempt); err != nil {
+		return nil, err
+	}
+	defer e.inflight.Add(-1)
 	select {
 	case r := <-req.resp:
 		return r.res, r.err
@@ -812,66 +854,137 @@ func (e *Engine) serve(rank int) {
 	}
 }
 
-// runBatch serves one round of queries back-to-back on one replica.
-// Rounds with more than one mutually fusable query are coalesced into
-// fused runs (see fusion.go); everything else runs solo.
+// runBatch serves one round of queries on one replica: the round is cut
+// into fusion groups (fusion.go), each request is checked once for a
+// caller that already left, and every group's live members execute as
+// one machine run.
 func (e *Engine) runBatch(rank int, m *machine.Machine, batch []*request) {
 	for len(batch) > 0 {
 		group := e.fusionGroup(&batch)
-		if len(group) > 1 && e.runFused(rank, m, group) {
-			continue
-		}
+		live := group[:0]
 		for _, req := range group {
-			e.runOne(rank, m, req)
+			e.st.queueWait(time.Since(req.enqueued))
+			if err := req.ctx.Err(); err != nil {
+				e.st.cancel()
+				e.emit(rank, perfmon.EvQueryCancel, uint32(e.queued.Load()), 0)
+				req.resp <- response{err: err}
+				continue
+			}
+			live = append(live, req)
+		}
+		if len(live) > 0 {
+			e.runGroup(rank, m, live)
 		}
 	}
 }
 
-// runOne serves a single query on the replica.
-func (e *Engine) runOne(rank int, m *machine.Machine, req *request) {
-	e.st.queueWait(time.Since(req.enqueued))
-	if err := req.ctx.Err(); err != nil {
-		e.st.cancel()
-		e.emit(rank, perfmon.EvQueryCancel, uint32(e.queued.Load()), 0)
-		req.resp <- response{err: err}
+// runGroup executes a group of live requests as one machine run and
+// answers every member exactly once. A solo query is the group of one:
+// it runs its own program (the optimizer's rewrite when there is one)
+// and gets the run's result as is; a larger group runs the isa.Fuse of
+// its members' programs and each member gets its Demux part.
+//
+// Rewritten programs — fused or optimized — run in the machine's strict
+// mode, whose origin-tie detector backstops the rewrite's equivalence
+// argument. A group of N that cannot run as one (fusion planning
+// failed, the run errored, or it tripped the detector) re-runs as N
+// groups of one, each member under its own context; an optimized group
+// of one that trips the detector re-runs as written. So rewriting can
+// only add throughput, never change answers.
+func (e *Engine) runGroup(rank int, m *machine.Machine, group []*request) {
+	head := group[0]
+	var (
+		f         *isa.Fused
+		res       *machine.Result
+		err       error
+		start     time.Time
+		asWritten bool // the optimized group of one fell back
+	)
+	if len(group) > 1 {
+		progs := make([]*isa.Program, len(group))
+		for i, req := range group {
+			progs[i] = req.runProg()
+		}
+		if f, err = isa.Fuse(progs); err != nil {
+			var fe *isa.FuseError
+			if errors.As(err, &fe) {
+				e.st.fusionReject(fe.Reason)
+			} else {
+				e.st.fusionReject("error")
+			}
+		}
+	}
+	if err == nil {
+		// A group shares one physical run, executed under the head
+		// member's context: one member's deadline bounds it.
+		m.ClearMarkers()
+		start = time.Now()
+		switch prog := head.runProg(); {
+		case f != nil:
+			res, err = m.RunFused(head.ctx, f)
+		case prog != head.prog:
+			res, err = m.RunOptimized(head.ctx, prog)
+			if errors.Is(err, machine.ErrOptAmbiguous) {
+				e.st.optFallback()
+				asWritten = true
+				m.ClearMarkers()
+				res, err = m.RunContext(head.ctx, head.prog)
+			}
+		default:
+			res, err = m.RunContext(head.ctx, prog)
+		}
+	}
+	if err != nil && len(group) > 1 {
+		if errors.Is(err, machine.ErrFusionAmbiguous) {
+			e.st.fusionReject("ambiguous")
+		}
+		for i := range group {
+			e.runGroup(rank, m, group[i:i+1])
+		}
 		return
 	}
-	m.ClearMarkers()
-	start := time.Now()
-	var res *machine.Result
-	var err error
-	if opt := req.opt; opt != nil && opt.Changed() {
-		// Strict mode: the machine's origin-tie detector backstops the
-		// optimizer's equivalence argument. A detected tie discards the
-		// optimized run and re-runs the program as submitted.
-		res, err = m.RunOptimized(req.ctx, opt.Program)
-		if errors.Is(err, machine.ErrOptAmbiguous) {
-			e.st.optFallback()
-			m.ClearMarkers()
-			res, err = m.RunContext(req.ctx, req.prog)
-		} else if err == nil {
-			res.RemapInstrs(opt.OrigIndex)
+
+	d := time.Since(start)
+	if err != nil {
+		e.st.run(d, err)
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			// A deadline blown on this replica — possibly a wedged or
+			// crawling array — counts toward its quarantine threshold.
+			e.noteTimeout(rank)
+			e.emit(rank, perfmon.EvQueryCancel, uint32(e.queued.Load()), 0)
+		case head.ctx.Err() != nil:
+			e.emit(rank, perfmon.EvQueryCancel, uint32(e.queued.Load()), 0)
 		}
-	} else {
-		res, err = m.RunContext(req.ctx, req.prog)
+		head.resp <- response{err: err}
+		return
 	}
-	e.st.run(time.Since(start), err)
-	switch {
-	case err == nil:
-		e.noteSuccess(rank)
-		if p := res.Profile; p != nil {
-			e.st.icn(p.PropMessages, p.PropHops, p.SendBursts)
+	e.noteSuccess(rank)
+	if p := res.Profile; p != nil {
+		// One physical run: the interconnect moved each message once,
+		// however many queries rode it.
+		e.st.icn(p.PropMessages, p.PropHops, p.SendBursts)
+	}
+	var parts []*machine.Result
+	if f != nil {
+		e.st.fusedRun(len(group))
+		e.emit(rank, perfmon.EvQueryFused, uint32(len(group)), res.Time)
+		parts = res.Demux(f)
+	}
+	for i, req := range group {
+		part := res
+		if f != nil {
+			part = parts[i]
 		}
-		e.emit(rank, perfmon.EvQueryDone, uint32(res.Time), res.Time)
-	case errors.Is(err, context.DeadlineExceeded):
-		// A deadline blown on this replica — possibly a wedged or
-		// crawling array — counts toward its quarantine threshold.
-		e.noteTimeout(rank)
-		e.emit(rank, perfmon.EvQueryCancel, uint32(e.queued.Load()), 0)
-	case req.ctx.Err() != nil:
-		e.emit(rank, perfmon.EvQueryCancel, uint32(e.queued.Load()), 0)
+		if !asWritten && req.runProg() != req.prog {
+			// The member ran in its optimized form: hand collections
+			// back under the instruction indices the caller submitted.
+			part.RemapInstrs(req.opt.OrigIndex)
+		}
+		e.st.run(d, nil)
+		e.emit(rank, perfmon.EvQueryDone, uint32(part.Time), part.Time)
+		req.resp <- response{res: part}
 	}
-	req.resp <- response{res: res, err: err}
 }
 
 // emit forwards an engine-level event to the monitor, if attached, and

@@ -2,12 +2,9 @@ package engine
 
 import (
 	"context"
-	"errors"
-	"time"
 
 	"snap1/internal/isa"
 	"snap1/internal/machine"
-	"snap1/internal/perfmon"
 	"snap1/internal/semnet"
 )
 
@@ -81,80 +78,6 @@ func (e *Engine) fusionGroup(batch *[]*request) []*request {
 	return group
 }
 
-// runFused executes a fusion group as one machine run and answers every
-// member from the demultiplexed result. It returns false — without
-// having answered anyone — when the group must fall back to solo
-// execution: fusion planning failed, the run errored, or the machine
-// detected an origin-ambiguous marker tie (ErrFusionAmbiguous), whose
-// per-query attribution only a solo run can pin down.
-func (e *Engine) runFused(rank int, m *machine.Machine, group []*request) bool {
-	live := make([]*request, 0, len(group))
-	for _, req := range group {
-		e.st.queueWait(time.Since(req.enqueued))
-		if err := req.ctx.Err(); err != nil {
-			e.st.cancel()
-			e.emit(rank, perfmon.EvQueryCancel, uint32(e.queued.Load()), 0)
-			req.resp <- response{err: err}
-			continue
-		}
-		live = append(live, req)
-	}
-	if len(live) < 2 {
-		for _, req := range live {
-			e.runOne(rank, m, req)
-		}
-		return true
-	}
-
-	progs := make([]*isa.Program, len(live))
-	for i, req := range live {
-		progs[i] = req.runProg()
-	}
-	f, err := isa.Fuse(progs)
-	if err != nil {
-		var fe *isa.FuseError
-		if errors.As(err, &fe) {
-			e.st.fusionReject(fe.Reason)
-		} else {
-			e.st.fusionReject("error")
-		}
-		return false
-	}
-
-	// The run executes under the head member's context: the members
-	// share one physical run, so one member's deadline bounds it. On
-	// any error the whole group re-runs solo, each member under its
-	// own context, so a head cancellation never answers for the rest.
-	m.ClearMarkers()
-	start := time.Now()
-	res, err := m.RunFused(live[0].ctx, f)
-	if err != nil {
-		if errors.Is(err, machine.ErrFusionAmbiguous) {
-			e.st.fusionReject("ambiguous")
-		}
-		return false
-	}
-	e.st.fusedRun(time.Since(start), len(live))
-	e.noteSuccess(rank)
-	if p := res.Profile; p != nil {
-		// One physical run: the interconnect moved each message once,
-		// however many queries rode it.
-		e.st.icn(p.PropMessages, p.PropHops, p.SendBursts)
-	}
-	e.emit(rank, perfmon.EvQueryFused, uint32(len(live)), res.Time)
-	parts := res.Demux(f)
-	for i, req := range live {
-		if req.opt != nil && req.opt.Changed() {
-			// The member ran in its optimized form: hand collections
-			// back under the instruction indices the caller submitted.
-			parts[i].RemapInstrs(req.opt.OrigIndex)
-		}
-		e.emit(rank, perfmon.EvQueryDone, uint32(parts[i].Time), parts[i].Time)
-		req.resp <- response{res: parts[i]}
-	}
-	return true
-}
-
 // SubmitBatch submits a set of independent read-only programs in one
 // call, enqueuing every cache-missing member contiguously on a single
 // shard so the serving replica drains them in one round and can fuse
@@ -167,17 +90,6 @@ func (e *Engine) runFused(rank int, m *machine.Machine, group []*request) bool {
 func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*machine.Result, []error) {
 	results := make([]*machine.Result, len(progs))
 	errs := make([]error, len(progs))
-	if len(progs) == 0 {
-		return results, errs
-	}
-	select {
-	case <-e.done:
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return results, errs
-	default:
-	}
 	if e.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
@@ -185,81 +97,28 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 	}
 
 	gen := e.readGen()
-	pending := make([]int, 0, len(progs))   // indices awaiting execution
-	hashes := make([]uint64, 0, len(progs)) // hashes[j] is progs[pending[j]]'s
+	pending := make([]int, 0, len(progs)) // pending[j]: reqs[j]'s index in progs
+	reqs := make([]*request, 0, len(progs))
 	for i, prog := range progs {
-		if prog.Mutating() {
-			e.st.reject()
-			errs[i] = ErrMutatingProgram
-			continue
+		var h uint64
+		if h, results[i], errs[i] = e.precheck(prog, gen); results[i] == nil && errs[i] == nil {
+			// Optimization is compile-tier work: it runs (once per content
+			// hash) before admission, so it never occupies a queue or
+			// in-flight slot.
+			pending = append(pending, i)
+			reqs = append(reqs, newRequest(ctx, prog, e.optimize(prog, h), h, gen))
 		}
-		if err := prog.Validate(); err != nil {
-			e.st.reject()
-			errs[i] = err
-			continue
-		}
-		h := prog.Hash()
-		if e.results != nil {
-			if res, ok := e.results.get(h, gen); ok {
-				e.st.resultHit()
-				e.emit(-1, perfmon.EvResultHit, uint32(res.Time), res.Time)
-				results[i] = res
-				continue
-			}
-			e.st.resultMiss()
-		}
-		pending = append(pending, i)
-		hashes = append(hashes, h)
 	}
-	if len(pending) == 0 {
+	if len(reqs) == 0 {
 		return results, errs
 	}
-
-	// Optimization is compile-tier work: run it (once per content hash)
-	// before admission, so it never occupies queue or in-flight slots.
-	opts := make([]*isa.Optimized, len(pending))
-	for j, i := range pending {
-		opts[j] = e.optimize(progs[i], hashes[j])
-	}
-
-	// Admission control covers the whole pending set at once.
-	n := int64(len(pending))
-	if q := e.queued.Add(n); int(q) > e.cfg.QueueCap {
-		e.queued.Add(-n)
-		err := e.shed()
+	if err := e.enqueue(reqs, 0); err != nil {
 		for _, i := range pending {
 			errs[i] = err
 		}
 		return results, errs
 	}
-	if e.cfg.MaxInFlight > 0 && int(e.inflight.Add(n)) > e.cfg.MaxInFlight {
-		e.inflight.Add(-n)
-		e.queued.Add(-n)
-		err := e.shed()
-		for _, i := range pending {
-			errs[i] = err
-		}
-		return results, errs
-	} else if e.cfg.MaxInFlight <= 0 {
-		e.inflight.Add(n)
-	}
-	defer e.inflight.Add(-n)
-
-	reqs := make([]*request, len(pending))
-	for j, i := range pending {
-		reqs[j] = &request{
-			ctx: ctx, prog: progs[i], opt: opts[j], hash: hashes[j],
-			gen:  gen,
-			resp: make(chan response, 1), enqueued: time.Now(),
-		}
-	}
-	sh := e.shards[e.pickShard(reqs[0].hash, 0)]
-	depth := sh.pushAll(reqs)
-	for range reqs {
-		e.st.submit()
-	}
-	e.emit(-1, perfmon.EvQuerySubmit, uint32(depth), 0)
-	e.wake()
+	defer e.inflight.Add(-int64(len(reqs)))
 
 	for j, i := range pending {
 		select {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"snap1/internal/isa"
 	"snap1/internal/machine"
@@ -252,5 +253,212 @@ func TestConcurrentFusedSubmitsMatchSequential(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// tieFixture is the two-origin tie network of
+// TestFusionAmbiguityFallsBackToSolo — seeds a and b, each one
+// equal-weight link from mid — plus a 250-node chain for a long-running
+// blocker query. tie(v) is a query whose fused run trips the machine's
+// origin-tie detector (distinct v, distinct program hash); plain(v)
+// seeds only a, so it fuses cleanly.
+type tieFixture struct {
+	kb         *semnet.KB
+	tie, plain func(v float32) *isa.Program
+	blocker    *isa.Program
+}
+
+func newTieFixture() *tieFixture {
+	kb := semnet.NewKB()
+	r, next := kb.Relation("r"), kb.Relation("next")
+	seed, other := kb.ColorFor("seed"), kb.ColorFor("other")
+	a := kb.MustAddNode("a", seed)
+	b := kb.MustAddNode("b", seed)
+	mid := kb.MustAddNode("mid", other)
+	kb.MustAddLink(a, r, 1, mid)
+	kb.MustAddLink(b, r, 1, mid)
+	head := kb.MustAddNode("chain-000", other)
+	for i, prev := 1, head; i < 250; i++ {
+		n := kb.MustAddNode(fmt.Sprintf("chain-%03d", i), other)
+		kb.MustAddLink(prev, next, 1, n)
+		prev = n
+	}
+
+	query := func(search func(p *isa.Program)) *isa.Program {
+		p := isa.NewProgram()
+		search(p)
+		p.Propagate(0, 1, rules.Path(r), semnet.FuncAdd)
+		p.Barrier()
+		p.CollectNode(1)
+		return p
+	}
+	blocker := isa.NewProgram()
+	blocker.SearchNode(head, 0, 0)
+	for i := 0; i < 20000; i++ {
+		blocker.Propagate(0, 1, rules.Path(next), semnet.FuncAdd)
+	}
+	blocker.CollectNode(1)
+
+	return &tieFixture{
+		kb: kb,
+		tie: func(v float32) *isa.Program {
+			return query(func(p *isa.Program) { p.SearchColor(seed, 0, v) })
+		},
+		plain: func(v float32) *isa.Program {
+			return query(func(p *isa.Program) { p.SearchNode(a, 0, v) })
+		},
+		blocker: blocker,
+	}
+}
+
+// closeWithin fails the test when e.Close does not return within d — a
+// replica wedged on an answer nobody will read never leaves its round.
+func closeWithin(t *testing.T, e *Engine, d time.Duration) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(d):
+		t.Fatalf("Engine.Close did not return within %v", d)
+	}
+}
+
+// TestFusedFallbackSkipsCancelledMember is the regression test for a
+// replica wedged by a fused group's fallback: a round [live, cancelled,
+// live] whose fused run trips the tie detector re-runs solo, and the
+// member whose caller had already left (answered once, at the head of
+// the round) must not be answered again — its one-slot response channel
+// is full and nobody reads it. Every live member is answered with its
+// solo collections, each request's queue wait is observed once, a
+// following Submit is served, and Close returns.
+func TestFusedFallbackSkipsCancelledMember(t *testing.T) {
+	fx := newTieFixture()
+	e, err := New(fx.kb, WithReplicas(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWithin(t, e, 10*time.Second)
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not reached in time", what)
+			}
+		}
+	}
+	type answer struct {
+		res *machine.Result
+		err error
+	}
+	submit := func(ctx context.Context, p *isa.Program) chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			res, err := e.Submit(ctx, p)
+			ch <- answer{res, err}
+		}()
+		return ch
+	}
+
+	// Hold the one replica busy so the next three submissions queue up
+	// and are drained as one round.
+	blockCtx, unblock := context.WithCancel(context.Background())
+	defer unblock()
+	blocked := submit(blockCtx, fx.blocker)
+	waitFor("blocker running", func() bool { st := e.Stats(); return st.IdleReplicas == 0 && st.QueueDepth == 0 })
+
+	progs := []*isa.Program{fx.tie(0), fx.tie(1), fx.tie(2)}
+	first := submit(context.Background(), progs[0])
+	waitFor("first member queued", func() bool { return e.Stats().QueueDepth == 1 })
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.Submit(gone, progs[1]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled submit returned %v, want context.Canceled", err)
+	}
+	last := submit(context.Background(), progs[2])
+	waitFor("round queued", func() bool { return e.Stats().QueueDepth == 3 })
+	unblock()
+	if a := <-blocked; !errors.Is(a.err, context.Canceled) {
+		t.Fatalf("blocker returned %v, want context.Canceled (it must outlast the queueing)", a.err)
+	}
+
+	for i, ch := range []chan answer{0: first, 2: last} {
+		if ch == nil {
+			continue
+		}
+		select {
+		case a := <-ch:
+			if a.err != nil {
+				t.Fatalf("member %d: %v", i, a.err)
+			}
+			if solo := soloReference(t, e, progs[i]); !reflect.DeepEqual(a.res.Collections, solo.Collections) {
+				t.Errorf("member %d: fallback collections diverge from solo", i)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("member %d never answered: replica wedged", i)
+		}
+	}
+	if _, err := e.Submit(context.Background(), fx.tie(3)); err != nil {
+		t.Fatalf("submit after the fallback round: %v", err)
+	}
+
+	st := e.Stats()
+	if st.FusionRejects["ambiguous"] == 0 || st.FusedBatches != 0 {
+		t.Errorf("round did not fall back from a fused run: rejects %v, fused batches %d", st.FusionRejects, st.FusedBatches)
+	}
+	if st.QueueWait.Count != st.Submitted {
+		t.Errorf("queue wait observed %d times for %d requests", st.QueueWait.Count, st.Submitted)
+	}
+}
+
+// TestGroupOfOneAndGroupOfNShareAccounting: a query is counted the same
+// way — one completion, one run observation, one queue-wait observation
+// — whether it was served as a group of one, as a member of a fused
+// group, or as a member of a fused group that fell back.
+func TestGroupOfOneAndGroupOfNShareAccounting(t *testing.T) {
+	fx := newTieFixture()
+	const n = 3
+	for _, tc := range []struct {
+		name         string
+		opts         []Option
+		prog         func(v float32) *isa.Program
+		fusedBatches uint64
+	}{
+		{"solo", []Option{WithFusion(1)}, fx.plain, 0},
+		{"fused", nil, fx.plain, 1},
+		{"fused-then-fallen-back", nil, fx.tie, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(fx.kb, append([]Option{WithReplicas(1)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			progs := make([]*isa.Program, n)
+			for i := range progs {
+				progs[i] = tc.prog(float32(i))
+			}
+			results, errs := e.SubmitBatch(context.Background(), progs)
+			for i := range progs {
+				if errs[i] != nil {
+					t.Fatalf("element %d: %v", i, errs[i])
+				}
+				if solo := soloReference(t, e, progs[i]); !reflect.DeepEqual(results[i].Collections, solo.Collections) {
+					t.Errorf("element %d: collections diverge from solo", i)
+				}
+			}
+			st := e.Stats()
+			if st.FusedBatches != tc.fusedBatches {
+				t.Errorf("fused batches = %d, want %d (rejects %v)", st.FusedBatches, tc.fusedBatches, st.FusionRejects)
+			}
+			if st.Submitted != n || st.Completed != n || st.Failed != 0 || st.Run.Count != n || st.QueueWait.Count != n {
+				t.Errorf("submitted %d completed %d failed %d run observations %d queue-wait observations %d, want %d/%d/0/%d/%d",
+					st.Submitted, st.Completed, st.Failed, st.Run.Count, st.QueueWait.Count, n, n, n, n)
+			}
+		})
 	}
 }

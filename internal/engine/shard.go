@@ -18,19 +18,10 @@ type shard struct {
 	q    []*request
 }
 
-// push appends a request and returns the shard's resulting depth.
-func (s *shard) push(r *request) int {
-	s.mu.Lock()
-	s.q = append(s.q, r)
-	n := len(s.q) - s.head
-	s.mu.Unlock()
-	return n
-}
-
-// pushAll appends a batch of requests under one critical section —
+// push appends a batch of requests under one critical section —
 // guaranteeing they sit contiguously in the queue, so one serving round
 // can drain (and fuse) them together — and returns the resulting depth.
-func (s *shard) pushAll(rs []*request) int {
+func (s *shard) push(rs []*request) int {
 	s.mu.Lock()
 	s.q = append(s.q, rs...)
 	n := len(s.q) - s.head

@@ -203,9 +203,9 @@ type stats struct {
 	events map[perfmon.EventCode]uint64
 }
 
-func (s *stats) submit() {
+func (s *stats) submit(n int) {
 	s.mu.Lock()
-	s.submitted++
+	s.submitted += uint64(n)
 	s.mu.Unlock()
 }
 
@@ -311,12 +311,10 @@ func (s *stats) restore() {
 }
 
 // icn accumulates a served query's interconnect traffic profile.
-// fusedRun records one fused machine run answering n queries: one run
-// latency observation, n completions.
-func (s *stats) fusedRun(d time.Duration, n int) {
+// fusedRun records one fused machine run answering n queries (each of
+// which is also counted by run).
+func (s *stats) fusedRun(n int) {
 	s.mu.Lock()
-	s.runH.observe(d)
-	s.completed += uint64(n)
 	s.fusedBatches++
 	s.fusedQueries += uint64(n)
 	s.mu.Unlock()

@@ -103,25 +103,11 @@ type FusedOrigin struct {
 	Index int // instruction index within that program
 }
 
-// PlaneGroup is a set of PROPAGATE instructions in the fused program —
-// one per member query, position-aligned clones sharing rule FSM and
-// function — that the lockstep engine may execute as plane-parallel
-// wide tasks: one task stream sweeping the topology once with a value
-// lane per member, the 128-bit status word processing all member planes
-// in one access. Membership here is advisory; the machine verifies at
-// flush time that the members share one overlap window and bit-equal
-// source rows before going wide, and falls back to scalar execution of
-// the same fused program otherwise.
-type PlaneGroup struct {
-	Instrs []int // fused instruction indices, ascending, one per query
-}
-
 // Fused is a fusion product: the fused program plus the metadata needed
-// to demultiplex its results and to run its clone groups plane-parallel.
+// to demultiplex its results.
 type Fused struct {
 	Program *Program
 	Queries int
-	Groups  []PlaneGroup
 
 	origin  []FusedOrigin
 	renames [][]semnet.MarkerID // [query][old marker] -> fused marker
@@ -139,20 +125,9 @@ func (f *Fused) MarkerOf(q int, m semnet.MarkerID) semnet.MarkerID {
 	return f.renames[q][m]
 }
 
-// groupKey aligns clone PROPAGATEs across queries: the n'th propagate
-// of each query joins one group when rule FSM, function and marker
-// classes agree.
-type groupKey struct {
-	ordinal int
-	ruleFP  uint64
-	fn      semnet.FuncCode
-	m1c     bool
-	m2c     bool
-}
-
 // Fuse renames each program's markers onto disjoint planes, interleaves
 // the renamed streams phase-aligned, merges the rule tables, and
-// returns the fused program with demux metadata and plane groups. It
+// returns the fused program with demux metadata. It
 // fails with a *FuseError when any program is unfusable, the combined
 // plane demand exceeds the 128-row slab, or the merged rule table
 // overflows.
@@ -265,42 +240,5 @@ func Fuse(progs []*Program) (*Fused, error) {
 		}
 	}
 
-	f.Groups = planeGroups(progs, f)
 	return f, nil
-}
-
-// planeGroups aligns clone PROPAGATEs across the fused queries: the
-// n'th propagate of each query, grouped by (rule fingerprint, function,
-// marker classes), forms a wide-execution candidate when at least two
-// queries contribute.
-func planeGroups(progs []*Program, f *Fused) []PlaneGroup {
-	ordinals := make([]int, len(progs)) // propagates seen per query
-	byKey := make(map[groupKey][]int)
-	var order []groupKey // first-seen order, for deterministic output
-	for i := range f.Program.Instrs {
-		in := &f.Program.Instrs[i]
-		if in.Op != OpPropagate {
-			continue
-		}
-		o := f.origin[i]
-		key := groupKey{
-			ordinal: ordinals[o.Query],
-			ruleFP:  f.Program.Rules.Rule(in.Rule).Fingerprint(),
-			fn:      in.Fn,
-			m1c:     in.M1.IsComplex(),
-			m2c:     in.M2.IsComplex(),
-		}
-		ordinals[o.Query]++
-		if _, seen := byKey[key]; !seen {
-			order = append(order, key)
-		}
-		byKey[key] = append(byKey[key], i)
-	}
-	var groups []PlaneGroup
-	for _, key := range order {
-		if instrs := byKey[key]; len(instrs) >= 2 {
-			groups = append(groups, PlaneGroup{Instrs: instrs})
-		}
-	}
-	return groups
 }

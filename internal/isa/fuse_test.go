@@ -82,18 +82,6 @@ func TestFuseDisjointPlanes(t *testing.T) {
 	if len(seen) != 4*len(progs) {
 		t.Fatalf("%d origins, want %d", len(seen), 4*len(progs))
 	}
-
-	// Queries 0 and 1 propagate over rel=1, query 2 over rel=2; the
-	// relation is part of the rule FSM, so only the rel=1 pair forms a
-	// plane group.
-	if len(f.Groups) != 1 || len(f.Groups[0].Instrs) != 2 {
-		t.Fatalf("groups = %+v, want one group of 2", f.Groups)
-	}
-	for _, gi := range f.Groups[0].Instrs {
-		if q := f.InstrOf(gi).Query; q != 0 && q != 1 {
-			t.Fatalf("group member from query %d, want 0 or 1", q)
-		}
-	}
 }
 
 // TestFusePerQueryCommEnd pins the COMM-END regression: fused programs

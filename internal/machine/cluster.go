@@ -57,11 +57,6 @@ type cluster struct {
 	recvBuf      []interMsg
 	sendBuf      []interMsg
 	lvlScratch   []uint16
-
-	// wideVals is the per-phase lane arena for wide tasks: each wide
-	// task's K value/origin lanes are a contiguous block, addressed by
-	// task.wideIdx. Backing storage is pooled across phases.
-	wideVals []laneVal
 }
 
 // icnRecvBatch bounds how many messages one mailbox drain grant moves.
@@ -165,14 +160,6 @@ type task struct {
 	seq      uint64 // heap tie-break: FIFO among equally ready tasks
 	isSource bool   // injected by PROPAGATE issue; does not mark its node
 	fromMsg  bool   // arrived through the ICN; owes a Consumed count
-
-	// Wide (plane-vectorized) execution of a fused plane group: mask is
-	// the active lane bitmap (0 = ordinary scalar task), wideGrp indexes
-	// the flush's wide plans, and wideIdx is the offset of this task's
-	// per-lane value/origin block in the cluster's arena.
-	mask    uint16
-	wideGrp int16
-	wideIdx int32
 }
 
 // transitMsg is a message awaiting relay by this cluster's CU.
@@ -288,7 +275,6 @@ func (c *cluster) resetPhase() {
 	c.relayQ.reset()
 	c.visited.reset()
 	c.stats = phaseStats{}
-	c.wideVals = c.wideVals[:0]
 }
 
 // The task queue pops pending work in (ready, seq) order: marker units
@@ -413,15 +399,12 @@ func (c *cluster) heapPop() task {
 
 func (c *cluster) pendingTasks() int { return len(c.tasks) + len(c.srcRun) - c.srcHead }
 
-// childSpec is one propagation step produced by expanding a task. For
-// wide expansions, wideOff locates the child's per-lane value block in
-// the cluster arena and value is unused.
+// childSpec is one propagation step produced by expanding a task.
 type childSpec struct {
-	to      semnet.NodeID
-	state   rules.State
-	value   float32
-	level   uint16
-	wideOff int32
+	to    semnet.NodeID
+	state rules.State
+	value float32
+	level uint16
 }
 
 // expand performs the functional half of task processing, shared by both
@@ -468,12 +451,12 @@ func (c *cluster) expand(m *Machine, t task) (children []childSpec, cost timing.
 				merged := t.fn.Merge(old, value)
 				if merged != old {
 					c.store.SetValue(int(t.local), t.marker, merged, t.origin)
-				} else if fc := m.fusedCtx; fc != nil && value == old &&
+				} else if m.strict && value == old &&
 					c.store.Origin(int(t.local), t.marker) != t.origin {
 					// Equal-value delivery from a different origin during a
-					// fused run: the origin register is schedule-dependent
-					// here, so flag the run for per-query fallback.
-					fc.amb.Store(true)
+					// strict run: the origin register is schedule-dependent
+					// here, so flag the run for fallback.
+					m.tie.Store(true)
 				}
 			}
 		}

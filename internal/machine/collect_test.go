@@ -72,8 +72,8 @@ func refCollect(m *Machine, st *runState, idx int, in *isa.Instruction, bAt timi
 func refRun(t *testing.T, m *Machine, prog *isa.Program, f *isa.Fused) *Result {
 	t.Helper()
 	if f != nil {
-		m.fusedCtx = newFusedRun(f)
-		defer func() { m.fusedCtx, m.widePlans = nil, nil }()
+		m.strict = true
+		defer func() { m.strict = false }()
 	}
 	if prog.Mutating() {
 		defer func() { m.kbGen = m.kb.Generation() }()

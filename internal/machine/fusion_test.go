@@ -292,8 +292,8 @@ func TestFusedBitIdenticalToSolo(t *testing.T) {
 // lockstep engine the fused run must be bit-identical — markers,
 // values, origins, collections — to each query's solo run; that arm
 // exercises every fusion transform (plane renaming, merged rule
-// tables, wide groups, demux) with no schedule to hide behind. The
-// concurrent engine makes no reproducibility promise (delivery order
+// tables, demux) with no schedule to hide behind. The concurrent
+// engine makes no reproducibility promise (delivery order
 // near the MaxDepth cutoff legitimately varies outcomes, and fused
 // load shifts the schedule systematically, so solo-vs-fused re-run
 // voting cannot separate noise from defect), so its arm asserts what
@@ -375,10 +375,11 @@ func FuzzFusedDifferential(fz *testing.F) {
 	})
 }
 
-// TestFusedWideGroups pins the plane-vectorized path: K clone queries
-// (same shape, different seed values) must form a wide group, produce
-// per-query results identical to solo runs, and actually share the
-// topology sweep (fused PropSteps well below the solo sum).
+// TestFusedWideGroups is the scalar statement of the clone workload the
+// deleted plane-vectorized path was built for: K clone queries (same
+// shape, different seed values) fused must produce per-query results
+// identical to solo runs, and do exactly the solo runs' work (fused
+// PropSteps = Σ solo PropSteps).
 func TestFusedWideGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	kb, rels, cols := randomKB(rng)
@@ -396,9 +397,6 @@ func TestFusedWideGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Groups) != 1 || len(f.Groups[0].Instrs) != K {
-		t.Fatalf("groups = %+v, want one group of %d", f.Groups, K)
-	}
 
 	var soloSteps int64
 	solos := make([]queryView, K)
@@ -415,18 +413,17 @@ func TestFusedWideGroups(t *testing.T) {
 	fm := newFusionMachine(t, kb, true, 4)
 	res, err := fm.RunFused(context.Background(), f)
 	if errors.Is(err, ErrFusionAmbiguous) {
-		t.Skip("workload produced an origin tie; wide path covered by fuzz")
+		t.Skip("workload produced an origin tie; covered by fuzz")
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	views := fusedViews(fm, kb, f, res, progs)
 	for q := range progs {
-		diffViews(t, 0, q, solos[q], views[q], "wide")
+		diffViews(t, 0, q, solos[q], views[q], "clones")
 	}
-	if res.Profile.PropSteps*2 > soloSteps {
-		t.Fatalf("fused PropSteps %d vs solo sum %d: wide sharing did not engage",
-			res.Profile.PropSteps, soloSteps)
+	if res.Profile.PropSteps != soloSteps {
+		t.Fatalf("fused PropSteps %d, want the solo sum %d", res.Profile.PropSteps, soloSteps)
 	}
 
 	// Repeat runs of the same fused program are bit-identical,
@@ -441,7 +438,7 @@ func TestFusedWideGroups(t *testing.T) {
 	}
 	views2 := fusedViews(fm2, kb, f, res2, progs)
 	for q := range progs {
-		diffViews(t, 1, q, views[q], views2[q], "wide repeat")
+		diffViews(t, 1, q, views[q], views2[q], "clones repeat")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"snap1/internal/barrier"
 	"snap1/internal/fault"
@@ -59,11 +60,11 @@ type Machine struct {
 	// tests may poke stores directly — and exact thereafter.
 	dirty isa.MarkerSet
 
-	// fusedCtx is non-nil while RunFused executes, carrying the plane-
-	// group map and the origin-ambiguity flag; widePlans holds the
-	// current flush's wide schedules (lockstep engine only).
-	fusedCtx  *fusedRun
-	widePlans []widePlan
+	// strict arms expand's origin-tie detector for the current run
+	// (RunFused, RunOptimized); tie records that it fired. Atomic because
+	// the concurrent engine's workers share it.
+	strict bool
+	tie    atomic.Bool
 
 	// COLLECT scratch, reused across runs: collectBits is a bitmap over
 	// global node IDs (all zero between collects), collectRows the rows

@@ -327,8 +327,8 @@ func meanDeg(p *isa.Program) float64 {
 	return float64(sum) / float64(len(degs))
 }
 
-// TestRunOptimizedPlainProgram: strict mode with no wide groups must
-// behave exactly like RunContext for an unchanged program.
+// TestRunOptimizedPlainProgram: strict mode must behave exactly like
+// RunContext for an unchanged program.
 func TestRunOptimizedPlainProgram(t *testing.T) {
 	kb, next, heads := optChainKB(t, 2, 4)
 	p := chainWorkload(next, heads)

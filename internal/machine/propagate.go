@@ -28,15 +28,7 @@ func (m *Machine) flush(st *runState) {
 		end    timing.Time
 	)
 	if m.cfg.Deterministic {
-		// Wide scheduling of fused plane groups: lockstep engine only,
-		// and never with a fault injector armed (fault streams are
-		// per-message, which wide multi-plane activations would skew).
-		entries := st.batch
-		m.widePlans = nil
-		if fc := m.fusedCtx; fc != nil && m.inj == nil {
-			entries, m.widePlans = m.planWide(st.batch, fc)
-		}
-		bstats, agg, end = m.runPhaseLockstep(entries, m.widePlans)
+		bstats, agg, end = m.runPhaseLockstep(st.batch)
 	} else {
 		bstats, agg, end = m.runPhaseConcurrent(st.batch)
 	}
@@ -397,15 +389,12 @@ func (c *cluster) xmitBatch(m *Machine, msgs []interMsg) {
 // order for exactly reproducible measurements.
 // ---------------------------------------------------------------------
 
-func (m *Machine) runPhaseLockstep(entries []batchEntry, plans []widePlan) (barrier.Stats, phaseStats, timing.Time) {
+func (m *Machine) runPhaseLockstep(entries []batchEntry) (barrier.Stats, phaseStats, timing.Time) {
 	for _, c := range m.clusters {
 		c.resetPhase()
 	}
 	for _, c := range m.clusters {
 		c.injectSources(m, entries)
-		if len(plans) > 0 {
-			c.injectWideSources(m, plans)
-		}
 	}
 
 	var perLevel []int64
@@ -438,10 +427,6 @@ func (m *Machine) runPhaseLockstep(entries []batchEntry, plans []widePlan) (barr
 // with deterministic per-hop relay accounting (a fixed disassemble/
 // reassemble charge per intermediate hop instead of live CU contention).
 func (m *Machine) lockstepTask(c *cluster, t task, perLevel *[]int64, total *int64) {
-	if t.mask != 0 {
-		m.lockstepWideTask(c, t, perLevel, total)
-		return
-	}
 	children, cost := c.expand(m, t)
 	end := c.muRun(t.ready, cost)
 	asm := m.cost.PECost(m.cost.MsgAssembleCycles)

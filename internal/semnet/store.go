@@ -519,19 +519,6 @@ func (s *Store) ClearRows(lo, hi uint64) int {
 	return rows
 }
 
-// RowsEqual reports whether markers a and b have bit-identical status
-// rows — the runtime precondition for executing clone propagates from a
-// fused plane group as one wide task stream.
-func (s *Store) RowsEqual(a, b MarkerID) bool {
-	ra, rb := s.status[a], s.status[b]
-	for w := 0; w < s.hostWords(); w++ {
-		if ra[w] != rb[w] {
-			return false
-		}
-	}
-	return true
-}
-
 // FuncAll applies fn with the given operand to the value register of every
 // node where m is set (FUNC-MARKER) and returns simulated words processed.
 // The bit row is scanned word-wise; the value updates are inherently

@@ -329,20 +329,3 @@ func TestClearRowsMasked(t *testing.T) {
 		}
 	}
 }
-
-func TestRowsEqual(t *testing.T) {
-	s := newStore(t, 70)
-	s.Set(3, 1)
-	s.Set(69, 1)
-	s.Set(3, 2)
-	if s.RowsEqual(1, 2) {
-		t.Fatal("rows differ in word 2")
-	}
-	s.Set(69, 2)
-	if !s.RowsEqual(1, 2) {
-		t.Fatal("identical rows reported unequal")
-	}
-	if !s.RowsEqual(3, Binary(0)) {
-		t.Fatal("two empty rows must be equal")
-	}
-}

@@ -26,6 +26,10 @@
 // live queue depth and drain rate. SIGINT/SIGTERM drains in-flight
 // queries before exit.
 //
+// -pprof addr serves net/http/pprof on a listener of its own (off by
+// default, and never on the serving port), so the process a load
+// generator is driving can be profiled in place (docs/PERF.md).
+//
 // A fault plan (-fault-plan plan.json) arms seeded fault injection in
 // the simulated hardware for resilience drills; pair it with
 // -query-timeout and -retries to exercise degraded serving.
@@ -44,7 +48,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -62,34 +68,49 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("snapd: ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // a second signal during the drain kills at once
+	if err := run(ctx, os.Args[1:], nil); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("bye")
+}
 
-	addr := flag.String("addr", ":8080", "listen address")
-	kbPath := flag.String("kb", "", "knowledge-base file (kbfile format)")
-	gen := flag.Int("gen", 0, "generate a synthetic knowledge base of N nodes instead")
-	domain := flag.Bool("domain", false, "embed the newswire micro-domain in the generated network")
-	seed := flag.Int64("seed", 42, "generation seed")
-	replicas := flag.Int("replicas", 4, "machine-pool size (one run-queue shard per replica)")
-	maxBatch := flag.Int("max-batch", 8, "max queries one replica drains or steals per round")
-	queueCap := flag.Int("queue-cap", 256, "submit-queue capacity; beyond it queries shed with 503")
-	cacheCap := flag.Int("cache-cap", 128, "compile-cache entry bound")
-	resultCache := flag.Int("result-cache", 1024, "result-cache entry bound (0 disables result caching)")
-	maxInFlight := flag.Int("max-inflight", 0, "in-flight query ceiling, 0 = no ceiling beyond -queue-cap")
-	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight queries")
-	clusters := flag.Int("clusters", 16, "cluster count per replica")
-	part := flag.String("partition", "semantic", "partitioning: sequential, round-robin, semantic, or refined")
-	place := flag.Bool("place", false, "follow partitioning with hop-aware hypercube placement")
-	monCap := flag.Int("monitor", 4096, "perfmon FIFO capacity (0 disables)")
-	faultPlan := flag.String("fault-plan", "", "seeded fault-injection plan (JSON file; see docs/RESILIENCE.md)")
-	queryTimeout := flag.Duration("query-timeout", 10*time.Second, "per-attempt query deadline (0 disables)")
-	retries := flag.Int("retries", 3, "total execution attempts per query (1 disables retries)")
-	fusion := flag.Int("fusion", 8, "max queries coalesced into one fused run (1 disables query fusion)")
-	optLevel := flag.Int("opt", 2, "program optimizer level: 0 runs queries as written, 1 folds and eliminates dead planes, 2 adds plane renaming and overlap scheduling")
-	writes := flag.Bool("writes", false, "accept topology-mutating programs on POST /v1/mutate (epoch-versioned online KB writes)")
-	flag.Parse()
+// run is the daemon: it parses args, brings the pool up, serves until ctx
+// is cancelled (SIGINT/SIGTERM under main) and drains. listening, when
+// not nil, is told the bound addresses once both listeners are up;
+// profiling is nil without -pprof.
+func run(ctx context.Context, args []string, listening func(serving, profiling net.Addr)) error {
+	fs := flag.NewFlagSet("snapd", flag.ExitOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	kbPath := fs.String("kb", "", "knowledge-base file (kbfile format)")
+	gen := fs.Int("gen", 0, "generate a synthetic knowledge base of N nodes instead")
+	domain := fs.Bool("domain", false, "embed the newswire micro-domain in the generated network")
+	seed := fs.Int64("seed", 42, "generation seed")
+	replicas := fs.Int("replicas", 4, "machine-pool size (one run-queue shard per replica)")
+	maxBatch := fs.Int("max-batch", 8, "max queries one replica drains or steals per round")
+	queueCap := fs.Int("queue-cap", 256, "submit-queue capacity; beyond it queries shed with 503")
+	cacheCap := fs.Int("cache-cap", 128, "compile-cache entry bound")
+	resultCache := fs.Int("result-cache", 1024, "result-cache entry bound (0 disables result caching)")
+	maxInFlight := fs.Int("max-inflight", 0, "in-flight query ceiling, 0 = no ceiling beyond -queue-cap")
+	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight queries")
+	clusters := fs.Int("clusters", 16, "cluster count per replica")
+	part := fs.String("partition", "semantic", "partitioning: sequential, round-robin, semantic, or refined")
+	place := fs.Bool("place", false, "follow partitioning with hop-aware hypercube placement")
+	monCap := fs.Int("monitor", 4096, "perfmon FIFO capacity (0 disables)")
+	faultPlan := fs.String("fault-plan", "", "seeded fault-injection plan (JSON file; see docs/RESILIENCE.md)")
+	queryTimeout := fs.Duration("query-timeout", 10*time.Second, "per-attempt query deadline (0 disables)")
+	retries := fs.Int("retries", 3, "total execution attempts per query (1 disables retries)")
+	fusion := fs.Int("fusion", 8, "max queries coalesced into one fused run (1 disables query fusion)")
+	optLevel := fs.Int("opt", 2, "program optimizer level: 0 runs queries as written, 1 folds and eliminates dead planes, 2 adds plane renaming and overlap scheduling")
+	writes := fs.Bool("writes", false, "accept topology-mutating programs on POST /v1/mutate (epoch-versioned online KB writes)")
+	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address, on its own listener (empty disables)")
+	_ = fs.Parse(args) // ExitOnError: exits on a bad flag, so no error comes back
 
 	kb, err := loadKB(*kbPath, *gen, *domain, *seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	opts := []engine.Option{
@@ -118,7 +139,7 @@ func main() {
 	if *faultPlan != "" {
 		plan, err := fault.Load(*faultPlan)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		log.Printf("fault plan armed: seed %d, %d rule(s)", plan.Seed, len(plan.Rules))
 		opts = append(opts, engine.WithFaultPlan(plan))
@@ -126,33 +147,65 @@ func main() {
 	start := time.Now()
 	eng, err := engine.New(kb, opts...)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer eng.Close()
 
-	srv := &http.Server{Addr: *addr, Handler: engine.NewServer(eng)}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: engine.NewServer(eng)}
+	errc := make(chan error, 2)
+	go func() { errc <- srv.Serve(ln) }()
 	log.Printf("serving %d-node knowledge base on %d replicas at %s (pool up in %v)",
-		kb.NumNodes(), *replicas, *addr, time.Since(start).Round(time.Millisecond))
+		kb.NumNodes(), *replicas, ln.Addr(), time.Since(start).Round(time.Millisecond))
+
+	var pprofLn net.Addr
+	if *pprofAddr != "" {
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			srv.Close()
+			return err
+		}
+		psrv := &http.Server{Handler: pprofMux()}
+		defer psrv.Close()
+		go func() { errc <- psrv.Serve(pln) }()
+		pprofLn = pln.Addr()
+		log.Printf("pprof at http://%s/debug/pprof/ (own listener, not the serving port)", pprofLn)
+	}
+	if listening != nil {
+		listening(ln.Addr(), pprofLn)
+	}
 
 	// Graceful shutdown: stop accepting, let in-flight queries drain
 	// within the deadline, then retire the replica pool.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
-		log.Fatal(err)
+		srv.Close()
+		return err
 	case <-ctx.Done():
 	}
-	stop()
 	log.Printf("shutting down, draining for up to %v", *drain)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("shutdown: %v", err)
 	}
-	eng.Close()
-	log.Printf("bye")
+	return nil
+}
+
+// pprofMux routes the net/http/pprof handlers on a mux of their own. The
+// package also registers them on http.DefaultServeMux as it is imported;
+// snapd serves that mux nowhere.
+func pprofMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 func loadKB(path string, gen int, domain bool, seed int64) (*semnet.KB, error) {

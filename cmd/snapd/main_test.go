@@ -1,0 +1,81 @@
+package main
+
+import (
+	"context"
+	"net"
+	"net/http"
+	"testing"
+	"time"
+)
+
+// The profiling endpoints must never be reachable through the port that
+// serves queries, whether or not -pprof is given; with it they answer on
+// their own listener, which in turn serves nothing of the query API.
+func TestServingPortNeverServesPprof(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"without -pprof", nil},
+		{"with -pprof", []string{"-pprof", "127.0.0.1:0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			type addrs struct{ serving, profiling net.Addr }
+			up := make(chan addrs, 1)
+			done := make(chan error, 1)
+			args := append([]string{"-addr", "127.0.0.1:0", "-gen", "64", "-replicas", "1", "-monitor", "0", "-drain", "2s"}, tc.args...)
+			go func() {
+				done <- run(ctx, args, func(s, p net.Addr) { up <- addrs{s, p} })
+			}()
+			var a addrs
+			select {
+			case a = <-up:
+			case err := <-done:
+				t.Fatalf("run returned before listening: %v", err)
+			case <-time.After(30 * time.Second):
+				t.Fatal("snapd did not come up within 30s")
+			}
+
+			status := func(addr net.Addr, path string) int {
+				t.Helper()
+				resp, err := http.Get("http://" + addr.String() + path)
+				if err != nil {
+					t.Fatalf("GET %s%s: %v", addr, path, err)
+				}
+				resp.Body.Close()
+				return resp.StatusCode
+			}
+			if got := status(a.serving, "/v1/health"); got != http.StatusOK {
+				t.Errorf("serving port: /v1/health = %d, want 200", got)
+			}
+			for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/profile?seconds=1"} {
+				if got := status(a.serving, path); got != http.StatusNotFound {
+					t.Errorf("serving port: %s = %d, want 404", path, got)
+				}
+			}
+			if (a.profiling != nil) != (tc.args != nil) {
+				t.Fatalf("pprof listener %v, args %v", a.profiling, tc.args)
+			}
+			if a.profiling != nil {
+				if got := status(a.profiling, "/debug/pprof/"); got != http.StatusOK {
+					t.Errorf("pprof port: /debug/pprof/ = %d, want 200", got)
+				}
+				if got := status(a.profiling, "/v1/health"); got != http.StatusNotFound {
+					t.Errorf("pprof port: /v1/health = %d, want 404", got)
+				}
+			}
+
+			cancel()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("snapd did not shut down within 30s")
+			}
+		})
+	}
+}

@@ -57,39 +57,61 @@ func Digits(n int) int {
 }
 
 // Topology is the spanning-bus hypercube's routing arithmetic as a
-// standalone value: cluster count, base-4 address digits, next-hop and
-// hop-count computation. It carries no buffers or statistics, so layers
-// that only need to COST routes — the partition placement stage, the
-// benchmark harness — can share the exact arithmetic the live Network
-// routes with, without constructing mailboxes.
+// standalone value: cluster count and one flat clusters×clusters route
+// table holding, for every (from, dest) pair, the next hop and the hop
+// count. It carries no buffers or statistics, so layers that only need
+// to COST routes — the partition placement stage, the benchmark harness,
+// the lockstep engine's per-message accounting — share the exact routes
+// the live Network takes, without constructing mailboxes and without
+// re-deriving a route per message. The table is immutable once built, so
+// copies of a Topology share it.
 type Topology struct {
 	clusters int
-	digits   int
+	routes   []route // row = source cluster
 }
+
+// route is one (from, dest) entry of the table.
+type route struct {
+	next uint16 // neighbouring cluster one digit-correction closer to dest
+	hops uint8  // port-to-port transfers along the whole route
+}
+
+// maxClusters is what route.next can address.
+const maxClusters = 1 << 16
 
 // NewTopology returns the routing arithmetic for an n-cluster array.
 func NewTopology(n int) Topology {
 	if n <= 0 {
 		panic("icn: need at least one cluster")
 	}
-	return Topology{clusters: n, digits: Digits(n)}
+	if n > maxClusters {
+		panic(fmt.Sprintf("icn: at most %d clusters", maxClusters))
+	}
+	digits := Digits(n)
+	routes := make([]route, n*n)
+	for from := 0; from < n; from++ {
+		for dest := 0; dest < n; dest++ {
+			r := &routes[from*n+dest]
+			r.next = uint16(correctDigit(n, digits, from, dest))
+			for at := from; at != dest; at = correctDigit(n, digits, at, dest) {
+				r.hops++
+			}
+		}
+	}
+	return Topology{clusters: n, routes: routes}
 }
 
-// Clusters reports the cluster count.
-func (t Topology) Clusters() int { return t.clusters }
-
-// NextHop reports the neighbouring cluster one digit-correction closer to
-// dest (lowest differing digit first), or dest itself when adjacent.
-// When the array does not fill its hypercube (a cluster count that is not
-// a power of four), a correction that would land on a nonexistent cluster
-// falls through to direct delivery, modeling the incomplete backplane's
-// extra wiring.
-func (t Topology) NextHop(from, dest int) int {
-	for d := 0; d < t.digits; d++ {
+// correctDigit is the routing rule the table is built from: correct the
+// lowest differing base-4 address digit. When the array does not fill its
+// hypercube (a cluster count that is not a power of four), a correction
+// that would land on a nonexistent cluster falls through to direct
+// delivery, modeling the incomplete backplane's extra wiring.
+func correctDigit(clusters, digits, from, dest int) int {
+	for d := 0; d < digits; d++ {
 		shift := uint(2 * d)
 		if (from>>shift)&3 != (dest>>shift)&3 {
 			next := from&^(3<<shift) | dest&(3<<shift)
-			if next >= t.clusters {
+			if next >= clusters {
 				return dest
 			}
 			return next
@@ -98,15 +120,30 @@ func (t Topology) NextHop(from, dest int) int {
 	return dest
 }
 
+// Clusters reports the cluster count.
+func (t Topology) Clusters() int { return t.clusters }
+
+// NextHop reports the neighbouring cluster one digit-correction closer to
+// dest (lowest differing digit first), or dest itself when adjacent or
+// when the incomplete-array fallback delivers directly.
+func (t Topology) NextHop(from, dest int) int {
+	next, _ := t.Path(from, dest)
+	return next
+}
+
 // Hops reports the number of port-to-port transfers between two clusters
 // along the route NextHop takes: the count of differing base-4 address
 // digits, except where the incomplete-array fallback shortens the path.
 func (t Topology) Hops(from, to int) int {
-	h := 0
-	for at := from; at != to; at = t.NextHop(at, to) {
-		h++
-	}
-	return h
+	_, hops := t.Path(from, to)
+	return hops
+}
+
+// Path reports NextHop and Hops of one pair in a single table read, for
+// callers that account every message (the lockstep engine).
+func (t Topology) Path(from, dest int) (next, hops int) {
+	r := t.routes[from*t.clusters+dest]
+	return int(r.next), int(r.hops)
 }
 
 // Route returns the full hop sequence from -> ... -> dest (excluding from,

@@ -44,6 +44,35 @@ func TestHops32Clusters(t *testing.T) {
 	}
 }
 
+// The route table must hold exactly what walking the digit-correction rule
+// gives, including on arrays that do not fill their hypercube (6, 20),
+// where the direct-delivery fallback makes routes shorter than the digit
+// distance and not symmetric.
+func TestRouteTableMatchesWalk(t *testing.T) {
+	for _, n := range []int{1, 4, 6, 16, 20, 64} {
+		top, digits := NewTopology(n), Digits(n)
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if got, want := top.NextHop(from, to), correctDigit(n, digits, from, to); got != want {
+					t.Fatalf("%d clusters: NextHop(%d,%d) = %d, rule says %d", n, from, to, got, want)
+				}
+				walked := 0
+				for at := from; at != to; at = correctDigit(n, digits, at, to) {
+					if walked++; walked > digits {
+						t.Fatalf("%d clusters: route %d->%d does not end", n, from, to)
+					}
+				}
+				if got := top.Hops(from, to); got != walked {
+					t.Fatalf("%d clusters: Hops(%d,%d) = %d, walked %d", n, from, to, got, walked)
+				}
+				if got := len(top.Route(from, to)); got != walked {
+					t.Fatalf("%d clusters: Route(%d,%d) has %d hops, walked %d", n, from, to, got, walked)
+				}
+			}
+		}
+	}
+}
+
 func TestRouteCorrectsOneDigitPerHop(t *testing.T) {
 	n := New(32, 8)
 	for from := 0; from < 32; from++ {

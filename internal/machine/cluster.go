@@ -20,7 +20,7 @@ type cluster struct {
 
 	// Virtual clocks.
 	puFree timing.Time   // instruction decode pipeline
-	muFree []timing.Time // one free-at time per marker unit
+	muFree []timing.Time // marker units' free-at times, earliest first (muRun)
 	cuFree timing.Time   // message (dis)assembly pipeline
 	last   timing.Time   // latest completion seen in this cluster
 
@@ -30,15 +30,14 @@ type cluster struct {
 
 	// Per-propagation-phase state, owned by the cluster's goroutine
 	// during a phase (or by the lockstep engine single-threaded). The
-	// pending-task queue is split in two: srcRun holds the phase's
-	// source tasks, which the status-table scan emits already sorted by
-	// (ready, seq) and which therefore pop FIFO without any heap
-	// discipline, and tasks is a min-heap for everything pushed while
-	// the phase runs. popTask takes the smaller head of the two.
+	// pending-task queue is split in two (see pushTask): run holds every
+	// task that arrived in (ready, seq) order and pops FIFO without any
+	// heap discipline, tasks is a min-heap for the out-of-order rest.
+	// popTask takes the smaller head of the two.
 	tasks   []task    // min-heap payloads on (ready, seq)
 	keys    []taskKey // heap keys, parallel to tasks: compares touch only this
-	srcRun  []task    // sorted source run, consumed from srcHead
-	srcHead int
+	run     []task    // sorted run, consumed from runHead
+	runHead int
 	taskSeq uint64
 	relayQ  relayRing
 	visited visitTable
@@ -117,17 +116,19 @@ func (c *cluster) decode(m *Machine, bAt timing.Time) timing.Time {
 }
 
 // muRun schedules one task on the earliest-free marker unit, starting no
-// earlier than ready, and returns its completion time.
+// earlier than ready, and returns its completion time. Marker units are
+// interchangeable, so only the multiset of free-at times is state: the
+// earliest is kept at muFree[0] and floated back there with min/max
+// (conditional moves) after each booking, because which unit frees first
+// is data-dependent and a compare-and-branch scan mispredicts on it.
 func (c *cluster) muRun(ready, cost timing.Time) timing.Time {
-	best := 0
-	for i, f := range c.muFree {
-		if f < c.muFree[best] {
-			best = i
-		}
+	mu := c.muFree
+	end := max(ready, mu[0]) + cost
+	mu[0] = end
+	for i := 1; i < len(mu); i++ {
+		a, b := mu[0], mu[i]
+		mu[0], mu[i] = min(a, b), max(a, b)
 	}
-	start := timing.Max(ready, c.muFree[best])
-	end := start + cost
-	c.muFree[best] = end
 	if end > c.last {
 		c.last = end
 	}
@@ -269,8 +270,8 @@ type phaseStats struct {
 func (c *cluster) resetPhase() {
 	c.tasks = c.tasks[:0] // backing arrays pooled across phases
 	c.keys = c.keys[:0]
-	c.srcRun = c.srcRun[:0]
-	c.srcHead = 0
+	c.run = c.run[:0]
+	c.runHead = 0
 	c.taskSeq = 0
 	c.relayQ.reset()
 	c.visited.reset()
@@ -284,18 +285,19 @@ func (c *cluster) resetPhase() {
 // seq is unique, so (ready, seq) is a total order and the pop sequence is
 // fully determined no matter how the pending set is stored.
 //
-// Storage is split by origin. Source tasks arrive in one pre-sorted
-// burst: the status scan emits them in ascending seq with nondecreasing
-// ready (each PROPAGATE's sources share one scan-end time, and muRun end
-// times are monotone across the overlap window), so they live in a flat
-// run popped from the front — a dense frontier costs O(1) per source
-// instead of the full-depth sift-down a heap degenerates to on equal
-// keys. Tasks pushed while the phase runs (children, inbound messages)
-// go to a 4-ary min-heap that sifts a hole instead of swapping, with the
-// (ready, seq) keys held in an array parallel to the payloads: the four
-// children of a heap node are 64 contiguous key bytes — one cache line —
-// so a sift level is one line touch plus one payload move. popTask takes
-// the smaller head of run and heap.
+// Storage is split by arrival order, not by origin. A push whose ready is
+// not earlier than the last task appended to the sorted run joins the run
+// (seq ascends with every push, so the run stays sorted on (ready, seq))
+// and will pop from its front in O(1). That is every source task — the
+// status scan emits them with nondecreasing ready — and most children: a
+// child's ready is its parent's muRun end, and those ends are nearly
+// monotone. Only a push that arrives earlier than the run's tail (mostly
+// a remote delivery overtaking local work) goes to a 4-ary min-heap that
+// sifts a hole instead of swapping, with the (ready, seq) keys held in an
+// array parallel to the payloads: the four children of a heap node are 64
+// contiguous key bytes — one cache line — so a sift level is one line
+// touch plus one payload move. popTask takes the smaller head of run and
+// heap.
 
 const heapArity = 4
 
@@ -309,24 +311,25 @@ func (a taskKey) less(b taskKey) bool {
 	return a.ready < b.ready || (a.ready == b.ready && a.seq < b.seq)
 }
 
-// pushSourceTask appends a scan-emitted source task to the sorted run.
-// The scan invariant (nondecreasing ready, ascending seq) is what makes
-// the plain append correct; the defensive fallback keeps pop order right
-// even if a future caller breaks it.
-func (c *cluster) pushSourceTask(t task) {
-	t.seq = c.taskSeq
-	c.taskSeq++
-	if n := len(c.srcRun); n > 0 && t.ready < c.srcRun[n-1].ready {
-		c.heapPush(t)
-		return
-	}
-	c.srcRun = append(c.srcRun, t)
-}
-
+// pushTask queues t behind everything already pushed this phase: the one
+// way into the queue, for sources, local children and deliveries alike.
 func (c *cluster) pushTask(t task) {
 	t.seq = c.taskSeq
 	c.taskSeq++
-	c.heapPush(t)
+	n := len(c.run)
+	if n > 0 && t.ready < c.run[n-1].ready {
+		c.heapPush(t)
+		return
+	}
+	if n == cap(c.run) && c.runHead >= n-c.runHead {
+		// Full, and at least half of it already popped: slide the pending
+		// tail down over the consumed prefix instead of growing, so the
+		// run's memory tracks pending tasks, not a phase's total. Each
+		// slide moves no more tasks than were popped since the last one.
+		n = copy(c.run, c.run[c.runHead:])
+		c.run, c.runHead = c.run[:n], 0
+	}
+	c.run = append(c.run, t)
 }
 
 func (c *cluster) heapPush(t task) {
@@ -346,12 +349,12 @@ func (c *cluster) heapPush(t task) {
 }
 
 func (c *cluster) popTask() (task, bool) {
-	if c.srcHead < len(c.srcRun) {
-		s := &c.srcRun[c.srcHead]
+	if c.runHead < len(c.run) {
+		s := &c.run[c.runHead]
 		if len(c.keys) == 0 || (taskKey{ready: s.ready, seq: s.seq}).less(c.keys[0]) {
-			c.srcHead++
-			if c.srcHead == len(c.srcRun) {
-				c.srcRun, c.srcHead = c.srcRun[:0], 0
+			c.runHead++
+			if c.runHead == len(c.run) {
+				c.run, c.runHead = c.run[:0], 0
 			}
 			return *s, true
 		}
@@ -397,7 +400,7 @@ func (c *cluster) heapPop() task {
 	return t
 }
 
-func (c *cluster) pendingTasks() int { return len(c.tasks) + len(c.srcRun) - c.srcHead }
+func (c *cluster) pendingTasks() int { return len(c.tasks) + len(c.run) - c.runHead }
 
 // childSpec is one propagation step produced by expanding a task.
 type childSpec struct {

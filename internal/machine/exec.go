@@ -37,11 +37,7 @@ func (m *Machine) exec(st *runState, idx int, in *isa.Instruction, bAt timing.Ti
 		})
 	case isa.OpSearchColor:
 		end = m.execScan(bAt, func(c *cluster) int64 {
-			for local := 0; local < c.store.NumNodes(); local++ {
-				if c.store.Color(local) == in.Color {
-					c.markSearch(local, in)
-				}
-			}
+			c.store.SearchColor(in.Color, in.M1, in.Value)
 			return m.cost.NodeTestCycles * int64(c.store.NumNodes())
 		})
 	case isa.OpSetMarker:
@@ -151,6 +147,7 @@ func (m *Machine) execSearchNode(in *isa.Instruction, bAt timing.Time) (timing.T
 }
 
 func (m *Machine) execNotMarker(in *isa.Instruction, bAt timing.Time) timing.Time {
+	pass := func(v float32) bool { return in.Cond.Eval(v, in.Value) }
 	return m.execScan(bAt, func(c *cluster) int64 {
 		words := int64(c.store.Words())
 		if in.Cond == isa.CondNone {
@@ -158,19 +155,9 @@ func (m *Machine) execNotMarker(in *isa.Instruction, bAt timing.Time) timing.Tim
 			return m.cost.StatusWordCycles * words
 		}
 		// Value-conditional complement: m2 is set where m1 is clear or
-		// where m1's value fails the condition.
-		var extra int64
-		for local := 0; local < c.store.NumNodes(); local++ {
-			fails := !c.store.Test(local, in.M1) ||
-				!in.Cond.Eval(c.store.Value(local, in.M1), in.Value)
-			if fails {
-				c.store.Set(local, in.M2)
-			} else {
-				c.store.Clear(local, in.M2)
-			}
-			extra += m.cost.NodeTestCycles
-		}
-		return m.cost.StatusWordCycles*words + extra
+		// where m1's value fails the condition; every node is tested.
+		c.store.NotWhere(in.M1, in.M2, pass)
+		return m.cost.StatusWordCycles*words + m.cost.NodeTestCycles*int64(c.store.NumNodes())
 	})
 }
 

@@ -203,14 +203,12 @@ func (c *cluster) injectSources(m *Machine, entries []batchEntry) {
 }
 
 // pushSource queues one PROPAGATE source task found by the status scan.
-// Sources go to the cluster's sorted run, not the heap: the scan emits
-// them in (ready, seq) order already.
 func (c *cluster) pushSource(in *isa.Instruction, local int, vals []float32, globals []semnet.NodeID, ready timing.Time) {
 	var val float32
 	if vals != nil {
 		val = vals[local]
 	}
-	c.pushSourceTask(task{
+	c.pushTask(task{
 		local:    int32(local),
 		marker:   in.M2,
 		rule:     in.Rule,
@@ -430,26 +428,27 @@ func (m *Machine) lockstepTask(c *cluster, t task, perLevel *[]int64, total *int
 	children, cost := c.expand(m, t)
 	end := c.muRun(t.ready, cost)
 	asm := m.cost.PECost(m.cost.MsgAssembleCycles)
+	send := m.cost.PECost(m.cost.MsgAssembleCycles + m.cost.MailboxEnqueueCycles + m.cost.ArbiterGrantCycles)
 	prevNext := -1 // burst accounting, mirroring the concurrent engine
 	for _, ch := range children {
+		child := task{
+			local:  m.localIdx[ch.to],
+			marker: t.marker,
+			rule:   t.rule,
+			state:  ch.state,
+			fn:     t.fn,
+			value:  ch.value,
+			origin: t.origin,
+			level:  ch.level,
+			ready:  end,
+		}
 		dest := m.assign[ch.to]
 		if dest == c.id {
-			c.pushTask(task{
-				local:  m.localIdx[ch.to],
-				marker: t.marker,
-				rule:   t.rule,
-				state:  ch.state,
-				fn:     t.fn,
-				value:  ch.value,
-				origin: t.origin,
-				level:  ch.level,
-				ready:  end,
-			})
+			c.pushTask(child)
 			continue
 		}
-		cuCycles := m.cost.MsgAssembleCycles + m.cost.MailboxEnqueueCycles + m.cost.ArbiterGrantCycles
-		sendEnd := c.cuRun(end, m.cost.PECost(cuCycles))
-		hops := m.net.Hops(c.id, dest)
+		sendEnd := c.cuRun(end, send)
+		next, hops := m.net.Path(c.id, dest)
 		transit := timing.Time(hops)*m.cost.HopLatency + timing.Time(hops-1)*asm
 		dc := m.clusters[dest]
 
@@ -475,11 +474,11 @@ func (m *Machine) lockstepTask(c *cluster, t task, perLevel *[]int64, total *int
 		c.stats.sends++
 		c.destSends[dest]++
 		c.stats.hops += int64(hops)
-		if next := m.net.NextHop(c.id, dest); next != prevNext {
+		if next != prevNext {
 			c.stats.bursts++
 			prevNext = next
 		}
-		c.stats.comm += m.cost.PECost(cuCycles) + transit + asm
+		c.stats.comm += send + transit + asm
 		*total++
 		for len(*perLevel) <= int(ch.level) {
 			*perLevel = append(*perLevel, 0)
@@ -487,18 +486,8 @@ func (m *Machine) lockstepTask(c *cluster, t task, perLevel *[]int64, total *int
 		(*perLevel)[ch.level]++
 
 		for k := 0; k < copies; k++ {
-			ready := dc.cuRun(sendEnd+transit, asm)
-			dc.pushTask(task{
-				local:  m.localIdx[ch.to],
-				marker: t.marker,
-				rule:   t.rule,
-				state:  ch.state,
-				fn:     t.fn,
-				value:  ch.value,
-				origin: t.origin,
-				level:  ch.level,
-				ready:  ready,
-			})
+			child.ready = dc.cuRun(sendEnd+transit, asm)
+			dc.pushTask(child)
 		}
 	}
 }

@@ -191,28 +191,14 @@ func HopCost(kb *semnet.KB, a Assignment, clusters int) float64 {
 		return 0
 	}
 	t := icn.NewTopology(clusters)
-	hops := hopTable(t)
 	var total int64
 	for id, n := 0, v.NumNodes(); id < n; id++ {
-		home := a[id] * clusters
+		home := a[id]
 		for _, l := range v.Links[v.Off[id]:v.Off[id+1]] {
-			total += int64(hops[home+a[l.To]])
+			total += int64(t.Hops(home, a[l.To]))
 		}
 	}
 	return float64(total) / float64(len(v.Links))
-}
-
-// hopTable precomputes the pairwise hop counts of a topology as one flat
-// clusters×clusters array (row = source).
-func hopTable(t icn.Topology) []int8 {
-	c := t.Clusters()
-	tab := make([]int8, c*c)
-	for from := 0; from < c; from++ {
-		for to := 0; to < c; to++ {
-			tab[from*c+to] = int8(t.Hops(from, to))
-		}
-	}
-	return tab
 }
 
 // ByName resolves a strategy name for command-line tools.

@@ -67,11 +67,10 @@ func PlaceOrder(kb *semnet.KB, a Assignment, clusters int) []int {
 	}
 
 	t := icn.NewTopology(clusters)
-	hops := hopTable(t)
 	// h sums both directions once, so pair costs are symmetric even on
 	// incomplete arrays whose fallback routes are not.
 	h := func(x, y int) int64 {
-		return int64(hops[x*clusters+y]) + int64(hops[y*clusters+x])
+		return int64(t.Hops(x, y) + t.Hops(y, x))
 	}
 
 	// Greedy seeding. attach[r] tracks r's traffic to already-placed

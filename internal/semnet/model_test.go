@@ -97,6 +97,27 @@ func (r *refModel) not(m1, m2 MarkerID) {
 	}
 }
 
+func (r *refModel) notWhere(m1, m2 MarkerID, pass func(float32) bool) {
+	for i := 0; i < r.n; i++ {
+		if r.test(i, m1) && pass(r.val(i, m1)) {
+			r.clear(i, m2)
+		} else {
+			r.set(i, m2)
+		}
+	}
+}
+
+// searchColor takes the store's color column as given: the model has no
+// node table of its own.
+func (r *refModel) searchColor(s *Store, col Color, m MarkerID, v float32) {
+	for i := 0; i < r.n; i++ {
+		if s.Color(i) == col {
+			r.set(i, m)
+			r.setValue(i, m, v)
+		}
+	}
+}
+
 func (r *refModel) funcAll(m MarkerID, fn FuncCode, operand float32) {
 	if !m.IsComplex() {
 		return
@@ -118,7 +139,7 @@ func TestStoreAgainstReferenceModel(t *testing.T) {
 		n := 1 + rng.Intn(90)
 		s := NewStore(n)
 		for i := 0; i < n; i++ {
-			if _, err := s.AddNode(NodeID(i), 0, FuncNop); err != nil {
+			if _, err := s.AddNode(NodeID(i), Color(rng.Intn(3)), FuncNop); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -129,7 +150,7 @@ func TestStoreAgainstReferenceModel(t *testing.T) {
 
 		for step := 0; step < 300; step++ {
 			local := rng.Intn(n)
-			switch rng.Intn(9) {
+			switch rng.Intn(11) {
 			case 0:
 				m := mk()
 				s.Set(local, m)
@@ -176,6 +197,17 @@ func TestStoreAgainstReferenceModel(t *testing.T) {
 					s.Not(m1, m2)
 					ref.not(m1, m2)
 				}
+			case 8:
+				// m2 == m1 included: the kernel reads a word of m1 before
+				// it writes that word of m2.
+				m1, m2, limit := mk(), mk(), float32(rng.Intn(16))
+				pass := func(v float32) bool { return v < limit }
+				s.NotWhere(m1, m2, pass)
+				ref.notWhere(m1, m2, pass)
+			case 9:
+				col, m, v := Color(rng.Intn(4)), mk(), float32(rng.Intn(16))
+				s.SearchColor(col, m, v)
+				ref.searchColor(s, col, m, v)
 			default:
 				m, f := mk(), fn()
 				op := float32(rng.Intn(8))

@@ -407,6 +407,49 @@ func (s *Store) Not(m1, m2 MarkerID) int {
 	return s.Words()
 }
 
+// NotWhere is the value-conditional complement: m2 is set at every node
+// where m1 is clear or where m1's value register fails pass, and cleared
+// elsewhere. It returns simulated words processed. Clear words of m1
+// complement whole; pass is consulted only for m1's set bits (with value
+// 0 for a binary or never-written m1, as Value reports).
+func (s *Store) NotWhere(m1, m2 MarkerID, pass func(v float32) bool) int {
+	r1, r2 := s.status[m1], s.status[m2]
+	vals := s.ValueRow(m1)
+	hw := s.hostWords()
+	for w := 0; w < hw; w++ {
+		keep := r1[w] // m1's bits whose value passes: the only bits m2 clears
+		for set, base := keep, w*HostWordBits; set != 0; set &= set - 1 {
+			b := bits.TrailingZeros64(set)
+			var v float32
+			if vals != nil {
+				v = vals[base+b]
+			}
+			if !pass(v) {
+				keep &^= 1 << uint(b)
+			}
+		}
+		mask := ^uint64(0)
+		if w == hw-1 {
+			mask = s.lastHostWordMask()
+		}
+		r2[w] = ^keep & mask
+	}
+	return s.Words()
+}
+
+// SearchColor sets marker m at every node of the given color, writing v
+// and the node's own ID to a complex marker's value and origin registers
+// (the SEARCH-COLOR sweep): one pass down the color column, touching the
+// status row and the registers only where a node matched.
+func (s *Store) SearchColor(col Color, m MarkerID, v float32) {
+	for local, c := range s.color[:s.n] {
+		if c == col {
+			s.Set(local, m)
+			s.SetValue(local, m, v, s.global[local])
+		}
+	}
+}
+
 // combineValues fills m3's value registers for every set bit in host word
 // w. w1 and w2 are the operands' status words sampled BEFORE m3 was
 // written, so the guard is correct even when m3 aliases an operand. Value

@@ -104,6 +104,50 @@ func TestNotMasksTail(t *testing.T) {
 	}
 }
 
+// The two sweeps the machine's SIMD phase hands to the store whole. The
+// reference-model test covers their bits and values; this pins what the
+// model does not see: origins, the tail mask, binary markers and the word
+// counts the timing model charges.
+func TestSearchColorAndNotWhere(t *testing.T) {
+	s := newStore(t, 70) // colors i%7: ten nodes of each
+	cm, bm, out := MarkerID(1), Binary(0), MarkerID(2)
+	s.SearchColor(3, cm, 2.5)
+	s.SearchColor(3, bm, 9) // binary: bits only, no registers to allocate
+	for i := 0; i < 70; i++ {
+		hit := i%7 == 3
+		if s.Test(i, cm) != hit || s.Test(i, bm) != hit {
+			t.Fatalf("node %d (color %d): complex %v binary %v, want %v", i, i%7, s.Test(i, cm), s.Test(i, bm), hit)
+		}
+		if hit && (s.Value(i, cm) != 2.5 || s.Origin(i, cm) != s.Global(i)) {
+			t.Fatalf("node %d: value %v origin %d, want 2.5 and the node itself", i, s.Value(i, cm), s.Origin(i, cm))
+		}
+	}
+	if s.ValueRow(bm) != nil {
+		t.Fatal("binary marker grew value registers")
+	}
+	s.SearchColor(200, cm, 1) // no node has it: nothing changes
+	if got := s.CountSet(cm); got != 10 {
+		t.Fatalf("after a search that matches nothing: %d set, want 10", got)
+	}
+
+	// Half the hits keep a passing value; m2 = everything else, and no
+	// phantom bits beyond node 69 in the partial second host word.
+	for i := 3; i < 35; i += 7 {
+		s.SetValue(i, cm, 7, 0)
+	}
+	if got := s.NotWhere(cm, out, func(v float32) bool { return v < 5 }); got != s.Words() {
+		t.Fatalf("NotWhere charged %d words, want %d", got, s.Words())
+	}
+	if got := s.CountSet(out); got != 65 {
+		t.Fatalf("NotWhere count = %d, want 65", got)
+	}
+	// A binary m1 has no value registers: its set bits all test value 0.
+	s.NotWhere(bm, out, func(v float32) bool { return v == 0 })
+	if got := s.CountSet(out); got != 60 {
+		t.Fatalf("NotWhere over a binary marker: %d set, want 60", got)
+	}
+}
+
 func TestAndOrValues(t *testing.T) {
 	s := newStore(t, 64)
 	a, b, out := MarkerID(0), MarkerID(1), MarkerID(2)

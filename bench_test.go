@@ -6,12 +6,8 @@
 package snap1_test
 
 import (
-	"context"
-	"fmt"
-	"sync/atomic"
 	"testing"
 
-	"snap1/internal/engine"
 	"snap1/internal/experiments"
 	"snap1/internal/isa"
 	"snap1/internal/kbgen"
@@ -176,7 +172,8 @@ func BenchmarkFig21Overheads(b *testing.B) {
 // ---------------------------------------------------------------------
 
 // BenchmarkPropagatePhase is the canonical host-cost benchmark of the
-// marker-propagation hot path (tracked in BENCH_PROPAGATE.json, see
+// marker-propagation hot path (a development tool; the figures a claim
+// rests on are machine.ns_per_step_* in `go run ./benchmark`, see
 // docs/PERF.md), measured on both execution engines with allocation
 // reporting over two workload shapes:
 //
@@ -257,150 +254,6 @@ func benchPhaseRun(b *testing.B, det bool, kb *semnet.KB, p *isa.Program) {
 	if tasks > 0 {
 		b.ReportMetric(float64(tasks), "tasks/phase")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tasks), "ns/task")
-	}
-}
-
-// BenchmarkEngineThroughput measures end-to-end query serving on the
-// concurrent engine layer: parallel submitters over a pooled replica set,
-// the path every snapd request takes.
-func BenchmarkEngineThroughput(b *testing.B) {
-	w := kbgen.Chains(1, 128, 8, 1)
-	cfg := machine.PaperConfig()
-	cfg.Deterministic = true
-	e, err := engine.New(w.KB, engine.WithReplicas(4), engine.WithMachineConfig(cfg))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	p := isa.NewProgram()
-	p.SearchColor(w.Seeds[0], 0, 0)
-	p.Propagate(0, 1, rules.Path(w.Rel), semnet.FuncAdd)
-	p.Barrier()
-	p.CollectNode(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			res, err := e.Submit(context.Background(), p)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if len(res.Collected(0)) == 0 {
-				b.Error("empty collection")
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkEngineSharded measures the sharded work-stealing engine
-// across pool sizes and workload temperatures, reporting queries/s:
-//
-//   - hot: every submitter repeats one query — after the first execution
-//     the result cache serves everything, measuring the lock-free-read
-//     serving ceiling;
-//   - cold: 256 distinct queries with result caching disabled — every
-//     submission runs on a replica, measuring dispatch + execution;
-//   - mixed: half hot, half a 1024-query sweep against a 128-entry
-//     result cache, so the sweep always misses (LRU thrash) while the
-//     hot query stays resident — the contended mixed workload of the
-//     serving-layer acceptance bar.
-func BenchmarkEngineSharded(b *testing.B) {
-	w := kbgen.Chains(1, 128, 8, 1)
-	for _, replicas := range []int{1, 4, 16} {
-		for _, mix := range []string{"hot", "cold", "mixed"} {
-			b.Run(fmt.Sprintf("r=%d/%s", replicas, mix), func(b *testing.B) {
-				benchEngineSharded(b, w, replicas, mix)
-			})
-		}
-	}
-}
-
-// shardedProgram builds the canonical chain-propagation query with a
-// distinguishing initial marker value, so variants hash differently but
-// cost the same to execute.
-func shardedProgram(w *kbgen.Workload, variant int) *isa.Program {
-	p := isa.NewProgram()
-	p.SearchColor(w.Seeds[0], 0, float32(variant))
-	p.Propagate(0, 1, rules.Path(w.Rel), semnet.FuncAdd)
-	p.Barrier()
-	p.CollectNode(1)
-	return p
-}
-
-func benchEngineSharded(b *testing.B, w *kbgen.Workload, replicas int, mix string) {
-	cfg := machine.PaperConfig()
-	cfg.Deterministic = true
-	opts := []engine.Option{engine.WithReplicas(replicas), engine.WithMachineConfig(cfg), engine.WithQueueCap(4096)}
-	poolSize := 0
-	switch mix {
-	case "cold":
-		opts = append(opts, engine.WithResultCache(0))
-		poolSize = 256
-	case "mixed":
-		opts = append(opts, engine.WithResultCache(128))
-		poolSize = 1024
-	}
-	e, err := engine.New(w.KB, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-
-	hot := shardedProgram(w, -1)
-	pool := make([]*isa.Program, poolSize)
-	for i := range pool {
-		pool[i] = shardedProgram(w, i)
-	}
-	// Warm the hot path so the steady state is measured.
-	if _, err := e.Submit(context.Background(), hot); err != nil {
-		b.Fatal(err)
-	}
-
-	var next atomic.Uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			p := hot
-			if poolSize > 0 {
-				n := next.Add(1)
-				if mix == "cold" || n%2 == 0 {
-					p = pool[int(n)%poolSize]
-				}
-			}
-			res, err := e.Submit(context.Background(), p)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if len(res.Collected(0)) == 0 {
-				b.Error("empty collection")
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkEngineBringUp measures cold start: engine.New over a 16K-node
-// knowledge base, 16 replicas — one download plus 15 shared-topology
-// clones, brought up concurrently.
-func BenchmarkEngineBringUp(b *testing.B) {
-	g, err := kbgen.Generate(kbgen.Params{Nodes: 16000, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, err := engine.New(g.KB, engine.WithReplicas(16))
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.Close()
 	}
 }
 

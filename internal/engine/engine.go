@@ -224,13 +224,9 @@ func WithResultCache(n int) Option {
 // ceiling.
 func WithMaxInFlight(n int) Option { return func(c *Config) { c.MaxInFlight = n } }
 
-// WithMachineConfig replaces the replica configuration wholesale.
-func WithMachineConfig(mc machine.Config) Option {
-	return func(c *Config) { c.Machine = mc }
-}
-
 // WithMachineOptions refines the replica configuration with machine
-// options, starting from the engine's default replica configuration.
+// options, starting from the engine's default replica configuration. A
+// machine.Config is itself an option that replaces it wholesale.
 func WithMachineOptions(opts ...machine.Option) Option {
 	return func(c *Config) {
 		if c.Machine.Clusters == 0 {

@@ -40,7 +40,7 @@ func newOptTestEngine(t *testing.T, w *kbgen.Workload, level int, extra ...Optio
 	cfg := machine.PaperConfig()
 	cfg.Deterministic = true
 	opts := append([]Option{
-		WithReplicas(1), WithMachineConfig(cfg), WithFusion(1),
+		WithReplicas(1), WithMachineOptions(cfg), WithFusion(1),
 		WithOptLevel(level),
 	}, extra...)
 	e, err := New(w.KB, opts...)
@@ -150,7 +150,7 @@ func TestEngineOptFusedRemap(t *testing.T) {
 	w := kbgen.Chains(1, 16, 6, 1)
 	cfg := machine.PaperConfig()
 	cfg.Deterministic = true
-	e, err := New(w.KB, WithReplicas(1), WithMachineConfig(cfg),
+	e, err := New(w.KB, WithReplicas(1), WithMachineOptions(cfg),
 		WithOptLevel(isa.OptFull), WithResultCache(0))
 	if err != nil {
 		t.Fatal(err)

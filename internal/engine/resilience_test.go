@@ -30,7 +30,7 @@ func faultTestMachine() machine.Config {
 func resilientEngine(t *testing.T, g *kbgen.Generated, plan *fault.Plan, opts ...Option) *Engine {
 	t.Helper()
 	all := append([]Option{
-		WithMachineConfig(faultTestMachine()),
+		WithMachineOptions(faultTestMachine()),
 		WithFaultPlan(plan),
 	}, opts...)
 	e, err := New(g.KB, all...)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"snap1/internal/kbgen"
 	"snap1/internal/machine"
 	"snap1/internal/perfmon"
+	"snap1/internal/semnet"
 )
 
 func newTestServer(t *testing.T, nodes int) (*kbgen.Generated, *httptest.Server) {
@@ -545,4 +547,103 @@ func TestHostileNamesAnswerTyped(t *testing.T) {
 	if out := postQuery(t, srv.URL, inheritanceQuery(g, concept)); len(out.Collections) != 1 {
 		t.Fatalf("engine unhealthy after the hostile sweep: %+v", out)
 	}
+}
+
+// nameTableSizes counts the KB's relation and colour names: ids are
+// handed out in order, and RelationName/ColorName answer a numeric
+// placeholder for one not handed out yet.
+func nameTableSizes(kb *semnet.KB) (rels, colors int) {
+	for kb.RelationName(semnet.RelType(rels)) != fmt.Sprintf("rel#%d", rels) {
+		rels++
+	}
+	for kb.ColorName(semnet.Color(colors)) != fmt.Sprintf("color#%d", colors) {
+		colors++
+	}
+	return rels, colors
+}
+
+// FuzzHTTPBody: whatever bytes arrive on a POST endpoint, the handler
+// answers 200 with a decodable body or the typed error envelope with a
+// documented code — it never panics (the handler runs on the fuzz
+// goroutine) and never writes an untyped 5xx. A /v1/query the server
+// refuses leaves the KB's name tables as they were, unless the program
+// carries a creating operand: that one interns at assembly time, the
+// known hole ROADMAP records as (b).
+func FuzzHTTPBody(f *testing.F) {
+	const read = "search-node node=a marker=c1 value=0\npropagate m1=c1 m2=c2 rule=path(is-a) fn=add\ncollect-node marker=c2\n"
+	quoted, _ := json.Marshal(read)
+	for endpoint := uint8(0); endpoint < 3; endpoint++ {
+		f.Add(endpoint, false, []byte(read))
+		f.Add(endpoint, true, []byte(`{"program":`+string(quoted)+`,"timeout_ms":50}`))
+		f.Add(endpoint, true, []byte(`{"programs":[`+string(quoted)+`,"search-color color=nope marker=c1 value=0",""]}`))
+		f.Add(endpoint, false, []byte("create src=c rel=is-a w=1 dst=d\n"))
+		f.Add(endpoint, false, []byte("create src=c rel=brand-new w=1 dst=d\nset-color node=a color=another\n"))
+		f.Add(endpoint, false, []byte("search-relation rel=nope marker=c1 value=NaN\ncollect-node marker=c1 value=3"))
+		f.Add(endpoint, true, []byte(`{"program":7,"programs":{"a":[]},"timeout_ms":"soon"}`))
+		f.Add(endpoint, true, []byte(`{"program":"set-marker marker=c1 value=1e39","timeout_ms":-9223372036854775808}`))
+		f.Add(endpoint, true, []byte(`{"programs":[`+strings.Repeat(`"x",`, MaxBatchPrograms)+`"x"]}`))
+		f.Add(endpoint, true, []byte("[[[[[[[[\x00\xff"))
+		f.Add(endpoint, false, []byte{})
+	}
+	typed := func(t *testing.T, what string, b ErrorBody) {
+		t.Helper()
+		if !slices.Contains(envelopeCodes, b.Code) || b.Message == "" {
+			t.Errorf("%s: error body %+v is not a documented envelope", what, b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, endpoint uint8, asJSON bool, body []byte) {
+		kb, _ := writeTestKB(t)
+		e, err := New(kb, WithReplicas(1), WithWrites(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		rels, colors := nameTableSizes(kb)
+
+		path := []string{"/v1/query", "/v1/query/batch", "/v1/mutate"}[endpoint%3]
+		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		r.Header.Set("Content-Type", "text/plain")
+		program := string(body)
+		if asJSON {
+			r.Header.Set("Content-Type", "application/json")
+			var req QueryRequest
+			_ = json.Unmarshal(body, &req)
+			program = req.Program
+		}
+		w := httptest.NewRecorder()
+		NewServer(e).ServeHTTP(w, r)
+
+		if w.Code != http.StatusOK {
+			var env ErrorEnvelope
+			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+				t.Fatalf("%s: status %d with an untyped body %q: %v", path, w.Code, w.Body, err)
+			}
+			typed(t, fmt.Sprintf("%s: status %d", path, w.Code), env.Error)
+			r2, c2 := nameTableSizes(kb)
+			program = strings.ToLower(program)
+			creating := strings.Contains(program, "create") || strings.Contains(program, "set-color")
+			if path == "/v1/query" && !creating && (r2 != rels || c2 != colors) {
+				t.Errorf("a refused query grew the name tables: relations %d -> %d, colours %d -> %d", rels, r2, colors, c2)
+			}
+			return
+		}
+		if path != "/v1/query/batch" {
+			var out QueryResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil || out.ProgramHash == "" {
+				t.Fatalf("%s: 200 with an undecodable answer %q: %v", path, w.Body, err)
+			}
+			return
+		}
+		var out BatchQueryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil || len(out.Results) == 0 {
+			t.Fatalf("batch: 200 with an undecodable answer %q: %v", w.Body, err)
+		}
+		for i, el := range out.Results {
+			if (el.Result == nil) == (el.Error == nil) {
+				t.Errorf("batch element %d carries both or neither of result and error", i)
+			} else if el.Error != nil {
+				typed(t, fmt.Sprintf("batch element %d", i), *el.Error)
+			}
+		}
+	})
 }

@@ -5,20 +5,23 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"snap1/internal/isa"
+	"snap1/internal/kbgen"
+	"snap1/internal/rules"
+	"snap1/internal/semnet"
 )
 
 // heavyQuery is a deliberately long-running read-only query: many
 // propagate rounds so a single execution spans a measurable window.
 func heavyQuery(concept string, rounds int) string {
-	src := "search-node node=" + concept + " marker=c1 value=0\n"
-	for i := 0; i < rounds; i++ {
-		src += "propagate m1=c1 m2=c2 rule=path(is-a) fn=add\n"
-	}
-	src += "collect-node marker=c2\n"
-	return src
+	return "search-node node=" + concept + " marker=c1 value=0\n" +
+		strings.Repeat("propagate m1=c1 m2=c2 rule=path(is-a) fn=add\n", rounds) +
+		"collect-node marker=c2\n"
 }
 
 // TestResultCacheBitIdentical is the tentpole acceptance check: a
@@ -85,6 +88,38 @@ func TestResultCacheGenerationKey(t *testing.T) {
 	}
 	if _, ok := c.get(7, 1); ok {
 		t.Error("lookup under a different program hash hit")
+	}
+}
+
+// TestHotPathAllocs fences the steady-state serving path: a Submit the
+// result cache answers, on a 16-replica pool, allocates nothing. A
+// closure, a boxed key or a per-query context that creeps into Submit,
+// the admission counters or the cache lookup fails here.
+func TestHotPathAllocs(t *testing.T) {
+	w := kbgen.Chains(1, 128, 8, 1)
+	e, err := New(w.KB, WithReplicas(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	p := isa.NewProgram()
+	p.SearchColor(w.Seeds[0], 0, 0)
+	p.Propagate(0, 1, rules.Path(w.Rel), semnet.FuncAdd)
+	p.Barrier()
+	p.CollectNode(1)
+	ctx := context.Background()
+	submit := func() {
+		res, err := e.Submit(ctx, p)
+		if err != nil || len(res.Collected(0)) == 0 {
+			t.Fatalf("hot submit: %v, %v", res, err)
+		}
+	}
+	submit() // runs on a replica and fills the result cache
+	if n := testing.AllocsPerRun(1000, submit); n != 0 {
+		t.Errorf("a result-cache hit allocates %v times per query, want 0", n)
+	}
+	if st := e.Stats(); st.ResultMisses != 1 {
+		t.Errorf("%d submissions missed the result cache, want only the first", st.ResultMisses)
 	}
 }
 

@@ -193,8 +193,9 @@ func optDifferential(t *testing.T, seed int64, level int, preserve bool) {
 	// moved shifts issue slots and flush points, which perturbs
 	// per-cluster clock alignment by microseconds in either direction
 	// on programs with nothing to overlap. The deterministic chain
-	// tests (and the snapbench fence) assert strict improvement on
-	// workloads with real structure to win.
+	// tests (TestOptimizedChainIdenticalAndFaster here,
+	// TestEngineOptimizedBitIdenticalAndFaster in the engine) assert
+	// strict improvement on workloads with real structure to win.
 }
 
 // FuzzOptDifferential is the tape-driven bit-identity check for the

@@ -109,11 +109,6 @@ func WithPlacement(on bool) Option {
 	return optionFunc(func(c *Config) { c.Placement = on })
 }
 
-// WithPartitionFunc installs a custom node-allocation function.
-func WithPartitionFunc(fn partition.Func) Option {
-	return optionFunc(func(c *Config) { c.Partition = fn })
-}
-
 // WithSeed sets the multiport-memory arbiter tie-break seed.
 func WithSeed(seed int64) Option {
 	return optionFunc(func(c *Config) { c.Seed = seed })

@@ -11,7 +11,8 @@ import (
 // is least on (ready, seq), seq being push order, however the pushes
 // arrived — so how the pending set is stored (sorted run, heap) can never
 // show in the simulated timeline. The tests drive the queue from a byte
-// tape and hold it to a model that re-sorts its pending set on every pop.
+// tape and hold it to a model that re-sorts its pending set before every
+// pop that follows a push.
 
 // queued is the model's record of one push.
 type queued struct {
@@ -24,6 +25,7 @@ type queueModel struct {
 	t       testing.TB
 	c       *cluster
 	pending []queued
+	sorted  bool // pending is in pop order: nothing pushed since the last pop
 	seq     uint64
 	last    timing.Time // ready of the latest push
 }
@@ -41,6 +43,7 @@ func (q *queueModel) push(ready timing.Time, source bool) {
 	// from its key inside the heap shows.
 	q.c.pushTask(task{local: int32(q.seq), ready: ready, isSource: source})
 	q.pending = append(q.pending, queued{ready: ready, seq: q.seq})
+	q.sorted = false
 	q.seq++
 	q.last = ready
 	q.check()
@@ -54,10 +57,13 @@ func (q *queueModel) pop() {
 		}
 		return
 	}
-	sort.Slice(q.pending, func(i, j int) bool {
-		a, b := q.pending[i], q.pending[j]
-		return a.ready < b.ready || (a.ready == b.ready && a.seq < b.seq)
-	})
+	if !q.sorted { // or a long drain is quadratic and the fuzzer calls it a hang
+		sort.Slice(q.pending, func(i, j int) bool {
+			a, b := q.pending[i], q.pending[j]
+			return a.ready < b.ready || (a.ready == b.ready && a.seq < b.seq)
+		})
+		q.sorted = true
+	}
 	want := q.pending[0]
 	q.pending = q.pending[1:]
 	if !ok || got.ready != want.ready || got.seq != want.seq || got.local != int32(want.seq) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"snap1/internal/kbgen"
 	"snap1/internal/semnet"
 )
 
@@ -59,23 +60,40 @@ func TestRefinedDeterministic(t *testing.T) {
 }
 
 func TestRefinedBeatsSemanticOnCommunities(t *testing.T) {
-	kb := blobKB(t, 8, 48)
-	ref, err := Refined(kb, 8, 60)
+	g, err := kbgen.Generate(kbgen.Params{Nodes: 6000, Seed: 42, WithDomain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sem, err := Semantic(kb, 8, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cutRef, cutSem := CutRatio(kb, ref), CutRatio(kb, sem)
-	if cutRef >= cutSem {
-		t.Fatalf("refined cut %.4f >= semantic cut %.4f", cutRef, cutSem)
-	}
-	// Eight communities with one bridge each: refinement should leave
-	// only a handful of cross-cluster links.
-	if cutRef > 0.15 {
-		t.Errorf("refined cut of a community graph = %.4f, want near zero", cutRef)
+	g.KB.Preprocess()
+	for _, tc := range []struct {
+		name               string
+		kb                 *semnet.KB
+		clusters, capacity int
+		margin             float64 // refined's cut must be at most (1-margin) of semantic's
+		maxCut             float64
+	}{
+		// Eight communities with one bridge each: refinement should leave
+		// only a handful of cross-cluster links.
+		{"blobs", blobKB(t, 8, 48), 8, 60, 0, 0.15},
+		// The 6K-node MUC-4 network on the paper's 16-cluster array
+		// (0.46 against 0.86 when this case was written).
+		{"muc4-6k", g.KB, 16, 1024, 0.30, 1},
+	} {
+		ref, err := Refined(tc.kb, tc.clusters, tc.capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sem, err := Semantic(tc.kb, tc.clusters, tc.capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cutRef, cutSem := CutRatio(tc.kb, ref), CutRatio(tc.kb, sem)
+		if limit := cutSem * (1 - tc.margin); cutRef >= limit {
+			t.Errorf("%s: refined cut %.4f, want below %.4f (semantic's %.4f less %.0f%%)", tc.name, cutRef, limit, cutSem, tc.margin*100)
+		}
+		if cutRef > tc.maxCut {
+			t.Errorf("%s: refined cut = %.4f, want at most %.2f", tc.name, cutRef, tc.maxCut)
+		}
 	}
 }
 

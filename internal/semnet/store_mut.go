@@ -58,8 +58,10 @@ func (s *Store) AddLink(local int, l Link) error {
 }
 
 // RemoveLink deletes the first relation-table entry matching (rel, to) and
-// reports whether one was found. The block shrinks in place; the vacated
-// tail slot becomes a hole unless the block ends the slab.
+// reports whether one was found. The block shrinks in place and the
+// vacated tail slot becomes a hole, also when the block ends the slab:
+// the slab never gets shorter, because a link-less node added after the
+// block keeps its offset at the old slab end.
 func (s *Store) RemoveLink(local int, rel RelType, to NodeID) bool {
 	if local < 0 || local >= s.n {
 		return false
@@ -71,11 +73,7 @@ func (s *Store) RemoveLink(local int, rel RelType, to NodeID) bool {
 			// own() may have re-materialized the slab; the offsets are
 			// copied verbatim, so i stays valid.
 			copy(s.relLinks[i:off+cnt-1], s.relLinks[i+1:off+cnt])
-			if off+cnt == len(s.relLinks) {
-				s.relLinks = s.relLinks[:off+cnt-1]
-			} else {
-				s.relHoles++
-			}
+			s.relHoles++
 			s.relCnt[local] = int32(cnt - 1)
 			s.maybeCompact()
 			return true

@@ -373,3 +373,59 @@ func TestClearRowsMasked(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreKernelAllocs fences the eight store kernels the SIMD phase
+// and the frontier scan are built from at exactly zero allocations per
+// call, on a full 1024-node cluster partition: complex markers 0 and 1
+// at every third and every second node, binary 0 dense, binary 1 at
+// every 97th node, four CSR links per node.
+func TestStoreKernelAllocs(t *testing.T) {
+	const n = 1024
+	s := newStore(t, n)
+	links := make([]Link, 4)
+	for i := 0; i < n; i++ {
+		if i%3 == 0 {
+			s.Set(i, 0)
+		}
+		if i%2 == 0 {
+			s.Set(i, 1)
+		}
+		s.Set(i, Binary(0))
+		if i%97 == 0 {
+			s.Set(i, Binary(1))
+		}
+		for j := range links {
+			links[j] = Link{Rel: RelType(j), Weight: 1, To: NodeID((i + j + 1) % n)}
+		}
+		if err := s.SetLinks(i, links); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := 0
+	for _, k := range []struct {
+		name string
+		op   func()
+	}{
+		{"and", func() { s.And(0, 1, 2, FuncNop) }},
+		{"or", func() { s.Or(0, 1, 2, FuncNop) }},
+		{"set_all", func() { s.SetAll(3, 1) }},
+		{"clear_all", func() { s.ClearAll(3) }},
+		{"foreach_set/sparse", func() { s.ForEachSet(Binary(1), func(local int) { count += local }) }},
+		{"foreach_set/dense", func() { s.ForEachSet(Binary(0), func(local int) { count += local }) }},
+		{"count_set", func() { count += s.CountSet(0) }},
+		{"csr_scan", func() {
+			for local := 0; local < s.NumNodes(); local++ {
+				for _, l := range s.Links(local) {
+					count += int(l.To)
+				}
+			}
+		}},
+	} {
+		if a := testing.AllocsPerRun(100, k.op); a != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", k.name, a)
+		}
+	}
+	if count == 0 {
+		t.Error("the scans visited nothing")
+	}
+}

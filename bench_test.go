@@ -278,43 +278,6 @@ func BenchmarkStoreBooleanSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkPropagationLockstep measures a full MIMD propagation phase
-// (α=256, depth 10) on the deterministic engine.
-func BenchmarkPropagationLockstep(b *testing.B) {
-	benchPropagation(b, true)
-}
-
-// BenchmarkPropagationConcurrent measures the same phase on the
-// goroutine-per-cluster engine.
-func BenchmarkPropagationConcurrent(b *testing.B) {
-	benchPropagation(b, false)
-}
-
-func benchPropagation(b *testing.B, det bool) {
-	w := kbgen.Chains(1, 256, 10, 1)
-	w.KB.Preprocess()
-	cfg := machine.PaperConfig()
-	cfg.Deterministic = det
-	m, err := machine.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.LoadKB(w.KB); err != nil {
-		b.Fatal(err)
-	}
-	p := isa.NewProgram()
-	p.SearchColor(w.Seeds[0], 0, 0)
-	p.Propagate(0, 1, rules.Path(w.Rel), semnet.FuncAdd)
-	p.Barrier()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ClearMarkers()
-		if _, err := m.Run(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSentenceParse measures one full two-stage sentence parse on the
 // evaluation configuration.
 func BenchmarkSentenceParse(b *testing.B) {

@@ -42,7 +42,7 @@ func main() {
 	mus := flag.Int("mus", 2, "marker units per cluster")
 	part := flag.String("partition", "semantic", "partitioning: sequential, round-robin, semantic, or refined")
 	place := flag.Bool("place", false, "follow partitioning with hop-aware hypercube placement")
-	det := flag.Bool("det", true, "use the deterministic measurement engine")
+	det := flag.Bool("det", true, "run on the lockstep engine (exact virtual times); -det=false selects the goroutine-per-cluster reference engine")
 	optLevel := flag.Int("opt", 0, "optimizer level: 0 runs the program as written (canonical timing), 1 folds and eliminates dead planes, 2 adds plane renaming and overlap scheduling")
 	verbose := flag.Bool("v", false, "print the instruction profile")
 	repeat := flag.Int("repeat", 1, "run the program N times (markers cleared between runs; useful with profiling)")

@@ -98,13 +98,6 @@ func (c CM2) Inherit(kb *semnet.KB, root semnet.NodeID, rel semnet.RelType) (*In
 	return &InheritResult{Time: t, Steps: steps, Reached: reached}, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // SequentialConfig returns the single-marker-unit, single-cluster SNAP-1
 // configuration used as the uniprocessor reference for speedup curves.
 // The per-cluster capacity is widened so knowledge bases that normally

@@ -13,11 +13,10 @@ import (
 // query that hits them; both value types are immutable once published,
 // so sharing is safe.
 type lruCache[K comparable, V any] struct {
-	mu       sync.Mutex
-	cap      int
-	order    *list.List          // front = most recently used
-	byKey    map[K]*list.Element // value: *cacheEntry[K, V]
-	evictTot uint64              // lifetime capacity + sweep evictions
+	mu    sync.Mutex
+	cap   int
+	order *list.List          // front = most recently used
+	byKey map[K]*list.Element // value: *cacheEntry[K, V]
 }
 
 type cacheEntry[K comparable, V any] struct {
@@ -58,28 +57,7 @@ func (c *lruCache[K, V]) put(key K, val V) {
 		tail := c.order.Back()
 		c.order.Remove(tail)
 		delete(c.byKey, tail.Value.(*cacheEntry[K, V]).key)
-		c.evictTot++
 	}
-}
-
-// getOrPut returns the resident value for key, or inserts val and
-// returns it. One atomic step, so concurrent fillers agree on a single
-// shared value (the optimizer cache's contract).
-func (c *lruCache[K, V]) getOrPut(key K, val V) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*cacheEntry[K, V]).val, true
-	}
-	c.byKey[key] = c.order.PushFront(&cacheEntry[K, V]{key: key, val: val})
-	for c.order.Len() > c.cap {
-		tail := c.order.Back()
-		c.order.Remove(tail)
-		delete(c.byKey, tail.Value.(*cacheEntry[K, V]).key)
-		c.evictTot++
-	}
-	return val, false
 }
 
 // sweep removes every entry whose key the predicate selects, returning
@@ -93,7 +71,6 @@ func (c *lruCache[K, V]) sweep(drop func(K) bool) int {
 		if key := el.Value.(*cacheEntry[K, V]).key; drop(key) {
 			c.order.Remove(el)
 			delete(c.byKey, key)
-			c.evictTot++
 			n++
 		}
 		el = next
@@ -106,13 +83,6 @@ func (c *lruCache[K, V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// evictions reports the lifetime eviction count (capacity + sweeps).
-func (c *lruCache[K, V]) evictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictTot
 }
 
 // resultKey identifies a memoized query result: the program's content

@@ -15,7 +15,7 @@
 //	assembly → rule/program compilation (LRU-cached by content hash)
 //	         → result cache (by Program.Hash + KB generation)
 //	         → singleflight (identical in-flight queries collapse)
-//	         → program optimization (isa.Optimize, cached by content hash)
+//	         → program optimization (isa.Optimize, kept on the compiled program)
 //	         → execution on a pooled replica → collection
 //
 // Admission control sheds load instead of queueing without bound: a
@@ -82,18 +82,21 @@ type Config struct {
 	CacheCap int
 	// ResultCacheCap bounds the query result cache (default 1024).
 	// Negative disables result caching and singleflight deduplication.
-	// The cache only operates on deterministic replica configurations,
-	// where a memoized Result (virtual time included) is bit-identical
-	// to recomputation.
+	// A memoized Result (virtual time included) is bit-identical to
+	// recomputation, because every replica is a lockstep machine.
 	ResultCacheCap int
 	// MaxInFlight caps admitted-but-unfinished queries (queued plus
 	// executing); submissions beyond it fail fast with ErrOverloaded.
 	// 0 means no ceiling beyond QueueCap.
 	MaxInFlight int
 	// Machine configures every replica. Zero value: the paper's
-	// 16-cluster evaluation array with the deterministic lockstep
-	// execution engine, so identical queries report identical virtual
-	// times regardless of which replica serves them.
+	// 16-cluster evaluation array. Its Deterministic field is
+	// overwritten: replicas and the writer are lockstep machines
+	// whatever it says (the goroutine-per-cluster engine is the machine
+	// package's reference implementation; nothing serves on it), so
+	// identical queries report identical virtual times regardless of
+	// which replica serves them, and result caching, singleflight,
+	// retry-after-fault and fusion hold for every Engine.
 	Machine machine.Config
 	// Monitor, when non-nil, receives engine-level performance events
 	// (EvQuerySubmit, EvBatchDispatch, EvQueryDone, EvQueryCancel,
@@ -126,8 +129,8 @@ type Config struct {
 	// OptLevel selects the compile-tier program optimizer level applied
 	// to every admitted query (isa.Optimize): 0 selects the default
 	// (isa.OptFull), negative disables optimization, and OptBasic/OptFull
-	// select the pass set explicitly. Optimization products are cached by
-	// program content hash, so a hot query is rewritten once. The engine
+	// select the pass set explicitly. A compiled program remembers its
+	// rewrite, so a hot query is rewritten once. The engine
 	// optimizes under the serving profile (final marker state is not
 	// observable across queries), which collections are immune to:
 	// optimized results are bit-identical to the unoptimized program's,
@@ -230,7 +233,7 @@ func WithMaxInFlight(n int) Option { return func(c *Config) { c.MaxInFlight = n 
 func WithMachineOptions(opts ...machine.Option) Option {
 	return func(c *Config) {
 		if c.Machine.Clusters == 0 {
-			c.Machine = defaultMachineConfig()
+			c.Machine = machine.PaperConfig()
 		}
 		c.Machine = machine.ApplyOptions(c.Machine, opts...)
 	}
@@ -292,12 +295,6 @@ func WithOptLevel(n int) Option {
 // SubmitWrite and POST /v1/mutate.
 func WithWrites(on bool) Option { return func(c *Config) { c.Writes = on } }
 
-func defaultMachineConfig() machine.Config {
-	mc := machine.PaperConfig()
-	mc.Deterministic = true
-	return mc
-}
-
 // request is one queued query.
 type request struct {
 	ctx      context.Context
@@ -348,10 +345,9 @@ type Engine struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	cache   *lruCache[uint64, *isa.Program]   // assembly-source hash -> sealed program
-	opts    *lruCache[uint64, *isa.Optimized] // program content hash -> optimization product
-	results *resultCache                      // nil when disabled
-	flights *flightGroup                      // nil when results is nil
+	cache   *lruCache[uint64, *isa.Program] // assembly-source hash -> sealed program, its rewrite on it
+	results *resultCache                    // nil when disabled
+	flights *flightGroup                    // nil when results is nil
 
 	// Write path (nil/zero unless Config.Writes; see writer.go). pubGen
 	// is the published KB generation — the epoch every new read
@@ -411,8 +407,9 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		cfg.WriteBatch = 8
 	}
 	if cfg.Machine.Clusters == 0 {
-		cfg.Machine = defaultMachineConfig()
+		cfg.Machine = machine.PaperConfig()
 	}
+	cfg.Machine.Deterministic = true
 	cfg.Retry = cfg.Retry.normalized()
 	cfg.Health = cfg.Health.normalized(cfg.QueryTimeout)
 	if cfg.Writes {
@@ -438,7 +435,9 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	}
 	if cfg.FaultPlan != nil {
 		for rank, m := range machines {
-			m.SetFaultInjector(cfg.FaultPlan.Injector(rank))
+			if err := m.SetFaultInjector(cfg.FaultPlan.Injector(rank)); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -455,9 +454,8 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		start:    time.Now(),
 		done:     make(chan struct{}),
 		cache:    newLRUCache[uint64, *isa.Program](cfg.CacheCap),
-		opts:     newLRUCache[uint64, *isa.Optimized](cfg.CacheCap),
 	}
-	if cfg.ResultCacheCap > 0 && cfg.Machine.Deterministic {
+	if cfg.ResultCacheCap > 0 {
 		e.results = newResultCache(cfg.ResultCacheCap)
 		e.flights = newFlightGroup()
 	}
@@ -465,7 +463,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		e.shards[i] = &shard{}
 		e.health[i] = &replicaHealth{}
 	}
-	e.st.replicas = cfg.Replicas
+	e.st.Replicas = cfg.Replicas
 	e.pubGen.Store(e.kbGen)
 
 	if cfg.Writes {
@@ -566,9 +564,8 @@ func (e *Engine) readGen() uint64 {
 // where the time too matches the sequential run) — unless the serving
 // round coalesced the query into a fused multi-query run
 // (Config.Fusion): a fused member's Result carries the fused run's end
-// time and is marked Fused. With
-// result caching active (the default on deterministic pools), a repeat
-// of a completed query returns the memoized Result — bit-identical,
+// time and is marked Fused. With result caching active (the default), a
+// repeat of a completed query returns the memoized Result — bit-identical,
 // virtual time included — and concurrent identical submissions collapse
 // onto one execution. The returned Result is shared and must be treated
 // as immutable.
@@ -603,7 +600,7 @@ func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result
 			e.flights.finish(h, f, res, err)
 			return res, err
 		}
-		e.st.dedup()
+		e.st.add(&e.st.DedupedQueries, 1)
 		select {
 		case <-f.done:
 			if f.err != nil && retryable(f.err) {
@@ -620,7 +617,7 @@ func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result
 			}
 			return f.res, f.err
 		case <-ctx.Done():
-			e.st.cancel()
+			e.st.add(&e.st.Canceled, 1)
 			return nil, ctx.Err()
 		case <-e.done:
 			return nil, ErrClosed
@@ -634,11 +631,11 @@ func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result
 // the program's hash comes back for the caller to execute under.
 func (e *Engine) precheck(prog *isa.Program, gen uint64) (h uint64, hit *machine.Result, err error) {
 	if prog.Mutating() {
-		e.st.reject()
+		e.st.add(&e.st.Rejected, 1)
 		return 0, nil, ErrMutatingProgram
 	}
 	if err = prog.Validate(); err != nil {
-		e.st.reject()
+		e.st.add(&e.st.Rejected, 1)
 		return 0, nil, err
 	}
 	h = prog.Hash()
@@ -646,7 +643,7 @@ func (e *Engine) precheck(prog *isa.Program, gen uint64) (h uint64, hit *machine
 		if res, ok := e.cached(h, gen); ok {
 			return h, res, nil
 		}
-		e.st.resultMiss()
+		e.st.add(&e.st.ResultMisses, 1)
 	}
 	return h, nil, nil
 }
@@ -656,7 +653,7 @@ func (e *Engine) precheck(prog *isa.Program, gen uint64) (h uint64, hit *machine
 func (e *Engine) cached(h, gen uint64) (*machine.Result, bool) {
 	res, ok := e.results.get(h, gen)
 	if ok {
-		e.st.resultHit()
+		e.st.add(&e.st.ResultHits, 1)
 		e.emit(-1, perfmon.EvResultHit, uint32(res.Time), res.Time)
 	}
 	return res, ok
@@ -695,7 +692,7 @@ func (e *Engine) enqueue(reqs []*request, attempt int) error {
 		return e.shed()
 	}
 	depth := e.shards[e.pickShard(reqs[0].hash, attempt)].push(reqs)
-	e.st.submit(len(reqs))
+	e.st.add(&e.st.Submitted, len(reqs))
 	e.emit(-1, perfmon.EvQuerySubmit, uint32(depth), 0)
 	e.wake()
 	return nil
@@ -713,30 +710,26 @@ func (e *Engine) execute(ctx context.Context, prog *isa.Program, opt *isa.Optimi
 	case r := <-req.resp:
 		return r.res, r.err
 	case <-ctx.Done():
-		e.st.cancel()
+		e.st.add(&e.st.Canceled, 1)
 		return nil, ctx.Err()
 	case <-e.done:
 		return nil, ErrClosed
 	}
 }
 
-// optimize runs the compile-tier optimizer over a validated program,
-// memoized by content hash so a hot query is rewritten once. The engine
-// optimizes for the serving profile: replicas clear marker state between
-// queries, so only collections are observable and end-of-program marker
-// writes are dead. Returns nil when optimization is disabled.
-func (e *Engine) optimize(prog *isa.Program, h uint64) *isa.Optimized {
+// optimize runs the compile-tier optimizer over a validated program. A
+// compiled (sealed) program remembers the product, so a hot query is
+// rewritten once; the compile cache that holds the program bounds the
+// rewrites with it. The engine optimizes for the serving profile:
+// replicas clear marker state between queries, so only collections are
+// observable and end-of-program marker writes are dead. Returns nil when
+// optimization is disabled.
+func (e *Engine) optimize(prog *isa.Program) *isa.Optimized {
 	if e.cfg.OptLevel <= isa.OptNone {
 		return nil
 	}
-	if v, ok := e.opts.get(h); ok {
-		return v
-	}
-	opt := isa.Optimize(prog, isa.OptConfig{Level: e.cfg.OptLevel})
-	if v, loaded := e.opts.getOrPut(h, opt); loaded {
-		return v
-	}
-	if opt.Changed() {
+	opt, fresh := prog.ServingRewrite(e.cfg.OptLevel)
+	if fresh && opt.Changed() {
 		e.st.optimized(opt.InstrsEliminated, opt.PlanesFreed)
 		e.emit(-1, perfmon.EvProgramOptimized, uint32(opt.InstrsEliminated), 0)
 	}
@@ -745,7 +738,7 @@ func (e *Engine) optimize(prog *isa.Program, h uint64) *isa.Optimized {
 
 // shed records an admission rejection and returns ErrOverloaded.
 func (e *Engine) shed() error {
-	e.st.shed()
+	e.st.add(&e.st.Overloaded, 1)
 	e.emit(-1, perfmon.EvQueryShed, uint32(e.inflight.Load()), 0)
 	return ErrOverloaded
 }
@@ -779,13 +772,13 @@ func (e *Engine) SubmitSource(ctx context.Context, src string) (*machine.Result,
 func (e *Engine) Compile(src string) (*isa.Program, error) {
 	key := sourceHash(src)
 	if prog, ok := e.cache.get(key); ok {
-		e.st.cacheHit()
+		e.st.add(&e.st.CompileHits, 1)
 		return prog, nil
 	}
 	start := time.Now()
 	prog, err := e.asm.AssembleString(src)
 	if err != nil {
-		e.st.reject()
+		e.st.add(&e.st.Rejected, 1)
 		return nil, err
 	}
 	prog.Seal()
@@ -861,7 +854,7 @@ func (e *Engine) runBatch(rank int, m *machine.Machine, batch []*request) {
 		for _, req := range group {
 			e.st.queueWait(time.Since(req.enqueued))
 			if err := req.ctx.Err(); err != nil {
-				e.st.cancel()
+				e.st.add(&e.st.Canceled, 1)
 				e.emit(rank, perfmon.EvQueryCancel, uint32(e.queued.Load()), 0)
 				req.resp <- response{err: err}
 				continue
@@ -921,7 +914,7 @@ func (e *Engine) runGroup(rank int, m *machine.Machine, group []*request) {
 		case prog != head.prog:
 			res, err = m.RunOptimized(head.ctx, prog)
 			if errors.Is(err, machine.ErrOptAmbiguous) {
-				e.st.optFallback()
+				e.st.add(&e.st.OptFallbacks, 1)
 				asWritten = true
 				m.ClearMarkers()
 				res, err = m.RunContext(head.ctx, head.prog)
@@ -1027,15 +1020,17 @@ func (e *Engine) Close() {
 
 // Stats returns a snapshot of the engine's serving counters.
 func (e *Engine) Stats() Stats {
-	depth := 0
+	st := e.st.snapshot()
 	for _, s := range e.shards {
-		depth += s.depth()
+		st.QueueDepth += s.depth()
 	}
-	idle := e.cfg.Replicas - int(e.busy.Load())
-	resultEntries := 0
+	st.IdleReplicas = e.cfg.Replicas - int(e.busy.Load())
+	st.InFlight = int(e.inflight.Load())
 	if e.results != nil {
-		resultEntries = e.results.len()
+		st.ResultCacheSize = e.results.len()
 	}
-	return e.st.snapshot(depth, idle, int(e.inflight.Load()), resultEntries,
-		e.healthyReplicas(), e.opts.evictions(), e.readGen())
+	st.HealthyReplicas = e.healthyReplicas()
+	st.Degraded = st.HealthyReplicas < st.Replicas
+	st.KBGeneration = e.readGen()
+	return st
 }

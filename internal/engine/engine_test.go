@@ -368,93 +368,130 @@ func TestSubmitAfterClose(t *testing.T) {
 	}
 }
 
-// TestCloseLeavesNoGoroutines: whatever traffic an engine served —
-// solo, batched, written, and a batch whose caller left while its
-// members were running — Close returns the process to the goroutine
-// count it had before New. Both engines' replicas are covered, so the
-// concurrent engine's parked propagation workers are too.
-func TestCloseLeavesNoGoroutines(t *testing.T) {
-	for _, det := range []bool{true, false} {
-		for _, writes := range []bool{false, true} {
-			t.Run(fmt.Sprintf("lockstep=%v/writes=%v", det, writes), func(t *testing.T) {
-				g := fig15KB(t, 800)
-				concepts := queryConcepts(g, 8)
-				before := runtime.NumGoroutine()
-				e, err := New(g.KB, WithReplicas(3), WithWrites(writes), WithResultCache(0),
-					WithMachineOptions(machine.WithDeterministic(det)))
+// TestEngineServesLockstep: the replica configuration cannot select the
+// machine package's goroutine-per-cluster reference engine. Asked for it
+// by option, or handed a whole machine.Config that leaves Deterministic
+// off, the engine still builds lockstep replicas and a lockstep writer —
+// so a repeat is a result-cache hit and the reported time is the
+// sequential lockstep machine's.
+func TestEngineServesLockstep(t *testing.T) {
+	g := fig15KB(t, 400)
+	src := inheritanceQuery(g, queryConcepts(g, 1)[0])
+	for name, opt := range map[string]machine.Option{
+		"WithDeterministic(false)": machine.WithDeterministic(false),
+		"PaperConfig wholesale":    machine.PaperConfig(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, err := New(g.KB, WithReplicas(2), WithWrites(true), WithMachineOptions(opt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for i, m := range append(e.machines, e.writer) {
+				if !m.Config().Deterministic {
+					t.Fatalf("machine %d (replicas, then the writer) is not lockstep", i)
+				}
+			}
+			want := sequentialReference(t, e, []string{src})[src]
+			for i := 0; i < 2; i++ {
+				res, err := e.SubmitSource(context.Background(), src)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctx := context.Background()
-				compile := func(src string) *isa.Program {
-					p, err := e.Compile(src)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return p
+				if got := res.Time.String(); got != want.time || !sameNames(res.Names(0), want.names) {
+					t.Errorf("submission %d: %v at %s, want %v at %s", i, res.Names(0), got, want.names, want.time)
 				}
+			}
+			if st := e.Stats(); st.Completed != 1 || st.ResultHits != 1 {
+				t.Errorf("completed %d, result hits %d; want one run and one hit", st.Completed, st.ResultHits)
+			}
+		})
+	}
+}
 
-				var wg sync.WaitGroup
-				for _, c := range concepts {
-					wg.Add(1)
-					go func(c string) {
-						defer wg.Done()
-						if _, err := e.SubmitSource(ctx, inheritanceQuery(g, c)); err != nil {
-							t.Errorf("submit: %v", err)
-						}
-					}(c)
+// TestCloseLeavesNoGoroutines: whatever traffic an engine served —
+// solo, batched, written, and a batch whose caller left while its
+// members were running — Close returns the process to the goroutine
+// count it had before New.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	for _, writes := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lockstep=true/writes=%v", writes), func(t *testing.T) {
+			g := fig15KB(t, 800)
+			concepts := queryConcepts(g, 8)
+			before := runtime.NumGoroutine()
+			e, err := New(g.KB, WithReplicas(3), WithWrites(writes), WithResultCache(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			compile := func(src string) *isa.Program {
+				p, err := e.Compile(src)
+				if err != nil {
+					t.Fatal(err)
 				}
-				batch := make([]*isa.Program, len(concepts))
-				for i, c := range concepts {
-					batch[i] = compile(inheritanceQuery(g, c))
-				}
-				if _, errs := e.SubmitBatch(ctx, batch); errors.Join(errs...) != nil {
-					t.Errorf("batch: %v", errors.Join(errs...))
-				}
-				if writes {
-					rel := g.KB.Relation("leak-check")
-					for _, p := range []*isa.Program{
-						isa.NewProgram().Create(g.Leaves[0], rel, 1, g.Leaves[1]),
-						isa.NewProgram().Delete(g.Leaves[0], rel, g.Leaves[1]),
-					} {
-						if _, err := e.SubmitWrite(ctx, p); err != nil {
-							t.Errorf("write: %v", err)
-						}
-					}
-				}
-				wg.Wait()
+				return p
+			}
 
-				// A batch of long queries whose caller gives up while they
-				// occupy the replicas.
-				gone, cancel := context.WithCancel(ctx)
-				heavy := make([]*isa.Program, 6)
-				for i := range heavy {
-					heavy[i] = compile(heavyQuery(concepts[i], 10000))
-				}
-				left := make(chan []error, 1)
-				go func() {
-					_, errs := e.SubmitBatch(gone, heavy)
-					left <- errs
-				}()
-				for deadline := time.Now().Add(10 * time.Second); e.Stats().IdleReplicas == 3; time.Sleep(100 * time.Microsecond) {
-					if time.Now().After(deadline) {
-						t.Fatal("the heavy batch never reached a replica")
+			var wg sync.WaitGroup
+			for _, c := range concepts {
+				wg.Add(1)
+				go func(c string) {
+					defer wg.Done()
+					if _, err := e.SubmitSource(ctx, inheritanceQuery(g, c)); err != nil {
+						t.Errorf("submit: %v", err)
+					}
+				}(c)
+			}
+			batch := make([]*isa.Program, len(concepts))
+			for i, c := range concepts {
+				batch[i] = compile(inheritanceQuery(g, c))
+			}
+			if _, errs := e.SubmitBatch(ctx, batch); errors.Join(errs...) != nil {
+				t.Errorf("batch: %v", errors.Join(errs...))
+			}
+			if writes {
+				rel := g.KB.Relation("leak-check")
+				for _, p := range []*isa.Program{
+					isa.NewProgram().Create(g.Leaves[0], rel, 1, g.Leaves[1]),
+					isa.NewProgram().Delete(g.Leaves[0], rel, g.Leaves[1]),
+				} {
+					if _, err := e.SubmitWrite(ctx, p); err != nil {
+						t.Errorf("write: %v", err)
 					}
 				}
-				cancel()
-				if err := errors.Join(<-left...); !errors.Is(err, context.Canceled) {
-					t.Errorf("the abandoned batch returned %v, want a cancelled member", err)
-				}
+			}
+			wg.Wait()
 
-				closeWithin(t, e, 10*time.Second)
-				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						buf := make([]byte, 1<<16)
-						t.Fatalf("%d goroutines before New, %d after Close:\n%s",
-							before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-					}
+			// A batch of long queries whose caller gives up while they
+			// occupy the replicas.
+			gone, cancel := context.WithCancel(ctx)
+			heavy := make([]*isa.Program, 6)
+			for i := range heavy {
+				heavy[i] = compile(heavyQuery(concepts[i], 10000))
+			}
+			left := make(chan []error, 1)
+			go func() {
+				_, errs := e.SubmitBatch(gone, heavy)
+				left <- errs
+			}()
+			for deadline := time.Now().Add(10 * time.Second); e.Stats().IdleReplicas == 3; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the heavy batch never reached a replica")
 				}
-			})
-		}
+			}
+			cancel()
+			if err := errors.Join(<-left...); !errors.Is(err, context.Canceled) {
+				t.Errorf("the abandoned batch returned %v, want a cancelled member", err)
+			}
+
+			closeWithin(t, e, 10*time.Second)
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines before New, %d after Close:\n%s",
+						before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				}
+			}
+		})
 	}
 }

@@ -102,11 +102,11 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 	for i, prog := range progs {
 		var h uint64
 		if h, results[i], errs[i] = e.precheck(prog, gen); results[i] == nil && errs[i] == nil {
-			// Optimization is compile-tier work: it runs (once per content
-			// hash) before admission, so it never occupies a queue or
-			// in-flight slot.
+			// Optimization is compile-tier work: it runs (once per
+			// compiled program) before admission, so it never occupies a
+			// queue or in-flight slot.
 			pending = append(pending, i)
-			reqs = append(reqs, newRequest(ctx, prog, e.optimize(prog, h), h, gen))
+			reqs = append(reqs, newRequest(ctx, prog, e.optimize(prog), h, gen))
 		}
 	}
 	if len(reqs) == 0 {
@@ -125,7 +125,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 		case r := <-reqs[j].resp:
 			results[i], errs[i] = r.res, r.err
 		case <-ctx.Done():
-			e.st.cancel()
+			e.st.add(&e.st.Canceled, 1)
 			errs[i] = ctx.Err()
 		case <-e.done:
 			errs[i] = ErrClosed

@@ -102,7 +102,7 @@ func (e *Engine) noteTimeout(rank int) {
 	}
 	h.mu.Unlock()
 	if fire {
-		e.st.quarantine()
+		e.st.add(&e.st.Quarantines, 1)
 		e.emit(rank, perfmon.EvReplicaQuarantined, uint32(n), 0)
 		// The quarantined shard's backlog is now steal-only; rouse the
 		// healthy replicas to drain it.
@@ -154,7 +154,7 @@ func (e *Engine) probeQuarantined(rank int, m *machine.Machine) bool {
 		h.restores++
 		h.state.Store(0)
 		h.mu.Unlock()
-		e.st.restore()
+		e.st.add(&e.st.Restores, 1)
 		e.emit(rank, perfmon.EvReplicaRestored, uint32(streak), 0)
 		e.wakeAll()
 		return true

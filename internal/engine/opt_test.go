@@ -202,7 +202,7 @@ func TestEngineOptLevelConfig(t *testing.T) {
 		t.Errorf("WithOptLevel(0) left OptLevel = %d, want negative (disabled)", off.cfg.OptLevel)
 	}
 	p := redundantChainQuery(w, 0)
-	if opt := off.optimize(p, p.Hash()); opt != nil {
+	if opt := off.optimize(p); opt != nil {
 		t.Error("disabled engine still produced an optimization product")
 	}
 

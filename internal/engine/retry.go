@@ -97,9 +97,10 @@ func attemptRetryable(err error) bool {
 // retryable failures re-execute (on a rotated shard) with exponential
 // backoff until the budget or the caller's context runs out.
 func (e *Engine) executeRetry(ctx context.Context, prog *isa.Program, h uint64) (*machine.Result, error) {
-	// Optimization is compile-tier work: it runs (once per content hash)
-	// before admission, so it never occupies a queue or in-flight slot.
-	opt := e.optimize(prog, h)
+	// Optimization is compile-tier work: it runs (once per compiled
+	// program) before admission, so it never occupies a queue or
+	// in-flight slot.
+	opt := e.optimize(prog)
 	var lastErr error
 	for attempt := 0; attempt < e.cfg.Retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -113,7 +114,7 @@ func (e *Engine) executeRetry(ctx context.Context, prog *isa.Program, h uint64) 
 				t.Stop()
 				return nil, ErrClosed
 			}
-			e.st.retry()
+			e.st.add(&e.st.Retries, 1)
 			e.emit(-1, perfmon.EvQueryRetried, uint32(attempt), 0)
 		}
 		actx, cancel := ctx, context.CancelFunc(nil)
@@ -132,6 +133,6 @@ func (e *Engine) executeRetry(ctx context.Context, prog *isa.Program, h uint64) 
 			return nil, err
 		}
 	}
-	e.st.retryExhausted()
+	e.st.add(&e.st.RetriesExhausted, 1)
 	return nil, lastErr
 }

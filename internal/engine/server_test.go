@@ -178,7 +178,7 @@ func TestRetryAfterComputed(t *testing.T) {
 	e := &Engine{start: time.Now().Add(-10 * time.Second)}
 	// 10 completed over ~10s ≈ 1 q/s; 30 queued => ~30s to drain
 	// (ceil of the true elapsed time may round one second up).
-	e.st.completed = 10
+	e.st.Completed = 10
 	e.queued.Store(30)
 	if got := e.retryAfterSeconds(); got < 30 || got > 31 {
 		t.Errorf("retryAfterSeconds = %d, want ~30", got)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"math/bits"
 	"strconv"
 	"sync"
@@ -21,14 +22,6 @@ type LatencyHist struct {
 	TotalMicros uint64            `json:"total_us"`
 	MaxMicros   uint64            `json:"max_us"`
 	Buckets     map[string]uint64 `json:"buckets,omitempty"` // "us<2^k" -> count
-}
-
-// MeanMicros reports the stage's mean latency in microseconds.
-func (h LatencyHist) MeanMicros() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.TotalMicros) / float64(h.Count)
 }
 
 type hist struct {
@@ -121,10 +114,6 @@ type Stats struct {
 	ResultCacheSize  int    `json:"result_cache_size"`
 	ResultGenEvicted uint64 `json:"result_gen_evicted"`
 
-	// OptCacheEvictions counts optimizer-cache entries displaced by its
-	// LRU bound (the cache is capped at the compile cache's capacity).
-	OptCacheEvictions uint64 `json:"opt_cache_evictions"`
-
 	// Write-path counters (zero unless Config.Writes): mutating
 	// programs committed and failed; epoch publishes (group commit can
 	// fold several writes into one); incremental replica delta
@@ -173,80 +162,40 @@ type Stats struct {
 	Events map[string]uint64 `json:"events,omitempty"`
 }
 
-// stats is the engine's mutable counter set. One mutex guards it all:
-// every critical section is a handful of integer updates, invisible next
-// to a query's execution time.
+// stats is the engine's mutable counter set: a Stats value whose counters
+// accumulate in place, plus what a snapshot has to derive — the live
+// histograms behind the four LatencyHist fields and the event counts
+// behind Events, keyed by code so the hot path formats no names. The
+// gauges (IdleReplicas, QueueDepth, InFlight, ResultCacheSize,
+// HealthyReplicas, Degraded, KBGeneration) are Engine.Stats's to fill.
+// One mutex guards it all: every critical section is a handful of
+// integer updates, invisible next to a query's execution time.
 type stats struct {
 	mu sync.Mutex
-
-	replicas int
-
-	submitted, completed, failed, canceled, rejected uint64
-	overloaded                                       uint64
-	batches, batchedQueries                          uint64
-	steals, stolenQueries                            uint64
-	fusedBatches, fusedQueries                       uint64
-	fusionRejects                                    map[string]uint64
-	maxBatch                                         int
-	cacheHits, cacheMisses                           uint64
-	optPrograms, optInstrs, optPlanes, optFallbacks  uint64
-	resultHits, resultMisses, deduped                uint64
-	resultGenEvicted                                 uint64
-	retries, retriesExhausted                        uint64
-	quarantines, restores                            uint64
-	icnMessages, icnHops, icnBursts                  uint64
-	writes, writeFailures, writeCommits              uint64
-	deltasApplied, deltaNodes, fullReloads           uint64
-
+	Stats
 	compileH, queueH, runH, writeH hist
-
-	events map[perfmon.EventCode]uint64
+	events                         map[perfmon.EventCode]uint64
 }
 
-func (s *stats) submit(n int) {
+// add bumps one counter of the set, named by address (&s.Rejected).
+func (s *stats) add(counter *uint64, n int) {
 	s.mu.Lock()
-	s.submitted += uint64(n)
-	s.mu.Unlock()
-}
-
-func (s *stats) reject() {
-	s.mu.Lock()
-	s.rejected++
-	s.mu.Unlock()
-}
-
-func (s *stats) cancel() {
-	s.mu.Lock()
-	s.canceled++
+	*counter += uint64(n)
 	s.mu.Unlock()
 }
 
 func (s *stats) batch(size int) {
 	s.mu.Lock()
-	s.batches++
-	s.batchedQueries += uint64(size)
-	if size > s.maxBatch {
-		s.maxBatch = size
-	}
-	s.mu.Unlock()
-}
-
-func (s *stats) shed() {
-	s.mu.Lock()
-	s.overloaded++
+	s.Batches++
+	s.BatchedQueries += uint64(size)
+	s.MaxBatchSize = max(s.MaxBatchSize, size)
 	s.mu.Unlock()
 }
 
 func (s *stats) steal(size int) {
 	s.mu.Lock()
-	s.steals++
-	s.stolenQueries += uint64(size)
-	s.mu.Unlock()
-}
-
-func (s *stats) cacheHit() {
-	s.mu.Lock()
-	s.cacheHits++
+	s.Steals++
+	s.StolenQueries += uint64(size)
 	s.mu.Unlock()
 }
 
@@ -254,69 +203,18 @@ func (s *stats) cacheHit() {
 // what the rewrite bought: instructions deleted and planes freed.
 func (s *stats) optimized(instrs, planes int) {
 	s.mu.Lock()
-	s.optPrograms++
-	s.optInstrs += uint64(instrs)
-	s.optPlanes += uint64(planes)
+	s.OptPrograms++
+	s.OptInstrsEliminated += uint64(instrs)
+	s.OptPlanesFreed += uint64(planes)
 	s.mu.Unlock()
 }
 
-// optFallback records one optimized run discarded by the machine's
-// origin-ambiguity detector and re-run unoptimized.
-func (s *stats) optFallback() {
-	s.mu.Lock()
-	s.optFallbacks++
-	s.mu.Unlock()
-}
-
-func (s *stats) resultHit() {
-	s.mu.Lock()
-	s.resultHits++
-	s.mu.Unlock()
-}
-
-func (s *stats) resultMiss() {
-	s.mu.Lock()
-	s.resultMisses++
-	s.mu.Unlock()
-}
-
-func (s *stats) dedup() {
-	s.mu.Lock()
-	s.deduped++
-	s.mu.Unlock()
-}
-
-func (s *stats) retry() {
-	s.mu.Lock()
-	s.retries++
-	s.mu.Unlock()
-}
-
-func (s *stats) retryExhausted() {
-	s.mu.Lock()
-	s.retriesExhausted++
-	s.mu.Unlock()
-}
-
-func (s *stats) quarantine() {
-	s.mu.Lock()
-	s.quarantines++
-	s.mu.Unlock()
-}
-
-func (s *stats) restore() {
-	s.mu.Lock()
-	s.restores++
-	s.mu.Unlock()
-}
-
-// icn accumulates a served query's interconnect traffic profile.
 // fusedRun records one fused machine run answering n queries (each of
 // which is also counted by run).
 func (s *stats) fusedRun(n int) {
 	s.mu.Lock()
-	s.fusedBatches++
-	s.fusedQueries += uint64(n)
+	s.FusedBatches++
+	s.FusedQueries += uint64(n)
 	s.mu.Unlock()
 }
 
@@ -324,18 +222,19 @@ func (s *stats) fusedRun(n int) {
 // group, by reason.
 func (s *stats) fusionReject(reason string) {
 	s.mu.Lock()
-	if s.fusionRejects == nil {
-		s.fusionRejects = make(map[string]uint64)
+	if s.FusionRejects == nil {
+		s.FusionRejects = make(map[string]uint64)
 	}
-	s.fusionRejects[reason]++
+	s.FusionRejects[reason]++
 	s.mu.Unlock()
 }
 
+// icn accumulates a served query's interconnect traffic profile.
 func (s *stats) icn(messages, hops, bursts int64) {
 	s.mu.Lock()
-	s.icnMessages += uint64(messages)
-	s.icnHops += uint64(hops)
-	s.icnBursts += uint64(bursts)
+	s.ICNMessages += uint64(messages)
+	s.ICNHops += uint64(hops)
+	s.ICNBursts += uint64(bursts)
 	s.mu.Unlock()
 }
 
@@ -344,12 +243,12 @@ func (s *stats) icn(messages, hops, bursts int64) {
 func (s *stats) completedCount() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.completed
+	return s.Completed
 }
 
 func (s *stats) cacheMiss(d time.Duration) {
 	s.mu.Lock()
-	s.cacheMisses++
+	s.CompileMisses++
 	s.compileH.observe(d)
 	s.mu.Unlock()
 }
@@ -364,9 +263,9 @@ func (s *stats) run(d time.Duration, err error) {
 	s.mu.Lock()
 	s.runH.observe(d)
 	if err == nil {
-		s.completed++
+		s.Completed++
 	} else {
-		s.failed++
+		s.Failed++
 	}
 	s.mu.Unlock()
 }
@@ -377,18 +276,10 @@ func (s *stats) write(d time.Duration, err error) {
 	s.mu.Lock()
 	s.writeH.observe(d)
 	if err == nil {
-		s.writes++
+		s.Writes++
 	} else {
-		s.writeFailures++
+		s.WriteFailures++
 	}
-	s.mu.Unlock()
-}
-
-// commit records one epoch publish (its member writes are counted
-// individually by write()).
-func (s *stats) commit() {
-	s.mu.Lock()
-	s.writeCommits++
 	s.mu.Unlock()
 }
 
@@ -396,23 +287,8 @@ func (s *stats) commit() {
 // delta records.
 func (s *stats) deltaApplied(n int) {
 	s.mu.Lock()
-	s.deltasApplied++
-	s.deltaNodes += uint64(n)
-	s.mu.Unlock()
-}
-
-// fullReload records one replica sync that fell back to a full KB
-// re-download.
-func (s *stats) fullReload() {
-	s.mu.Lock()
-	s.fullReloads++
-	s.mu.Unlock()
-}
-
-// resultGenEvict records n result-cache entries swept by a publish.
-func (s *stats) resultGenEvict(n int) {
-	s.mu.Lock()
-	s.resultGenEvicted += uint64(n)
+	s.DeltasApplied++
+	s.DeltaNodes += uint64(n)
 	s.mu.Unlock()
 }
 
@@ -425,66 +301,17 @@ func (s *stats) event(code perfmon.EventCode) {
 	s.mu.Unlock()
 }
 
-func (s *stats) snapshot(queueDepth, idle, inFlight, resultEntries, healthy int, optEvictions, kbGen uint64) Stats {
+// snapshot copies the counters and derives the histogram and map fields;
+// the caller fills the gauges.
+func (s *stats) snapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := Stats{
-		Replicas:            s.replicas,
-		IdleReplicas:        idle,
-		QueueDepth:          queueDepth,
-		InFlight:            inFlight,
-		Submitted:           s.submitted,
-		Completed:           s.completed,
-		Failed:              s.failed,
-		Canceled:            s.canceled,
-		Rejected:            s.rejected,
-		Overloaded:          s.overloaded,
-		Batches:             s.batches,
-		BatchedQueries:      s.batchedQueries,
-		MaxBatchSize:        s.maxBatch,
-		Steals:              s.steals,
-		StolenQueries:       s.stolenQueries,
-		FusedBatches:        s.fusedBatches,
-		FusedQueries:        s.fusedQueries,
-		CompileHits:         s.cacheHits,
-		CompileMisses:       s.cacheMisses,
-		OptPrograms:         s.optPrograms,
-		OptInstrsEliminated: s.optInstrs,
-		OptPlanesFreed:      s.optPlanes,
-		OptFallbacks:        s.optFallbacks,
-		ResultHits:          s.resultHits,
-		ResultMisses:        s.resultMisses,
-		DedupedQueries:      s.deduped,
-		ResultCacheSize:     resultEntries,
-		ResultGenEvicted:    s.resultGenEvicted,
-		OptCacheEvictions:   optEvictions,
-		Writes:              s.writes,
-		WriteFailures:       s.writeFailures,
-		WriteCommits:        s.writeCommits,
-		DeltasApplied:       s.deltasApplied,
-		DeltaNodes:          s.deltaNodes,
-		FullReloads:         s.fullReloads,
-		KBGeneration:        kbGen,
-		Retries:             s.retries,
-		RetriesExhausted:    s.retriesExhausted,
-		Quarantines:         s.quarantines,
-		Restores:            s.restores,
-		ICNMessages:         s.icnMessages,
-		ICNHops:             s.icnHops,
-		ICNBursts:           s.icnBursts,
-		HealthyReplicas:     healthy,
-		Degraded:            healthy < s.replicas,
-		Compile:             s.compileH.snapshot(),
-		QueueWait:           s.queueH.snapshot(),
-		Run:                 s.runH.snapshot(),
-		Write:               s.writeH.snapshot(),
-	}
-	if len(s.fusionRejects) > 0 {
-		out.FusionRejects = make(map[string]uint64, len(s.fusionRejects))
-		for reason, n := range s.fusionRejects {
-			out.FusionRejects[reason] = n
-		}
-	}
+	out := s.Stats
+	out.Compile = s.compileH.snapshot()
+	out.QueueWait = s.queueH.snapshot()
+	out.Run = s.runH.snapshot()
+	out.Write = s.writeH.snapshot()
+	out.FusionRejects = maps.Clone(s.FusionRejects)
 	if len(s.events) > 0 {
 		out.Events = make(map[string]uint64, len(s.events))
 		for code, n := range s.events {

@@ -76,18 +76,18 @@ type writeResp struct {
 // node).
 func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.Result, error) {
 	if e.writeQ == nil {
-		e.st.reject()
+		e.st.add(&e.st.Rejected, 1)
 		return nil, ErrWritesDisabled
 	}
 	if err := prog.Validate(); err != nil {
-		e.st.reject()
+		e.st.add(&e.st.Rejected, 1)
 		return nil, err
 	}
 	req := &writeReq{ctx: ctx, prog: prog, resp: make(chan writeResp, 1)}
 	select {
 	case e.writeQ <- req:
 	case <-ctx.Done():
-		e.st.cancel()
+		e.st.add(&e.st.Canceled, 1)
 		return nil, ctx.Err()
 	case <-e.done:
 		return nil, ErrClosed
@@ -100,7 +100,7 @@ func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.R
 		return r.res, r.err
 	case <-ctx.Done():
 		// The write may still commit; the caller only loses the ack.
-		e.st.cancel()
+		e.st.add(&e.st.Canceled, 1)
 		return nil, ctx.Err()
 	case <-e.done:
 		return nil, ErrClosed
@@ -142,7 +142,7 @@ func (e *Engine) commitGroup(group []*writeReq) {
 	e.writeMu.Lock()
 	for i, w := range group {
 		if err := w.ctx.Err(); err != nil {
-			e.st.cancel()
+			e.st.add(&e.st.Canceled, 1)
 			resps[i] = writeResp{err: err}
 			continue
 		}
@@ -163,10 +163,10 @@ func (e *Engine) commitGroup(group []*writeReq) {
 		e.pubGen.Store(newGen)
 		if e.results != nil {
 			if n := e.results.evictBefore(newGen); n > 0 {
-				e.st.resultGenEvict(n)
+				e.st.add(&e.st.ResultGenEvicted, n)
 			}
 		}
-		e.st.commit()
+		e.st.add(&e.st.WriteCommits, 1)
 		e.emit(-1, perfmon.EvWriteCommitted, uint32(len(group)), 0)
 	}
 	for i, w := range group {
@@ -233,5 +233,5 @@ func (e *Engine) syncReplica(rank int, m *machine.Machine) {
 		// Keep serving the stale snapshot; the next boundary retries.
 		return
 	}
-	e.st.fullReload()
+	e.st.add(&e.st.FullReloads, 1)
 }

@@ -200,9 +200,11 @@ func TestWriteSweepsResultCache(t *testing.T) {
 	}
 }
 
-// TestOptCacheBounded: the optimizer cache is a bounded LRU sharing
-// CacheCap; overflowing it with distinct programs must evict, not grow
-// without bound, and the eviction counter surfaces in Stats.
+// TestOptCacheBounded: a serving rewrite lives on the compiled program it
+// rewrites and nowhere else, so the compile cache's bound is the bound on
+// rewrites. After 12 distinct programs through a cap-4 compile cache the
+// 4 resident programs each remember theirs; an evicted source compiles to
+// a new program that has none.
 func TestOptCacheBounded(t *testing.T) {
 	g := fig15KB(t, 400)
 	e, err := New(g.KB, WithReplicas(1), WithCacheCap(4))
@@ -210,21 +212,30 @@ func TestOptCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	ctx := context.Background()
-	for _, c := range queryConcepts(g, 12) {
+	concepts := queryConcepts(g, 12)
+	for _, c := range concepts {
+		if _, err := e.SubmitSource(context.Background(), inheritanceQuery(g, c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := e.cache.len(); n != 4 {
+		t.Fatalf("compile cache holds %d programs, cap 4", n)
+	}
+	rewritten := func(c string) bool {
 		prog, err := e.Compile(inheritanceQuery(g, c))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Submit(ctx, prog); err != nil {
-			t.Fatal(err)
+		_, fresh := prog.ServingRewrite(e.cfg.OptLevel)
+		return !fresh
+	}
+	for _, c := range concepts[8:] {
+		if !rewritten(c) {
+			t.Errorf("resident program for %s does not remember its rewrite", c)
 		}
 	}
-	if n := e.opts.len(); n > 4 {
-		t.Errorf("optimizer cache holds %d entries, cap 4", n)
-	}
-	if got := e.Stats().OptCacheEvictions; got == 0 {
-		t.Error("12 distinct programs through a cap-4 optimizer cache evicted nothing")
+	if rewritten(concepts[0]) {
+		t.Error("an evicted program's rewrite outlived its compile-cache entry")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"snap1/internal/partition"
 	"snap1/internal/rules"
 	"snap1/internal/semnet"
-	"snap1/internal/timing"
 	"snap1/internal/trace"
 )
 
@@ -89,13 +88,4 @@ func (f *Fig21Result) String() string {
 		})
 	}
 	return "Fig. 21: parallel overhead components vs number of clusters\n" + table(header, rows)
-}
-
-// Component accessors for shape assertions.
-func (f *Fig21Result) Series(pick func(trace.Overhead) timing.Time) []timing.Time {
-	out := make([]timing.Time, len(f.Rows))
-	for i, r := range f.Rows {
-		out[i] = pick(r.Overhead)
-	}
-	return out
 }

@@ -13,14 +13,12 @@
 //     simulated CU detects the corruption (the hardware's parity/CRC
 //     role), so a run that suffered any of these reports ErrInjected
 //     instead of silently returning wrong markers.
-//   - arb-stall: a multiport-memory arbiter grant is delayed (host
-//     time only; virtual time is unaffected).
 //   - machine-wedge: a whole replica stops responding until its
 //     caller's context deadline — the wedged-board failure mode.
 //   - machine-slow: a replica serves, but late.
 //
-// The package is dependency-free so every hardware layer (icn, mpmem,
-// machine) can consume an Injector without import cycles.
+// Every decision is drawn by the machine layer: the lockstep engine asks
+// per message as it routes, RunContext asks once per run.
 package fault
 
 import (
@@ -41,12 +39,15 @@ var ErrInjected = errors.New("fault: injected failure")
 // Site identifies one injection point in the simulated hardware.
 type Site uint8
 
-// Injection sites.
+// Injection sites. The numeric values are part of the contract — a site's
+// decision stream is seeded from (plan seed, site, replica) and perfmon's
+// fault-injected status word is the site — so the retired site 3 stays
+// unassigned rather than renumbering its successors.
 const (
 	ICNDrop      Site = iota // message lost in transit
 	ICNDup                   // message delivered twice
 	ICNDelay                 // message delayed on its hop
-	ArbStall                 // multiport-memory arbiter grant delayed
+	_                        // retired
 	MachineWedge             // replica unresponsive until its deadline
 	MachineSlow              // replica responds late
 	numSites
@@ -56,13 +57,12 @@ var siteNames = [numSites]string{
 	ICNDrop:      "icn-drop",
 	ICNDup:       "icn-dup",
 	ICNDelay:     "icn-delay",
-	ArbStall:     "arb-stall",
 	MachineWedge: "machine-wedge",
 	MachineSlow:  "machine-slow",
 }
 
 func (s Site) String() string {
-	if int(s) < len(siteNames) {
+	if int(s) < len(siteNames) && siteNames[s] != "" {
 		return siteNames[s]
 	}
 	return fmt.Sprintf("site-%d", uint8(s))
@@ -71,7 +71,7 @@ func (s Site) String() string {
 // ParseSite resolves a plan-file site name.
 func ParseSite(name string) (Site, error) {
 	for i, n := range siteNames {
-		if n == name {
+		if n != "" && n == name {
 			return Site(i), nil
 		}
 	}
@@ -83,7 +83,7 @@ const (
 	// DefaultDelayPs is icn-delay's added virtual transit time: ten
 	// hop latencies (the paper's port-to-port transfer is 80 ns).
 	DefaultDelayPs = 800_000
-	// DefaultStall is the host-time stall for arb-stall/machine-slow.
+	// DefaultStall is the host-time stall for machine-slow.
 	DefaultStall = 100 * time.Microsecond
 )
 
@@ -106,8 +106,8 @@ type Rule struct {
 	// DelayPs is icn-delay's added virtual transit time in picoseconds
 	// (DefaultDelayPs when 0).
 	DelayPs int64 `json:"delay_ps,omitempty"`
-	// StallUs is the host stall for arb-stall/machine-slow in
-	// microseconds (DefaultStall when 0).
+	// StallUs is the host stall for machine-slow in microseconds
+	// (DefaultStall when 0).
 	StallUs int64 `json:"stall_us,omitempty"`
 }
 
@@ -174,7 +174,7 @@ func (p *Plan) Validate() error {
 // Injector builds the runtime injector for one replica rank: the rules
 // matching that replica, each armed with its own PRNG stream derived
 // from (plan seed, site, replica). A nil plan returns a nil injector,
-// which every hardware hook treats as "no faults".
+// which every draw treats as "no faults".
 func (p *Plan) Injector(replica int) *Injector {
 	if p == nil {
 		return nil
@@ -330,23 +330,17 @@ func (in *Injector) DelayICN() (int64, bool) {
 	return d, true
 }
 
-// StallArb decides whether an arbiter grant is delayed, returning the
-// host stall (0 = no stall).
-func (in *Injector) StallArb() time.Duration { return in.stallAt(ArbStall) }
-
 // WedgeRun decides whether a whole run wedges (no response until the
 // caller's context deadline).
 func (in *Injector) WedgeRun() bool { return in.decide(MachineWedge) }
 
 // SlowRun decides whether a run is slowed, returning the host stall
 // (0 = no slowdown).
-func (in *Injector) SlowRun() time.Duration { return in.stallAt(MachineSlow) }
-
-func (in *Injector) stallAt(s Site) time.Duration {
-	if !in.decide(s) {
+func (in *Injector) SlowRun() time.Duration {
+	if !in.decide(MachineSlow) {
 		return 0
 	}
-	st := &in.sites[s]
+	st := &in.sites[MachineSlow]
 	st.mu.Lock()
 	d := st.stall
 	st.mu.Unlock()

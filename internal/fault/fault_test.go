@@ -10,14 +10,69 @@ import (
 func intp(v int) *int { return &v }
 
 func TestParseSiteRoundTrip(t *testing.T) {
-	for s := Site(0); s < numSites; s++ {
+	for _, s := range []Site{ICNDrop, ICNDup, ICNDelay, MachineWedge, MachineSlow} {
 		got, err := ParseSite(s.String())
 		if err != nil || got != s {
 			t.Errorf("round trip %v: got %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseSite("bogus"); err == nil {
-		t.Error("unknown site accepted")
+	for _, name := range []string{"bogus", "", "site-3"} {
+		if _, err := ParseSite(name); err == nil {
+			t.Errorf("unknown site %q accepted", name)
+		}
+	}
+}
+
+// arb-stall was a site until the arbiter lost its injection point; a plan
+// that still names it must be refused, not armed and never fired.
+func TestParseRefusesRetiredSite(t *testing.T) {
+	_, err := Parse(strings.NewReader(`{"seed": 1, "rules": [{"site": "arb-stall", "rate": 0.05}]}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown site "arb-stall"`) {
+		t.Fatalf("plan naming arb-stall: %v", err)
+	}
+}
+
+// The five sites' decision streams are seeded from (seed, numeric site,
+// replica), so they are pinned to what the tree drew while site 3 was
+// still assigned: bit i of each word is decision i at rate 0.5, seed 42,
+// replica 3.
+func TestDecisionStreamsPinned(t *testing.T) {
+	want := []struct {
+		site string
+		num  Site
+		bits uint32
+	}{
+		{"icn-drop", 0, 0xd4d8ca72},
+		{"icn-dup", 1, 0x6591aa90},
+		{"icn-delay", 2, 0x8fa12574},
+		{"machine-wedge", 4, 0x245af39c},
+		{"machine-slow", 5, 0x2998b037},
+	}
+	plan := &Plan{Seed: 42}
+	for _, w := range want {
+		plan.Rules = append(plan.Rules, Rule{Site: w.site, Rate: 0.5})
+	}
+	in := plan.Injector(3)
+	draw := map[string]func() bool{
+		"icn-drop":      in.DropICN,
+		"icn-dup":       in.DupICN,
+		"icn-delay":     func() bool { _, ok := in.DelayICN(); return ok },
+		"machine-wedge": in.WedgeRun,
+		"machine-slow":  func() bool { return in.SlowRun() > 0 },
+	}
+	for _, w := range want {
+		if got, _ := ParseSite(w.site); got != w.num {
+			t.Errorf("%s is site %d, want %d", w.site, got, w.num)
+		}
+		var bits uint32
+		for i := 0; i < 32; i++ {
+			if draw[w.site]() {
+				bits |= 1 << i
+			}
+		}
+		if bits != w.bits {
+			t.Errorf("%s: decisions %#08x, want %#08x", w.site, bits, w.bits)
+		}
 	}
 }
 
@@ -132,17 +187,17 @@ func TestReplicaFilter(t *testing.T) {
 func TestDelayAndStallMagnitudes(t *testing.T) {
 	plan := &Plan{Seed: 1, Rules: []Rule{
 		{Site: "icn-delay", Rate: 1, DelayPs: 123},
-		{Site: "arb-stall", Rate: 1, StallUs: 5},
-		{Site: "machine-slow", Rate: 1},
+		{Site: "machine-slow", Rate: 1, StallUs: 5},
 	}}
 	in := plan.Injector(0)
 	if d, ok := in.DelayICN(); !ok || d != 123 {
 		t.Errorf("delay = %d, %v", d, ok)
 	}
-	if d := in.StallArb(); d != 5*time.Microsecond {
+	if d := in.SlowRun(); d != 5*time.Microsecond {
 		t.Errorf("stall = %v", d)
 	}
-	if d := in.SlowRun(); d != DefaultStall {
+	slow := (&Plan{Seed: 1, Rules: []Rule{{Site: "machine-slow", Rate: 1}}}).Injector(0)
+	if d := slow.SlowRun(); d != DefaultStall {
 		t.Errorf("default slow = %v", d)
 	}
 	if in.Corrupting() != 1 {
@@ -180,7 +235,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if d, ok := in.DelayICN(); ok || d != 0 {
 		t.Error("nil injector delayed")
 	}
-	if in.StallArb() != 0 || in.SlowRun() != 0 || in.Corrupting() != 0 || in.Total() != 0 {
+	if in.SlowRun() != 0 || in.Corrupting() != 0 || in.Total() != 0 {
 		t.Error("nil injector counted")
 	}
 	in.SetHook(func(Site) {})

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"snap1/internal/fault"
 	"snap1/internal/mpmem"
 	"snap1/internal/rules"
 	"snap1/internal/semnet"
@@ -120,9 +119,6 @@ func correctDigit(clusters, digits, from, dest int) int {
 	return dest
 }
 
-// Clusters reports the cluster count.
-func (t Topology) Clusters() int { return t.clusters }
-
 // NextHop reports the neighbouring cluster one digit-correction closer to
 // dest (lowest differing digit first), or dest itself when adjacent or
 // when the incomplete-array fallback delivers directly.
@@ -166,18 +162,11 @@ type Network struct {
 	sent      atomic.Int64 // end-to-end messages injected
 	forwarded atomic.Int64 // intermediate relays
 	hopTotal  atomic.Int64 // total port-to-port transfers
-
-	// Fault injection (see fault.go); inj nil = no faults, zero cost.
-	inj     *fault.Injector
-	hooks   FaultHooks
-	dropped atomic.Int64
-	dupped  atomic.Int64
-	delayed atomic.Int64
 }
 
 // New returns a network for the given cluster count; each cluster's
-// mailbox region buffers up to mailboxCap messages (senders block beyond
-// that, modeling the bounded four-port buffering).
+// mailbox region buffers up to mailboxCap messages (sends beyond that
+// are refused, modeling the bounded four-port buffering).
 func New(clusters, mailboxCap int) *Network {
 	if clusters <= 0 {
 		panic("icn: need at least one cluster")
@@ -192,55 +181,11 @@ func New(clusters, mailboxCap int) *Network {
 	return n
 }
 
-// Dimension names for diagnostics: digit 0 is the board-local L memory,
-// digits 1 and 2 are the off-board X and Y memories.
-func DimensionName(digit int) string {
-	switch digit {
-	case 0:
-		return "L"
-	case 1:
-		return "X"
-	case 2:
-		return "Y"
-	default:
-		return fmt.Sprintf("D%d", digit)
-	}
-}
-
-// Send injects a new message at cluster from, enqueueing it in the
-// next-hop cluster's mailbox. It blocks if that mailbox region is full and
-// reports false only if the network has been shut down.
-func (n *Network) Send(from int, m Message) bool {
-	if n.inj != nil {
-		return n.sendFaulty(from, m, false, true)
-	}
-	next := n.NextHop(from, int(m.DestCluster))
-	m.Hops++
-	n.sent.Add(1)
-	n.hopTotal.Add(1)
-	return n.mailbox[next].Put(m)
-}
-
-// Forward relays a transit message from an intermediate cluster toward its
-// destination (the CU disassembles and relays incoming transit messages).
-func (n *Network) Forward(at int, m Message) bool {
-	if n.inj != nil {
-		return n.sendFaulty(at, m, true, true)
-	}
-	next := n.NextHop(at, int(m.DestCluster))
-	m.Hops++
-	n.forwarded.Add(1)
-	n.hopTotal.Add(1)
-	return n.mailbox[next].Put(m)
-}
-
-// TrySend is Send without blocking: it reports false (with no state
-// change) when the next-hop mailbox region is full, letting the sender
+// TrySend injects a new message at cluster from, enqueueing it in the
+// next-hop cluster's mailbox. It never blocks: it reports false (with no
+// state change) when that mailbox region is full, letting the sender
 // service its own mailbox instead of deadlocking on mutually full buffers.
 func (n *Network) TrySend(from int, m Message) bool {
-	if n.inj != nil {
-		return n.sendFaulty(from, m, false, false)
-	}
 	next := n.NextHop(from, int(m.DestCluster))
 	m.Hops++
 	if !n.mailbox[next].TryPut(m) {
@@ -251,12 +196,10 @@ func (n *Network) TrySend(from int, m Message) bool {
 	return true
 }
 
-// TryForward is Forward without blocking, with the same contract as
-// TrySend.
+// TryForward relays a transit message from an intermediate cluster toward
+// its destination (the CU disassembles and relays incoming transit
+// messages), with the same non-blocking contract as TrySend.
 func (n *Network) TryForward(at int, m Message) bool {
-	if n.inj != nil {
-		return n.sendFaulty(at, m, true, false)
-	}
 	next := n.NextHop(at, int(m.DestCluster))
 	m.Hops++
 	if !n.mailbox[next].TryPut(m) {
@@ -267,10 +210,8 @@ func (n *Network) TryForward(at int, m Message) bool {
 	return true
 }
 
-// Recv blocks for the next message addressed to (or transiting) cluster c.
-func (n *Network) Recv(c int) (Message, bool) { return n.mailbox[c].Get() }
-
-// TryRecv polls cluster c's mailbox without blocking.
+// TryRecv polls cluster c's mailbox for the next message addressed to (or
+// transiting) it, without blocking.
 func (n *Network) TryRecv(c int) (Message, bool) { return n.mailbox[c].TryGet() }
 
 // TryRecvBatch drains up to len(buf) messages from cluster c's mailbox
@@ -290,18 +231,6 @@ func (n *Network) TryRecvBatch(c int, buf []Message) int {
 // mailbox and retry — the same non-blocking contract as TrySend. All
 // messages are new injections (they count toward the sent statistic).
 func (n *Network) TrySendBatch(from int, msgs []Message) int {
-	if n.inj != nil {
-		// Per-message decisions are required under injection; the
-		// burst-grant fast path would skip them.
-		sent := 0
-		for sent < len(msgs) {
-			if !n.sendFaulty(from, msgs[sent], false, false) {
-				break
-			}
-			sent++
-		}
-		return sent
-	}
 	sent := 0
 	for sent < len(msgs) {
 		next := n.NextHop(from, int(msgs[sent].DestCluster))
@@ -330,13 +259,6 @@ func (n *Network) TrySendBatch(from int, msgs []Message) int {
 
 // Pending reports the queue depth at cluster c's mailbox.
 func (n *Network) Pending(c int) int { return n.mailbox[c].Len() }
-
-// Close shuts down every mailbox, releasing blocked senders and receivers.
-func (n *Network) Close() {
-	for _, q := range n.mailbox {
-		q.Close()
-	}
-}
 
 // Stats reports injected messages, intermediate relays, and total
 // port-to-port transfers since construction.

@@ -2,7 +2,6 @@ package icn
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -110,23 +109,15 @@ func TestNextHopReducesDistanceQuick(t *testing.T) {
 	}
 }
 
-func TestDimensionNames(t *testing.T) {
-	for digit, want := range []string{"L", "X", "Y", "D3"} {
-		if got := DimensionName(digit); got != want {
-			t.Errorf("DimensionName(%d) = %q", digit, got)
-		}
-	}
-}
-
 func TestSendRecvAndStats(t *testing.T) {
 	n := New(4, 8) // single digit: all clusters adjacent
 	msg := Message{Dest: 7, DestCluster: 2, Marker: 5, Value: 1.5, Level: 3}
-	if !n.Send(0, msg) {
-		t.Fatal("Send failed")
+	if !n.TrySend(0, msg) {
+		t.Fatal("TrySend failed")
 	}
-	got, ok := n.Recv(2)
+	got, ok := n.TryRecv(2)
 	if !ok || got.Dest != 7 || got.Marker != 5 || got.Hops != 1 {
-		t.Fatalf("Recv = %+v, %v", got, ok)
+		t.Fatalf("TryRecv = %+v, %v", got, ok)
 	}
 	sent, fwd, hops := n.Stats()
 	if sent != 1 || fwd != 0 || hops != 1 {
@@ -142,7 +133,7 @@ func TestMultiHopRelay(t *testing.T) {
 	n := New(32, 8)
 	// 0 -> 31 differs in three digits; relay manually like the CUs do.
 	msg := Message{DestCluster: 31}
-	if !n.Send(0, msg) {
+	if !n.TrySend(0, msg) {
 		t.Fatal("send")
 	}
 	at := n.NextHop(0, 31)
@@ -158,7 +149,7 @@ func TestMultiHopRelay(t *testing.T) {
 			break
 		}
 		next := n.NextHop(at, int(m.DestCluster))
-		if !n.Forward(at, m) {
+		if !n.TryForward(at, m) {
 			t.Fatal("forward")
 		}
 		at = next
@@ -190,24 +181,10 @@ func TestTrySendBackpressure(t *testing.T) {
 	}
 }
 
-func TestCloseUnblocks(t *testing.T) {
-	n := New(2, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, ok := n.Recv(0); ok {
-			t.Error("Recv must fail after Close")
-		}
-	}()
-	n.Close()
-	wg.Wait()
-}
-
 func TestPending(t *testing.T) {
 	n := New(4, 8)
-	n.Send(0, Message{DestCluster: 1})
-	n.Send(0, Message{DestCluster: 1})
+	n.TrySend(0, Message{DestCluster: 1})
+	n.TrySend(0, Message{DestCluster: 1})
 	if n.Pending(1) != 2 {
 		t.Fatalf("Pending = %d", n.Pending(1))
 	}

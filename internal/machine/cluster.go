@@ -43,12 +43,6 @@ type cluster struct {
 	visited visitTable
 	stats   phaseStats
 
-	// destSends counts remote activations injected per destination
-	// cluster, accumulated across a whole run (reset with the clocks) —
-	// the traffic matrix Machine.DestTraffic reports and the placement
-	// stage aims to keep within one hop.
-	destSends []int64
-
 	// Reused host-side scratch, so the steady-state propagation loop
 	// allocates nothing per task: expand's child list, the mailbox
 	// drain buffer, and one task's outbound messages + tier levels.
@@ -81,11 +75,10 @@ func newClusterWithStore(id int, cfg *Config, store *semnet.Store) *cluster {
 		recvCap = icnRecvBatch
 	}
 	c := &cluster{
-		id:        id,
-		store:     store,
-		muFree:    make([]timing.Time, cfg.musOf(id)),
-		recvBuf:   make([]interMsg, recvCap),
-		destSends: make([]int64, cfg.Clusters),
+		id:      id,
+		store:   store,
+		muFree:  make([]timing.Time, cfg.musOf(id)),
+		recvBuf: make([]interMsg, recvCap),
 	}
 	c.visited.cap = cfg.NodesPerCluster
 	c.arb = mpmem.NewArbiter(cfg.Seed + int64(id))
@@ -97,9 +90,6 @@ func (c *cluster) resetClocks() {
 	c.puFree, c.cuFree, c.last = 0, 0, 0
 	for i := range c.muFree {
 		c.muFree[i] = 0
-	}
-	for i := range c.destSends {
-		c.destSends[i] = 0
 	}
 }
 

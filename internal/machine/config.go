@@ -7,13 +7,18 @@
 //
 // Two execution engines share identical marker semantics:
 //
-//   - the concurrent engine (default) runs one goroutine per cluster with
-//     real mailbox backpressure and the live termination-detection
-//     protocol, modeling the prototype's MIMD propagation;
-//   - the lockstep engine (Config.Deterministic) processes the same task
-//     causality graph in canonical breadth-first order, giving exactly
-//     reproducible virtual times and message counts for the measurement
-//     harness.
+//   - the lockstep engine (Config.Deterministic) is the machine that
+//     serves: it processes the task causality graph in canonical
+//     breadth-first order, giving exactly reproducible virtual times and
+//     message counts. The query engine builds nothing else, the benchmark
+//     harness and every experiment measure on it, and fault injection is
+//     drawn only here;
+//   - the concurrent engine (Deterministic off — still New's default,
+//     which its tests rely on) runs one goroutine per cluster with real
+//     mailbox backpressure and the live termination-detection protocol,
+//     modeling the prototype's MIMD propagation. It is the reference the
+//     lockstep engine is differentially tested against, and what
+//     snapsim -det=false runs; nothing serves on it.
 //
 // Final marker state is identical between engines; virtual times and
 // message counts from the concurrent engine can vary slightly run-to-run
@@ -45,8 +50,9 @@ type Config struct {
 	// prototype, giving the 32K-node knowledge base).
 	NodesPerCluster int
 
-	// MailboxCap bounds each cluster's inbound ICN mailbox region;
-	// senders block beyond it (the burst-absorption limit of Fig. 8).
+	// MailboxCap bounds each cluster's inbound ICN mailbox region (the
+	// burst-absorption limit of Fig. 8); a sender refused by a full
+	// region services its own mailbox and retries.
 	MailboxCap int
 
 	// InstrQueueCap is the PU's circular instruction queue depth — the
@@ -74,7 +80,8 @@ type Config struct {
 	// Seed drives the multiport-memory arbiter's random tie-break.
 	Seed int64
 
-	// Deterministic selects the lockstep measurement engine.
+	// Deterministic selects the lockstep engine (see the package
+	// comment); off selects the concurrent reference engine.
 	Deterministic bool
 
 	// Monitor, when non-nil, receives performance-collection events.

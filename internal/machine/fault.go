@@ -2,53 +2,46 @@ package machine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"snap1/internal/fault"
-	"snap1/internal/icn"
 	"snap1/internal/perfmon"
 )
 
-// SetFaultInjector arms deterministic fault injection on this machine's
-// simulated hardware: ICN message drop/duplication/delay, multiport-
-// memory arbiter stalls, and whole-run wedges/slowdowns (nil disarms).
-// Injection decisions are drawn from the injector's seeded streams, so a
-// lockstep (Deterministic) run under a plan is bit-reproducible.
+// ErrFaultsNeedLockstep is returned by SetFaultInjector on a machine
+// built with Deterministic off.
+var ErrFaultsNeedLockstep = errors.New("machine: fault injection needs the lockstep engine (Config.Deterministic)")
+
+// SetFaultInjector arms deterministic fault injection on this machine
+// (nil disarms): ICN message drop/duplication/delay, drawn per message by
+// the lockstep engine as it routes (lockstepTask), and whole-run
+// wedges/slowdowns, drawn at run entry. Decisions come from the
+// injector's seeded streams, so a run under a plan is bit-reproducible,
+// and a run whose ICN traffic was corrupted fails with an error wrapping
+// fault.ErrInjected rather than returning silently wrong markers.
 //
-// The ICN hooks keep the tiered-barrier accounting balanced: a dropped
-// message is acknowledged as consumed (the CU's integrity check detects
-// the loss), a duplicate is announced as created before it becomes
-// visible, and the duplicate's receiver is woken. Any run whose ICN
-// traffic was corrupted fails with an error wrapping fault.ErrInjected
-// rather than returning silently wrong markers.
+// The reference engine's live interconnect has no injection points, so
+// arming a machine built with Deterministic off is refused
+// (ErrFaultsNeedLockstep) rather than honoured for the whole-run sites
+// only.
 //
-// Must be called while the machine is idle (no run in progress).
-func (m *Machine) SetFaultInjector(inj *fault.Injector) {
-	m.inj = inj
-	if inj == nil {
-		m.net.SetFaultInjector(nil, icn.FaultHooks{})
-		for _, c := range m.clusters {
-			c.arb.SetFaultInjector(nil)
-		}
-		return
+// Must be called while the machine is idle (no run in progress). The
+// injector survives LoadKB; clones start unarmed.
+func (m *Machine) SetFaultInjector(inj *fault.Injector) error {
+	if inj != nil && !m.cfg.Deterministic {
+		return ErrFaultsNeedLockstep
 	}
+	m.inj = inj
 	if mon := m.cfg.Monitor; mon != nil {
-		// Timestamp 0: the controller clock is not safe to read from
-		// concurrent-phase workers; the collector's per-PE serial-link
-		// serialization keeps arrival order deterministic regardless.
+		// Fault events carry no virtual time: the whole-run sites are
+		// drawn before the run's clocks are reset.
 		inj.SetHook(func(site fault.Site) {
 			mon.Emit(-1, perfmon.EvFaultInjected, uint32(site), 0)
 		})
 	}
-	m.net.SetFaultInjector(inj, icn.FaultHooks{
-		Created: func(lvl uint16) { m.bar.Created(int(lvl)) },
-		Dropped: func(lvl uint16) { m.bar.Consumed(int(lvl)) },
-		Wake:    func(cl int) { m.bar.Wake(cl) },
-	})
-	for _, c := range m.clusters {
-		c.arb.SetFaultInjector(inj)
-	}
+	return nil
 }
 
 // FaultInjector returns the armed injector (nil when faults are off).

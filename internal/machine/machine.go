@@ -180,10 +180,6 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 	m.kb, m.assign, m.localIdx, m.clusters = kb, assign, localIdx, clusters
 	m.kbGen = kb.Generation()
 	m.dirty = allDirty()
-	// The fresh clusters carry unarmed arbiters; rewire the injector.
-	if m.inj != nil {
-		m.SetFaultInjector(m.inj)
-	}
 	return nil
 }
 
@@ -475,19 +471,6 @@ func (m *Machine) MarkerCount(mk semnet.MarkerID) int {
 
 // ClusterOf reports the cluster holding global node id.
 func (m *Machine) ClusterOf(id semnet.NodeID) int { return m.assign[id] }
-
-// DestTraffic returns the per-destination-cluster remote-activation
-// counts accumulated since the last run started: row src, column dst is
-// how many inter-cluster activations cluster src injected toward dst.
-// This is the traffic matrix the placement stage (partition.Place)
-// minimizes hop-weighted; diagonal entries are always zero.
-func (m *Machine) DestTraffic() [][]int64 {
-	out := make([][]int64, len(m.clusters))
-	for i, c := range m.clusters {
-		out[i] = append([]int64(nil), c.destSends...)
-	}
-	return out
-}
 
 // LinksOf returns a copy of the relation-table entries currently stored
 // for global node id (inspection / test support).

@@ -1,7 +1,10 @@
 package machine
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"snap1/internal/isa"
 	"snap1/internal/partition"
@@ -77,6 +80,60 @@ func TestPropagatePathBothEngines(t *testing.T) {
 			}
 		}
 	}
+}
+
+// poolWorkers counts the goroutines inside workerPool.run, process-wide.
+// (Not runtime.NumGoroutine: other tests' goroutines are still exiting.)
+func poolWorkers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*workerPool).run(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestCloseParksNoGoroutine: the reference engine's per-cluster workers
+// start with its first phase and stay parked between runs. Close ends
+// every one of them, as does the LoadKB that replaces the clusters under
+// them, and neither is terminal: the next run starts workers again.
+func TestCloseParksNoGoroutine(t *testing.T) {
+	before := poolWorkers() // other tests' machines, never closed
+	m, ids, rel := newSmall(t, false, partition.RoundRobin)
+	p := isa.NewProgram()
+	p.SearchNode(ids[0], 1, 0)
+	p.Propagate(1, 2, rules.Path(rel), semnet.FuncAdd)
+	run := func() {
+		t.Helper()
+		m.ClearMarkers()
+		if _, err := m.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		if n := poolWorkers() - before; n != m.cfg.Clusters {
+			t.Fatalf("%d workers parked after a run, want one per cluster (%d)", n, m.cfg.Clusters)
+		}
+	}
+	gone := func(after string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); poolWorkers() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d workers still alive after %s", poolWorkers()-before, after)
+			}
+		}
+	}
+	run()
+	m.Close()
+	gone("Close")
+	run()
+	if err := m.LoadKB(m.KB()); err != nil {
+		t.Fatal(err)
+	}
+	gone("LoadKB")
+	run()
+	m.Close()
+	m.Close()
+	gone("a second Close")
 }
 
 func TestSpreadRuleSwitchesRelation(t *testing.T) {

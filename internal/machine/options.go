@@ -5,7 +5,6 @@ import (
 
 	"snap1/internal/partition"
 	"snap1/internal/perfmon"
-	"snap1/internal/timing"
 )
 
 // Option configures a machine under construction. Options apply in the
@@ -74,19 +73,9 @@ func WithCapacityFor(totalNodes int) Option {
 	})
 }
 
-// WithMailboxCap bounds each cluster's inbound ICN mailbox region.
-func WithMailboxCap(n int) Option {
-	return optionFunc(func(c *Config) { c.MailboxCap = n })
-}
-
 // WithMaxDepth bounds propagation path length.
 func WithMaxDepth(n int) Option {
 	return optionFunc(func(c *Config) { c.MaxDepth = n })
-}
-
-// WithCost installs a cycle-cost table.
-func WithCost(cm timing.CostModel) Option {
-	return optionFunc(func(c *Config) { c.Cost = cm })
 }
 
 // WithPartition selects the node-allocation strategy by name:
@@ -114,7 +103,8 @@ func WithSeed(seed int64) Option {
 	return optionFunc(func(c *Config) { c.Seed = seed })
 }
 
-// WithDeterministic selects the lockstep measurement engine.
+// WithDeterministic selects the lockstep engine (on) or the concurrent
+// reference engine (off).
 func WithDeterministic(on bool) Option {
 	return optionFunc(func(c *Config) { c.Deterministic = on })
 }

@@ -312,7 +312,6 @@ func (c *cluster) processTaskConcurrent(m *Machine, t task) {
 		cuCycles := m.cost.MsgAssembleCycles + m.cost.MailboxEnqueueCycles + m.cost.ArbiterGrantCycles
 		sendEnd := c.cuRun(end, m.cost.PECost(cuCycles))
 		c.stats.sends++
-		c.destSends[dest]++
 		c.stats.comm += m.cost.PECost(cuCycles)
 		msgs = append(msgs, interMsg{
 			Marker:      t.marker,
@@ -472,7 +471,6 @@ func (m *Machine) lockstepTask(c *cluster, t task, perLevel *[]int64, total *int
 		}
 
 		c.stats.sends++
-		c.destSends[dest]++
 		c.stats.hops += int64(hops)
 		if next != prevNext {
 			c.stats.bursts++

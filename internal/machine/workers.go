@@ -1,11 +1,6 @@
 package machine
 
-import (
-	"context"
-	"runtime/pprof"
-	"strconv"
-	"sync"
-)
+import "sync"
 
 // workerPool is the concurrent engine's persistent per-cluster worker
 // set. The seed engine spawned one goroutine per cluster per flush;
@@ -28,22 +23,13 @@ type workerPool struct {
 	stopped bool         // Close requested; workers exit at next park
 }
 
-// startWorkers builds the pool and launches one worker per cluster. Each
-// worker goroutine carries pprof labels (phase=propagate, cluster=<id>)
-// for its whole lifetime, so a snapsim -cpuprofile capture attributes
-// propagation samples per cluster; labeling once at spawn keeps the
-// steady-state phase loop allocation-free.
+// startWorkers builds the pool and launches one worker per cluster.
 func (m *Machine) startWorkers() *workerPool {
 	p := &workerPool{}
 	p.start = sync.NewCond(&p.mu)
 	p.done = sync.NewCond(&p.mu)
 	for _, c := range m.clusters {
-		go func(c *cluster) {
-			labels := pprof.Labels("phase", "propagate", "cluster", strconv.Itoa(c.id))
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				p.run(m, c)
-			})
-		}(c)
+		go p.run(m, c)
 	}
 	return p
 }

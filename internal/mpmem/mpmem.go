@@ -7,8 +7,8 @@
 // The hardware's properties that matter to the architecture are
 // reproduced: reads never contend, writes to shared control state go
 // through an arbitrated semaphore table, and queue regions have small
-// bounded capacities so senders block when a marker burst exceeds the
-// buffering the interconnect can absorb (the Fig. 8 discussion).
+// bounded capacities so a sender is refused when a marker burst exceeds
+// the buffering the interconnect can absorb (the Fig. 8 discussion).
 package mpmem
 
 import (
@@ -16,9 +16,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"snap1/internal/fault"
 )
 
 // NumPorts is the port count of one four-port memory.
@@ -33,19 +30,7 @@ type Arbiter struct {
 	rng     *rand.Rand
 	busy    bool
 	waiters []chan struct{}
-
-	grants    int64
-	contended int64
-
-	// inj, when armed, may stall a grant request (host time only; the
-	// virtual-time model is unaffected). Set before traffic flows.
-	inj *fault.Injector
 }
-
-// SetFaultInjector arms deterministic arbiter-stall injection (nil
-// disarms). It must be called before the first Acquire; the injector is
-// read without synchronization on the grant path.
-func (a *Arbiter) SetFaultInjector(inj *fault.Injector) { a.inj = inj }
 
 // NewArbiter returns an arbiter whose simultaneous-request tie-break is
 // driven by the given seed, keeping contention behaviour reproducible.
@@ -55,15 +40,9 @@ func NewArbiter(seed int64) *Arbiter {
 
 // Acquire blocks until the arbiter grants exclusive access.
 func (a *Arbiter) Acquire() {
-	if inj := a.inj; inj != nil {
-		if d := inj.StallArb(); d > 0 {
-			time.Sleep(d)
-		}
-	}
 	a.mu.Lock()
 	if !a.busy {
 		a.busy = true
-		a.grants++
 		a.mu.Unlock()
 		return
 	}
@@ -77,7 +56,6 @@ func (a *Arbiter) Acquire() {
 	a.waiters = append(a.waiters, nil)
 	copy(a.waiters[i+1:], a.waiters[i:])
 	a.waiters[i] = ch
-	a.contended++
 	a.mu.Unlock()
 	<-ch
 }
@@ -95,15 +73,7 @@ func (a *Arbiter) Release() {
 	}
 	ch := a.waiters[0]
 	a.waiters = a.waiters[1:]
-	a.grants++
 	close(ch)
-}
-
-// Stats reports total grants and how many were contended.
-func (a *Arbiter) Stats() (grants, contended int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.grants, a.contended
 }
 
 // SemaphoreTable is the arbitrated in-use flag table protecting critical
@@ -144,20 +114,6 @@ func (t *Table) Lock(sem int) {
 	}
 }
 
-// TryLock attempts to enter critical section sem without blocking on the
-// in-use flag (the arbiter round-trip still occurs).
-func (t *Table) TryLock(sem int) bool {
-	t.arb.Acquire()
-	defer t.arb.Release()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.inUse[sem] {
-		return false
-	}
-	t.inUse[sem] = true
-	return true
-}
-
 // Unlock leaves critical section sem.
 func (t *Table) Unlock(sem int) {
 	t.arb.Acquire()
@@ -173,24 +129,18 @@ func (t *Table) Unlock(sem int) {
 	t.arb.Release()
 }
 
-// Queue is a bounded queue region of a multiport memory. It is safe for
-// any number of producer and consumer goroutines; within a SNAP-1 cluster
-// the memory map dedicates each region to a single writer and single
-// reader so no arbitration is required for type-2/3 traffic.
+// Queue is a bounded queue region of a multiport memory: a mutex-guarded
+// ring that never blocks — a full region refuses the put, an empty one
+// the get. It is safe for any number of producer and consumer goroutines;
+// within a SNAP-1 cluster the memory map dedicates each region to a
+// single writer and single reader so no arbitration is required for
+// type-2/3 traffic.
 type Queue[T any] struct {
-	mu       sync.Mutex
-	notEmpty *sync.Cond
-	notFull  *sync.Cond
-	buf      []T
-	head     int
-	n        int
-	size     atomic.Int32 // mirrors n; lock-free empty-poll fast path
-	closed   bool
-
-	puts        int64
-	gets        int64
-	blockedPuts int64
-	highWater   int
+	mu   sync.Mutex
+	buf  []T
+	head int
+	n    int
+	size atomic.Int32 // mirrors n; lock-free empty-poll fast path
 }
 
 // NewQueue returns a queue region holding at most capacity entries.
@@ -198,77 +148,26 @@ func NewQueue[T any](capacity int) *Queue[T] {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	q := &Queue[T]{buf: make([]T, capacity)}
-	q.notEmpty = sync.NewCond(&q.mu)
-	q.notFull = sync.NewCond(&q.mu)
-	return q
-}
-
-// Put enqueues v, blocking while the region is full (the sending processor
-// is blocked when a burst exceeds buffering capacity). It reports false if
-// the queue was closed.
-func (q *Queue[T]) Put(v T) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.n == len(q.buf) && !q.closed {
-		q.blockedPuts++
-		q.notFull.Wait()
-	}
-	if q.closed {
-		return false
-	}
-	q.buf[q.tailLocked()] = v
-	q.n++
-	q.size.Store(int32(q.n))
-	q.puts++
-	if q.n > q.highWater {
-		q.highWater = q.n
-	}
-	q.notEmpty.Signal()
-	return true
-}
-
-// tailLocked returns the next free slot index without a modulo (the
-// capacity is not a power of two in general, and an integer divide per
-// message is measurable in the propagation hot path).
-func (q *Queue[T]) tailLocked() int {
-	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	return i
+	return &Queue[T]{buf: make([]T, capacity)}
 }
 
 // TryPut enqueues v only if space is available.
 func (q *Queue[T]) TryPut(v T) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || q.n == len(q.buf) {
+	if q.n == len(q.buf) {
 		return false
 	}
-	q.buf[q.tailLocked()] = v
+	// No modulo: the capacity is not a power of two in general, and an
+	// integer divide per message is measurable in the propagation hot path.
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = v
 	q.n++
 	q.size.Store(int32(q.n))
-	q.puts++
-	if q.n > q.highWater {
-		q.highWater = q.n
-	}
-	q.notEmpty.Signal()
 	return true
-}
-
-// Get dequeues the oldest entry, blocking while the region is empty.
-// ok is false once the queue is closed and drained.
-func (q *Queue[T]) Get() (v T, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.n == 0 && !q.closed {
-		q.notEmpty.Wait()
-	}
-	if q.n == 0 {
-		return v, false
-	}
-	return q.dequeueLocked(), true
 }
 
 // TryGet dequeues without blocking. An empty region is detected without
@@ -283,7 +182,15 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	if q.n == 0 {
 		return v, false
 	}
-	return q.dequeueLocked(), true
+	v = q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	q.size.Store(int32(q.n))
+	return v, true
 }
 
 // TryGetBatch dequeues up to len(buf) entries into buf in one critical
@@ -308,24 +215,17 @@ func (q *Queue[T]) TryGetBatch(buf []T) int {
 			q.head = 0
 		}
 	}
-	if n > 0 {
-		q.n -= n
-		q.size.Store(int32(q.n))
-		q.gets += int64(n)
-		q.notFull.Broadcast()
-	}
+	q.n -= n
+	q.size.Store(int32(q.n))
 	return n
 }
 
 // TryPutBatch enqueues the longest prefix of vs that fits in one critical
 // section and returns how many entries were accepted (0 when the region
-// is full or closed). The unaccepted suffix is untouched.
+// is full). The unaccepted suffix is untouched.
 func (q *Queue[T]) TryPutBatch(vs []T) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return 0
-	}
 	n := len(q.buf) - q.n
 	if n > len(vs) {
 		n = len(vs)
@@ -337,40 +237,9 @@ func (q *Queue[T]) TryPutBatch(vs []T) int {
 		}
 		q.buf[j] = vs[i]
 	}
-	if n > 0 {
-		q.n += n
-		q.size.Store(int32(q.n))
-		q.puts += int64(n)
-		if q.n > q.highWater {
-			q.highWater = q.n
-		}
-		q.notEmpty.Broadcast()
-	}
-	return n
-}
-
-func (q *Queue[T]) dequeueLocked() T {
-	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
-	if q.head++; q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.n--
+	q.n += n
 	q.size.Store(int32(q.n))
-	q.gets++
-	q.notFull.Signal()
-	return v
-}
-
-// Close wakes all blocked producers and consumers; subsequent Puts fail
-// and Gets drain remaining entries then report ok=false.
-func (q *Queue[T]) Close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.notEmpty.Broadcast()
-	q.notFull.Broadcast()
+	return n
 }
 
 // Len reports the current queue depth.
@@ -378,15 +247,4 @@ func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.n
-}
-
-// Cap reports the region capacity.
-func (q *Queue[T]) Cap() int { return len(q.buf) }
-
-// Stats reports lifetime puts, gets, producer blocking events, and the
-// deepest occupancy observed.
-func (q *Queue[T]) Stats() (puts, gets, blockedPuts int64, highWater int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.puts, q.gets, q.blockedPuts, q.highWater
 }

@@ -38,9 +38,6 @@ func (v *CSRView) OutDegree(id NodeID) int { return int(v.Off[id+1] - v.Off[id])
 // InDegree reports node id's incoming link count.
 func (v *CSRView) InDegree(id NodeID) int { return int(v.InOff[id+1] - v.InOff[id]) }
 
-// Degree reports node id's total (in + out) link count.
-func (v *CSRView) Degree(id NodeID) int { return v.OutDegree(id) + v.InDegree(id) }
-
 // CSR returns the flat adjacency view of the knowledge base, building it
 // on first use and caching it until the next structural mutation (the
 // cache is keyed on the KB's generation counter). Building is O(nodes +

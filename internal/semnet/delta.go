@@ -111,13 +111,6 @@ func (kb *KB) EnableDeltaLog(capacity int) {
 	kb.delta = deltaLog{on: true, cap: capacity, floor: kb.gen.Load()}
 }
 
-// DeltaLogEnabled reports whether mutations are being recorded.
-func (kb *KB) DeltaLogEnabled() bool {
-	kb.mu.RLock()
-	defer kb.mu.RUnlock()
-	return kb.delta.on
-}
-
 // record appends one mutation record. Caller holds kb.mu and has already
 // bumped the generation; the record is stamped with the new value.
 func (kb *KB) record(rec DeltaRec) {

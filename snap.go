@@ -172,7 +172,9 @@ var (
 	// WithPartition selects node allocation by name: "sequential",
 	// "round-robin", or "semantic".
 	WithPartition = machine.WithPartition
-	// WithDeterministic selects the lockstep measurement engine.
+	// WithDeterministic selects the lockstep engine (exactly reproducible
+	// virtual times) over the goroutine-per-cluster reference engine, a
+	// Machine's default. An Engine's replicas are lockstep regardless.
 	WithDeterministic = machine.WithDeterministic
 	// WithSeed sets the arbiter tie-break seed.
 	WithSeed = machine.WithSeed

@@ -278,6 +278,70 @@ func BenchmarkStoreBooleanSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkSIMDPhase measures what one broadcast data-parallel
+// instruction costs the host on the sim-parse machine (PaperConfig,
+// lockstep, the 12K-node network): the sweep of the machine-wide status
+// table plus the sixteen per-cluster clock bookings. Each run is 240
+// instructions of one kind cycling over 48 sparse operand markers and 16
+// destinations, so the planes it touches are as cold as the parser's,
+// not one line kept hot; ns/instr is the run divided by its length.
+// BenchmarkStoreBooleanSweep beside it keeps measuring the one-window
+// kernel alone.
+func BenchmarkSIMDPhase(b *testing.B) {
+	g, err := kbgen.Generate(kbgen.Params{Nodes: 12000, Seed: 42, WithDomain: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.KB.Preprocess()
+	nodes := g.KB.NumNodes()
+	m, err := machine.New(machine.ApplyOptions(machine.PaperConfig(),
+		machine.WithDeterministic(true), machine.WithCapacityFor(nodes)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.LoadKB(g.KB); err != nil {
+		b.Fatal(err)
+	}
+	const operands, dests, perRun = 48, 16, 240
+	seed := isa.NewProgram() // eight nodes under each operand marker
+	for i := 0; i < operands*8; i++ {
+		seed.SearchNode(semnet.NodeID(i*1009%nodes), semnet.Binary(i%operands), 0)
+	}
+	for _, k := range []struct {
+		name string
+		add  func(p *isa.Program, src, next, dst semnet.MarkerID, i int)
+	}{
+		{"clear", func(p *isa.Program, _, _, dst semnet.MarkerID, _ int) { p.ClearM(dst) }},
+		{"and", func(p *isa.Program, src, next, dst semnet.MarkerID, _ int) { p.And(src, next, dst, semnet.FuncNop) }},
+		{"or", func(p *isa.Program, src, next, dst semnet.MarkerID, _ int) { p.Or(src, next, dst, semnet.FuncNop) }},
+		{"not", func(p *isa.Program, src, _, dst semnet.MarkerID, _ int) { p.Not(src, dst, 0, isa.CondNone) }},
+		{"set", func(p *isa.Program, _, _, dst semnet.MarkerID, _ int) { p.Set(dst, 0) }},
+		{"search-node", func(p *isa.Program, _, _, dst semnet.MarkerID, i int) {
+			p.SearchNode(semnet.NodeID(i*4099%nodes), dst, 0)
+		}},
+		{"search-color", func(p *isa.Program, _, _, dst semnet.MarkerID, _ int) { p.SearchColor(g.Col.Root, dst, 0) }},
+		{"collect-node", func(p *isa.Program, src, _, _ semnet.MarkerID, _ int) { p.CollectNode(src) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			p := isa.NewProgram()
+			for i := 0; i < perRun; i++ {
+				k.add(p, semnet.Binary(i%operands), semnet.Binary((i+1)%operands), semnet.Binary(operands+i%dests), i)
+			}
+			m.ClearMarkers()
+			if _, err := m.Run(seed); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Run(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/perRun, "ns/instr")
+		})
+	}
+}
+
 // BenchmarkSentenceParse measures one full two-stage sentence parse on the
 // evaluation configuration.
 func BenchmarkSentenceParse(b *testing.B) {

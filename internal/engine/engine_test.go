@@ -495,3 +495,40 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 		})
 	}
 }
+
+// TestPooledReplicaAnswersLikeFresh is north-star 3 on a pooled replica:
+// the same program gets the same rows whether the replica is fresh or
+// has just served someone else's query. ClearMarkers between queries
+// clears status bits only, so a kernel that set a complex marker's bit
+// without writing its registers answered with the previous caller's
+// value and origin (machine.TestUsedReplicaMatchesFresh has the
+// kernel-by-kernel cases). One replica and no result cache, so the
+// second submission runs, and runs on the used replica.
+func TestPooledReplicaAnswersLikeFresh(t *testing.T) {
+	g := fig15KB(t, 800)
+	e, err := New(g.KB, WithReplicas(1), WithResultCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const query = "not-marker m1=b1 m2=c2\ncollect-node marker=c2\n"
+	fresh, err := e.SubmitSource(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SubmitSource(context.Background(), inheritanceQuery(g, queryConcepts(g, 1)[0])); err != nil {
+		t.Fatal(err)
+	}
+	used, err := e.SubmitSource(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.Collected(0)) == 0 || len(used.Collected(0)) != len(fresh.Collected(0)) {
+		t.Fatalf("fresh replica answered %d rows, used replica %d", len(fresh.Collected(0)), len(used.Collected(0)))
+	}
+	for i, row := range fresh.Collected(0) {
+		if used.Collected(0)[i] != row {
+			t.Fatalf("row %d: fresh replica %+v, used replica %+v", i, row, used.Collected(0)[i])
+		}
+	}
+}

@@ -16,7 +16,7 @@ import (
 // captured without simulating each MU as its own goroutine.
 type cluster struct {
 	id    int
-	store *semnet.Store
+	store *semnet.Store // window id of the machine's status table
 
 	// Virtual clocks.
 	puFree timing.Time   // instruction decode pipeline
@@ -62,28 +62,24 @@ const (
 	numClusterSems
 )
 
-func newCluster(id int, cfg *Config) *cluster {
-	return newClusterWithStore(id, cfg, semnet.NewStore(cfg.NodesPerCluster))
-}
-
-// newClusterWithStore builds a cluster around an existing store, so
-// Machine.Clone can install a shared-topology replica store without
-// allocating (and immediately discarding) a fresh empty one.
-func newClusterWithStore(id int, cfg *Config, store *semnet.Store) *cluster {
-	recvCap := cfg.MailboxCap
-	if recvCap > icnRecvBatch {
-		recvCap = icnRecvBatch
+// newClusters builds the array around a status table, one cluster per
+// window.
+func newClusters(cfg *Config, tab *semnet.Table) []*cluster {
+	recvCap := min(cfg.MailboxCap, icnRecvBatch)
+	clusters := make([]*cluster, cfg.Clusters)
+	for id := range clusters {
+		c := &cluster{
+			id:      id,
+			store:   tab.Store(id),
+			muFree:  make([]timing.Time, cfg.musOf(id)),
+			recvBuf: make([]interMsg, recvCap),
+		}
+		c.visited.cap = cfg.NodesPerCluster
+		c.arb = mpmem.NewArbiter(cfg.Seed + int64(id))
+		c.sems = mpmem.NewTable(numClusterSems, c.arb)
+		clusters[id] = c
 	}
-	c := &cluster{
-		id:      id,
-		store:   store,
-		muFree:  make([]timing.Time, cfg.musOf(id)),
-		recvBuf: make([]interMsg, recvCap),
-	}
-	c.visited.cap = cfg.NodesPerCluster
-	c.arb = mpmem.NewArbiter(cfg.Seed + int64(id))
-	c.sems = mpmem.NewTable(numClusterSems, c.arb)
-	return c
+	return clusters
 }
 
 func (c *cluster) resetClocks() {
@@ -206,14 +202,14 @@ func (r *relayRing) reset() { r.head, r.n = 0, 0 }
 // into dense per-node lanes, stamped with a phase epoch so reset is O(1)
 // and the lane storage is pooled for the machine's lifetime.
 type visitTable struct {
-	epoch  uint64
+	epoch  uint32
 	combos []uint32 // packed (marker, rule, state), index = lane
 	lanes  [][]visitEntry
 	cap    int // node-table capacity; fixes every lane's length
 }
 
 type visitEntry struct {
-	epoch uint64
+	epoch uint32
 	val   float32
 }
 
@@ -239,9 +235,17 @@ func (v *visitTable) slot(key uint32, local int) *visitEntry {
 }
 
 // reset invalidates every entry and forgets the phase's lane interning;
-// lane storage is retained for reuse.
+// lane storage is retained for reuse. When the epoch wraps, stamps from
+// 2^32 phases ago would read as live again, so the lanes are wiped and
+// the count restarts above the zero they now hold.
 func (v *visitTable) reset() {
 	v.epoch++
+	if v.epoch == 0 {
+		for _, lane := range v.lanes {
+			clear(lane)
+		}
+		v.epoch = 1
+	}
 	v.combos = v.combos[:0]
 }
 

@@ -12,8 +12,11 @@ import (
 
 // exec runs one non-PROPAGATE instruction. Search, boolean, set/clear and
 // marker-maintenance instructions execute data-parallel across the array
-// (SIMD phase); node maintenance touches the owning cluster; retrieval
-// runs on the controller against each cluster's dual-port memory.
+// (SIMD phase): the ones that are whole-plane status operations are one
+// semnet.Table sweep and sixteen clock bookings (execSweep), the ones
+// that walk per-node columns visit each cluster's store (execScan). Node
+// maintenance touches the owning cluster; retrieval runs on the
+// controller against each cluster's dual-port memory.
 func (m *Machine) exec(st *runState, idx int, in *isa.Instruction, bAt timing.Time) error {
 	var end timing.Time // exclusive execution time of this instruction
 	var err error
@@ -41,32 +44,35 @@ func (m *Machine) exec(st *runState, idx int, in *isa.Instruction, bAt timing.Ti
 			return m.cost.NodeTestCycles * int64(c.store.NumNodes())
 		})
 	case isa.OpSetMarker:
-		end = m.execScan(bAt, func(c *cluster) int64 {
-			words := c.store.SetAll(in.M1, in.Value)
-			return m.cost.StatusWordCycles * int64(words)
-		})
+		m.tab.SetAll(in.M1, in.Value)
+		end = m.execSweep(bAt)
 	case isa.OpClearMarker:
-		end = m.execScan(bAt, func(c *cluster) int64 {
-			words := c.store.ClearAll(in.M1)
-			return m.cost.StatusWordCycles * int64(words)
-		})
+		m.tab.ClearAll(in.M1)
+		end = m.execSweep(bAt)
 	case isa.OpFuncMarker:
 		end = m.execScan(bAt, func(c *cluster) int64 {
 			words := c.store.FuncAll(in.M1, in.Fn, in.Value)
 			return m.cost.StatusWordCycles * int64(words)
 		})
 	case isa.OpAndMarker:
-		end = m.execScan(bAt, func(c *cluster) int64 {
-			words := c.store.And(in.M1, in.M2, in.M3, in.Fn)
-			return m.cost.StatusWordCycles * int64(words)
-		})
+		m.tab.And(in.M1, in.M2, in.M3, in.Fn)
+		end = m.execSweep(bAt)
 	case isa.OpOrMarker:
-		end = m.execScan(bAt, func(c *cluster) int64 {
-			words := c.store.Or(in.M1, in.M2, in.M3, in.Fn)
-			return m.cost.StatusWordCycles * int64(words)
-		})
+		m.tab.Or(in.M1, in.M2, in.M3, in.Fn)
+		end = m.execSweep(bAt)
 	case isa.OpNotMarker:
-		end = m.execNotMarker(in, bAt)
+		if in.Cond == isa.CondNone {
+			m.tab.Not(in.M1, in.M2)
+			end = m.execSweep(bAt)
+			break
+		}
+		// Value-conditional complement: m2 is set where m1 is clear or
+		// where m1's value fails the condition; every node is tested.
+		pass := func(v float32) bool { return in.Cond.Eval(v, in.Value) }
+		end = m.execScan(bAt, func(c *cluster) int64 {
+			words := c.store.NotWhere(in.M1, in.M2, pass)
+			return m.cost.StatusWordCycles*int64(words) + m.cost.NodeTestCycles*int64(c.store.NumNodes())
+		})
 	case isa.OpMarkerSetColor:
 		end = m.execScan(bAt, func(c *cluster) int64 {
 			var n int64
@@ -127,38 +133,37 @@ func (m *Machine) execScan(bAt timing.Time, f func(c *cluster) int64) timing.Tim
 	return excl
 }
 
+// execSweep books an instruction the status table has already executed
+// as one whole-plane sweep: every cluster decodes it and spends one
+// marker-unit pass over its own status words, in cluster order — the
+// charges execScan would book for a callback costing StatusWordCycles a
+// word.
+func (m *Machine) execSweep(bAt timing.Time) timing.Time {
+	var excl timing.Time
+	decode := m.cost.PECost(m.cost.DecodeCycles + m.cost.EnqueueCycles)
+	for _, c := range m.clusters {
+		sweep := m.cost.PECost(m.cost.StatusWordCycles * int64(c.store.Words()))
+		c.muRun(c.decode(m, bAt), sweep)
+		excl = timing.Max(excl, decode+sweep)
+	}
+	return excl
+}
+
 func (m *Machine) execSearchNode(in *isa.Instruction, bAt timing.Time) (timing.Time, error) {
 	if int(in.Node) >= len(m.assign) {
 		return 0, fmt.Errorf("node %d not in knowledge base", in.Node)
 	}
-	owner := m.assign[in.Node]
+	owner := m.clusters[m.assign[in.Node]]
+	owner.markSearch(int(m.localIdx[in.Node]), in)
+	test := m.cost.PECost(m.cost.NodeTestCycles + m.cost.StatusWordCycles)
 	for _, c := range m.clusters {
-		ready := c.decode(m, bAt)
-		var cycles int64
-		if c.id == owner {
-			cycles = m.cost.NodeTestCycles + m.cost.StatusWordCycles
-			c.markSearch(int(m.localIdx[in.Node]), in)
+		var cost timing.Time
+		if c == owner {
+			cost = test
 		}
-		c.muRun(ready, m.cost.PECost(cycles))
+		c.muRun(c.decode(m, bAt), cost)
 	}
-	excl := m.cost.PECost(m.cost.DecodeCycles + m.cost.EnqueueCycles +
-		m.cost.NodeTestCycles + m.cost.StatusWordCycles)
-	return excl, nil
-}
-
-func (m *Machine) execNotMarker(in *isa.Instruction, bAt timing.Time) timing.Time {
-	pass := func(v float32) bool { return in.Cond.Eval(v, in.Value) }
-	return m.execScan(bAt, func(c *cluster) int64 {
-		words := int64(c.store.Words())
-		if in.Cond == isa.CondNone {
-			c.store.Not(in.M1, in.M2)
-			return m.cost.StatusWordCycles * words
-		}
-		// Value-conditional complement: m2 is set where m1 is clear or
-		// where m1's value fails the condition; every node is tested.
-		c.store.NotWhere(in.M1, in.M2, pass)
-		return m.cost.StatusWordCycles*words + m.cost.NodeTestCycles*int64(c.store.NumNodes())
-	})
+	return m.cost.PECost(m.cost.DecodeCycles+m.cost.EnqueueCycles) + test, nil
 }
 
 func (m *Machine) execCreate(in *isa.Instruction, bAt timing.Time) (timing.Time, error) {
@@ -262,13 +267,13 @@ func (m *Machine) execMarkerLinks(in *isa.Instruction, bAt timing.Time) (timing.
 // each cluster's dual-port memory in turn and pulls the matching rows —
 // the cost component that grows proportionally to cluster count (Fig. 21).
 //
-// The host does not merge per-cluster row lists. Every cluster's set bits
-// of the collected marker are projected onto one bitmap indexed by global
-// node ID, and that bitmap is walked ascending, so rows come out in the
-// (Node, To) order of the retrieval contract by construction. The
-// controller is charged what the per-cluster transfer costs — setup, then
-// CollectNodeCycles per row, cluster by cluster — whatever order the host
-// gathered the rows in.
+// The host does not merge per-cluster row lists. The collected marker's
+// plane is projected onto one bitmap indexed by global node ID
+// (semnet.Table.Project), and that bitmap is walked ascending, so rows
+// come out in the (Node, To) order of the retrieval contract by
+// construction. The controller is charged what the per-cluster transfer
+// costs — setup, then CollectNodeCycles per row, cluster by cluster —
+// whatever order the host gathered the rows in.
 func (m *Machine) execCollect(st *runState, idx int, in *isa.Instruction, bAt timing.Time) (timing.Time, error) {
 	// The controller must see completed array state.
 	m.ctrl.Sync(bAt)
@@ -285,17 +290,7 @@ func (m *Machine) execCollect(st *runState, idx int, in *isa.Instruction, bAt ti
 	}
 	marked, rows := m.collectBits, m.collectRows[:len(m.clusters)]
 	clear(rows)
-	total := 0
-	for _, c := range m.clusters {
-		globals := c.store.Globals()
-		for w, word := range c.store.StatusRow(in.M1) {
-			total += bits.OnesCount64(word)
-			for base := w * semnet.HostWordBits; word != 0; word &= word - 1 {
-				g := globals[base+bits.TrailingZeros64(word)]
-				marked[g/semnet.HostWordBits] |= 1 << (g % semnet.HostWordBits)
-			}
-		}
-	}
+	total := m.tab.Project(in.M1, marked)
 
 	items := make([]Item, 0, total)
 	for w, word := range marked {

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -331,5 +332,139 @@ func TestClearMarkersResetsEverything(t *testing.T) {
 	m.ClearMarkers()
 	if m.MarkerCount(3) != 0 || m.MarkerCount(semnet.Binary(9)) != 0 {
 		t.Fatal("ClearMarkers")
+	}
+}
+
+// A pooled replica is reset by ClearMarkers, which clears status bits and
+// leaves the complex-marker registers as the last query wrote them. The
+// three kernels that set a complex marker's bit with no operand register
+// to copy — SET-MARKER (origin), AND/OR of two binary markers (origin),
+// NOT-MARKER (value and origin) — must therefore write what a fresh
+// machine holds, or the next caller is answered with the previous
+// caller's registers.
+func TestUsedReplicaMatchesFresh(t *testing.T) {
+	const c1, c2 = semnet.MarkerID(1), semnet.MarkerID(2)
+	b1, b2 := semnet.Binary(1), semnet.Binary(2)
+	for _, det := range []bool{true, false} {
+		used, ids, rel := newSmall(t, det, partition.RoundRobin)
+		defer used.Close()
+		// Someone else's query, from b (node 1: not the origin a fresh
+		// register reads): c2 reaches c and d with a value and b as origin.
+		dirty := isa.NewProgram()
+		dirty.SearchNode(ids[1], c1, 3)
+		dirty.Propagate(c1, c2, rules.Path(rel), semnet.FuncAdd)
+		dirty.CollectNode(c2)
+		for name, p := range map[string]*isa.Program{
+			"set": isa.NewProgram().Set(c2, 5).CollectNode(c2),
+			"and": isa.NewProgram().Set(b1, 0).Set(b2, 0).And(b1, b2, c2, semnet.FuncAdd).CollectNode(c2),
+			"or":  isa.NewProgram().Set(b1, 0).Or(b1, b2, c2, semnet.FuncAdd).CollectNode(c2),
+			"not": isa.NewProgram().Not(b1, c2, 0, isa.CondNone).CollectNode(c2),
+		} {
+			if res, err := used.Run(dirty); err != nil || len(res.Collected(0)) != 2 {
+				t.Fatalf("det=%v: dirtying run reached %d nodes (err %v), want 2", det, len(res.Collected(0)), err)
+			}
+			used.ClearMarkers()
+			got, err := used.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, _, _ := newSmall(t, det, partition.RoundRobin)
+			want, err := fresh.Run(p)
+			fresh.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Collected(0)) != len(ids) {
+				t.Fatalf("det=%v %s: fresh machine collected %d rows, want %d", det, name, len(want.Collected(0)), len(ids))
+			}
+			for i, row := range want.Collected(0) {
+				if got.Collected(0)[i] != row {
+					t.Errorf("det=%v %s: row %d on the used replica %+v, on a fresh machine %+v", det, name, i, got.Collected(0)[i], row)
+				}
+			}
+			used.ClearMarkers()
+		}
+	}
+}
+
+// The same three kernels inside one run: they redefine the destination
+// whole, registers included, so what an earlier instruction of the run
+// wrote there does not show through either — not even under a bit that
+// was on all along. A destination that kept them where its bit was
+// already on would make a preceding CLEAR-MARKER observable, and the
+// optimizer deletes a CLEAR ahead of a whole redefinition as dead.
+func TestStatusKernelsOverwriteRegisters(t *testing.T) {
+	const c2 = semnet.MarkerID(2)
+	b1, b2 := semnet.Binary(1), semnet.Binary(2)
+	// SEARCH-COLOR blue: c2 at b0 and b1, value 5, origin the node itself.
+	seeded := func() *isa.Program { return isa.NewProgram().SearchColor(1, c2, 5) }
+	for _, tc := range []struct {
+		name  string
+		p     *isa.Program
+		value float32
+	}{
+		{"not", seeded().Not(b1, c2, 0, isa.CondNone), 0},
+		{"not-where", seeded().Not(b1, c2, 1, isa.CondLT), 0},
+		{"set", seeded().Set(c2, 7), 7},
+		{"or", seeded().Set(b1, 0).Or(b1, b2, c2, semnet.FuncAdd), 0},
+		{"and", seeded().Set(b1, 0).Set(b2, 0).And(b1, b2, c2, semnet.FuncAdd), 0},
+	} {
+		tc.p.CollectNode(c2)
+		for _, det := range []bool{true, false} {
+			m, _, ids := gridMachine(t, det)
+			res, err := m.Run(tc.p)
+			m.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := res.Collected(0)
+			if len(rows) != len(ids) {
+				t.Fatalf("%s det=%v: collected %d rows, want %d", tc.name, det, len(rows), len(ids))
+			}
+			for _, row := range rows {
+				if row.Value != tc.value || row.Origin != 0 {
+					t.Errorf("%s det=%v: node %d holds value %v origin %d, want %v and 0",
+						tc.name, det, row.Node, row.Value, row.Origin, tc.value)
+				}
+			}
+		}
+	}
+}
+
+// SET-MARKER and NOT-MARKER turn bits on; neither may turn one on past a
+// cluster's node count, where no kernel would ever clear it again.
+// MarkerCount sweeps whole planes, tails included, so a stray bit shows
+// as a count above the network's size.
+func TestSetAndNotLeaveTailsZero(t *testing.T) {
+	kb := semnet.NewKB()
+	col := kb.ColorFor("c")
+	const nodes = 3*64 + 1 // dealt round-robin: windows of 65, 64 and 64 nodes, two host words each
+	for i := 0; i < nodes; i++ {
+		kb.MustAddNode(fmt.Sprintf("n%d", i), col)
+	}
+	cfg := DefaultConfig()
+	cfg.Clusters = 3
+	cfg.NodesPerCluster = 70
+	cfg.Deterministic = true
+	cfg.Partition = partition.RoundRobin
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadKB(kb); err != nil {
+		t.Fatal(err)
+	}
+	b0, b1, b3, c2 := semnet.Binary(0), semnet.Binary(1), semnet.Binary(3), semnet.MarkerID(2)
+	p := isa.NewProgram().Set(b0, 0).Not(b0, b1, 0, isa.CondNone).Not(b1, c2, 0, isa.CondNone)
+	// The conditional form: c2 holds value 0 < 1 everywhere, so it
+	// complements to nothing; b1 is empty, so it complements to everything.
+	p.Not(c2, b0, 1, isa.CondLT).Not(b1, b3, 1, isa.CondLT)
+	if _, err := m.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	for mk, want := range map[semnet.MarkerID]int{b0: 0, b1: 0, b3: nodes, c2: nodes} {
+		if got := m.MarkerCount(mk); got != want {
+			t.Errorf("marker %d set at %d nodes, want %d", mk, got, want)
+		}
 	}
 }

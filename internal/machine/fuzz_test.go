@@ -111,9 +111,38 @@ func runProgramPartitioned(t *testing.T, kb *semnet.KB, p *isa.Program, det bool
 	cfg := DefaultConfig()
 	cfg.Clusters = clusters
 	cfg.NodesPerCluster = kb.NumNodes() + 32
-	cfg.Deterministic = det
 	cfg.Partition = strat
 	cfg.Placement = place
+	return runProgramOn(t, kb, p, det, seed, cfg)
+}
+
+// window40 is the NodesPerCluster of the tight configuration the engine
+// differentials also run in: a status window of one host word, so eight
+// clusters' windows of a plane share a cache line and a kernel that
+// wrote a neighbour's word would show — as a wrong bit on either engine,
+// as a race on the concurrent one.
+const window40 = 40
+
+// windowConfigs names the two configurations those differentials run in.
+var windowConfigs = []struct {
+	name  string
+	tight bool
+}{{"roomy", false}, {"window40", true}}
+
+// tightConfig is a round-robin machine of window40-node clusters, at
+// least the given number of them and enough to hold kb.
+func tightConfig(kb *semnet.KB, clusters int) Config {
+	kb.Preprocess()
+	cfg := DefaultConfig()
+	cfg.Clusters = max(clusters, (kb.NumNodes()+window40-1)/window40)
+	cfg.NodesPerCluster = window40
+	cfg.Partition = partition.RoundRobin
+	return cfg
+}
+
+func runProgramOn(t *testing.T, kb *semnet.KB, p *isa.Program, det bool, seed int64, cfg Config) machineState {
+	t.Helper()
+	cfg.Deterministic = det
 	cfg.Seed = seed
 	cfg.MaxDepth = 32
 	m, err := New(cfg)
@@ -127,6 +156,11 @@ func runProgramPartitioned(t *testing.T, kb *semnet.KB, p *isa.Program, det bool
 	res, err := m.Run(p)
 	if err != nil {
 		t.Fatalf("det=%v: %v", det, err)
+	}
+	// The differentials are worth nothing if both sides ran one engine:
+	// only the concurrent engine starts workers, at its first phase.
+	if ranConcurrent := m.workers != nil; ranConcurrent != (!det && res.Profile.PropInstrs > 0) {
+		t.Fatalf("det=%v, %d PROPAGATEs: concurrent engine ran = %v", det, res.Profile.PropInstrs, ranConcurrent)
 	}
 	st := machineState{markers: make(map[string]float32)}
 	for id := 0; id < kb.NumNodes(); id++ {
@@ -172,23 +206,33 @@ func TestRandomProgramsEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		trials = 5
 	}
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		kb, rels, cols := randomKB(rng)
-		p := randomProgram(rng, kb, rels, cols)
-		clusters := 1 + rng.Intn(8)
+	for _, tc := range windowConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			for trial := 0; trial < trials; trial++ {
+				rng := rand.New(rand.NewSource(int64(1000 + trial)))
+				kb, rels, cols := randomKB(rng)
+				p := randomProgram(rng, kb, rels, cols)
+				clusters := 1 + rng.Intn(8)
+				run := func(det bool, clusters int, seed int64) machineState {
+					if tc.tight {
+						return runProgramOn(t, kb, p, det, seed, tightConfig(kb, clusters))
+					}
+					return runProgram(t, kb, p, det, clusters, seed)
+				}
 
-		lock := runProgram(t, kb, p, true, clusters, 1)
-		conc := runProgram(t, kb, p, false, clusters, 1)
-		diffStates(t, trial, lock, conc, "lockstep vs concurrent")
+				lock := run(true, clusters, 1)
+				conc := run(false, clusters, 1)
+				diffStates(t, trial, lock, conc, "lockstep vs concurrent")
 
-		// Lockstep re-runs reproduce exactly.
-		lock2 := runProgram(t, kb, p, true, clusters, 2)
-		diffStates(t, trial, lock, lock2, "lockstep repeat")
+				// Lockstep re-runs reproduce exactly.
+				lock2 := run(true, clusters, 2)
+				diffStates(t, trial, lock, lock2, "lockstep repeat")
 
-		// Cluster count must not change functional results.
-		other := runProgram(t, kb, p, true, clusters%8+1, 1)
-		diffStates(t, trial, lock, other, "cluster-count invariance")
+				// Cluster count must not change functional results.
+				other := run(true, clusters%8+1, 1)
+				diffStates(t, trial, lock, other, "cluster-count invariance")
+			}
+		})
 	}
 }
 

@@ -33,6 +33,10 @@ type Machine struct {
 	// kb.Generation() is the delta a replica still owes (delta.go).
 	kbGen uint64
 
+	// tab is the marker status table of the whole array; cluster c's
+	// store owns window c of it. The broadcast status instructions sweep
+	// its planes (exec.go), everything per node goes through the stores.
+	tab      *semnet.Table
 	clusters []*cluster
 	net      *icn.Network
 	bar      *barrier.Tiered
@@ -55,7 +59,7 @@ type Machine struct {
 
 	// dirty is the set of marker planes a run since the last ClearMarkers
 	// may have written (the union of each program's write set), so
-	// ClearMarkers can clear just those rows instead of the whole slab.
+	// ClearMarkers can clear just those planes instead of the whole slab.
 	// Initialized full at construction/LoadKB/Clone out of caution —
 	// tests may poke stores directly — and exact thereafter.
 	dirty isa.MarkerSet
@@ -90,10 +94,8 @@ func New(cfg Config) (*Machine, error) {
 		ctrl:  timing.NewClock(timing.ControllerClock),
 		dirty: allDirty(),
 	}
-	m.clusters = make([]*cluster, cfg.Clusters)
-	for i := range m.clusters {
-		m.clusters[i] = newCluster(i, &cfg)
-	}
+	m.tab = semnet.NewTable(cfg.Clusters, cfg.NodesPerCluster)
+	m.clusters = newClusters(&cfg, m.tab)
 	return m, nil
 }
 
@@ -140,15 +142,14 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 		localIdx[id] = int32(len(members[c]))
 		members[c] = append(members[c], semnet.NodeID(id))
 	}
-	clusters := make([]*cluster, m.cfg.Clusters)
+	tab := semnet.NewTable(m.cfg.Clusters, m.cfg.NodesPerCluster)
+	clusters := newClusters(&m.cfg, tab)
 	errs := make([]error, m.cfg.Clusters)
 	var wg sync.WaitGroup
-	for ci := range clusters {
+	for ci, c := range clusters {
 		wg.Add(1)
-		go func(ci int) {
+		go func(ci int, c *cluster) {
 			defer wg.Done()
-			c := newCluster(ci, &m.cfg)
-			clusters[ci] = c
 			for _, id := range members[ci] {
 				node, err := kb.Node(id)
 				if err != nil {
@@ -166,7 +167,7 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 					return
 				}
 			}
-		}(ci)
+		}(ci, c)
 	}
 	wg.Wait()
 	for _, e := range errs {
@@ -177,7 +178,7 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 	// The worker pool holds references to the old cluster array; retire
 	// it so the next concurrent phase starts workers over the new one.
 	m.Close()
-	m.kb, m.assign, m.localIdx, m.clusters = kb, assign, localIdx, clusters
+	m.kb, m.assign, m.localIdx, m.tab, m.clusters = kb, assign, localIdx, tab, clusters
 	m.kbGen = kb.Generation()
 	m.dirty = allDirty()
 	return nil
@@ -198,11 +199,12 @@ func (m *Machine) Close() {
 // base, partition assignment, and local index tables, with entirely
 // fresh marker state. The preprocessing and partitioning work of LoadKB
 // is not repeated, and the cluster node/relation tables are shared
-// copy-on-write (semnet.Store.CloneTopologyShared): cloning allocates
-// only marker state, so a query-serving pool can stamp out replicas in
-// O(markers) per replica. The clone runs independently — the first
-// topology mutation on either side materializes a private table copy,
-// so nothing semantically mutable is shared.
+// copy-on-write (semnet.Table.CloneTopologyShared): cloning allocates
+// only marker state — one status slab — so a query-serving pool can
+// stamp out replicas in O(markers) per replica. The clone runs
+// independently — the first topology mutation on either side
+// materializes a private table copy, so nothing semantically mutable is
+// shared.
 func (m *Machine) Clone() (*Machine, error) {
 	if m.kb == nil {
 		return nil, ErrNoKB
@@ -219,10 +221,8 @@ func (m *Machine) Clone() (*Machine, error) {
 		ctrl:     timing.NewClock(timing.ControllerClock),
 		dirty:    allDirty(),
 	}
-	r.clusters = make([]*cluster, len(m.clusters))
-	for i, c := range m.clusters {
-		r.clusters[i] = newClusterWithStore(i, &m.cfg, c.store.CloneTopologyShared())
-	}
+	r.tab = m.tab.CloneTopologyShared()
+	r.clusters = newClusters(&m.cfg, r.tab)
 	return r, nil
 }
 
@@ -422,23 +422,13 @@ func (st *runState) conflicts(in *isa.Instruction) bool {
 // ClearMarkers clears every marker at every node (between experiments).
 // This host-level reset charges no virtual time (the per-instruction path
 // is OpClearMarker). Only planes a run could have written since the last
-// clear are touched — the masked per-plane clear that makes the reset
-// between (fused) queries proportional to the planes used, not the whole
-// 128-row slab.
+// clear are touched — one memclr per dirty plane, so the reset between
+// (fused) queries is proportional to the planes used, not the whole
+// 128-plane slab. Registers are not cleared: every kernel that sets a
+// complex marker's bit writes its registers, so a stale one is never
+// read (TestUsedReplicaMatchesFresh).
 func (m *Machine) ClearMarkers() {
-	lo, hi := m.dirty.Bits()
-	if lo == 0 && hi == 0 {
-		return
-	}
-	if lo == ^uint64(0) && hi == ^uint64(0) {
-		for _, c := range m.clusters {
-			c.store.ClearAllMarkers()
-		}
-	} else {
-		for _, c := range m.clusters {
-			c.store.ClearRows(lo, hi)
-		}
-	}
+	m.tab.ClearRows(m.dirty.Bits())
 	m.dirty = isa.MarkerSet{}
 }
 
@@ -461,13 +451,7 @@ func (m *Machine) MarkerOrigin(id semnet.NodeID, mk semnet.MarkerID) semnet.Node
 }
 
 // MarkerCount reports how many nodes array-wide have mk set.
-func (m *Machine) MarkerCount(mk semnet.MarkerID) int {
-	n := 0
-	for _, c := range m.clusters {
-		n += c.store.CountSet(mk)
-	}
-	return n
-}
+func (m *Machine) MarkerCount(mk semnet.MarkerID) int { return m.tab.CountSet(mk) }
 
 // ClusterOf reports the cluster holding global node id.
 func (m *Machine) ClusterOf(id semnet.NodeID) int { return m.assign[id] }

@@ -225,8 +225,15 @@ func TestPerfmonIntegration(t *testing.T) {
 }
 
 // Random graphs: both engines must agree on final marker state for every
-// propagation function, partition, and cluster count.
+// propagation function, partition, and cluster count — with room to
+// spare in every cluster, and in the tight window40 configuration.
 func TestEnginesAgreeOnRandomGraphs(t *testing.T) {
+	for _, tc := range windowConfigs {
+		t.Run(tc.name, func(t *testing.T) { enginesAgreeOnRandomGraphs(t, tc.tight) })
+	}
+}
+
+func enginesAgreeOnRandomGraphs(t *testing.T, tight bool) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 12; trial++ {
 		kb := semnet.NewKB()
@@ -243,19 +250,22 @@ func TestEnginesAgreeOnRandomGraphs(t *testing.T) {
 		}
 		fn := []semnet.FuncCode{semnet.FuncNop, semnet.FuncAdd, semnet.FuncMin, semnet.FuncMax}[rng.Intn(4)]
 		src := semnet.NodeID(rng.Intn(n))
-		clusters := 1 + rng.Intn(7)
+		cfg := DefaultConfig()
+		cfg.Clusters = 1 + rng.Intn(7)
+		cfg.NodesPerCluster = n + 64
+		cfg.Partition = partition.RoundRobin
+		if tight {
+			cfg = tightConfig(kb, cfg.Clusters)
+		}
 
 		type state map[semnet.NodeID]float32
 		runOne := func(det bool) state {
-			cfg := DefaultConfig()
-			cfg.Clusters = clusters
-			cfg.NodesPerCluster = n + 64
 			cfg.Deterministic = det
-			cfg.Partition = partition.RoundRobin
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer m.Close()
 			if err := m.LoadKB(kb); err != nil {
 				t.Fatal(err)
 			}
@@ -278,7 +288,7 @@ func TestEnginesAgreeOnRandomGraphs(t *testing.T) {
 		lock, conc := runOne(true), runOne(false)
 		if len(lock) != len(conc) {
 			t.Fatalf("trial %d (fn=%v, clusters=%d): reach sets differ: %d vs %d",
-				trial, fn, clusters, len(lock), len(conc))
+				trial, fn, cfg.Clusters, len(lock), len(conc))
 		}
 		for id, v := range lock {
 			if conc[id] != v {
@@ -323,5 +333,31 @@ func TestBackpressureNoDeadlock(t *testing.T) {
 	}
 	if got := m.MarkerCount(semnet.Binary(0)); got == 0 {
 		t.Fatal("nothing propagated")
+	}
+}
+
+// The visit table stamps entries with a 32-bit phase epoch. An entry
+// written in phase 1 and never touched again must not read as live when
+// the count comes round to 1 again 2^32 phases later: the wrap wipes the
+// lanes and restarts above the zero they then hold.
+func TestVisitTableEpochWrap(t *testing.T) {
+	v := visitTable{cap: 8}
+	key := packVisitKey(3, 1, 2)
+	v.reset() // phase 1
+	e := v.slot(key, 5)
+	e.epoch, e.val = v.epoch, 7
+	if v.slot(key, 5).epoch != v.epoch {
+		t.Fatal("an entry written this phase is not live")
+	}
+	v.epoch = ^uint32(0) // the last phase before the wrap
+	if v.slot(key, 5).epoch == v.epoch {
+		t.Fatal("phase 1's entry is live in the last phase")
+	}
+	v.reset()
+	if v.epoch == 0 {
+		t.Fatal("epoch 0 after the wrap: every wiped entry would read as live")
+	}
+	if e := v.slot(key, 5); e.epoch == v.epoch {
+		t.Fatalf("after the wrap the epoch is %d again and phase 1's entry (value %v) reads as live", v.epoch, e.val)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"snap1/internal/semnet"
 	"snap1/internal/timing"
 )
 
@@ -33,7 +34,7 @@ type queueModel struct {
 func newQueueModel(t testing.TB) *queueModel {
 	cfg := DefaultConfig()
 	cfg.Clusters = 1
-	c := newCluster(0, &cfg)
+	c := newClusters(&cfg, semnet.NewTable(1, cfg.NodesPerCluster))[0]
 	c.resetPhase()
 	return &queueModel{t: t, c: c}
 }

@@ -13,9 +13,9 @@ import (
 //     registers, indexed by local node number),
 //   - the marker status table (one bit per node per marker; the simulated
 //     machine processes W=32 nodes per status-word operation and all
-//     timing charges that width, while the host packs the rows into one
-//     contiguous slab of 64-bit words and sweeps two simulated words per
-//     load),
+//     timing charges that width, while the host packs the rows into
+//     64-bit words and sweeps two simulated words per load). The bits
+//     live in the machine-wide Table; the store owns one window of it,
 //   - the relation table (up to 16 outgoing links per node), stored as a
 //     CSR arena: one packed []Link slab plus per-node offset and count
 //     columns, so a node's links are a contiguous sub-slice of one
@@ -33,15 +33,15 @@ type Store struct {
 	fn     []FuncCode
 	global []NodeID // local -> global ID
 
-	// Marker status table: one backing slab holding all NumMarkers rows,
-	// each rowWords 64-bit host words long (sized by capacity, so rows
-	// never reallocate and a clone is a single allocation + memclr).
-	// status[m] is the row sub-slice; bit b of word w in row m means
-	// marker m is set at local node w*HostWordBits+b. Bits at or beyond
-	// n are always zero — every whole-row kernel masks the tail.
-	statusSlab []uint64
-	rowWords   int
-	status     [NumMarkers][]uint64
+	// Marker status table: this store is window win of tab, and
+	// status[m] is a view of its part of plane m; bit b of word w means
+	// marker m is set at local node w*HostWordBits+b. valid is the same
+	// view of the table's valid plane: the bits below n. Status bits at
+	// or beyond n are always zero.
+	tab    *Table
+	win    int
+	status [NumMarkers][]uint64
+	valid  []uint64
 
 	// Complex-marker registers, allocated on first use per marker.
 	value  [NumComplexMarkers][]float32
@@ -68,26 +68,19 @@ type Store struct {
 	sharedTopo atomic.Bool
 }
 
-// NewStore returns a store with room for capacity local nodes.
-func NewStore(capacity int) *Store {
-	s := &Store{
+// NewStore returns a store with room for capacity local nodes, alone in
+// a status table of one window.
+func NewStore(capacity int) *Store { return NewTable(1, capacity).Store(0) }
+
+// emptyStore returns an empty store not yet bound to a table window.
+func emptyStore(capacity int) *Store {
+	return &Store{
 		capacity: capacity,
 		color:    make([]Color, 0, capacity),
 		fn:       make([]FuncCode, 0, capacity),
 		global:   make([]NodeID, 0, capacity),
 		relOff:   make([]int32, 0, capacity),
 		relCnt:   make([]int32, 0, capacity),
-	}
-	s.initStatus()
-	return s
-}
-
-// initStatus allocates the status slab and carves the per-marker rows.
-func (s *Store) initStatus() {
-	s.rowWords = (s.capacity + HostWordBits - 1) / HostWordBits
-	s.statusSlab = make([]uint64, NumMarkers*s.rowWords)
-	for m := range s.status {
-		s.status[m] = s.statusSlab[m*s.rowWords : (m+1)*s.rowWords : (m+1)*s.rowWords]
 	}
 }
 
@@ -121,20 +114,28 @@ func (s *Store) CloneTopology() *Store {
 		c.relOff[i] = int32(len(c.relLinks))
 		c.relLinks = append(c.relLinks, s.relLinks[off:off+s.relCnt[i]]...)
 	}
-	c.initStatus()
+	newTable(1, c.capacity).bind(0, c)
 	return c
 }
 
 // CloneTopologyShared is CloneTopology's zero-copy fast path: the clone
 // aliases the source's node and relation tables instead of deep-copying
-// them, allocating only fresh (cleared) marker state — with the slab
-// layout, one allocation. Both stores are marked shared; the first
-// topology mutation on either side materializes a private copy first
-// (copy-on-write), so the stores stay semantically independent while the
-// common read-only case — a query-serving pool stamping out replicas of
-// one downloaded network — costs O(markers) instead of O(nodes + links)
-// per replica.
+// them, allocating only fresh (cleared) marker state. Both stores are
+// marked shared; the first topology mutation on either side materializes
+// a private copy first (copy-on-write), so the stores stay semantically
+// independent while the common read-only case — a query-serving pool
+// stamping out replicas of one downloaded network (a whole machine at a
+// time: Table.CloneTopologyShared) — costs O(markers) instead of
+// O(nodes + links) per replica.
 func (s *Store) CloneTopologyShared() *Store {
+	c := s.shareTopology()
+	newTable(1, c.capacity).bind(0, c)
+	return c
+}
+
+// shareTopology returns a store aliasing s's node and relation tables,
+// both marked shared, not yet bound to a table window.
+func (s *Store) shareTopology() *Store {
 	s.sharedTopo.Store(true)
 	c := &Store{
 		capacity: s.capacity,
@@ -148,7 +149,6 @@ func (s *Store) CloneTopologyShared() *Store {
 		relHoles: s.relHoles,
 	}
 	c.sharedTopo.Store(true)
-	c.initStatus()
 	return c
 }
 
@@ -188,6 +188,7 @@ func (s *Store) AddNode(global NodeID, color Color, fn FuncCode) (int, error) {
 	s.own()
 	local := s.n
 	s.n++
+	s.valid[local/HostWordBits] |= 1 << uint(local%HostWordBits)
 	s.color = append(s.color, color)
 	s.fn = append(s.fn, fn)
 	s.global = append(s.global, global)
@@ -348,62 +349,26 @@ func (s *Store) Origin(local int, m MarkerID) NodeID {
 	return s.origin[m][local]
 }
 
-// lastHostWordMask returns the valid-bit mask for the final host word.
-func (s *Store) lastHostWordMask() uint64 {
-	r := uint(s.n % HostWordBits)
-	if r == 0 {
-		return ^uint64(0)
-	}
-	return (1 << r) - 1
-}
-
 // And computes m3 = m1 AND m2 over the whole partition and returns the
 // number of simulated W=32 status words processed, the MU's unit of work
-// for global boolean operations (the host sweeps 64-bit words). For a
-// complex m3, fn combines the operand values at every newly-set node.
+// for global boolean operations (the host sweeps 64-bit words): Table.And
+// at this store's window.
 func (s *Store) And(m1, m2, m3 MarkerID, fn FuncCode) int {
-	r1, r2, r3 := s.status[m1], s.status[m2], s.status[m3]
-	complex3 := m3.IsComplex()
-	for w := s.hostWords() - 1; w >= 0; w-- {
-		w1, w2 := r1[w], r2[w]
-		res := w1 & w2
-		r3[w] = res
-		if res != 0 && complex3 {
-			s.combineValues(w, res, w1, w2, m1, m2, m3, fn)
-		}
-	}
+	s.tab.boolean(s.win, s.win+1, false, m1, m2, m3, fn)
 	return s.Words()
 }
 
 // Or computes m3 = m1 OR m2 over the whole partition and returns simulated
-// words processed. Values for a complex m3 are merged from whichever
-// operand is set (m1 preferred when both are).
+// words processed: Table.Or at this store's window.
 func (s *Store) Or(m1, m2, m3 MarkerID, fn FuncCode) int {
-	r1, r2, r3 := s.status[m1], s.status[m2], s.status[m3]
-	complex3 := m3.IsComplex()
-	for w := s.hostWords() - 1; w >= 0; w-- {
-		w1, w2 := r1[w], r2[w]
-		res := w1 | w2
-		r3[w] = res
-		if res != 0 && complex3 {
-			s.combineValues(w, res, w1, w2, m1, m2, m3, fn)
-		}
-	}
+	s.tab.boolean(s.win, s.win+1, true, m1, m2, m3, fn)
 	return s.Words()
 }
 
 // Not computes m2 = NOT m1 over the valid node range and returns simulated
 // words processed. Bits beyond the partition's node count remain clear.
 func (s *Store) Not(m1, m2 MarkerID) int {
-	r1, r2 := s.status[m1], s.status[m2]
-	hw := s.hostWords()
-	for w := 0; w < hw; w++ {
-		mask := ^uint64(0)
-		if w == hw-1 {
-			mask = s.lastHostWordMask()
-		}
-		r2[w] = ^r1[w] & mask
-	}
+	s.tab.not(s.win, s.win+1, m1, m2)
 	return s.Words()
 }
 
@@ -411,12 +376,12 @@ func (s *Store) Not(m1, m2 MarkerID) int {
 // where m1 is clear or where m1's value register fails pass, and cleared
 // elsewhere. It returns simulated words processed. Clear words of m1
 // complement whole; pass is consulted only for m1's set bits (with value
-// 0 for a binary or never-written m1, as Value reports).
+// 0 for a binary or never-written m1, as Value reports). As with Not,
+// the bits it sets carry a fresh machine's registers.
 func (s *Store) NotWhere(m1, m2 MarkerID, pass func(v float32) bool) int {
 	r1, r2 := s.status[m1], s.status[m2]
 	vals := s.ValueRow(m1)
-	hw := s.hostWords()
-	for w := 0; w < hw; w++ {
+	for w, valid := range s.valid[:s.hostWords()] {
 		keep := r1[w] // m1's bits whose value passes: the only bits m2 clears
 		for set, base := keep, w*HostWordBits; set != 0; set &= set - 1 {
 			b := bits.TrailingZeros64(set)
@@ -428,13 +393,20 @@ func (s *Store) NotWhere(m1, m2 MarkerID, pass func(v float32) bool) int {
 				keep &^= 1 << uint(b)
 			}
 		}
-		mask := ^uint64(0)
-		if w == hw-1 {
-			mask = s.lastHostWordMask()
-		}
-		r2[w] = ^keep & mask
+		r2[w] = ^keep & valid
 	}
+	s.zeroRegisters(m2)
 	return s.Words()
+}
+
+// zeroRegisters makes every register of complex marker m read as on a
+// fresh machine. Called by the kernels that turn m's bits on without an
+// operand register to copy, after their last read of m's registers.
+func (s *Store) zeroRegisters(m MarkerID) {
+	if m.IsComplex() && s.value[m] != nil {
+		clear(s.value[m][:s.n])
+		clear(s.origin[m][:s.n])
+	}
 }
 
 // SearchColor sets marker m at every node of the given color, writing v
@@ -450,11 +422,13 @@ func (s *Store) SearchColor(col Color, m MarkerID, v float32) {
 	}
 }
 
-// combineValues fills m3's value registers for every set bit in host word
-// w. w1 and w2 are the operands' status words sampled BEFORE m3 was
+// combineValues fills m3's registers for every set bit in host word w.
+// w1 and w2 are the operands' status words sampled BEFORE m3 was
 // written, so the guard is correct even when m3 aliases an operand. Value
 // registers of markers that were not set contribute zero: a cleared
-// marker's stale register contents must not leak into results.
+// marker's stale register contents must not leak into results. The origin
+// is the first set complex operand's, and where neither operand has one
+// to give (two binary markers) a fresh machine's.
 func (s *Store) combineValues(w int, set, w1, w2 uint64, m1, m2, m3 MarkerID, fn FuncCode) {
 	s.ensureValues(m3)
 	for set != 0 {
@@ -475,91 +449,37 @@ func (s *Store) combineValues(w int, set, w1, w2 uint64, m1, m2, m3 MarkerID, fn
 		default:
 			res = s.Value(local, m2)
 		}
+		var origin NodeID
 		switch {
 		case m1.IsComplex() && set1:
-			s.origin[m3][local] = s.Origin(local, m1)
+			origin = s.Origin(local, m1)
 		case m2.IsComplex() && set2:
-			s.origin[m3][local] = s.Origin(local, m2)
+			origin = s.Origin(local, m2)
 		}
-		s.value[m3][local] = res
+		s.value[m3][local], s.origin[m3][local] = res, origin
 	}
 }
 
 // SetAll sets marker m at every node with the given value and returns
-// simulated words processed (the SET-MARKER sweep). The status row is
-// word-filled with the tail masked; the value registers are filled with
-// a doubling memmove rather than a per-node scalar loop.
+// simulated words processed (the SET-MARKER sweep): Table.SetAll at this
+// store's window.
 func (s *Store) SetAll(m MarkerID, v float32) int {
-	row := s.status[m]
-	hw := s.hostWords()
-	for w := 0; w < hw; w++ {
-		mask := ^uint64(0)
-		if w == hw-1 {
-			mask = s.lastHostWordMask()
-		}
-		row[w] = mask
-	}
-	if m.IsComplex() {
-		s.ensureValues(m)
-		fillFloat32(s.value[m][:s.n], v)
-	}
+	s.tab.setAll(s.win, s.win+1, m, v)
 	return s.Words()
-}
-
-// fillFloat32 sets every element of dst to v by doubling copy (memmove),
-// the scalar-row analogue of the status table's word fill.
-func fillFloat32(dst []float32, v float32) {
-	if len(dst) == 0 {
-		return
-	}
-	dst[0] = v
-	for i := 1; i < len(dst); i *= 2 {
-		copy(dst[i:], dst[:i])
-	}
 }
 
 // ClearAll clears marker m everywhere and returns simulated words
 // processed.
 func (s *Store) ClearAll(m MarkerID) int {
-	clear(s.status[m][:s.hostWords()])
+	clear(s.status[m])
 	return s.Words()
 }
 
-// ClearAllMarkers clears every marker row — the host fast path behind
-// Machine.ClearMarkers (per-instruction CLEAR-MARKER timing still goes
-// through ClearAll). A well-filled store clears the whole slab in one
-// memclr; a store holding far fewer nodes than its capacity clears only
-// each row's used prefix (bits past n are zero by invariant).
-func (s *Store) ClearAllMarkers() {
-	hw := s.hostWords()
-	if hw*2 >= s.rowWords {
-		clear(s.statusSlab)
-		return
-	}
-	for m := range s.status {
-		clear(s.status[m][:hw])
-	}
-}
-
 // ClearRows clears only the marker rows named by the (lo, hi) plane
-// mask — bit i of lo selects complex marker i, bit i of hi selects
-// binary marker 64+i — and returns the number of rows cleared. This is
-// the masked analogue of ClearAllMarkers used between fused queries:
-// a fused run dirties at most its programs' write sets, so the machine
-// clears those planes instead of memclr'ing the whole 128-row slab.
+// mask and returns the number of rows cleared: Table.ClearRows at this
+// store's window.
 func (s *Store) ClearRows(lo, hi uint64) int {
-	hw := s.hostWords()
-	rows := 0
-	for w, word := range [2]uint64{lo, hi} {
-		base := w * 64
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			clear(s.status[base+b][:hw])
-			rows++
-		}
-	}
-	return rows
+	return s.tab.clearRows(s.win, s.win+1, lo, hi)
 }
 
 // FuncAll applies fn with the given operand to the value register of every
@@ -623,10 +543,4 @@ func (s *Store) ForEachSet(m MarkerID, f func(local int)) int {
 }
 
 // CountSet reports how many local nodes have m set.
-func (s *Store) CountSet(m MarkerID) int {
-	n := 0
-	for _, w := range s.status[m][:s.hostWords()] {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
+func (s *Store) CountSet(m MarkerID) int { return s.tab.countSet(s.win, s.win+1, m) }

@@ -363,7 +363,7 @@ func TestClearRowsMasked(t *testing.T) {
 			t.Fatalf("marker %d spuriously cleared", m)
 		}
 	}
-	// Full mask == ClearAllMarkers.
+	// The full mask clears every row.
 	if rows := s.ClearRows(^uint64(0), ^uint64(0)); rows != NumMarkers {
 		t.Fatalf("full ClearRows = %d rows", rows)
 	}
@@ -374,42 +374,53 @@ func TestClearRowsMasked(t *testing.T) {
 	}
 }
 
-// TestStoreKernelAllocs fences the eight store kernels the SIMD phase
-// and the frontier scan are built from at exactly zero allocations per
-// call, on a full 1024-node cluster partition: complex markers 0 and 1
-// at every third and every second node, binary 0 dense, binary 1 at
-// every 97th node, four CSR links per node.
+// TestStoreKernelAllocs fences the kernels the SIMD phase and the
+// frontier scan are built from at exactly zero allocations per call, at
+// both extents: one store of a sixteen-window table of full 1024-node
+// cluster partitions, and the whole table. Every window holds complex
+// markers 0 and 1 at every third and every second node, binary 0 dense,
+// binary 1 at every 97th node, four CSR links per node.
 func TestStoreKernelAllocs(t *testing.T) {
-	const n = 1024
-	s := newStore(t, n)
+	const windows, n = 16, 1024
+	tab := NewTable(windows, n)
 	links := make([]Link, 4)
-	for i := 0; i < n; i++ {
-		if i%3 == 0 {
-			s.Set(i, 0)
-		}
-		if i%2 == 0 {
-			s.Set(i, 1)
-		}
-		s.Set(i, Binary(0))
-		if i%97 == 0 {
-			s.Set(i, Binary(1))
-		}
-		for j := range links {
-			links[j] = Link{Rel: RelType(j), Weight: 1, To: NodeID((i + j + 1) % n)}
-		}
-		if err := s.SetLinks(i, links); err != nil {
-			t.Fatal(err)
+	for c := 0; c < windows; c++ {
+		s := tab.Store(c)
+		for i := 0; i < n; i++ {
+			if _, err := s.AddNode(NodeID(c*n+i), Color(i%7), FuncAdd); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 0 {
+				s.Set(i, 0)
+			}
+			if i%2 == 0 {
+				s.Set(i, 1)
+			}
+			s.Set(i, Binary(0))
+			if i%97 == 0 {
+				s.Set(i, Binary(1))
+			}
+			for j := range links {
+				links[j] = Link{Rel: RelType(j), Weight: 1, To: NodeID((i + j + 1) % n)}
+			}
+			if err := s.SetLinks(i, links); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	s := tab.Store(5)
 	count := 0
+	projected := make([]uint64, windows*n/HostWordBits)
 	for _, k := range []struct {
 		name string
 		op   func()
 	}{
 		{"and", func() { s.And(0, 1, 2, FuncNop) }},
 		{"or", func() { s.Or(0, 1, 2, FuncNop) }},
+		{"not", func() { s.Not(0, 2) }},
 		{"set_all", func() { s.SetAll(3, 1) }},
 		{"clear_all", func() { s.ClearAll(3) }},
+		{"clear_rows", func() { s.ClearRows(1<<3, 1<<9) }},
 		{"foreach_set/sparse", func() { s.ForEachSet(Binary(1), func(local int) { count += local }) }},
 		{"foreach_set/dense", func() { s.ForEachSet(Binary(0), func(local int) { count += local }) }},
 		{"count_set", func() { count += s.CountSet(0) }},
@@ -420,6 +431,15 @@ func TestStoreKernelAllocs(t *testing.T) {
 				}
 			}
 		}},
+		{"table/and", func() { tab.And(0, 1, 2, FuncNop) }},
+		{"table/and/binary", func() { tab.And(Binary(0), Binary(1), Binary(2), FuncNop) }},
+		{"table/or", func() { tab.Or(0, 1, 2, FuncNop) }},
+		{"table/not", func() { tab.Not(0, 2) }},
+		{"table/set_all", func() { tab.SetAll(3, 1) }},
+		{"table/clear_all", func() { tab.ClearAll(3) }},
+		{"table/clear_rows", func() { tab.ClearRows(1<<3, 1<<9) }},
+		{"table/count_set", func() { count += tab.CountSet(0) }},
+		{"table/project", func() { count += tab.Project(Binary(1), projected) }},
 	} {
 		if a := testing.AllocsPerRun(100, k.op); a != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", k.name, a)

@@ -257,27 +257,6 @@ func benchPhaseRun(b *testing.B, det bool, kb *semnet.KB, p *isa.Program) {
 	}
 }
 
-// BenchmarkStoreBooleanSweep measures one AND-MARKER sweep over a full
-// 1024-node cluster partition.
-func BenchmarkStoreBooleanSweep(b *testing.B) {
-	s := semnet.NewStore(1024)
-	for i := 0; i < 1024; i++ {
-		if _, err := s.AddNode(semnet.NodeID(i), 0, semnet.FuncNop); err != nil {
-			b.Fatal(err)
-		}
-		if i%3 == 0 {
-			s.Set(i, 0)
-		}
-		if i%2 == 0 {
-			s.Set(i, 1)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.And(0, 1, 2, semnet.FuncNop)
-	}
-}
-
 // BenchmarkSIMDPhase measures what one broadcast data-parallel
 // instruction costs the host on the sim-parse machine (PaperConfig,
 // lockstep, the 12K-node network): the sweep of the machine-wide status
@@ -285,8 +264,6 @@ func BenchmarkStoreBooleanSweep(b *testing.B) {
 // instructions of one kind cycling over 48 sparse operand markers and 16
 // destinations, so the planes it touches are as cold as the parser's,
 // not one line kept hot; ns/instr is the run divided by its length.
-// BenchmarkStoreBooleanSweep beside it keeps measuring the one-window
-// kernel alone.
 func BenchmarkSIMDPhase(b *testing.B) {
 	g, err := kbgen.Generate(kbgen.Params{Nodes: 12000, Seed: 42, WithDomain: true})
 	if err != nil {
@@ -294,8 +271,7 @@ func BenchmarkSIMDPhase(b *testing.B) {
 	}
 	g.KB.Preprocess()
 	nodes := g.KB.NumNodes()
-	m, err := machine.New(machine.ApplyOptions(machine.PaperConfig(),
-		machine.WithDeterministic(true), machine.WithCapacityFor(nodes)))
+	m, err := machine.New(machine.ApplyOptions(machine.PaperConfig(), machine.WithCapacityFor(nodes)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -351,7 +327,6 @@ func BenchmarkSentenceParse(b *testing.B) {
 	}
 	g.KB.Preprocess()
 	cfg := machine.PaperConfig()
-	cfg.Deterministic = true
 	m, err := machine.New(cfg)
 	if err != nil {
 		b.Fatal(err)

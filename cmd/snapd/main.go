@@ -130,7 +130,6 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 			machine.WithMarkerUnits(2, 0),
 			machine.WithPartition(*part),
 			machine.WithPlacement(*place),
-			machine.WithDeterministic(true),
 		),
 	}
 	if *monCap > 0 {

@@ -43,7 +43,6 @@ func runSample(t *testing.T, kb *semnet.KB, prog *isa.Program, clusters int) (*m
 	cfg := machine.DefaultConfig()
 	cfg.Clusters = clusters
 	cfg.NodesPerCluster = 16
-	cfg.Deterministic = true
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func smallKB(t *testing.T) (*snap1.KB, snap1.NodeID, snap1.RelType) {
 
 // TestErrKBNotLoaded asserts Run before LoadKB returns the sentinel.
 func TestErrKBNotLoaded(t *testing.T) {
-	m, err := snap1.New(snap1.PaperConfig())
+	m, err := snap1.New(snap1.PaperConfig(), snap1.WithDeterministic(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestErrNodeCapacity(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		kb.MustAddNode("n"+strings.Repeat("x", i+1), class)
 	}
-	m, err := snap1.New(snap1.WithClusters(2), snap1.WithNodesPerCluster(4))
+	m, err := snap1.New(snap1.WithClusters(2), snap1.WithNodesPerCluster(4), snap1.WithDeterministic(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestErrNodeCapacity(t *testing.T) {
 // the bad-program sentinel.
 func TestErrBadProgram(t *testing.T) {
 	kb, dog, _ := smallKB(t)
-	m, err := snap1.New(snap1.PaperConfig())
+	m, err := snap1.New(snap1.PaperConfig(), snap1.WithDeterministic(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,6 @@ func TestFunctionalOptions(t *testing.T) {
 		snap1.WithClusters(8),
 		snap1.WithMarkerUnits(2, 4),
 		snap1.WithPartition("round-robin"),
-		snap1.WithDeterministic(true),
 		snap1.WithCapacityFor(10000),
 	)
 	if err != nil {
@@ -106,18 +105,18 @@ func TestFunctionalOptions(t *testing.T) {
 		t.Errorf("options not applied: %+v", cfg)
 	}
 	if !cfg.Deterministic {
-		t.Error("WithDeterministic not applied")
+		t.Error("the default engine is not lockstep")
 	}
 	if cfg.NodesPerCluster != 1250 {
 		t.Errorf("WithCapacityFor: NodesPerCluster = %d, want 1250", cfg.NodesPerCluster)
 	}
 
 	// The struct form still works, including as a base for refinement.
-	m2, err := snap1.New(snap1.PaperConfig(), snap1.WithDeterministic(true))
+	m2, err := snap1.New(snap1.PaperConfig(), snap1.WithDeterministic(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.Config(); got.Clusters != 16 || !got.Deterministic {
+	if got := m2.Config(); got.Clusters != 16 || got.Deterministic {
 		t.Errorf("struct+option composition broken: %+v", got)
 	}
 

@@ -29,7 +29,6 @@ func main() {
 	}
 	g.KB.Preprocess()
 	m, err := machine.NewFromOptions(machine.PaperConfig(),
-		machine.WithDeterministic(true),
 		machine.WithCapacityFor(g.KB.NumNodes()))
 	if err != nil {
 		log.Fatal(err)

@@ -33,7 +33,6 @@ func main() {
 		}
 		g.KB.Preprocess()
 		m, err := machine.NewFromOptions(machine.PaperConfig(),
-			machine.WithDeterministic(true),
 			machine.WithCapacityFor(g.KB.NumNodes()))
 		if err != nil {
 			log.Fatal(err)
@@ -82,7 +81,7 @@ func exceptionsDemo() {
 			kb.MustAddLink(ids[n.parent], down, 1, ids[n.name])
 		}
 	}
-	m, err := machine.NewFromOptions(machine.PaperConfig(), machine.WithDeterministic(true))
+	m, err := machine.NewFromOptions(machine.PaperConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,7 +43,6 @@ func main() {
 
 	m, err := machine.NewFromOptions(machine.PaperConfig(),
 		machine.WithClusters(*clusters),
-		machine.WithDeterministic(true),
 		machine.WithCapacityFor(g.KB.NumNodes()))
 	if err != nil {
 		log.Fatal(err)

@@ -31,8 +31,8 @@ func main() {
 
 	// 2. Construct the machine (the paper's 16-cluster, 72-PE
 	// evaluation configuration) and download the network into the array.
-	// Deterministic mode gives exactly reproducible virtual times.
-	m, err := snap1.New(snap1.PaperConfig(), snap1.WithDeterministic(true))
+	// The default lockstep engine gives exactly reproducible virtual times.
+	m, err := snap1.New(snap1.PaperConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -110,6 +110,5 @@ func SequentialConfig(capacity int) machine.Config {
 	if capacity > cfg.NodesPerCluster {
 		cfg.NodesPerCluster = capacity
 	}
-	cfg.Deterministic = true
 	return cfg
 }

@@ -710,7 +710,8 @@ func (e *Engine) execute(ctx context.Context, prog *isa.Program, opt *isa.Optimi
 	case r := <-req.resp:
 		return r.res, r.err
 	case <-ctx.Done():
-		e.st.add(&e.st.Canceled, 1)
+		// The request stays queued or running; the replica that takes
+		// it off the queue counts it, once.
 		return nil, ctx.Err()
 	case <-e.done:
 		return nil, ErrClosed
@@ -976,11 +977,10 @@ func (e *Engine) runGroup(rank int, m *machine.Machine, group []*request) {
 	}
 }
 
-// emit forwards an engine-level event to the monitor, if attached, and
-// counts it for Stats. pe -1 means "not yet on a replica"; now is the
-// query's virtual time where one exists, else 0.
+// emit forwards an engine-level event to the monitor, if attached. pe
+// -1 means "not yet on a replica"; now is the query's virtual time where
+// one exists, else 0.
 func (e *Engine) emit(pe int, code perfmon.EventCode, status uint32, now timing.Time) {
-	e.st.event(code)
 	if e.mon != nil {
 		e.mon.Emit(pe, code, status, now)
 	}

@@ -294,6 +294,114 @@ func TestQueuedCancellation(t *testing.T) {
 	}
 }
 
+// TestStatsAccountEveryRequestOnce: every admitted request ends in
+// exactly one outcome counter, whoever stopped waiting for it first. One
+// replica (or the writer) is held busy by a long run; behind it queue a
+// request whose caller gives up while it waits, a second long run that is
+// cancelled once it is executing, and a plain one. At quiescence the four
+// admitted requests are one Canceled (taken off the queue with its caller
+// gone), two failed (cancelled mid-run) and one completed.
+func TestStatsAccountEveryRequestOnce(t *testing.T) {
+	fx := newTieFixture()
+	for _, tc := range []struct {
+		name   string
+		opts   []Option
+		submit func(e *Engine, ctx context.Context, p *isa.Program) error
+		queued func(e *Engine) int  // admitted, not yet taken off the queue
+		busy   func(e *Engine) bool // a run is executing
+		// The admitted requests and the two run outcomes.
+		counts func(st Stats) (admitted, ok, failed uint64)
+	}{
+		{
+			name: "query",
+			opts: []Option{WithMaxBatch(1)},
+			submit: func(e *Engine, ctx context.Context, p *isa.Program) error {
+				_, err := e.Submit(ctx, p)
+				return err
+			},
+			queued: func(e *Engine) int { return e.Stats().QueueDepth },
+			busy:   func(e *Engine) bool { return e.Stats().IdleReplicas == 0 },
+			counts: func(st Stats) (uint64, uint64, uint64) { return st.Submitted, st.Completed, st.Failed },
+		},
+		{
+			// The path behind /v1/mutate. Writes have no submitted
+			// counter: the test admits four.
+			name: "mutate",
+			opts: []Option{WithWrites(true)},
+			submit: func(e *Engine, ctx context.Context, p *isa.Program) error {
+				_, err := e.SubmitWrite(ctx, p)
+				return err
+			},
+			queued: func(e *Engine) int { return len(e.writeQ) },
+			busy: func(e *Engine) bool {
+				// The writer holds writeMu for as long as it runs.
+				if e.writeMu.TryLock() {
+					e.writeMu.Unlock()
+					return false
+				}
+				return true
+			},
+			counts: func(st Stats) (uint64, uint64, uint64) { return 4, st.Writes, st.WriteFailures },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := New(fx.kb, append([]Option{WithReplicas(1)}, tc.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeWithin(t, e, 10*time.Second)
+			submit := func(p *isa.Program) (chan error, context.CancelFunc) {
+				ctx, cancel := context.WithCancel(context.Background())
+				ch := make(chan error, 1)
+				go func() { ch <- tc.submit(e, ctx, p) }()
+				return ch, cancel
+			}
+			wantCanceled := func(what string, ch chan error) {
+				t.Helper()
+				if err := <-ch; !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s returned %v, want context.Canceled", what, err)
+				}
+			}
+
+			holder, cancelHolder := submit(fx.blocker(0))
+			defer cancelHolder()
+			waitFor(t, "holder running", func() bool { return tc.busy(e) && tc.queued(e) == 0 })
+			waiting, cancelWaiting := submit(fx.plain(1))
+			waitFor(t, "second request queued", func() bool { return tc.queued(e) == 1 })
+			cancelWaiting()
+			wantCanceled("the request abandoned in the queue", waiting)
+			midRun, cancelMidRun := submit(fx.blocker(1))
+			defer cancelMidRun()
+			waitFor(t, "third request queued", func() bool { return tc.queued(e) == 2 })
+			last, cancelLast := submit(fx.plain(2))
+			defer cancelLast()
+			waitFor(t, "fourth request queued", func() bool { return tc.queued(e) == 3 })
+
+			cancelHolder()
+			wantCanceled("the holder, cancelled mid-run", holder)
+			// The abandoned request is counted when it is popped; the
+			// long run behind it starts within microseconds of that.
+			waitFor(t, "abandoned request popped", func() bool { return e.Stats().Canceled >= 1 && tc.busy(e) })
+			time.Sleep(5 * time.Millisecond)
+			cancelMidRun()
+			wantCanceled("the third request, cancelled mid-run", midRun)
+			if err := <-last; err != nil {
+				t.Fatalf("the last request: %v", err)
+			}
+			waitFor(t, "quiescence", func() bool { return !tc.busy(e) && tc.queued(e) == 0 })
+
+			st := e.Stats()
+			admitted, ok, failed := tc.counts(st)
+			if admitted != ok+failed+st.Canceled {
+				t.Errorf("admitted %d != completed %d + failed %d + canceled %d", admitted, ok, failed, st.Canceled)
+			}
+			if admitted != 4 || ok != 1 || failed != 2 || st.Canceled != 1 {
+				t.Errorf("admitted %d, completed %d, failed %d, canceled %d; want 4, 1, 2, 1", admitted, ok, failed, st.Canceled)
+			}
+		})
+	}
+}
+
 // TestMutatingProgramRejected requires topology-mutating queries to be
 // refused with the bad-program sentinel.
 func TestMutatingProgramRejected(t *testing.T) {
@@ -370,16 +478,18 @@ func TestSubmitAfterClose(t *testing.T) {
 
 // TestEngineServesLockstep: the replica configuration cannot select the
 // machine package's goroutine-per-cluster reference engine. Asked for it
-// by option, or handed a whole machine.Config that leaves Deterministic
+// by option, or handed a whole machine.Config with Deterministic turned
 // off, the engine still builds lockstep replicas and a lockstep writer —
 // so a repeat is a result-cache hit and the reported time is the
 // sequential lockstep machine's.
 func TestEngineServesLockstep(t *testing.T) {
 	g := fig15KB(t, 400)
 	src := inheritanceQuery(g, queryConcepts(g, 1)[0])
+	reference := machine.PaperConfig()
+	reference.Deterministic = false
 	for name, opt := range map[string]machine.Option{
 		"WithDeterministic(false)": machine.WithDeterministic(false),
-		"PaperConfig wholesale":    machine.PaperConfig(),
+		"PaperConfig wholesale":    reference,
 	} {
 		t.Run(name, func(t *testing.T) {
 			e, err := New(g.KB, WithReplicas(2), WithWrites(true), WithMachineOptions(opt))

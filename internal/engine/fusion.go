@@ -125,8 +125,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 		case r := <-reqs[j].resp:
 			results[i], errs[i] = r.res, r.err
 		case <-ctx.Done():
-			e.st.add(&e.st.Canceled, 1)
-			errs[i] = ctx.Err()
+			errs[i] = ctx.Err() // counted by the replica that pops it
 		case <-e.done:
 			errs[i] = ErrClosed
 		}

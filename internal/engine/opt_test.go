@@ -38,7 +38,6 @@ func redundantChainQuery(w *kbgen.Workload, variant int) *isa.Program {
 func newOptTestEngine(t *testing.T, w *kbgen.Workload, level int, extra ...Option) *Engine {
 	t.Helper()
 	cfg := machine.PaperConfig()
-	cfg.Deterministic = true
 	opts := append([]Option{
 		WithReplicas(1), WithMachineOptions(cfg), WithFusion(1),
 		WithOptLevel(level),
@@ -149,7 +148,6 @@ func TestEngineOptCachedPerHash(t *testing.T) {
 func TestEngineOptFusedRemap(t *testing.T) {
 	w := kbgen.Chains(1, 16, 6, 1)
 	cfg := machine.PaperConfig()
-	cfg.Deterministic = true
 	e, err := New(w.KB, WithReplicas(1), WithMachineOptions(cfg),
 		WithOptLevel(isa.OptFull), WithResultCache(0))
 	if err != nil {

@@ -22,7 +22,6 @@ func faultTestMachine() machine.Config {
 	mc.Clusters = 4
 	mc.ExtraMUClusters = 2
 	mc.NodesPerCluster = 64
-	mc.Deterministic = true
 	mc.Partition = partition.RoundRobin
 	return mc
 }

@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"snap1/internal/perfmon"
 )
 
 // histBuckets is the per-stage latency histogram resolution: bucket i
@@ -63,6 +61,17 @@ type Stats struct {
 	QueueDepth   int `json:"queue_depth"`
 	InFlight     int `json:"in_flight"`
 
+	// Submitted counts requests admitted to a replica's queue (a retry
+	// is a new request). Each ends in exactly one of Completed, Failed —
+	// its run returned an error, a context that ended mid-run included —
+	// or Canceled — its caller had gone when a replica took it off the
+	// queue. The replica counts it, whichever side stopped waiting first,
+	// so at quiescence Submitted == Completed + Failed + Canceled. An
+	// admitted write ends the same way in Writes, WriteFailures or
+	// Canceled. Canceled also counts a caller that left before anything
+	// was admitted for it: one waiting on an identical in-flight query,
+	// or a write whose context had ended before it was queued. Rejected
+	// and shed (Overloaded) submissions were never admitted.
 	Submitted uint64 `json:"submitted"`
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed"`
@@ -157,24 +166,19 @@ type Stats struct {
 	QueueWait LatencyHist `json:"queue_latency"`
 	Run       LatencyHist `json:"run_latency"`
 	Write     LatencyHist `json:"write_latency"`
-
-	// Events counts engine-level monitoring events by name.
-	Events map[string]uint64 `json:"events,omitempty"`
 }
 
 // stats is the engine's mutable counter set: a Stats value whose counters
 // accumulate in place, plus what a snapshot has to derive — the live
-// histograms behind the four LatencyHist fields and the event counts
-// behind Events, keyed by code so the hot path formats no names. The
-// gauges (IdleReplicas, QueueDepth, InFlight, ResultCacheSize,
-// HealthyReplicas, Degraded, KBGeneration) are Engine.Stats's to fill.
+// histograms behind the four LatencyHist fields. The gauges
+// (IdleReplicas, QueueDepth, InFlight, ResultCacheSize, HealthyReplicas,
+// Degraded, KBGeneration) are Engine.Stats's to fill.
 // One mutex guards it all: every critical section is a handful of
 // integer updates, invisible next to a query's execution time.
 type stats struct {
 	mu sync.Mutex
 	Stats
 	compileH, queueH, runH, writeH hist
-	events                         map[perfmon.EventCode]uint64
 }
 
 // add bumps one counter of the set, named by address (&s.Rejected).
@@ -292,15 +296,6 @@ func (s *stats) deltaApplied(n int) {
 	s.mu.Unlock()
 }
 
-func (s *stats) event(code perfmon.EventCode) {
-	s.mu.Lock()
-	if s.events == nil {
-		s.events = make(map[perfmon.EventCode]uint64)
-	}
-	s.events[code]++
-	s.mu.Unlock()
-}
-
 // snapshot copies the counters and derives the histogram and map fields;
 // the caller fills the gauges.
 func (s *stats) snapshot() Stats {
@@ -312,11 +307,5 @@ func (s *stats) snapshot() Stats {
 	out.Run = s.runH.snapshot()
 	out.Write = s.writeH.snapshot()
 	out.FusionRejects = maps.Clone(s.FusionRejects)
-	if len(s.events) > 0 {
-		out.Events = make(map[string]uint64, len(s.events))
-		for code, n := range s.events {
-			out.Events[code.String()] = n
-		}
-	}
 	return out
 }

@@ -99,8 +99,8 @@ func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.R
 	case r := <-req.resp:
 		return r.res, r.err
 	case <-ctx.Done():
-		// The write may still commit; the caller only loses the ack.
-		e.st.add(&e.st.Canceled, 1)
+		// The write may still commit; the caller only loses the ack,
+		// and the writer counts the request when it pops it.
 		return nil, ctx.Err()
 	case <-e.done:
 		return nil, ErrClosed

@@ -4,8 +4,8 @@
 // structured rows plus a text rendering; cmd/figures and the repository's
 // benchmarks are thin wrappers over these functions.
 //
-// All experiments run the deterministic lockstep engine so regenerated
-// numbers are exactly reproducible.
+// All experiments run the deterministic lockstep engine (the machine's
+// default) so regenerated numbers are exactly reproducible.
 package experiments
 
 import (
@@ -15,6 +15,7 @@ import (
 	"snap1/internal/kbgen"
 	"snap1/internal/machine"
 	"snap1/internal/nlu"
+	"snap1/internal/semnet"
 	"snap1/internal/trace"
 )
 
@@ -29,22 +30,26 @@ func nluSetup(nodes, clusters int, base machine.Config) (*machine.Machine, *kbge
 	if err != nil {
 		return nil, nil, err
 	}
-	g.KB.Preprocess()
-	cfg := base
-	cfg.Clusters = clusters
-	cfg.Deterministic = true
-	need := (g.KB.NumNodes() + clusters - 1) / clusters
-	if need > cfg.NodesPerCluster {
-		cfg.NodesPerCluster = need
-	}
-	m, err := machine.New(cfg)
+	base.Clusters = clusters
+	m, err := loadMachine(base, g.KB)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := m.LoadKB(g.KB); err != nil {
-		return nil, nil, err
-	}
 	return m, g, nil
+}
+
+// loadMachine preprocesses kb, grows cfg's per-cluster capacity until the
+// network fits its cluster count, and returns a machine with it loaded.
+func loadMachine(cfg machine.Config, kb *semnet.KB) (*machine.Machine, error) {
+	kb.Preprocess()
+	m, err := machine.New(machine.ApplyOptions(cfg, machine.WithCapacityFor(kb.NumNodes())))
+	if err != nil {
+		return nil, err
+	}
+	if err := m.LoadKB(kb); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // newParser binds the memory-based parser to a loaded machine.

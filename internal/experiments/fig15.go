@@ -48,17 +48,8 @@ func Fig15(sizes []int) (*Fig15Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		g.KB.Preprocess()
-		cfg := machine.PaperConfig()
-		cfg.Deterministic = true
-		if need := (g.KB.NumNodes() + cfg.Clusters - 1) / cfg.Clusters; need > cfg.NodesPerCluster {
-			cfg.NodesPerCluster = need
-		}
-		m, err := machine.New(cfg)
+		m, err := loadMachine(machine.PaperConfig(), g.KB)
 		if err != nil {
-			return nil, err
-		}
-		if err := m.LoadKB(g.KB); err != nil {
 			return nil, err
 		}
 		snap, err := inherit.Inheritance(m, g)

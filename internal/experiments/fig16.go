@@ -61,7 +61,6 @@ func Fig16() (*Fig16Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.KB.Preprocess()
 	out := &Fig16Result{Depth: depth}
 	base := make(map[int]timing.Time)
 
@@ -70,7 +69,6 @@ func Fig16() (*Fig16Result, error) {
 		cfg.Clusters = fc.clusters
 		cfg.MUsPerCluster = fc.mus
 		cfg.ExtraMUClusters = fc.extra
-		cfg.Deterministic = true
 		cfg.Partition = partition.Semantic
 		row := Fig16Row{
 			PEs:      cfg.PEs(),
@@ -96,14 +94,8 @@ func Fig16() (*Fig16Result, error) {
 // alphaRun times one PROPAGATE activating the first levelIdx+1 nested
 // seed-color sets (alpha chain sources in total).
 func alphaRun(cfg machine.Config, w *kbgen.Workload, levelIdx, alpha, depth int) (timing.Time, error) {
-	if need := (w.KB.NumNodes() + cfg.Clusters - 1) / cfg.Clusters; need > cfg.NodesPerCluster {
-		cfg.NodesPerCluster = need
-	}
-	m, err := machine.New(cfg)
+	m, err := loadMachine(cfg, w.KB)
 	if err != nil {
-		return 0, err
-	}
-	if err := m.LoadKB(w.KB); err != nil {
 		return 0, err
 	}
 	p := isa.NewProgram()

@@ -36,7 +36,6 @@ func Fig17() (*Fig17Result, error) {
 	const alpha, depth = 32, 10
 	maxBeta := Fig17Betas[len(Fig17Betas)-1]
 	w := kbgen.Chains(maxBeta, alpha, depth, kbSeed)
-	w.KB.Preprocess()
 
 	out := &Fig17Result{}
 	for _, beta := range Fig17Betas {
@@ -65,16 +64,9 @@ func Fig17() (*Fig17Result, error) {
 // exactly when the overlapped statements exhaust the marker-unit pool.
 func betaRun(w *kbgen.Workload, beta, maxBeta int, serialize bool) (timing.Time, error) {
 	cfg := machine.PaperConfig()
-	cfg.Deterministic = true
 	cfg.Partition = partition.Semantic
-	if need := (w.KB.NumNodes() + cfg.Clusters - 1) / cfg.Clusters; need > cfg.NodesPerCluster {
-		cfg.NodesPerCluster = need
-	}
-	m, err := machine.New(cfg)
+	m, err := loadMachine(cfg, w.KB)
 	if err != nil {
-		return 0, err
-	}
-	if err := m.LoadKB(w.KB); err != nil {
 		return 0, err
 	}
 	group := func(i int) int { return i * maxBeta / beta }

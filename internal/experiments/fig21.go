@@ -41,22 +41,14 @@ func Fig21(clusterCounts []int) (*Fig21Result, error) {
 	// the cluster count and chain hops genuinely cross clusters.
 	const alpha, depth = 131, 8
 	w := kbgen.Chains(1, alpha, depth, kbSeed)
-	w.KB.Preprocess()
 
 	out := &Fig21Result{}
 	for _, c := range clusterCounts {
 		cfg := machine.DefaultConfig()
 		cfg.Clusters = c
-		cfg.Deterministic = true
 		cfg.Partition = partition.RoundRobin
-		if need := (w.KB.NumNodes() + c - 1) / c; need > cfg.NodesPerCluster {
-			cfg.NodesPerCluster = need
-		}
-		m, err := machine.New(cfg)
+		m, err := loadMachine(cfg, w.KB)
 		if err != nil {
-			return nil, err
-		}
-		if err := m.LoadKB(w.KB); err != nil {
 			return nil, err
 		}
 		p := isa.NewProgram()

@@ -63,20 +63,12 @@ func Scale(points []ScalePoint) (*ScaleResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		g.KB.Preprocess()
 		cfg := machine.DefaultConfig()
 		cfg.Clusters = pt.Clusters
 		cfg.NodesPerCluster = pt.NodesPerCluster
 		cfg.ExtraMUClusters = pt.Clusters / 2
-		cfg.Deterministic = true
-		if need := (g.KB.NumNodes() + pt.Clusters - 1) / pt.Clusters; need > cfg.NodesPerCluster {
-			cfg.NodesPerCluster = need
-		}
-		m, err := machine.New(cfg)
+		m, err := loadMachine(cfg, g.KB)
 		if err != nil {
-			return nil, err
-		}
-		if err := m.LoadKB(g.KB); err != nil {
 			return nil, err
 		}
 

@@ -37,7 +37,6 @@ func birdKB(t *testing.T) (*machine.Machine, *kbgen.Generated, map[string]semnet
 	add("magic-penguin", "penguin")
 
 	cfg := machine.PaperConfig()
-	cfg.Deterministic = true
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ func loaded(t *testing.T, nodes int) (*machine.Machine, *kbgen.Generated) {
 	g := kbgen.MustGenerate(kbgen.Params{Nodes: nodes, Seed: 2})
 	g.KB.Preprocess()
 	cfg := machine.PaperConfig()
-	cfg.Deterministic = true
 	if need := (g.KB.NumNodes() + cfg.Clusters - 1) / cfg.Clusters; need > cfg.NodesPerCluster {
 		cfg.NodesPerCluster = need
 	}
@@ -68,7 +67,6 @@ func TestClassificationIntersection(t *testing.T) {
 	kb.MustAddLink(a, down, 1, onlyA)
 
 	cfg := machine.PaperConfig()
-	cfg.Deterministic = true
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -200,20 +200,41 @@ func (p *Program) WriteSet() MarkerSet {
 	return s
 }
 
-// OverlapDegrees computes, for each instruction in the program, how many
-// immediately preceding instructions it can overlap with — the measured
-// β value per issue point. The returned slice aligns with p.Instrs.
-func OverlapDegrees(p *Program) []int {
-	degs := make([]int, len(p.Instrs))
-	for i := range p.Instrs {
-		d := 0
-		for j := i - 1; j >= 0; j-- {
-			if !Independent(&p.Instrs[i], &p.Instrs[j]) {
-				break
-			}
-			d++
-		}
-		degs[i] = d
-	}
-	return degs
+// DefaultWindowDepth is the PU's circular instruction queue depth: "up to
+// 64 instructions can be overlapped".
+const DefaultWindowDepth = 64
+
+// Window is the PU's overlap window: the marker planes the pending
+// PROPAGATEs read and write, and how many of them there are. Only
+// PROPAGATEs enter it; an instruction that conflicts with it, a
+// serializing instruction or a full queue flushes it. The machine's
+// dispatch loop and the optimizer's replay of it both decide with this
+// one rule. The zero Window is empty.
+type Window struct {
+	n             int
+	reads, writes MarkerSet
 }
+
+// Len reports how many instructions are pending.
+func (w *Window) Len() int { return w.n }
+
+// Conflicts reports whether in has a marker data dependency with a
+// pending instruction.
+func (w *Window) Conflicts(in *Instruction) bool {
+	if w.n == 0 {
+		return false
+	}
+	wr := in.Writes()
+	return wr.Intersects(w.reads) || wr.Intersects(w.writes) ||
+		in.Reads().Intersects(w.writes)
+}
+
+// Push adds in to the pending instructions.
+func (w *Window) Push(in *Instruction) {
+	w.n++
+	w.reads = w.reads.Union(in.Reads())
+	w.writes = w.writes.Union(in.Writes())
+}
+
+// Reset empties the window: a flush.
+func (w *Window) Reset() { *w = Window{} }

@@ -171,42 +171,39 @@ func TestSerializingSet(t *testing.T) {
 	}
 }
 
-func TestOverlapDegrees(t *testing.T) {
-	p := NewProgram()
+// The overlap window over a stream: independent PROPAGATEs share one, a
+// PROPAGATE that reads a pending one's destination flushes it, and a
+// serializing instruction drains it, so overlap never reaches across.
+func TestWindowFormation(t *testing.T) {
 	spec := rules.Path(1)
-	p.Propagate(1, 2, spec, semnet.FuncNop)   // deg 0
-	p.Propagate(3, 4, spec, semnet.FuncNop)   // deg 1 (independent of #0)
-	p.Propagate(5, 6, spec, semnet.FuncNop)   // deg 2
-	p.Propagate(2, 7, spec, semnet.FuncNop)   // reads #0's output: overlaps #2,#1 only
-	p.Propagate(10, 11, spec, semnet.FuncNop) // independent of all four
-	degs := OverlapDegrees(p)
-	want := []int{0, 1, 2, 2, 4}
+	p := NewProgram()
+	p.Propagate(1, 2, spec, semnet.FuncNop)   // window 0
+	p.Propagate(3, 4, spec, semnet.FuncNop)   // independent of #0: joins it
+	p.Propagate(2, 7, spec, semnet.FuncNop)   // reads #0's output: window 1
+	p.Propagate(10, 11, spec, semnet.FuncNop) // joins window 1
+	p.CollectNode(70)                         // serializing: drains, joins none
+	p.Propagate(5, 6, spec, semnet.FuncNop)   // window 2
+	p.Barrier()                               // COMM-END: drains
+	p.Propagate(12, 13, spec, semnet.FuncNop) // window 3
+	got, want := propBatches(p.Instrs), []int{0, 0, 1, 1, -1, 2, -1, 3}
 	for i := range want {
-		if degs[i] != want[i] {
-			t.Fatalf("degs = %v, want %v", degs, want)
+		if got[i] != want[i] {
+			t.Fatalf("windows = %v, want %v", got, want)
 		}
 	}
-}
 
-// A serializing instruction contributes degree zero itself AND caps the
-// lookback of everything after it: the window drains at the boundary,
-// so overlap never reaches across.
-func TestOverlapDegreesSerializingBoundary(t *testing.T) {
-	spec := rules.Path(1)
-	p := NewProgram()
-	p.Propagate(1, 2, spec, semnet.FuncNop)   // deg 0
-	p.Propagate(3, 4, spec, semnet.FuncNop)   // deg 1
-	p.CollectNode(70)                         // serializing: deg 0
-	p.Propagate(5, 6, spec, semnet.FuncNop)   // deg 0: blocked by the collect
-	p.Propagate(7, 8, spec, semnet.FuncNop)   // deg 1: window restarts after it
-	p.Barrier()                               // COMM-END: deg 0
-	p.Propagate(10, 11, spec, semnet.FuncNop) // deg 0 again
-	degs := OverlapDegrees(p)
-	want := []int{0, 1, 0, 0, 1, 0, 0}
-	for i := range want {
-		if degs[i] != want[i] {
-			t.Fatalf("degs = %v, want %v", degs, want)
-		}
+	var w Window
+	in := &p.Instrs[2]
+	if w.Conflicts(in) {
+		t.Error("an empty window conflicts with nothing")
+	}
+	w.Push(&p.Instrs[0])
+	if !w.Conflicts(in) || w.Conflicts(&p.Instrs[1]) || w.Len() != 1 {
+		t.Error("a window of #0 conflicts with its reader #2 and not with #1")
+	}
+	w.Reset()
+	if w.Conflicts(in) || w.Len() != 0 {
+		t.Error("Reset left the window pending")
 	}
 }
 

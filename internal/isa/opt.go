@@ -955,46 +955,32 @@ func regionWindows(run []wInstr) int {
 // ---------------------------------------------------------------------
 // The no-worse guard.
 
-// guardQueueCap mirrors the PU's default circular instruction queue
-// depth (Config.InstrQueueCap); the guard assumes it when replaying
-// window formation.
-const guardQueueCap = 64
-
 // propBatches replays the PU's greedy overlap-window formation over a
-// stream and returns each instruction's window ordinal (-1 for
-// instructions that never join the PROPAGATE batch). This mirrors the
-// machine's dispatch loop exactly: only PROPAGATEs enter the window; a
-// conflicting or serializing instruction — or a full queue — flushes it.
+// stream, at the default queue depth, and returns each instruction's
+// window ordinal (-1 for instructions that never join the PROPAGATE
+// batch): the machine's dispatch loop over the same Window.
 func propBatches(instrs []Instruction) []int {
 	out := make([]int, len(instrs))
-	batch, n := 0, 0
-	var bR, bW MarkerSet
+	batch := 0
+	var win Window
 	flush := func() {
-		if n > 0 {
+		if win.Len() > 0 {
 			batch++
-			n = 0
-			bR, bW = MarkerSet{}, MarkerSet{}
+			win.Reset()
 		}
 	}
 	for i := range instrs {
 		in := &instrs[i]
 		out[i] = -1
-		conf := false
-		if n > 0 {
-			w := in.Writes()
-			conf = w.Intersects(bR) || w.Intersects(bW) || in.Reads().Intersects(bW)
-		}
 		if in.Op == OpPropagate {
-			if n >= guardQueueCap || conf {
+			if win.Len() >= DefaultWindowDepth || win.Conflicts(in) {
 				flush()
 			}
 			out[i] = batch
-			n++
-			bR = bR.Union(in.Reads())
-			bW = bW.Union(in.Writes())
+			win.Push(in)
 			continue
 		}
-		if in.Serializing() || conf {
+		if in.Serializing() || win.Conflicts(in) {
 			flush()
 		}
 	}

@@ -8,16 +8,19 @@ import (
 	"snap1/internal/semnet"
 )
 
+// meanOverlap is the mean, over the program's instructions, of how many
+// immediately preceding instructions each is Independent of.
 func meanOverlap(p *Program) float64 {
-	degs := OverlapDegrees(p)
-	if len(degs) == 0 {
+	if len(p.Instrs) == 0 {
 		return 0
 	}
 	sum := 0
-	for _, d := range degs {
-		sum += d
+	for i := range p.Instrs {
+		for j := i - 1; j >= 0 && Independent(&p.Instrs[i], &p.Instrs[j]); j-- {
+			sum++
+		}
 	}
-	return float64(sum) / float64(len(degs))
+	return float64(sum) / float64(len(p.Instrs))
 }
 
 // chainProgram is the depth-8 chain workload shape: one scratch plane

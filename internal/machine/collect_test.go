@@ -87,13 +87,13 @@ func refRun(t *testing.T, m *Machine, prog *isa.Program, f *isa.Fused) *Result {
 		m.broadcast(st)
 		bAt := m.ctrl.Now()
 		if in.Op == isa.OpPropagate {
-			if len(st.batch) >= m.cfg.InstrQueueCap || st.conflicts(in) {
+			if len(st.batch) >= m.cfg.InstrQueueCap || st.win.Conflicts(in) {
 				m.flush(st)
 			}
 			st.push(i, in, bAt)
 			continue
 		}
-		if in.Serializing() || st.conflicts(in) {
+		if in.Serializing() || st.win.Conflicts(in) {
 			m.flush(st)
 			bAt = timing.Max(bAt, m.ctrl.Now())
 		}
@@ -128,7 +128,6 @@ func collectMachine(t *testing.T, kb *semnet.KB, strat partition.Func) *Machine 
 	cfg := DefaultConfig()
 	cfg.Clusters = 5 // not a divisor of most node counts: uneven clusters
 	cfg.NodesPerCluster = kb.NumNodes() + 32
-	cfg.Deterministic = true
 	cfg.Partition = strat
 	cfg.MaxDepth = 32
 	m, err := New(cfg)

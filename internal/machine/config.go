@@ -7,18 +7,18 @@
 //
 // Two execution engines share identical marker semantics:
 //
-//   - the lockstep engine (Config.Deterministic) is the machine that
-//     serves: it processes the task causality graph in canonical
-//     breadth-first order, giving exactly reproducible virtual times and
-//     message counts. The query engine builds nothing else, the benchmark
-//     harness and every experiment measure on it, and fault injection is
-//     drawn only here;
-//   - the concurrent engine (Deterministic off — still New's default,
-//     which its tests rely on) runs one goroutine per cluster with real
-//     mailbox backpressure and the live termination-detection protocol,
-//     modeling the prototype's MIMD propagation. It is the reference the
-//     lockstep engine is differentially tested against, and what
-//     snapsim -det=false runs; nothing serves on it.
+//   - the lockstep engine (Config.Deterministic, New's default) is the
+//     machine that serves: it processes the task causality graph in
+//     canonical breadth-first order, giving exactly reproducible virtual
+//     times and message counts. The query engine builds nothing else, the
+//     benchmark harness and every experiment measure on it, and fault
+//     injection is drawn only here;
+//   - the concurrent engine (asked for by name: WithDeterministic(false))
+//     runs one goroutine per cluster with real mailbox backpressure and
+//     the live termination-detection protocol, modeling the prototype's
+//     MIMD propagation. It is the reference the lockstep engine is
+//     differentially tested against, and what snapsim -det=false runs;
+//     nothing serves on it.
 //
 // Final marker state is identical between engines; virtual times and
 // message counts from the concurrent engine can vary slightly run-to-run
@@ -29,6 +29,7 @@ package machine
 import (
 	"fmt"
 
+	"snap1/internal/isa"
 	"snap1/internal/partition"
 	"snap1/internal/perfmon"
 	"snap1/internal/timing"
@@ -101,11 +102,12 @@ func DefaultConfig() Config {
 		ExtraMUClusters: 16,
 		NodesPerCluster: 1024,
 		MailboxCap:      64,
-		InstrQueueCap:   64,
+		InstrQueueCap:   isa.DefaultWindowDepth,
 		MaxDepth:        256,
 		Cost:            timing.DefaultCostModel(),
 		Partition:       partition.Semantic,
 		Seed:            1,
+		Deterministic:   true,
 	}
 }
 

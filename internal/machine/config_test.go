@@ -9,10 +9,17 @@ import (
 	"snap1/internal/semnet"
 )
 
+// referenceConfig is DefaultConfig on the goroutine-per-cluster reference
+// engine, which has to be asked for by name.
+func referenceConfig() Config { return ApplyOptions(DefaultConfig(), WithDeterministic(false)) }
+
 func TestDefaultConfigMatchesPrototype(t *testing.T) {
 	cfg := DefaultConfig()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if !cfg.Deterministic {
+		t.Error("the default engine is not lockstep")
 	}
 	// "an array of 144 Digital Signal Processors organized as 32
 	// multiprocessing clusters" with "80 marker units".
@@ -94,7 +101,7 @@ func TestLoadKBCapacityError(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		kb.MustAddNode(fmt.Sprintf("n%d", i), col)
 	}
-	cfg := DefaultConfig()
+	cfg := referenceConfig()
 	cfg.Clusters = 2
 	cfg.NodesPerCluster = 4
 	m, err := New(cfg)
@@ -107,7 +114,7 @@ func TestLoadKBCapacityError(t *testing.T) {
 }
 
 func TestLoadKBReplacesNetworkAndState(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := referenceConfig()
 	cfg.Clusters = 2
 	cfg.NodesPerCluster = 8
 	m, _ := New(cfg)

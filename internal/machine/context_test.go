@@ -47,7 +47,6 @@ func newLoaded(t *testing.T) (*Machine, *semnet.KB, semnet.NodeID, semnet.RelTyp
 	t.Helper()
 	kb, leaf, rel := buildContextKB(t)
 	cfg := PaperConfig()
-	cfg.Deterministic = true
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +139,7 @@ func TestCloneSharesTopologyNotMarkers(t *testing.T) {
 
 // TestCloneBeforeLoadKB returns the KB sentinel.
 func TestCloneBeforeLoadKB(t *testing.T) {
-	cfg := PaperConfig()
-	m, err := New(cfg)
+	m, err := New(ApplyOptions(PaperConfig(), WithDeterministic(false)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,6 @@ func deltaTestMachine(t testing.TB, kb *semnet.KB) *Machine {
 	cfg := DefaultConfig()
 	cfg.Clusters = 4
 	cfg.NodesPerCluster = kb.NumNodes() + 32
-	cfg.Deterministic = true
 	cfg.MaxDepth = 32
 	// Round-robin keeps the node→cluster assignment a function of node
 	// order alone. The default semantic partitioner re-derives placement
@@ -180,7 +179,7 @@ func TestApplyDeltaErrors(t *testing.T) {
 	from := m.KBGeneration()
 
 	// No KB loaded at all.
-	empty, err := New(DefaultConfig())
+	empty, err := New(referenceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -445,7 +445,6 @@ func TestSetAndNotLeaveTailsZero(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Clusters = 3
 	cfg.NodesPerCluster = 70
-	cfg.Deterministic = true
 	cfg.Partition = partition.RoundRobin
 	m, err := New(cfg)
 	if err != nil {

@@ -358,7 +358,6 @@ func TestLockstepVirtualTimeReproducible(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Clusters = 4
 			cfg.NodesPerCluster = kb.NumNodes() + 32
-			cfg.Deterministic = true
 			cfg.Partition = partition.RoundRobin
 			cfg.Seed = seed
 			cfg.MaxDepth = 32

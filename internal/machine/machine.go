@@ -335,13 +335,13 @@ func (m *Machine) RunContext(ctx context.Context, prog *isa.Program) (*Result, e
 		m.broadcast(st)
 		bAt := m.ctrl.Now()
 		if in.Op == isa.OpPropagate {
-			if len(st.batch) >= m.cfg.InstrQueueCap || st.conflicts(in) {
+			if len(st.batch) >= m.cfg.InstrQueueCap || st.win.Conflicts(in) {
 				m.flush(st)
 			}
 			st.push(i, in, bAt)
 			continue
 		}
-		if in.Serializing() || st.conflicts(in) {
+		if in.Serializing() || st.win.Conflicts(in) {
 			m.flush(st)
 			bAt = timing.Max(bAt, m.ctrl.Now())
 		}
@@ -387,13 +387,14 @@ func (m *Machine) resetClocks() {
 }
 
 // runState is the per-Run controller state: the instrumentation profile,
-// accumulated results, and the PU overlap window of pending PROPAGATEs.
+// accumulated results, and the PU overlap window of pending PROPAGATEs
+// (batch holds them, win the planes they touch).
 type runState struct {
 	prof *trace.Profile
 	res  *Result
 
-	batch          []batchEntry
-	batchR, batchW isa.MarkerSet
+	batch []batchEntry
+	win   isa.Window
 }
 
 type batchEntry struct {
@@ -404,19 +405,7 @@ type batchEntry struct {
 
 func (st *runState) push(idx int, in *isa.Instruction, bAt timing.Time) {
 	st.batch = append(st.batch, batchEntry{idx: idx, in: in, bAt: bAt})
-	st.batchR = st.batchR.Union(in.Reads())
-	st.batchW = st.batchW.Union(in.Writes())
-}
-
-// conflicts reports whether in has a marker data dependency with the
-// pending overlap window.
-func (st *runState) conflicts(in *isa.Instruction) bool {
-	if len(st.batch) == 0 {
-		return false
-	}
-	w := in.Writes()
-	return w.Intersects(st.batchR) || w.Intersects(st.batchW) ||
-		in.Reads().Intersects(st.batchW)
+	st.win.Push(in)
 }
 
 // ClearMarkers clears every marker at every node (between experiments).

@@ -153,7 +153,6 @@ func TestSpreadRuleSwitchesRelation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Clusters = 2
 	cfg.NodesPerCluster = 8
-	cfg.Deterministic = true
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +236,7 @@ func TestBooleanAndCollect(t *testing.T) {
 }
 
 func TestRunWithoutKB(t *testing.T) {
-	m, err := New(DefaultConfig())
+	m, err := New(referenceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // legacy struct form composes with the functional form:
 //
 //	m, err := machine.NewFromOptions(machine.PaperConfig(),
-//		machine.WithDeterministic(true))
+//		machine.WithPartition("refined"))
 type Option interface {
 	applyOption(*Config)
 }
@@ -103,8 +103,8 @@ func WithSeed(seed int64) Option {
 	return optionFunc(func(c *Config) { c.Seed = seed })
 }
 
-// WithDeterministic selects the lockstep engine (on) or the concurrent
-// reference engine (off).
+// WithDeterministic selects the lockstep engine (on, the default) or the
+// concurrent reference engine (off).
 func WithDeterministic(on bool) Option {
 	return optionFunc(func(c *Config) { c.Deterministic = on })
 }

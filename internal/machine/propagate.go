@@ -76,7 +76,7 @@ func (m *Machine) flush(st *runState) {
 	}
 
 	st.batch = st.batch[:0]
-	st.batchR, st.batchW = isa.MarkerSet{}, isa.MarkerSet{}
+	st.win.Reset()
 }
 
 // ---------------------------------------------------------------------

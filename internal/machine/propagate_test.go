@@ -77,7 +77,6 @@ func TestMaxDepthSafetyNet(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Clusters = 1
 		cfg.NodesPerCluster = 4
-		cfg.Deterministic = true
 		cfg.MaxDepth = 16
 		m, _ := New(cfg)
 		if err := m.LoadKB(kb); err != nil {
@@ -112,7 +111,6 @@ func TestBetaOverlapWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Clusters = 1
 	cfg.NodesPerCluster = 8
-	cfg.Deterministic = true
 	m, _ := New(cfg)
 	if err := m.LoadKB(kb); err != nil {
 		t.Fatal(err)
@@ -143,7 +141,6 @@ func TestInstrQueueCapBoundsWindow(t *testing.T) {
 	cfg.Clusters = 1
 	cfg.NodesPerCluster = 8
 	cfg.InstrQueueCap = 2
-	cfg.Deterministic = true
 	m, _ := New(cfg)
 	if err := m.LoadKB(kb); err != nil {
 		t.Fatal(err)
@@ -172,7 +169,6 @@ func TestOriginBinding(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Clusters = 2
 	cfg.NodesPerCluster = 4
-	cfg.Deterministic = true
 	m, _ := New(cfg)
 	if err := m.LoadKB(kb); err != nil {
 		t.Fatal(err)
@@ -195,7 +191,7 @@ func TestOriginBinding(t *testing.T) {
 func TestPerfmonIntegration(t *testing.T) {
 	kb, n, rel := diamondKB(t)
 	mon := perfmon.NewCollector(1024)
-	cfg := DefaultConfig()
+	cfg := referenceConfig()
 	cfg.Clusters = 2
 	cfg.NodesPerCluster = 4
 	cfg.Partition = partition.RoundRobin
@@ -315,7 +311,7 @@ func TestBackpressureNoDeadlock(t *testing.T) {
 			kb.MustAddLink(semnet.NodeID(i), rel, 1, semnet.NodeID(rng.Intn(n)))
 		}
 	}
-	cfg := DefaultConfig()
+	cfg := referenceConfig()
 	cfg.Clusters = 8
 	cfg.NodesPerCluster = 16
 	cfg.MailboxCap = 1 // worst case

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// cowFixture builds a small populated store: 40 nodes, a link chain,
-// alternating colors.
-func cowFixture(t *testing.T) *Store {
+// cowFixture builds a table of one small populated store: 40 nodes, a
+// link chain, alternating colors.
+func cowFixture(t *testing.T) *Table {
 	t.Helper()
-	s := NewStore(64)
+	tab := NewTable(1, 64)
+	s := tab.Store(0)
 	for i := 0; i < 40; i++ {
 		local, err := s.AddNode(NodeID(i), Color(i%3), FuncAdd)
 		if err != nil {
@@ -21,7 +22,25 @@ func cowFixture(t *testing.T) *Store {
 			}
 		}
 	}
-	return s
+	return tab
+}
+
+// deepCopy returns a store alone in a fresh table holding a private copy
+// of s's node and relation tables, built through the public mutators: the
+// independent snapshot the copy-on-write tests compare against.
+func deepCopy(t *testing.T, s *Store) *Table {
+	t.Helper()
+	tab := NewTable(1, s.Capacity())
+	c := tab.Store(0)
+	for i := 0; i < s.NumNodes(); i++ {
+		if _, err := c.AddNode(s.Global(i), s.Color(i), s.Fn(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetLinks(i, s.Links(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tab
 }
 
 // topoEqual compares the full node and relation tables of two stores.
@@ -50,12 +69,13 @@ func topoEqual(a, b *Store) bool {
 // observationally identical to the deep clone: same tables, fresh
 // marker state.
 func TestCloneTopologySharedEquivalent(t *testing.T) {
-	s := cowFixture(t)
+	src := cowFixture(t)
+	s := src.Store(0)
 	s.Set(3, 0)
 	s.SetValue(3, 4, 2.5, 9)
 
-	shared := s.CloneTopologyShared()
-	deep := s.CloneTopology()
+	shared := src.CloneTopologyShared().Store(0)
+	deep := deepCopy(t, s).Store(0)
 	if !topoEqual(shared, deep) {
 		t.Fatal("shared clone's topology differs from deep clone")
 	}
@@ -109,9 +129,9 @@ func TestCloneTopologySharedCopyOnWrite(t *testing.T) {
 				name = m.name + "/on-clone"
 			}
 			t.Run(name, func(t *testing.T) {
-				src := cowFixture(t)
-				clone := src.CloneTopologyShared()
-				before := src.CloneTopology() // deep snapshot for comparison
+				tab := cowFixture(t)
+				src, clone := tab.Store(0), tab.CloneTopologyShared().Store(0)
+				before := deepCopy(t, src).Store(0)
 
 				target, other := src, clone
 				if mutateClone {
@@ -134,8 +154,9 @@ func TestCloneTopologySharedCopyOnWrite(t *testing.T) {
 // mutates its own copy. Run under -race this pins the atomicity of the
 // shared-topology flag.
 func TestCloneTopologySharedConcurrent(t *testing.T) {
-	src := cowFixture(t)
-	before := src.CloneTopology()
+	tab := cowFixture(t)
+	src := tab.Store(0)
+	before := deepCopy(t, src).Store(0)
 
 	const clones = 8
 	var wg sync.WaitGroup
@@ -143,7 +164,7 @@ func TestCloneTopologySharedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := src.CloneTopologyShared()
+			c := tab.CloneTopologyShared().Store(0)
 			if err := c.SetColor(i%src.NumNodes(), Color(20+i)); err != nil {
 				t.Error(err)
 				return

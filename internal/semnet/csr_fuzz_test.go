@@ -46,8 +46,8 @@ func (r *refTopo) removeLink(local int, rel RelType, to NodeID) bool {
 	return false
 }
 
-// clone deep-copies the reference, mirroring either CloneTopology or
-// CloneTopologyShared (marker state always starts cleared).
+// clone deep-copies the reference, mirroring either fork of the store
+// (marker state always starts cleared).
 func (r *refTopo) clone() *refTopo {
 	c := newRefTopo()
 	c.colors = append([]Color(nil), r.colors...)
@@ -57,11 +57,12 @@ func (r *refTopo) clone() *refTopo {
 	return c
 }
 
-// checkAgainst compares every observable of the store with the reference:
-// node count, colors, Links content, ForEachSet order and membership,
-// CountSet, and the live-link census.
-func (r *refTopo) checkAgainst(t *testing.T, s *Store, tag string) {
+// checkAgainst compares every observable of a table of one store with the
+// reference: node count, colors, Links content, ForEachSet order and
+// membership, CountSet, and the live-link census.
+func (r *refTopo) checkAgainst(t *testing.T, tab *Table, tag string) {
 	t.Helper()
+	s := tab.Store(0)
 	if s.NumNodes() != len(r.rel) {
 		t.Fatalf("%s: NumNodes=%d want %d", tag, s.NumNodes(), len(r.rel))
 	}
@@ -106,16 +107,29 @@ func (r *refTopo) checkAgainst(t *testing.T, s *Store, tag string) {
 		if count != want {
 			t.Fatalf("%s: ForEachSet(%d) visited %d nodes, want %d", tag, m, count, want)
 		}
-		if got := s.CountSet(m); got != want {
+		if got := tab.CountSet(m); got != want {
 			t.Fatalf("%s: CountSet(%d)=%d want %d", tag, m, got, want)
 		}
 	}
 }
 
-// pair is one store under test with its reference shadow.
+// pair is one store under test, alone in its table, with its reference
+// shadow.
 type pair struct {
+	tab *Table
 	s   *Store
 	ref *refTopo
+}
+
+func newPair(tab *Table, ref *refTopo) *pair { return &pair{tab: tab, s: tab.Store(0), ref: ref} }
+
+// fork clones a pair mid-sequence: deep (a private copy of the topology,
+// compacted) or shared (aliased slabs, copy-on-write).
+func (p *pair) fork(t *testing.T, deep bool) *pair {
+	if deep {
+		return newPair(deepCopy(t, p.s), p.ref.clone())
+	}
+	return newPair(p.tab.CloneTopologyShared(), p.ref.clone())
 }
 
 // mutateCSR applies one decoded operation to a pair. Every path of the
@@ -181,12 +195,12 @@ func mutateCSR(t *testing.T, rng *rand.Rand, p *pair, op int) {
 	case 5:
 		m := []MarkerID{0, 3, Binary(0), Binary(5)}[rng.Intn(4)]
 		if rng.Intn(2) == 0 {
-			p.s.SetAll(m, 1)
+			p.tab.SetAll(m, 1)
 			for i := 0; i < n; i++ {
 				p.ref.marks[[2]int{int(m), i}] = true
 			}
 		} else {
-			p.s.ClearAll(m)
+			p.tab.ClearAll(m)
 			for i := 0; i < n; i++ {
 				delete(p.ref.marks, [2]int{int(m), i})
 			}
@@ -213,7 +227,7 @@ func TestCSRStoreDifferential(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		cap := 8 + rng.Intn(120)
-		pairs := []*pair{{s: NewStore(cap), ref: newRefTopo()}}
+		pairs := []*pair{newPair(NewTable(1, cap), newRefTopo())}
 		for step := 0; step < 400; step++ {
 			i := rng.Intn(len(pairs))
 			p := pairs[i]
@@ -223,16 +237,10 @@ func TestCSRStoreDifferential(t *testing.T) {
 				mutateCSR(t, rng, p, op)
 			case len(pairs) < 4:
 				// Fork a clone and keep mutating both sides.
-				var cs *Store
-				if op == 7 {
-					cs = p.s.CloneTopology()
-				} else {
-					cs = p.s.CloneTopologyShared()
-				}
-				pairs = append(pairs, &pair{s: cs, ref: p.ref.clone()})
+				pairs = append(pairs, p.fork(t, op == 7))
 			}
 			for j, q := range pairs {
-				q.ref.checkAgainst(t, q.s, trialTag(trial, step, j))
+				q.ref.checkAgainst(t, q.tab, trialTag(trial, step, j))
 			}
 		}
 	}
@@ -263,7 +271,7 @@ func FuzzCSRStore(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 8, 1, 1, 7, 2, 2, 3, 3, 5, 4, 4})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		rng := rand.New(rand.NewSource(99))
-		pairs := []*pair{{s: NewStore(64), ref: newRefTopo()}}
+		pairs := []*pair{newPair(NewTable(1, 64), newRefTopo())}
 		for _, b := range tape {
 			i := int(b>>4) % len(pairs)
 			p := pairs[i]
@@ -272,17 +280,11 @@ func FuzzCSRStore(f *testing.F) {
 			case op < 7:
 				mutateCSR(t, rng, p, op)
 			case op < 9 && len(pairs) < 4:
-				var cs *Store
-				if op == 7 {
-					cs = p.s.CloneTopology()
-				} else {
-					cs = p.s.CloneTopologyShared()
-				}
-				pairs = append(pairs, &pair{s: cs, ref: p.ref.clone()})
+				pairs = append(pairs, p.fork(t, op == 7))
 			}
 		}
 		for j, q := range pairs {
-			q.ref.checkAgainst(t, q.s, "pair "+itoa(j))
+			q.ref.checkAgainst(t, q.tab, "pair "+itoa(j))
 		}
 	})
 }

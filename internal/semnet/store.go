@@ -33,13 +33,11 @@ type Store struct {
 	fn     []FuncCode
 	global []NodeID // local -> global ID
 
-	// Marker status table: this store is window win of tab, and
-	// status[m] is a view of its part of plane m; bit b of word w means
-	// marker m is set at local node w*HostWordBits+b. valid is the same
-	// view of the table's valid plane: the bits below n. Status bits at
-	// or beyond n are always zero.
-	tab    *Table
-	win    int
+	// Marker status table: status[m] is a view of this store's window of
+	// plane m of the machine's Table; bit b of word w means marker m is
+	// set at local node w*HostWordBits+b. valid is the same view of the
+	// table's valid plane: the bits below n. Status bits at or beyond n
+	// are always zero.
 	status [NumMarkers][]uint64
 	valid  []uint64
 
@@ -68,10 +66,6 @@ type Store struct {
 	sharedTopo atomic.Bool
 }
 
-// NewStore returns a store with room for capacity local nodes, alone in
-// a status table of one window.
-func NewStore(capacity int) *Store { return NewTable(1, capacity).Store(0) }
-
 // emptyStore returns an empty store not yet bound to a table window.
 func emptyStore(capacity int) *Store {
 	return &Store{
@@ -92,49 +86,11 @@ func (s *Store) Words() int { return (s.n + WordBits - 1) / WordBits }
 // hostWords reports how many 64-bit host words cover the node range.
 func (s *Store) hostWords() int { return (s.n + HostWordBits - 1) / HostWordBits }
 
-// CloneTopology returns a new store holding the same node and relation
-// tables but entirely fresh (cleared) marker state. The relation arena is
-// deep-copied (and compacted) so the clone's mutation instructions cannot
-// alias the original's slab. This is the download-once/replicate step of
-// a query-serving pool: replicas share one partitioned network without
-// repeating preprocessing or partitioning.
-func (s *Store) CloneTopology() *Store {
-	c := &Store{
-		capacity: s.capacity,
-		n:        s.n,
-		color:    append([]Color(nil), s.color...),
-		fn:       append([]FuncCode(nil), s.fn...),
-		global:   append([]NodeID(nil), s.global...),
-		relOff:   make([]int32, len(s.relOff)),
-		relCnt:   append([]int32(nil), s.relCnt...),
-		relLinks: make([]Link, 0, len(s.relLinks)-s.relHoles),
-	}
-	for i := 0; i < s.n; i++ {
-		off := s.relOff[i]
-		c.relOff[i] = int32(len(c.relLinks))
-		c.relLinks = append(c.relLinks, s.relLinks[off:off+s.relCnt[i]]...)
-	}
-	newTable(1, c.capacity).bind(0, c)
-	return c
-}
-
-// CloneTopologyShared is CloneTopology's zero-copy fast path: the clone
-// aliases the source's node and relation tables instead of deep-copying
-// them, allocating only fresh (cleared) marker state. Both stores are
-// marked shared; the first topology mutation on either side materializes
-// a private copy first (copy-on-write), so the stores stay semantically
-// independent while the common read-only case — a query-serving pool
-// stamping out replicas of one downloaded network (a whole machine at a
-// time: Table.CloneTopologyShared) — costs O(markers) instead of
-// O(nodes + links) per replica.
-func (s *Store) CloneTopologyShared() *Store {
-	c := s.shareTopology()
-	newTable(1, c.capacity).bind(0, c)
-	return c
-}
-
 // shareTopology returns a store aliasing s's node and relation tables,
-// both marked shared, not yet bound to a table window.
+// not yet bound to a table window. Both stores are marked shared; the
+// first topology mutation on either side materializes a private copy
+// first (copy-on-write), so they stay semantically independent while the
+// common read-only case copies nothing.
 func (s *Store) shareTopology() *Store {
 	s.sharedTopo.Store(true)
 	c := &Store{
@@ -349,35 +305,12 @@ func (s *Store) Origin(local int, m MarkerID) NodeID {
 	return s.origin[m][local]
 }
 
-// And computes m3 = m1 AND m2 over the whole partition and returns the
-// number of simulated W=32 status words processed, the MU's unit of work
-// for global boolean operations (the host sweeps 64-bit words): Table.And
-// at this store's window.
-func (s *Store) And(m1, m2, m3 MarkerID, fn FuncCode) int {
-	s.tab.boolean(s.win, s.win+1, false, m1, m2, m3, fn)
-	return s.Words()
-}
-
-// Or computes m3 = m1 OR m2 over the whole partition and returns simulated
-// words processed: Table.Or at this store's window.
-func (s *Store) Or(m1, m2, m3 MarkerID, fn FuncCode) int {
-	s.tab.boolean(s.win, s.win+1, true, m1, m2, m3, fn)
-	return s.Words()
-}
-
-// Not computes m2 = NOT m1 over the valid node range and returns simulated
-// words processed. Bits beyond the partition's node count remain clear.
-func (s *Store) Not(m1, m2 MarkerID) int {
-	s.tab.not(s.win, s.win+1, m1, m2)
-	return s.Words()
-}
-
 // NotWhere is the value-conditional complement: m2 is set at every node
 // where m1 is clear or where m1's value register fails pass, and cleared
 // elsewhere. It returns simulated words processed. Clear words of m1
 // complement whole; pass is consulted only for m1's set bits (with value
-// 0 for a binary or never-written m1, as Value reports). As with Not,
-// the bits it sets carry a fresh machine's registers.
+// 0 for a binary or never-written m1, as Value reports). As with
+// Table.Not, the bits it sets carry a fresh machine's registers.
 func (s *Store) NotWhere(m1, m2 MarkerID, pass func(v float32) bool) int {
 	r1, r2 := s.status[m1], s.status[m2]
 	vals := s.ValueRow(m1)
@@ -460,28 +393,6 @@ func (s *Store) combineValues(w int, set, w1, w2 uint64, m1, m2, m3 MarkerID, fn
 	}
 }
 
-// SetAll sets marker m at every node with the given value and returns
-// simulated words processed (the SET-MARKER sweep): Table.SetAll at this
-// store's window.
-func (s *Store) SetAll(m MarkerID, v float32) int {
-	s.tab.setAll(s.win, s.win+1, m, v)
-	return s.Words()
-}
-
-// ClearAll clears marker m everywhere and returns simulated words
-// processed.
-func (s *Store) ClearAll(m MarkerID) int {
-	clear(s.status[m])
-	return s.Words()
-}
-
-// ClearRows clears only the marker rows named by the (lo, hi) plane
-// mask and returns the number of rows cleared: Table.ClearRows at this
-// store's window.
-func (s *Store) ClearRows(lo, hi uint64) int {
-	return s.tab.clearRows(s.win, s.win+1, lo, hi)
-}
-
 // FuncAll applies fn with the given operand to the value register of every
 // node where m is set (FUNC-MARKER) and returns simulated words processed.
 // The bit row is scanned word-wise; the value updates are inherently
@@ -541,6 +452,3 @@ func (s *Store) ForEachSet(m MarkerID, f func(local int)) int {
 	}
 	return s.Words()
 }
-
-// CountSet reports how many local nodes have m set.
-func (s *Store) CountSet(m MarkerID) int { return s.tab.countSet(s.win, s.win+1, m) }

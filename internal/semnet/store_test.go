@@ -7,19 +7,22 @@ import (
 	"testing/quick"
 )
 
-func newStore(t *testing.T, n int) *Store {
+// newStore returns a full store of n nodes (colors i%7) with the table
+// of one window it is bound to: the whole-row kernels are the table's.
+func newStore(t *testing.T, n int) (*Table, *Store) {
 	t.Helper()
-	s := NewStore(n)
+	tab := NewTable(1, n)
+	s := tab.Store(0)
 	for i := 0; i < n; i++ {
 		if _, err := s.AddNode(NodeID(i), Color(i%7), FuncAdd); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return s
+	return tab, s
 }
 
 func TestStoreBasics(t *testing.T) {
-	s := newStore(t, 70) // crosses two status words + partial third
+	_, s := newStore(t, 70) // crosses two status words + partial third
 	if s.NumNodes() != 70 || s.Capacity() != 70 {
 		t.Fatal("size bookkeeping")
 	}
@@ -35,7 +38,7 @@ func TestStoreBasics(t *testing.T) {
 }
 
 func TestStoreMarkerBits(t *testing.T) {
-	s := newStore(t, 70)
+	tab, s := newStore(t, 70)
 	m := MarkerID(3)
 	if !s.Set(33, m) {
 		t.Error("first Set must report newly-set")
@@ -46,17 +49,17 @@ func TestStoreMarkerBits(t *testing.T) {
 	if !s.Test(33, m) || s.Test(34, m) {
 		t.Error("Test after Set")
 	}
-	if got := s.CountSet(m); got != 1 {
+	if got := tab.CountSet(m); got != 1 {
 		t.Errorf("CountSet = %d", got)
 	}
 	s.Clear(33, m)
-	if s.Test(33, m) || s.CountSet(m) != 0 {
+	if s.Test(33, m) || tab.CountSet(m) != 0 {
 		t.Error("Clear failed")
 	}
 }
 
 func TestStoreValueRegisters(t *testing.T) {
-	s := newStore(t, 40)
+	_, s := newStore(t, 40)
 	m := MarkerID(1)
 	s.Set(7, m)
 	s.SetValue(7, m, 2.5, NodeID(3))
@@ -72,34 +75,31 @@ func TestStoreValueRegisters(t *testing.T) {
 }
 
 func TestSetAllClearAll(t *testing.T) {
-	s := newStore(t, 70)
+	tab, s := newStore(t, 70)
 	m := MarkerID(2)
-	words := s.SetAll(m, 1.5)
-	if words != 3 {
-		t.Fatalf("SetAll words = %d", words)
-	}
-	if s.CountSet(m) != 70 {
-		t.Fatalf("SetAll count = %d", s.CountSet(m))
+	tab.SetAll(m, 1.5)
+	if tab.CountSet(m) != 70 {
+		t.Fatalf("SetAll count = %d", tab.CountSet(m))
 	}
 	for i := 0; i < 70; i++ {
 		if s.Value(i, m) != 1.5 {
 			t.Fatalf("value at %d = %v", i, s.Value(i, m))
 		}
 	}
-	s.ClearAll(m)
-	if s.CountSet(m) != 0 {
+	tab.ClearAll(m)
+	if tab.CountSet(m) != 0 {
 		t.Error("ClearAll")
 	}
 }
 
 func TestNotMasksTail(t *testing.T) {
-	s := newStore(t, 70)
+	tab, s := newStore(t, 70)
 	m1, m2 := MarkerID(0), MarkerID(1)
 	s.Set(0, m1)
-	s.Not(m1, m2)
+	tab.Not(m1, m2)
 	// NOT of a single set bit over 70 nodes: 69 set, and crucially no
 	// phantom bits beyond node 69 in the partial third word.
-	if got := s.CountSet(m2); got != 69 {
+	if got := tab.CountSet(m2); got != 69 {
 		t.Fatalf("NOT count = %d, want 69", got)
 	}
 }
@@ -109,7 +109,7 @@ func TestNotMasksTail(t *testing.T) {
 // model does not see: origins, the tail mask, binary markers and the word
 // counts the timing model charges.
 func TestSearchColorAndNotWhere(t *testing.T) {
-	s := newStore(t, 70) // colors i%7: ten nodes of each
+	tab, s := newStore(t, 70) // colors i%7: ten nodes of each
 	cm, bm, out := MarkerID(1), Binary(0), MarkerID(2)
 	s.SearchColor(3, cm, 2.5)
 	s.SearchColor(3, bm, 9) // binary: bits only, no registers to allocate
@@ -126,7 +126,7 @@ func TestSearchColorAndNotWhere(t *testing.T) {
 		t.Fatal("binary marker grew value registers")
 	}
 	s.SearchColor(200, cm, 1) // no node has it: nothing changes
-	if got := s.CountSet(cm); got != 10 {
+	if got := tab.CountSet(cm); got != 10 {
 		t.Fatalf("after a search that matches nothing: %d set, want 10", got)
 	}
 
@@ -138,18 +138,18 @@ func TestSearchColorAndNotWhere(t *testing.T) {
 	if got := s.NotWhere(cm, out, func(v float32) bool { return v < 5 }); got != s.Words() {
 		t.Fatalf("NotWhere charged %d words, want %d", got, s.Words())
 	}
-	if got := s.CountSet(out); got != 65 {
+	if got := tab.CountSet(out); got != 65 {
 		t.Fatalf("NotWhere count = %d, want 65", got)
 	}
 	// A binary m1 has no value registers: its set bits all test value 0.
 	s.NotWhere(bm, out, func(v float32) bool { return v == 0 })
-	if got := s.CountSet(out); got != 60 {
+	if got := tab.CountSet(out); got != 60 {
 		t.Fatalf("NotWhere over a binary marker: %d set, want 60", got)
 	}
 }
 
 func TestAndOrValues(t *testing.T) {
-	s := newStore(t, 64)
+	tab, s := newStore(t, 64)
 	a, b, out := MarkerID(0), MarkerID(1), MarkerID(2)
 	s.Set(5, a)
 	s.SetValue(5, a, 3, NodeID(50))
@@ -158,8 +158,8 @@ func TestAndOrValues(t *testing.T) {
 	s.Set(9, a)
 	s.SetValue(9, a, 7, NodeID(52))
 
-	s.And(a, b, out, FuncAdd)
-	if s.CountSet(out) != 1 || !s.Test(5, out) {
+	tab.And(a, b, out, FuncAdd)
+	if tab.CountSet(out) != 1 || !s.Test(5, out) {
 		t.Fatal("AND bits")
 	}
 	if s.Value(5, out) != 7 {
@@ -169,8 +169,8 @@ func TestAndOrValues(t *testing.T) {
 		t.Errorf("AND origin = %v, want m1's", s.Origin(5, out))
 	}
 
-	s.Or(a, b, out, FuncAdd)
-	if s.CountSet(out) != 2 {
+	tab.Or(a, b, out, FuncAdd)
+	if tab.CountSet(out) != 2 {
 		t.Fatal("OR bits")
 	}
 	if s.Value(9, out) != 7 {
@@ -181,28 +181,28 @@ func TestAndOrValues(t *testing.T) {
 // The critical aliasing case: OR accumulating into its own first operand
 // must not resurrect stale value registers of cleared markers.
 func TestOrAliasingNoStaleValues(t *testing.T) {
-	s := newStore(t, 32)
+	tab, s := newStore(t, 32)
 	acc, x := MarkerID(0), MarkerID(1)
 	// Pollute acc's register at node 3, then clear it.
 	s.Set(3, acc)
 	s.SetValue(3, acc, 100, 0)
-	s.ClearAll(acc)
+	tab.ClearAll(acc)
 
 	s.Set(3, x)
 	s.SetValue(3, x, 2, 0)
-	s.Or(acc, x, acc, FuncAdd) // acc |= x, values accumulate
+	tab.Or(acc, x, acc, FuncAdd) // acc |= x, values accumulate
 	if got := s.Value(3, acc); got != 2 {
 		t.Fatalf("aliased OR value = %v, want 2 (stale 100 leaked)", got)
 	}
 	// Second accumulation now legitimately adds.
-	s.Or(acc, x, acc, FuncAdd)
+	tab.Or(acc, x, acc, FuncAdd)
 	if got := s.Value(3, acc); got != 4 {
 		t.Fatalf("second aliased OR = %v, want 4", got)
 	}
 }
 
 func TestFuncAll(t *testing.T) {
-	s := newStore(t, 40)
+	_, s := newStore(t, 40)
 	m := MarkerID(0)
 	s.Set(3, m)
 	s.SetValue(3, m, 10, 0)
@@ -219,7 +219,7 @@ func TestFuncAll(t *testing.T) {
 }
 
 func TestForEachSetAscending(t *testing.T) {
-	s := newStore(t, 100)
+	_, s := newStore(t, 100)
 	m := MarkerID(4)
 	want := []int{0, 31, 32, 33, 64, 99}
 	for _, i := range want {
@@ -238,7 +238,7 @@ func TestForEachSetAscending(t *testing.T) {
 }
 
 func TestStoreMutations(t *testing.T) {
-	s := newStore(t, 8)
+	_, s := newStore(t, 8)
 	l := Link{Rel: 4, Weight: 1, To: NodeID(2)}
 	if err := s.AddLink(1, l); err != nil {
 		t.Fatal(err)
@@ -273,7 +273,8 @@ func TestStoreMutations(t *testing.T) {
 func TestBitScanQuick(t *testing.T) {
 	f := func(pattern uint64, span uint8) bool {
 		n := 1 + int(span)%100
-		s := NewStore(n)
+		tab := NewTable(1, n)
+		s := tab.Store(0)
 		for i := 0; i < n; i++ {
 			if _, err := s.AddNode(NodeID(i), 0, FuncNop); err != nil {
 				return false
@@ -297,7 +298,7 @@ func TestBitScanQuick(t *testing.T) {
 			prev = local
 			got++
 		})
-		return s.CountSet(0) == want && got == want
+		return tab.CountSet(0) == want && got == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -309,7 +310,7 @@ func TestBooleanOpsQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(130)
-		s := newStore(t, n)
+		tab, s := newStore(t, n)
 		a, b, out := MarkerID(0), MarkerID(1), MarkerID(2)
 		ref := make(map[int][2]bool)
 		for i := 0; i < n; i++ {
@@ -322,19 +323,19 @@ func TestBooleanOpsQuick(t *testing.T) {
 			}
 			ref[i] = [2]bool{sa, sb}
 		}
-		s.And(a, b, out, FuncNop)
+		tab.And(a, b, out, FuncNop)
 		for i := 0; i < n; i++ {
 			if s.Test(i, out) != (ref[i][0] && ref[i][1]) {
 				t.Fatalf("AND mismatch at %d", i)
 			}
 		}
-		s.Or(a, b, out, FuncNop)
+		tab.Or(a, b, out, FuncNop)
 		for i := 0; i < n; i++ {
 			if s.Test(i, out) != (ref[i][0] || ref[i][1]) {
 				t.Fatalf("OR mismatch at %d", i)
 			}
 		}
-		s.Not(a, out)
+		tab.Not(a, out)
 		for i := 0; i < n; i++ {
 			if s.Test(i, out) != !ref[i][0] {
 				t.Fatalf("NOT mismatch at %d", i)
@@ -344,13 +345,13 @@ func TestBooleanOpsQuick(t *testing.T) {
 }
 
 func TestClearRowsMasked(t *testing.T) {
-	s := newStore(t, 70)
+	tab, s := newStore(t, 70)
 	for _, m := range []MarkerID{0, 5, 63, Binary(0), Binary(7)} {
 		s.Set(13, m)
 		s.Set(69, m)
 	}
 	// Clear complex 5 and binary 7 only.
-	if rows := s.ClearRows(1<<5, 1<<7); rows != 2 {
+	if rows := tab.ClearRows(1<<5, 1<<7); rows != 2 {
 		t.Fatalf("ClearRows = %d rows, want 2", rows)
 	}
 	for _, m := range []MarkerID{5, Binary(7)} {
@@ -364,88 +365,83 @@ func TestClearRowsMasked(t *testing.T) {
 		}
 	}
 	// The full mask clears every row.
-	if rows := s.ClearRows(^uint64(0), ^uint64(0)); rows != NumMarkers {
+	if rows := tab.ClearRows(^uint64(0), ^uint64(0)); rows != NumMarkers {
 		t.Fatalf("full ClearRows = %d rows", rows)
 	}
 	for _, m := range []MarkerID{0, 63, Binary(0)} {
-		if s.CountSet(m) != 0 {
+		if tab.CountSet(m) != 0 {
 			t.Fatalf("marker %d survives full clear", m)
 		}
 	}
 }
 
 // TestStoreKernelAllocs fences the kernels the SIMD phase and the
-// frontier scan are built from at exactly zero allocations per call, at
-// both extents: one store of a sixteen-window table of full 1024-node
-// cluster partitions, and the whole table. Every window holds complex
-// markers 0 and 1 at every third and every second node, binary 0 dense,
-// binary 1 at every 97th node, four CSR links per node.
+// frontier scan are built from at exactly zero allocations per call, on a
+// table of one window and on a machine's sixteen, every window a full
+// 1024-node cluster partition: complex markers 0 and 1 at every third and
+// every second node, binary 0 dense, binary 1 at every 97th node, four
+// CSR links per node.
 func TestStoreKernelAllocs(t *testing.T) {
-	const windows, n = 16, 1024
-	tab := NewTable(windows, n)
-	links := make([]Link, 4)
-	for c := 0; c < windows; c++ {
-		s := tab.Store(c)
-		for i := 0; i < n; i++ {
-			if _, err := s.AddNode(NodeID(c*n+i), Color(i%7), FuncAdd); err != nil {
-				t.Fatal(err)
-			}
-			if i%3 == 0 {
-				s.Set(i, 0)
-			}
-			if i%2 == 0 {
-				s.Set(i, 1)
-			}
-			s.Set(i, Binary(0))
-			if i%97 == 0 {
-				s.Set(i, Binary(1))
-			}
-			for j := range links {
-				links[j] = Link{Rel: RelType(j), Weight: 1, To: NodeID((i + j + 1) % n)}
-			}
-			if err := s.SetLinks(i, links); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	s := tab.Store(5)
-	count := 0
-	projected := make([]uint64, windows*n/HostWordBits)
-	for _, k := range []struct {
-		name string
-		op   func()
-	}{
-		{"and", func() { s.And(0, 1, 2, FuncNop) }},
-		{"or", func() { s.Or(0, 1, 2, FuncNop) }},
-		{"not", func() { s.Not(0, 2) }},
-		{"set_all", func() { s.SetAll(3, 1) }},
-		{"clear_all", func() { s.ClearAll(3) }},
-		{"clear_rows", func() { s.ClearRows(1<<3, 1<<9) }},
-		{"foreach_set/sparse", func() { s.ForEachSet(Binary(1), func(local int) { count += local }) }},
-		{"foreach_set/dense", func() { s.ForEachSet(Binary(0), func(local int) { count += local }) }},
-		{"count_set", func() { count += s.CountSet(0) }},
-		{"csr_scan", func() {
-			for local := 0; local < s.NumNodes(); local++ {
-				for _, l := range s.Links(local) {
-					count += int(l.To)
+	const n = 1024
+	for _, windows := range []int{1, 16} {
+		tab := NewTable(windows, n)
+		links := make([]Link, 4)
+		for c := 0; c < windows; c++ {
+			s := tab.Store(c)
+			for i := 0; i < n; i++ {
+				if _, err := s.AddNode(NodeID(c*n+i), Color(i%7), FuncAdd); err != nil {
+					t.Fatal(err)
+				}
+				if i%3 == 0 {
+					s.Set(i, 0)
+				}
+				if i%2 == 0 {
+					s.Set(i, 1)
+				}
+				s.Set(i, Binary(0))
+				if i%97 == 0 {
+					s.Set(i, Binary(1))
+				}
+				for j := range links {
+					links[j] = Link{Rel: RelType(j), Weight: 1, To: NodeID((i + j + 1) % n)}
+				}
+				if err := s.SetLinks(i, links); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}},
-		{"table/and", func() { tab.And(0, 1, 2, FuncNop) }},
-		{"table/and/binary", func() { tab.And(Binary(0), Binary(1), Binary(2), FuncNop) }},
-		{"table/or", func() { tab.Or(0, 1, 2, FuncNop) }},
-		{"table/not", func() { tab.Not(0, 2) }},
-		{"table/set_all", func() { tab.SetAll(3, 1) }},
-		{"table/clear_all", func() { tab.ClearAll(3) }},
-		{"table/clear_rows", func() { tab.ClearRows(1<<3, 1<<9) }},
-		{"table/count_set", func() { count += tab.CountSet(0) }},
-		{"table/project", func() { count += tab.Project(Binary(1), projected) }},
-	} {
-		if a := testing.AllocsPerRun(100, k.op); a != 0 {
-			t.Errorf("%s allocates %v times per call, want 0", k.name, a)
 		}
-	}
-	if count == 0 {
-		t.Error("the scans visited nothing")
+		s := tab.Store(windows - 1)
+		count := 0
+		projected := make([]uint64, windows*n/HostWordBits)
+		for _, k := range []struct {
+			name string
+			op   func()
+		}{
+			{"and", func() { tab.And(0, 1, 2, FuncNop) }},
+			{"and/binary", func() { tab.And(Binary(0), Binary(1), Binary(2), FuncNop) }},
+			{"or", func() { tab.Or(0, 1, 2, FuncNop) }},
+			{"not", func() { tab.Not(0, 2) }},
+			{"set_all", func() { tab.SetAll(3, 1) }},
+			{"clear_all", func() { tab.ClearAll(3) }},
+			{"clear_rows", func() { tab.ClearRows(1<<3, 1<<9) }},
+			{"count_set", func() { count += tab.CountSet(0) }},
+			{"project", func() { count += tab.Project(Binary(1), projected) }},
+			{"foreach_set/sparse", func() { s.ForEachSet(Binary(1), func(local int) { count += local }) }},
+			{"foreach_set/dense", func() { s.ForEachSet(Binary(0), func(local int) { count += local }) }},
+			{"csr_scan", func() {
+				for local := 0; local < s.NumNodes(); local++ {
+					for _, l := range s.Links(local) {
+						count += int(l.To)
+					}
+				}
+			}},
+		} {
+			if a := testing.AllocsPerRun(100, k.op); a != 0 {
+				t.Errorf("%d windows: %s allocates %v times per call, want 0", windows, k.name, a)
+			}
+		}
+		if count == 0 {
+			t.Errorf("%d windows: the scans visited nothing", windows)
+		}
 	}
 }

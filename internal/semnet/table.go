@@ -14,9 +14,9 @@ import "math/bits"
 // array executes AND/OR/NOT/SET/CLEAR-MARKER on every cluster's status
 // table at once; with the planes contiguous the host does the same, in
 // one pass over up to three planes, instead of visiting each cluster's
-// store in turn. Every whole-row kernel is written once, over a range of
-// windows [lo, hi): the Table methods run it over all of them, the Store
-// methods of the same name over the store's own.
+// store in turn. Those kernels are Table methods over whole planes and
+// exist nowhere else; what a store sweeps itself (SearchColor, NotWhere,
+// FuncAll, ForEachSet) consults its own node table or registers per node.
 //
 // Bits at or beyond a window's node count are always zero. AND, OR and
 // CLEAR keep that by construction; NOT and SET, which turn bits on, mask
@@ -52,14 +52,15 @@ func newTable(windows, capacity int) *Table {
 }
 
 // bind makes s the owner of window c: its status rows become views of
-// the window, and the valid plane takes its node count.
+// the window, capped so an append cannot reach the next one, and the
+// valid plane takes its node count.
 func (t *Table) bind(c int, s *Store) {
 	t.stores[c] = s
-	s.tab, s.win = t, c
+	lo, hi := c*t.rowWords, (c+1)*t.rowWords
 	for m := range s.status {
-		s.status[m] = t.plane(MarkerID(m), c, c+1)
+		s.status[m] = t.plane(MarkerID(m))[lo:hi:hi]
 	}
-	s.valid = t.valid[c*t.rowWords : (c+1)*t.rowWords]
+	s.valid = t.valid[lo:hi:hi]
 	for w := range s.valid[:s.n/HostWordBits] {
 		s.valid[w] = ^uint64(0)
 	}
@@ -73,7 +74,9 @@ func (t *Table) Store(c int) *Store { return t.stores[c] }
 
 // CloneTopologyShared returns a table of fresh (cleared) marker state —
 // one allocation — whose stores alias this table's node and relation
-// tables copy-on-write (Store.CloneTopologyShared, window by window).
+// tables copy-on-write (Store.shareTopology, window by window): the
+// download-once/replicate step of a query-serving pool, O(markers) per
+// replica instead of O(nodes + links).
 func (t *Table) CloneTopologyShared() *Table {
 	c := newTable(len(t.stores), t.stores[0].capacity)
 	for i, s := range t.stores {
@@ -82,34 +85,30 @@ func (t *Table) CloneTopologyShared() *Table {
 	return c
 }
 
-// plane returns marker m's status words for windows [lo, hi), capped so
-// an append cannot reach the next plane.
-func (t *Table) plane(m MarkerID, lo, hi int) []uint64 {
-	base := int(m) * len(t.stores) * t.rowWords
-	return t.slab[base+lo*t.rowWords : base+hi*t.rowWords : base+hi*t.rowWords]
+// plane returns marker m's status words, every window's in cluster
+// order, capped so an append cannot reach the next plane.
+func (t *Table) plane(m MarkerID) []uint64 {
+	n := len(t.stores) * t.rowWords
+	return t.slab[int(m)*n : (int(m)+1)*n : (int(m)+1)*n]
 }
 
 // And computes m3 = m1 AND m2 at every node of the machine. For a
 // complex m3, fn combines the operand values at every set node.
-func (t *Table) And(m1, m2, m3 MarkerID, fn FuncCode) {
-	t.boolean(0, len(t.stores), false, m1, m2, m3, fn)
-}
+func (t *Table) And(m1, m2, m3 MarkerID, fn FuncCode) { t.boolean(false, m1, m2, m3, fn) }
 
 // Or computes m3 = m1 OR m2 at every node of the machine. Values for a
 // complex m3 are merged from whichever operand is set (m1 preferred
 // when both are).
-func (t *Table) Or(m1, m2, m3 MarkerID, fn FuncCode) {
-	t.boolean(0, len(t.stores), true, m1, m2, m3, fn)
-}
+func (t *Table) Or(m1, m2, m3 MarkerID, fn FuncCode) { t.boolean(true, m1, m2, m3, fn) }
 
-// boolean is the AND/OR kernel over windows [lo, hi). Unused words of a
-// window are zero in both operands, so the sweep runs straight through
-// them. A complex destination's registers are filled per set word by
-// the owning store, from operand words sampled before the write.
-func (t *Table) boolean(lo, hi int, or bool, m1, m2, m3 MarkerID, fn FuncCode) {
-	r1 := t.plane(m1, lo, hi)
-	r2 := t.plane(m2, lo, hi)[:len(r1)]
-	r3 := t.plane(m3, lo, hi)[:len(r1)]
+// boolean is the AND/OR kernel. Unused words of a window are zero in
+// both operands, so the sweep runs straight through them. A complex
+// destination's registers are filled per set word by the owning store,
+// from operand words sampled before the write.
+func (t *Table) boolean(or bool, m1, m2, m3 MarkerID, fn FuncCode) {
+	r1 := t.plane(m1)
+	r2 := t.plane(m2)[:len(r1)]
+	r3 := t.plane(m3)[:len(r1)]
 	switch {
 	case !m3.IsComplex() && or:
 		for i, w1 := range r1 {
@@ -128,44 +127,37 @@ func (t *Table) boolean(lo, hi int, or bool, m1, m2, m3 MarkerID, fn FuncCode) {
 			}
 			r3[i] = res
 			if res != 0 {
-				t.stores[lo+i/t.rowWords].combineValues(i%t.rowWords, res, w1, w2, m1, m2, m3, fn)
+				t.stores[i/t.rowWords].combineValues(i%t.rowWords, res, w1, w2, m1, m2, m3, fn)
 			}
 		}
 	}
 }
 
-// Not computes m2 = NOT m1 at every node of the machine.
-func (t *Table) Not(m1, m2 MarkerID) { t.not(0, len(t.stores), m1, m2) }
-
-// not is the complement kernel over windows [lo, hi). NOT has no operand
-// register to hand a complex m2, so the bits it sets carry a fresh
-// machine's registers.
-func (t *Table) not(lo, hi int, m1, m2 MarkerID) {
-	r1 := t.plane(m1, lo, hi)
-	r2 := t.plane(m2, lo, hi)[:len(r1)]
-	valid := t.valid[lo*t.rowWords : hi*t.rowWords][:len(r1)]
+// Not computes m2 = NOT m1 at every node of the machine. NOT has no
+// operand register to hand a complex m2, so the bits it sets carry a
+// fresh machine's registers.
+func (t *Table) Not(m1, m2 MarkerID) {
+	r1 := t.plane(m1)
+	r2 := t.plane(m2)[:len(r1)]
+	valid := t.valid[:len(r1)]
 	for i, w1 := range r1 {
 		r2[i] = ^w1 & valid[i]
 	}
-	for _, s := range t.stores[lo:hi] {
+	for _, s := range t.stores {
 		s.zeroRegisters(m2)
 	}
 }
 
 // SetAll sets marker m at every node of the machine with the given
-// value (the SET-MARKER sweep).
-func (t *Table) SetAll(m MarkerID, v float32) { t.setAll(0, len(t.stores), m, v) }
-
-// setAll is the SET kernel over windows [lo, hi): the plane takes the
-// valid plane's words, a complex marker's value registers are filled
-// with a doubling memmove, and its origin registers read as on a fresh
-// machine.
-func (t *Table) setAll(lo, hi int, m MarkerID, v float32) {
-	copy(t.plane(m, lo, hi), t.valid[lo*t.rowWords:hi*t.rowWords])
+// value (the SET-MARKER sweep): the plane takes the valid plane's words,
+// a complex marker's value registers are filled with a doubling memmove,
+// and its origin registers read as on a fresh machine.
+func (t *Table) SetAll(m MarkerID, v float32) {
+	copy(t.plane(m), t.valid)
 	if !m.IsComplex() {
 		return
 	}
-	for _, s := range t.stores[lo:hi] {
+	for _, s := range t.stores {
 		s.ensureValues(m)
 		fillFloat32(s.value[m][:s.n], v)
 		clear(s.origin[m][:s.n])
@@ -185,7 +177,7 @@ func fillFloat32(dst []float32, v float32) {
 }
 
 // ClearAll clears marker m at every node of the machine.
-func (t *Table) ClearAll(m MarkerID) { clear(t.plane(m, 0, len(t.stores))) }
+func (t *Table) ClearAll(m MarkerID) { clear(t.plane(m)) }
 
 // ClearRows clears the planes named by the (lo, hi) marker mask — bit i
 // of lo selects complex marker i, bit i of hi selects binary marker
@@ -193,18 +185,14 @@ func (t *Table) ClearAll(m MarkerID) { clear(t.plane(m, 0, len(t.stores))) }
 // most its program's write set, so the reset between queries clears
 // those planes, one memclr each; the full mask is one memclr of the slab.
 func (t *Table) ClearRows(lo, hi uint64) int {
-	return t.clearRows(0, len(t.stores), lo, hi)
-}
-
-func (t *Table) clearRows(lo, hi int, maskLo, maskHi uint64) int {
-	if maskLo&maskHi == ^uint64(0) && hi-lo == len(t.stores) {
+	if lo&hi == ^uint64(0) {
 		clear(t.slab)
 		return NumMarkers
 	}
 	rows := 0
-	for w, word := range [2]uint64{maskLo, maskHi} {
+	for w, word := range [2]uint64{lo, hi} {
 		for ; word != 0; word &= word - 1 {
-			clear(t.plane(MarkerID(w*64+bits.TrailingZeros64(word)), lo, hi))
+			t.ClearAll(MarkerID(w*64 + bits.TrailingZeros64(word)))
 			rows++
 		}
 	}
@@ -212,11 +200,9 @@ func (t *Table) clearRows(lo, hi int, maskLo, maskHi uint64) int {
 }
 
 // CountSet reports how many nodes of the machine have m set.
-func (t *Table) CountSet(m MarkerID) int { return t.countSet(0, len(t.stores), m) }
-
-func (t *Table) countSet(lo, hi int, m MarkerID) int {
+func (t *Table) CountSet(m MarkerID) int {
 	n := 0
-	for _, w := range t.plane(m, lo, hi) {
+	for _, w := range t.plane(m) {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -227,7 +213,7 @@ func (t *Table) countSet(lo, hi int, m MarkerID) int {
 // COLLECT's gather, one pass over one plane.
 func (t *Table) Project(m MarkerID, dst []uint64) int {
 	total := 0
-	for i, word := range t.plane(m, 0, len(t.stores)) {
+	for i, word := range t.plane(m) {
 		if word == 0 {
 			continue
 		}

@@ -15,7 +15,6 @@ func newDecoder(t *testing.T, nodes int) (*Decoder, *kbgen.Generated) {
 	}
 	g.KB.Preprocess()
 	cfg := machine.PaperConfig()
-	cfg.Deterministic = true
 	if need := (g.KB.NumNodes() + cfg.Clusters - 1) / cfg.Clusters; need > cfg.NodesPerCluster {
 		cfg.NodesPerCluster = need
 	}

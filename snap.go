@@ -143,7 +143,7 @@ type Option = machine.Option
 //
 //	m, err := snap1.New(snap1.WithClusters(16), snap1.WithPartition("semantic"))
 //	m, err := snap1.New(snap1.PaperConfig())            // struct form
-//	m, err := snap1.New(cfg, snap1.WithDeterministic(true))
+//	m, err := snap1.New(cfg, snap1.WithCapacityFor(kb.NumNodes()))
 func New(opts ...Option) (*Machine, error) { return machine.NewFromOptions(opts...) }
 
 // NewEngine builds a concurrent query engine over kb: the knowledge base
@@ -170,11 +170,12 @@ var (
 	// WithCapacityFor grows capacity to fit a knowledge base of N nodes.
 	WithCapacityFor = machine.WithCapacityFor
 	// WithPartition selects node allocation by name: "sequential",
-	// "round-robin", or "semantic".
+	// "round-robin", "semantic", or "refined".
 	WithPartition = machine.WithPartition
-	// WithDeterministic selects the lockstep engine (exactly reproducible
-	// virtual times) over the goroutine-per-cluster reference engine, a
-	// Machine's default. An Engine's replicas are lockstep regardless.
+	// WithDeterministic(false) asks for the goroutine-per-cluster
+	// reference engine in place of a Machine's default, the lockstep
+	// engine (exactly reproducible virtual times). An Engine's replicas
+	// are lockstep regardless.
 	WithDeterministic = machine.WithDeterministic
 	// WithSeed sets the arbiter tie-break seed.
 	WithSeed = machine.WithSeed

@@ -18,7 +18,6 @@ func TestQuickstart(t *testing.T) {
 	kb.MustAddLink(mammal, isa, 1, animal)
 
 	cfg := snap1.PaperConfig()
-	cfg.Deterministic = true
 	m, err := snap1.New(cfg)
 	if err != nil {
 		t.Fatal(err)

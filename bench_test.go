@@ -244,7 +244,7 @@ func benchPhaseRun(b *testing.B, det bool, kb *semnet.KB, p *isa.Program) {
 		}
 		tasks = res.Profile.PropSteps
 	}
-	run() // steady state: pools grown, workers started
+	run() // steady state: queues and scratch buffers grown
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -92,30 +92,6 @@ func (b *Tiered) Created(level int) {
 	b.mu.Unlock()
 }
 
-// CreatedBatch records a burst of marker messages entering flight, one
-// per entry of levels, under a single counter-bank grant. It is exactly
-// equivalent to calling Created for each level in order — the tier
-// counters and statistics are updated identically — but the concurrent
-// engine pays one lock round-trip per task instead of one per message.
-// The same visibility invariant applies: the whole batch must be counted
-// before any of its messages becomes visible to a receiver.
-func (b *Tiered) CreatedBatch(levels []uint16) {
-	if len(levels) == 0 {
-		return
-	}
-	b.mu.Lock()
-	for _, lv := range levels {
-		l := clampLevel(int(lv))
-		b.created[l]++
-		if l+1 > b.maxLevel {
-			b.maxLevel = l + 1
-		}
-	}
-	b.inFlight += int64(len(levels))
-	b.totalMsgs += int64(len(levels))
-	b.mu.Unlock()
-}
-
 // Consumed records a marker message leaving flight at the given tier.
 // Completion is re-checked because this may be the last outstanding count.
 func (b *Tiered) Consumed(level int) {

@@ -190,101 +190,3 @@ func TestTerminationDetectionStorm(t *testing.T) {
 		}
 	}
 }
-
-func TestCreatedBatchMatchesSequential(t *testing.T) {
-	levels := []uint16{0, 1, 1, 2, 3, 7, 300} // 300 exercises tier clamping
-	seq, bat := New(1), New(1)
-	for _, l := range levels {
-		seq.Created(int(l))
-	}
-	bat.CreatedBatch(levels)
-
-	sc, _, sf := seq.Snapshot()
-	bc, _, bf := bat.Snapshot()
-	if sf != bf {
-		t.Fatalf("inFlight: sequential %d vs batch %d", sf, bf)
-	}
-	if len(sc) != len(bc) {
-		t.Fatalf("maxLevel: sequential %d vs batch %d tiers", len(sc), len(bc))
-	}
-	for l := range sc {
-		if sc[l] != bc[l] {
-			t.Fatalf("tier %d: sequential %d vs batch %d", l, sc[l], bc[l])
-		}
-	}
-
-	// Both barriers must then complete identically once every message is
-	// consumed and the cluster reports idle.
-	for _, b := range []*Tiered{seq, bat} {
-		for _, l := range levels {
-			b.Consumed(int(l))
-		}
-		done := make(chan Stats, 1)
-		go func(b *Tiered) { done <- b.WaitGlobal() }(b)
-		seqNo := b.WakeSeq(0)
-		go b.WaitQuiescent(0, seqNo)
-		select {
-		case s := <-done:
-			if s.Messages != int64(len(levels)) {
-				t.Fatalf("stats = %+v", s)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("barrier did not complete")
-		}
-	}
-}
-
-func TestCreatedBatchEmptyIsNoOp(t *testing.T) {
-	b := New(1)
-	b.CreatedBatch(nil)
-	b.CreatedBatch([]uint16{})
-	if _, _, inFlight := b.Snapshot(); inFlight != 0 {
-		t.Fatalf("inFlight = %d after empty batches", inFlight)
-	}
-}
-
-func TestCreatedBatchConcurrentStorm(t *testing.T) {
-	const clusters, rounds = 4, 200
-	b := New(clusters)
-	var wg sync.WaitGroup
-	for c := 0; c < clusters; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(c)))
-			lvls := make([]uint16, 0, 8)
-			for r := 0; r < rounds; r++ {
-				lvls = lvls[:0]
-				for i := 0; i < 1+rng.Intn(7); i++ {
-					lvls = append(lvls, uint16(rng.Intn(6)))
-				}
-				b.CreatedBatch(lvls)
-				for _, l := range lvls {
-					b.Consumed(int(l))
-				}
-			}
-			seq := b.WakeSeq(c)
-			b.WaitQuiescent(c, seq)
-		}(c)
-	}
-	done := make(chan Stats, 1)
-	go func() { done <- b.WaitGlobal() }()
-	select {
-	case s := <-done:
-		created, consumed, inFlight := b.Snapshot()
-		if inFlight != 0 {
-			t.Fatalf("inFlight = %d at completion", inFlight)
-		}
-		for l := range created {
-			if created[l] != consumed[l] {
-				t.Fatalf("tier %d unbalanced: %d vs %d", l, created[l], consumed[l])
-			}
-		}
-		if s.Messages == 0 {
-			t.Fatal("no messages recorded")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("storm did not terminate")
-	}
-	wg.Wait()
-}

@@ -328,8 +328,13 @@ type Engine struct {
 	cfg   Config
 	kb    *semnet.KB
 	kbGen uint64 // KB generation at bring-up; result-cache key half
-	asm   *isa.Assembler
 	mon   *perfmon.Collector
+
+	// Names enter the KB only through a door that can commit them: asm
+	// (Compile, /v1/mutate) interns a writing operand's new name when the
+	// engine has a write path and is readAsm when it has none; readAsm
+	// (SubmitSource, /v1/query, /v1/query/batch) only ever looks up.
+	asm, readAsm *isa.Assembler
 
 	machines []*machine.Machine // index = replica rank = shard owner
 	shards   []*shard
@@ -445,7 +450,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		cfg:      cfg,
 		kb:       kb,
 		kbGen:    kb.Generation(),
-		asm:      isa.NewAssembler(kb),
+		readAsm:  isa.NewAssembler(kb).LookupOnly(),
 		mon:      cfg.Monitor,
 		machines: machines,
 		shards:   make([]*shard, cfg.Replicas),
@@ -466,7 +471,9 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	e.st.Replicas = cfg.Replicas
 	e.pubGen.Store(e.kbGen)
 
+	e.asm = e.readAsm
 	if cfg.Writes {
+		e.asm = isa.NewAssembler(kb)
 		// The dedicated writer is one more topology-sharing clone; it
 		// stays out of the serving ring and never arms fault injection,
 		// so the master KB's mutation history is exactly the committed
@@ -756,11 +763,12 @@ func (e *Engine) wake() {
 }
 
 // SubmitSource assembles SNAP assembly text (resolving names against the
-// engine's knowledge base) and submits the program. Compilation is
-// memoized in an LRU cache keyed by the source's content hash, so a hot
-// query's assembly and rule compilation cost is paid once.
+// engine's knowledge base, never adding one: this is a read door) and
+// submits the program. Compilation is memoized in an LRU cache keyed by
+// the source's content hash, so a hot query's assembly and rule
+// compilation cost is paid once.
 func (e *Engine) SubmitSource(ctx context.Context, src string) (*machine.Result, error) {
-	prog, err := e.Compile(src)
+	prog, err := e.compile(e.readAsm, src)
 	if err != nil {
 		return nil, err
 	}
@@ -769,15 +777,23 @@ func (e *Engine) SubmitSource(ctx context.Context, src string) (*machine.Result,
 
 // Compile assembles src through the engine's LRU compile cache and
 // returns the shared compiled program. The program is sealed: it is
-// immutable, and its content hash was computed once, here.
-func (e *Engine) Compile(src string) (*isa.Program, error) {
+// immutable, and its content hash was computed once, here. On an engine
+// with a write path a writing operand (create's relation, set-color's
+// color) may bring a new name into the KB, the program being SubmitWrite's
+// to commit; on one without, an unknown name is an error.
+func (e *Engine) Compile(src string) (*isa.Program, error) { return e.compile(e.asm, src) }
+
+// compile is Compile through the given assembler. The cache is one, keyed
+// by source: a program whose names a write door interned is the same
+// program on a read door, which then refuses it as mutating.
+func (e *Engine) compile(asm *isa.Assembler, src string) (*isa.Program, error) {
 	key := sourceHash(src)
 	if prog, ok := e.cache.get(key); ok {
 		e.st.add(&e.st.CompileHits, 1)
 		return prog, nil
 	}
 	start := time.Now()
-	prog, err := e.asm.AssembleString(src)
+	prog, err := asm.AssembleString(src)
 	if err != nil {
 		e.st.add(&e.st.Rejected, 1)
 		return nil, err
@@ -988,8 +1004,7 @@ func (e *Engine) emit(pe int, code perfmon.EventCode, status uint32, now timing.
 
 // Close stops the serving replicas and the writer, waits for in-flight
 // batches, fails queued but unserved queries and writes with ErrClosed,
-// and releases the pool, including each replica's persistent propagation
-// workers.
+// and releases the pool.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.done) })
 	e.wg.Wait()

@@ -135,7 +135,7 @@ const (
 )
 
 func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
-	e.handleProgram(w, r, e.Submit)
+	e.handleProgram(w, r, false)
 }
 
 // handleMutate answers POST /v1/mutate: one topology-mutating SNAP
@@ -143,15 +143,16 @@ func (e *Engine) handleQuery(w http.ResponseWriter, r *http.Request) {
 // serialized write path. The response is a QueryResponse whose
 // KBGeneration is the epoch the write published; by the time it is
 // written, every subsequently admitted read observes the mutation.
-// Engines without Config.Writes answer 403 writes_disabled.
+// Engines without Config.Writes answer 403 writes_disabled, before the
+// program is looked at.
 func (e *Engine) handleMutate(w http.ResponseWriter, r *http.Request) {
-	e.handleProgram(w, r, e.SubmitWrite)
+	e.handleProgram(w, r, true)
 }
 
 // handleProgram is /v1/query and /v1/mutate: one program in (JSON or
-// text/plain), one QueryResponse out; the two differ only in submit.
-func (e *Engine) handleProgram(w http.ResponseWriter, r *http.Request,
-	submit func(context.Context, *isa.Program) (*machine.Result, error)) {
+// text/plain), one QueryResponse out; the two differ in the assembler —
+// only a write's may add a name to the KB — and in the submit door.
+func (e *Engine) handleProgram(w http.ResponseWriter, r *http.Request, write bool) {
 	if r.Method != http.MethodPost {
 		writeErrorCode(w, http.StatusMethodNotAllowed, "method_not_allowed", false, errors.New("POST required"))
 		return
@@ -182,7 +183,16 @@ func (e *Engine) handleProgram(w http.ResponseWriter, r *http.Request,
 		defer cancel()
 	}
 
-	prog, err := e.Compile(req.Program)
+	asm, submit := e.readAsm, e.Submit
+	if write {
+		if e.writeQ == nil {
+			e.st.add(&e.st.Rejected, 1)
+			e.writeError(w, ErrWritesDisabled)
+			return
+		}
+		asm, submit = e.asm, e.SubmitWrite
+	}
+	prog, err := e.compile(asm, req.Program)
 	if err != nil {
 		e.writeError(w, err)
 		return
@@ -240,7 +250,7 @@ func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	compileErrs := make([]error, len(req.Programs))
 	progs := make([]*isa.Program, 0, len(req.Programs))
 	for i, src := range req.Programs {
-		prog, err := e.Compile(src)
+		prog, err := e.compile(e.readAsm, src)
 		if err != nil {
 			compileErrs[i] = err
 			continue

@@ -493,14 +493,17 @@ func TestEnvelopeCodesDocumented(t *testing.T) {
 	}
 }
 
-// TestHostileNamesAnswerTyped: a client inventing names in operands that
-// only read the network gets a typed 400 naming the unknown name, every
-// time, and the KB's name tables do not grow. Before, each invented name
-// was interned under the KB write lock, the 255-color space ran out after
-// ~250 requests, and from there every request panicked the handler (the
-// connection dropped with no envelope) for every client.
+// TestHostileNamesAnswerTyped: a client inventing names on /v1/query —
+// in operands that only read the network, and in the writing operands of
+// create and set-color, which that door refuses anyway — gets a typed 400
+// naming the unknown name, every time, and the KB's name tables do not
+// grow. Before, each invented name was interned under the KB write lock,
+// the 255-color space ran out after ~250 requests, and from there every
+// request panicked the handler (the connection dropped with no envelope)
+// for every client.
 func TestHostileNamesAnswerTyped(t *testing.T) {
 	g, srv := newTestServer(t, 200)
+	rels, colors := nameTableSizes(g.KB)
 	shapes := []string{
 		"search-color color=%s marker=c1 value=0",
 		"search-relation rel=%s marker=c1 value=0",
@@ -508,23 +511,34 @@ func TestHostileNamesAnswerTyped(t *testing.T) {
 		"set-marker marker=c1 value=0\npropagate m1=c1 m2=c2 rule=path(%s) fn=add",
 		"set-marker marker=c1 value=0\npropagate m1=c1 m2=c2 rule=spread(is-a,%s) fn=add",
 		"delete src=thing rel=%s dst=thing",
+		"create src=thing rel=%s w=1 dst=thing",
+		"set-color node=thing color=%s",
 	}
-	const requests = 300
-	for i := 0; i < requests; i++ {
-		name := fmt.Sprintf("junk%d", i)
-		resp, err := http.Post(srv.URL+"/v1/query", "text/plain",
-			strings.NewReader(fmt.Sprintf(shapes[i%len(shapes)], name)))
+	post := func(i int, path, body string, status int, code string) ErrorBody {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "text/plain", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("request %d: no answer: %v", i, err)
 		}
 		var env ErrorEnvelope
 		err = json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_program" || env.Error.Retryable {
-			t.Fatalf("request %d: status %d, envelope %+v (%v); want 400 bad_program", i, resp.StatusCode, env.Error, err)
+		if err != nil || resp.StatusCode != status || env.Error.Code != code || env.Error.Retryable {
+			t.Fatalf("request %d: %s: status %d, envelope %+v (%v); want %d %s", i, path, resp.StatusCode, env.Error, err, status, code)
 		}
-		if !strings.Contains(env.Error.Message, name) {
-			t.Fatalf("request %d: message %q does not name %q", i, env.Error.Message, name)
+		return env.Error
+	}
+	requests := 300 * len(shapes) // 300 of each: more than the colour space holds
+	for i := 0; i < requests; i++ {
+		name := fmt.Sprintf("junk%d", i)
+		body := fmt.Sprintf(shapes[i%len(shapes)], name)
+		if msg := post(i, "/v1/query", body, http.StatusBadRequest, "bad_program").Message; !strings.Contains(msg, name) {
+			t.Fatalf("request %d: message %q does not name %q", i, msg, name)
+		}
+		// This engine has no write path: the write door refuses the two
+		// writing shapes before it would assemble them.
+		if strings.HasPrefix(body, "create") || strings.HasPrefix(body, "set-color") {
+			post(i, "/v1/mutate", body, http.StatusForbidden, "writes_disabled")
 		}
 	}
 	for i := 0; i < requests; i++ {
@@ -535,6 +549,9 @@ func TestHostileNamesAnswerTyped(t *testing.T) {
 		if _, ok := g.KB.LookupRelation(name); ok {
 			t.Fatalf("relation %q was interned by a read", name)
 		}
+	}
+	if r2, c2 := nameTableSizes(g.KB); r2 != rels || c2 != colors {
+		t.Fatalf("name tables grew: relations %d -> %d, colours %d -> %d", rels, r2, colors, c2)
 	}
 	// The spaces are as roomy as before, and the engine still answers.
 	if _, err := g.KB.InternColor("a-new-color"); err != nil {
@@ -562,14 +579,14 @@ func nameTableSizes(kb *semnet.KB) (rels, colors int) {
 // FuzzHTTPBody: whatever bytes arrive on a POST endpoint, the handler
 // answers 200 with a decodable body or the typed error envelope with a
 // documented code — it never panics (the handler runs on the fuzz
-// goroutine) and never writes an untyped 5xx. A /v1/query the server
-// refuses leaves the KB's name tables as they were, unless the program
-// carries a creating operand: that one interns at assembly time, the
-// known hole ROADMAP records as (b).
+// goroutine) and never writes an untyped 5xx. Names enter the KB only on
+// a door that can commit: whatever /v1/query and /v1/query/batch answer,
+// and whenever /v1/mutate answers 403 (the engines of endpoints 3..5 have
+// no write path), the KB's name tables are what they were.
 func FuzzHTTPBody(f *testing.F) {
 	const read = "search-node node=a marker=c1 value=0\npropagate m1=c1 m2=c2 rule=path(is-a) fn=add\ncollect-node marker=c2\n"
 	quoted, _ := json.Marshal(read)
-	for endpoint := uint8(0); endpoint < 3; endpoint++ {
+	for endpoint := uint8(0); endpoint < 6; endpoint++ {
 		f.Add(endpoint, false, []byte(read))
 		f.Add(endpoint, true, []byte(`{"program":`+string(quoted)+`,"timeout_ms":50}`))
 		f.Add(endpoint, true, []byte(`{"programs":[`+string(quoted)+`,"search-color color=nope marker=c1 value=0",""]}`))
@@ -590,7 +607,7 @@ func FuzzHTTPBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, endpoint uint8, asJSON bool, body []byte) {
 		kb, _ := writeTestKB(t)
-		e, err := New(kb, WithReplicas(1), WithWrites(true))
+		e, err := New(kb, WithReplicas(1), WithWrites(endpoint/3%2 == 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -600,28 +617,21 @@ func FuzzHTTPBody(f *testing.F) {
 		path := []string{"/v1/query", "/v1/query/batch", "/v1/mutate"}[endpoint%3]
 		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 		r.Header.Set("Content-Type", "text/plain")
-		program := string(body)
 		if asJSON {
 			r.Header.Set("Content-Type", "application/json")
-			var req QueryRequest
-			_ = json.Unmarshal(body, &req)
-			program = req.Program
 		}
 		w := httptest.NewRecorder()
 		NewServer(e).ServeHTTP(w, r)
 
+		if r2, c2 := nameTableSizes(kb); (path != "/v1/mutate" || w.Code == http.StatusForbidden) && (r2 != rels || c2 != colors) {
+			t.Errorf("%s: status %d grew the name tables: relations %d -> %d, colours %d -> %d", path, w.Code, rels, r2, colors, c2)
+		}
 		if w.Code != http.StatusOK {
 			var env ErrorEnvelope
 			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
 				t.Fatalf("%s: status %d with an untyped body %q: %v", path, w.Code, w.Body, err)
 			}
 			typed(t, fmt.Sprintf("%s: status %d", path, w.Code), env.Error)
-			r2, c2 := nameTableSizes(kb)
-			program = strings.ToLower(program)
-			creating := strings.Contains(program, "create") || strings.Contains(program, "set-color")
-			if path == "/v1/query" && !creating && (r2 != rels || c2 != colors) {
-				t.Errorf("a refused query grew the name tables: relations %d -> %d, colours %d -> %d", rels, r2, colors, c2)
-			}
 			return
 		}
 		if path != "/v1/query/batch" {

@@ -214,49 +214,6 @@ func (n *Network) TryForward(at int, m Message) bool {
 // transiting) it, without blocking.
 func (n *Network) TryRecv(c int) (Message, bool) { return n.mailbox[c].TryGet() }
 
-// TryRecvBatch drains up to len(buf) messages from cluster c's mailbox
-// region in one arbiter grant and reports how many were received. The
-// four-port memory serves a whole burst per grant; the per-message
-// virtual-time accounting stays with the caller, which processes each
-// drained message individually.
-func (n *Network) TryRecvBatch(c int, buf []Message) int {
-	return n.mailbox[c].TryGetBatch(buf)
-}
-
-// TrySendBatch injects the longest deliverable prefix of msgs at cluster
-// from, grouping consecutive messages that share a next-hop mailbox into
-// one enqueue grant, and reports how many messages were consumed. It
-// stops (with no state change for the remainder) at the first message
-// whose next-hop region is full, so the caller can service its own
-// mailbox and retry — the same non-blocking contract as TrySend. All
-// messages are new injections (they count toward the sent statistic).
-func (n *Network) TrySendBatch(from int, msgs []Message) int {
-	sent := 0
-	for sent < len(msgs) {
-		next := n.NextHop(from, int(msgs[sent].DestCluster))
-		run := sent + 1
-		for run < len(msgs) && n.NextHop(from, int(msgs[run].DestCluster)) == next {
-			run++
-		}
-		for i := sent; i < run; i++ {
-			msgs[i].Hops++
-		}
-		k := n.mailbox[next].TryPutBatch(msgs[sent:run])
-		for i := sent + k; i < run; i++ {
-			msgs[i].Hops-- // not accepted: restore
-		}
-		if k > 0 {
-			n.sent.Add(int64(k))
-			n.hopTotal.Add(int64(k))
-			sent += k
-		}
-		if sent < run {
-			break // next-hop region full
-		}
-	}
-	return sent
-}
-
 // Pending reports the queue depth at cluster c's mailbox.
 func (n *Network) Pending(c int) int { return n.mailbox[c].Len() }
 

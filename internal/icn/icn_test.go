@@ -1,11 +1,8 @@
 package icn
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"snap1/internal/semnet"
 )
 
 func TestDigits(t *testing.T) {
@@ -187,117 +184,5 @@ func TestPending(t *testing.T) {
 	n.TrySend(0, Message{DestCluster: 1})
 	if n.Pending(1) != 2 {
 		t.Fatalf("Pending = %d", n.Pending(1))
-	}
-}
-
-func TestBatchSendRecvSingleHop(t *testing.T) {
-	n := New(4, 8) // single digit: every cluster is one hop away
-	msgs := make([]Message, 5)
-	for i := range msgs {
-		msgs[i] = Message{Dest: semnet.NodeID(i), DestCluster: 2, Marker: 1}
-	}
-	if sent := n.TrySendBatch(0, msgs); sent != 5 {
-		t.Fatalf("TrySendBatch = %d, want 5", sent)
-	}
-	buf := make([]Message, 8)
-	got := n.TryRecvBatch(2, buf)
-	if got != 5 {
-		t.Fatalf("TryRecvBatch = %d, want 5", got)
-	}
-	for i := 0; i < got; i++ {
-		if buf[i].Dest != semnet.NodeID(i) || buf[i].Hops != 1 {
-			t.Fatalf("message %d = %+v", i, buf[i])
-		}
-	}
-	sent, fwd, hops := n.Stats()
-	if sent != 5 || fwd != 0 || hops != 5 {
-		t.Fatalf("stats = %d,%d,%d", sent, fwd, hops)
-	}
-	if n.TryRecvBatch(2, buf) != 0 {
-		t.Fatal("drained mailbox must report 0")
-	}
-}
-
-func TestBatchSendGroupsByNextHop(t *testing.T) {
-	n := New(32, 8)
-	// Destinations 1 and 2 differ from 0 in the L digit only (distinct
-	// next hops); 16 differs in the Y digit. Consecutive runs with the
-	// same next hop must land as one put each.
-	msgs := []Message{
-		{DestCluster: 1}, {DestCluster: 1}, // next hop 1
-		{DestCluster: 2},                     // next hop 2
-		{DestCluster: 16}, {DestCluster: 16}, // next hop 16
-	}
-	if sent := n.TrySendBatch(0, msgs); sent != 5 {
-		t.Fatalf("TrySendBatch = %d, want 5", sent)
-	}
-	if n.Pending(1) != 2 || n.Pending(2) != 1 || n.Pending(16) != 2 {
-		t.Fatalf("pending = %d,%d,%d", n.Pending(1), n.Pending(2), n.Pending(16))
-	}
-	buf := make([]Message, 4)
-	if got := n.TryRecvBatch(16, buf); got != 2 || buf[0].Hops != 1 {
-		t.Fatalf("recv at 16 = %d (%+v)", got, buf[0])
-	}
-}
-
-func TestBatchSendBackpressureRestoresHops(t *testing.T) {
-	n := New(2, 2)
-	msgs := []Message{{DestCluster: 1}, {DestCluster: 1}, {DestCluster: 1}, {DestCluster: 1}}
-	if sent := n.TrySendBatch(0, msgs); sent != 2 {
-		t.Fatalf("TrySendBatch into capacity-2 mailbox sent %d", sent)
-	}
-	// The unaccepted suffix must be untouched so the caller can retry it.
-	if msgs[2].Hops != 0 || msgs[3].Hops != 0 {
-		t.Fatalf("unsent messages mutated: %+v %+v", msgs[2], msgs[3])
-	}
-	sent, _, hops := n.Stats()
-	if sent != 2 || hops != 2 {
-		t.Fatalf("stats count unsent messages: sent=%d hops=%d", sent, hops)
-	}
-	buf := make([]Message, 4)
-	if n.TryRecvBatch(1, buf) != 2 {
-		t.Fatal("drain")
-	}
-	if got := n.TrySendBatch(0, msgs[2:]); got != 2 {
-		t.Fatalf("retry sent %d", got)
-	}
-}
-
-func TestBatchEquivalentToSingleSends(t *testing.T) {
-	// Property: a batch send is observationally equivalent to the same
-	// sequence of TrySend calls — same mailbox contents, same stats.
-	a, b := New(32, 64), New(32, 64)
-	rng := rand.New(rand.NewSource(42))
-	msgs := make([]Message, 40)
-	for i := range msgs {
-		msgs[i] = Message{Dest: semnet.NodeID(i), DestCluster: uint8(rng.Intn(32))}
-	}
-	batch := append([]Message(nil), msgs...)
-	if sent := a.TrySendBatch(5, batch); sent != len(msgs) {
-		t.Fatalf("batch sent %d", sent)
-	}
-	for _, m := range msgs {
-		if !b.TrySend(5, m) {
-			t.Fatal("single send")
-		}
-	}
-	as, af, ah := a.Stats()
-	bs, bf, bh := b.Stats()
-	if as != bs || af != bf || ah != bh {
-		t.Fatalf("stats diverge: batch %d,%d,%d vs single %d,%d,%d", as, af, ah, bs, bf, bh)
-	}
-	buf1 := make([]Message, 64)
-	buf2 := make([]Message, 64)
-	for c := 0; c < 32; c++ {
-		n1 := a.TryRecvBatch(c, buf1)
-		n2 := b.TryRecvBatch(c, buf2)
-		if n1 != n2 {
-			t.Fatalf("cluster %d: %d vs %d messages", c, n1, n2)
-		}
-		for i := 0; i < n1; i++ {
-			if buf1[i] != buf2[i] {
-				t.Fatalf("cluster %d msg %d: %+v vs %+v", c, i, buf1[i], buf2[i])
-			}
-		}
 	}
 }

@@ -26,11 +26,19 @@ import (
 //	propagate m1=c1 m2=c2 rule=spread(is-a,last) fn=add
 //	collect-node marker=c2
 type Assembler struct {
-	kb *semnet.KB
+	kb     *semnet.KB
+	intern bool // a writing operand may bring its name into kb
 }
 
 // NewAssembler returns an assembler resolving names against kb.
-func NewAssembler(kb *semnet.KB) *Assembler { return &Assembler{kb: kb} }
+func NewAssembler(kb *semnet.KB) *Assembler { return &Assembler{kb: kb, intern: true} }
+
+// LookupOnly returns an assembler over the same knowledge base that never
+// adds a name to it: a writing operand's unknown name is the error it is
+// everywhere else. It is for a door that cannot commit what it assembles
+// (the query engine's read endpoints), where a refused program must not
+// have grown — or exhausted — the KB's name space on the way.
+func (a *Assembler) LookupOnly() *Assembler { return &Assembler{kb: a.kb} }
 
 // maxLineBytes bounds one line of assembly, newline included.
 const maxLineBytes = 64 << 10
@@ -253,10 +261,11 @@ func parseFloat32(what, s string) (float32, error) {
 
 // relation resolves a relation-type name. Only an operand that writes
 // the relation into the network (create) may bring a new name into the
-// KB; everywhere else an unknown name is an error, so that reading never
-// grows — or exhausts — the name space.
+// KB, and only on an assembler that interns; everywhere else an unknown
+// name is an error, so that reading never grows — or exhausts — the name
+// space.
 func (a *Assembler) relation(name string, create bool) (semnet.RelType, error) {
-	if create {
+	if create && a.intern {
 		return a.kb.InternRelation(name)
 	}
 	if r, ok := a.kb.LookupRelation(name); ok {
@@ -267,7 +276,7 @@ func (a *Assembler) relation(name string, create bool) (semnet.RelType, error) {
 
 // color resolves a color name under the same rule as relation.
 func (a *Assembler) color(name string, create bool) (semnet.Color, error) {
-	if create {
+	if create && a.intern {
 		return a.kb.InternColor(name)
 	}
 	if c, ok := a.kb.LookupColor(name); ok {

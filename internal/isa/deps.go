@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"math/bits"
 
 	"snap1/internal/semnet"
 )
@@ -84,16 +85,7 @@ func (s MarkerSet) ForEach(f func(m semnet.MarkerID)) {
 }
 
 // Count reports the number of markers in the set.
-func (s MarkerSet) Count() int { return popcount64(s.lo) + popcount64(s.hi) }
-
-func popcount64(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
+func (s MarkerSet) Count() int { return bits.OnesCount64(s.lo) + bits.OnesCount64(s.hi) }
 
 // Reads returns the set of markers whose status or value the instruction
 // consumes.

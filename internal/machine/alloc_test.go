@@ -9,12 +9,13 @@ import (
 	"snap1/internal/semnet"
 )
 
-// Steady-state propagation must not allocate per task: the worker pool is
-// persistent, relay queues and visit tables are reused across phases, and
-// mailbox drains go through preallocated batch buffers. This test is the
-// regression fence for that property — if a map, closure, or interface
-// conversion sneaks back into the hot loop, allocs/task jumps by orders
-// of magnitude and the bound below fails.
+// Steady-state propagation must not allocate per task: task queues, relay
+// queues and visit tables are reused across phases, and a message moves
+// through the mailboxes by value. What the reference engine allocates per
+// phase — one goroutine a cluster — is counted per run, not per task. This
+// test is the regression fence for that property — if a map, closure, or
+// interface conversion sneaks back into the hot loop, allocs/task jumps by
+// orders of magnitude and the bound below fails.
 func TestPropagateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -53,7 +54,7 @@ func TestPropagateSteadyStateAllocs(t *testing.T) {
 				}
 				tasks = res.Profile.PropSteps
 			}
-			run() // warm up: lazily started workers, grown scratch buffers
+			run() // warm up: grown task queues and scratch buffers
 
 			allocs := testing.AllocsPerRun(10, run)
 			if tasks == 0 {

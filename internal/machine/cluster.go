@@ -39,40 +39,34 @@ type cluster struct {
 	run     []task    // sorted run, consumed from runHead
 	runHead int
 	taskSeq uint64
-	relayQ  relayRing
 	visited visitTable
 	stats   phaseStats
 
-	// Reused host-side scratch, so the steady-state propagation loop
-	// allocates nothing per task: expand's child list, the mailbox
-	// drain buffer, and one task's outbound messages + tier levels.
-	childScratch []childSpec
-	recvBuf      []interMsg
-	sendBuf      []interMsg
-	lvlScratch   []uint16
-}
+	// The CU's transit-message FIFO, consumed from relayHead. resetPhase
+	// re-slices it to zero, so one backing array serves the machine's life.
+	relayQ    []transitMsg
+	relayHead int
 
-// icnRecvBatch bounds how many messages one mailbox drain grant moves.
-const icnRecvBatch = 32
+	// expand's child list, reused so the steady-state propagation loop
+	// allocates nothing per task.
+	childScratch []childSpec
+}
 
 // semaphore table entries guarding cluster-shared control state.
 const (
-	semMarkerMem  = iota // marker processing memory allocation
-	semActivation        // marker activation memory allocation
+	semActivation = iota // marker activation memory allocation
 	numClusterSems
 )
 
 // newClusters builds the array around a status table, one cluster per
 // window.
 func newClusters(cfg *Config, tab *semnet.Table) []*cluster {
-	recvCap := min(cfg.MailboxCap, icnRecvBatch)
 	clusters := make([]*cluster, cfg.Clusters)
 	for id := range clusters {
 		c := &cluster{
-			id:      id,
-			store:   tab.Store(id),
-			muFree:  make([]timing.Time, cfg.musOf(id)),
-			recvBuf: make([]interMsg, recvCap),
+			id:     id,
+			store:  tab.Store(id),
+			muFree: make([]timing.Time, cfg.musOf(id)),
 		}
 		c.visited.cap = cfg.NodesPerCluster
 		c.arb = mpmem.NewArbiter(cfg.Seed + int64(id))
@@ -155,46 +149,6 @@ type transitMsg struct {
 	arrival timing.Time
 }
 
-// relayRing is the CU's transit-message FIFO as a growable circular
-// buffer. The seed's head-slicing queue (q = q[1:]) kept the backing
-// array's consumed prefix unreachable-but-retained and regrew it every
-// phase; the ring reuses one buffer for the machine's lifetime.
-type relayRing struct {
-	buf  []transitMsg
-	head int
-	n    int
-}
-
-func (r *relayRing) push(t transitMsg) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)%len(r.buf)] = t
-	r.n++
-}
-
-func (r *relayRing) pop() (transitMsg, bool) {
-	if r.n == 0 {
-		return transitMsg{}, false
-	}
-	t := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.n--
-	return t, true
-}
-
-func (r *relayRing) grow() {
-	nb := make([]transitMsg, max(2*len(r.buf), 8))
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	r.buf, r.head = nb, 0
-}
-
-func (r *relayRing) len() int { return r.n }
-
-func (r *relayRing) reset() { r.head, r.n = 0, 0 }
-
 // visitTable is the per-phase (marker, rule, state, node) visit record.
 // The seed used a Go map keyed by a four-field struct; its hashing and
 // probing dominated the host profile (~40% of phase time). The table
@@ -267,7 +221,7 @@ func (c *cluster) resetPhase() {
 	c.run = c.run[:0]
 	c.runHead = 0
 	c.taskSeq = 0
-	c.relayQ.reset()
+	c.relayQ, c.relayHead = c.relayQ[:0], 0
 	c.visited.reset()
 	c.stats = phaseStats{}
 }

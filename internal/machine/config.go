@@ -14,9 +14,11 @@
 //     benchmark harness and every experiment measure on it, and fault
 //     injection is drawn only here;
 //   - the concurrent engine (asked for by name: WithDeterministic(false))
-//     runs one goroutine per cluster with real mailbox backpressure and
-//     the live termination-detection protocol, modeling the prototype's
-//     MIMD propagation. It is the reference the lockstep engine is
+//     runs one goroutine per cluster for each propagation phase — polling
+//     its mailbox, relaying and counting one message at a time — with
+//     real mailbox backpressure and the live termination-detection
+//     protocol, modeling the prototype's MIMD propagation and carrying
+//     no host-speed machinery. It is the reference the lockstep engine is
 //     differentially tested against, and what snapsim -det=false runs;
 //     nothing serves on it.
 //

@@ -158,9 +158,15 @@ func runProgramOn(t *testing.T, kb *semnet.KB, p *isa.Program, det bool, seed in
 		t.Fatalf("det=%v: %v", det, err)
 	}
 	// The differentials are worth nothing if both sides ran one engine:
-	// only the concurrent engine starts workers, at its first phase.
-	if ranConcurrent := m.workers != nil; ranConcurrent != (!det && res.Profile.PropInstrs > 0) {
-		t.Fatalf("det=%v, %d PROPAGATEs: concurrent engine ran = %v", det, res.Profile.PropInstrs, ranConcurrent)
+	// only the concurrent engine puts messages on the live network, every
+	// one the barrier counted; the lockstep engine delivers them itself.
+	want := res.Profile.PropMessages
+	if det {
+		want = 0
+	}
+	if sent, _, _ := m.net.Stats(); sent != want {
+		t.Fatalf("det=%v, %d inter-cluster messages: %d injected on the live network, want %d",
+			det, res.Profile.PropMessages, sent, want)
 	}
 	st := machineState{markers: make(map[string]float32)}
 	for id := 0; id < kb.NumNodes(); id++ {
@@ -238,8 +244,8 @@ func TestRandomProgramsEngineEquivalence(t *testing.T) {
 
 // randomPropagateProgram emits a propagation-dominated stream: long runs of
 // back-to-back PROPAGATEs with only occasional barriers, so the overlap
-// window stays wide and the batched mailbox-drain / flush paths of the
-// concurrent engine see sustained multi-instruction load.
+// window stays wide and the mailbox-drain / flush paths of the concurrent
+// engine see sustained multi-instruction load.
 func randomPropagateProgram(rng *rand.Rand, kb *semnet.KB, rels []semnet.RelType, cols []semnet.Color) *isa.Program {
 	p := isa.NewProgram()
 	mk := func() semnet.MarkerID { return semnet.MarkerID(rng.Intn(semnet.NumMarkers)) }
@@ -270,8 +276,8 @@ func randomPropagateProgram(rng *rand.Rand, kb *semnet.KB, rels []semnet.RelType
 	return p
 }
 
-// TestRandomPropagateHeavyEquivalence is the differential check for the
-// batched host paths: propagation-heavy programs must produce identical
+// TestRandomPropagateHeavyEquivalence is the differential check under
+// sustained traffic: propagation-heavy programs must produce identical
 // marker sets, marker values, and collection rows on the lockstep engine
 // and on the concurrent engine under several scheduling seeds.
 func TestRandomPropagateHeavyEquivalence(t *testing.T) {

@@ -42,11 +42,6 @@ type Machine struct {
 	bar      *barrier.Tiered
 	ctrl     *timing.Clock
 
-	// workers is the concurrent engine's persistent per-cluster worker
-	// pool, started lazily on the first concurrent phase and parked
-	// between flushes. Nil until then and after Close.
-	workers *workerPool
-
 	curRules *rules.Table // rule microcode for the program being run
 
 	// hopBase is the live network's port-transfer counter as of the last
@@ -66,7 +61,7 @@ type Machine struct {
 
 	// strict arms expand's origin-tie detector for the current run
 	// (RunFused, RunOptimized); tie records that it fired. Atomic because
-	// the concurrent engine's workers share it.
+	// the concurrent engine's cluster goroutines share it.
 	strict bool
 	tie    atomic.Bool
 
@@ -175,25 +170,19 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 			return e
 		}
 	}
-	// The worker pool holds references to the old cluster array; retire
-	// it so the next concurrent phase starts workers over the new one.
-	m.Close()
 	m.kb, m.assign, m.localIdx, m.tab, m.clusters = kb, assign, localIdx, tab, clusters
 	m.kbGen = kb.Generation()
 	m.dirty = allDirty()
 	return nil
 }
 
-// Close releases the machine's host resources: the persistent concurrent-
-// engine workers, if started. The machine must not be running a program.
-// Close is idempotent and non-terminal — a later Run simply restarts the
-// workers — so pools can Close replicas they retire.
-func (m *Machine) Close() {
-	if m.workers != nil {
-		m.workers.stop()
-		m.workers = nil
-	}
-}
+// Close releases the machine's host resources. Today there are none: both
+// engines start what goroutines they need inside a run and have waited for
+// them when it returns, so a machine holds nothing between runs. The
+// method stays because the engine, the commands and the harness call it
+// on every machine they retire, and ROADMAP item 8 would give it workers
+// to stop again.
+func (m *Machine) Close() {}
 
 // Clone returns a replica of the machine sharing the loaded knowledge
 // base, partition assignment, and local index tables, with entirely

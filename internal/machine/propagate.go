@@ -3,6 +3,7 @@ package machine
 import (
 	"math/bits"
 	"runtime"
+	"sync"
 
 	"snap1/internal/barrier"
 	"snap1/internal/icn"
@@ -80,21 +81,22 @@ func (m *Machine) flush(st *runState) {
 }
 
 // ---------------------------------------------------------------------
-// Concurrent engine: one persistent worker per cluster, real mailboxes,
+// Concurrent engine: one goroutine per cluster per phase, real mailboxes,
 // live termination detection.
 // ---------------------------------------------------------------------
 
 func (m *Machine) runPhaseConcurrent(entries []batchEntry) (barrier.Stats, phaseStats, timing.Time) {
 	m.bar.Reset()
+	var wg sync.WaitGroup
 	for _, c := range m.clusters {
 		c.resetPhase()
+		wg.Add(1)
+		go c.phaseLoop(m, entries, &wg)
 	}
-	if m.workers == nil {
-		m.workers = m.startWorkers()
-	}
-	m.workers.beginPhase(entries, len(m.clusters))
 	bstats := m.bar.WaitGlobal()
-	m.workers.waitPhase()
+	// Every cluster has seen the barrier fire and returns; after the wait
+	// its clocks and statistics are the controller's to read.
+	wg.Wait()
 
 	var agg phaseStats
 	var end timing.Time
@@ -115,27 +117,20 @@ func (s *phaseStats) add(o *phaseStats) {
 	s.comm += o.comm
 }
 
-// phaseLoop is one cluster's MIMD propagation loop: drain the mailbox in
-// batches, relay transit messages, process local tasks, and participate
-// in the tiered termination-detection protocol when quiescent.
-func (c *cluster) phaseLoop(m *Machine, entries []batchEntry) {
+// phaseLoop is one cluster's MIMD propagation loop: drain the mailbox,
+// relay transit messages, process local tasks, and participate in the
+// tiered termination-detection protocol when quiescent. It is the body of
+// the cluster's goroutine for the phase, and tells done when it returns.
+func (c *cluster) phaseLoop(m *Machine, entries []batchEntry, done *sync.WaitGroup) {
+	defer done.Done()
 	c.injectSources(m, entries)
 	for {
-		worked := false
-		for {
-			n := m.net.TryRecvBatch(c.id, c.recvBuf)
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				c.acceptMsg(m, c.recvBuf[i])
-			}
-			worked = true
-			if n < len(c.recvBuf) {
-				break
-			}
+		for msg, ok := m.net.TryRecv(c.id); ok; msg, ok = m.net.TryRecv(c.id) {
+			c.acceptMsg(m, msg)
 		}
-		if tm, ok := c.relayQ.pop(); ok {
+		if c.relayHead < len(c.relayQ) {
+			tm := c.relayQ[c.relayHead]
+			c.relayHead++
 			c.relay(m, tm)
 			continue
 		}
@@ -143,13 +138,10 @@ func (c *cluster) phaseLoop(m *Machine, entries []batchEntry) {
 			c.processTaskConcurrent(m, t)
 			continue
 		}
-		if worked {
-			continue
-		}
 		// Quiescence candidacy: sample the wake sequence before the final
 		// emptiness check so an arriving message cannot be lost.
 		seq := m.bar.WakeSeq(c.id)
-		if m.net.Pending(c.id) > 0 || c.pendingTasks() > 0 || c.relayQ.len() > 0 {
+		if m.net.Pending(c.id) > 0 || c.pendingTasks() > 0 || c.relayHead < len(c.relayQ) {
 			continue
 		}
 		if m.bar.WaitQuiescent(c.id, seq) {
@@ -226,7 +218,7 @@ func (c *cluster) pushSource(in *isa.Instruction, local int, vals []float32, glo
 func (c *cluster) acceptMsg(m *Machine, msg interMsg) {
 	arrival := msg.SendTime + m.cost.HopLatency
 	if int(msg.DestCluster) != c.id {
-		c.relayQ.push(transitMsg{msg: msg, arrival: arrival})
+		c.relayQ = append(c.relayQ, transitMsg{msg: msg, arrival: arrival})
 		return
 	}
 	asm := m.cost.PECost(m.cost.MsgAssembleCycles)
@@ -257,38 +249,32 @@ func (c *cluster) relay(m *Machine, tm transitMsg) {
 	c.stats.comm += m.cost.HopLatency + asm
 	msg := tm.msg
 	msg.SendTime = end
-	c.xmit(m, msg)
+	c.xmit(m, m.net.TryForward, msg)
 }
 
-// xmit forwards a transit message with backpressure: while the next-hop
-// mailbox region is full, the cluster services its own mailbox so the
-// array cannot deadlock on mutually full buffers. (New injections go
-// through xmitBatch; relays move one at a time because each carries its
-// own CU relay timing.)
-func (c *cluster) xmit(m *Machine, msg interMsg) {
-	next := m.net.NextHop(c.id, int(msg.DestCluster))
-	for {
-		if m.net.TryForward(c.id, msg) {
-			m.bar.Wake(next)
-			return
-		}
+// xmit puts one message — a new injection (Network.TrySend) or a relay
+// (Network.TryForward) — into its next hop's mailbox with backpressure:
+// while that mailbox region is full, the cluster services its own mailbox
+// so the array cannot deadlock on mutually full buffers.
+func (c *cluster) xmit(m *Machine, put func(from int, msg interMsg) bool, msg interMsg) {
+	for !put(c.id, msg) {
 		if in, got := m.net.TryRecv(c.id); got {
 			c.acceptMsg(m, in)
 		} else {
 			runtime.Gosched()
 		}
 	}
+	m.bar.Wake(m.net.NextHop(c.id, int(msg.DestCluster)))
 }
 
 // processTaskConcurrent runs one task: expansion on a marker unit, local
-// children into the task queue, remote children through the CU and ICN.
-// Remote activations are assembled into the cluster's reusable outbound
-// buffer (each with its own CU-pipelined virtual send time), counted at
-// the barrier in one grant, and injected as a batch.
+// children into the task queue, remote children through the CU and ICN,
+// each counted at the barrier before it becomes visible to a receiver
+// (the protocol invariant) and injected before the next is built.
 func (c *cluster) processTaskConcurrent(m *Machine, t task) {
 	children, cost := c.expand(m, t)
 	end := c.muRun(t.ready, cost)
-	msgs, lvls := c.sendBuf[:0], c.lvlScratch[:0]
+	prevNext := -1 // burst accounting: a run of equal next hops
 	for _, ch := range children {
 		dest := m.assign[ch.to]
 		if dest == c.id {
@@ -313,7 +299,15 @@ func (c *cluster) processTaskConcurrent(m *Machine, t task) {
 		sendEnd := c.cuRun(end, m.cost.PECost(cuCycles))
 		c.stats.sends++
 		c.stats.comm += m.cost.PECost(cuCycles)
-		msgs = append(msgs, interMsg{
+		if next := m.net.NextHop(c.id, dest); next != prevNext {
+			c.stats.bursts++
+			prevNext = next
+		}
+		if mon := m.cfg.Monitor; mon != nil {
+			mon.Emit(c.id, perfmon.EvMsgSend, uint32(dest), sendEnd)
+		}
+		m.bar.Created(int(ch.level))
+		c.xmit(m, m.net.TrySend, interMsg{
 			Marker:      t.marker,
 			Value:       ch.value,
 			Fn:          t.fn,
@@ -325,59 +319,9 @@ func (c *cluster) processTaskConcurrent(m *Machine, t task) {
 			Level:       ch.level,
 			SendTime:    sendEnd,
 		})
-		lvls = append(lvls, ch.level)
-		if mon := m.cfg.Monitor; mon != nil {
-			mon.Emit(c.id, perfmon.EvMsgSend, uint32(dest), sendEnd)
-		}
 	}
-	if len(msgs) > 0 {
-		// Coalescing accounting: consecutive messages sharing a next hop
-		// ride one mailbox grant (TrySendBatch), so the number of runs is
-		// the number of grants this task's burst costs at best.
-		prev := -1
-		for i := range msgs {
-			if next := m.net.NextHop(c.id, int(msgs[i].DestCluster)); next != prev {
-				c.stats.bursts++
-				prev = next
-			}
-		}
-		// Count the whole burst in flight before any message becomes
-		// visible to a receiver (the barrier protocol invariant).
-		m.bar.CreatedBatch(lvls)
-		c.xmitBatch(m, msgs)
-	}
-	c.sendBuf, c.lvlScratch = msgs[:0], lvls[:0]
 	if t.fromMsg {
 		m.bar.Consumed(int(t.level))
-	}
-}
-
-// xmitBatch injects one task's outbound messages with backpressure: the
-// longest deliverable prefix is enqueued per attempt (consecutive
-// same-next-hop messages share one mailbox grant); while the next-hop
-// region is full the cluster services its own mailbox so the array
-// cannot deadlock on mutually full buffers.
-func (c *cluster) xmitBatch(m *Machine, msgs []interMsg) {
-	i := 0
-	for i < len(msgs) {
-		n := m.net.TrySendBatch(c.id, msgs[i:])
-		if n > 0 {
-			lastWake := -1
-			for j := i; j < i+n; j++ {
-				next := m.net.NextHop(c.id, int(msgs[j].DestCluster))
-				if next != lastWake {
-					m.bar.Wake(next)
-					lastWake = next
-				}
-			}
-			i += n
-			continue
-		}
-		if in, got := m.net.TryRecv(c.id); got {
-			c.acceptMsg(m, in)
-		} else {
-			runtime.Gosched()
-		}
 	}
 }
 

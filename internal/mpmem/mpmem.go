@@ -193,55 +193,6 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	return v, true
 }
 
-// TryGetBatch dequeues up to len(buf) entries into buf in one critical
-// section — one arbiter grant drains a whole burst instead of paying a
-// lock round-trip per message. It returns the number dequeued (0 when the
-// region is empty).
-func (q *Queue[T]) TryGetBatch(buf []T) int {
-	if q.size.Load() == 0 {
-		return 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := q.n
-	if n > len(buf) {
-		n = len(buf)
-	}
-	var zero T
-	for i := 0; i < n; i++ {
-		buf[i] = q.buf[q.head]
-		q.buf[q.head] = zero
-		if q.head++; q.head == len(q.buf) {
-			q.head = 0
-		}
-	}
-	q.n -= n
-	q.size.Store(int32(q.n))
-	return n
-}
-
-// TryPutBatch enqueues the longest prefix of vs that fits in one critical
-// section and returns how many entries were accepted (0 when the region
-// is full). The unaccepted suffix is untouched.
-func (q *Queue[T]) TryPutBatch(vs []T) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := len(q.buf) - q.n
-	if n > len(vs) {
-		n = len(vs)
-	}
-	for i := 0; i < n; i++ {
-		j := q.head + q.n + i
-		if j >= len(q.buf) {
-			j -= len(q.buf)
-		}
-		q.buf[j] = vs[i]
-	}
-	q.n += n
-	q.size.Store(int32(q.n))
-	return n
-}
-
 // Len reports the current queue depth.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()

@@ -150,26 +150,19 @@ const shiftTime = timing.Time(recordBits) * timing.Second / LinkRate
 // per-PE serial links.
 type Collector struct {
 	mu       sync.Mutex
-	enabled  bool
 	fifo     []Record
 	capacity int
 	dropped  int64
 	busy     map[int]timing.Time // per-PE link busy-until
 }
 
-// NewCollector returns an enabled collector whose FIFO holds capacity
-// records; records arriving at a full FIFO are counted as dropped, as a
-// saturated instrumentation system would.
+// NewCollector returns a collector whose FIFO holds capacity records;
+// records arriving at a full FIFO are counted as dropped, as a saturated
+// instrumentation system would. Monitoring that is off is a nil
+// collector at the emitter (machine.Config.Monitor), not a state of this
+// one.
 func NewCollector(capacity int) *Collector {
-	return &Collector{enabled: true, capacity: capacity, busy: make(map[int]timing.Time)}
-}
-
-// SetEnabled turns collection on or off (off = zero perturbation and zero
-// records, the hardware's disabled monitoring state).
-func (c *Collector) SetEnabled(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enabled = on
+	return &Collector{capacity: capacity, busy: make(map[int]timing.Time)}
 }
 
 // Emit records an event from a PE at virtual time now. The PE resumes
@@ -178,9 +171,6 @@ func (c *Collector) SetEnabled(on bool) {
 func (c *Collector) Emit(pe int, code EventCode, status uint32, now timing.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.enabled {
-		return
-	}
 	start := now
 	if b, ok := c.busy[pe]; ok && b > start {
 		start = b

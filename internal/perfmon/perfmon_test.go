@@ -56,20 +56,6 @@ func TestFIFOOverflowDrops(t *testing.T) {
 	}
 }
 
-func TestDisabledCollectorIsSilent(t *testing.T) {
-	c := NewCollector(4)
-	c.SetEnabled(false)
-	c.Emit(0, EvMsgSend, 1, 0)
-	if c.Len() != 0 || c.Dropped() != 0 {
-		t.Fatal("disabled collector must record nothing")
-	}
-	c.SetEnabled(true)
-	c.Emit(0, EvMsgSend, 1, 0)
-	if c.Len() != 1 {
-		t.Fatal("re-enabled collector must record")
-	}
-}
-
 func TestEventCodeNames(t *testing.T) {
 	codes := []EventCode{
 		EvInstrStart, EvInstrEnd, EvPropTaskRun, EvMsgSend, EvMsgRecv,

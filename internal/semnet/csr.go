@@ -32,12 +32,6 @@ func (v *CSRView) Out(id NodeID) []Link {
 	return v.Links[v.Off[id]:v.Off[id+1]]
 }
 
-// OutDegree reports node id's outgoing link count.
-func (v *CSRView) OutDegree(id NodeID) int { return int(v.Off[id+1] - v.Off[id]) }
-
-// InDegree reports node id's incoming link count.
-func (v *CSRView) InDegree(id NodeID) int { return int(v.InOff[id+1] - v.InOff[id]) }
-
 // CSR returns the flat adjacency view of the knowledge base, building it
 // on first use and caching it until the next structural mutation (the
 // cache is keyed on the KB's generation counter). Building is O(nodes +

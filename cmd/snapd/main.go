@@ -1,7 +1,6 @@
 // Command snapd serves SNAP-1 marker-propagation queries over HTTP: a
 // resident knowledge base, a pool of simulated array replicas behind
-// sharded work-stealing run queues, and a result-caching query engine
-// behind a JSON API.
+// one run queue, and a result-caching query engine behind a JSON API.
 //
 // Usage:
 //
@@ -15,7 +14,7 @@
 //	POST /v1/mutate  topology-mutating programs (requires -writes);
 //	                 commits through the serialized writer and publishes
 //	                 a new KB epoch before answering
-//	GET  /v1/stats   serving counters, batch/steal/shed stats, cache
+//	GET  /v1/stats   serving counters, batch/shed stats, cache
 //	                 hit rates, per-stage latency, write/delta counters
 //	GET  /v1/health  per-replica quarantine state and overall status
 //
@@ -88,8 +87,8 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	gen := fs.Int("gen", 0, "generate a synthetic knowledge base of N nodes instead")
 	domain := fs.Bool("domain", false, "embed the newswire micro-domain in the generated network")
 	seed := fs.Int64("seed", 42, "generation seed")
-	replicas := fs.Int("replicas", 4, "machine-pool size (one run-queue shard per replica)")
-	maxBatch := fs.Int("max-batch", 8, "max queries one replica drains or steals per round")
+	replicas := fs.Int("replicas", 4, "machine-pool size (all serve one run queue)")
+	maxBatch := fs.Int("max-batch", 8, "cap on one serving round (a replica takes its even share of the queue, at most this)")
 	queueCap := fs.Int("queue-cap", 256, "submit-queue capacity; beyond it queries shed with 503")
 	cacheCap := fs.Int("cache-cap", 128, "compile-cache entry bound")
 	resultCache := fs.Int("result-cache", 1024, "result-cache entry bound (0 disables result caching)")

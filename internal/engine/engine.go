@@ -5,11 +5,11 @@
 // An Engine owns a pool of machine replicas that share one preprocessed,
 // partitioned knowledge base (downloaded once, then cloned per replica —
 // concurrently, over shared-immutable topology tables — without
-// re-partitioning). Each replica owns a private run-queue shard: Submit
-// hashes the query onto a shard, the shard's owner drains it in batches,
-// and idle replicas steal batches from loaded shards, so there is no
-// central dispatcher lock between submitters and replicas. Each query
-// runs with fresh marker state and honors its context's cancellation and
+// re-partitioning). In front of the pool sits one run queue (queue.go):
+// Submit pushes, and every replica free to serve takes an even share of
+// what is queued — the replicas are bit-identical lockstep machines, so
+// there is no affinity to keep and nothing to route. Each query runs
+// with fresh marker state and honors its context's cancellation and
 // deadline between instructions. The request path is pipelined:
 //
 //	assembly → rule/program compilation (LRU-cached by content hash)
@@ -19,7 +19,7 @@
 //	         → execution on a pooled replica → collection
 //
 // Admission control sheds load instead of queueing without bound: a
-// full submit queue (QueueCap) or a reached in-flight ceiling
+// full run queue (QueueCap) or a reached in-flight ceiling
 // (MaxInFlight) fails fast with ErrOverloaded.
 //
 // Submit accepts only read-only programs: replicas share the downloaded
@@ -69,14 +69,14 @@ var (
 // Config parameterizes an Engine. The zero value of any field selects
 // its default.
 type Config struct {
-	// Replicas is the machine-pool size; one run-queue shard and one
-	// serving goroutine per replica (default 4).
+	// Replicas is the machine-pool size; one serving goroutine per
+	// replica (default 4).
 	Replicas int
-	// MaxBatch bounds how many queued queries one replica drains (or
-	// steals) per serving round (default 8).
+	// MaxBatch caps a serving round: a replica takes its even share of
+	// the run queue (queue.pop), never more than this (default 8).
 	MaxBatch int
-	// QueueCap bounds the queries queued across all shards; Submit
-	// fails fast with ErrOverloaded when it is reached (default 256).
+	// QueueCap bounds the run queue's depth; a submission that does not
+	// fit fails fast with ErrOverloaded (default 256).
 	QueueCap int
 	// CacheCap is the compile-cache entry bound (default 128).
 	CacheCap int
@@ -100,7 +100,7 @@ type Config struct {
 	Machine machine.Config
 	// Monitor, when non-nil, receives engine-level performance events
 	// (EvQuerySubmit, EvBatchDispatch, EvQueryDone, EvQueryCancel,
-	// EvWorkSteal, EvQueryShed, EvResultHit, and the resilience events
+	// EvQueryShed, EvResultHit, and the resilience events
 	// EvFaultInjected, EvReplicaQuarantined, EvQueryRetried,
 	// EvReplicaRestored).
 	Monitor *perfmon.Collector
@@ -144,14 +144,6 @@ type Config struct {
 	// incremental delta replay (writer.go). Off by default — a
 	// write-disabled engine serves a truly immutable snapshot.
 	Writes bool
-	// WriteQueueCap bounds writes queued for the serialized writer;
-	// SubmitWrite beyond it fails fast with ErrOverloaded (default 64).
-	WriteQueueCap int
-	// WriteBatch bounds how many adjacent queued writes the writer
-	// folds into one group commit — one epoch publish, one delta sync
-	// per replica — amortizing publish cost under write bursts
-	// (default 8).
-	WriteBatch int
 }
 
 // Validate reports every invalid field of the configuration in one
@@ -170,8 +162,6 @@ func (c Config) Validate() error {
 	nonNeg("QueueCap", c.QueueCap)
 	nonNeg("CacheCap", c.CacheCap)
 	nonNeg("MaxInFlight", c.MaxInFlight)
-	nonNeg("WriteQueueCap", c.WriteQueueCap)
-	nonNeg("WriteBatch", c.WriteBatch)
 	if c.QueryTimeout < 0 {
 		errs = append(errs, fmt.Errorf("QueryTimeout must be >= 0, got %v", c.QueryTimeout))
 	}
@@ -202,10 +192,10 @@ type Option func(*Config)
 // WithReplicas sets the machine-pool size.
 func WithReplicas(n int) Option { return func(c *Config) { c.Replicas = n } }
 
-// WithMaxBatch bounds the per-round batch size.
+// WithMaxBatch caps the per-round batch size.
 func WithMaxBatch(n int) Option { return func(c *Config) { c.MaxBatch = n } }
 
-// WithQueueCap sets the submit-queue capacity.
+// WithQueueCap sets the run queue's capacity.
 func WithQueueCap(n int) Option { return func(c *Config) { c.QueueCap = n } }
 
 // WithCacheCap sets the compile-cache entry bound.
@@ -300,8 +290,7 @@ type request struct {
 	ctx      context.Context
 	prog     *isa.Program
 	opt      *isa.Optimized // optimization product; nil when disabled
-	hash     uint64
-	gen      uint64 // KB generation at admission; fusion groups within one
+	gen      uint64         // KB generation at admission; fusion groups within one
 	resp     chan response
 	enqueued time.Time
 }
@@ -336,13 +325,11 @@ type Engine struct {
 	// (SubmitSource, /v1/query, /v1/query/batch) only ever looks up.
 	asm, readAsm *isa.Assembler
 
-	machines []*machine.Machine // index = replica rank = shard owner
-	shards   []*shard
-	health   []*replicaHealth // index = replica rank
-	notify   chan struct{}    // wake tokens for parked replicas
-	start    time.Time        // bring-up instant; drain-rate baseline
+	machines []*machine.Machine // index = replica rank
+	health   []*replicaHealth   // index = replica rank
+	queue    *queue             // admitted requests no replica has taken yet
+	start    time.Time          // bring-up instant; drain-rate baseline
 
-	queued   atomic.Int64 // requests resident in shards
 	inflight atomic.Int64 // admitted and not yet answered
 	busy     atomic.Int64 // replicas currently serving a batch
 
@@ -405,12 +392,6 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	if cfg.OptLevel == 0 {
 		cfg.OptLevel = isa.OptFull
 	}
-	if cfg.WriteQueueCap <= 0 {
-		cfg.WriteQueueCap = 64
-	}
-	if cfg.WriteBatch <= 0 {
-		cfg.WriteBatch = 8
-	}
 	if cfg.Machine.Clusters == 0 {
 		cfg.Machine = machine.PaperConfig()
 	}
@@ -453,9 +434,8 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		readAsm:  isa.NewAssembler(kb).LookupOnly(),
 		mon:      cfg.Monitor,
 		machines: machines,
-		shards:   make([]*shard, cfg.Replicas),
 		health:   make([]*replicaHealth, cfg.Replicas),
-		notify:   make(chan struct{}, cfg.Replicas),
+		queue:    newQueue(cfg.QueueCap, cfg.MaxBatch),
 		start:    time.Now(),
 		done:     make(chan struct{}),
 		cache:    newLRUCache[uint64, *isa.Program](cfg.CacheCap),
@@ -464,8 +444,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		e.results = newResultCache(cfg.ResultCacheCap)
 		e.flights = newFlightGroup()
 	}
-	for i := range e.shards {
-		e.shards[i] = &shard{}
+	for i := range e.health {
 		e.health[i] = &replicaHealth{}
 	}
 	e.st.Replicas = cfg.Replicas
@@ -475,7 +454,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	if cfg.Writes {
 		e.asm = isa.NewAssembler(kb)
 		// The dedicated writer is one more topology-sharing clone; it
-		// stays out of the serving ring and never arms fault injection,
+		// stays out of the serving pool and never arms fault injection,
 		// so the master KB's mutation history is exactly the committed
 		// write sequence.
 		w, err := proto.Clone()
@@ -486,7 +465,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 		e.writer = w
-		e.writeQ = make(chan *writeReq, cfg.WriteQueueCap)
+		e.writeQ = make(chan *writeReq, writeQueueCap)
 		e.wg.Add(1)
 		go e.writeLoop()
 	}
@@ -668,48 +647,42 @@ func (e *Engine) cached(h, gen uint64) (*machine.Result, bool) {
 
 // newRequest builds the queue entry for one validated (and already
 // optimized) query admitted under KB generation gen.
-func newRequest(ctx context.Context, prog *isa.Program, opt *isa.Optimized, h, gen uint64) *request {
+func newRequest(ctx context.Context, prog *isa.Program, opt *isa.Optimized, gen uint64) *request {
 	return &request{
-		ctx: ctx, prog: prog, opt: opt, hash: h, gen: gen,
+		ctx: ctx, prog: prog, opt: opt, gen: gen,
 		resp: make(chan response, 1), enqueued: time.Now(),
 	}
 }
 
 // enqueue admits reqs as one unit — all or none — and pushes them
-// contiguously onto the head's hash shard (rotated by the attempt
-// number, skipping quarantined replicas), so one serving round can
-// drain them together. On success the caller owns len(reqs) in-flight
-// slots, released with inflight.Add once the requests are answered or
-// abandoned; the queue slots are released by the replica that drains
-// them.
-func (e *Engine) enqueue(reqs []*request, attempt int) error {
-	select {
-	case <-e.done:
-		return ErrClosed
-	default:
-	}
+// contiguously onto the run queue, so one serving round can drain them
+// together. On success the caller owns len(reqs) in-flight slots,
+// released with inflight.Add once the requests are answered or
+// abandoned.
+func (e *Engine) enqueue(reqs []*request) error {
 	n := int64(len(reqs))
-	if q := e.queued.Add(n); int(q) > e.cfg.QueueCap {
-		e.queued.Add(-n)
-		return e.shed()
-	}
 	if f := e.inflight.Add(n); e.cfg.MaxInFlight > 0 && int(f) > e.cfg.MaxInFlight {
 		e.inflight.Add(-n)
-		e.queued.Add(-n)
 		return e.shed()
 	}
-	depth := e.shards[e.pickShard(reqs[0].hash, attempt)].push(reqs)
+	depth, err := e.queue.push(reqs)
+	if err != nil {
+		e.inflight.Add(-n)
+		if err == ErrOverloaded {
+			return e.shed()
+		}
+		return err
+	}
 	e.st.add(&e.st.Submitted, len(reqs))
 	e.emit(-1, perfmon.EvQuerySubmit, uint32(depth), 0)
-	e.wake()
 	return nil
 }
 
 // execute enqueues a validated (and already optimized) query and waits
 // for the serving replica's response.
-func (e *Engine) execute(ctx context.Context, prog *isa.Program, opt *isa.Optimized, h uint64, attempt int) (*machine.Result, error) {
-	req := newRequest(ctx, prog, opt, h, e.readGen())
-	if err := e.enqueue([]*request{req}, attempt); err != nil {
+func (e *Engine) execute(ctx context.Context, prog *isa.Program, opt *isa.Optimized) (*machine.Result, error) {
+	req := newRequest(ctx, prog, opt, e.readGen())
+	if err := e.enqueue([]*request{req}); err != nil {
 		return nil, err
 	}
 	defer e.inflight.Add(-1)
@@ -749,17 +722,6 @@ func (e *Engine) shed() error {
 	e.st.add(&e.st.Overloaded, 1)
 	e.emit(-1, perfmon.EvQueryShed, uint32(e.inflight.Load()), 0)
 	return ErrOverloaded
-}
-
-// wake hands a parked replica a token. The channel holds one token per
-// replica, so a dropped send means every replica already has a pending
-// wakeup; each woken replica rescans all shards (own queue, then steal)
-// before parking again, so no queued request can be stranded.
-func (e *Engine) wake() {
-	select {
-	case e.notify <- struct{}{}:
-	default:
-	}
 }
 
 // SubmitSource assembles SNAP assembly text (resolving names against the
@@ -814,43 +776,25 @@ func sourceHash(src string) uint64 {
 	return h
 }
 
-// serve is replica rank's owner loop: drain the replica's own shard in
-// MaxBatch rounds; when it is empty, steal a batch from the deepest
-// other shard; when every shard is empty, park until a submission's
-// wake token (or shutdown). There is no central dispatcher — under load
-// each replica cycles on its own queue's lock, and the work-stealing
-// scan only runs on the idle path.
+// serve is replica rank's loop: take a round off the run queue (parking
+// in pop while it is empty), bring the replica up to the published epoch,
+// run the round. A quarantined replica is simply not in pop: it probes
+// until healthy, and the others take what is queued meanwhile.
 func (e *Engine) serve(rank int) {
 	defer e.wg.Done()
 	m := e.machines[rank]
-	own := e.shards[rank]
 	batch := make([]*request, 0, e.cfg.MaxBatch)
 	for {
 		if e.health[rank].isQuarantined() {
-			// Out of the ring: probe until healthy (or shutdown). The
-			// shard's backlog is drained by the healthy replicas' steals.
 			if !e.probeQuarantined(rank, m) {
 				return
 			}
 			continue
 		}
-		batch = own.popN(e.cfg.MaxBatch, batch[:0])
+		batch = e.queue.pop(batch[:0])
 		if len(batch) == 0 {
-			batch = e.steal(rank, batch)
-			if len(batch) > 0 {
-				e.st.steal(len(batch))
-				e.emit(rank, perfmon.EvWorkSteal, uint32(len(batch)), 0)
-			}
+			return // closed
 		}
-		if len(batch) == 0 {
-			select {
-			case <-e.notify:
-				continue
-			case <-e.done:
-				return
-			}
-		}
-		e.queued.Add(-int64(len(batch)))
 		e.st.batch(len(batch))
 		e.emit(rank, perfmon.EvBatchDispatch, uint32(len(batch)), 0)
 		e.busy.Add(1)
@@ -872,7 +816,7 @@ func (e *Engine) runBatch(rank int, m *machine.Machine, batch []*request) {
 			e.st.queueWait(time.Since(req.enqueued))
 			if err := req.ctx.Err(); err != nil {
 				e.st.add(&e.st.Canceled, 1)
-				e.emit(rank, perfmon.EvQueryCancel, uint32(e.queued.Load()), 0)
+				e.emit(rank, perfmon.EvQueryCancel, uint32(e.queue.depth()), 0)
 				req.resp <- response{err: err}
 				continue
 			}
@@ -953,14 +897,14 @@ func (e *Engine) runGroup(rank int, m *machine.Machine, group []*request) {
 	d := time.Since(start)
 	if err != nil {
 		e.st.run(d, err)
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			// A deadline blown on this replica — possibly a wedged or
-			// crawling array — counts toward its quarantine threshold.
-			e.noteTimeout(rank)
-			e.emit(rank, perfmon.EvQueryCancel, uint32(e.queued.Load()), 0)
-		case head.ctx.Err() != nil:
-			e.emit(rank, perfmon.EvQueryCancel, uint32(e.queued.Load()), 0)
+		if head.ctx.Err() != nil {
+			if context.Cause(head.ctx) == errAttemptTimeout {
+				// The engine's own deadline blown on this replica —
+				// possibly a wedged or crawling array — counts toward its
+				// quarantine; one the caller chose says nothing about it.
+				e.noteTimeout(rank)
+			}
+			e.emit(rank, perfmon.EvQueryCancel, uint32(e.queue.depth()), 0)
 		}
 		head.resp <- response{err: err}
 		return
@@ -1007,13 +951,10 @@ func (e *Engine) emit(pe int, code perfmon.EventCode, status uint32, now timing.
 // and releases the pool.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.done) })
-	e.wg.Wait()
-	for _, s := range e.shards {
-		for _, req := range s.popN(int(^uint(0)>>1), nil) {
-			e.queued.Add(-1)
-			req.resp <- response{err: ErrClosed}
-		}
+	for _, req := range e.queue.close() {
+		req.resp <- response{err: ErrClosed}
 	}
+	e.wg.Wait()
 	if e.writeQ != nil {
 		for {
 			select {
@@ -1036,9 +977,7 @@ func (e *Engine) Close() {
 // Stats returns a snapshot of the engine's serving counters.
 func (e *Engine) Stats() Stats {
 	st := e.st.snapshot()
-	for _, s := range e.shards {
-		st.QueueDepth += s.depth()
-	}
+	st.QueueDepth = e.queue.depth()
 	st.IdleReplicas = e.cfg.Replicas - int(e.busy.Load())
 	st.InFlight = int(e.inflight.Load())
 	if e.results != nil {

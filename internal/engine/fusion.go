@@ -21,7 +21,7 @@ import (
 // Fusion is transparent to callers of Submit: it engages whenever a
 // replica's round happens to carry compatible queries. SubmitBatch
 // (below) stacks the odds by admitting a caller's batch contiguously
-// onto one shard. Any failure to fuse — ineligible program, plane
+// onto the run queue. Any failure to fuse — ineligible program, plane
 // exhaustion, rule-table overflow, or a runtime origin-ambiguity
 // detection — falls back to solo execution of the same requests, so
 // fusion can only add throughput, never answers.
@@ -79,10 +79,11 @@ func (e *Engine) fusionGroup(batch *[]*request) []*request {
 }
 
 // SubmitBatch submits a set of independent read-only programs in one
-// call, enqueuing every cache-missing member contiguously on a single
-// shard so the serving replica drains them in one round and can fuse
-// them into a single machine run. Results and errors are positional:
-// errs[i] is non-nil exactly when results[i] is nil. Per-element
+// call, enqueuing every cache-missing member contiguously so a replica
+// that takes them in one round can fuse them into a single machine run
+// (a lone free replica takes the batch whole; several split it). Results
+// and errors are positional: errs[i] is non-nil exactly when results[i]
+// is nil. Per-element
 // admission matches Submit (validation, mutating-program rejection,
 // result-cache hits); unlike Submit, members that execute are not
 // retried and their results are not memoized (a fused result's virtual
@@ -92,7 +93,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 	errs := make([]error, len(progs))
 	if e.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
+		ctx, cancel = context.WithTimeoutCause(ctx, e.cfg.QueryTimeout, errAttemptTimeout)
 		defer cancel()
 	}
 
@@ -100,19 +101,18 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 	pending := make([]int, 0, len(progs)) // pending[j]: reqs[j]'s index in progs
 	reqs := make([]*request, 0, len(progs))
 	for i, prog := range progs {
-		var h uint64
-		if h, results[i], errs[i] = e.precheck(prog, gen); results[i] == nil && errs[i] == nil {
+		if _, results[i], errs[i] = e.precheck(prog, gen); results[i] == nil && errs[i] == nil {
 			// Optimization is compile-tier work: it runs (once per
 			// compiled program) before admission, so it never occupies a
 			// queue or in-flight slot.
 			pending = append(pending, i)
-			reqs = append(reqs, newRequest(ctx, prog, e.optimize(prog), h, gen))
+			reqs = append(reqs, newRequest(ctx, prog, e.optimize(prog), gen))
 		}
 	}
 	if len(reqs) == 0 {
 		return results, errs
 	}
-	if err := e.enqueue(reqs, 0); err != nil {
+	if err := e.enqueue(reqs); err != nil {
 		for _, i := range pending {
 			errs[i] = err
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"snap1/internal/isa"
@@ -13,9 +12,9 @@ import (
 )
 
 // HealthPolicy governs replica quarantine and reintegration: a replica
-// whose queries time out FailureThreshold times in a row is pulled from
-// the shard ring, probed every ProbeInterval with an empty program, and
-// restored after ProbeSuccesses consecutive passes. The zero value of
+// whose queries time out FailureThreshold times in a row stops taking
+// rounds off the run queue, is probed every ProbeInterval with an empty
+// program, and restored after ProbeSuccesses consecutive passes. The zero value of
 // any field selects its default.
 type HealthPolicy struct {
 	// FailureThreshold is the consecutive-timeout count that
@@ -72,21 +71,24 @@ func (p HealthPolicy) validate() []error {
 	return errs
 }
 
-// replicaHealth is one replica's failure-tracking state. The state word
-// is atomic so the submit path's shard selection reads it without a
-// lock; the counters stay behind the mutex.
+// replicaHealth is one replica's failure-tracking state.
 type replicaHealth struct {
-	state          atomic.Int32 // 0 healthy, 1 quarantined
 	mu             sync.Mutex
+	quarantined    bool
 	consecTimeouts int
 	quarantines    uint64
 	restores       uint64
 }
 
-func (h *replicaHealth) isQuarantined() bool { return h.state.Load() == 1 }
+func (h *replicaHealth) isQuarantined() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.quarantined
+}
 
-// noteTimeout records one timed-out query on replica rank and
-// quarantines it at the failure threshold.
+// noteTimeout records one attempt that blew the engine's per-attempt
+// deadline (QueryTimeout) on replica rank and quarantines it at the
+// failure threshold.
 func (e *Engine) noteTimeout(rank int) {
 	if e.cfg.Health.FailureThreshold < 0 {
 		return
@@ -95,18 +97,15 @@ func (e *Engine) noteTimeout(rank int) {
 	h.mu.Lock()
 	h.consecTimeouts++
 	n := h.consecTimeouts
-	fire := n >= e.cfg.Health.FailureThreshold && h.state.Load() == 0
+	fire := n >= e.cfg.Health.FailureThreshold && !h.quarantined
 	if fire {
-		h.state.Store(1)
+		h.quarantined = true
 		h.quarantines++
 	}
 	h.mu.Unlock()
 	if fire {
 		e.st.add(&e.st.Quarantines, 1)
 		e.emit(rank, perfmon.EvReplicaQuarantined, uint32(n), 0)
-		// The quarantined shard's backlog is now steal-only; rouse the
-		// healthy replicas to drain it.
-		e.wakeAll()
 	}
 }
 
@@ -152,48 +151,15 @@ func (e *Engine) probeQuarantined(rank int, m *machine.Machine) bool {
 		h.mu.Lock()
 		h.consecTimeouts = 0
 		h.restores++
-		h.state.Store(0)
+		h.quarantined = false
 		h.mu.Unlock()
 		e.st.add(&e.st.Restores, 1)
 		e.emit(rank, perfmon.EvReplicaRestored, uint32(streak), 0)
-		e.wakeAll()
 		return true
 	}
 }
 
-// wakeAll hands every parked replica a token (e.g. after quarantine
-// shifts who must drain which shard).
-func (e *Engine) wakeAll() {
-	for i := 0; i < cap(e.notify); i++ {
-		select {
-		case e.notify <- struct{}{}:
-		default:
-			return
-		}
-	}
-}
-
-// pickShard maps a query onto the shard ring, routing around
-// quarantined replicas: the base shard rotates with the attempt number
-// so a retry lands on a different replica, and a linear probe finds the
-// next healthy owner. With every replica quarantined it falls back to
-// the base shard — work stealing and reintegration still drain it.
-func (e *Engine) pickShard(h uint64, attempt int) int {
-	n := len(e.shards)
-	base := int((h + uint64(attempt)) % uint64(n))
-	for i := 0; i < n; i++ {
-		s := base + i
-		if s >= n {
-			s -= n
-		}
-		if !e.health[s].isQuarantined() {
-			return s
-		}
-	}
-	return base
-}
-
-// healthyReplicas counts replicas currently in the shard ring.
+// healthyReplicas counts replicas currently serving (not quarantined).
 func (e *Engine) healthyReplicas() int {
 	n := 0
 	for _, h := range e.health {
@@ -214,8 +180,8 @@ type ReplicaHealth struct {
 }
 
 // HealthReport is the engine's serving-capacity summary: "ok" with the
-// full ring, "degraded" while quarantined replicas are being routed
-// around, "unavailable" with none healthy.
+// full pool, "degraded" while some replicas are quarantined,
+// "unavailable" with none healthy.
 type HealthReport struct {
 	Status   string          `json:"status"`
 	Replicas []ReplicaHealth `json:"replicas"`
@@ -227,12 +193,12 @@ func (e *Engine) Health() HealthReport {
 	healthy := 0
 	for i, h := range e.health {
 		r := ReplicaHealth{Rank: i, State: "healthy"}
-		if h.isQuarantined() {
+		h.mu.Lock()
+		if h.quarantined {
 			r.State = "quarantined"
 		} else {
 			healthy++
 		}
-		h.mu.Lock()
 		r.ConsecutiveTimeouts = h.consecTimeouts
 		r.Quarantines = h.quarantines
 		r.Restores = h.restores

@@ -209,6 +209,48 @@ func TestQuarantineAndReintegration(t *testing.T) {
 	}
 }
 
+// TestClientDeadlineDoesNotQuarantine: a deadline the caller chose says
+// nothing about the replica it fires on. Only the engine's own
+// per-attempt deadline (QueryTimeout) counts toward quarantine, or six
+// impatient requests take a healthy two-replica engine dark.
+func TestClientDeadlineDoesNotQuarantine(t *testing.T) {
+	g := fig15KB(t, 800)
+	// No result cache: every submission reaches a replica.
+	e, err := New(g.KB, WithReplicas(2), WithResultCache(0), WithQueryTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// Milliseconds of run: a 1ms deadline mostly fires mid-run.
+	heavy, err := e.Compile(heavyQuery(queryConcepts(g, 1)[0], 4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two replicas at the default threshold of three: six runs cut short
+	// is what it took to quarantine both.
+	for i := 0; e.Stats().Failed < 6; i++ {
+		if i == 400 {
+			t.Fatal("400 submissions and the deadline never fired mid-run")
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		_, err := e.Submit(ctx, heavy)
+		cancel()
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("submit %d under a 1ms deadline: %v", i, err)
+		}
+	}
+	if rep := e.Health(); rep.Status != "ok" {
+		t.Errorf("health status = %q, want ok", rep.Status)
+	}
+	waitFor(t, "quiescence", func() bool {
+		st := e.Stats()
+		return st.Submitted == st.Completed+st.Failed+st.Canceled
+	})
+	if st := e.Stats(); st.Quarantines != 0 {
+		t.Errorf("quarantines = %d after %d runs cut short by the caller's deadline, want 0", st.Quarantines, st.Failed)
+	}
+}
+
 // TestFaultSoak is the acceptance scenario: a seeded plan with 1% ICN
 // drops everywhere plus one wedged replica. The engine must serve the
 // whole mixed-query suite with zero failures, every result bit-identical

@@ -84,18 +84,25 @@ func (p RetryPolicy) backoff(attempt int, h uint64) time.Duration {
 	return d + time.Duration(int64(d)*frac/2000)
 }
 
+// errAttemptTimeout is the cancellation cause of the engine's own
+// per-attempt deadline (QueryTimeout). Callers still see
+// context.DeadlineExceeded; the cause is how a replica tells the
+// engine's deadline, which says something about the replica, from one
+// the caller chose, which does not.
+var errAttemptTimeout = errors.New("engine: attempt exceeded QueryTimeout")
+
 // attemptRetryable reports whether a failed attempt may be re-executed:
 // a run poisoned by injected ICN corruption re-runs bit-identically
 // once unfaulted, and a per-attempt timeout may have been a wedged or
-// slowed replica that the shard rotation will route around.
+// slowed replica; the retry is taken by whichever replica is free.
 func attemptRetryable(err error) bool {
 	return errors.Is(err, fault.ErrInjected) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // executeRetry runs a query under the engine's deadline and retry
 // policies: each attempt gets its own QueryTimeout-bounded context, and
-// retryable failures re-execute (on a rotated shard) with exponential
-// backoff until the budget or the caller's context runs out.
+// retryable failures re-execute with exponential backoff until the
+// budget or the caller's context runs out.
 func (e *Engine) executeRetry(ctx context.Context, prog *isa.Program, h uint64) (*machine.Result, error) {
 	// Optimization is compile-tier work: it runs (once per compiled
 	// program) before admission, so it never occupies a queue or
@@ -119,9 +126,9 @@ func (e *Engine) executeRetry(ctx context.Context, prog *isa.Program, h uint64) 
 		}
 		actx, cancel := ctx, context.CancelFunc(nil)
 		if e.cfg.QueryTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
+			actx, cancel = context.WithTimeoutCause(ctx, e.cfg.QueryTimeout, errAttemptTimeout)
 		}
-		res, err := e.execute(actx, prog, opt, h, attempt)
+		res, err := e.execute(actx, prog, opt)
 		if cancel != nil {
 			cancel()
 		}

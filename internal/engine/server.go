@@ -396,17 +396,13 @@ var envelopeCodes = []string{
 // current queue depth over the engine's lifetime drain rate, clamped to
 // [1, 60] seconds. A cold engine (nothing completed yet) answers 1.
 func (e *Engine) retryAfterSeconds() int {
-	depth := e.queued.Load()
-	if depth <= 0 {
-		return 1
-	}
 	done := e.st.completedCount()
 	elapsed := time.Since(e.start).Seconds()
 	if done == 0 || elapsed <= 0 {
 		return 1
 	}
 	rate := float64(done) / elapsed // queries per second
-	secs := int(math.Ceil(float64(depth) / rate))
+	secs := int(math.Ceil(float64(e.queue.depth()) / rate))
 	if secs < 1 {
 		secs = 1
 	}

@@ -172,22 +172,28 @@ func TestClassifySentinels(t *testing.T) {
 // TestRetryAfterComputed checks the overload Retry-After is derived from
 // queue depth and drain rate, not hardcoded.
 func TestRetryAfterComputed(t *testing.T) {
-	e := &Engine{start: time.Now().Add(-10 * time.Second)}
+	engineWithQueued := func(start time.Time, depth int) *Engine {
+		e := &Engine{start: start, queue: newQueue(depth, 8)}
+		if _, err := e.queue.push(make([]*request, depth)); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
 	// 10 completed over ~10s ≈ 1 q/s; 30 queued => ~30s to drain
 	// (ceil of the true elapsed time may round one second up).
+	e := engineWithQueued(time.Now().Add(-10*time.Second), 30)
 	e.st.Completed = 10
-	e.queued.Store(30)
 	if got := e.retryAfterSeconds(); got < 30 || got > 31 {
 		t.Errorf("retryAfterSeconds = %d, want ~30", got)
 	}
-	// Clamped to 60 even with a monster backlog.
-	e.queued.Store(1_000_000)
+	// Clamped to 60 with a backlog that would take longer.
+	e = engineWithQueued(e.start, 500)
+	e.st.Completed = 10
 	if got := e.retryAfterSeconds(); got != 60 {
 		t.Errorf("clamp high: %d, want 60", got)
 	}
 	// Cold engine: nothing completed yet, fall back to 1.
-	cold := &Engine{start: time.Now()}
-	cold.queued.Store(5)
+	cold := engineWithQueued(time.Now(), 5)
 	if got := cold.retryAfterSeconds(); got != 1 {
 		t.Errorf("cold engine: %d, want 1", got)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"snap1/internal/isa"
 	"snap1/internal/kbgen"
+	"snap1/internal/machine"
 	"snap1/internal/rules"
 	"snap1/internal/semnet"
 )
@@ -322,65 +323,41 @@ func TestOverloadShed(t *testing.T) {
 	})
 }
 
-// TestWorkStealing funnels every query onto one replica's shard and
-// requires the other replica to steal from it.
-func TestWorkStealing(t *testing.T) {
+// TestBurstSpreadsOverFreeReplicas pins the round rule from the engine's
+// side: a burst admitted while every replica is parked is split between
+// them — no replica takes more than its even share while others are
+// free — and splitting changes no answer.
+func TestBurstSpreadsOverFreeReplicas(t *testing.T) {
 	g := fig15KB(t, 800)
-	concepts := queryConcepts(g, 24)
+	e, err := New(g.KB, WithReplicas(4), WithResultCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
 
-	for attempt := 0; ; attempt++ {
-		e, err := New(g.KB, WithReplicas(2), WithMaxBatch(1), WithResultCache(0))
-		if err != nil {
+	concepts := queryConcepts(g, 8)
+	progs := make([]*isa.Program, len(concepts))
+	solo := make([]*machine.Result, len(concepts))
+	for i, c := range concepts {
+		if progs[i], err = e.Compile(heavyQuery(c, 20)); err != nil {
 			t.Fatal(err)
 		}
+		solo[i] = soloReference(t, e, progs[i])
+	}
+	waitFor(t, "every replica parked", func() bool { return e.queue.parkedNow() == 4 })
 
-		// Select programs that all hash onto shard 0, so replica 1 can
-		// only ever run a query by stealing it.
-		srcs := make([]string, 0, 12)
-		for _, c := range concepts {
-			src := heavyQuery(c, 20)
-			prog, err := e.Compile(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if prog.Hash()%2 == 0 {
-				srcs = append(srcs, src)
-			}
+	results, errs := e.SubmitBatch(context.Background(), progs)
+	for i := range progs {
+		if errs[i] != nil {
+			t.Fatalf("member %d: %v", i, errs[i])
 		}
-		if len(srcs) < 4 {
-			t.Fatalf("only %d/%d candidate programs landed on shard 0", len(srcs), len(concepts))
+		if !reflect.DeepEqual(results[i].Collections, solo[i].Collections) {
+			t.Errorf("member %d: collections diverge from its solo run", i)
 		}
-
-		var wg sync.WaitGroup
-		errs := make(chan error, len(srcs))
-		for _, src := range srcs {
-			wg.Add(1)
-			go func(src string) {
-				defer wg.Done()
-				if _, err := e.SubmitSource(context.Background(), src); err != nil {
-					errs <- err
-				}
-			}(src)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
-
-		st := e.Stats()
-		e.Close()
-		if st.Steals > 0 {
-			if st.StolenQueries == 0 {
-				t.Error("steals recorded but no stolen queries counted")
-			}
-			return
-		}
-		// Scheduling can let replica 0 drain everything before replica 1
-		// wakes; retry a bounded number of times before declaring failure.
-		if attempt == 4 {
-			t.Fatal("no steal observed in 5 attempts despite single-shard load")
-		}
+	}
+	if st := e.Stats(); st.Batches < 2 || st.MaxBatchSize != 2 {
+		t.Errorf("8 members over 4 free replicas: %d rounds, largest %d; want >= 2 rounds of at most 2",
+			st.Batches, st.MaxBatchSize)
 	}
 }
 

@@ -61,7 +61,7 @@ type Stats struct {
 	QueueDepth   int `json:"queue_depth"`
 	InFlight     int `json:"in_flight"`
 
-	// Submitted counts requests admitted to a replica's queue (a retry
+	// Submitted counts requests admitted to the run queue (a retry
 	// is a new request). Each ends in exactly one of Completed, Failed —
 	// its run returned an error, a context that ended mid-run included —
 	// or Canceled — its caller had gone when a replica took it off the
@@ -83,12 +83,12 @@ type Stats struct {
 
 	// Batches counts serving rounds; BatchedQueries the queries they
 	// carried. MaxBatchSize is the largest single round observed.
-	// Steals counts rounds served off another replica's shard;
-	// StolenQueries the queries those rounds carried.
+	// StolenQueries is always 0: there is one run queue and nothing to
+	// steal from. The field stays only because benchmark/run.go:131
+	// still reads it, and goes when that reader does (ROADMAP item 1a).
 	Batches        uint64 `json:"batches"`
 	BatchedQueries uint64 `json:"batched_queries"`
 	MaxBatchSize   int    `json:"max_batch_size"`
-	Steals         uint64 `json:"steals"`
 	StolenQueries  uint64 `json:"stolen_queries"`
 
 	// Query-fusion counters: fused machine runs, the queries they
@@ -140,7 +140,7 @@ type Stats struct {
 
 	// Resilience counters: retries issued and queries whose retry
 	// budget ran out; replica quarantines and restorations; and the
-	// current serving capacity — HealthyReplicas in the shard ring,
+	// current serving capacity — HealthyReplicas not quarantined,
 	// with Degraded true while any replica is quarantined.
 	Retries          uint64 `json:"retries"`
 	RetriesExhausted uint64 `json:"retries_exhausted"`
@@ -193,13 +193,6 @@ func (s *stats) batch(size int) {
 	s.Batches++
 	s.BatchedQueries += uint64(size)
 	s.MaxBatchSize = max(s.MaxBatchSize, size)
-	s.mu.Unlock()
-}
-
-func (s *stats) steal(size int) {
-	s.mu.Lock()
-	s.Steals++
-	s.StolenQueries += uint64(size)
 	s.mu.Unlock()
 }
 

@@ -14,7 +14,7 @@ import (
 
 // The online write path (Config.Writes). Mutating programs execute
 // serialized on one dedicated writer machine — a lockstep replica over
-// the master KB, outside the serving ring — and publish epoch-style:
+// the master KB, outside the serving pool — and publish epoch-style:
 //
 //	SubmitWrite → write queue → writer goroutine (group commit)
 //	            → RunContext on the writer machine
@@ -49,6 +49,12 @@ var (
 	// HTTP surface: 500 write_failed.
 	ErrWriteFailed = errors.New("engine: write failed")
 )
+
+// writeQueueCap bounds writes queued for the serialized writer
+// (SubmitWrite beyond it fails fast with ErrOverloaded); writeBatch
+// bounds how many adjacent queued writes fold into one group commit —
+// one epoch publish, one delta sync per replica.
+const writeQueueCap, writeBatch = 64, 8
 
 // writeReq is one queued mutating program.
 type writeReq struct {
@@ -108,7 +114,7 @@ func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.R
 }
 
 // writeLoop is the dedicated writer goroutine: it drains the write
-// queue, folding up to WriteBatch adjacent writes into one group
+// queue, folding up to writeBatch adjacent writes into one group
 // commit, and retires at engine shutdown.
 func (e *Engine) writeLoop() {
 	defer e.wg.Done()
@@ -119,8 +125,8 @@ func (e *Engine) writeLoop() {
 		case <-e.done:
 			return
 		}
-		group := append(make([]*writeReq, 0, e.cfg.WriteBatch), first)
-		for len(group) < e.cfg.WriteBatch {
+		group := append(make([]*writeReq, 0, writeBatch), first)
+		for len(group) < writeBatch {
 			select {
 			case w := <-e.writeQ:
 				group = append(group, w)

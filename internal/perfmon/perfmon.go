@@ -38,7 +38,6 @@ const (
 	EvBatchDispatch // status: batch size dispatched to one replica
 	EvQueryDone     // status: low 24 bits of the query's virtual time
 	EvQueryCancel   // status: submit-queue depth at cancellation
-	EvWorkSteal     // status: batch size stolen from a loaded shard
 	EvQueryShed     // status: in-flight count at admission rejection
 	EvResultHit     // status: low 24 bits of the cached virtual time
 	EvQueryFused    // status: queries coalesced into one fused run
@@ -97,8 +96,6 @@ func (e EventCode) String() string {
 		return "query-done"
 	case EvQueryCancel:
 		return "query-cancel"
-	case EvWorkSteal:
-		return "work-steal"
 	case EvQueryShed:
 		return "query-shed"
 	case EvResultHit:

@@ -189,7 +189,8 @@ var (
 var (
 	// WithReplicas sets the engine's machine-pool size.
 	WithReplicas = engine.WithReplicas
-	// WithMaxBatch bounds queries dispatched per replica round.
+	// WithMaxBatch caps a serving round: a replica takes its even share
+	// of the run queue among the replicas free to serve, at most n.
 	WithMaxBatch = engine.WithMaxBatch
 	// WithFusion bounds queries coalesced into one fused machine run
 	// (marker-plane query fusion); n <= 1 disables fusion.

@@ -87,42 +87,22 @@ func (c *lruCache[K, V]) len() int {
 
 // resultKey identifies a memoized query result: the program's content
 // hash plus the knowledge base's structural generation at execution
-// time. A KB mutation bumps the generation, so stale results can never
-// satisfy a post-mutation query — they simply stop being looked up and
-// age out of the LRU.
+// time. Every accepted query is a pure function of (program, topology) —
+// markers are cleared before each run and mutating programs are refused —
+// so on the lockstep machine a memoized Result, collections and virtual
+// time both, is bit-identical to recomputation. A KB mutation bumps the
+// generation, so stale results can never satisfy a post-mutation query:
+// they simply stop being looked up.
 type resultKey struct {
 	hash uint64
 	gen  uint64
 }
 
-// resultCache memoizes read-only query results. Every accepted query is
-// a pure function of (program, topology): markers are cleared before
-// each run and mutating programs are refused, so on the deterministic
-// lockstep engine a cached Result — collections and virtual time both —
-// is bit-identical to recomputation.
-type resultCache struct {
-	lru *lruCache[resultKey, *machine.Result]
-}
-
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{lru: newLRUCache[resultKey, *machine.Result](capacity)}
-}
-
-func (c *resultCache) get(hash, gen uint64) (*machine.Result, bool) {
-	return c.lru.get(resultKey{hash: hash, gen: gen})
-}
-
-func (c *resultCache) put(hash, gen uint64, res *machine.Result) {
-	c.lru.put(resultKey{hash: hash, gen: gen}, res)
-}
-
-func (c *resultCache) len() int { return c.lru.len() }
-
-// evictBefore sweeps out every entry memoized under a generation older
+// evictBefore sweeps out every result memoized under a generation older
 // than gen and returns the number removed. A write publish calls it so
 // superseded-generation results — which can never be looked up again —
 // free their memory immediately instead of lingering until LRU pressure
 // pushes them out.
-func (c *resultCache) evictBefore(gen uint64) int {
-	return c.lru.sweep(func(k resultKey) bool { return k.gen < gen })
+func evictBefore(c *lruCache[resultKey, *machine.Result], gen uint64) int {
+	return c.sweep(func(k resultKey) bool { return k.gen < gen })
 }

@@ -285,7 +285,8 @@ func WithOptLevel(n int) Option {
 // SubmitWrite and POST /v1/mutate.
 func WithWrites(on bool) Option { return func(c *Config) { c.Writes = on } }
 
-// request is one queued query.
+// request is one queued query, or one queued write (which uses neither
+// opt nor gen).
 type request struct {
 	ctx      context.Context
 	prog     *isa.Program
@@ -337,16 +338,16 @@ type Engine struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	cache   *lruCache[uint64, *isa.Program] // assembly-source hash -> sealed program, its rewrite on it
-	results *resultCache                    // nil when disabled
-	flights *flightGroup                    // nil when results is nil
+	cache   *lruCache[uint64, *isa.Program]       // assembly-source hash -> sealed program, its rewrite on it
+	results *lruCache[resultKey, *machine.Result] // memoized query results; nil when disabled
+	flights *flightGroup                          // nil when results is nil
 
 	// Write path (nil/zero unless Config.Writes; see writer.go). pubGen
 	// is the published KB generation — the epoch every new read
 	// observes; writeMu serializes writer execution against full-reload
 	// replica recovery, the one path that must see a quiescent KB.
 	writer  *machine.Machine
-	writeQ  chan *writeReq
+	writeQ  *queue // admitted writes the writer has not taken yet
 	writeMu sync.Mutex
 	pubGen  atomic.Uint64
 
@@ -441,7 +442,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		cache:    newLRUCache[uint64, *isa.Program](cfg.CacheCap),
 	}
 	if cfg.ResultCacheCap > 0 {
-		e.results = newResultCache(cfg.ResultCacheCap)
+		e.results = newLRUCache[resultKey, *machine.Result](cfg.ResultCacheCap)
 		e.flights = newFlightGroup()
 	}
 	for i := range e.health {
@@ -465,7 +466,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 		e.writer = w
-		e.writeQ = make(chan *writeReq, writeQueueCap)
+		e.writeQ = newQueue(writeQueueCap, writeBatch)
 		e.wg.Add(1)
 		go e.writeLoop()
 	}
@@ -561,52 +562,123 @@ func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result
 	if res != nil || err != nil {
 		return res, err
 	}
-	if e.results == nil {
-		return e.executeRetry(ctx, prog, h)
+	m := miss{prog: prog, h: h}
+	e.resolve(ctx, gen, []*miss{&m})
+	return m.res, m.err
+}
+
+// SubmitBatch is Submit over a set of independent read-only programs:
+// the members that miss the result cache are admitted contiguously, so a
+// replica that takes them in one round can fuse them into a single
+// machine run (a lone free replica takes the batch whole; several split
+// it). Results and errors are positional: errs[i] is non-nil exactly
+// when results[i] is nil. Every member has what Submit gives one query —
+// validation, result-cache hits, singleflight, retry, memoization — and
+// a batch is never refused for its own size: it is admitted in pieces
+// that fit the engine's admission bounds, each awaited before the next.
+func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*machine.Result, []error) {
+	results := make([]*machine.Result, len(progs))
+	errs := make([]error, len(progs))
+	gen := e.readGen()
+	misses := make([]miss, len(progs))
+	set := make([]*miss, 0, len(progs))
+	for i, prog := range progs {
+		m := &misses[i]
+		m.prog = prog
+		if m.h, m.res, m.err = e.precheck(prog, gen); m.res == nil && m.err == nil {
+			set = append(set, m)
+		}
 	}
-	for {
-		f, leader := e.flights.join(h)
-		if leader {
-			// The previous leader may have memoized its result and left
-			// between this caller's miss and its join: look again before
-			// executing, or the query runs twice.
-			res, ok := e.cached(h, gen)
-			if !ok {
-				res, err = e.executeRetry(ctx, prog, h)
-				if err == nil && !res.Fused {
-					// A fused result reports the fused run's end time, not
-					// the solo-reproducible time the cache's bit-identity
-					// contract promises — serve it, but don't memoize it.
-					// The entry is keyed by the generation the run actually
-					// observed (under write churn the serving replica may
-					// have synced past the admission epoch).
-					e.results.put(h, res.KBGen, res)
+	piece := e.cfg.QueueCap
+	if e.cfg.MaxInFlight > 0 {
+		piece = min(piece, e.cfg.MaxInFlight)
+	}
+	for len(set) > 0 {
+		n := min(piece, len(set))
+		e.resolve(ctx, gen, set[:n])
+		set = set[n:]
+	}
+	for i := range misses {
+		results[i], errs[i] = misses[i].res, misses[i].err
+	}
+	return results, errs
+}
+
+// miss is one query on its way from a result-cache miss to its answer.
+type miss struct {
+	prog *isa.Program
+	h    uint64  // prog.Hash()
+	f    *flight // the flight joined for h; nil with deduplication off
+	res  *machine.Result
+	err  error
+}
+
+// resolve owns a set of read misses admitted under KB generation gen,
+// from admission to answer: each member joins the singleflight for its
+// hash; the leaders execute together (runSet) and memoize and publish
+// what they got; the followers adopt their flight's outcome, or go round
+// again when it is not theirs to adopt. Submit is resolve over one
+// program, SubmitBatch over a batch's.
+func (e *Engine) resolve(ctx context.Context, gen uint64, set []*miss) {
+	for len(set) > 0 {
+		lead, follow := make([]*miss, 0, len(set)), []*miss(nil)
+		for _, m := range set {
+			if e.flights != nil {
+				var leader bool
+				if m.f, leader = e.flights.join(m.h); !leader {
+					e.st.add(&e.st.DedupedQueries, 1)
+					follow = append(follow, m)
+					continue
+				}
+				// The previous leader may have memoized its result and
+				// left between this member's miss and its join: look
+				// again before executing, or the query runs twice.
+				if res, ok := e.cached(m.h, gen); ok {
+					m.res = res
+					e.flights.finish(m.h, m.f, res, nil)
+					continue
 				}
 			}
-			e.flights.finish(h, f, res, err)
-			return res, err
+			lead = append(lead, m)
 		}
-		e.st.add(&e.st.DedupedQueries, 1)
-		select {
-		case <-f.done:
-			if f.err != nil && retryable(f.err) {
-				// The leader's own context expired; this caller's query
-				// is still live — run the flight again.
-				continue
+		e.runSet(ctx, lead)
+		for _, m := range lead {
+			if m.err == nil && !m.res.Fused && e.results != nil {
+				// A fused result reports the fused run's end time, not
+				// the solo-reproducible time the cache's bit-identity
+				// contract promises — serve it, but don't memoize it.
+				// The entry is keyed by the generation the run actually
+				// observed (under write churn the serving replica may
+				// have synced past the admission epoch).
+				e.results.put(resultKey{m.h, m.res.KBGen}, m.res)
 			}
-			if f.err == nil && f.res.KBGen < gen {
-				// The leader ran against an epoch older than the one
-				// this caller was admitted under (a write published in
-				// between): its result would violate monotonic reads
-				// for this caller — execute afresh.
-				continue
+			if m.f != nil {
+				e.flights.finish(m.h, m.f, m.res, m.err)
 			}
-			return f.res, f.err
-		case <-ctx.Done():
-			e.st.add(&e.st.Canceled, 1)
-			return nil, ctx.Err()
-		case <-e.done:
-			return nil, ErrClosed
+		}
+		// Every flight this set leads is finished, so no follower waits
+		// on a member of its own set.
+		set = follow[:0]
+		for _, m := range follow {
+			select {
+			case <-m.f.done:
+				if retryable(m.f.err) || m.f.err == nil && m.f.res.KBGen < gen {
+					// Not this member's to adopt: the leader's own context
+					// expired while this query is still live, or the
+					// leader ran against an epoch older than the one this
+					// member was admitted under (a write published in
+					// between; its result would violate monotonic reads
+					// here). Join again.
+					set = append(set, m)
+					continue
+				}
+				m.res, m.err = m.f.res, m.f.err
+			case <-ctx.Done():
+				e.st.add(&e.st.Canceled, 1)
+				m.err = ctx.Err()
+			case <-e.done:
+				m.err = ErrClosed
+			}
 		}
 	}
 }
@@ -637,7 +709,7 @@ func (e *Engine) precheck(prog *isa.Program, gen uint64) (h uint64, hit *machine
 // cached looks a query up in the result cache (which must be enabled)
 // and counts the hit.
 func (e *Engine) cached(h, gen uint64) (*machine.Result, bool) {
-	res, ok := e.results.get(h, gen)
+	res, ok := e.results.get(resultKey{h, gen})
 	if ok {
 		e.st.add(&e.st.ResultHits, 1)
 		e.emit(-1, perfmon.EvResultHit, uint32(res.Time), res.Time)
@@ -678,20 +750,82 @@ func (e *Engine) enqueue(reqs []*request) error {
 	return nil
 }
 
-// execute enqueues a validated (and already optimized) query and waits
-// for the serving replica's response.
-func (e *Engine) execute(ctx context.Context, prog *isa.Program, opt *isa.Optimized) (*machine.Result, error) {
-	req := newRequest(ctx, prog, opt, e.readGen())
-	if err := e.enqueue([]*request{req}); err != nil {
-		return nil, err
+// runSet runs a set of misses to an answer each under the engine's
+// deadline and retry policies: the retryable failures of one attempt
+// are the set of the next, after an exponential backoff, until the
+// budget or the caller's context runs out.
+func (e *Engine) runSet(ctx context.Context, set []*miss) {
+	for attempt := 0; len(set) > 0; attempt++ {
+		if attempt == e.cfg.Retry.MaxAttempts {
+			e.st.add(&e.st.RetriesExhausted, len(set))
+			return
+		}
+		if attempt > 0 {
+			var err error
+			t := time.NewTimer(e.cfg.Retry.backoff(attempt, set[0].h))
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				err = ctx.Err()
+			case <-e.done:
+				err = ErrClosed
+			}
+			if t.Stop(); err != nil {
+				for _, m := range set {
+					m.err = err
+				}
+				return
+			}
+			e.st.add(&e.st.Retries, len(set))
+			e.emit(-1, perfmon.EvQueryRetried, uint32(attempt), 0)
+		}
+		set = e.attempt(ctx, set)
 	}
-	defer e.inflight.Add(-1)
+}
+
+// attempt admits set as one unit — all or none, contiguous on the run
+// queue, so a lone replica takes it whole and fuses it — under its own
+// QueryTimeout, awaits every member and returns the members whose
+// failure a further attempt may cure.
+func (e *Engine) attempt(ctx context.Context, set []*miss) []*miss {
+	actx := ctx
+	if e.cfg.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeoutCause(ctx, e.cfg.QueryTimeout, errAttemptTimeout)
+		defer cancel()
+	}
+	gen := e.readGen()
+	reqs := make([]*request, len(set))
+	for i, m := range set {
+		// Optimization is compile-tier work: it runs (once per compiled
+		// program) before admission, so it never occupies a queue or
+		// in-flight slot.
+		reqs[i] = newRequest(actx, m.prog, e.optimize(m.prog), gen)
+	}
+	if err := e.enqueue(reqs); err != nil {
+		for _, m := range set {
+			m.err = err
+		}
+		return nil
+	}
+	defer e.inflight.Add(-int64(len(reqs)))
+	var again []*miss
+	for i, m := range set {
+		if m.res, m.err = e.await(actx, reqs[i]); m.err != nil && ctx.Err() == nil && attemptRetryable(m.err) {
+			again = append(again, m)
+		}
+	}
+	return again
+}
+
+// await blocks until req is answered, ctx ends or the engine shuts
+// down. A request abandoned here stays queued or running: whoever takes
+// it off its queue counts it, once.
+func (e *Engine) await(ctx context.Context, req *request) (*machine.Result, error) {
 	select {
 	case r := <-req.resp:
 		return r.res, r.err
 	case <-ctx.Done():
-		// The request stays queued or running; the replica that takes
-		// it off the queue counts it, once.
 		return nil, ctx.Err()
 	case <-e.done:
 		return nil, ErrClosed
@@ -951,21 +1085,14 @@ func (e *Engine) emit(pe int, code perfmon.EventCode, status uint32, now timing.
 // and releases the pool.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.done) })
-	for _, req := range e.queue.close() {
-		req.resp <- response{err: ErrClosed}
-	}
-	e.wg.Wait()
-	if e.writeQ != nil {
-		for {
-			select {
-			case w := <-e.writeQ:
-				w.resp <- writeResp{err: ErrClosed}
-				continue
-			default:
+	for _, q := range []*queue{e.queue, e.writeQ} {
+		if q != nil {
+			for _, req := range q.close() {
+				req.resp <- response{err: ErrClosed}
 			}
-			break
 		}
 	}
+	e.wg.Wait()
 	for _, m := range e.machines {
 		m.Close()
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"snap1/internal/fault"
 	"snap1/internal/isa"
 	"snap1/internal/kbgen"
 	"snap1/internal/machine"
@@ -332,7 +333,7 @@ func TestStatsAccountEveryRequestOnce(t *testing.T) {
 				_, err := e.SubmitWrite(ctx, p)
 				return err
 			},
-			queued: func(e *Engine) int { return len(e.writeQ) },
+			queued: func(e *Engine) int { return e.writeQ.depth() },
 			busy: func(e *Engine) bool {
 				// The writer holds writeMu for as long as it runs.
 				if e.writeMu.TryLock() {
@@ -400,6 +401,32 @@ func TestStatsAccountEveryRequestOnce(t *testing.T) {
 			}
 		})
 	}
+
+	// A batch whose members are retried: each of two replicas poisons the
+	// first run it serves, so members are admitted more than once. Every
+	// admission is one Submitted and ends in one outcome.
+	t.Run("batch-retried", func(t *testing.T) {
+		g := fig15KB(t, 200)
+		e := resilientEngine(t, g, &fault.Plan{Seed: 42, Rules: []fault.Rule{{Site: "icn-drop", Rate: 1, Count: 1}}},
+			WithReplicas(2),
+			WithRetryPolicy(RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}))
+		var srcs []string
+		for _, c := range queryConcepts(g, 4) {
+			srcs = append(srcs, inheritanceQuery(g, c))
+		}
+		progs := compileAll(t, e, srcs)
+		if _, errs := e.SubmitBatch(context.Background(), progs); errors.Join(errs...) != nil {
+			t.Fatal(errors.Join(errs...))
+		}
+		st := e.Stats()
+		if st.Submitted != st.Completed+st.Failed+st.Canceled {
+			t.Errorf("submitted %d != completed %d + failed %d + canceled %d", st.Submitted, st.Completed, st.Failed, st.Canceled)
+		}
+		if n := uint64(len(progs)); st.Retries == 0 || st.Submitted != n+st.Retries || st.Completed != n || st.Failed != st.Retries || st.InFlight != 0 {
+			t.Errorf("submitted %d, completed %d, failed %d, retries %d, in flight %d; want %d + retries, %d, retries, > 0, 0",
+				st.Submitted, st.Completed, st.Failed, st.Retries, st.InFlight, n, n)
+		}
+	})
 }
 
 // TestMutatingProgramRejected requires topology-mutating queries to be
@@ -462,17 +489,32 @@ func TestCompileCacheLRU(t *testing.T) {
 	}
 }
 
-// TestSubmitAfterClose verifies the shutdown path.
+// TestSubmitAfterClose verifies the shutdown path: a closed queue
+// refuses the push, at every door, so nothing is stranded in it.
 func TestSubmitAfterClose(t *testing.T) {
 	g := fig15KB(t, 400)
-	e, err := New(g.KB, WithReplicas(1))
+	e, err := New(g.KB, WithReplicas(1), WithWrites(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := e.Compile(inheritanceQuery(g, queryConcepts(g, 1)[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
-	concept := queryConcepts(g, 1)[0]
-	if _, err := e.SubmitSource(context.Background(), inheritanceQuery(g, concept)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("submit after close returned %v, want ErrClosed", err)
+	ctx := context.Background()
+	if _, err := e.Submit(ctx, prog); !errors.Is(err, ErrClosed) {
+		t.Errorf("Submit after close returned %v, want ErrClosed", err)
+	}
+	if _, errs := e.SubmitBatch(ctx, []*isa.Program{prog, prog}); !errors.Is(errs[0], ErrClosed) || !errors.Is(errs[1], ErrClosed) {
+		t.Errorf("SubmitBatch after close returned %v, want ErrClosed twice", errs)
+	}
+	if _, err := e.SubmitWrite(ctx, prog); !errors.Is(err, ErrClosed) {
+		t.Errorf("SubmitWrite after close returned %v, want ErrClosed", err)
+	}
+	if st := e.Stats(); st.QueueDepth != 0 || e.writeQ.depth() != 0 || st.InFlight != 0 {
+		t.Errorf("after close: queue depth %d, write queue depth %d, in flight %d; want 0, 0, 0",
+			st.QueueDepth, e.writeQ.depth(), st.InFlight)
 	}
 }
 

@@ -1,30 +1,17 @@
 package engine
 
 import (
-	"context"
-
 	"snap1/internal/isa"
-	"snap1/internal/machine"
 	"snap1/internal/semnet"
 )
 
-// Marker-plane query fusion: a serving round that drained several
-// mutually independent read-only queries coalesces them into ONE fused
-// machine program — each query's markers renamed onto disjoint rows of
-// the 128-row status slab — and executes them in a single run, paying
-// the array bring-up (clear, broadcast, topology sweep) once instead of
-// per query. The fused result is demultiplexed back into per-query
-// results that are bit-identical, collections included, to what each
-// query would have produced running alone; only the reported virtual
-// time differs (every member reports the fused run's end).
-//
-// Fusion is transparent to callers of Submit: it engages whenever a
-// replica's round happens to carry compatible queries. SubmitBatch
-// (below) stacks the odds by admitting a caller's batch contiguously
-// onto the run queue. Any failure to fuse — ineligible program, plane
-// exhaustion, rule-table overflow, or a runtime origin-ambiguity
-// detection — falls back to solo execution of the same requests, so
-// fusion can only add throughput, never answers.
+// The planner of marker-plane query fusion: which requests of a serving
+// round run as ONE fused machine program — each query's markers renamed
+// onto disjoint rows of the 128-row status slab — so the array bring-up
+// (clear, broadcast, topology sweep) is paid once instead of per query.
+// runGroup executes the plan and falls back to solo runs of the same
+// requests when it cannot, so fusion can only add throughput, never
+// answers.
 
 // fusionGroup pops the head of the round and, when fusion is enabled
 // and the head is fusable, pulls every compatible query from the rest
@@ -76,59 +63,4 @@ func (e *Engine) fusionGroup(batch *[]*request) []*request {
 	}
 	*batch = keep
 	return group
-}
-
-// SubmitBatch submits a set of independent read-only programs in one
-// call, enqueuing every cache-missing member contiguously so a replica
-// that takes them in one round can fuse them into a single machine run
-// (a lone free replica takes the batch whole; several split it). Results
-// and errors are positional: errs[i] is non-nil exactly when results[i]
-// is nil. Per-element
-// admission matches Submit (validation, mutating-program rejection,
-// result-cache hits); unlike Submit, members that execute are not
-// retried and their results are not memoized (a fused result's virtual
-// time is not solo-reproducible).
-func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*machine.Result, []error) {
-	results := make([]*machine.Result, len(progs))
-	errs := make([]error, len(progs))
-	if e.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeoutCause(ctx, e.cfg.QueryTimeout, errAttemptTimeout)
-		defer cancel()
-	}
-
-	gen := e.readGen()
-	pending := make([]int, 0, len(progs)) // pending[j]: reqs[j]'s index in progs
-	reqs := make([]*request, 0, len(progs))
-	for i, prog := range progs {
-		if _, results[i], errs[i] = e.precheck(prog, gen); results[i] == nil && errs[i] == nil {
-			// Optimization is compile-tier work: it runs (once per
-			// compiled program) before admission, so it never occupies a
-			// queue or in-flight slot.
-			pending = append(pending, i)
-			reqs = append(reqs, newRequest(ctx, prog, e.optimize(prog), gen))
-		}
-	}
-	if len(reqs) == 0 {
-		return results, errs
-	}
-	if err := e.enqueue(reqs); err != nil {
-		for _, i := range pending {
-			errs[i] = err
-		}
-		return results, errs
-	}
-	defer e.inflight.Add(-int64(len(reqs)))
-
-	for j, i := range pending {
-		select {
-		case r := <-reqs[j].resp:
-			results[i], errs[i] = r.res, r.err
-		case <-ctx.Done():
-			errs[i] = ctx.Err() // counted by the replica that pops it
-		case <-e.done:
-			errs[i] = ErrClosed
-		}
-	}
-	return results, errs
 }

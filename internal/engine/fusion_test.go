@@ -76,6 +76,9 @@ func TestSubmitBatchFusesAndMatchesSolo(t *testing.T) {
 	if st.FusedQueries != uint64(len(progs)) {
 		t.Errorf("fused queries = %d, want %d", st.FusedQueries, len(progs))
 	}
+	if st.ResultCacheSize != 0 {
+		t.Errorf("%d fused results memoized; a fused time is not solo-reproducible, at either door", st.ResultCacheSize)
+	}
 	if !results[0].Fused {
 		t.Error("result not marked Fused")
 	}
@@ -171,7 +174,9 @@ func TestFusionAmbiguityFallsBackToSolo(t *testing.T) {
 	kb.MustAddLink(a, r, 1, mid)
 	kb.MustAddLink(b, r, 1, mid)
 
-	e, err := New(kb, WithReplicas(1))
+	// No result cache, so no singleflight: the two members are the same
+	// program, and both must reach the replica.
+	e, err := New(kb, WithReplicas(1), WithResultCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}

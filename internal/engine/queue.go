@@ -2,9 +2,11 @@ package engine
 
 import "sync"
 
-// queue is the engine's one run queue: submitters push, every replica
-// free to serve pops. It owns admission (the capacity), parking (idle
-// replicas wait in pop), the round size and shutdown.
+// queue is the engine's request queue. The run queue is one: submitters
+// push, every replica free to serve pops. The write queue is another,
+// with the writer its only popper. A queue owns admission (the
+// capacity), parking (idle poppers wait in pop), the round size and
+// shutdown.
 //
 // It is a head-indexed slice under a mutex rather than a channel so a
 // batch pushed in one call stays contiguous (one round can drain and

@@ -278,24 +278,38 @@ func TestFaultSoak(t *testing.T) {
 		srcs = append(srcs, inheritanceQuery(g, c))
 	}
 	want := sequentialReference(t, e, srcs)
+	progs := compileAll(t, e, srcs)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	const rounds = 4
-	errc := make(chan error, rounds*len(srcs))
+	errc := make(chan error, 1)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		check := func(src string, res *machine.Result, err error) bool {
+			if w := want[src]; err == nil && (!sameNames(res.Names(0), w.names) || res.Time.String() != w.time) {
+				err = errors.New("result diverged from fault-free reference: " + src)
+			}
+			if err != nil {
+				errc <- err
+			}
+			return err == nil
+		}
 		for r := 0; r < rounds; r++ {
 			for _, src := range srcs {
-				res, err := e.SubmitSource(ctx, src)
-				if err != nil {
-					errc <- err
+				if res, err := e.SubmitSource(ctx, src); !check(src, res, err) {
 					return
 				}
-				w := want[src]
-				if !sameNames(res.Names(0), w.names) || res.Time.String() != w.time {
-					errc <- errors.New("result diverged from fault-free reference: " + src)
+			}
+		}
+		// One more round through the batch door, in batches of eight,
+		// past the wedged replica.
+		for lo := 0; lo < len(srcs); lo += 8 {
+			hi := min(lo+8, len(srcs))
+			results, errs := e.SubmitBatch(ctx, progs[lo:hi])
+			for i, src := range srcs[lo:hi] {
+				if !check(src, results[i], errs[i]) {
 					return
 				}
 			}

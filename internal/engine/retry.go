@@ -7,9 +7,6 @@ import (
 	"time"
 
 	"snap1/internal/fault"
-	"snap1/internal/isa"
-	"snap1/internal/machine"
-	"snap1/internal/perfmon"
 )
 
 // RetryPolicy bounds re-execution of retryable query failures: runs
@@ -97,49 +94,4 @@ var errAttemptTimeout = errors.New("engine: attempt exceeded QueryTimeout")
 // slowed replica; the retry is taken by whichever replica is free.
 func attemptRetryable(err error) bool {
 	return errors.Is(err, fault.ErrInjected) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// executeRetry runs a query under the engine's deadline and retry
-// policies: each attempt gets its own QueryTimeout-bounded context, and
-// retryable failures re-execute with exponential backoff until the
-// budget or the caller's context runs out.
-func (e *Engine) executeRetry(ctx context.Context, prog *isa.Program, h uint64) (*machine.Result, error) {
-	// Optimization is compile-tier work: it runs (once per compiled
-	// program) before admission, so it never occupies a queue or
-	// in-flight slot.
-	opt := e.optimize(prog)
-	var lastErr error
-	for attempt := 0; attempt < e.cfg.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			t := time.NewTimer(e.cfg.Retry.backoff(attempt, h))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctx.Err()
-			case <-e.done:
-				t.Stop()
-				return nil, ErrClosed
-			}
-			e.st.add(&e.st.Retries, 1)
-			e.emit(-1, perfmon.EvQueryRetried, uint32(attempt), 0)
-		}
-		actx, cancel := ctx, context.CancelFunc(nil)
-		if e.cfg.QueryTimeout > 0 {
-			actx, cancel = context.WithTimeoutCause(ctx, e.cfg.QueryTimeout, errAttemptTimeout)
-		}
-		res, err := e.execute(actx, prog, opt)
-		if cancel != nil {
-			cancel()
-		}
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil || !attemptRetryable(err) {
-			return nil, err
-		}
-	}
-	e.st.add(&e.st.RetriesExhausted, 1)
-	return nil, lastErr
 }

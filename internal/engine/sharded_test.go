@@ -79,15 +79,15 @@ func TestResultCacheBitIdentical(t *testing.T) {
 // memoized under one KB generation can never satisfy a lookup under
 // another.
 func TestResultCacheGenerationKey(t *testing.T) {
-	c := newResultCache(4)
-	c.put(42, 1, nil)
-	if _, ok := c.get(42, 1); !ok {
+	c := newLRUCache[resultKey, *machine.Result](4)
+	c.put(resultKey{42, 1}, nil)
+	if _, ok := c.get(resultKey{42, 1}); !ok {
 		t.Error("same-generation lookup missed")
 	}
-	if _, ok := c.get(42, 2); ok {
+	if _, ok := c.get(resultKey{42, 2}); ok {
 		t.Error("lookup under a newer KB generation hit a stale entry")
 	}
-	if _, ok := c.get(7, 1); ok {
+	if _, ok := c.get(resultKey{7, 1}); ok {
 		t.Error("lookup under a different program hash hit")
 	}
 }

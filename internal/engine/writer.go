@@ -16,8 +16,8 @@ import (
 // serialized on one dedicated writer machine — a lockstep replica over
 // the master KB, outside the serving pool — and publish epoch-style:
 //
-//	SubmitWrite → write queue → writer goroutine (group commit)
-//	            → RunContext on the writer machine
+//	SubmitWrite → write queue (queue.go; what the writer pops is the group)
+//	            → RunContext on the writer machine, write by write
 //	              (every store mutation mirrored into the KB, each
 //	               tagged in the KB's topology delta log)
 //	            → publish: pubGen := kb.Generation()
@@ -56,24 +56,14 @@ var (
 // one epoch publish, one delta sync per replica.
 const writeQueueCap, writeBatch = 64, 8
 
-// writeReq is one queued mutating program.
-type writeReq struct {
-	ctx  context.Context
-	prog *isa.Program
-	resp chan writeResp
-}
-
-type writeResp struct {
-	res *machine.Result
-	err error
-}
-
 // SubmitWrite enqueues a topology-mutating program for the serialized
 // writer and blocks until it commits and its epoch is published (or the
 // context/engine dies first). Read-only programs are legal too — they
 // observe the master KB between writes — but Submit is the right door
-// for them. Writes are not retried and their results are not memoized;
-// the returned Result's KBGen is the generation the write produced.
+// for them. A write is a request like a read's, on the write queue, and
+// waits the same way, but it is not idempotent: it is never retried,
+// deduplicated or memoized. The returned Result's KBGen is the
+// generation the write produced.
 //
 // A write that fails mid-program (ErrWriteFailed) may leave a committed
 // prefix of its mutations: the SNAP array has no transactional rollback,
@@ -89,51 +79,27 @@ func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.R
 		e.st.add(&e.st.Rejected, 1)
 		return nil, err
 	}
-	req := &writeReq{ctx: ctx, prog: prog, resp: make(chan writeResp, 1)}
-	select {
-	case e.writeQ <- req:
-	case <-ctx.Done():
-		e.st.add(&e.st.Canceled, 1)
-		return nil, ctx.Err()
-	case <-e.done:
-		return nil, ErrClosed
-	default:
-		// Queue full: shed rather than block the caller behind a burst.
-		return nil, e.shed()
+	req := newRequest(ctx, prog, nil, 0)
+	if _, err := e.writeQ.push([]*request{req}); err != nil {
+		if err == ErrOverloaded {
+			// Queue full: shed rather than block the caller behind a burst.
+			return nil, e.shed()
+		}
+		return nil, err
 	}
-	select {
-	case r := <-req.resp:
-		return r.res, r.err
-	case <-ctx.Done():
-		// The write may still commit; the caller only loses the ack,
-		// and the writer counts the request when it pops it.
-		return nil, ctx.Err()
-	case <-e.done:
-		return nil, ErrClosed
-	}
+	// On ctx.Done the write may still commit: the caller only loses the ack.
+	return e.await(ctx, req)
 }
 
-// writeLoop is the dedicated writer goroutine: it drains the write
-// queue, folding up to writeBatch adjacent writes into one group
-// commit, and retires at engine shutdown.
+// writeLoop is the dedicated writer goroutine. With no one else parked
+// in pop, a round off the write queue is everything queued up to
+// writeBatch: the group commit.
 func (e *Engine) writeLoop() {
 	defer e.wg.Done()
+	group := make([]*request, 0, writeBatch)
 	for {
-		var first *writeReq
-		select {
-		case first = <-e.writeQ:
-		case <-e.done:
-			return
-		}
-		group := append(make([]*writeReq, 0, writeBatch), first)
-		for len(group) < writeBatch {
-			select {
-			case w := <-e.writeQ:
-				group = append(group, w)
-				continue
-			default:
-			}
-			break
+		if group = e.writeQ.pop(group[:0]); len(group) == 0 {
+			return // closed
 		}
 		e.commitGroup(group)
 	}
@@ -143,13 +109,13 @@ func (e *Engine) writeLoop() {
 // and publishes one epoch covering all of them. Responses go out after
 // the publish, so an acked write is visible to every later-admitted
 // read.
-func (e *Engine) commitGroup(group []*writeReq) {
-	resps := make([]writeResp, len(group))
+func (e *Engine) commitGroup(group []*request) {
+	resps := make([]response, len(group))
 	e.writeMu.Lock()
 	for i, w := range group {
 		if err := w.ctx.Err(); err != nil {
 			e.st.add(&e.st.Canceled, 1)
-			resps[i] = writeResp{err: err}
+			resps[i].err = err
 			continue
 		}
 		e.writer.ClearMarkers()
@@ -157,10 +123,10 @@ func (e *Engine) commitGroup(group []*writeReq) {
 		res, err := e.writer.RunContext(w.ctx, w.prog)
 		e.st.write(time.Since(start), err)
 		if err != nil {
-			resps[i] = writeResp{err: classifyWriteErr(err)}
+			resps[i].err = classifyWriteErr(err)
 			continue
 		}
-		resps[i] = writeResp{res: res}
+		resps[i].res = res
 	}
 	newGen := e.kb.Generation()
 	e.writeMu.Unlock()
@@ -168,7 +134,7 @@ func (e *Engine) commitGroup(group []*writeReq) {
 	if newGen != e.pubGen.Load() {
 		e.pubGen.Store(newGen)
 		if e.results != nil {
-			if n := e.results.evictBefore(newGen); n > 0 {
+			if n := evictBefore(e.results, newGen); n > 0 {
 				e.st.add(&e.st.ResultGenEvicted, n)
 			}
 		}

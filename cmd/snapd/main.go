@@ -88,7 +88,6 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	domain := fs.Bool("domain", false, "embed the newswire micro-domain in the generated network")
 	seed := fs.Int64("seed", 42, "generation seed")
 	replicas := fs.Int("replicas", 4, "machine-pool size (all serve one run queue)")
-	maxBatch := fs.Int("max-batch", 8, "cap on one serving round (a replica takes its even share of the queue, at most this)")
 	queueCap := fs.Int("queue-cap", 256, "submit-queue capacity; beyond it queries shed with 503")
 	cacheCap := fs.Int("cache-cap", 128, "compile-cache entry bound")
 	resultCache := fs.Int("result-cache", 1024, "result-cache entry bound (0 disables result caching)")
@@ -101,7 +100,6 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	faultPlan := fs.String("fault-plan", "", "seeded fault-injection plan (JSON file; see docs/RESILIENCE.md)")
 	queryTimeout := fs.Duration("query-timeout", 10*time.Second, "per-attempt query deadline (0 disables)")
 	retries := fs.Int("retries", 3, "total execution attempts per query (1 disables retries)")
-	fusion := fs.Int("fusion", 8, "max queries coalesced into one fused run (1 disables query fusion)")
 	optLevel := fs.Int("opt", 2, "program optimizer level: 0 runs queries as written, 1 folds and eliminates dead planes, 2 adds plane renaming and overlap scheduling")
 	writes := fs.Bool("writes", false, "accept topology-mutating programs on POST /v1/mutate (epoch-versioned online KB writes)")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address, on its own listener (empty disables)")
@@ -114,14 +112,12 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 
 	opts := []engine.Option{
 		engine.WithReplicas(*replicas),
-		engine.WithMaxBatch(*maxBatch),
 		engine.WithQueueCap(*queueCap),
 		engine.WithCacheCap(*cacheCap),
 		engine.WithResultCache(*resultCache),
 		engine.WithMaxInFlight(*maxInFlight),
 		engine.WithQueryTimeout(*queryTimeout),
 		engine.WithRetryPolicy(engine.RetryPolicy{MaxAttempts: *retries}),
-		engine.WithFusion(*fusion),
 		engine.WithOptLevel(*optLevel),
 		engine.WithWrites(*writes),
 		engine.WithMachineOptions(

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -30,6 +32,96 @@ func compileAll(t *testing.T, e *Engine, srcs []string) []*isa.Program {
 		}
 	}
 	return progs
+}
+
+// soloReference runs prog on a fresh machine of the engine's replica
+// configuration: the per-query ground truth a served query must
+// reproduce bit-exactly.
+func soloReference(t *testing.T, e *Engine, prog *isa.Program) *machine.Result {
+	t.Helper()
+	m, err := machine.New(e.cfg.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if err := m.LoadKB(e.kb); err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSubmitBatchMatchesSolo: a batch member is a solo query in company.
+// Eight distinct cold programs admitted together on a single-replica
+// engine each come back with the collections and the virtual time of
+// their own run on a fresh machine — not a shared run's end — and every
+// one is memoized.
+func TestSubmitBatchMatchesSolo(t *testing.T) {
+	g := fig15KB(t, 1600)
+	e, err := New(g.KB, WithReplicas(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	concepts := queryConcepts(g, 8)
+	srcs := make([]string, len(concepts))
+	for i, c := range concepts {
+		srcs[i] = inheritanceQuery(g, c)
+	}
+	progs := compileAll(t, e, srcs)
+	results, errs := e.SubmitBatch(context.Background(), progs)
+	for i, prog := range progs {
+		if errs[i] != nil {
+			t.Fatalf("member %d: %v", i, errs[i])
+		}
+		solo := soloReference(t, e, prog)
+		if !reflect.DeepEqual(results[i].Collections, solo.Collections) {
+			t.Errorf("member %d: collections diverge from its solo run", i)
+		}
+		if results[i].Time != solo.Time {
+			t.Errorf("member %d: time %v, want its solo run's %v", i, results[i].Time, solo.Time)
+		}
+		if results[i].Fused {
+			t.Errorf("member %d marked Fused", i)
+		}
+	}
+	if st := e.Stats(); st.ResultCacheSize != len(progs) {
+		t.Errorf("%d results memoized, want all %d", st.ResultCacheSize, len(progs))
+	}
+}
+
+// TestSubmitBatchPerElementErrors: invalid members fail individually
+// with their own typed error; valid members are still served.
+func TestSubmitBatchPerElementErrors(t *testing.T) {
+	g := fig15KB(t, 400)
+	e, err := New(g.KB, WithReplicas(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	good, err := e.Compile(inheritanceQuery(g, queryConcepts(g, 1)[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut := isa.NewProgram()
+	mut.SearchColor(g.KB.ColorFor("concept"), 0, 1)
+	mut.SetColor(0, g.KB.ColorFor("concept"))
+
+	results, errs := e.SubmitBatch(context.Background(), []*isa.Program{mut, good})
+	if !errors.Is(errs[0], ErrMutatingProgram) {
+		t.Errorf("mutating element error = %v, want ErrMutatingProgram", errs[0])
+	}
+	if results[0] != nil {
+		t.Error("mutating element returned a result")
+	}
+	if errs[1] != nil || results[1] == nil {
+		t.Errorf("valid element failed: %v", errs[1])
+	}
 }
 
 // TestBatchRecoversFromInjectedFaults is TestRetryRecoversFromInjectedFaults
@@ -116,11 +208,11 @@ func TestBatchRecoversFromInjectedFaults(t *testing.T) {
 }
 
 // TestBatchMembersDedupAndMemoize: identical members of one batch
-// collapse onto one execution, whose unfused result is memoized — the
+// collapse onto one execution, whose result is memoized — the
 // batches after it, and Submit, are result-cache hits on that Result.
 func TestBatchMembersDedupAndMemoize(t *testing.T) {
 	g := fig15KB(t, 400)
-	e, err := New(g.KB, WithReplicas(1), WithFusion(1))
+	e, err := New(g.KB, WithReplicas(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +295,7 @@ func TestFollowerNeverAdoptsAnOlderEpoch(t *testing.T) {
 		}},
 	} {
 		t.Run(door.name, func(t *testing.T) {
-			fx := newTieFixture()
+			fx := newBlockerFixture()
 			e, err := New(fx.kb, WithReplicas(1), WithWrites(true))
 			if err != nil {
 				t.Fatal(err)

@@ -6,11 +6,11 @@
 // partitioned knowledge base (downloaded once, then cloned per replica —
 // concurrently, over shared-immutable topology tables — without
 // re-partitioning). In front of the pool sits one run queue (queue.go):
-// Submit pushes, and every replica free to serve takes an even share of
-// what is queued — the replicas are bit-identical lockstep machines, so
-// there is no affinity to keep and nothing to route. Each query runs
-// with fresh marker state and honors its context's cancellation and
-// deadline between instructions. The request path is pipelined:
+// Submit pushes, and every replica free to serve takes the oldest
+// request — the replicas are bit-identical lockstep machines, so there
+// is no affinity to keep and nothing to route. Each query runs its own
+// program with fresh marker state and honors its context's cancellation
+// and deadline between instructions. The request path is pipelined:
 //
 //	assembly → rule/program compilation (LRU-cached by content hash)
 //	         → result cache (by Program.Hash + KB generation)
@@ -72,9 +72,6 @@ type Config struct {
 	// Replicas is the machine-pool size; one serving goroutine per
 	// replica (default 4).
 	Replicas int
-	// MaxBatch caps a serving round: a replica takes its even share of
-	// the run queue (queue.pop), never more than this (default 8).
-	MaxBatch int
 	// QueueCap bounds the run queue's depth; a submission that does not
 	// fit fails fast with ErrOverloaded (default 256).
 	QueueCap int
@@ -95,8 +92,8 @@ type Config struct {
 	// whatever it says (the goroutine-per-cluster engine is the machine
 	// package's reference implementation; nothing serves on it), so
 	// identical queries report identical virtual times regardless of
-	// which replica serves them, and result caching, singleflight,
-	// retry-after-fault and fusion hold for every Engine.
+	// which replica serves them, and result caching, singleflight and
+	// retry-after-fault hold for every Engine.
 	Machine machine.Config
 	// Monitor, when non-nil, receives engine-level performance events
 	// (EvQuerySubmit, EvBatchDispatch, EvQueryDone, EvQueryCancel,
@@ -119,13 +116,6 @@ type Config struct {
 	// FaultPlan, when non-nil, arms deterministic fault injection on
 	// every replica, seeded per replica rank (soak testing).
 	FaultPlan *fault.Plan
-	// Fusion bounds how many mutually independent queries one serving
-	// round may coalesce into a single fused machine run (marker-plane
-	// query fusion). 0 selects the default (8); 1 or negative disables
-	// fusion. Fusion is forced off while FaultPlan is armed: retry and
-	// quarantine accounting are per-query, and a fused run would
-	// spread one injected fault across unrelated queries.
-	Fusion int
 	// OptLevel selects the compile-tier program optimizer level applied
 	// to every admitted query (isa.Optimize): 0 selects the default
 	// (isa.OptFull), negative disables optimization, and OptBasic/OptFull
@@ -158,7 +148,6 @@ func (c Config) Validate() error {
 		}
 	}
 	nonNeg("Replicas", c.Replicas)
-	nonNeg("MaxBatch", c.MaxBatch)
 	nonNeg("QueueCap", c.QueueCap)
 	nonNeg("CacheCap", c.CacheCap)
 	nonNeg("MaxInFlight", c.MaxInFlight)
@@ -192,8 +181,11 @@ type Option func(*Config)
 // WithReplicas sets the machine-pool size.
 func WithReplicas(n int) Option { return func(c *Config) { c.Replicas = n } }
 
-// WithMaxBatch caps the per-round batch size.
-func WithMaxBatch(n int) Option { return func(c *Config) { c.MaxBatch = n } }
+// WithMaxBatch does nothing: a replica takes one request at a time.
+//
+// Deprecated: kept only because benchmark/traced.go still names it; it
+// goes when that caller does (ROADMAP item 1a).
+func WithMaxBatch(int) Option { return func(*Config) {} }
 
 // WithQueueCap sets the run queue's capacity.
 func WithQueueCap(n int) Option { return func(c *Config) { c.QueueCap = n } }
@@ -255,17 +247,11 @@ func WithFaultPlan(p *fault.Plan) Option {
 	return func(c *Config) { c.FaultPlan = p }
 }
 
-// WithFusion bounds queries coalesced per fused run; n <= 1 disables
-// query fusion.
-func WithFusion(n int) Option {
-	return func(c *Config) {
-		if n <= 1 {
-			c.Fusion = -1
-		} else {
-			c.Fusion = n
-		}
-	}
-}
+// WithFusion does nothing: every query runs its own program.
+//
+// Deprecated: kept only because benchmark/traced.go still names it; it
+// goes when that caller does (ROADMAP item 1a).
+func WithFusion(int) Option { return func(*Config) {} }
 
 // WithOptLevel sets the compile-tier optimizer level applied to every
 // admitted query: isa.OptBasic (folding and dead-plane elimination) or
@@ -285,25 +271,13 @@ func WithOptLevel(n int) Option {
 // SubmitWrite and POST /v1/mutate.
 func WithWrites(on bool) Option { return func(c *Config) { c.Writes = on } }
 
-// request is one queued query, or one queued write (which uses neither
-// opt nor gen).
+// request is one queued query, or one queued write (which has no opt).
 type request struct {
 	ctx      context.Context
 	prog     *isa.Program
 	opt      *isa.Optimized // optimization product; nil when disabled
-	gen      uint64         // KB generation at admission; fusion groups within one
 	resp     chan response
 	enqueued time.Time
-}
-
-// runProg is the program the replica should execute: the optimizer's
-// rewrite when one exists and actually changed something, else the
-// program as submitted.
-func (r *request) runProg() *isa.Program {
-	if r.opt != nil && r.opt.Changed() {
-		return r.opt.Program
-	}
-	return r.prog
 }
 
 type response struct {
@@ -372,9 +346,6 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 4
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 8
-	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 256
 	}
@@ -383,12 +354,6 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	}
 	if cfg.ResultCacheCap == 0 {
 		cfg.ResultCacheCap = 1024
-	}
-	if cfg.Fusion == 0 {
-		cfg.Fusion = 8
-	}
-	if cfg.FaultPlan != nil {
-		cfg.Fusion = 1
 	}
 	if cfg.OptLevel == 0 {
 		cfg.OptLevel = isa.OptFull
@@ -436,7 +401,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		mon:      cfg.Monitor,
 		machines: machines,
 		health:   make([]*replicaHealth, cfg.Replicas),
-		queue:    newQueue(cfg.QueueCap, cfg.MaxBatch),
+		queue:    newQueue(cfg.QueueCap, 1),
 		start:    time.Now(),
 		done:     make(chan struct{}),
 		cache:    newLRUCache[uint64, *isa.Program](cfg.CacheCap),
@@ -548,14 +513,11 @@ func (e *Engine) readGen() uint64 {
 // to a sequential Machine.Run of the same program on a fresh machine.
 // The reported virtual time is that of the engine's optimized rewrite
 // of the program (Config.OptLevel; run as written under WithOptLevel(0),
-// where the time too matches the sequential run) — unless the serving
-// round coalesced the query into a fused multi-query run
-// (Config.Fusion): a fused member's Result carries the fused run's end
-// time and is marked Fused. With result caching active (the default), a
-// repeat of a completed query returns the memoized Result — bit-identical,
-// virtual time included — and concurrent identical submissions collapse
-// onto one execution. The returned Result is shared and must be treated
-// as immutable.
+// where the time too matches the sequential run). With result caching
+// active (the default), a repeat of a completed query returns the
+// memoized Result — bit-identical, virtual time included — and
+// concurrent identical submissions collapse onto one execution. The
+// returned Result is shared and must be treated as immutable.
 func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result, error) {
 	gen := e.readGen()
 	h, res, err := e.precheck(prog, gen)
@@ -568,14 +530,13 @@ func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result
 }
 
 // SubmitBatch is Submit over a set of independent read-only programs:
-// the members that miss the result cache are admitted contiguously, so a
-// replica that takes them in one round can fuse them into a single
-// machine run (a lone free replica takes the batch whole; several split
-// it). Results and errors are positional: errs[i] is non-nil exactly
-// when results[i] is nil. Every member has what Submit gives one query —
-// validation, result-cache hits, singleflight, retry, memoization — and
-// a batch is never refused for its own size: it is admitted in pieces
-// that fit the engine's admission bounds, each awaited before the next.
+// the members that miss the result cache are admitted together, and each
+// runs on whichever replica is free to take it. Results and errors are
+// positional: errs[i] is non-nil exactly when results[i] is nil. Every
+// member has what Submit gives one query — validation, result-cache
+// hits, singleflight, retry, memoization — and a batch is never refused
+// for its own size: it is admitted in pieces that fit the engine's
+// admission bounds, each awaited before the next.
 func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*machine.Result, []error) {
 	results := make([]*machine.Result, len(progs))
 	errs := make([]error, len(progs))
@@ -643,13 +604,10 @@ func (e *Engine) resolve(ctx context.Context, gen uint64, set []*miss) {
 		}
 		e.runSet(ctx, lead)
 		for _, m := range lead {
-			if m.err == nil && !m.res.Fused && e.results != nil {
-				// A fused result reports the fused run's end time, not
-				// the solo-reproducible time the cache's bit-identity
-				// contract promises — serve it, but don't memoize it.
-				// The entry is keyed by the generation the run actually
-				// observed (under write churn the serving replica may
-				// have synced past the admission epoch).
+			if m.err == nil && e.results != nil {
+				// Keyed by the generation the run actually observed
+				// (under write churn the serving replica may have synced
+				// past the admission epoch).
 				e.results.put(resultKey{m.h, m.res.KBGen}, m.res)
 			}
 			if m.f != nil {
@@ -718,19 +676,17 @@ func (e *Engine) cached(h, gen uint64) (*machine.Result, bool) {
 }
 
 // newRequest builds the queue entry for one validated (and already
-// optimized) query admitted under KB generation gen.
-func newRequest(ctx context.Context, prog *isa.Program, opt *isa.Optimized, gen uint64) *request {
+// optimized) query.
+func newRequest(ctx context.Context, prog *isa.Program, opt *isa.Optimized) *request {
 	return &request{
-		ctx: ctx, prog: prog, opt: opt, gen: gen,
+		ctx: ctx, prog: prog, opt: opt,
 		resp: make(chan response, 1), enqueued: time.Now(),
 	}
 }
 
-// enqueue admits reqs as one unit — all or none — and pushes them
-// contiguously onto the run queue, so one serving round can drain them
-// together. On success the caller owns len(reqs) in-flight slots,
-// released with inflight.Add once the requests are answered or
-// abandoned.
+// enqueue admits reqs as one unit — all or none — onto the run queue.
+// On success the caller owns len(reqs) in-flight slots, released with
+// inflight.Add once the requests are answered or abandoned.
 func (e *Engine) enqueue(reqs []*request) error {
 	n := int64(len(reqs))
 	if f := e.inflight.Add(n); e.cfg.MaxInFlight > 0 && int(f) > e.cfg.MaxInFlight {
@@ -783,8 +739,7 @@ func (e *Engine) runSet(ctx context.Context, set []*miss) {
 	}
 }
 
-// attempt admits set as one unit — all or none, contiguous on the run
-// queue, so a lone replica takes it whole and fuses it — under its own
+// attempt admits set as one unit — all or none — under its own
 // QueryTimeout, awaits every member and returns the members whose
 // failure a further attempt may cure.
 func (e *Engine) attempt(ctx context.Context, set []*miss) []*miss {
@@ -794,13 +749,12 @@ func (e *Engine) attempt(ctx context.Context, set []*miss) []*miss {
 		actx, cancel = context.WithTimeoutCause(ctx, e.cfg.QueryTimeout, errAttemptTimeout)
 		defer cancel()
 	}
-	gen := e.readGen()
 	reqs := make([]*request, len(set))
 	for i, m := range set {
 		// Optimization is compile-tier work: it runs (once per compiled
 		// program) before admission, so it never occupies a queue or
 		// in-flight slot.
-		reqs[i] = newRequest(actx, m.prog, e.optimize(m.prog), gen)
+		reqs[i] = newRequest(actx, m.prog, e.optimize(m.prog))
 	}
 	if err := e.enqueue(reqs); err != nil {
 		for _, m := range set {
@@ -910,14 +864,14 @@ func sourceHash(src string) uint64 {
 	return h
 }
 
-// serve is replica rank's loop: take a round off the run queue (parking
-// in pop while it is empty), bring the replica up to the published epoch,
-// run the round. A quarantined replica is simply not in pop: it probes
-// until healthy, and the others take what is queued meanwhile.
+// serve is replica rank's loop: take the oldest request off the run
+// queue (parking in pop while it is empty), bring the replica up to the
+// published epoch, run it. A quarantined replica is simply not in pop: it
+// probes until healthy, and the others take what is queued meanwhile.
 func (e *Engine) serve(rank int) {
 	defer e.wg.Done()
 	m := e.machines[rank]
-	batch := make([]*request, 0, e.cfg.MaxBatch)
+	round := make([]*request, 0, 1)
 	for {
 		if e.health[rank].isQuarantined() {
 			if !e.probeQuarantined(rank, m) {
@@ -925,114 +879,56 @@ func (e *Engine) serve(rank int) {
 			}
 			continue
 		}
-		batch = e.queue.pop(batch[:0])
-		if len(batch) == 0 {
+		round = e.queue.pop(round[:0])
+		if len(round) == 0 {
 			return // closed
 		}
-		e.st.batch(len(batch))
-		e.emit(rank, perfmon.EvBatchDispatch, uint32(len(batch)), 0)
+		e.st.batch(len(round))
+		e.emit(rank, perfmon.EvBatchDispatch, uint32(len(round)), 0)
 		e.busy.Add(1)
 		e.syncReplica(rank, m)
-		e.runBatch(rank, m, batch)
+		e.run(rank, m, round[0])
 		e.busy.Add(-1)
 	}
 }
 
-// runBatch serves one round of queries on one replica: the round is cut
-// into fusion groups (fusion.go), each request is checked once for a
-// caller that already left, and every group's live members execute as
-// one machine run.
-func (e *Engine) runBatch(rank int, m *machine.Machine, batch []*request) {
-	for len(batch) > 0 {
-		group := e.fusionGroup(&batch)
-		live := group[:0]
-		for _, req := range group {
-			e.st.queueWait(time.Since(req.enqueued))
-			if err := req.ctx.Err(); err != nil {
-				e.st.add(&e.st.Canceled, 1)
-				e.emit(rank, perfmon.EvQueryCancel, uint32(e.queue.depth()), 0)
-				req.resp <- response{err: err}
-				continue
-			}
-			live = append(live, req)
-		}
-		if len(live) > 0 {
-			e.runGroup(rank, m, live)
-		}
-	}
-}
-
-// runGroup executes a group of live requests as one machine run and
-// answers every member exactly once. A solo query is the group of one:
-// it runs its own program (the optimizer's rewrite when there is one)
-// and gets the run's result as is; a larger group runs the isa.Fuse of
-// its members' programs and each member gets its Demux part.
-//
-// Rewritten programs — fused or optimized — run in the machine's strict
-// mode, whose origin-tie detector backstops the rewrite's equivalence
-// argument. A group of N that cannot run as one (fusion planning
-// failed, the run errored, or it tripped the detector) re-runs as N
-// groups of one, each member under its own context; an optimized group
-// of one that trips the detector re-runs as written. So rewriting can
-// only add throughput, never change answers.
-func (e *Engine) runGroup(rank int, m *machine.Machine, group []*request) {
-	head := group[0]
-	var (
-		f         *isa.Fused
-		res       *machine.Result
-		err       error
-		start     time.Time
-		asWritten bool // the optimized group of one fell back
-	)
-	if len(group) > 1 {
-		progs := make([]*isa.Program, len(group))
-		for i, req := range group {
-			progs[i] = req.runProg()
-		}
-		if f, err = isa.Fuse(progs); err != nil {
-			var fe *isa.FuseError
-			if errors.As(err, &fe) {
-				e.st.fusionReject(fe.Reason)
-			} else {
-				e.st.fusionReject("error")
-			}
-		}
-	}
-	if err == nil {
-		// A group shares one physical run, executed under the head
-		// member's context: one member's deadline bounds it.
-		m.ClearMarkers()
-		start = time.Now()
-		switch prog := head.runProg(); {
-		case f != nil:
-			res, err = m.RunFused(head.ctx, f)
-		case prog != head.prog:
-			res, err = m.RunOptimized(head.ctx, prog)
-			if errors.Is(err, machine.ErrOptAmbiguous) {
-				e.st.add(&e.st.OptFallbacks, 1)
-				asWritten = true
-				m.ClearMarkers()
-				res, err = m.RunContext(head.ctx, head.prog)
-			}
-		default:
-			res, err = m.RunContext(head.ctx, prog)
-		}
-	}
-	if err != nil && len(group) > 1 {
-		if errors.Is(err, machine.ErrFusionAmbiguous) {
-			e.st.fusionReject("ambiguous")
-		}
-		for i := range group {
-			e.runGroup(rank, m, group[i:i+1])
-		}
+// run serves one request on replica rank and answers it exactly once. A
+// request whose caller already left is answered with its context's error
+// and not run. Otherwise it runs its own program: the optimizer's
+// rewrite when there is one, in the machine's strict mode, whose
+// origin-tie detector backstops the rewrite's equivalence argument — a
+// rewrite that trips it re-runs as written, so optimizing can only
+// improve times, never change answers.
+func (e *Engine) run(rank int, m *machine.Machine, req *request) {
+	e.st.queueWait(time.Since(req.enqueued))
+	if err := req.ctx.Err(); err != nil {
+		e.st.add(&e.st.Canceled, 1)
+		e.emit(rank, perfmon.EvQueryCancel, uint32(e.queue.depth()), 0)
+		req.resp <- response{err: err}
 		return
 	}
-
-	d := time.Since(start)
+	prog := req.prog
+	if req.opt != nil && req.opt.Changed() {
+		prog = req.opt.Program
+	}
+	var (
+		res *machine.Result
+		err error
+	)
+	m.ClearMarkers()
+	start := time.Now()
+	if prog == req.prog {
+		res, err = m.RunContext(req.ctx, prog)
+	} else if res, err = m.RunOptimized(req.ctx, prog); errors.Is(err, machine.ErrOptAmbiguous) {
+		e.st.add(&e.st.OptFallbacks, 1)
+		prog = req.prog
+		m.ClearMarkers()
+		res, err = m.RunContext(req.ctx, prog)
+	}
+	e.st.run(time.Since(start), err)
 	if err != nil {
-		e.st.run(d, err)
-		if head.ctx.Err() != nil {
-			if context.Cause(head.ctx) == errAttemptTimeout {
+		if req.ctx.Err() != nil {
+			if context.Cause(req.ctx) == errAttemptTimeout {
 				// The engine's own deadline blown on this replica —
 				// possibly a wedged or crawling array — counts toward its
 				// quarantine; one the caller chose says nothing about it.
@@ -1040,35 +936,20 @@ func (e *Engine) runGroup(rank int, m *machine.Machine, group []*request) {
 			}
 			e.emit(rank, perfmon.EvQueryCancel, uint32(e.queue.depth()), 0)
 		}
-		head.resp <- response{err: err}
+		req.resp <- response{err: err}
 		return
 	}
 	e.noteSuccess(rank)
 	if p := res.Profile; p != nil {
-		// One physical run: the interconnect moved each message once,
-		// however many queries rode it.
 		e.st.icn(p.PropMessages, p.PropHops, p.SendBursts)
 	}
-	var parts []*machine.Result
-	if f != nil {
-		e.st.fusedRun(len(group))
-		e.emit(rank, perfmon.EvQueryFused, uint32(len(group)), res.Time)
-		parts = res.Demux(f)
+	if prog != req.prog {
+		// It ran in its optimized form: hand collections back under the
+		// instruction indices the caller submitted.
+		res.RemapInstrs(req.opt.OrigIndex)
 	}
-	for i, req := range group {
-		part := res
-		if f != nil {
-			part = parts[i]
-		}
-		if !asWritten && req.runProg() != req.prog {
-			// The member ran in its optimized form: hand collections
-			// back under the instruction indices the caller submitted.
-			part.RemapInstrs(req.opt.OrigIndex)
-		}
-		e.st.run(d, nil)
-		e.emit(rank, perfmon.EvQueryDone, uint32(part.Time), part.Time)
-		req.resp <- response{res: part}
-	}
+	e.emit(rank, perfmon.EvQueryDone, uint32(res.Time), res.Time)
+	req.resp <- response{res: res}
 }
 
 // emit forwards an engine-level event to the monitor, if attached. pe

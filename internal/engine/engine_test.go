@@ -13,6 +13,8 @@ import (
 	"snap1/internal/isa"
 	"snap1/internal/kbgen"
 	"snap1/internal/machine"
+	"snap1/internal/rules"
+	"snap1/internal/semnet"
 )
 
 // fig15KB generates the synthetic linguistic knowledge base of the
@@ -95,11 +97,7 @@ func sameNames(a, b []string) bool {
 // per-query result to be identical to sequential execution.
 func TestConcurrentSubmitMatchesSequential(t *testing.T) {
 	g := fig15KB(t, 1600)
-	// Fusion off: this test pins the bit-identical serving mode, where
-	// even virtual times match a sequential machine exactly. Fused
-	// serving (which reports fused-run end times) is pinned by the
-	// tests in fusion_test.go.
-	e, err := New(g.KB, WithReplicas(4), WithMaxBatch(4), WithFusion(1))
+	e, err := New(g.KB, WithReplicas(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +176,7 @@ func TestConcurrentSubmitMatchesSequential(t *testing.T) {
 // replica and still match the sequential reference exactly.
 func TestConcurrentSubmitUncached(t *testing.T) {
 	g := fig15KB(t, 1600)
-	e, err := New(g.KB, WithReplicas(4), WithMaxBatch(4), WithResultCache(0), WithFusion(1))
+	e, err := New(g.KB, WithReplicas(4), WithResultCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +224,123 @@ func TestConcurrentSubmitUncached(t *testing.T) {
 	if st.ResultHits != 0 || st.DedupedQueries != 0 {
 		t.Errorf("result cache active despite WithResultCache(0): hits=%d deduped=%d",
 			st.ResultHits, st.DedupedQueries)
+	}
+}
+
+// TestConcurrentDistinctSubmitsMatchSequential drives a cache-disabled
+// engine with concurrent distinct queries on fewer replicas than
+// submitters: whichever replica serves each, every answer's collections
+// must match the sequential reference.
+func TestConcurrentDistinctSubmitsMatchSequential(t *testing.T) {
+	g := fig15KB(t, 1600)
+	e, err := New(g.KB, WithReplicas(2), WithResultCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	sources := make([]string, 0, 8)
+	for _, c := range queryConcepts(g, 8) {
+		sources = append(sources, inheritanceQuery(g, c))
+	}
+	want := sequentialReference(t, e, sources)
+
+	const submitters = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, submitters*len(sources))
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range sources {
+				src := sources[(w+i)%len(sources)]
+				res, err := e.SubmitSource(context.Background(), src)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !sameNames(res.Names(0), want[src].names) {
+					errs <- fmt.Errorf("names diverged from sequential for %q", src)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// blockerFixture is a small network — seeds a and b, a one link from
+// mid — plus a 250-node chain for a long-running blocker query. plain(v)
+// is a short query from a; blocker(v) walks the chain 20 000 times, a run
+// of a few hundred milliseconds. Distinct v, distinct program hash.
+type blockerFixture struct {
+	kb             *semnet.KB
+	plain, blocker func(v float32) *isa.Program
+}
+
+func newBlockerFixture() *blockerFixture {
+	kb := semnet.NewKB()
+	r, next := kb.Relation("r"), kb.Relation("next")
+	seed, other := kb.ColorFor("seed"), kb.ColorFor("other")
+	a := kb.MustAddNode("a", seed)
+	kb.MustAddNode("b", seed)
+	mid := kb.MustAddNode("mid", other)
+	kb.MustAddLink(a, r, 1, mid)
+	head := kb.MustAddNode("chain-000", other)
+	for i, prev := 1, head; i < 250; i++ {
+		n := kb.MustAddNode(fmt.Sprintf("chain-%03d", i), other)
+		kb.MustAddLink(prev, next, 1, n)
+		prev = n
+	}
+	return &blockerFixture{
+		kb: kb,
+		plain: func(v float32) *isa.Program {
+			p := isa.NewProgram()
+			p.SearchNode(a, 0, v)
+			p.Propagate(0, 1, rules.Path(r), semnet.FuncAdd)
+			p.Barrier()
+			p.CollectNode(1)
+			return p
+		},
+		blocker: func(v float32) *isa.Program {
+			p := isa.NewProgram()
+			p.SearchNode(head, 0, v)
+			for i := 0; i < 20000; i++ {
+				p.Propagate(0, 1, rules.Path(next), semnet.FuncAdd)
+			}
+			p.CollectNode(1)
+			return p
+		},
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not reached in time", what)
+		}
+	}
+}
+
+// closeWithin fails the test when e.Close does not return within d — a
+// replica wedged on an answer nobody will read never leaves its run.
+func closeWithin(t *testing.T, e *Engine, d time.Duration) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(d):
+		t.Fatalf("Engine.Close did not return within %v", d)
 	}
 }
 
@@ -278,7 +393,7 @@ func TestCancelMidRunLeavesPoolReusable(t *testing.T) {
 // on a one-replica pool.
 func TestQueuedCancellation(t *testing.T) {
 	g := fig15KB(t, 800)
-	e, err := New(g.KB, WithReplicas(1), WithMaxBatch(1))
+	e, err := New(g.KB, WithReplicas(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +418,7 @@ func TestQueuedCancellation(t *testing.T) {
 // admitted requests are one Canceled (taken off the queue with its caller
 // gone), two failed (cancelled mid-run) and one completed.
 func TestStatsAccountEveryRequestOnce(t *testing.T) {
-	fx := newTieFixture()
+	fx := newBlockerFixture()
 	for _, tc := range []struct {
 		name   string
 		opts   []Option
@@ -315,7 +430,6 @@ func TestStatsAccountEveryRequestOnce(t *testing.T) {
 	}{
 		{
 			name: "query",
-			opts: []Option{WithMaxBatch(1)},
 			submit: func(e *Engine, ctx context.Context, p *isa.Program) error {
 				_, err := e.Submit(ctx, p)
 				return err

@@ -13,7 +13,7 @@ import (
 
 // HealthPolicy governs replica quarantine and reintegration: a replica
 // whose queries time out FailureThreshold times in a row stops taking
-// rounds off the run queue, is probed every ProbeInterval with an empty
+// requests off the run queue, is probed every ProbeInterval with an empty
 // program, and restored after ProbeSuccesses consecutive passes. The zero value of
 // any field selects its default.
 type HealthPolicy struct {

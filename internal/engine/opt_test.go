@@ -33,14 +33,13 @@ func redundantChainQuery(w *kbgen.Workload, variant int) *isa.Program {
 	return p
 }
 
-// newOptTestEngine builds a single-replica engine over w with fusion
-// off (so virtual times are solo times) at the given optimizer level.
+// newOptTestEngine builds a single-replica engine over w at the given
+// optimizer level.
 func newOptTestEngine(t *testing.T, w *kbgen.Workload, level int, extra ...Option) *Engine {
 	t.Helper()
 	cfg := machine.PaperConfig()
 	opts := append([]Option{
-		WithReplicas(1), WithMachineOptions(cfg), WithFusion(1),
-		WithOptLevel(level),
+		WithReplicas(1), WithMachineOptions(cfg), WithOptLevel(level),
 	}, extra...)
 	e, err := New(w.KB, opts...)
 	if err != nil {
@@ -141,11 +140,10 @@ func TestEngineOptCachedPerHash(t *testing.T) {
 	}
 }
 
-// TestEngineOptFusedRemap drives optimized programs through the fused
-// path: a SubmitBatch round coalesces rewritten members, and each
-// demultiplexed result must come back under the instruction indices of
-// the program the caller submitted.
-func TestEngineOptFusedRemap(t *testing.T) {
+// TestEngineOptBatchRemap drives optimized programs through SubmitBatch:
+// each member runs its rewrite and must come back under the instruction
+// indices of the program the caller submitted.
+func TestEngineOptBatchRemap(t *testing.T) {
 	w := kbgen.Chains(1, 16, 6, 1)
 	cfg := machine.PaperConfig()
 	e, err := New(w.KB, WithReplicas(1), WithMachineOptions(cfg),
@@ -166,8 +164,8 @@ func TestEngineOptFusedRemap(t *testing.T) {
 			t.Fatalf("member %d: %v", i, err)
 		}
 	}
-	if st := e.Stats(); st.FusedQueries == 0 {
-		t.Fatal("batch did not fuse; the test exercises the fused remap path")
+	if st := e.Stats(); st.OptPrograms != uint64(len(batch)) {
+		t.Fatalf("%d members rewritten, want %d; the test exercises the remap", st.OptPrograms, len(batch))
 	}
 	for i, res := range results {
 		ref, err := plain.Submit(context.Background(), batch[i])
@@ -175,7 +173,7 @@ func TestEngineOptFusedRemap(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ref.Collections, res.Collections) {
-			t.Errorf("member %d: fused optimized collections differ from solo unoptimized", i)
+			t.Errorf("member %d: optimized collections differ from unoptimized", i)
 		}
 		if want := batch[i].Len() - 1; res.Collections[0].Instr != want {
 			t.Errorf("member %d: collection Instr = %d, want %d", i, res.Collections[0].Instr, want)

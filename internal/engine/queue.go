@@ -3,23 +3,22 @@ package engine
 import "sync"
 
 // queue is the engine's request queue. The run queue is one: submitters
-// push, every replica free to serve pops. The write queue is another,
-// with the writer its only popper. A queue owns admission (the
-// capacity), parking (idle poppers wait in pop), the round size and
-// shutdown.
+// push, every replica free to serve pops one request. The write queue is
+// another, with the writer its only popper, whose round is the group
+// commit. A queue owns admission (the capacity), parking (idle poppers
+// wait in pop), the round bound and shutdown.
 //
 // It is a head-indexed slice under a mutex rather than a channel so a
-// batch pushed in one call stays contiguous (one round can drain and
-// fuse it), a round is taken under one critical section, and the depth
-// can be read without consuming.
+// batch is admitted all or none against the capacity under one lock, a
+// round is taken under one critical section, and the depth can be read
+// without consuming.
 type queue struct {
 	mu     sync.Mutex
 	ready  sync.Cond // a request was pushed, or the queue closed
 	q      []*request
 	head   int
 	limit  int // admission bound on the depth (Config.QueueCap)
-	round  int // bound on one round (Config.MaxBatch)
-	parked int // replicas waiting in pop
+	round  int // bound on one pop
 	closed bool
 }
 
@@ -33,7 +32,7 @@ func newQueue(limit, round int) *queue {
 // order, and returns the resulting depth. It refuses with ErrOverloaded
 // when they do not fit under the capacity and with ErrClosed after
 // close. Every request signals once and pop never takes less than one,
-// so while a request is queued either no replica is waiting or one has
+// so while a request is queued either no popper is waiting or one has
 // been woken for it.
 func (q *queue) push(reqs []*request) (int, error) {
 	q.mu.Lock()
@@ -58,24 +57,16 @@ func (q *queue) push(reqs []*request) (int, error) {
 	return depth, nil
 }
 
-// pop parks until requests are queued, then moves one round of the
-// oldest into dst and returns it; after close it returns dst empty.
-//
-// A round is an even share of what is queued among the replicas free to
-// take it — the caller and those parked — capped by the round bound: a
-// lone replica takes a batch whole (and can fuse it), idle ones split a
-// burst, a saturated pool drains in full rounds. It is a share because a
-// fused member reports the fused run's end: what a round takes beyond
-// its share is simulated time added to every member of it.
+// pop parks until requests are queued, then moves the oldest — as many
+// as are queued, up to the round bound — into dst and returns it; after
+// close it returns dst empty.
 func (q *queue) pop(dst []*request) []*request {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.q) == q.head && !q.closed {
-		q.parked++
 		q.ready.Wait()
-		q.parked--
 	}
-	n := min((len(q.q)-q.head+q.parked)/(q.parked+1), q.round)
+	n := min(len(q.q)-q.head, q.round)
 	dst = append(dst, q.q[q.head:q.head+n]...)
 	clear(q.q[q.head : q.head+n]) // release for GC
 	q.head += n
@@ -92,7 +83,7 @@ func (q *queue) depth() int {
 	return len(q.q) - q.head
 }
 
-// close refuses every later push, wakes every parked replica and hands
+// close refuses every later push, wakes every parked popper and hands
 // back what was still queued.
 func (q *queue) close() []*request {
 	q.mu.Lock()

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -10,18 +12,27 @@ import (
 // and returns once all of them are parked in pop.
 func parkPoppers(t *testing.T, q *queue, n int) <-chan []*request {
 	t.Helper()
+	base := parkedInPop()
 	rounds := make(chan []*request, n)
 	for i := 0; i < n; i++ {
 		go func() { rounds <- q.pop(nil) }()
 	}
-	waitFor(t, "poppers parked", func() bool { return q.parkedNow() == n })
+	waitFor(t, "poppers parked", func() bool { return parkedInPop() == base+n })
 	return rounds
 }
 
-func (q *queue) parkedNow() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.parked
+// parkedInPop counts the goroutines parked in some queue's pop, waiting
+// for a push. A queue keeps no such count, so the test reads the
+// scheduler's: every goroutine's stack.
+func parkedInPop() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "[sync.Cond.Wait") && strings.Contains(g, "engine.(*queue).pop(") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestQueueBatchStaysContiguous: what one push admitted pops in order
@@ -81,43 +92,65 @@ func TestQueuePushAllOrNone(t *testing.T) {
 	}
 }
 
-// TestQueueRoundIsAnEvenShare pins the round rule: a round is what is
-// queued divided evenly among the replicas free to take it, capped at the
-// round bound (8). The poppers are parked before the push, so the rounds
-// are a function of their number and the depth alone.
-func TestQueueRoundIsAnEvenShare(t *testing.T) {
-	for _, tc := range []struct {
-		poppers, depth int
-		want           []int // round sizes, largest first; the rest stays queued
-	}{
-		{1, 1, []int{1}}, {1, 4, []int{4}}, {1, 8, []int{8}}, {1, 9, []int{8}}, {1, 64, []int{8}},
-		{2, 1, []int{1}}, {2, 4, []int{2, 2}}, {2, 8, []int{4, 4}}, {2, 9, []int{5, 4}}, {2, 64, []int{8, 8}},
-		{4, 1, []int{1}}, {4, 4, []int{1, 1, 1, 1}}, {4, 8, []int{2, 2, 2, 2}}, {4, 9, []int{3, 2, 2, 2}}, {4, 64, []int{8, 8, 8, 8}},
-	} {
-		q := newQueue(64, 8)
-		rounds := parkPoppers(t, q, tc.poppers)
-		if _, err := q.push(make([]*request, tc.depth)); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]int, len(tc.want))
-		taken := 0
-		for i := range got {
-			got[i] = len(<-rounds)
-			taken += got[i]
-		}
-		slices.Sort(got)
-		slices.Reverse(got)
-		if !slices.Equal(got, tc.want) {
-			t.Errorf("%d poppers, depth %d: rounds %v, want %v", tc.poppers, tc.depth, got, tc.want)
-		}
-		// A popper the push had no request for is still parked: close
-		// releases it empty-handed, with what no round took.
-		if rest := q.close(); len(rest) != tc.depth-taken {
-			t.Errorf("%d poppers, depth %d: %d left queued after rounds %v", tc.poppers, tc.depth, len(rest), got)
-		}
-		for i := len(tc.want); i < tc.poppers; i++ {
-			if r := <-rounds; len(r) != 0 {
-				t.Errorf("%d poppers, depth %d: a popper beyond the depth took %d", tc.poppers, tc.depth, len(r))
+// TestQueueRoundIsBounded pins the round rule: a pop takes the oldest
+// requests, as many as are queued up to the round bound — one from the
+// run queue, up to eight from a group-committing queue — however many
+// poppers were parked when they were pushed.
+func TestQueueRoundIsBounded(t *testing.T) {
+	for _, round := range []int{1, 8} {
+		for _, poppers := range []int{1, 2, 4} {
+			for _, depth := range []int{1, 4, 8, 9, 64} {
+				q := newQueue(64, round)
+				rounds := parkPoppers(t, q, poppers)
+				reqs := make([]*request, depth)
+				for i := range reqs {
+					reqs[i] = &request{}
+				}
+				if _, err := q.push(reqs); err != nil {
+					t.Fatal(err)
+				}
+				// Each parked popper takes one round while any is queued.
+				var want, got []int
+				taken := map[*request]bool{}
+				for rest := depth; len(want) < poppers && rest > 0; rest -= want[len(want)-1] {
+					want = append(want, min(rest, round))
+				}
+				for range want {
+					r := <-rounds
+					got = append(got, len(r))
+					for _, req := range r {
+						taken[req] = true
+					}
+				}
+				slices.Sort(got)
+				slices.Reverse(got)
+				if !slices.Equal(got, want) {
+					t.Errorf("round %d, %d poppers, depth %d: rounds %v, want %v", round, poppers, depth, got, want)
+				}
+				// They took the oldest; the rest pops in order, a round at a time.
+				next := len(taken)
+				for i, req := range reqs {
+					if taken[req] != (i < next) {
+						t.Fatalf("round %d, %d poppers, depth %d: request %d taken out of order", round, poppers, depth, i)
+					}
+				}
+				for next < depth {
+					n := min(depth-next, round)
+					if r := q.pop(nil); !slices.Equal(r, reqs[next:next+n]) {
+						t.Fatalf("round %d, depth %d: pop at %d took %d, want the next %d in order", round, depth, next, len(r), n)
+					}
+					next += n
+				}
+				// A popper the push had no request for is still parked: close
+				// releases it empty-handed.
+				if rest := q.close(); len(rest) != 0 {
+					t.Errorf("round %d, %d poppers, depth %d: %d left queued", round, poppers, depth, len(rest))
+				}
+				for i := len(want); i < poppers; i++ {
+					if r := <-rounds; len(r) != 0 {
+						t.Errorf("round %d, %d poppers, depth %d: a popper beyond the depth took %d", round, poppers, depth, len(r))
+					}
+				}
 			}
 		}
 	}

@@ -54,9 +54,6 @@ type QueryResponse struct {
 	Collections  []QueryCollection `json:"collections"`
 	ProgramHash  string            `json:"program_hash"`
 	Instructions int               `json:"instructions"`
-	// Fused marks a query served from a fused multi-query run; its
-	// virtual time is the fused run's end, not a solo-run time.
-	Fused bool `json:"fused,omitempty"`
 	// KBGeneration is the knowledge-base generation snapshot the run
 	// observed — after its own mutations, for a /v1/mutate response.
 	KBGeneration  uint64 `json:"kb_generation,omitempty"`
@@ -64,9 +61,9 @@ type QueryResponse struct {
 }
 
 // BatchQueryRequest is the JSON body of POST /v1/query/batch: up to
-// MaxBatchPrograms independent read-only queries submitted together.
-// Admitting a batch in one call lets the serving replica coalesce its
-// members into a single fused machine run (marker-plane query fusion).
+// MaxBatchPrograms independent read-only queries submitted together
+// (Engine.SubmitBatch): each member is answered as its own /v1/query
+// would be, and the members run on whichever replicas are free.
 type BatchQueryRequest struct {
 	// Programs are SNAP assembly texts; element order is preserved in
 	// the response.
@@ -113,7 +110,7 @@ type ErrorEnvelope struct {
 // NewServer returns the engine's HTTP serving surface:
 //
 //	POST /v1/query       — run one SNAP assembly query (JSON or text/plain)
-//	POST /v1/query/batch — run up to MaxBatchPrograms queries, fused when possible
+//	POST /v1/query/batch — run up to MaxBatchPrograms queries together
 //	POST /v1/mutate      — run one topology-mutating program (Config.Writes)
 //	GET  /v1/stats       — serving counters, per-stage latency, monitor state
 //	GET  /v1/health      — per-replica quarantine state and overall status

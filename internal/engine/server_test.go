@@ -262,8 +262,8 @@ func TestServerPlainTextBody(t *testing.T) {
 }
 
 // TestServerQueryBatch exercises POST /v1/query/batch: per-element
-// envelopes, order preservation, typed per-element errors, and the
-// fusion counters surfacing in /v1/stats.
+// envelopes, order preservation, typed per-element errors, and members
+// memoized like solo queries — /v1/stats shows the solo repeats as hits.
 func TestServerQueryBatch(t *testing.T) {
 	g, srv := newTestServer(t, 800)
 	concepts := queryConcepts(g, 4)
@@ -323,11 +323,9 @@ func TestServerQueryBatch(t *testing.T) {
 	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Stats.FusedBatches == 0 {
-		t.Errorf("stats report no fused batches (rejects: %v)", st.Stats.FusionRejects)
-	}
-	if st.Stats.FusedQueries < 2 {
-		t.Errorf("fused queries = %d, want >= 2", st.Stats.FusedQueries)
+	if st.Stats.Completed != 4 || st.Stats.ResultHits != 4 {
+		t.Errorf("completed %d, result hits %d; want the 4 members run once and their solo repeats hit",
+			st.Stats.Completed, st.Stats.ResultHits)
 	}
 }
 
@@ -371,7 +369,7 @@ func TestServerQueryBatchRejectsMalformed(t *testing.T) {
 // server refuses with 403 writes_disabled.
 func TestServerMutateEndpoint(t *testing.T) {
 	kb, _ := writeTestKB(t)
-	e, err := New(kb, WithReplicas(2), WithWrites(true), WithFusion(1))
+	e, err := New(kb, WithReplicas(2), WithWrites(true))
 	if err != nil {
 		t.Fatal(err)
 	}

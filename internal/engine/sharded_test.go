@@ -13,6 +13,7 @@ import (
 	"snap1/internal/isa"
 	"snap1/internal/kbgen"
 	"snap1/internal/machine"
+	"snap1/internal/perfmon"
 	"snap1/internal/rules"
 	"snap1/internal/semnet"
 )
@@ -247,7 +248,7 @@ func TestOverloadShed(t *testing.T) {
 		}
 		defer e.Close()
 
-		heavy, err := e.Compile(heavyQuery(concepts[0], 10000))
+		heavy, err := e.Compile(heavyQuery(concepts[0], 100000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +280,7 @@ func TestOverloadShed(t *testing.T) {
 	})
 
 	t.Run("queue-cap", func(t *testing.T) {
-		e, err := New(g.KB, WithReplicas(1), WithMaxBatch(1), WithQueueCap(1), WithResultCache(0))
+		e, err := New(g.KB, WithReplicas(1), WithQueueCap(1), WithResultCache(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func TestOverloadShed(t *testing.T) {
 		// Result caching is off, so two submissions of the identical heavy
 		// program both execute: the first occupies the replica, the second
 		// fills the one-slot queue.
-		heavy, err := e.Compile(heavyQuery(concepts[0], 10000))
+		heavy, err := e.Compile(heavyQuery(concepts[0], 100000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,12 +325,14 @@ func TestOverloadShed(t *testing.T) {
 }
 
 // TestBurstSpreadsOverFreeReplicas pins the round rule from the engine's
-// side: a burst admitted while every replica is parked is split between
-// them — no replica takes more than its even share while others are
-// free — and splitting changes no answer.
+// side: a burst admitted while every replica is parked is spread over
+// them — each takes one request at a time — and spreading changes no
+// answer.
 func TestBurstSpreadsOverFreeReplicas(t *testing.T) {
 	g := fig15KB(t, 800)
-	e, err := New(g.KB, WithReplicas(4), WithResultCache(0))
+	mon := perfmon.NewCollector(1024)
+	base := parkedInPop()
+	e, err := New(g.KB, WithReplicas(4), WithResultCache(0), WithMonitor(mon))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,12 +342,12 @@ func TestBurstSpreadsOverFreeReplicas(t *testing.T) {
 	progs := make([]*isa.Program, len(concepts))
 	solo := make([]*machine.Result, len(concepts))
 	for i, c := range concepts {
-		if progs[i], err = e.Compile(heavyQuery(c, 20)); err != nil {
+		if progs[i], err = e.Compile(heavyQuery(c, 200)); err != nil {
 			t.Fatal(err)
 		}
 		solo[i] = soloReference(t, e, progs[i])
 	}
-	waitFor(t, "every replica parked", func() bool { return e.queue.parkedNow() == 4 })
+	waitFor(t, "every replica parked", func() bool { return parkedInPop() == base+4 })
 
 	results, errs := e.SubmitBatch(context.Background(), progs)
 	for i := range progs {
@@ -355,9 +358,15 @@ func TestBurstSpreadsOverFreeReplicas(t *testing.T) {
 			t.Errorf("member %d: collections diverge from its solo run", i)
 		}
 	}
-	if st := e.Stats(); st.Batches < 2 || st.MaxBatchSize != 2 {
-		t.Errorf("8 members over 4 free replicas: %d rounds, largest %d; want >= 2 rounds of at most 2",
-			st.Batches, st.MaxBatchSize)
+	largest, served := 0, map[int]bool{}
+	for _, rec := range mon.Drain() {
+		if rec.Code == perfmon.EvBatchDispatch {
+			largest = max(largest, int(rec.Status))
+			served[rec.Source] = true
+		}
+	}
+	if largest != 1 || len(served) < 2 {
+		t.Errorf("8 members over 4 free replicas: largest round %d on %d replicas; want 1 on at least 2", largest, len(served))
 	}
 }
 

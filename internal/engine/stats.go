@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"maps"
 	"math/bits"
 	"strconv"
 	"sync"
@@ -82,31 +81,23 @@ type Stats struct {
 	Overloaded uint64 `json:"overloaded"`
 
 	// Batches counts serving rounds; BatchedQueries the queries they
-	// carried. MaxBatchSize is the largest single round observed.
-	// StolenQueries is always 0: there is one run queue and nothing to
-	// steal from. The field stays only because benchmark/run.go:131
-	// still reads it, and goes when that reader does (ROADMAP item 1a).
+	// carried — one each, as a replica takes one request at a time.
+	// StolenQueries and FusedQueries are always 0: there is one run
+	// queue and nothing to steal from, and no query shares a run. The
+	// two stay only because benchmark/run.go:129–131 still reads them,
+	// and go when that reader does (ROADMAP item 1a).
 	Batches        uint64 `json:"batches"`
 	BatchedQueries uint64 `json:"batched_queries"`
-	MaxBatchSize   int    `json:"max_batch_size"`
 	StolenQueries  uint64 `json:"stolen_queries"`
-
-	// Query-fusion counters: fused machine runs, the queries they
-	// coalesced, and queries kept out of fusion groups by reason
-	// ("mutating", "fn", "planes", "rules", "generation", "ambiguous",
-	// "error").
-	FusedBatches  uint64            `json:"fused_batches"`
-	FusedQueries  uint64            `json:"fused_queries"`
-	FusionRejects map[string]uint64 `json:"fusion_rejects,omitempty"`
+	FusedQueries   uint64 `json:"fused_queries"`
 
 	CompileHits   uint64 `json:"compile_cache_hits"`
 	CompileMisses uint64 `json:"compile_cache_misses"`
 
 	// Optimizer counters: distinct programs the compile-tier optimizer
-	// rewrote, the instructions those rewrites deleted, the marker-plane
-	// demand they handed back to the fusion planner, and optimized runs
-	// that tripped the runtime origin-ambiguity backstop and re-ran the
-	// program as submitted.
+	// rewrote, the instructions those rewrites deleted, the marker planes
+	// they freed, and optimized runs that tripped the runtime
+	// origin-ambiguity backstop and re-ran the program as submitted.
 	OptPrograms         uint64 `json:"opt_programs"`
 	OptInstrsEliminated uint64 `json:"opt_instrs_eliminated"`
 	OptPlanesFreed      uint64 `json:"opt_planes_freed"`
@@ -192,7 +183,6 @@ func (s *stats) batch(size int) {
 	s.mu.Lock()
 	s.Batches++
 	s.BatchedQueries += uint64(size)
-	s.MaxBatchSize = max(s.MaxBatchSize, size)
 	s.mu.Unlock()
 }
 
@@ -203,26 +193,6 @@ func (s *stats) optimized(instrs, planes int) {
 	s.OptPrograms++
 	s.OptInstrsEliminated += uint64(instrs)
 	s.OptPlanesFreed += uint64(planes)
-	s.mu.Unlock()
-}
-
-// fusedRun records one fused machine run answering n queries (each of
-// which is also counted by run).
-func (s *stats) fusedRun(n int) {
-	s.mu.Lock()
-	s.FusedBatches++
-	s.FusedQueries += uint64(n)
-	s.mu.Unlock()
-}
-
-// fusionReject counts one query kept out of (or dropped from) a fusion
-// group, by reason.
-func (s *stats) fusionReject(reason string) {
-	s.mu.Lock()
-	if s.FusionRejects == nil {
-		s.FusionRejects = make(map[string]uint64)
-	}
-	s.FusionRejects[reason]++
 	s.mu.Unlock()
 }
 
@@ -289,8 +259,8 @@ func (s *stats) deltaApplied(n int) {
 	s.mu.Unlock()
 }
 
-// snapshot copies the counters and derives the histogram and map fields;
-// the caller fills the gauges.
+// snapshot copies the counters and derives the histogram fields; the
+// caller fills the gauges.
 func (s *stats) snapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -299,6 +269,5 @@ func (s *stats) snapshot() Stats {
 	out.QueueWait = s.queueH.snapshot()
 	out.Run = s.runH.snapshot()
 	out.Write = s.writeH.snapshot()
-	out.FusionRejects = maps.Clone(s.FusionRejects)
 	return out
 }

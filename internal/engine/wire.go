@@ -64,9 +64,6 @@ func (e *Engine) appendQueryResponse(dst []byte, prog *isa.Program, res *machine
 	dst = appendHash(dst, prog.Hash())
 	dst = append(dst, `","instructions":`...)
 	dst = strconv.AppendInt(dst, int64(prog.Len()), 10)
-	if res.Fused {
-		dst = append(dst, `,"fused":true`...)
-	}
 	if res.KBGen != 0 {
 		dst = append(dst, `,"kb_generation":`...)
 		dst = strconv.AppendUint(dst, res.KBGen, 10)

@@ -33,7 +33,6 @@ func (e *Engine) queryResponse(prog *isa.Program, res *machine.Result, wall time
 		WallMicros:   wall.Microseconds(),
 		ProgramHash:  fmt.Sprintf("%016x", prog.Hash()),
 		Instructions: prog.Len(),
-		Fused:        res.Fused,
 		KBGeneration: res.KBGen,
 	}
 	for _, coll := range res.Collections {
@@ -128,7 +127,7 @@ type wireCase struct {
 
 // wireCorpus runs real programs through a writes-enabled engine over
 // wireTestKB — all three collect ops, no collect at all, a collect on an
-// unset marker, an optimizer-shortened program, a fused batch, a commit —
+// unset marker, an optimizer-shortened program, a batch, a commit —
 // and adds hand-built results for what no run produces on demand.
 func wireCorpus(t *testing.T) (*Engine, []wireCase) {
 	t.Helper()
@@ -185,18 +184,11 @@ func wireCorpus(t *testing.T) (*Engine, []wireCase) {
 		batch[i] = descend("hub", float32(i+1)).CollectNode(2)
 	}
 	results, errs := e.SubmitBatch(ctx, batch)
-	fused := 0
 	for i, res := range results {
 		if errs[i] != nil {
 			t.Fatalf("batch member %d: %v", i, errs[i])
 		}
-		if res.Fused {
-			fused++
-		}
 		cases = append(cases, wireCase{fmt.Sprintf("batch member %d", i), batch[i], res})
-	}
-	if fused == 0 {
-		t.Fatal("the batch did not fuse; the corpus has no fused member")
 	}
 
 	write := isa.NewProgram().Create(ids["quo\"te"], isA, 1.5, ids["plain"])
@@ -213,7 +205,7 @@ func wireCorpus(t *testing.T) (*Engine, []wireCase) {
 	// unknown opcode falls to the default (value, origin) row shape.
 	far := semnet.NodeID(7_000_000)
 	cases = append(cases, wireCase{"hand-built", shortened, &machine.Result{
-		Time: 987_654_321_000, Fused: true, KBGen: math.MaxUint64,
+		Time: 987_654_321_000, KBGen: math.MaxUint64,
 		Collections: []machine.Collection{
 			{Instr: 3, Op: isa.OpCollectNode, Items: []machine.Item{
 				{Node: far, Value: float32(math.Copysign(0, -1)), Origin: ids[""]},

@@ -79,7 +79,7 @@ func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.R
 		e.st.add(&e.st.Rejected, 1)
 		return nil, err
 	}
-	req := newRequest(ctx, prog, nil, 0)
+	req := newRequest(ctx, prog, nil)
 	if _, err := e.writeQ.push([]*request{req}); err != nil {
 		if err == ErrOverloaded {
 			// Queue full: shed rather than block the caller behind a burst.
@@ -91,9 +91,8 @@ func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.R
 	return e.await(ctx, req)
 }
 
-// writeLoop is the dedicated writer goroutine. With no one else parked
-// in pop, a round off the write queue is everything queued up to
-// writeBatch: the group commit.
+// writeLoop is the dedicated writer goroutine. A round off the write
+// queue is everything queued, up to writeBatch: the group commit.
 func (e *Engine) writeLoop() {
 	defer e.wg.Done()
 	group := make([]*request, 0, writeBatch)

@@ -64,7 +64,7 @@ func TestSubmitWriteDisabled(t *testing.T) {
 // counters and published generation advance.
 func TestSubmitWriteReadYourWrites(t *testing.T) {
 	kb, ids := writeTestKB(t)
-	e, err := New(kb, WithReplicas(2), WithWrites(true), WithFusion(1))
+	e, err := New(kb, WithReplicas(2), WithWrites(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSubmitWriteConflict(t *testing.T) {
 // under a superseded generation, so the cache never pins dead epochs.
 func TestWriteSweepsResultCache(t *testing.T) {
 	kb, ids := writeTestKB(t)
-	e, err := New(kb, WithReplicas(1), WithWrites(true), WithFusion(1), WithResultCache(64))
+	e, err := New(kb, WithReplicas(1), WithWrites(true), WithResultCache(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +247,12 @@ func TestOptCacheBounded(t *testing.T) {
 // stale-beyond-its-epoch snapshot.
 func TestReadWriteSoak(t *testing.T) {
 	g := fig15KB(t, 800)
-	// Fusion off and optimizer off: the reference machine runs programs
-	// as written, solo, so engine results must match it exactly. Result
-	// cache off so every read actually exercises replica delta sync.
+	// Optimizer off: the reference machine runs programs as written, so
+	// engine results must match it exactly. Result cache off so every
+	// read actually exercises replica delta sync.
 	e, err := New(g.KB,
 		WithReplicas(4),
 		WithWrites(true),
-		WithFusion(1),
 		WithOptLevel(0),
 		WithResultCache(0))
 	if err != nil {

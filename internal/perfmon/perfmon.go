@@ -40,7 +40,7 @@ const (
 	EvQueryCancel   // status: submit-queue depth at cancellation
 	EvQueryShed     // status: in-flight count at admission rejection
 	EvResultHit     // status: low 24 bits of the cached virtual time
-	EvQueryFused    // status: queries coalesced into one fused run
+	_               // retired (query fusion); later codes keep their numbers
 
 	// Resilience events, emitted by the fault layer and the engine's
 	// health machinery.
@@ -100,8 +100,6 @@ func (e EventCode) String() string {
 		return "query-shed"
 	case EvResultHit:
 		return "result-hit"
-	case EvQueryFused:
-		return "query-fused"
 	case EvFaultInjected:
 		return "fault-injected"
 	case EvReplicaQuarantined:

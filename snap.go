@@ -189,12 +189,6 @@ var (
 var (
 	// WithReplicas sets the engine's machine-pool size.
 	WithReplicas = engine.WithReplicas
-	// WithMaxBatch caps a serving round: a replica takes its even share
-	// of the run queue among the replicas free to serve, at most n.
-	WithMaxBatch = engine.WithMaxBatch
-	// WithFusion bounds queries coalesced into one fused machine run
-	// (marker-plane query fusion); n <= 1 disables fusion.
-	WithFusion = engine.WithFusion
 	// WithOptLevel sets the engine's compile-tier optimizer level
 	// (OptBasic or OptFull, the default); n <= 0 runs queries as written.
 	WithOptLevel = engine.WithOptLevel

@@ -100,7 +100,6 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	faultPlan := fs.String("fault-plan", "", "seeded fault-injection plan (JSON file; see docs/RESILIENCE.md)")
 	queryTimeout := fs.Duration("query-timeout", 10*time.Second, "per-attempt query deadline (0 disables)")
 	retries := fs.Int("retries", 3, "total execution attempts per query (1 disables retries)")
-	optLevel := fs.Int("opt", 2, "program optimizer level: 0 runs queries as written, 1 folds and eliminates dead planes, 2 adds plane renaming and overlap scheduling")
 	writes := fs.Bool("writes", false, "accept topology-mutating programs on POST /v1/mutate (epoch-versioned online KB writes)")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address, on its own listener (empty disables)")
 	_ = fs.Parse(args) // ExitOnError: exits on a bad flag, so no error comes back
@@ -118,7 +117,6 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 		engine.WithMaxInFlight(*maxInFlight),
 		engine.WithQueryTimeout(*queryTimeout),
 		engine.WithRetryPolicy(engine.RetryPolicy{MaxAttempts: *retries}),
-		engine.WithOptLevel(*optLevel),
 		engine.WithWrites(*writes),
 		engine.WithMachineOptions(
 			machine.WithClusters(*clusters),

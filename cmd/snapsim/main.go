@@ -14,8 +14,6 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -43,7 +41,6 @@ func main() {
 	part := flag.String("partition", "semantic", "partitioning: sequential, round-robin, semantic, or refined")
 	place := flag.Bool("place", false, "follow partitioning with hop-aware hypercube placement")
 	det := flag.Bool("det", true, "run on the lockstep engine (exact virtual times); -det=false selects the goroutine-per-cluster reference engine")
-	optLevel := flag.Int("opt", 0, "optimizer level: 0 runs the program as written (canonical timing), 1 folds and eliminates dead planes, 2 adds plane renaming and overlap scheduling")
 	verbose := flag.Bool("v", false, "print the instruction profile")
 	repeat := flag.Int("repeat", 1, "run the program N times (markers cleared between runs; useful with profiling)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the runs to this file")
@@ -98,16 +95,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	// Optimize under the simulator profile: markers are not read back
-	// after the run, so final-state dead writes are fair game. The
-	// machine's strict mode backstops the rewrite — an origin-ambiguous
-	// tie discards the optimized run and re-runs the program as written.
-	opt := isa.Optimize(prog, isa.OptConfig{Level: *optLevel})
-	if opt.Changed() {
-		fmt.Printf("optimizer (O%d): %d -> %d instructions, %d plane rows freed\n",
-			opt.Level, prog.Len(), opt.Program.Len(), opt.PlanesFreed)
-	}
-
 	if *repeat < 1 {
 		*repeat = 1
 	}
@@ -116,18 +103,7 @@ func main() {
 		if i > 0 {
 			m.ClearMarkers()
 		}
-		if opt.Changed() {
-			res, err = m.RunOptimized(context.Background(), opt.Program)
-			if errors.Is(err, machine.ErrOptAmbiguous) {
-				m.ClearMarkers()
-				res, err = m.Run(prog)
-			} else if err == nil {
-				res.RemapInstrs(opt.OrigIndex)
-			}
-		} else {
-			res, err = m.Run(prog)
-		}
-		if err != nil {
+		if res, err = m.Run(prog); err != nil {
 			log.Fatal(err)
 		}
 	}

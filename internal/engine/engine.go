@@ -15,8 +15,10 @@
 //	assembly → rule/program compilation (LRU-cached by content hash)
 //	         → result cache (by Program.Hash + KB generation)
 //	         → singleflight (identical in-flight queries collapse)
-//	         → program optimization (isa.Optimize, kept on the compiled program)
 //	         → execution on a pooled replica → collection
+//
+// A program runs as written: the served answer, virtual time included,
+// is Machine.Run of the submitted program on a fresh lockstep replica.
 //
 // Admission control sheds load instead of queueing without bound: a
 // full run queue (QueueCap) or a reached in-flight ceiling
@@ -31,8 +33,9 @@
 // instead: they execute serialized on a dedicated writer machine over
 // the master KB and publish epoch-style (writer.go) — the KB generation
 // bump retires result-cache entries, and each replica patches itself
-// forward by replaying the KB's topology delta log at its next batch
-// boundary, so reads never block on writes and no global pause exists.
+// forward by replaying the KB's topology delta log before taking its
+// next request, so reads never block on writes and no global pause
+// exists.
 package engine
 
 import (
@@ -116,18 +119,6 @@ type Config struct {
 	// FaultPlan, when non-nil, arms deterministic fault injection on
 	// every replica, seeded per replica rank (soak testing).
 	FaultPlan *fault.Plan
-	// OptLevel selects the compile-tier program optimizer level applied
-	// to every admitted query (isa.Optimize): 0 selects the default
-	// (isa.OptFull), negative disables optimization, and OptBasic/OptFull
-	// select the pass set explicitly. A compiled program remembers its
-	// rewrite, so a hot query is rewritten once. The engine
-	// optimizes under the serving profile (final marker state is not
-	// observable across queries), which collections are immune to:
-	// optimized results are bit-identical to the unoptimized program's,
-	// while virtual times may only improve. An optimized run that trips
-	// the machine's runtime origin-ambiguity backstop transparently
-	// re-runs the unoptimized program (counted in Stats.OptFallbacks).
-	OptLevel int
 	// Writes enables the online mutation pipeline: SubmitWrite accepts
 	// topology-mutating programs, executed serialized on a dedicated
 	// writer machine and published epoch-style; replicas follow by
@@ -153,9 +144,6 @@ func (c Config) Validate() error {
 	nonNeg("MaxInFlight", c.MaxInFlight)
 	if c.QueryTimeout < 0 {
 		errs = append(errs, fmt.Errorf("QueryTimeout must be >= 0, got %v", c.QueryTimeout))
-	}
-	if c.OptLevel > isa.OptFull {
-		errs = append(errs, fmt.Errorf("OptLevel must be <= %d (isa.OptFull), got %d", isa.OptFull, c.OptLevel))
 	}
 	errs = append(errs, c.Retry.validate()...)
 	errs = append(errs, c.Health.validate()...)
@@ -253,29 +241,20 @@ func WithFaultPlan(p *fault.Plan) Option {
 // goes when that caller does (ROADMAP item 1a).
 func WithFusion(int) Option { return func(*Config) {} }
 
-// WithOptLevel sets the compile-tier optimizer level applied to every
-// admitted query: isa.OptBasic (folding and dead-plane elimination) or
-// isa.OptFull (adds marker-plane renaming and overlap scheduling, the
-// default); n <= 0 disables optimization and queries run as written.
-func WithOptLevel(n int) Option {
-	return func(c *Config) {
-		if n <= 0 {
-			c.OptLevel = -1
-		} else {
-			c.OptLevel = n
-		}
-	}
-}
+// WithOptLevel does nothing: every query runs as written.
+//
+// Deprecated: kept only because benchmark/traced.go still names it; it
+// goes when that caller does (ROADMAP item 1a).
+func WithOptLevel(int) Option { return func(*Config) {} }
 
 // WithWrites enables (or disables) the online mutation pipeline:
 // SubmitWrite and POST /v1/mutate.
 func WithWrites(on bool) Option { return func(c *Config) { c.Writes = on } }
 
-// request is one queued query, or one queued write (which has no opt).
+// request is one queued query or write.
 type request struct {
 	ctx      context.Context
 	prog     *isa.Program
-	opt      *isa.Optimized // optimization product; nil when disabled
 	resp     chan response
 	enqueued time.Time
 }
@@ -306,13 +285,13 @@ type Engine struct {
 	start    time.Time          // bring-up instant; drain-rate baseline
 
 	inflight atomic.Int64 // admitted and not yet answered
-	busy     atomic.Int64 // replicas currently serving a batch
+	busy     atomic.Int64 // replicas currently serving a request
 
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	cache   *lruCache[uint64, *isa.Program]       // assembly-source hash -> sealed program, its rewrite on it
+	cache   *lruCache[uint64, *isa.Program]       // assembly-source hash -> sealed program
 	results *lruCache[resultKey, *machine.Result] // memoized query results; nil when disabled
 	flights *flightGroup                          // nil when results is nil
 
@@ -354,9 +333,6 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	}
 	if cfg.ResultCacheCap == 0 {
 		cfg.ResultCacheCap = 1024
-	}
-	if cfg.OptLevel == 0 {
-		cfg.OptLevel = isa.OptFull
 	}
 	if cfg.Machine.Clusters == 0 {
 		cfg.Machine = machine.PaperConfig()
@@ -509,15 +485,13 @@ func (e *Engine) readGen() uint64 {
 
 // Submit enqueues a read-only program and blocks until its result, the
 // context's cancellation/deadline, or engine shutdown. Each query runs
-// on a pool replica with fresh marker state; collections are identical
-// to a sequential Machine.Run of the same program on a fresh machine.
-// The reported virtual time is that of the engine's optimized rewrite
-// of the program (Config.OptLevel; run as written under WithOptLevel(0),
-// where the time too matches the sequential run). With result caching
-// active (the default), a repeat of a completed query returns the
-// memoized Result — bit-identical, virtual time included — and
-// concurrent identical submissions collapse onto one execution. The
-// returned Result is shared and must be treated as immutable.
+// as written on a pool replica with fresh marker state; collections and
+// virtual time are identical to a sequential Machine.Run of the same
+// program on a fresh machine. With result caching active (the default),
+// a repeat of a completed query returns the memoized Result —
+// bit-identical, virtual time included — and concurrent identical
+// submissions collapse onto one execution. The returned Result is shared
+// and must be treated as immutable.
 func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result, error) {
 	gen := e.readGen()
 	h, res, err := e.precheck(prog, gen)
@@ -675,13 +649,9 @@ func (e *Engine) cached(h, gen uint64) (*machine.Result, bool) {
 	return res, ok
 }
 
-// newRequest builds the queue entry for one validated (and already
-// optimized) query.
-func newRequest(ctx context.Context, prog *isa.Program, opt *isa.Optimized) *request {
-	return &request{
-		ctx: ctx, prog: prog, opt: opt,
-		resp: make(chan response, 1), enqueued: time.Now(),
-	}
+// newRequest builds the queue entry for one validated query.
+func newRequest(ctx context.Context, prog *isa.Program) *request {
+	return &request{ctx: ctx, prog: prog, resp: make(chan response, 1), enqueued: time.Now()}
 }
 
 // enqueue admits reqs as one unit — all or none — onto the run queue.
@@ -751,10 +721,7 @@ func (e *Engine) attempt(ctx context.Context, set []*miss) []*miss {
 	}
 	reqs := make([]*request, len(set))
 	for i, m := range set {
-		// Optimization is compile-tier work: it runs (once per compiled
-		// program) before admission, so it never occupies a queue or
-		// in-flight slot.
-		reqs[i] = newRequest(actx, m.prog, e.optimize(m.prog))
+		reqs[i] = newRequest(actx, m.prog)
 	}
 	if err := e.enqueue(reqs); err != nil {
 		for _, m := range set {
@@ -784,25 +751,6 @@ func (e *Engine) await(ctx context.Context, req *request) (*machine.Result, erro
 	case <-e.done:
 		return nil, ErrClosed
 	}
-}
-
-// optimize runs the compile-tier optimizer over a validated program. A
-// compiled (sealed) program remembers the product, so a hot query is
-// rewritten once; the compile cache that holds the program bounds the
-// rewrites with it. The engine optimizes for the serving profile:
-// replicas clear marker state between queries, so only collections are
-// observable and end-of-program marker writes are dead. Returns nil when
-// optimization is disabled.
-func (e *Engine) optimize(prog *isa.Program) *isa.Optimized {
-	if e.cfg.OptLevel <= isa.OptNone {
-		return nil
-	}
-	opt, fresh := prog.ServingRewrite(e.cfg.OptLevel)
-	if fresh && opt.Changed() {
-		e.st.optimized(opt.InstrsEliminated, opt.PlanesFreed)
-		e.emit(-1, perfmon.EvProgramOptimized, uint32(opt.InstrsEliminated), 0)
-	}
-	return opt
 }
 
 // shed records an admission rejection and returns ErrOverloaded.
@@ -894,11 +842,8 @@ func (e *Engine) serve(rank int) {
 
 // run serves one request on replica rank and answers it exactly once. A
 // request whose caller already left is answered with its context's error
-// and not run. Otherwise it runs its own program: the optimizer's
-// rewrite when there is one, in the machine's strict mode, whose
-// origin-tie detector backstops the rewrite's equivalence argument — a
-// rewrite that trips it re-runs as written, so optimizing can only
-// improve times, never change answers.
+// and not run. Otherwise it runs its own program, as written, from clear
+// marker state.
 func (e *Engine) run(rank int, m *machine.Machine, req *request) {
 	e.st.queueWait(time.Since(req.enqueued))
 	if err := req.ctx.Err(); err != nil {
@@ -907,24 +852,9 @@ func (e *Engine) run(rank int, m *machine.Machine, req *request) {
 		req.resp <- response{err: err}
 		return
 	}
-	prog := req.prog
-	if req.opt != nil && req.opt.Changed() {
-		prog = req.opt.Program
-	}
-	var (
-		res *machine.Result
-		err error
-	)
 	m.ClearMarkers()
 	start := time.Now()
-	if prog == req.prog {
-		res, err = m.RunContext(req.ctx, prog)
-	} else if res, err = m.RunOptimized(req.ctx, prog); errors.Is(err, machine.ErrOptAmbiguous) {
-		e.st.add(&e.st.OptFallbacks, 1)
-		prog = req.prog
-		m.ClearMarkers()
-		res, err = m.RunContext(req.ctx, prog)
-	}
+	res, err := m.RunContext(req.ctx, req.prog)
 	e.st.run(time.Since(start), err)
 	if err != nil {
 		if req.ctx.Err() != nil {
@@ -943,11 +873,6 @@ func (e *Engine) run(rank int, m *machine.Machine, req *request) {
 	if p := res.Profile; p != nil {
 		e.st.icn(p.PropMessages, p.PropHops, p.SendBursts)
 	}
-	if prog != req.prog {
-		// It ran in its optimized form: hand collections back under the
-		// instruction indices the caller submitted.
-		res.RemapInstrs(req.opt.OrigIndex)
-	}
 	e.emit(rank, perfmon.EvQueryDone, uint32(res.Time), res.Time)
 	req.resp <- response{res: res}
 }
@@ -961,9 +886,9 @@ func (e *Engine) emit(pe int, code perfmon.EventCode, status uint32, now timing.
 	}
 }
 
-// Close stops the serving replicas and the writer, waits for in-flight
-// batches, fails queued but unserved queries and writes with ErrClosed,
-// and releases the pool.
+// Close stops the serving replicas and the writer, waits for the
+// requests they are running, fails queued but unserved queries and
+// writes with ErrClosed, and releases the pool.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() { close(e.done) })
 	for _, q := range []*queue{e.queue, e.writeQ} {

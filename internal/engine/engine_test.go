@@ -94,7 +94,9 @@ func sameNames(a, b []string) bool {
 
 // TestConcurrentSubmitMatchesSequential drives ≥8 concurrent submitters
 // through one engine over the Fig. 15 synthetic KB and requires every
-// per-query result to be identical to sequential execution.
+// per-query result to be identical to sequential execution. One source
+// fills a scratch plane nothing collects: the engine serves it as
+// written, so its virtual time too is the sequential run's.
 func TestConcurrentSubmitMatchesSequential(t *testing.T) {
 	g := fig15KB(t, 1600)
 	e, err := New(g.KB, WithReplicas(4))
@@ -103,10 +105,17 @@ func TestConcurrentSubmitMatchesSequential(t *testing.T) {
 	}
 	defer e.Close()
 
-	sources := make([]string, 0, 16)
-	for _, c := range queryConcepts(g, 16) {
+	concepts := queryConcepts(g, 16)
+	sources := make([]string, 0, len(concepts)+1)
+	for _, c := range concepts {
 		sources = append(sources, inheritanceQuery(g, c))
 	}
+	sources = append(sources, "set-marker marker=c3 value=0\n"+
+		"func-marker marker=c3 fn=add operand=1\n"+
+		"search-node node="+concepts[0]+" marker=c1 value=0\n"+
+		"propagate m1=c1 m2=c3 rule=path(is-a) fn=add\n"+
+		"propagate m1=c1 m2=c2 rule=path(is-a) fn=add\n"+
+		"collect-node marker=c2\n")
 	want := sequentialReference(t, e, sources)
 
 	const submitters = 8

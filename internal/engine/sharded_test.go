@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"snap1/internal/fault"
 	"snap1/internal/isa"
 	"snap1/internal/kbgen"
 	"snap1/internal/machine"
@@ -327,12 +328,15 @@ func TestOverloadShed(t *testing.T) {
 // TestBurstSpreadsOverFreeReplicas pins the round rule from the engine's
 // side: a burst admitted while every replica is parked is spread over
 // them — each takes one request at a time — and spreading changes no
-// answer.
+// answer. Every run stalls 20 ms of host time (an injected machine-slow,
+// which changes no answer), so the first replica to wake is still busy
+// with its member when the others wake, whatever the scheduler does.
 func TestBurstSpreadsOverFreeReplicas(t *testing.T) {
 	g := fig15KB(t, 800)
 	mon := perfmon.NewCollector(1024)
 	base := parkedInPop()
-	e, err := New(g.KB, WithReplicas(4), WithResultCache(0), WithMonitor(mon))
+	slow := &fault.Plan{Seed: 1, Rules: []fault.Rule{{Site: "machine-slow", Rate: 1, StallUs: 20_000}}}
+	e, err := New(g.KB, WithReplicas(4), WithResultCache(0), WithMonitor(mon), WithFaultPlan(slow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +346,7 @@ func TestBurstSpreadsOverFreeReplicas(t *testing.T) {
 	progs := make([]*isa.Program, len(concepts))
 	solo := make([]*machine.Result, len(concepts))
 	for i, c := range concepts {
-		if progs[i], err = e.Compile(heavyQuery(c, 200)); err != nil {
+		if progs[i], err = e.Compile(inheritanceQuery(g, c)); err != nil {
 			t.Fatal(err)
 		}
 		solo[i] = soloReference(t, e, progs[i])

@@ -82,26 +82,19 @@ type Stats struct {
 
 	// Batches counts serving rounds; BatchedQueries the queries they
 	// carried — one each, as a replica takes one request at a time.
-	// StolenQueries and FusedQueries are always 0: there is one run
-	// queue and nothing to steal from, and no query shares a run. The
-	// two stay only because benchmark/run.go:129–131 still reads them,
-	// and go when that reader does (ROADMAP item 1a).
+	// StolenQueries, FusedQueries and OptFallbacks are always 0: there is
+	// one run queue and nothing to steal from, no query shares a run, and
+	// every query runs as written. The three stay only because
+	// benchmark/run.go still reads them, and go when that reader does
+	// (ROADMAP item 1a).
 	Batches        uint64 `json:"batches"`
 	BatchedQueries uint64 `json:"batched_queries"`
 	StolenQueries  uint64 `json:"stolen_queries"`
 	FusedQueries   uint64 `json:"fused_queries"`
+	OptFallbacks   uint64 `json:"opt_fallbacks"`
 
 	CompileHits   uint64 `json:"compile_cache_hits"`
 	CompileMisses uint64 `json:"compile_cache_misses"`
-
-	// Optimizer counters: distinct programs the compile-tier optimizer
-	// rewrote, the instructions those rewrites deleted, the marker planes
-	// they freed, and optimized runs that tripped the runtime
-	// origin-ambiguity backstop and re-ran the program as submitted.
-	OptPrograms         uint64 `json:"opt_programs"`
-	OptInstrsEliminated uint64 `json:"opt_instrs_eliminated"`
-	OptPlanesFreed      uint64 `json:"opt_planes_freed"`
-	OptFallbacks        uint64 `json:"opt_fallbacks"`
 
 	// Result-cache counters: hits served without touching a replica,
 	// misses that went to execution, queries collapsed onto an
@@ -183,16 +176,6 @@ func (s *stats) batch(size int) {
 	s.mu.Lock()
 	s.Batches++
 	s.BatchedQueries += uint64(size)
-	s.mu.Unlock()
-}
-
-// optimized records one distinct program the optimizer rewrote and
-// what the rewrite bought: instructions deleted and planes freed.
-func (s *stats) optimized(instrs, planes int) {
-	s.mu.Lock()
-	s.OptPrograms++
-	s.OptInstrsEliminated += uint64(instrs)
-	s.OptPlanesFreed += uint64(planes)
 	s.mu.Unlock()
 }
 

@@ -79,7 +79,7 @@ func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.R
 		e.st.add(&e.st.Rejected, 1)
 		return nil, err
 	}
-	req := newRequest(ctx, prog, nil)
+	req := newRequest(ctx, prog)
 	if _, err := e.writeQ.push([]*request{req}); err != nil {
 		if err == ErrOverloaded {
 			// Queue full: shed rather than block the caller behind a burst.

@@ -200,45 +200,6 @@ func TestWriteSweepsResultCache(t *testing.T) {
 	}
 }
 
-// TestOptCacheBounded: a serving rewrite lives on the compiled program it
-// rewrites and nowhere else, so the compile cache's bound is the bound on
-// rewrites. After 12 distinct programs through a cap-4 compile cache the
-// 4 resident programs each remember theirs; an evicted source compiles to
-// a new program that has none.
-func TestOptCacheBounded(t *testing.T) {
-	g := fig15KB(t, 400)
-	e, err := New(g.KB, WithReplicas(1), WithCacheCap(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	concepts := queryConcepts(g, 12)
-	for _, c := range concepts {
-		if _, err := e.SubmitSource(context.Background(), inheritanceQuery(g, c)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := e.cache.len(); n != 4 {
-		t.Fatalf("compile cache holds %d programs, cap 4", n)
-	}
-	rewritten := func(c string) bool {
-		prog, err := e.Compile(inheritanceQuery(g, c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, fresh := prog.ServingRewrite(e.cfg.OptLevel)
-		return !fresh
-	}
-	for _, c := range concepts[8:] {
-		if !rewritten(c) {
-			t.Errorf("resident program for %s does not remember its rewrite", c)
-		}
-	}
-	if rewritten(concepts[0]) {
-		t.Error("an evicted program's rewrite outlived its compile-cache entry")
-	}
-}
-
 // TestReadWriteSoak drives concurrent readers and writers through one
 // engine, then proves every read was bit-identical — collections and
 // lockstep virtual time — to a reference machine patched forward to
@@ -247,13 +208,11 @@ func TestOptCacheBounded(t *testing.T) {
 // stale-beyond-its-epoch snapshot.
 func TestReadWriteSoak(t *testing.T) {
 	g := fig15KB(t, 800)
-	// Optimizer off: the reference machine runs programs as written, so
-	// engine results must match it exactly. Result cache off so every
-	// read actually exercises replica delta sync.
+	// Result cache off so every read actually exercises replica delta
+	// sync.
 	e, err := New(g.KB,
 		WithReplicas(4),
 		WithWrites(true),
-		WithOptLevel(0),
 		WithResultCache(0))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package isa
 
 import (
-	"sync"
 	"testing"
 
 	"snap1/internal/rules"
@@ -426,51 +425,5 @@ func TestOptimizedProgramsValidate(t *testing.T) {
 				t.Fatalf("%s O%d: optimized program invalid: %v", name, lvl, err)
 			}
 		}
-	}
-}
-
-// TestServingRewriteRemembered: a sealed program computes its serving
-// rewrite once, however many callers race for it, and hands everyone the
-// same product; an unsealed program, or another level, is rewritten per
-// call and does not disturb what the sealed program remembers.
-func TestServingRewriteRemembered(t *testing.T) {
-	loose := chainProgram(2)
-	a, freshA := loose.ServingRewrite(OptFull)
-	b, freshB := loose.ServingRewrite(OptFull)
-	if !freshA || !freshB || a == b {
-		t.Error("an unsealed program remembered a rewrite")
-	}
-
-	sealed := chainProgram(2)
-	sealed.Seal()
-	const callers = 8
-	got := make([]*Optimized, callers)
-	fresh := make([]bool, callers)
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], fresh[i] = sealed.ServingRewrite(OptFull)
-		}(i)
-	}
-	wg.Wait()
-	firsts := 0
-	for i := range got {
-		if got[i] != got[0] {
-			t.Fatalf("caller %d got a different product", i)
-		}
-		if fresh[i] {
-			firsts++
-		}
-	}
-	if firsts != 1 {
-		t.Errorf("%d callers computed the rewrite, want exactly one", firsts)
-	}
-	if o, f := sealed.ServingRewrite(OptBasic); !f || o.Level != OptBasic {
-		t.Errorf("another level: level %d, fresh %v; want a per-call OptBasic rewrite", o.Level, f)
-	}
-	if o, f := sealed.ServingRewrite(OptFull); f || o != got[0] {
-		t.Error("asking at another level displaced the remembered rewrite")
 	}
 }

@@ -2,7 +2,6 @@ package isa
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"snap1/internal/rules"
 	"snap1/internal/semnet"
@@ -18,10 +17,9 @@ type Program struct {
 	Rules  *rules.Table
 
 	// sealed programs are immutable and carry their content hash (see
-	// Seal) and, once asked, their serving rewrite (see ServingRewrite).
-	sealed  bool
-	hash    uint64
-	serving atomic.Pointer[Optimized]
+	// Seal).
+	sealed bool
+	hash   uint64
 }
 
 // NewProgram returns an empty program with a fresh rule table.
@@ -38,26 +36,6 @@ func (p *Program) Len() int { return len(p.Instrs) }
 // out; nobody may write Instrs or Rules of a sealed program.
 func (p *Program) Seal() {
 	p.hash, p.sealed = p.contentHash(), true
-}
-
-// ServingRewrite is Optimize under the serving profile (only collections
-// are observable) at the given level. A sealed program keeps the product
-// the way it keeps its hash: the first caller computes it — fresh reports
-// that — later callers share it, and it goes when the program does, so
-// whatever bounds the sealed programs (the engine's compile cache) bounds
-// their rewrites. An unsealed program, or a sealed one asked for another
-// level than the one it remembers, is rewritten on every call.
-func (p *Program) ServingRewrite(level int) (opt *Optimized, fresh bool) {
-	if o := p.serving.Load(); o != nil && o.Level == level {
-		return o, false
-	}
-	opt = Optimize(p, OptConfig{Level: level})
-	if p.sealed && !p.serving.CompareAndSwap(nil, opt) {
-		if o := p.serving.Load(); o.Level == opt.Level {
-			return o, false // a concurrent first caller won
-		}
-	}
-	return opt, true
 }
 
 // Add appends an already-formed instruction after validating it. A sealed

@@ -54,10 +54,7 @@ const (
 	EvCutTraffic // status: inter-cluster activations this phase (cut links exercised)
 	EvHopTraffic // status: port-to-port ICN transfers this phase
 
-	// EvProgramOptimized is emitted by the engine once per distinct
-	// program its compile-tier optimizer rewrote; status carries the
-	// instruction count the rewrite deleted.
-	EvProgramOptimized
+	_ // retired (compile-tier optimizer); later codes keep their numbers
 
 	// Online write-path events. EvKBDeltaApplied is emitted by a
 	// serving replica that patched its cluster tables forward by delta
@@ -112,8 +109,6 @@ func (e EventCode) String() string {
 		return "cut-traffic"
 	case EvHopTraffic:
 		return "hop-traffic"
-	case EvProgramOptimized:
-		return "program-optimized"
 	case EvKBDeltaApplied:
 		return "kb-delta-applied"
 	case EvWriteCommitted:

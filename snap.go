@@ -99,9 +99,10 @@ type (
 // Engine types.
 type (
 	// Engine is a concurrent query-serving layer: a pool of machine
-	// replicas sharing one knowledge base behind a batching submit
-	// queue. Construct with NewEngine; serve with Engine.Submit /
-	// Engine.SubmitSource; inspect with Engine.Stats.
+	// replicas sharing one knowledge base behind one run queue, each
+	// replica taking one query at a time. Construct with NewEngine; serve
+	// with Engine.Submit / Engine.SubmitSource; inspect with
+	// Engine.Stats.
 	Engine = engine.Engine
 	// EngineStats is a snapshot of an engine's serving counters.
 	EngineStats = engine.Stats
@@ -189,13 +190,10 @@ var (
 var (
 	// WithReplicas sets the engine's machine-pool size.
 	WithReplicas = engine.WithReplicas
-	// WithOptLevel sets the engine's compile-tier optimizer level
-	// (OptBasic or OptFull, the default); n <= 0 runs queries as written.
-	WithOptLevel = engine.WithOptLevel
 	// WithWrites enables the online write path: Engine.SubmitWrite
 	// commits topology-mutating programs on a serialized writer and
 	// publishes epoch-versioned KB snapshots; serving replicas catch up
-	// by incremental delta replay at their next batch boundary.
+	// by incremental delta replay before taking their next request.
 	WithWrites = engine.WithWrites
 	// WithQueueCap sets the engine's submit-queue capacity.
 	WithQueueCap = engine.WithQueueCap
@@ -224,31 +222,6 @@ var (
 	// LoadFaultPlan reads and validates a JSON fault plan from a file.
 	LoadFaultPlan = fault.Load
 )
-
-// Optimizer levels (engine WithOptLevel; library Optimize).
-const (
-	// OptNone runs programs as written.
-	OptNone = isa.OptNone
-	// OptBasic runs peephole folding and dead-plane elimination.
-	OptBasic = isa.OptBasic
-	// OptFull adds marker-plane renaming and overlap list scheduling.
-	OptFull = isa.OptFull
-)
-
-// OptConfig parameterizes Optimize.
-type OptConfig = isa.OptConfig
-
-// Optimized is an optimization product: the rewritten program plus the
-// metadata mapping its results back onto the original instruction
-// stream (see Optimized.OrigIndex and Result collections' Instr).
-type Optimized = isa.Optimized
-
-// Optimize rewrites a program under the compile-tier optimizer
-// (peephole folding, dead-plane elimination, marker-plane renaming,
-// overlap scheduling). Collections are bit-identical to the original
-// program's; set OptConfig.PreserveMarkers when final marker state must
-// be preserved too. Ineligible programs pass through unchanged.
-func Optimize(p *Program, cfg OptConfig) *Optimized { return isa.Optimize(p, cfg) }
 
 // Marker function codes.
 const (

@@ -2,16 +2,21 @@ package engine
 
 import (
 	"container/list"
+	"math"
 	"sync"
+	"sync/atomic"
 
+	"snap1/internal/isa"
 	"snap1/internal/machine"
+	"snap1/internal/rules"
 )
 
 // lruCache is a mutex-guarded LRU used for both engine caches: compiled
-// programs keyed by source content hash, and query results keyed by
-// (program hash, KB generation). Cached values are shared by every
-// query that hits them; both value types are immutable once published,
-// so sharing is safe.
+// programs keyed by source content hash, and query answers keyed by
+// (program hash, KB generation). Both keys are 64-bit hashes, so a value
+// carries what it was made from and a hit checks it (compiled.src,
+// answer.prog). Cached values are shared by every query that hits them;
+// both value types are immutable once published, so sharing is safe.
 type lruCache[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
@@ -85,7 +90,15 @@ func (c *lruCache[K, V]) len() int {
 	return c.order.Len()
 }
 
-// resultKey identifies a memoized query result: the program's content
+// compiled is a compile-cache entry: the sealed program and the source it
+// was assembled from, which a hit compares with the source it was asked
+// for.
+type compiled struct {
+	src  string
+	prog *isa.Program
+}
+
+// resultKey identifies a memoized query answer: the program's content
 // hash plus the knowledge base's structural generation at execution
 // time. Every accepted query is a pure function of (program, topology) —
 // markers are cleared before each run and mutating programs are refused —
@@ -98,11 +111,67 @@ type resultKey struct {
 	gen  uint64
 }
 
-// evictBefore sweeps out every result memoized under a generation older
+// answer is a result-cache entry: the program it answers (a hit must be
+// the same program, not only the same hash), its Result, and the answer's
+// encoded bytes. The bytes are filled by the entry's first hit, not by the
+// miss that made it (a query asked once never pays for them), and they go
+// when the entry does.
+type answer struct {
+	prog *isa.Program
+	res  *machine.Result
+	wire atomic.Pointer[wireAnswer]
+}
+
+// wireAnswer is an answer's QueryResponse encoding without its wall_us
+// value, which belongs at b[split].
+type wireAnswer struct {
+	b     []byte
+	split int
+}
+
+// evictBefore sweeps out every answer memoized under a generation older
 // than gen and returns the number removed. A write publish calls it so
-// superseded-generation results — which can never be looked up again —
+// superseded-generation answers — which can never be looked up again —
 // free their memory immediately instead of lingering until LRU pressure
 // pushes them out.
-func evictBefore(c *lruCache[resultKey, *machine.Result], gen uint64) int {
+func evictBefore(c *lruCache[resultKey, *answer], gen uint64) int {
 	return c.sweep(func(k resultKey) bool { return k.gen < gen })
+}
+
+// sameProgram reports whether a and b run identically: the same program,
+// or equal instruction streams whose PROPAGATE rules have equal
+// fingerprints. Program.Hash is 64 bits; a cache or a flight found by it
+// is checked with this before it is used.
+func sameProgram(a, b *isa.Program) bool {
+	if a == b {
+		return true
+	}
+	if len(a.Instrs) != len(b.Instrs) {
+		return false
+	}
+	for i := range a.Instrs {
+		x, y := a.Instrs[i], b.Instrs[i]
+		if math.Float32bits(x.Weight) != math.Float32bits(y.Weight) || math.Float32bits(x.Value) != math.Float32bits(y.Value) {
+			return false
+		}
+		x.Weight, x.Value, y.Weight, y.Value = 0, 0, 0, 0
+		if x != y {
+			return false
+		}
+		if x.Op == isa.OpPropagate {
+			rx, ry := ruleOf(a, x.Rule), ruleOf(b, y.Rule)
+			if rx != ry && (rx == nil || ry == nil || rx.Fingerprint() != ry.Fingerprint()) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ruleOf is the compiled rule a PROPAGATE of p names, or nil.
+func ruleOf(p *isa.Program, tok rules.Token) *rules.Compiled {
+	if p.Rules == nil {
+		return nil
+	}
+	return p.Rules.Rule(tok)
 }

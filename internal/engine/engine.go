@@ -291,9 +291,9 @@ type Engine struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	cache   *lruCache[uint64, *isa.Program]       // assembly-source hash -> sealed program
-	results *lruCache[resultKey, *machine.Result] // memoized query results; nil when disabled
-	flights *flightGroup                          // nil when results is nil
+	cache   *lruCache[uint64, compiled]   // assembly-source hash -> sealed program
+	results *lruCache[resultKey, *answer] // memoized query answers; nil when disabled
+	flights *flightGroup                  // nil when results is nil
 
 	// Write path (nil/zero unless Config.Writes; see writer.go). pubGen
 	// is the published KB generation — the epoch every new read
@@ -380,10 +380,10 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		queue:    newQueue(cfg.QueueCap, 1),
 		start:    time.Now(),
 		done:     make(chan struct{}),
-		cache:    newLRUCache[uint64, *isa.Program](cfg.CacheCap),
+		cache:    newLRUCache[uint64, compiled](cfg.CacheCap),
 	}
 	if cfg.ResultCacheCap > 0 {
-		e.results = newLRUCache[resultKey, *machine.Result](cfg.ResultCacheCap)
+		e.results = newLRUCache[resultKey, *answer](cfg.ResultCacheCap)
 		e.flights = newFlightGroup()
 	}
 	for i := range e.health {
@@ -493,14 +493,25 @@ func (e *Engine) readGen() uint64 {
 // submissions collapse onto one execution. The returned Result is shared
 // and must be treated as immutable.
 func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result, error) {
+	_, res, err := e.submit(ctx, prog)
+	return res, err
+}
+
+// submit is Submit that also returns the result-cache entry when one
+// answered the query, so that the HTTP doors can answer a hit from the
+// entry's bytes.
+func (e *Engine) submit(ctx context.Context, prog *isa.Program) (*answer, *machine.Result, error) {
 	gen := e.readGen()
-	h, res, err := e.precheck(prog, gen)
-	if res != nil || err != nil {
-		return res, err
+	h, hit, err := e.precheck(prog, gen)
+	if hit != nil {
+		return hit, hit.res, nil
 	}
-	m := miss{prog: prog, h: h}
-	e.resolve(ctx, gen, []*miss{&m})
-	return m.res, m.err
+	if err != nil {
+		return nil, nil, err
+	}
+	q := query{prog: prog, h: h}
+	e.resolve(ctx, gen, []*query{&q})
+	return q.hit, q.res, q.err
 }
 
 // SubmitBatch is Submit over a set of independent read-only programs:
@@ -512,16 +523,28 @@ func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result
 // for its own size: it is admitted in pieces that fit the engine's
 // admission bounds, each awaited before the next.
 func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*machine.Result, []error) {
-	results := make([]*machine.Result, len(progs))
-	errs := make([]error, len(progs))
+	qs := e.submitBatch(ctx, progs)
+	results := make([]*machine.Result, len(qs))
+	errs := make([]error, len(qs))
+	for i := range qs {
+		results[i], errs[i] = qs[i].res, qs[i].err
+	}
+	return results, errs
+}
+
+// submitBatch is SubmitBatch answering each member with its whole
+// record, the result-cache entry that answered it included.
+func (e *Engine) submitBatch(ctx context.Context, progs []*isa.Program) []query {
 	gen := e.readGen()
-	misses := make([]miss, len(progs))
-	set := make([]*miss, 0, len(progs))
+	qs := make([]query, len(progs))
+	set := make([]*query, 0, len(progs))
 	for i, prog := range progs {
-		m := &misses[i]
-		m.prog = prog
-		if m.h, m.res, m.err = e.precheck(prog, gen); m.res == nil && m.err == nil {
-			set = append(set, m)
+		q := &qs[i]
+		q.prog = prog
+		if q.h, q.hit, q.err = e.precheck(prog, gen); q.hit != nil {
+			q.res = q.hit.res
+		} else if q.err == nil {
+			set = append(set, q)
 		}
 	}
 	piece := e.cfg.QueueCap
@@ -533,16 +556,14 @@ func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*mach
 		e.resolve(ctx, gen, set[:n])
 		set = set[n:]
 	}
-	for i := range misses {
-		results[i], errs[i] = misses[i].res, misses[i].err
-	}
-	return results, errs
+	return qs
 }
 
-// miss is one query on its way from a result-cache miss to its answer.
-type miss struct {
+// query is one read on its way from its precheck to its answer.
+type query struct {
 	prog *isa.Program
 	h    uint64  // prog.Hash()
+	hit  *answer // the result-cache entry that answered it; nil when none did
 	f    *flight // the flight joined for h; nil with deduplication off
 	res  *machine.Result
 	err  error
@@ -554,13 +575,20 @@ type miss struct {
 // what they got; the followers adopt their flight's outcome, or go round
 // again when it is not theirs to adopt. Submit is resolve over one
 // program, SubmitBatch over a batch's.
-func (e *Engine) resolve(ctx context.Context, gen uint64, set []*miss) {
+func (e *Engine) resolve(ctx context.Context, gen uint64, set []*query) {
 	for len(set) > 0 {
-		lead, follow := make([]*miss, 0, len(set)), []*miss(nil)
+		lead, follow := make([]*query, 0, len(set)), []*query(nil)
 		for _, m := range set {
 			if e.flights != nil {
 				var leader bool
-				if m.f, leader = e.flights.join(m.h); !leader {
+				if m.f, leader = e.flights.join(m.h, m.prog); !leader {
+					if !sameProgram(m.f.prog, m.prog) {
+						// Another program under the same hash: this one
+						// runs on its own, outside the flight.
+						m.f = nil
+						lead = append(lead, m)
+						continue
+					}
 					e.st.add(&e.st.DedupedQueries, 1)
 					follow = append(follow, m)
 					continue
@@ -568,9 +596,9 @@ func (e *Engine) resolve(ctx context.Context, gen uint64, set []*miss) {
 				// The previous leader may have memoized its result and
 				// left between this member's miss and its join: look
 				// again before executing, or the query runs twice.
-				if res, ok := e.cached(m.h, gen); ok {
-					m.res = res
-					e.flights.finish(m.h, m.f, res, nil)
+				if a, ok := e.cached(m.prog, m.h, gen); ok {
+					m.hit, m.res = a, a.res
+					e.flights.finish(m.h, m.f, a.res, nil)
 					continue
 				}
 			}
@@ -582,7 +610,7 @@ func (e *Engine) resolve(ctx context.Context, gen uint64, set []*miss) {
 				// Keyed by the generation the run actually observed
 				// (under write churn the serving replica may have synced
 				// past the admission epoch).
-				e.results.put(resultKey{m.h, m.res.KBGen}, m.res)
+				e.results.put(resultKey{m.h, m.res.KBGen}, &answer{prog: m.prog, res: m.res})
 			}
 			if m.f != nil {
 				e.flights.finish(m.h, m.f, m.res, m.err)
@@ -616,10 +644,10 @@ func (e *Engine) resolve(ctx context.Context, gen uint64, set []*miss) {
 }
 
 // precheck is the per-query admission check Submit and SubmitBatch
-// share: mutating and invalid programs are rejected, and a result
+// share: mutating and invalid programs are rejected, and an answer
 // memoized under gen is returned in place of an execution. Otherwise
 // the program's hash comes back for the caller to execute under.
-func (e *Engine) precheck(prog *isa.Program, gen uint64) (h uint64, hit *machine.Result, err error) {
+func (e *Engine) precheck(prog *isa.Program, gen uint64) (h uint64, hit *answer, err error) {
 	if prog.Mutating() {
 		e.st.add(&e.st.Rejected, 1)
 		return 0, nil, ErrMutatingProgram
@@ -630,23 +658,25 @@ func (e *Engine) precheck(prog *isa.Program, gen uint64) (h uint64, hit *machine
 	}
 	h = prog.Hash()
 	if e.results != nil {
-		if res, ok := e.cached(h, gen); ok {
-			return h, res, nil
+		if a, ok := e.cached(prog, h, gen); ok {
+			return h, a, nil
 		}
 		e.st.add(&e.st.ResultMisses, 1)
 	}
 	return h, nil, nil
 }
 
-// cached looks a query up in the result cache (which must be enabled)
-// and counts the hit.
-func (e *Engine) cached(h, gen uint64) (*machine.Result, bool) {
-	res, ok := e.results.get(resultKey{h, gen})
-	if ok {
-		e.st.add(&e.st.ResultHits, 1)
-		e.emit(-1, perfmon.EvResultHit, uint32(res.Time), res.Time)
+// cached looks prog, whose hash is h, up in the result cache (which must
+// be enabled) and counts the hit. An entry another program left under
+// the same hash is not a hit.
+func (e *Engine) cached(prog *isa.Program, h, gen uint64) (*answer, bool) {
+	a, ok := e.results.get(resultKey{h, gen})
+	if !ok || !sameProgram(a.prog, prog) {
+		return nil, false
 	}
-	return res, ok
+	e.st.add(&e.st.ResultHits, 1)
+	e.emit(-1, perfmon.EvResultHit, uint32(a.res.Time), a.res.Time)
+	return a, true
 }
 
 // newRequest builds the queue entry for one validated query.
@@ -680,7 +710,7 @@ func (e *Engine) enqueue(reqs []*request) error {
 // deadline and retry policies: the retryable failures of one attempt
 // are the set of the next, after an exponential backoff, until the
 // budget or the caller's context runs out.
-func (e *Engine) runSet(ctx context.Context, set []*miss) {
+func (e *Engine) runSet(ctx context.Context, set []*query) {
 	for attempt := 0; len(set) > 0; attempt++ {
 		if attempt == e.cfg.Retry.MaxAttempts {
 			e.st.add(&e.st.RetriesExhausted, len(set))
@@ -712,7 +742,7 @@ func (e *Engine) runSet(ctx context.Context, set []*miss) {
 // attempt admits set as one unit — all or none — under its own
 // QueryTimeout, awaits every member and returns the members whose
 // failure a further attempt may cure.
-func (e *Engine) attempt(ctx context.Context, set []*miss) []*miss {
+func (e *Engine) attempt(ctx context.Context, set []*query) []*query {
 	actx := ctx
 	if e.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -730,7 +760,7 @@ func (e *Engine) attempt(ctx context.Context, set []*miss) []*miss {
 		return nil
 	}
 	defer e.inflight.Add(-int64(len(reqs)))
-	var again []*miss
+	var again []*query
 	for i, m := range set {
 		if m.res, m.err = e.await(actx, reqs[i]); m.err != nil && ctx.Err() == nil && attemptRetryable(m.err) {
 			again = append(again, m)
@@ -763,8 +793,8 @@ func (e *Engine) shed() error {
 // SubmitSource assembles SNAP assembly text (resolving names against the
 // engine's knowledge base, never adding one: this is a read door) and
 // submits the program. Compilation is memoized in an LRU cache keyed by
-// the source's content hash, so a hot query's assembly and rule
-// compilation cost is paid once.
+// the source's content hash (a hit compares the source it kept), so a
+// hot query's assembly and rule compilation cost is paid once.
 func (e *Engine) SubmitSource(ctx context.Context, src string) (*machine.Result, error) {
 	prog, err := e.compile(e.readAsm, src)
 	if err != nil {
@@ -783,12 +813,14 @@ func (e *Engine) Compile(src string) (*isa.Program, error) { return e.compile(e.
 
 // compile is Compile through the given assembler. The cache is one, keyed
 // by source: a program whose names a write door interned is the same
-// program on a read door, which then refuses it as mutating.
+// program on a read door, which then refuses it as mutating. The key is a
+// 64-bit hash, so a hit is one whose kept source is src; another source
+// under the same key is a miss, and its program replaces the entry.
 func (e *Engine) compile(asm *isa.Assembler, src string) (*isa.Program, error) {
 	key := sourceHash(src)
-	if prog, ok := e.cache.get(key); ok {
+	if c, ok := e.cache.get(key); ok && c.src == src {
 		e.st.add(&e.st.CompileHits, 1)
-		return prog, nil
+		return c.prog, nil
 	}
 	start := time.Now()
 	prog, err := asm.AssembleString(src)
@@ -798,7 +830,7 @@ func (e *Engine) compile(asm *isa.Assembler, src string) (*isa.Program, error) {
 	}
 	prog.Seal()
 	e.st.cacheMiss(time.Since(start))
-	e.cache.put(key, prog)
+	e.cache.put(key, compiled{src: src, prog: prog})
 	return prog, nil
 }
 

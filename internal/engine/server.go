@@ -161,7 +161,7 @@ func (e *Engine) handleProgram(w http.ResponseWriter, r *http.Request, write boo
 	}
 	var req QueryRequest
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
-		if err := json.Unmarshal(*buf, &req); err != nil {
+		if err := decodeQueryRequest(*buf, &req); err != nil {
 			writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
 			return
 		}
@@ -180,14 +180,14 @@ func (e *Engine) handleProgram(w http.ResponseWriter, r *http.Request, write boo
 		defer cancel()
 	}
 
-	asm, submit := e.readAsm, e.Submit
+	asm := e.readAsm
 	if write {
 		if e.writeQ == nil {
 			e.st.add(&e.st.Rejected, 1)
 			e.writeError(w, ErrWritesDisabled)
 			return
 		}
-		asm, submit = e.asm, e.SubmitWrite
+		asm = e.asm
 	}
 	prog, err := e.compile(asm, req.Program)
 	if err != nil {
@@ -195,13 +195,18 @@ func (e *Engine) handleProgram(w http.ResponseWriter, r *http.Request, write boo
 		return
 	}
 	start := time.Now()
-	res, err := submit(ctx, prog)
-	if err != nil {
-		e.writeError(w, err)
+	q := query{prog: prog}
+	if write {
+		q.res, q.err = e.SubmitWrite(ctx, prog)
+	} else {
+		q.hit, q.res, q.err = e.submit(ctx, prog)
+	}
+	if q.err != nil {
+		e.writeError(w, q.err)
 		return
 	}
 	// The body is decoded (req holds copies), so the answer reuses buf.
-	*buf, err = e.appendQueryResponse((*buf)[:0], prog, res, time.Since(start))
+	*buf, err = e.appendAnswer((*buf)[:0], &q, time.Since(start))
 	if err != nil {
 		e.writeError(w, err)
 		return
@@ -221,7 +226,7 @@ func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchQueryRequest
-	if err := json.Unmarshal(*buf, &req); err != nil {
+	if err := decodeBatchRequest(*buf, &req); err != nil {
 		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
 		return
 	}
@@ -256,10 +261,10 @@ func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	results, errs := e.SubmitBatch(ctx, progs)
+	qs := e.submitBatch(ctx, progs)
 	wall := time.Since(start)
 
-	*buf = e.appendBatchResponse((*buf)[:0], compileErrs, progs, results, errs, wall)
+	*buf = e.appendBatchResponse((*buf)[:0], compileErrs, qs, wall)
 	writeBody(w, *buf)
 }
 

@@ -5,14 +5,17 @@ import (
 	"errors"
 	"sync"
 
+	"snap1/internal/isa"
 	"snap1/internal/machine"
 )
 
 // flight is one in-progress execution of a program hash. Followers that
-// submit the same hash while it runs wait on done instead of queueing a
-// duplicate execution.
+// submit the same program while it runs wait on done instead of queueing
+// a duplicate execution; a different program under the same hash is not
+// a follower (sameProgram).
 type flight struct {
 	done chan struct{}
+	prog *isa.Program
 	res  *machine.Result
 	err  error
 }
@@ -31,15 +34,16 @@ func newFlightGroup() *flightGroup {
 	return &flightGroup{m: make(map[uint64]*flight)}
 }
 
-// join returns the in-progress flight for key, or registers a new one.
-// leader is true when the caller must execute and later call finish.
-func (g *flightGroup) join(key uint64) (f *flight, leader bool) {
+// join returns the in-progress flight for key, or registers a new one
+// for prog. leader is true when the caller must execute and later call
+// finish.
+func (g *flightGroup) join(key uint64, prog *isa.Program) (f *flight, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if f, ok := g.m[key]; ok {
 		return f, false
 	}
-	f = &flight{done: make(chan struct{})}
+	f = &flight{done: make(chan struct{}), prog: prog}
 	g.m[key] = f
 	return f, true
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strconv"
@@ -19,6 +20,8 @@ import (
 // what encoding/json writes for the exported QueryResponse and
 // BatchQueryResponse structs — those stay the documented schema, and the
 // tests hold this file to json.Encoder's output of them byte for byte.
+// A result-cache hit copies the bytes this encoder wrote for its entry's
+// first hit (appendHit); every answer byte still comes from here.
 
 // maxPooledBuf is the largest buffer putBuf keeps. One 64-member batch
 // can grow a buffer to megabytes; dropping it keeps the pool from
@@ -42,12 +45,51 @@ var errNonFinite = errors.New("engine: result holds a NaN or infinite marker val
 // appendQueryResponse appends the QueryResponse object for res, without
 // the trailing newline, resolving names under one KB read lock.
 func (e *Engine) appendQueryResponse(dst []byte, prog *isa.Program, res *machine.Result, wall time.Duration) ([]byte, error) {
+	dst = strconv.AppendInt(appendHead(dst, res), wall.Microseconds(), 10)
+	return e.appendTail(dst, prog, res)
+}
+
+// appendHit appends the QueryResponse object for the result-cache entry
+// a: its encoding, made by its first hit and kept, around wall.
+func (e *Engine) appendHit(dst []byte, a *answer, wall time.Duration) ([]byte, error) {
+	w := a.wire.Load()
+	if w == nil {
+		// Encode in dst's spare room, keep an exact copy. Two first hits
+		// that race both encode; their bytes are equal, one is kept.
+		enc := appendHead(dst, a.res)
+		split := len(enc) - len(dst)
+		enc, err := e.appendTail(enc, a.prog, a.res)
+		if err != nil {
+			return dst, err
+		}
+		w = &wireAnswer{b: bytes.Clone(enc[len(dst):]), split: split}
+		a.wire.CompareAndSwap(nil, w)
+	}
+	dst = append(dst, w.b[:w.split]...)
+	dst = strconv.AppendInt(dst, wall.Microseconds(), 10)
+	return append(dst, w.b[w.split:]...), nil
+}
+
+// appendAnswer appends q's QueryResponse object, from its cache entry's
+// bytes when one answered it.
+func (e *Engine) appendAnswer(dst []byte, q *query, wall time.Duration) ([]byte, error) {
+	if q.hit != nil {
+		return e.appendHit(dst, q.hit, wall)
+	}
+	return e.appendQueryResponse(dst, q.prog, q.res, wall)
+}
+
+// appendHead appends a QueryResponse object up to its wall_us value.
+func appendHead(dst []byte, res *machine.Result) []byte {
 	dst = append(dst, `{"virtual_time":"`...)
 	dst = res.Time.AppendTo(dst)
 	dst = append(dst, `","virtual_ps":`...)
 	dst = strconv.AppendInt(dst, int64(res.Time), 10)
-	dst = append(dst, `,"wall_us":`...)
-	dst = strconv.AppendInt(dst, wall.Microseconds(), 10)
+	return append(dst, `,"wall_us":`...)
+}
+
+// appendTail appends a QueryResponse object from after its wall_us value.
+func (e *Engine) appendTail(dst []byte, prog *isa.Program, res *machine.Result) ([]byte, error) {
 	dst = append(dst, `,"collections":`...)
 	if len(res.Collections) == 0 {
 		dst = append(dst, "null"...)
@@ -118,10 +160,8 @@ func appendCollections(dst []byte, names semnet.View, colls []machine.Collection
 
 // appendBatchResponse appends the BatchQueryResponse document, newline
 // included. Element i is compileErrs[i] when that is set; the elements
-// that compiled are answered, in order, by progs[j] with results[j] or
-// errs[j].
-func (e *Engine) appendBatchResponse(dst []byte, compileErrs []error, progs []*isa.Program,
-	results []*machine.Result, errs []error, wall time.Duration) []byte {
+// that compiled are answered, in order, by qs[j].
+func (e *Engine) appendBatchResponse(dst []byte, compileErrs []error, qs []query, wall time.Duration) []byte {
 	dst = append(dst, `{"results":[`...)
 	j := 0
 	for i, err := range compileErrs {
@@ -129,8 +169,8 @@ func (e *Engine) appendBatchResponse(dst []byte, compileErrs []error, progs []*i
 			dst = append(dst, ',')
 		}
 		if err == nil {
-			if err = errs[j]; err == nil {
-				dst, err = e.appendResultElement(dst, progs[j], results[j], wall)
+			if err = qs[j].err; err == nil {
+				dst, err = e.appendResultElement(dst, &qs[j], wall)
 			}
 			j++
 		}
@@ -143,8 +183,8 @@ func (e *Engine) appendBatchResponse(dst []byte, compileErrs []error, progs []*i
 
 // appendResultElement appends the BatchElement {"result":<QueryResponse>},
 // or nothing when the result cannot be encoded.
-func (e *Engine) appendResultElement(dst []byte, prog *isa.Program, res *machine.Result, wall time.Duration) ([]byte, error) {
-	out, err := e.appendQueryResponse(append(dst, `{"result":`...), prog, res, wall)
+func (e *Engine) appendResultElement(dst []byte, q *query, wall time.Duration) ([]byte, error) {
+	out, err := e.appendAnswer(append(dst, `{"result":`...), q, wall)
 	if err != nil {
 		return dst, err
 	}

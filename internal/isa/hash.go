@@ -8,9 +8,13 @@ import (
 
 // Hash returns a 64-bit FNV-1a digest of the program: every instruction's
 // operands in stream order, followed by the fingerprint of each compiled
-// rule the stream references. Two programs with equal hashes execute
-// identically on the same knowledge base, so the digest is a safe cache
-// key for compiled/validated programs in a query-serving engine.
+// rule the stream references. Programs that execute identically on the
+// same knowledge base hash equally; the converse does not hold. FNV-1a is
+// not collision-resistant, and a client who controls a program's text
+// can construct a second program with the same 64 bits, so a cache or a
+// deduplication keyed by the digest must compare what it matched before
+// using it (the serving engine compares instruction streams and rule
+// fingerprints).
 //
 // The digest covers rule *behavior* (the compiled FSM), not rule table
 // tokens alone: the same token number bound to a different rule hashes

@@ -226,7 +226,8 @@ func appendFloatField(dst []byte, key string, f float32) ([]byte, bool) {
 // digits that round-trip, positional unless the magnitude is below 1e-6
 // or at least 1e21, and then with the exponent's leading zero dropped
 // (1e-07 → 1e-7). It reports false, appending nothing, for a NaN or an
-// infinity.
+// infinity. Normal values take the Schubfach kernel (ftoa32.go); zero and
+// the subnormals take strconv.
 func appendFloat32(dst []byte, f float32) ([]byte, bool) {
 	// Marker values are mostly small whole numbers (hop counts, summed
 	// unit weights); float32 holds every integer below 2^24 exactly, so
@@ -242,6 +243,9 @@ func appendFloat32(dst []byte, f float32) ([]byte, bool) {
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
+	if b := math.Float32bits(f); b>>23&0xff != 0 {
+		return appendShortest32(dst, b, format), true
+	}
 	dst = strconv.AppendFloat(dst, float64(f), format, -1, 32)
 	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-2] == '0' {
 		dst[n-2] = dst[n-1]
@@ -251,6 +255,19 @@ func appendFloat32(dst []byte, f float32) ([]byte, bool) {
 }
 
 const hexDigits = "0123456789abcdef"
+
+// safeByte[b] reports whether appendString copies byte b as it is:
+// printable ASCII (DEL included, as encoding/json has it) but for ", \,
+// <, > and &.
+var safeByte = func() (t [256]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		t[b] = true
+	}
+	for _, b := range `"\<>&` {
+		t[b] = false
+	}
+	return t
+}()
 
 // appendString appends s as the JSON string encoding/json writes with
 // its default HTML escaping: ", \ and the control bytes escaped (\b \f
@@ -262,11 +279,11 @@ func appendString(dst []byte, s string) []byte {
 	start := 0 // s[start:i] is the pending run that needs no escaping
 	for i := 0; i < len(s); {
 		b := s[i]
+		if safeByte[b] {
+			i++
+			continue
+		}
 		if b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
 			dst = append(dst, s[start:i]...)
 			switch b {
 			case '"', '\\':

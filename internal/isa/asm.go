@@ -43,6 +43,10 @@ func (a *Assembler) LookupOnly() *Assembler { return &Assembler{kb: a.kb} }
 // maxLineBytes bounds one line of assembly, newline included.
 const maxLineBytes = 64 << 10
 
+// maxPresize caps the instruction capacity AssembleString reserves from
+// the line count.
+const maxPresize = 64
+
 // Assemble drains r and parses it as a full program.
 func (a *Assembler) Assemble(r io.Reader) (*Program, error) {
 	var src strings.Builder
@@ -56,6 +60,9 @@ func (a *Assembler) Assemble(r io.Reader) (*Program, error) {
 // the text, nothing copied out of it. Every rejection wraps ErrBadProgram.
 func (a *Assembler) AssembleString(src string) (*Program, error) {
 	p := NewProgram()
+	// At most one instruction a line; the cap keeps a body of blank lines
+	// from reserving room for instructions it does not hold.
+	p.Instrs = make([]Instruction, 0, min(strings.Count(src, "\n")+1, maxPresize))
 	for lineNo := 1; src != ""; lineNo++ {
 		line := src
 		if i := strings.IndexByte(src, '\n'); i >= 0 {
@@ -91,8 +98,28 @@ var opByName = func() map[string]Opcode {
 
 // nextField cuts the first whitespace-separated field off s. Calling it
 // until field is empty yields what strings.Fields(s) holds, without
-// allocating the slice.
+// allocating the slice. Space and tab split printable ASCII here; a line
+// holding any other control byte or a non-ASCII one is split by
+// unicode.IsSpace from that field on.
 func nextField(s string) (field, rest string) {
+	i := 0
+	for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+		i++
+	}
+	s = s[i:]
+	for i = 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == ' ' || c == '\t':
+			return s[:i], s[i:]
+		case c < '!' || c > '~':
+			return nextFieldUnicode(s)
+		}
+	}
+	return s, ""
+}
+
+// nextFieldUnicode is nextField by unicode.IsSpace alone.
+func nextFieldUnicode(s string) (field, rest string) {
 	s = strings.TrimLeftFunc(s, unicode.IsSpace)
 	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
 		return s[:i], s[i:]

@@ -87,16 +87,29 @@ func TestAssembleErrors(t *testing.T) {
 	}
 }
 
-// TestNextFieldMatchesStringsFields holds the assembler's allocation-free
-// splitter to strings.Fields, which it replaced, on ASCII and Unicode
-// white space alike, and checks that mixed-case lines still assemble to
-// the program their lower-case form does.
-func TestNextFieldMatchesStringsFields(t *testing.T) {
+// TestNextFieldMatchesFields holds the assembler's allocation-free
+// splitter to strings.Fields, which it replaced: on its ASCII fast path
+// (space and tab around printable ASCII) and on the unicode.IsSpace path
+// it falls back to at any other control byte or any non-ASCII byte, at
+// the start of a field, inside one and between two. It also checks that
+// mixed-case lines still assemble to the program their lower-case form
+// does.
+func TestNextFieldMatchesFields(t *testing.T) {
 	lines := []string{
-		"", " ", "comm-end", "collect-node marker=c3",
+		"", " ", "\t \t", "comm-end", "collect-node marker=c3",
 		"search-node   node=we\tmarker=c1 \v value=0 ",
 		"search-node\u00a0node=we\u2003marker=c1\u0085value=0",
-		"a\xffb \xff", "µ=1 é",
+		"a\xffb \xff", "µ=1 é", "a\x7fb c\x7f", "\x00", "\x7f",
+	}
+	// Every separator and every in-field byte the fast path hands over,
+	// each between two fields, leading, trailing, and inside a field.
+	for _, odd := range []string{
+		"\v", "\f", "\r", "\n", "\x00", "\x01", "\x1f", "\x7f", "\u0085", "\u00a0",
+		"\u2028", "\u3000", "é", "\xff", "\xc3", "\xe2\x80",
+	} {
+		lines = append(lines,
+			"ab"+odd+"cd", odd+"ab cd", "ab cd"+odd, "ab "+odd+" cd", "ab\t"+odd+"cd",
+			odd, odd+odd, " "+odd+" ", "x=1"+odd+odd+"y=2 z")
 	}
 	for _, line := range lines {
 		var got []string
@@ -196,5 +209,55 @@ func TestAsmRoundTrip(t *testing.T) {
 			t.Errorf("instruction %d: %+v != %+v\nasm: %s", i, a, b,
 				Disassemble(&p.Instrs[i], kb, p.Rules))
 		}
+	}
+}
+
+// TestAssembleAllocations fences what assembling costs the engine on a
+// cache miss, for the three query templates the serve-cold workload
+// sends, rendered as the benchmark renders them: the program, its rule
+// table, the instruction slice reserved once from the line count, and
+// each rule. It also holds the reservation to its cap: a 1 MiB body of
+// newlines assembles to an empty program without reserving room for a
+// million instructions.
+func TestAssembleAllocations(t *testing.T) {
+	kb := asmKB(t)
+	kb.MustAddNode("dog", kb.ColorFor("class"))
+	kb.Relation("subsumes")
+	asm := NewAssembler(kb).LookupOnly()
+	for _, c := range []struct {
+		name, src string
+		allocs    float64
+	}{
+		{"inherit", "search-node node=dog marker=c1 value=7\n" +
+			"propagate m1=c1 m2=c2 rule=path(is-a) fn=add\n" +
+			"collect-node marker=c2\n", 7},
+		{"subsume", "search-node node=animate marker=c1 value=7\n" +
+			"propagate m1=c1 m2=c2 rule=path(subsumes) fn=add\n" +
+			"collect-node marker=c2\n", 7},
+		{"classify", "search-node node=dog marker=c1 value=7\n" +
+			"search-node node=we marker=c3 value=7\n" +
+			"propagate m1=c1 m2=c2 rule=path(is-a) fn=add\n" +
+			"propagate m1=c3 m2=c4 rule=path(is-a) fn=add\n" +
+			"and-marker m1=c2 m2=c4 m3=c5 fn=add\n" +
+			"collect-node marker=c5\n", 7},
+	} {
+		n := testing.AllocsPerRun(100, func() {
+			if _, err := asm.AssembleString(c.src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %v allocations", c.name, n)
+		if n > c.allocs {
+			t.Errorf("assembling %s allocates %v times, want at most %v", c.name, n, c.allocs)
+		}
+	}
+
+	p, err := asm.AssembleString(strings.Repeat("\n", 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Len() != 0 || cap(p.Instrs) > maxPresize {
+		t.Errorf("a body of newlines assembled %d instructions into a capacity of %d, want 0 into at most %d",
+			p.Len(), cap(p.Instrs), maxPresize)
 	}
 }

@@ -1,6 +1,7 @@
 // Command snapd serves SNAP-1 marker-propagation queries over HTTP: a
-// resident knowledge base, a pool of simulated array replicas behind
-// one run queue, and a result-caching query engine behind a JSON API.
+// resident knowledge base, a pool of simulated array replicas that each
+// request's own goroutine runs on, and a result-caching query engine
+// behind a JSON API.
 //
 // Usage:
 //
@@ -20,9 +21,9 @@
 //
 // Every non-2xx response carries the typed error envelope
 // {"error":{"code":...,"message":...,"retryable":...}} (see
-// docs/RESILIENCE.md). Overloaded submissions (full queue or in-flight
-// ceiling) answer 503 with a Retry-After header estimated from the
-// live queue depth and drain rate. SIGINT/SIGTERM drains in-flight
+// docs/RESILIENCE.md). Overloaded submissions (a full line of callers
+// waiting for a replica, or the in-flight ceiling) answer 503 with a
+// Retry-After header estimated from that line and the drain rate. SIGINT/SIGTERM drains in-flight
 // queries before exit.
 //
 // -pprof addr serves net/http/pprof on a listener of its own (off by
@@ -87,8 +88,8 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	gen := fs.Int("gen", 0, "generate a synthetic knowledge base of N nodes instead")
 	domain := fs.Bool("domain", false, "embed the newswire micro-domain in the generated network")
 	seed := fs.Int64("seed", 42, "generation seed")
-	replicas := fs.Int("replicas", 4, "machine-pool size (all serve one run queue)")
-	queueCap := fs.Int("queue-cap", 256, "submit-queue capacity; beyond it queries shed with 503")
+	replicas := fs.Int("replicas", 4, "machine-pool size")
+	queueCap := fs.Int("queue-cap", 256, "bound on the callers waiting for a replica; beyond it queries shed with 503")
 	cacheCap := fs.Int("cache-cap", 128, "compile-cache entry bound")
 	resultCache := fs.Int("result-cache", 1024, "result-cache entry bound (0 disables result caching)")
 	maxInFlight := fs.Int("max-inflight", 0, "in-flight query ceiling, 0 = no ceiling beyond -queue-cap")

@@ -5,12 +5,13 @@
 // An Engine owns a pool of machine replicas that share one preprocessed,
 // partitioned knowledge base (downloaded once, then cloned per replica —
 // concurrently, over shared-immutable topology tables — without
-// re-partitioning). In front of the pool sits one run queue (queue.go):
-// Submit pushes, and every replica free to serve takes the oldest
-// request — the replicas are bit-identical lockstep machines, so there
-// is no affinity to keep and nothing to route. Each query runs its own
-// program with fresh marker state and honors its context's cancellation
-// and deadline between instructions. The request path is pipelined:
+// re-partitioning). The replicas are bit-identical lockstep machines, so
+// there is no affinity to keep and nothing to route: a read takes the
+// idle replica released last (pool.go), or waits in line for the next
+// one released, and runs on the goroutine that submitted it. Each query
+// runs its own program with fresh marker state and honors its context's
+// cancellation and deadline between instructions. The request path is
+// pipelined:
 //
 //	assembly → rule/program compilation (LRU-cached by content hash)
 //	         → result cache (by Program.Hash + KB generation)
@@ -20,9 +21,9 @@
 // A program runs as written: the served answer, virtual time included,
 // is Machine.Run of the submitted program on a fresh lockstep replica.
 //
-// Admission control sheds load instead of queueing without bound: a
-// full run queue (QueueCap) or a reached in-flight ceiling
-// (MaxInFlight) fails fast with ErrOverloaded.
+// Admission control sheds load instead of queueing without bound: a full
+// line of callers waiting for a replica (QueueCap) or a reached in-flight
+// ceiling (MaxInFlight) fails fast with ErrOverloaded.
 //
 // Submit accepts only read-only programs: replicas share the downloaded
 // network topology, so topology-mutating instructions (CREATE, DELETE,
@@ -33,9 +34,8 @@
 // instead: they execute serialized on a dedicated writer machine over
 // the master KB and publish epoch-style (writer.go) — the KB generation
 // bump retires result-cache entries, and each replica patches itself
-// forward by replaying the KB's topology delta log before taking its
-// next request, so reads never block on writes and no global pause
-// exists.
+// forward by replaying the KB's topology delta log before its next run,
+// so reads never block on writes and no global pause exists.
 package engine
 
 import (
@@ -60,8 +60,8 @@ var (
 	// ErrClosed is returned by Submit after Close.
 	ErrClosed = errors.New("engine: closed")
 	// ErrOverloaded is returned when admission control sheds a query:
-	// the submit queue is full (QueueCap) or the in-flight ceiling
-	// (MaxInFlight) is reached. Retry after backoff; the HTTP surface
+	// no replica is idle and the line of callers waiting for one is full
+	// (QueueCap), or the in-flight ceiling (MaxInFlight) is reached. Retry after backoff; the HTTP surface
 	// maps it to 503 with a Retry-After header.
 	ErrOverloaded = errors.New("engine: overloaded")
 	// ErrMutatingProgram rejects topology-mutating programs; it wraps
@@ -72,11 +72,11 @@ var (
 // Config parameterizes an Engine. The zero value of any field selects
 // its default.
 type Config struct {
-	// Replicas is the machine-pool size; one serving goroutine per
-	// replica (default 4).
+	// Replicas is the machine-pool size (default 4).
 	Replicas int
-	// QueueCap bounds the run queue's depth; a submission that does not
-	// fit fails fast with ErrOverloaded (default 256).
+	// QueueCap bounds the callers waiting for a replica; a submission
+	// that finds no replica idle and the line full fails fast with
+	// ErrOverloaded (default 256).
 	QueueCap int
 	// CacheCap is the compile-cache entry bound (default 128).
 	CacheCap int
@@ -85,7 +85,7 @@ type Config struct {
 	// A memoized Result (virtual time included) is bit-identical to
 	// recomputation, because every replica is a lockstep machine.
 	ResultCacheCap int
-	// MaxInFlight caps admitted-but-unfinished queries (queued plus
+	// MaxInFlight caps admitted-but-unfinished queries (waiting plus
 	// executing); submissions beyond it fail fast with ErrOverloaded.
 	// 0 means no ceiling beyond QueueCap.
 	MaxInFlight int
@@ -104,8 +104,8 @@ type Config struct {
 	// EvFaultInjected, EvReplicaQuarantined, EvQueryRetried,
 	// EvReplicaRestored).
 	Monitor *perfmon.Collector
-	// QueryTimeout bounds each execution attempt (queue residency plus
-	// the run). An attempt that exceeds it fails with
+	// QueryTimeout bounds each execution attempt (the wait for a replica
+	// plus the run). An attempt that exceeds it fails with
 	// context.DeadlineExceeded, feeds replica health tracking, and is
 	// retried under Retry while the caller's context allows. 0 disables
 	// per-attempt deadlines.
@@ -175,7 +175,7 @@ func WithReplicas(n int) Option { return func(c *Config) { c.Replicas = n } }
 // goes when that caller does (ROADMAP item 1a).
 func WithMaxBatch(int) Option { return func(*Config) {} }
 
-// WithQueueCap sets the run queue's capacity.
+// WithQueueCap bounds the callers waiting for a replica.
 func WithQueueCap(n int) Option { return func(c *Config) { c.QueueCap = n } }
 
 // WithCacheCap sets the compile-cache entry bound.
@@ -251,19 +251,6 @@ func WithOptLevel(int) Option { return func(*Config) {} }
 // SubmitWrite and POST /v1/mutate.
 func WithWrites(on bool) Option { return func(c *Config) { c.Writes = on } }
 
-// request is one queued query or write.
-type request struct {
-	ctx      context.Context
-	prog     *isa.Program
-	resp     chan response
-	enqueued time.Time
-}
-
-type response struct {
-	res *machine.Result
-	err error
-}
-
 // Engine is a concurrent query-serving layer over a pool of machine
 // replicas sharing one knowledge base. Safe for use from any number of
 // goroutines.
@@ -281,15 +268,15 @@ type Engine struct {
 
 	machines []*machine.Machine // index = replica rank
 	health   []*replicaHealth   // index = replica rank
-	queue    *queue             // admitted requests no replica has taken yet
+	pool     *pool              // idle replicas and the callers waiting for one
 	start    time.Time          // bring-up instant; drain-rate baseline
 
 	inflight atomic.Int64 // admitted and not yet answered
-	busy     atomic.Int64 // replicas currently serving a request
 
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	// life ends at Close (stop); a health probe runs under it.
+	life context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup // the writer and the health probers
 
 	cache   *lruCache[uint64, compiled]   // assembly-source hash -> sealed program
 	results *lruCache[resultKey, *answer] // memoized query answers; nil when disabled
@@ -377,11 +364,11 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		mon:      cfg.Monitor,
 		machines: machines,
 		health:   make([]*replicaHealth, cfg.Replicas),
-		queue:    newQueue(cfg.QueueCap, 1),
+		pool:     newPool(cfg.Replicas, cfg.QueueCap),
 		start:    time.Now(),
-		done:     make(chan struct{}),
 		cache:    newLRUCache[uint64, compiled](cfg.CacheCap),
 	}
+	e.life, e.stop = context.WithCancel(context.Background())
 	if cfg.ResultCacheCap > 0 {
 		e.results = newLRUCache[resultKey, *answer](cfg.ResultCacheCap)
 		e.flights = newFlightGroup()
@@ -410,11 +397,6 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		e.writeQ = newQueue(writeQueueCap, writeBatch)
 		e.wg.Add(1)
 		go e.writeLoop()
-	}
-
-	e.wg.Add(cfg.Replicas)
-	for i := 0; i < cfg.Replicas; i++ {
-		go e.serve(i)
 	}
 	return e, nil
 }
@@ -483,15 +465,15 @@ func (e *Engine) readGen() uint64 {
 	return e.kb.Generation()
 }
 
-// Submit enqueues a read-only program and blocks until its result, the
-// context's cancellation/deadline, or engine shutdown. Each query runs
-// as written on a pool replica with fresh marker state; collections and
-// virtual time are identical to a sequential Machine.Run of the same
-// program on a fresh machine. With result caching active (the default),
-// a repeat of a completed query returns the memoized Result —
-// bit-identical, virtual time included — and concurrent identical
-// submissions collapse onto one execution. The returned Result is shared
-// and must be treated as immutable.
+// Submit runs a read-only program on the calling goroutine and returns
+// its result, or the context's cancellation/deadline, or ErrClosed after
+// shutdown. Each query runs as written on a pool replica with fresh
+// marker state; collections and virtual time are identical to a
+// sequential Machine.Run of the same program on a fresh machine. With
+// result caching active (the default), a repeat of a completed query
+// returns the memoized Result — bit-identical, virtual time included —
+// and concurrent identical submissions collapse onto one execution. The
+// returned Result is shared and must be treated as immutable.
 func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result, error) {
 	_, res, err := e.submit(ctx, prog)
 	return res, err
@@ -515,13 +497,13 @@ func (e *Engine) submit(ctx context.Context, prog *isa.Program) (*answer, *machi
 }
 
 // SubmitBatch is Submit over a set of independent read-only programs:
-// the members that miss the result cache are admitted together, and each
-// runs on whichever replica is free to take it. Results and errors are
-// positional: errs[i] is non-nil exactly when results[i] is nil. Every
-// member has what Submit gives one query — validation, result-cache
-// hits, singleflight, retry, memoization — and a batch is never refused
-// for its own size: it is admitted in pieces that fit the engine's
-// admission bounds, each awaited before the next.
+// the members that miss the result cache are admitted together and run
+// on the caller's replica and on every other replica idle at admission.
+// Results and errors are positional: errs[i] is non-nil exactly when
+// results[i] is nil. Every member has what Submit gives one query —
+// validation, result-cache hits, singleflight, retry, memoization — and a
+// batch is never refused for its own size: it is admitted in pieces that
+// fit the engine's admission bounds, each answered before the next.
 func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*machine.Result, []error) {
 	qs := e.submitBatch(ctx, progs)
 	results := make([]*machine.Result, len(qs))
@@ -636,7 +618,7 @@ func (e *Engine) resolve(ctx context.Context, gen uint64, set []*query) {
 			case <-ctx.Done():
 				e.st.add(&e.st.Canceled, 1)
 				m.err = ctx.Err()
-			case <-e.done:
+			case <-e.life.Done():
 				m.err = ErrClosed
 			}
 		}
@@ -679,33 +661,6 @@ func (e *Engine) cached(prog *isa.Program, h, gen uint64) (*answer, bool) {
 	return a, true
 }
 
-// newRequest builds the queue entry for one validated query.
-func newRequest(ctx context.Context, prog *isa.Program) *request {
-	return &request{ctx: ctx, prog: prog, resp: make(chan response, 1), enqueued: time.Now()}
-}
-
-// enqueue admits reqs as one unit — all or none — onto the run queue.
-// On success the caller owns len(reqs) in-flight slots, released with
-// inflight.Add once the requests are answered or abandoned.
-func (e *Engine) enqueue(reqs []*request) error {
-	n := int64(len(reqs))
-	if f := e.inflight.Add(n); e.cfg.MaxInFlight > 0 && int(f) > e.cfg.MaxInFlight {
-		e.inflight.Add(-n)
-		return e.shed()
-	}
-	depth, err := e.queue.push(reqs)
-	if err != nil {
-		e.inflight.Add(-n)
-		if err == ErrOverloaded {
-			return e.shed()
-		}
-		return err
-	}
-	e.st.add(&e.st.Submitted, len(reqs))
-	e.emit(-1, perfmon.EvQuerySubmit, uint32(depth), 0)
-	return nil
-}
-
 // runSet runs a set of misses to an answer each under the engine's
 // deadline and retry policies: the retryable failures of one attempt
 // are the set of the next, after an exponential backoff, until the
@@ -723,7 +678,7 @@ func (e *Engine) runSet(ctx context.Context, set []*query) {
 			case <-t.C:
 			case <-ctx.Done():
 				err = ctx.Err()
-			case <-e.done:
+			case <-e.life.Done():
 				err = ErrClosed
 			}
 			if t.Stop(); err != nil {
@@ -739,48 +694,106 @@ func (e *Engine) runSet(ctx context.Context, set []*query) {
 	}
 }
 
-// attempt admits set as one unit — all or none — under its own
-// QueryTimeout, awaits every member and returns the members whose
-// failure a further attempt may cure.
+// attempt runs set once under its own QueryTimeout and returns the
+// members whose failure a further attempt may cure. The set is admitted
+// as one: its in-flight slots (MaxInFlight) and one replica, idle or
+// waited for in the pool's line (QueueCap). The caller runs the members
+// on that replica itself; a set of more than one also spreads over every
+// other replica idle right now.
 func (e *Engine) attempt(ctx context.Context, set []*query) []*query {
 	actx := ctx
 	if e.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeoutCause(ctx, e.cfg.QueryTimeout, errAttemptTimeout)
-		defer cancel()
+		a := newAttemptCtx(ctx, e.cfg.QueryTimeout)
+		defer a.release()
+		actx = a
 	}
-	reqs := make([]*request, len(set))
-	for i, m := range set {
-		reqs[i] = newRequest(actx, m.prog)
-	}
-	if err := e.enqueue(reqs); err != nil {
-		for _, m := range set {
-			m.err = err
-		}
+	n := len(set)
+	if f := e.inflight.Add(int64(n)); e.cfg.MaxInFlight > 0 && int(f) > e.cfg.MaxInFlight {
+		e.inflight.Add(-int64(n))
+		fail(set, e.shed())
 		return nil
 	}
-	defer e.inflight.Add(-int64(len(reqs)))
+	defer e.inflight.Add(-int64(n))
+	admitted := time.Now()
+	rank, err := e.pool.acquire(actx)
+	switch {
+	case err == ErrOverloaded:
+		fail(set, e.shed())
+		return nil
+	case err == ErrClosed:
+		fail(set, err)
+		return nil
+	}
+	e.st.add(&e.st.Submitted, n)
+	e.emit(-1, perfmon.EvQuerySubmit, uint32(n), 0)
+	switch {
+	case err != nil:
+		// The attempt's context ended in line: no replica took the set.
+		e.st.add(&e.st.Canceled, n)
+		e.emit(-1, perfmon.EvQueryCancel, uint32(n), 0)
+		fail(set, err)
+	case n == 1:
+		e.run(actx, rank, set[0], admitted)
+		e.giveBack(rank)
+	default:
+		e.spread(actx, rank, set, admitted)
+	}
 	var again []*query
-	for i, m := range set {
-		if m.res, m.err = e.await(actx, reqs[i]); m.err != nil && ctx.Err() == nil && attemptRetryable(m.err) {
+	for _, m := range set {
+		if m.err != nil && ctx.Err() == nil && attemptRetryable(m.err) {
 			again = append(again, m)
 		}
 	}
 	return again
 }
 
-// await blocks until req is answered, ctx ends or the engine shuts
-// down. A request abandoned here stays queued or running: whoever takes
-// it off its queue counts it, once.
-func (e *Engine) await(ctx context.Context, req *request) (*machine.Result, error) {
-	select {
-	case r := <-req.resp:
-		return r.res, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-e.done:
-		return nil, ErrClosed
+// fail answers every member of set with err.
+func fail(set []*query, err error) {
+	for _, m := range set {
+		m.err = err
 	}
+}
+
+// spread runs set on the caller's replica rank and on every other replica
+// idle right now, up to one per member: a helper goroutine drains the set
+// on each alongside the caller, so eight members on four idle replicas use
+// four. It returns once every member has run and every replica is given
+// back.
+func (e *Engine) spread(ctx context.Context, rank int, set []*query, admitted time.Time) {
+	var next atomic.Int64
+	drain := func(rank int) {
+		for i := next.Add(1) - 1; i < int64(len(set)); i = next.Add(1) - 1 {
+			e.run(ctx, rank, set[i], admitted)
+		}
+		e.giveBack(rank)
+	}
+	var helpers sync.WaitGroup
+	for range len(set) - 1 {
+		r, ok := e.pool.tryAcquire()
+		if !ok {
+			break
+		}
+		helpers.Add(1)
+		go func() {
+			defer helpers.Done()
+			drain(r)
+		}()
+	}
+	drain(rank)
+	helpers.Wait()
+}
+
+// giveBack returns replica rank once its holder is done with it: to the
+// pool, or — when a timeout on it crossed the quarantine threshold — to a
+// prober, which returns it to the pool on restore.
+func (e *Engine) giveBack(rank int) {
+	if !e.health[rank].isQuarantined() {
+		e.pool.release(rank)
+		return
+	}
+	e.wg.Add(1) // while rank is held, so before Close waits on wg
+	e.pool.withdraw()
+	go e.probeQuarantined(rank)
 }
 
 // shed records an admission rejection and returns ErrOverloaded.
@@ -844,61 +857,37 @@ func sourceHash(src string) uint64 {
 	return h
 }
 
-// serve is replica rank's loop: take the oldest request off the run
-// queue (parking in pop while it is empty), bring the replica up to the
-// published epoch, run it. A quarantined replica is simply not in pop: it
-// probes until healthy, and the others take what is queued meanwhile.
-func (e *Engine) serve(rank int) {
-	defer e.wg.Done()
+// run serves query q on replica rank, which its caller holds: bring the
+// replica up to the published epoch and, unless ctx has already ended,
+// run the query's own program, as written, from clear marker state.
+// admitted is when the query's attempt was admitted: from then to here
+// it waited for a replica.
+func (e *Engine) run(ctx context.Context, rank int, q *query, admitted time.Time) {
 	m := e.machines[rank]
-	round := make([]*request, 0, 1)
-	for {
-		if e.health[rank].isQuarantined() {
-			if !e.probeQuarantined(rank, m) {
-				return
-			}
-			continue
-		}
-		round = e.queue.pop(round[:0])
-		if len(round) == 0 {
-			return // closed
-		}
-		e.st.batch(len(round))
-		e.emit(rank, perfmon.EvBatchDispatch, uint32(len(round)), 0)
-		e.busy.Add(1)
-		e.syncReplica(rank, m)
-		e.run(rank, m, round[0])
-		e.busy.Add(-1)
-	}
-}
-
-// run serves one request on replica rank and answers it exactly once. A
-// request whose caller already left is answered with its context's error
-// and not run. Otherwise it runs its own program, as written, from clear
-// marker state.
-func (e *Engine) run(rank int, m *machine.Machine, req *request) {
-	e.st.queueWait(time.Since(req.enqueued))
-	if err := req.ctx.Err(); err != nil {
+	e.syncReplica(rank, m)
+	e.st.take(time.Since(admitted))
+	e.emit(rank, perfmon.EvBatchDispatch, 1, 0)
+	if err := ctx.Err(); err != nil {
 		e.st.add(&e.st.Canceled, 1)
-		e.emit(rank, perfmon.EvQueryCancel, uint32(e.queue.depth()), 0)
-		req.resp <- response{err: err}
+		e.emit(rank, perfmon.EvQueryCancel, 1, 0)
+		q.res, q.err = nil, err
 		return
 	}
 	m.ClearMarkers()
 	start := time.Now()
-	res, err := m.RunContext(req.ctx, req.prog)
+	res, err := m.RunContext(ctx, q.prog)
 	e.st.run(time.Since(start), err)
 	if err != nil {
-		if req.ctx.Err() != nil {
-			if context.Cause(req.ctx) == errAttemptTimeout {
+		if ctx.Err() != nil {
+			if attemptTimedOut(ctx) {
 				// The engine's own deadline blown on this replica —
 				// possibly a wedged or crawling array — counts toward its
 				// quarantine; one the caller chose says nothing about it.
 				e.noteTimeout(rank)
 			}
-			e.emit(rank, perfmon.EvQueryCancel, uint32(e.queue.depth()), 0)
+			e.emit(rank, perfmon.EvQueryCancel, 1, 0)
 		}
-		req.resp <- response{err: err}
+		q.res, q.err = nil, err
 		return
 	}
 	e.noteSuccess(rank)
@@ -906,7 +895,7 @@ func (e *Engine) run(rank int, m *machine.Machine, req *request) {
 		e.st.icn(p.PropMessages, p.PropHops, p.SendBursts)
 	}
 	e.emit(rank, perfmon.EvQueryDone, uint32(res.Time), res.Time)
-	req.resp <- response{res: res}
+	q.res, q.err = res, nil
 }
 
 // emit forwards an engine-level event to the monitor, if attached. pe
@@ -918,18 +907,18 @@ func (e *Engine) emit(pe int, code perfmon.EventCode, status uint32, now timing.
 	}
 }
 
-// Close stops the serving replicas and the writer, waits for the
-// requests they are running, fails queued but unserved queries and
-// writes with ErrClosed, and releases the pool.
+// Close turns away the callers waiting for a replica and fails queued
+// writes with ErrClosed, waits for the reads running on replicas and the
+// write the writer is committing, stops the health probes (one wedged on
+// its replica included), and releases the pool.
 func (e *Engine) Close() {
-	e.closeOnce.Do(func() { close(e.done) })
-	for _, q := range []*queue{e.queue, e.writeQ} {
-		if q != nil {
-			for _, req := range q.close() {
-				req.resp <- response{err: ErrClosed}
-			}
+	e.stop()
+	if e.writeQ != nil {
+		for _, req := range e.writeQ.close() {
+			req.resp <- response{err: ErrClosed}
 		}
 	}
+	e.pool.close()
 	e.wg.Wait()
 	for _, m := range e.machines {
 		m.Close()
@@ -942,8 +931,7 @@ func (e *Engine) Close() {
 // Stats returns a snapshot of the engine's serving counters.
 func (e *Engine) Stats() Stats {
 	st := e.st.snapshot()
-	st.QueueDepth = e.queue.depth()
-	st.IdleReplicas = e.cfg.Replicas - int(e.busy.Load())
+	st.IdleReplicas, st.QueueDepth = e.pool.gauges()
 	st.InFlight = int(e.inflight.Load())
 	if e.results != nil {
 		st.ResultCacheSize = e.results.len()

@@ -421,18 +421,18 @@ func TestQueuedCancellation(t *testing.T) {
 
 // TestStatsAccountEveryRequestOnce: every admitted request ends in
 // exactly one outcome counter, whoever stopped waiting for it first. One
-// replica (or the writer) is held busy by a long run; behind it queue a
+// replica (or the writer) is held busy by a long run; behind it wait a
 // request whose caller gives up while it waits, a second long run that is
 // cancelled once it is executing, and a plain one. At quiescence the four
-// admitted requests are one Canceled (taken off the queue with its caller
-// gone), two failed (cancelled mid-run) and one completed.
+// admitted requests are one Canceled (its caller gone before it ran), two
+// failed (cancelled mid-run) and one completed.
 func TestStatsAccountEveryRequestOnce(t *testing.T) {
 	fx := newBlockerFixture()
 	for _, tc := range []struct {
 		name   string
 		opts   []Option
 		submit func(e *Engine, ctx context.Context, p *isa.Program) error
-		queued func(e *Engine) int  // admitted, not yet taken off the queue
+		queued func(e *Engine) int  // admitted, waiting for a replica or the writer
 		busy   func(e *Engine) bool // a run is executing
 		// The admitted requests and the two run outcomes.
 		counts func(st Stats) (admitted, ok, failed uint64)
@@ -443,7 +443,7 @@ func TestStatsAccountEveryRequestOnce(t *testing.T) {
 				_, err := e.Submit(ctx, p)
 				return err
 			},
-			queued: func(e *Engine) int { return e.Stats().QueueDepth },
+			queued: func(e *Engine) int { _, waiting := e.pool.gauges(); return waiting },
 			busy:   func(e *Engine) bool { return e.Stats().IdleReplicas == 0 },
 			counts: func(st Stats) (uint64, uint64, uint64) { return st.Submitted, st.Completed, st.Failed },
 		},
@@ -490,22 +490,30 @@ func TestStatsAccountEveryRequestOnce(t *testing.T) {
 			holder, cancelHolder := submit(fx.blocker(0))
 			defer cancelHolder()
 			waitFor(t, "holder running", func() bool { return tc.busy(e) && tc.queued(e) == 0 })
-			waiting, cancelWaiting := submit(fx.plain(1))
-			waitFor(t, "second request queued", func() bool { return tc.queued(e) == 1 })
+			// queue submits p and returns once it waits behind the holder.
+			// An abandoned read leaves the line at once; an abandoned write
+			// stays queued until the writer takes it: count from the depth
+			// before the push.
+			queue := func(what string, p *isa.Program) (chan error, context.CancelFunc) {
+				t.Helper()
+				before := tc.queued(e)
+				ch, cancel := submit(p)
+				waitFor(t, what+" queued", func() bool { return tc.queued(e) == before+1 })
+				return ch, cancel
+			}
+			waiting, cancelWaiting := queue("second request", fx.plain(1))
 			cancelWaiting()
 			wantCanceled("the request abandoned in the queue", waiting)
-			midRun, cancelMidRun := submit(fx.blocker(1))
+			midRun, cancelMidRun := queue("third request", fx.blocker(1))
 			defer cancelMidRun()
-			waitFor(t, "third request queued", func() bool { return tc.queued(e) == 2 })
-			last, cancelLast := submit(fx.plain(2))
+			last, cancelLast := queue("fourth request", fx.plain(2))
 			defer cancelLast()
-			waitFor(t, "fourth request queued", func() bool { return tc.queued(e) == 3 })
 
 			cancelHolder()
 			wantCanceled("the holder, cancelled mid-run", holder)
-			// The abandoned request is counted when it is popped; the
-			// long run behind it starts within microseconds of that.
-			waitFor(t, "abandoned request popped", func() bool { return e.Stats().Canceled >= 1 && tc.busy(e) })
+			// The abandoned request is counted by the time the run behind
+			// it starts, within microseconds of the holder's end.
+			waitFor(t, "abandoned request counted", func() bool { return e.Stats().Canceled >= 1 && tc.busy(e) })
 			time.Sleep(5 * time.Millisecond)
 			cancelMidRun()
 			wantCanceled("the third request, cancelled mid-run", midRun)

@@ -7,15 +7,14 @@ import (
 	"time"
 
 	"snap1/internal/isa"
-	"snap1/internal/machine"
 	"snap1/internal/perfmon"
 )
 
 // HealthPolicy governs replica quarantine and reintegration: a replica
-// whose queries time out FailureThreshold times in a row stops taking
-// requests off the run queue, is probed every ProbeInterval with an empty
-// program, and restored after ProbeSuccesses consecutive passes. The zero value of
-// any field selects its default.
+// whose queries time out FailureThreshold times in a row leaves the
+// replica pool for a prober, which runs an empty program on it every
+// ProbeInterval and returns it to the pool after ProbeSuccesses
+// consecutive passes. The zero value of any field selects its default.
 type HealthPolicy struct {
 	// FailureThreshold is the consecutive-timeout count that
 	// quarantines a replica (default 3); negative disables quarantine.
@@ -123,21 +122,26 @@ func (e *Engine) noteSuccess(rank int) {
 // probe pass means the replica genuinely responds again.
 var probeProgram = isa.NewProgram()
 
-// probeQuarantined periodically probes rank's quarantined machine and
-// reintegrates it after the policy's consecutive passes. It returns
-// false when the engine shut down first.
-func (e *Engine) probeQuarantined(rank int, m *machine.Machine) bool {
+// probeQuarantined owns quarantined replica rank, withdrawn from the pool:
+// it probes the replica every ProbeInterval and, after the policy's
+// consecutive passes, restores it to the pool. It gives up when the
+// engine closes, a probe in progress with it: a probe runs under the
+// engine's life, so a replica that wedges on it holds Close up for no
+// longer than that takes.
+func (e *Engine) probeQuarantined(rank int) {
+	defer e.wg.Done()
+	m := e.machines[rank]
 	hp := e.cfg.Health
 	ticker := time.NewTicker(hp.ProbeInterval)
 	defer ticker.Stop()
 	streak := 0
 	for {
 		select {
-		case <-e.done:
-			return false
+		case <-e.life.Done():
+			return
 		case <-ticker.C:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), hp.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(e.life, hp.ProbeTimeout)
 		_, err := m.RunContext(ctx, probeProgram)
 		cancel()
 		if err != nil {
@@ -155,7 +159,8 @@ func (e *Engine) probeQuarantined(rank int, m *machine.Machine) bool {
 		h.mu.Unlock()
 		e.st.add(&e.st.Restores, 1)
 		e.emit(rank, perfmon.EvReplicaRestored, uint32(streak), 0)
-		return true
+		e.pool.restore(rank)
+		return
 	}
 }
 

@@ -1,23 +1,39 @@
 package engine
 
-import "sync"
+import (
+	"context"
+	"sync"
 
-// queue is the engine's request queue. The run queue is one: submitters
-// push, every replica free to serve pops one request. The write queue is
-// another, with the writer its only popper, whose round is the group
-// commit. A queue owns admission (the capacity), parking (idle poppers
-// wait in pop), the round bound and shutdown.
+	"snap1/internal/isa"
+	"snap1/internal/machine"
+)
+
+// request is one queued write, answered once on resp.
+type request struct {
+	ctx  context.Context
+	prog *isa.Program
+	resp chan response
+}
+
+type response struct {
+	res *machine.Result
+	err error
+}
+
+// queue is the write queue: SubmitWrite pushes, and the writer, its only
+// popper, takes what is queued up to the round bound — the group commit.
+// It owns admission (the capacity), parking (the writer waits in pop),
+// the round and shutdown.
 //
 // It is a head-indexed slice under a mutex rather than a channel so a
-// batch is admitted all or none against the capacity under one lock, a
-// round is taken under one critical section, and the depth can be read
+// round is taken under one critical section and the depth can be read
 // without consuming.
 type queue struct {
 	mu     sync.Mutex
 	ready  sync.Cond // a request was pushed, or the queue closed
 	q      []*request
 	head   int
-	limit  int // admission bound on the depth (Config.QueueCap)
+	limit  int // admission bound on the depth
 	round  int // bound on one pop
 	closed bool
 }
@@ -28,33 +44,26 @@ func newQueue(limit, round int) *queue {
 	return q
 }
 
-// push admits reqs as one unit — all or none — contiguously and in
-// order, and returns the resulting depth. It refuses with ErrOverloaded
-// when they do not fit under the capacity and with ErrClosed after
-// close. Every request signals once and pop never takes less than one,
-// so while a request is queued either no popper is waiting or one has
-// been woken for it.
-func (q *queue) push(reqs []*request) (int, error) {
+// push admits req. It refuses with ErrOverloaded when the queue is full
+// and with ErrClosed after close.
+func (q *queue) push(req *request) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return 0, ErrClosed
+		return ErrClosed
 	}
-	depth := len(q.q) - q.head + len(reqs)
-	if depth > q.limit {
-		return 0, ErrOverloaded
+	if len(q.q)-q.head >= q.limit {
+		return ErrOverloaded
 	}
-	if q.head > 0 && len(q.q)+len(reqs) > cap(q.q) {
+	if q.head > 0 && len(q.q) == cap(q.q) {
 		// Drop the consumed prefix before growing: depth, not history.
 		n := copy(q.q, q.q[q.head:])
 		clear(q.q[n:])
 		q.q, q.head = q.q[:n], 0
 	}
-	q.q = append(q.q, reqs...)
-	for range reqs {
-		q.ready.Signal()
-	}
-	return depth, nil
+	q.q = append(q.q, req)
+	q.ready.Signal()
+	return nil
 }
 
 // pop parks until requests are queued, then moves the oldest — as many
@@ -83,7 +92,7 @@ func (q *queue) depth() int {
 	return len(q.q) - q.head
 }
 
-// close refuses every later push, wakes every parked popper and hands
+// close refuses every later push, wakes the parked popper and hands
 // back what was still queued.
 func (q *queue) close() []*request {
 	q.mu.Lock()

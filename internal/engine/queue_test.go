@@ -35,38 +35,41 @@ func parkedInPop() int {
 	return n
 }
 
-// TestQueueBatchStaysContiguous: what one push admitted pops in order
-// and unbroken, whatever was pushed around it.
-func TestQueueBatchStaysContiguous(t *testing.T) {
-	q := newQueue(16, 8)
-	reqs := make([]*request, 7)
-	for i := range reqs {
-		reqs[i] = &request{}
-	}
-	for _, batch := range [][]*request{reqs[:1], reqs[1:6], reqs[6:]} {
-		if _, err := q.push(batch); err != nil {
+// pushAll pushes reqs one at a time, failing the test on a refusal.
+func pushAll(t *testing.T, q *queue, reqs []*request) {
+	t.Helper()
+	for _, req := range reqs {
+		if err := q.push(req); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := q.pop(nil); !slices.Equal(got, reqs) {
-		t.Errorf("popped %d requests out of push order", len(got))
+}
+
+// newRequests makes n distinct empty requests.
+func newRequests(n int) []*request {
+	reqs := make([]*request, n)
+	for i := range reqs {
+		reqs[i] = &request{}
 	}
-	if d := q.depth(); d != 0 {
-		t.Errorf("depth after draining = %d, want 0", d)
-	}
+	return reqs
 }
 
 // TestQueueStaysItsDepth: a queue that never runs empty does not grow
-// with what has passed through it.
+// with what has passed through it, and a push past its capacity is
+// refused and leaves the depth as it was.
 func TestQueueStaysItsDepth(t *testing.T) {
-	q := newQueue(8, 1)
-	if _, err := q.push(make([]*request, 4)); err != nil {
-		t.Fatal(err)
+	q := newQueue(4, 1)
+	pushAll(t, q, newRequests(4))
+	if err := q.push(&request{}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("push past capacity returned %v, want ErrOverloaded", err)
+	}
+	if d := q.depth(); d != 4 {
+		t.Fatalf("refused push left depth %d, want 4", d)
 	}
 	for i := 0; i < 10000; i++ {
 		q.pop(nil)
-		if depth, err := q.push([]*request{{}}); err != nil || depth != 4 {
-			t.Fatalf("push %d = (%d, %v), want (4, nil)", i, depth, err)
+		if err := q.push(&request{}); err != nil || q.depth() != 4 {
+			t.Fatalf("push %d: %v, depth %d; want nil, 4", i, err, q.depth())
 		}
 	}
 	if c := cap(q.q); c > 64 {
@@ -74,85 +77,32 @@ func TestQueueStaysItsDepth(t *testing.T) {
 	}
 }
 
-// TestQueuePushAllOrNone: a push that does not fit queues nothing and
-// says so; one that fits exactly is admitted.
-func TestQueuePushAllOrNone(t *testing.T) {
-	q := newQueue(4, 8)
-	if depth, err := q.push(make([]*request, 3)); err != nil || depth != 3 {
-		t.Fatalf("push of 3 into 4 = (%d, %v), want (3, nil)", depth, err)
-	}
-	if _, err := q.push(make([]*request, 2)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("push past capacity returned %v, want ErrOverloaded", err)
-	}
-	if d := q.depth(); d != 3 {
-		t.Fatalf("refused push left depth %d, want 3", d)
-	}
-	if depth, err := q.push(make([]*request, 1)); err != nil || depth != 4 {
-		t.Errorf("push to exactly capacity = (%d, %v), want (4, nil)", depth, err)
-	}
-}
-
-// TestQueueRoundIsBounded pins the round rule: a pop takes the oldest
-// requests, as many as are queued up to the round bound — one from the
-// run queue, up to eight from a group-committing queue — however many
-// poppers were parked when they were pushed.
+// TestQueueRoundIsBounded pins the group-commit rule: a pop takes the
+// oldest requests, in push order, as many as are queued up to the round
+// bound; and a popper parked on an empty queue is woken by one push.
 func TestQueueRoundIsBounded(t *testing.T) {
-	for _, round := range []int{1, 8} {
-		for _, poppers := range []int{1, 2, 4} {
-			for _, depth := range []int{1, 4, 8, 9, 64} {
-				q := newQueue(64, round)
-				rounds := parkPoppers(t, q, poppers)
-				reqs := make([]*request, depth)
-				for i := range reqs {
-					reqs[i] = &request{}
-				}
-				if _, err := q.push(reqs); err != nil {
-					t.Fatal(err)
-				}
-				// Each parked popper takes one round while any is queued.
-				var want, got []int
-				taken := map[*request]bool{}
-				for rest := depth; len(want) < poppers && rest > 0; rest -= want[len(want)-1] {
-					want = append(want, min(rest, round))
-				}
-				for range want {
-					r := <-rounds
-					got = append(got, len(r))
-					for _, req := range r {
-						taken[req] = true
-					}
-				}
-				slices.Sort(got)
-				slices.Reverse(got)
-				if !slices.Equal(got, want) {
-					t.Errorf("round %d, %d poppers, depth %d: rounds %v, want %v", round, poppers, depth, got, want)
-				}
-				// They took the oldest; the rest pops in order, a round at a time.
-				next := len(taken)
-				for i, req := range reqs {
-					if taken[req] != (i < next) {
-						t.Fatalf("round %d, %d poppers, depth %d: request %d taken out of order", round, poppers, depth, i)
-					}
-				}
-				for next < depth {
-					n := min(depth-next, round)
-					if r := q.pop(nil); !slices.Equal(r, reqs[next:next+n]) {
-						t.Fatalf("round %d, depth %d: pop at %d took %d, want the next %d in order", round, depth, next, len(r), n)
-					}
-					next += n
-				}
-				// A popper the push had no request for is still parked: close
-				// releases it empty-handed.
-				if rest := q.close(); len(rest) != 0 {
-					t.Errorf("round %d, %d poppers, depth %d: %d left queued", round, poppers, depth, len(rest))
-				}
-				for i := len(want); i < poppers; i++ {
-					if r := <-rounds; len(r) != 0 {
-						t.Errorf("round %d, %d poppers, depth %d: a popper beyond the depth took %d", round, poppers, depth, len(r))
-					}
-				}
+	for _, depth := range []int{1, 4, 8, 9, 64} {
+		q := newQueue(64, writeBatch)
+		reqs := newRequests(depth)
+		pushAll(t, q, reqs)
+		for next := 0; next < depth; {
+			n := min(depth-next, writeBatch)
+			if r := q.pop(nil); !slices.Equal(r, reqs[next:next+n]) {
+				t.Fatalf("depth %d: pop at %d took %d, want the next %d in order", depth, next, len(r), n)
 			}
+			next += n
 		}
+		if d := q.depth(); d != 0 {
+			t.Errorf("depth %d: %d left after draining", depth, d)
+		}
+	}
+
+	q := newQueue(64, writeBatch)
+	rounds := parkPoppers(t, q, 1)
+	req := &request{}
+	pushAll(t, q, []*request{req})
+	if r := <-rounds; !slices.Equal(r, []*request{req}) {
+		t.Errorf("the parked popper took %d requests, want the one pushed", len(r))
 	}
 }
 
@@ -172,14 +122,12 @@ func TestQueueClose(t *testing.T) {
 	}
 
 	q = newQueue(8, 8)
-	reqs := []*request{{}, {}, {}}
-	if _, err := q.push(reqs); err != nil {
-		t.Fatal(err)
-	}
+	reqs := newRequests(3)
+	pushAll(t, q, reqs)
 	if rest := q.close(); !slices.Equal(rest, reqs) {
 		t.Errorf("close returned %d requests, want the 3 queued, in order", len(rest))
 	}
-	if _, err := q.push(reqs[:1]); !errors.Is(err, ErrClosed) {
+	if err := q.push(reqs[0]); !errors.Is(err, ErrClosed) {
 		t.Errorf("push after close returned %v, want ErrClosed", err)
 	}
 	if r := q.pop(nil); len(r) != 0 {

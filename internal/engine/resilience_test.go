@@ -166,9 +166,9 @@ func TestQuarantineAndReintegration(t *testing.T) {
 		srcs = append(srcs, inheritanceQuery(g, c))
 	}
 
-	// Submit until replica 0 trips its wedge and is quarantined. Work
-	// stealing may let replica 1 grab a given query first, so keep
-	// feeding distinct queries; replica 0 must run one eventually.
+	// Submit until replica 0 trips its wedge and is quarantined. The pool
+	// hands replica 0 out first, so the first query usually trips it;
+	// keep feeding distinct queries until it has.
 	deadline := time.Now().Add(30 * time.Second)
 	for i := 0; e.Stats().Quarantines == 0; i++ {
 		if time.Now().After(deadline) {
@@ -258,7 +258,10 @@ func TestClientDeadlineDoesNotQuarantine(t *testing.T) {
 // show the wedged replica quarantined.
 func TestFaultSoak(t *testing.T) {
 	g := fig15KB(t, 400)
-	wedged := 2
+	// The pool hands out the replica released last, and replica 0 first:
+	// a wedge on a replica sequential traffic never reaches would never
+	// fire.
+	wedged := 0
 	plan := &fault.Plan{Seed: 1234, Rules: []fault.Rule{
 		{Site: "icn-drop", Rate: 0.01},
 		{Site: "machine-wedge", Rate: 1, Replica: &wedged},
@@ -339,5 +342,119 @@ func TestFaultSoak(t *testing.T) {
 	}
 	if st.Failed != 0 && st.Retries == 0 {
 		t.Errorf("failures without retries: %+v", st)
+	}
+}
+
+// wedgedEngine is a two-replica engine whose replica 0 — the first the
+// pool hands out — wedges every run and every probe until its deadline,
+// quarantined at its first timeout, probed under probe. No result cache:
+// every submission reaches a replica.
+func wedgedEngine(t *testing.T, g *kbgen.Generated, probe HealthPolicy) *Engine {
+	t.Helper()
+	zero := 0
+	e, err := New(g.KB,
+		WithMachineOptions(faultTestMachine()),
+		WithFaultPlan(&fault.Plan{Seed: 3, Rules: []fault.Rule{{Site: "machine-wedge", Rate: 1, Replica: &zero}}}),
+		WithReplicas(2),
+		WithResultCache(-1),
+		WithQueryTimeout(50*time.Millisecond),
+		WithRetryPolicy(RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}),
+		WithHealthPolicy(probe),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// quarantineReplica0 submits distinct queries until replica 0 has been
+// quarantined; each is answered by replica 1 after a retry.
+func quarantineReplica0(t *testing.T, e *Engine, g *kbgen.Generated) {
+	t.Helper()
+	concepts := queryConcepts(g, 8)
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; e.Stats().Quarantines == 0; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("replica 0 never quarantined")
+		}
+		if _, err := e.SubmitSource(context.Background(), inheritanceQuery(g, concepts[i%len(concepts)])); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+}
+
+// TestCloseDoesNotWaitOutAWedgedProbe: a probe runs under the engine's
+// life, so Close cancels a probe that a wedged replica holds instead of
+// waiting out its ProbeTimeout — snapd's SIGTERM path, where the probe
+// timeout defaults to the 10 s query timeout.
+func TestCloseDoesNotWaitOutAWedgedProbe(t *testing.T) {
+	g := fig15KB(t, 200)
+	e := wedgedEngine(t, g, HealthPolicy{FailureThreshold: 1, ProbeInterval: 10 * time.Millisecond, ProbeSuccesses: 1, ProbeTimeout: 5 * time.Second})
+	quarantineReplica0(t, e, g)
+	quarantined := time.Now()
+	time.Sleep(50 * time.Millisecond) // the first probe is wedged by now
+	e.Close()
+	if d := time.Since(quarantined); d > 500*time.Millisecond {
+		t.Errorf("Close returned %v after the quarantine, want within 500ms", d)
+	}
+}
+
+// TestIdleReplicasLeaveOutQuarantined: Stats.IdleReplicas counts the
+// replicas that could take a request now, which a quarantined replica,
+// out with its prober, cannot.
+func TestIdleReplicasLeaveOutQuarantined(t *testing.T) {
+	g := fig15KB(t, 200)
+	e := wedgedEngine(t, g, HealthPolicy{FailureThreshold: 1, ProbeInterval: time.Hour, ProbeSuccesses: 1})
+	defer e.Close()
+	quarantineReplica0(t, e, g)
+	if st := e.Stats(); st.IdleReplicas != 1 || st.HealthyReplicas != 1 {
+		t.Errorf("one of two replicas quarantined: %d idle, %d healthy; want 1, 1", st.IdleReplicas, st.HealthyReplicas)
+	}
+}
+
+// TestAttemptDeadline: an attempt's context reads as live until its
+// deadline and as expired after it, with Done closed by then whether or
+// not anything armed it earlier; its expiry is told apart from the
+// caller's own cancellation; and a released context stops its timer.
+func TestAttemptDeadline(t *testing.T) {
+	a := newAttemptCtx(context.Background(), 20*time.Millisecond)
+	if err := a.Err(); err != nil {
+		t.Fatalf("a fresh attempt's Err = %v", err)
+	}
+	if d, ok := a.Deadline(); !ok || time.Until(d) > 20*time.Millisecond {
+		t.Errorf("Deadline = %v, %v; want within 20ms", d, ok)
+	}
+	time.Sleep(25 * time.Millisecond)
+	if err := a.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("past its deadline, Err = %v", err)
+	}
+	select {
+	case <-a.Done():
+	default:
+		t.Fatal("Err set while Done is open")
+	}
+	if !attemptTimedOut(a) {
+		t.Error("the attempt's own deadline not told apart from the caller's")
+	}
+	a.release()
+
+	waited := newAttemptCtx(context.Background(), 10*time.Millisecond)
+	<-waited.Done()
+	if err := waited.Err(); !errors.Is(err, context.DeadlineExceeded) || !attemptTimedOut(waited) {
+		t.Errorf("a waited-on deadline: Err %v, timed out %v", err, attemptTimedOut(waited))
+	}
+	waited.release()
+
+	parent, cancel := context.WithCancel(context.Background())
+	c := newAttemptCtx(parent, time.Hour)
+	done := c.Done()
+	cancel()
+	<-done
+	if err := c.Err(); !errors.Is(err, context.Canceled) || attemptTimedOut(c) {
+		t.Errorf("the caller's cancellation: Err %v, timed out %v", err, attemptTimedOut(c))
+	}
+	c.release()
+	if attemptTimedOut(parent) {
+		t.Error("a context without an attempt deadline read as timed out")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"snap1/internal/fault"
@@ -81,12 +82,66 @@ func (p RetryPolicy) backoff(attempt int, h uint64) time.Duration {
 	return d + time.Duration(int64(d)*frac/2000)
 }
 
-// errAttemptTimeout is the cancellation cause of the engine's own
-// per-attempt deadline (QueryTimeout). Callers still see
-// context.DeadlineExceeded; the cause is how a replica tells the
-// engine's deadline, which says something about the replica, from one
-// the caller chose, which does not.
-var errAttemptTimeout = errors.New("engine: attempt exceeded QueryTimeout")
+// attemptCtx is one attempt's context under QueryTimeout: the caller's,
+// plus the engine's own deadline. A run polls Err between instructions,
+// and the caller runs its own attempt, so on the path where nothing
+// waits the deadline costs a clock read per poll and no timer. The timer
+// is armed only when something waits on Done: a caller in line for a
+// replica, or a wedged array.
+type attemptCtx struct {
+	context.Context // the caller's
+	deadline        time.Time
+
+	once   sync.Once
+	armed  context.Context // the caller's under the deadline; made by arm
+	cancel context.CancelFunc
+}
+
+func newAttemptCtx(ctx context.Context, timeout time.Duration) *attemptCtx {
+	return &attemptCtx{Context: ctx, deadline: time.Now().Add(timeout)}
+}
+
+func (c *attemptCtx) Deadline() (time.Time, bool) {
+	if d, ok := c.Context.Deadline(); ok && d.Before(c.deadline) {
+		return d, true
+	}
+	return c.deadline, true
+}
+
+func (c *attemptCtx) Done() <-chan struct{} { return c.arm().Done() }
+
+// Err is nil until the caller's context ends or the deadline passes. Past
+// the deadline it arms the timer, which closes Done at once, so Err is
+// never set while Done is open.
+func (c *attemptCtx) Err() error {
+	if err := c.Context.Err(); err != nil || time.Now().Before(c.deadline) {
+		return err
+	}
+	return c.arm().Err()
+}
+
+func (c *attemptCtx) arm() context.Context {
+	c.once.Do(func() { c.armed, c.cancel = context.WithDeadline(c.Context, c.deadline) })
+	return c.armed
+}
+
+// release stops the timer, if one was armed; the context is not used
+// after it.
+func (c *attemptCtx) release() {
+	c.once.Do(func() {})
+	if c.cancel != nil {
+		c.cancel()
+	}
+}
+
+// attemptTimedOut reports whether ctx, which has ended, ended at the
+// engine's own per-attempt deadline rather than the caller's. The
+// engine's deadline blown on a replica says something about the replica;
+// one the caller chose does not.
+func attemptTimedOut(ctx context.Context) bool {
+	a, ok := ctx.(*attemptCtx)
+	return ok && a.Context.Err() == nil
+}
 
 // attemptRetryable reports whether a failed attempt may be re-executed:
 // a run poisoned by injected ICN corruption re-runs bit-identically

@@ -394,9 +394,10 @@ var envelopeCodes = []string{
 	"writes_disabled",
 }
 
-// retryAfterSeconds estimates when a shed client should come back:
-// current queue depth over the engine's lifetime drain rate, clamped to
-// [1, 60] seconds. A cold engine (nothing completed yet) answers 1.
+// retryAfterSeconds estimates when a shed client should come back: the
+// callers waiting for a replica over the engine's lifetime drain rate,
+// clamped to [1, 60] seconds. A cold engine (nothing completed yet)
+// answers 1.
 func (e *Engine) retryAfterSeconds() int {
 	done := e.st.completedCount()
 	elapsed := time.Since(e.start).Seconds()
@@ -404,7 +405,8 @@ func (e *Engine) retryAfterSeconds() int {
 		return 1
 	}
 	rate := float64(done) / elapsed // queries per second
-	secs := int(math.Ceil(float64(e.queue.depth()) / rate))
+	_, waiting := e.pool.gauges()
+	secs := int(math.Ceil(float64(waiting) / rate))
 	if secs < 1 {
 		secs = 1
 	}
@@ -431,9 +433,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError classifies err and writes the typed envelope. Overload
-// sheds additionally carry a Retry-After estimated from the live queue
-// depth and drain rate, so well-behaved clients back off just long
-// enough instead of hammering a full queue.
+// sheds additionally carry a Retry-After estimated from the callers
+// waiting for a replica and the drain rate, so well-behaved clients back
+// off just long enough instead of hammering a full line.
 func (e *Engine) writeError(w http.ResponseWriter, err error) {
 	status, code, retryable := classify(err)
 	if code == "overloaded" {

@@ -170,14 +170,12 @@ func TestClassifySentinels(t *testing.T) {
 }
 
 // TestRetryAfterComputed checks the overload Retry-After is derived from
-// queue depth and drain rate, not hardcoded.
+// the callers waiting for a replica and the drain rate, not hardcoded.
 func TestRetryAfterComputed(t *testing.T) {
 	engineWithQueued := func(start time.Time, depth int) *Engine {
-		e := &Engine{start: start, queue: newQueue(depth, 8)}
-		if _, err := e.queue.push(make([]*request, depth)); err != nil {
-			t.Fatal(err)
-		}
-		return e
+		p := newPool(0, depth)
+		p.line = make([]chan int, depth)
+		return &Engine{start: start, pool: p}
 	}
 	// 10 completed over ~10s ≈ 1 q/s; 30 queued => ~30s to drain
 	// (ceil of the true elapsed time may round one second up).

@@ -126,6 +126,52 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
+// TestColdSubmitAllocations fences a result-cache miss through Submit on
+// a one-replica engine: the caller takes the replica and runs the
+// program on its own goroutine, so what is allocated is the attempt's
+// bookkeeping, the run's result and the cache entry — no request, no
+// reply channel, no hand-off. Every submission is a distinct program, so
+// every one misses and runs.
+func TestColdSubmitAllocations(t *testing.T) {
+	const runs = 200
+	w := kbgen.Chains(1, 128, 8, 1)
+	e, err := New(w.KB, WithReplicas(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	progs := make([]*isa.Program, runs+1)
+	for i := range progs {
+		p := isa.NewProgram()
+		p.SearchColor(w.Seeds[0], 0, float32(i))
+		p.Propagate(0, 1, rules.Path(w.Rel), semnet.FuncAdd)
+		p.Barrier()
+		p.CollectNode(1)
+		p.Seal()
+		progs[i] = p
+	}
+	ctx := context.Background()
+	next := 0
+	submit := func() {
+		res, err := e.Submit(ctx, progs[next])
+		if err != nil || len(res.Collected(0)) == 0 {
+			t.Fatalf("cold submit: %v, %v", res, err)
+		}
+		next++
+	}
+	n := testing.AllocsPerRun(runs, submit)
+	if st := e.Stats(); st.ResultMisses != runs+1 || st.Completed != runs+1 {
+		t.Fatalf("%d misses, %d runs; want %d of each", st.ResultMisses, st.Completed, runs+1)
+	}
+	if fence := float64(coldSubmitAllocs + 2); n > fence {
+		t.Errorf("a result-cache miss allocates %v times per query, fence %v", n, fence)
+	}
+}
+
+// coldSubmitAllocs is what TestColdSubmitAllocations measured when its
+// fence was set (docs/PERF.md § "What is held exactly").
+const coldSubmitAllocs = 15
+
 // TestSingleflightCollapse launches identical concurrent submissions at
 // a single-replica engine: they must collapse onto few executions, and
 // every caller must receive the identical result.
@@ -326,15 +372,15 @@ func TestOverloadShed(t *testing.T) {
 }
 
 // TestBurstSpreadsOverFreeReplicas pins the round rule from the engine's
-// side: a burst admitted while every replica is parked is spread over
-// them — each takes one request at a time — and spreading changes no
-// answer. Every run stalls 20 ms of host time (an injected machine-slow,
-// which changes no answer), so the first replica to wake is still busy
-// with its member when the others wake, whatever the scheduler does.
+// side: a batch admitted while every replica is idle is spread over them
+// — the caller's replica and a helper on each other idle one, each
+// taking one member at a time — and spreading changes no answer. Every
+// run stalls 20 ms of host time (an injected machine-slow, which changes
+// no answer), so no replica can drain the batch before the others start,
+// whatever the scheduler does.
 func TestBurstSpreadsOverFreeReplicas(t *testing.T) {
 	g := fig15KB(t, 800)
 	mon := perfmon.NewCollector(1024)
-	base := parkedInPop()
 	slow := &fault.Plan{Seed: 1, Rules: []fault.Rule{{Site: "machine-slow", Rate: 1, StallUs: 20_000}}}
 	e, err := New(g.KB, WithReplicas(4), WithResultCache(0), WithMonitor(mon), WithFaultPlan(slow))
 	if err != nil {
@@ -351,7 +397,7 @@ func TestBurstSpreadsOverFreeReplicas(t *testing.T) {
 		}
 		solo[i] = soloReference(t, e, progs[i])
 	}
-	waitFor(t, "every replica parked", func() bool { return parkedInPop() == base+4 })
+	waitFor(t, "every replica idle", func() bool { return e.Stats().IdleReplicas == 4 })
 
 	results, errs := e.SubmitBatch(context.Background(), progs)
 	for i := range progs {
@@ -369,8 +415,8 @@ func TestBurstSpreadsOverFreeReplicas(t *testing.T) {
 			served[rec.Source] = true
 		}
 	}
-	if largest != 1 || len(served) < 2 {
-		t.Errorf("8 members over 4 free replicas: largest round %d on %d replicas; want 1 on at least 2", largest, len(served))
+	if largest != 1 || len(served) != 4 {
+		t.Errorf("8 members over 4 idle replicas: largest round %d on %d replicas; want 1 on all 4", largest, len(served))
 	}
 }
 

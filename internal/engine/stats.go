@@ -55,22 +55,27 @@ func (h *hist) snapshot() LatencyHist {
 
 // Stats is a snapshot of the engine's serving counters.
 type Stats struct {
-	Replicas     int `json:"replicas"`
+	Replicas int `json:"replicas"`
+	// IdleReplicas counts the replicas that could take a request now:
+	// neither running one nor quarantined.
 	IdleReplicas int `json:"idle_replicas"`
-	QueueDepth   int `json:"queue_depth"`
-	InFlight     int `json:"in_flight"`
+	// QueueDepth counts the callers waiting for a replica.
+	QueueDepth int `json:"queue_depth"`
+	InFlight   int `json:"in_flight"`
 
-	// Submitted counts requests admitted to the run queue (a retry
-	// is a new request). Each ends in exactly one of Completed, Failed —
-	// its run returned an error, a context that ended mid-run included —
-	// or Canceled — its caller had gone when a replica took it off the
-	// queue. The replica counts it, whichever side stopped waiting first,
-	// so at quiescence Submitted == Completed + Failed + Canceled. An
-	// admitted write ends the same way in Writes, WriteFailures or
-	// Canceled. Canceled also counts a caller that left before anything
-	// was admitted for it: one waiting on an identical in-flight query,
-	// or a write whose context had ended before it was queued. Rejected
-	// and shed (Overloaded) submissions were never admitted.
+	// Submitted counts read executions admitted (a retry is a new one;
+	// a batch's members are admitted together). Each ends in exactly one
+	// of Completed, Failed — its run returned an error, a context that
+	// ended mid-run included — or Canceled — its context had ended before
+	// its run began, in line for a replica or on one. The caller that ran
+	// it (or waited for a replica to run it on) counts it, once, so at
+	// quiescence Submitted == Completed + Failed + Canceled. An admitted
+	// write ends the same way in Writes, WriteFailures or Canceled, counted
+	// by the writer that takes it off the write queue. Canceled also counts
+	// a caller that left before anything was admitted for it: one waiting
+	// on an identical in-flight query, or a write whose context had ended
+	// before it was queued. Rejected and shed (Overloaded) submissions
+	// were never admitted.
 	Submitted uint64 `json:"submitted"`
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed"`
@@ -81,9 +86,9 @@ type Stats struct {
 	Overloaded uint64 `json:"overloaded"`
 
 	// Batches counts serving rounds; BatchedQueries the queries they
-	// carried — one each, as a replica takes one request at a time.
+	// carried — one each, as a replica takes one query at a time.
 	// StolenQueries, FusedQueries and OptFallbacks are always 0: there is
-	// one run queue and nothing to steal from, no query shares a run, and
+	// one replica pool and nothing to steal from, no query shares a run, and
 	// every query runs as written. The three stay only because
 	// benchmark/run.go still reads them, and go when that reader does
 	// (ROADMAP item 1a).
@@ -143,9 +148,10 @@ type Stats struct {
 	ICNHops     uint64 `json:"icn_hops"`
 	ICNBursts   uint64 `json:"icn_send_bursts"`
 
-	// Per-stage wall-clock latency: assembly+rule compilation, submit
-	// queue residency, execution (including collection), and write
-	// commits (serialized writer run plus publish).
+	// Per-stage wall-clock latency: assembly+rule compilation, the wait
+	// from admission to a replica (its delta sync included), execution
+	// (including collection), and write commits (serialized writer run
+	// plus publish).
 	Compile   LatencyHist `json:"compile_latency"`
 	QueueWait LatencyHist `json:"queue_latency"`
 	Run       LatencyHist `json:"run_latency"`
@@ -172,10 +178,12 @@ func (s *stats) add(counter *uint64, n int) {
 	s.mu.Unlock()
 }
 
-func (s *stats) batch(size int) {
+// take records a replica taking one query, which waited d for it.
+func (s *stats) take(d time.Duration) {
 	s.mu.Lock()
 	s.Batches++
-	s.BatchedQueries += uint64(size)
+	s.BatchedQueries++
+	s.queueH.observe(d)
 	s.mu.Unlock()
 }
 
@@ -200,12 +208,6 @@ func (s *stats) cacheMiss(d time.Duration) {
 	s.mu.Lock()
 	s.CompileMisses++
 	s.compileH.observe(d)
-	s.mu.Unlock()
-}
-
-func (s *stats) queueWait(d time.Duration) {
-	s.mu.Lock()
-	s.queueH.observe(d)
 	s.mu.Unlock()
 }
 

@@ -26,8 +26,8 @@ import (
 //
 // Reads never block on writes: admission reads the published epoch
 // (pubGen) with one atomic load, and each serving replica patches its
-// cluster tables forward by replaying the delta log at its next batch
-// boundary (syncReplica) — cost proportional to the delta, with full
+// cluster tables forward by replaying the delta log before its next run
+// (syncReplica) — cost proportional to the delta, with full
 // re-download only as the truncation/rebuild fallback. Responses are
 // sent after publish, so a caller whose write returned is guaranteed
 // read-your-writes on every subsequently admitted query.
@@ -79,16 +79,24 @@ func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.R
 		e.st.add(&e.st.Rejected, 1)
 		return nil, err
 	}
-	req := newRequest(ctx, prog)
-	if _, err := e.writeQ.push([]*request{req}); err != nil {
+	req := &request{ctx: ctx, prog: prog, resp: make(chan response, 1)}
+	if err := e.writeQ.push(req); err != nil {
 		if err == ErrOverloaded {
 			// Queue full: shed rather than block the caller behind a burst.
 			return nil, e.shed()
 		}
 		return nil, err
 	}
-	// On ctx.Done the write may still commit: the caller only loses the ack.
-	return e.await(ctx, req)
+	// On ctx.Done the write may still commit: the caller only loses the
+	// ack. The writer counts it, once, whichever side stopped waiting.
+	select {
+	case r := <-req.resp:
+		return r.res, r.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-e.life.Done():
+		return nil, ErrClosed
+	}
 }
 
 // writeLoop is the dedicated writer goroutine. A round off the write
@@ -165,7 +173,7 @@ func classifyWriteErr(err error) error {
 }
 
 // syncReplica brings a serving replica's cluster tables up to the
-// published epoch before it runs a batch: replay the KB's delta records
+// published epoch before it runs a query: replay the KB's delta records
 // in place — O(delta), partition-routed, marker state untouched — or,
 // when the log was truncated or carries a non-replayable rebuild
 // record, fall back to a full LoadKB re-download under the write lock

@@ -34,10 +34,10 @@ const (
 	// Engine-level events, emitted by the query-serving layer rather
 	// than a PE. The "PE index" is the replica that served the query
 	// (-1 while still queued).
-	EvQuerySubmit   // status: submit-queue depth after enqueue
+	EvQuerySubmit   // status: queries admitted together
 	EvBatchDispatch // status: batch size dispatched to one replica
 	EvQueryDone     // status: low 24 bits of the query's virtual time
-	EvQueryCancel   // status: submit-queue depth at cancellation
+	EvQueryCancel   // status: queries the cancellation ended
 	EvQueryShed     // status: in-flight count at admission rejection
 	EvResultHit     // status: low 24 bits of the cached virtual time
 	_               // retired (query fusion); later codes keep their numbers

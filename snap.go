@@ -99,8 +99,8 @@ type (
 // Engine types.
 type (
 	// Engine is a concurrent query-serving layer: a pool of machine
-	// replicas sharing one knowledge base behind one run queue, each
-	// replica taking one query at a time. Construct with NewEngine; serve
+	// replicas sharing one knowledge base, each query running on the
+	// idle replica released last, one query at a time. Construct with NewEngine; serve
 	// with Engine.Submit / Engine.SubmitSource; inspect with
 	// Engine.Stats.
 	Engine = engine.Engine

@@ -13,8 +13,9 @@
 //	POST /v1/query   {"program": "<SNAP assembly>", "timeout_ms": 1000}
 //	                 (or Content-Type: text/plain with raw assembly)
 //	POST /v1/mutate  topology-mutating programs (requires -writes);
-//	                 commits through the serialized writer and publishes
-//	                 a new KB epoch before answering
+//	                 commits on the writer, one write at a time, on the
+//	                 request's own goroutine, and publishes a new KB
+//	                 epoch before answering
 //	GET  /v1/stats   serving counters, batch/shed stats, cache
 //	                 hit rates, per-stage latency, write/delta counters
 //	GET  /v1/health  per-replica quarantine state and overall status

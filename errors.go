@@ -29,8 +29,8 @@ var (
 	ErrEngineClosed = engine.ErrClosed
 
 	// ErrEngineOverloaded is returned by Engine.Submit when admission
-	// control sheds the query: the submit queue is full or the in-flight
-	// ceiling is reached. Retry after backoff.
+	// control sheds the query: the line of callers waiting for a replica
+	// is full or the in-flight ceiling is reached. Retry after backoff.
 	ErrEngineOverloaded = engine.ErrOverloaded
 
 	// ErrFaultInjected marks a run poisoned by injected ICN corruption

@@ -31,11 +31,12 @@
 // at submit with ErrMutatingProgram.
 //
 // With Config.Writes enabled, mutating programs go through SubmitWrite
-// instead: they execute serialized on a dedicated writer machine over
-// the master KB and publish epoch-style (writer.go) — the KB generation
-// bump retires result-cache entries, and each replica patches itself
-// forward by replaying the KB's topology delta log before its next run,
-// so reads never block on writes and no global pause exists.
+// instead: one at a time, each on its caller's goroutine, on a writer
+// machine over the master KB, and publish epoch-style (writer.go) — the
+// KB generation bump retires result-cache entries, and each replica
+// patches itself forward by replaying the KB's topology delta log before
+// its next run, so reads never block on writes and no global pause
+// exists.
 package engine
 
 import (
@@ -276,18 +277,19 @@ type Engine struct {
 	// life ends at Close (stop); a health probe runs under it.
 	life context.Context
 	stop context.CancelFunc
-	wg   sync.WaitGroup // the writer and the health probers
+	wg   sync.WaitGroup // the health probers
 
 	cache   *lruCache[uint64, compiled]   // assembly-source hash -> sealed program
 	results *lruCache[resultKey, *answer] // memoized query answers; nil when disabled
 	flights *flightGroup                  // nil when results is nil
 
-	// Write path (nil/zero unless Config.Writes; see writer.go). pubGen
-	// is the published KB generation — the epoch every new read
+	// Write path (nil/zero unless Config.Writes; see writer.go). writes
+	// is the writer's pool: one rank, and the writes waiting for it.
+	// pubGen is the published KB generation — the epoch every new read
 	// observes; writeMu serializes writer execution against full-reload
 	// replica recovery, the one path that must see a quiescent KB.
 	writer  *machine.Machine
-	writeQ  *queue // admitted writes the writer has not taken yet
+	writes  *pool
 	writeMu sync.Mutex
 	pubGen  atomic.Uint64
 
@@ -299,8 +301,8 @@ type Engine struct {
 // then cloned to the remaining pool replicas concurrently (bounded by
 // GOMAXPROCS) over shared-immutable topology tables. kb must not be
 // mutated externally for the engine's lifetime: without Config.Writes
-// it is a frozen snapshot, with it the engine's serialized writer is
-// the only legal mutator.
+// it is a frozen snapshot, with it the engine's writer is the only
+// legal mutator.
 func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	cfg := Config{}
 	for _, o := range opts {
@@ -394,9 +396,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 		e.writer = w
-		e.writeQ = newQueue(writeQueueCap, writeBatch)
-		e.wg.Add(1)
-		go e.writeLoop()
+		e.writes = newPool(1, writeLineCap)
 	}
 	return e, nil
 }
@@ -456,10 +456,10 @@ func (e *Engine) KB() *semnet.KB { return e.kb }
 
 // readGen is the KB generation a newly admitted read observes. With
 // writes enabled this is the published epoch — the master KB may
-// already be ahead inside an uncommitted write group — otherwise the
+// already be ahead inside a write not yet published — otherwise the
 // KB's own (static) generation.
 func (e *Engine) readGen() uint64 {
-	if e.writeQ != nil {
+	if e.writer != nil {
 		return e.pubGen.Load()
 	}
 	return e.kb.Generation()
@@ -907,16 +907,14 @@ func (e *Engine) emit(pe int, code perfmon.EventCode, status uint32, now timing.
 	}
 }
 
-// Close turns away the callers waiting for a replica and fails queued
-// writes with ErrClosed, waits for the reads running on replicas and the
-// write the writer is committing, stops the health probes (one wedged on
-// its replica included), and releases the pool.
+// Close turns away the callers waiting for a replica or for the writer
+// with ErrClosed, waits for the write in progress and the reads running
+// on replicas, stops the health probes (one wedged on its replica
+// included), and releases the machines.
 func (e *Engine) Close() {
 	e.stop()
-	if e.writeQ != nil {
-		for _, req := range e.writeQ.close() {
-			req.resp <- response{err: ErrClosed}
-		}
+	if e.writes != nil {
+		e.writes.close()
 	}
 	e.pool.close()
 	e.wg.Wait()

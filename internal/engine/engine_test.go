@@ -284,11 +284,13 @@ func TestConcurrentDistinctSubmitsMatchSequential(t *testing.T) {
 
 // blockerFixture is a small network — seeds a and b, a one link from
 // mid — plus a 250-node chain for a long-running blocker query. plain(v)
-// is a short query from a; blocker(v) walks the chain 20 000 times, a run
-// of a few hundred milliseconds. Distinct v, distinct program hash.
+// is a short query from a; walk(v, n) walks the chain n times, and
+// blocker(v) is walk(v, 20 000), a run of a few hundred milliseconds.
+// Distinct v, distinct program hash.
 type blockerFixture struct {
 	kb             *semnet.KB
 	plain, blocker func(v float32) *isa.Program
+	walk           func(v float32, n int) *isa.Program
 }
 
 func newBlockerFixture() *blockerFixture {
@@ -305,6 +307,15 @@ func newBlockerFixture() *blockerFixture {
 		kb.MustAddLink(prev, next, 1, n)
 		prev = n
 	}
+	walk := func(v float32, n int) *isa.Program {
+		p := isa.NewProgram()
+		p.SearchNode(head, 0, v)
+		for i := 0; i < n; i++ {
+			p.Propagate(0, 1, rules.Path(next), semnet.FuncAdd)
+		}
+		p.CollectNode(1)
+		return p
+	}
 	return &blockerFixture{
 		kb: kb,
 		plain: func(v float32) *isa.Program {
@@ -315,15 +326,8 @@ func newBlockerFixture() *blockerFixture {
 			p.CollectNode(1)
 			return p
 		},
-		blocker: func(v float32) *isa.Program {
-			p := isa.NewProgram()
-			p.SearchNode(head, 0, v)
-			for i := 0; i < 20000; i++ {
-				p.Propagate(0, 1, rules.Path(next), semnet.FuncAdd)
-			}
-			p.CollectNode(1)
-			return p
-		},
+		blocker: func(v float32) *isa.Program { return walk(v, 20000) },
+		walk:    walk,
 	}
 }
 
@@ -456,15 +460,8 @@ func TestStatsAccountEveryRequestOnce(t *testing.T) {
 				_, err := e.SubmitWrite(ctx, p)
 				return err
 			},
-			queued: func(e *Engine) int { return e.writeQ.depth() },
-			busy: func(e *Engine) bool {
-				// The writer holds writeMu for as long as it runs.
-				if e.writeMu.TryLock() {
-					e.writeMu.Unlock()
-					return false
-				}
-				return true
-			},
+			queued: func(e *Engine) int { _, waiting := e.writes.gauges(); return waiting },
+			busy:   writerBusy,
 			counts: func(st Stats) (uint64, uint64, uint64) { return 4, st.Writes, st.WriteFailures },
 		},
 	} {
@@ -491,9 +488,6 @@ func TestStatsAccountEveryRequestOnce(t *testing.T) {
 			defer cancelHolder()
 			waitFor(t, "holder running", func() bool { return tc.busy(e) && tc.queued(e) == 0 })
 			// queue submits p and returns once it waits behind the holder.
-			// An abandoned read leaves the line at once; an abandoned write
-			// stays queued until the writer takes it: count from the depth
-			// before the push.
 			queue := func(what string, p *isa.Program) (chan error, context.CancelFunc) {
 				t.Helper()
 				before := tc.queued(e)
@@ -620,8 +614,8 @@ func TestCompileCacheLRU(t *testing.T) {
 	}
 }
 
-// TestSubmitAfterClose verifies the shutdown path: a closed queue
-// refuses the push, at every door, so nothing is stranded in it.
+// TestSubmitAfterClose verifies the shutdown path: a closed engine
+// refuses at every door, so nobody is left waiting in a line.
 func TestSubmitAfterClose(t *testing.T) {
 	g := fig15KB(t, 400)
 	e, err := New(g.KB, WithReplicas(1), WithWrites(true))
@@ -643,9 +637,8 @@ func TestSubmitAfterClose(t *testing.T) {
 	if _, err := e.SubmitWrite(ctx, prog); !errors.Is(err, ErrClosed) {
 		t.Errorf("SubmitWrite after close returned %v, want ErrClosed", err)
 	}
-	if st := e.Stats(); st.QueueDepth != 0 || e.writeQ.depth() != 0 || st.InFlight != 0 {
-		t.Errorf("after close: queue depth %d, write queue depth %d, in flight %d; want 0, 0, 0",
-			st.QueueDepth, e.writeQ.depth(), st.InFlight)
+	if st := e.Stats(); st.QueueDepth != 0 || st.InFlight != 0 {
+		t.Errorf("after close: queue depth %d, in flight %d; want 0, 0", st.QueueDepth, st.InFlight)
 	}
 }
 

@@ -6,16 +6,19 @@ import (
 	"sync"
 )
 
-// pool is the read path's replica pool: the ranks of idle healthy
-// replicas on a stack, and the callers waiting for one in a line. A
-// caller takes the replica released last — its marker state is the one
-// still warm, and the replicas below it stay idle long enough to go
-// cold — or, when none is idle, joins the line, which is first come
-// first served and bounded by Config.QueueCap. A released replica goes
-// straight to the oldest waiter when there is one, so no replica lies
-// idle while a caller waits. The caller runs its query on its own
-// goroutine: nothing is handed to a serving loop and nothing is handed
-// back. One mutex guards it all.
+// pool is a replica pool: the ranks of idle healthy replicas on a stack,
+// and the callers waiting for one in a line. A caller takes the replica
+// released last — its marker state is the one still warm, and the
+// replicas below it stay idle long enough to go cold — or, when none is
+// idle, joins the line, which is first come first served and bounded. A
+// released replica goes straight to the oldest waiter when there is one,
+// so no replica lies idle while a caller waits. The caller runs its
+// program on its own goroutine: nothing is handed to a serving loop and
+// nothing is handed back. One mutex guards it all.
+//
+// The engine keeps two: the read path's, of Config.Replicas serving
+// replicas with a line of Config.QueueCap, and the write path's, of one
+// rank — the writer — with a line of writeLineCap.
 //
 // A replica taken out of service (quarantine) is withdrawn: neither idle
 // nor held until restore puts it back.
@@ -23,7 +26,7 @@ type pool struct {
 	mu      sync.Mutex
 	free    []int      // idle ranks; the last was released last
 	line    []chan int // waiting callers, oldest first; each is handed one rank
-	limit   int        // bound on len(line) (Config.QueueCap)
+	limit   int        // bound on len(line)
 	held    int        // ranks a caller holds, or is being handed
 	closed  bool
 	drained sync.Cond // held reached 0 after close

@@ -182,7 +182,7 @@ func (e *Engine) handleProgram(w http.ResponseWriter, r *http.Request, write boo
 
 	asm := e.readAsm
 	if write {
-		if e.writeQ == nil {
+		if e.writer == nil {
 			e.st.add(&e.st.Rejected, 1)
 			e.writeError(w, ErrWritesDisabled)
 			return

@@ -69,20 +69,20 @@ type Stats struct {
 	// ended mid-run included — or Canceled — its context had ended before
 	// its run began, in line for a replica or on one. The caller that ran
 	// it (or waited for a replica to run it on) counts it, once, so at
-	// quiescence Submitted == Completed + Failed + Canceled. An admitted
-	// write ends the same way in Writes, WriteFailures or Canceled, counted
-	// by the writer that takes it off the write queue. Canceled also counts
-	// a caller that left before anything was admitted for it: one waiting
-	// on an identical in-flight query, or a write whose context had ended
-	// before it was queued. Rejected and shed (Overloaded) submissions
-	// were never admitted.
+	// quiescence Submitted == Completed + Failed + Canceled. A write ends
+	// the same way in Writes, WriteFailures or Canceled — its context had
+	// ended before it ran, in the writer's line or on the writer — counted
+	// by the caller that runs it or waited for the writer. Canceled also
+	// counts a caller that left before anything was admitted for it: one
+	// waiting on an identical in-flight query. Rejected and shed
+	// (Overloaded) submissions were never admitted.
 	Submitted uint64 `json:"submitted"`
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed"`
 	Canceled  uint64 `json:"canceled"`
 	Rejected  uint64 `json:"rejected"`
 	// Overloaded counts submissions shed by admission control
-	// (ErrOverloaded): queue full or in-flight ceiling reached.
+	// (ErrOverloaded): a line full or the in-flight ceiling reached.
 	Overloaded uint64 `json:"overloaded"`
 
 	// Batches counts serving rounds; BatchedQueries the queries they
@@ -113,8 +113,8 @@ type Stats struct {
 	ResultGenEvicted uint64 `json:"result_gen_evicted"`
 
 	// Write-path counters (zero unless Config.Writes): mutating
-	// programs committed and failed; epoch publishes (group commit can
-	// fold several writes into one); incremental replica delta
+	// programs committed and failed; epoch publishes, one per write that
+	// moved the KB generation; incremental replica delta
 	// applications and the delta records they replayed; and replica
 	// syncs that had to fall back to a full KB re-download (truncated
 	// delta log or a non-replayable record). KBGeneration is the
@@ -150,8 +150,7 @@ type Stats struct {
 
 	// Per-stage wall-clock latency: assembly+rule compilation, the wait
 	// from admission to a replica (its delta sync included), execution
-	// (including collection), and write commits (serialized writer run
-	// plus publish).
+	// (including collection), and writes (the run on the writer).
 	Compile   LatencyHist `json:"compile_latency"`
 	QueueWait LatencyHist `json:"queue_latency"`
 	Run       LatencyHist `json:"run_latency"`
@@ -222,7 +221,7 @@ func (s *stats) run(d time.Duration, err error) {
 	s.mu.Unlock()
 }
 
-// write records one serialized writer run: its wall-clock latency and
+// write records one run on the writer: its wall-clock latency and
 // whether the mutation committed.
 func (s *stats) write(d time.Duration, err error) {
 	s.mu.Lock()

@@ -13,23 +13,24 @@ import (
 )
 
 // The online write path (Config.Writes). Mutating programs execute
-// serialized on one dedicated writer machine — a lockstep replica over
-// the master KB, outside the serving pool — and publish epoch-style:
+// one at a time on one writer machine — a lockstep replica over the
+// master KB, outside the serving pool — on the goroutine that submitted
+// them, and publish epoch-style:
 //
-//	SubmitWrite → write queue (queue.go; what the writer pops is the group)
-//	            → RunContext on the writer machine, write by write
+//	SubmitWrite → the writes pool (pool.go: one rank, a FIFO line)
+//	            → RunContext on the writer machine
 //	              (every store mutation mirrored into the KB, each
 //	               tagged in the KB's topology delta log)
 //	            → publish: pubGen := kb.Generation()
 //	            → result-cache generation sweep, EvWriteCommitted
-//	            → respond to the group's callers
+//	            → release the writer, answer the caller
 //
 // Reads never block on writes: admission reads the published epoch
 // (pubGen) with one atomic load, and each serving replica patches its
 // cluster tables forward by replaying the delta log before its next run
 // (syncReplica) — cost proportional to the delta, with full
-// re-download only as the truncation/rebuild fallback. Responses are
-// sent after publish, so a caller whose write returned is guaranteed
+// re-download only as the truncation/rebuild fallback. A write returns
+// after its publish, so a caller whose write returned is guaranteed
 // read-your-writes on every subsequently admitted query.
 
 // Write-path sentinel errors.
@@ -50,20 +51,20 @@ var (
 	ErrWriteFailed = errors.New("engine: write failed")
 )
 
-// writeQueueCap bounds writes queued for the serialized writer
-// (SubmitWrite beyond it fails fast with ErrOverloaded); writeBatch
-// bounds how many adjacent queued writes fold into one group commit —
-// one epoch publish, one delta sync per replica.
-const writeQueueCap, writeBatch = 64, 8
+// writeLineCap bounds the writes waiting for the writer; SubmitWrite
+// beyond it fails fast with ErrOverloaded.
+const writeLineCap = 64
 
-// SubmitWrite enqueues a topology-mutating program for the serialized
-// writer and blocks until it commits and its epoch is published (or the
-// context/engine dies first). Read-only programs are legal too — they
-// observe the master KB between writes — but Submit is the right door
-// for them. A write is a request like a read's, on the write queue, and
-// waits the same way, but it is not idempotent: it is never retried,
-// deduplicated or memoized. The returned Result's KBGen is the
-// generation the write produced.
+// SubmitWrite runs a topology-mutating program on the writer, on the
+// calling goroutine, and returns once it has committed and its epoch is
+// published. While another write runs it waits in the writes pool's
+// line; a context that ends there, or has ended by the time the writer
+// is free, returns its error and the program never runs. Read-only
+// programs are legal too — they observe the master KB between writes —
+// but Submit is the right door for them. A write is not idempotent: it
+// is never retried, deduplicated or memoized. The returned Result's
+// KBGen is the generation the write produced. Close waits for the write
+// in progress, so its answer is always the truth.
 //
 // A write that fails mid-program (ErrWriteFailed) may leave a committed
 // prefix of its mutations: the SNAP array has no transactional rollback,
@@ -71,7 +72,7 @@ const writeQueueCap, writeBatch = 64, 8
 // topology state refused the mutation (relation slots full, unknown
 // node).
 func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.Result, error) {
-	if e.writeQ == nil {
+	if e.writer == nil {
 		e.st.add(&e.st.Rejected, 1)
 		return nil, ErrWritesDisabled
 	}
@@ -79,65 +80,33 @@ func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.R
 		e.st.add(&e.st.Rejected, 1)
 		return nil, err
 	}
-	req := &request{ctx: ctx, prog: prog, resp: make(chan response, 1)}
-	if err := e.writeQ.push(req); err != nil {
-		if err == ErrOverloaded {
-			// Queue full: shed rather than block the caller behind a burst.
-			return nil, e.shed()
-		}
+	rank, err := e.writes.acquire(ctx)
+	if err == nil {
+		defer e.writes.release(rank)
+		err = ctx.Err()
+	}
+	switch {
+	case err == ErrOverloaded:
+		// Line full: shed rather than block the caller behind a burst.
+		return nil, e.shed()
+	case err == ErrClosed:
+		return nil, err
+	case err != nil:
+		e.st.add(&e.st.Canceled, 1)
 		return nil, err
 	}
-	// On ctx.Done the write may still commit: the caller only loses the
-	// ack. The writer counts it, once, whichever side stopped waiting.
-	select {
-	case r := <-req.resp:
-		return r.res, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-e.life.Done():
-		return nil, ErrClosed
-	}
-}
 
-// writeLoop is the dedicated writer goroutine. A round off the write
-// queue is everything queued, up to writeBatch: the group commit.
-func (e *Engine) writeLoop() {
-	defer e.wg.Done()
-	group := make([]*request, 0, writeBatch)
-	for {
-		if group = e.writeQ.pop(group[:0]); len(group) == 0 {
-			return // closed
-		}
-		e.commitGroup(group)
-	}
-}
-
-// commitGroup runs a group of writes back-to-back on the writer machine
-// and publishes one epoch covering all of them. Responses go out after
-// the publish, so an acked write is visible to every later-admitted
-// read.
-func (e *Engine) commitGroup(group []*request) {
-	resps := make([]response, len(group))
 	e.writeMu.Lock()
-	for i, w := range group {
-		if err := w.ctx.Err(); err != nil {
-			e.st.add(&e.st.Canceled, 1)
-			resps[i].err = err
-			continue
-		}
-		e.writer.ClearMarkers()
-		start := time.Now()
-		res, err := e.writer.RunContext(w.ctx, w.prog)
-		e.st.write(time.Since(start), err)
-		if err != nil {
-			resps[i].err = classifyWriteErr(err)
-			continue
-		}
-		resps[i].res = res
-	}
+	e.writer.ClearMarkers()
+	start := time.Now()
+	res, err := e.writer.RunContext(ctx, prog)
+	e.st.write(time.Since(start), err)
 	newGen := e.kb.Generation()
 	e.writeMu.Unlock()
 
+	// Publish before the writer is released and the caller answered, so an
+	// acked write is visible to every later-admitted read. A failed write
+	// may have committed a prefix: that publishes too.
 	if newGen != e.pubGen.Load() {
 		e.pubGen.Store(newGen)
 		if e.results != nil {
@@ -146,11 +115,12 @@ func (e *Engine) commitGroup(group []*request) {
 			}
 		}
 		e.st.add(&e.st.WriteCommits, 1)
-		e.emit(-1, perfmon.EvWriteCommitted, uint32(len(group)), 0)
+		e.emit(-1, perfmon.EvWriteCommitted, 1, 0)
 	}
-	for i, w := range group {
-		w.resp <- resps[i]
+	if err != nil {
+		return nil, classifyWriteErr(err)
 	}
+	return res, nil
 }
 
 // classifyWriteErr maps a writer-run failure onto the write-path
@@ -179,7 +149,7 @@ func classifyWriteErr(err error) error {
 // record, fall back to a full LoadKB re-download under the write lock
 // (the one sync path that must see a quiescent master KB).
 func (e *Engine) syncReplica(rank int, m *machine.Machine) {
-	if e.writeQ == nil {
+	if e.writer == nil {
 		return
 	}
 	to := e.pubGen.Load()

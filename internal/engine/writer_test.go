@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"snap1/internal/isa"
 	"snap1/internal/machine"
@@ -197,6 +198,91 @@ func TestWriteSweepsResultCache(t *testing.T) {
 	}
 	if !found {
 		t.Error("post-write read served a stale cached result")
+	}
+}
+
+// writerBusy reports whether a write is running: the writer holds
+// writeMu for as long as it runs.
+func writerBusy(e *Engine) bool {
+	if e.writeMu.TryLock() {
+		e.writeMu.Unlock()
+		return false
+	}
+	return true
+}
+
+// TestCloseAnswersTheWriteItLetsCommit: a write running when Close comes
+// is answered as it ends. Either it commits and its caller is told so,
+// or its caller is told ErrClosed and the KB never shows it: a write
+// answered ErrClosed that then commits would tell the client it did not
+// happen while every later read sees that it did.
+func TestCloseAnswersTheWriteItLetsCommit(t *testing.T) {
+	fx := newBlockerFixture()
+	e, err := New(fx.kb, WithReplicas(1), WithWrites(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := fx.kb.Lookup("a")
+	b, _ := fx.kb.Lookup("b")
+	// The chain walk keeps the writer busy long enough for Close to come
+	// in the middle; the create makes it a commit.
+	slow := fx.walk(0, 1000).Create(a, fx.kb.Relation("r"), 1, b)
+	gen0 := fx.kb.Generation()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.SubmitWrite(context.Background(), slow)
+		done <- err
+	}()
+	waitFor(t, "writer busy", func() bool { return writerBusy(e) })
+	closeWithin(t, e, 10*time.Second)
+	err = <-done
+	switch gen := fx.kb.Generation(); {
+	case err == nil && gen > gen0:
+	case errors.Is(err, ErrClosed) && gen == gen0:
+	default:
+		t.Fatalf("the write in progress at Close returned %v with the KB at generation %d (was %d): its answer and the KB disagree", err, gen, gen0)
+	}
+}
+
+// TestWriteLineIsBounded: with the writer busy, the line of writes
+// waiting for it holds writeLineCap; the next write is shed with
+// ErrOverloaded and counted once, and the waiters that give up are each
+// counted Canceled and never run.
+func TestWriteLineIsBounded(t *testing.T) {
+	fx := newBlockerFixture()
+	e, err := New(fx.kb, WithReplicas(1), WithWrites(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWithin(t, e, 10*time.Second)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errs := make(chan error, writeLineCap+1)
+	submit := func(p *isa.Program) {
+		go func() {
+			_, err := e.SubmitWrite(ctx, p)
+			errs <- err
+		}()
+	}
+	submit(fx.blocker(0))
+	waitFor(t, "writer busy", func() bool { idle, _ := e.writes.gauges(); return idle == 0 })
+	for i := range writeLineCap {
+		submit(fx.plain(float32(i + 1)))
+	}
+	waitFor(t, "line full", func() bool { _, waiting := e.writes.gauges(); return waiting == writeLineCap })
+	if _, err := e.SubmitWrite(context.Background(), fx.plain(-1)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("a write past a full line returned %v, want ErrOverloaded", err)
+	}
+	cancel()
+	for range writeLineCap + 1 {
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Errorf("a write whose caller left returned %v, want context.Canceled", err)
+		}
+	}
+	st := e.Stats()
+	if st.Overloaded != 1 || st.Canceled != writeLineCap || st.WriteFailures != 1 || st.Writes != 0 {
+		t.Errorf("overloaded %d, canceled %d, write failures %d, writes %d; want 1, %d, 1, 0",
+			st.Overloaded, st.Canceled, st.WriteFailures, st.Writes, writeLineCap)
 	}
 }
 

@@ -59,8 +59,8 @@ const (
 	// Online write-path events. EvKBDeltaApplied is emitted by a
 	// serving replica that patched its cluster tables forward by delta
 	// replay; status carries the record count. EvWriteCommitted is
-	// emitted by the writer once per epoch publish; status carries the
-	// group-commit size.
+	// emitted once per epoch publish, by the write that made it; status
+	// is 1, the writes the epoch carries.
 	EvKBDeltaApplied
 	EvWriteCommitted
 )

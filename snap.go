@@ -191,11 +191,12 @@ var (
 	// WithReplicas sets the engine's machine-pool size.
 	WithReplicas = engine.WithReplicas
 	// WithWrites enables the online write path: Engine.SubmitWrite
-	// commits topology-mutating programs on a serialized writer and
-	// publishes epoch-versioned KB snapshots; serving replicas catch up
-	// by incremental delta replay before taking their next request.
+	// commits topology-mutating programs on one writer machine, one at a
+	// time, and publishes epoch-versioned KB snapshots; serving replicas
+	// catch up by incremental delta replay before taking their next
+	// request.
 	WithWrites = engine.WithWrites
-	// WithQueueCap sets the engine's submit-queue capacity.
+	// WithQueueCap bounds the callers waiting for a replica.
 	WithQueueCap = engine.WithQueueCap
 	// WithCacheCap bounds the engine's compile cache.
 	WithCacheCap = engine.WithCacheCap

@@ -6,7 +6,10 @@
 // Usage:
 //
 //	snapd -gen 4000 -domain -addr :8080
-//	snapd -kb network.kb -replicas 8 -max-inflight 512
+//	snapd -kb network.kb -max-inflight 512
+//
+// The pool holds one replica per core (GOMAXPROCS) unless -replicas says
+// otherwise: only that many can run at once.
 //
 // Endpoints:
 //
@@ -89,7 +92,7 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	gen := fs.Int("gen", 0, "generate a synthetic knowledge base of N nodes instead")
 	domain := fs.Bool("domain", false, "embed the newswire micro-domain in the generated network")
 	seed := fs.Int64("seed", 42, "generation seed")
-	replicas := fs.Int("replicas", 4, "machine-pool size")
+	replicas := fs.Int("replicas", 0, "machine-pool size; 0: one per core (GOMAXPROCS)")
 	queueCap := fs.Int("queue-cap", 256, "bound on the callers waiting for a replica; beyond it queries shed with 503")
 	cacheCap := fs.Int("cache-cap", 128, "compile-cache entry bound")
 	resultCache := fs.Int("result-cache", 1024, "result-cache entry bound (0 disables result caching)")
@@ -153,7 +156,7 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	errc := make(chan error, 2)
 	go func() { errc <- srv.Serve(ln) }()
 	log.Printf("serving %d-node knowledge base on %d replicas at %s (pool up in %v)",
-		kb.NumNodes(), *replicas, ln.Addr(), time.Since(start).Round(time.Millisecond))
+		kb.NumNodes(), eng.Stats().Replicas, ln.Addr(), time.Since(start).Round(time.Millisecond))
 
 	var pprofLn net.Addr
 	if *pprofAddr != "" {

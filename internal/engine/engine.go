@@ -73,7 +73,9 @@ var (
 // Config parameterizes an Engine. The zero value of any field selects
 // its default.
 type Config struct {
-	// Replicas is the machine-pool size (default 4).
+	// Replicas is the machine-pool size (default runtime.GOMAXPROCS(0):
+	// a replica runs only while a caller holds it, so one per core is
+	// all that can run at once).
 	Replicas int
 	// QueueCap bounds the callers waiting for a replica; a submission
 	// that finds no replica idle and the line full fails fast with
@@ -167,7 +169,8 @@ func (c Config) Validate() error {
 // Option refines a Config.
 type Option func(*Config)
 
-// WithReplicas sets the machine-pool size.
+// WithReplicas sets the machine-pool size; 0 selects one replica per
+// core (runtime.GOMAXPROCS(0)).
 func WithReplicas(n int) Option { return func(c *Config) { c.Replicas = n } }
 
 // WithMaxBatch does nothing: a replica takes one request at a time.
@@ -312,7 +315,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		return nil, err
 	}
 	if cfg.Replicas <= 0 {
-		cfg.Replicas = 4
+		cfg.Replicas = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 256

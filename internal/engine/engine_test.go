@@ -642,6 +642,34 @@ func TestSubmitAfterClose(t *testing.T) {
 	}
 }
 
+// TestDefaultReplicasFollowGOMAXPROCS: without WithReplicas the pool
+// holds one replica per core, since a replica runs only on the goroutine
+// holding it and more than GOMAXPROCS of them can only add memory; an
+// explicit count still wins.
+func TestDefaultReplicasFollowGOMAXPROCS(t *testing.T) {
+	g := fig15KB(t, 200)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			opts []Option
+			want int
+		}{
+			{nil, procs},
+			{[]Option{WithReplicas(5)}, 5},
+		} {
+			e, err := New(g.KB, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Stats().Replicas; got != tc.want {
+				t.Errorf("GOMAXPROCS %d, %d option(s): %d replicas, want %d", procs, len(tc.opts), got, tc.want)
+			}
+			e.Close()
+		}
+	}
+}
+
 // TestEngineServesLockstep: the replica configuration cannot select the
 // machine package's goroutine-per-cluster reference engine. Asked for it
 // by option, or handed a whole machine.Config with Deterministic turned

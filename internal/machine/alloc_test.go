@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"snap1/internal/isa"
@@ -69,5 +70,45 @@ func TestPropagateSteadyStateAllocs(t *testing.T) {
 					allocs, perTask, tasks)
 			}
 		})
+	}
+}
+
+// TestCloneAllocatesOnlyMarkerState fences Clone's promise on the network
+// the serving benchmark's snapd loads (12K nodes with the newswire
+// domain, 16 clusters, semantic partition): a replica allocates its
+// marker state and per-run scratch and shares the topology, so cloning
+// costs well under half a megabyte. A per-cluster structure built
+// eagerly that only a contended run of the reference engine needs, or
+// topology copied instead of shared, fails here.
+func TestCloneAllocatesOnlyMarkerState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	g, err := kbgen.Generate(kbgen.Params{Nodes: 12000, Seed: 42, WithDomain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PaperConfig()
+	cfg.MUsPerCluster, cfg.ExtraMUClusters = 2, 0
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadKB(g.KB); err != nil {
+		t.Fatal(err)
+	}
+	const clones = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < clones; i++ {
+		if _, err := m.Clone(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perClone := (after.TotalAlloc - before.TotalAlloc) / clones
+	t.Logf("Clone allocates %d KB", perClone>>10)
+	if perClone > 460<<10 {
+		t.Errorf("Clone allocates %d KB, want <= 460 KB", perClone>>10)
 	}
 }

@@ -106,7 +106,8 @@ func (m *Machine) KB() *semnet.KB { return m.kb }
 // Config.Placement is set), and each cluster's three tables are filled —
 // in parallel, one download per cluster, since the per-cluster fills are
 // independent once the assignment is fixed. Any previously loaded
-// network and all marker state are discarded.
+// network and all marker state are discarded. The downloads read the
+// KB's node records directly, so nothing may mutate kb during the call.
 func (m *Machine) LoadKB(kb *semnet.KB) error {
 	kb.Preprocess()
 	if err := kb.Validate(); err != nil {
@@ -120,7 +121,6 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 		assign = partition.Place(kb, assign, m.cfg.Clusters)
 	}
 	n := kb.NumNodes()
-	v := kb.CSR()
 	// Bucket nodes per cluster in ascending global-ID order and fix every
 	// local index up front; the per-cluster downloads then share nothing.
 	counts := make([]int, m.cfg.Clusters)
@@ -151,14 +151,12 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 					errs[ci] = err
 					return
 				}
-				if _, err := c.store.AddNode(id, node.Color, node.Fn); err != nil {
-					errs[ci] = fmt.Errorf("cluster %d: %w", ci, err)
-					return
+				local, err := c.store.AddNode(id, node.Color, node.Fn)
+				if err == nil {
+					err = c.store.SetLinks(local, node.Out)
 				}
-			}
-			for _, id := range members[ci] {
-				if err := c.store.SetLinks(int(localIdx[id]), v.Out(id)); err != nil {
-					errs[ci] = err
+				if err != nil {
+					errs[ci] = fmt.Errorf("cluster %d: %w", ci, err)
 					return
 				}
 			}
@@ -180,7 +178,7 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 // engines start what goroutines they need inside a run and have waited for
 // them when it returns, so a machine holds nothing between runs. The
 // method stays because the engine, the commands and the harness call it
-// on every machine they retire, and ROADMAP item 8 would give it workers
+// on every machine they retire, and ROADMAP item 9 would give it workers
 // to stop again.
 func (m *Machine) Close() {}
 

@@ -27,15 +27,18 @@ const NumPorts = 4
 // priority, as the paper's programmable-array-logic arbiter does.
 type Arbiter struct {
 	mu      sync.Mutex
-	rng     *rand.Rand
+	seed    int64
+	rng     *rand.Rand // seeded from seed by the first contended Acquire
 	busy    bool
 	waiters []chan struct{}
 }
 
 // NewArbiter returns an arbiter whose simultaneous-request tie-break is
 // driven by the given seed, keeping contention behaviour reproducible.
+// The random source (a few KB) is built on first contention, so an
+// arbiter that is never contended costs a few words.
 func NewArbiter(seed int64) *Arbiter {
-	return &Arbiter{rng: rand.New(rand.NewSource(seed))}
+	return &Arbiter{seed: seed}
 }
 
 // Acquire blocks until the arbiter grants exclusive access.
@@ -47,6 +50,9 @@ func (a *Arbiter) Acquire() {
 		return
 	}
 	ch := make(chan struct{})
+	if a.rng == nil {
+		a.rng = rand.New(rand.NewSource(a.seed))
+	}
 	// Random insertion position models the random priority assignment
 	// among requests pending at grant time.
 	i := 0

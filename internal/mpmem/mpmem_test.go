@@ -1,7 +1,9 @@
 package mpmem
 
 import (
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,6 +31,68 @@ func TestArbiterMutualExclusion(t *testing.T) {
 	wg.Wait()
 	if violations.Load() != 0 {
 		t.Fatalf("%d mutual-exclusion violations", violations.Load())
+	}
+}
+
+// TestArbiterSeedsOnFirstContention: the tie-break source is built only
+// when a request finds the grant taken, and building it then changes
+// nothing: under a forced arrival order, waiters are granted exactly as
+// by an arbiter whose source was seeded at construction.
+func TestArbiterSeedsOnFirstContention(t *testing.T) {
+	idle := NewArbiter(7)
+	for i := 0; i < 100; i++ {
+		idle.Acquire()
+		idle.Release()
+	}
+	if idle.rng != nil {
+		t.Error("an arbiter never contended built its random source")
+	}
+
+	const seed, rounds, waiters = 11, 3, 6
+	// The reference: each arrival takes a random place among those
+	// already waiting, drawn from a source seeded up front.
+	ref := rand.New(rand.NewSource(seed))
+	var want []int
+	for r := 0; r < rounds; r++ {
+		var line []int
+		for w := 0; w < waiters; w++ {
+			i := 0
+			if n := len(line); n > 0 {
+				i = ref.Intn(n + 1)
+			}
+			line = slices.Insert(line, i, r*waiters+w)
+		}
+		want = append(want, line...)
+	}
+
+	arb := NewArbiter(seed)
+	queued := func() int {
+		arb.mu.Lock()
+		defer arb.mu.Unlock()
+		return len(arb.waiters)
+	}
+	var got []int // appended under the grant
+	for r := 0; r < rounds; r++ {
+		arb.Acquire()
+		var wg sync.WaitGroup
+		for w := 0; w < waiters; w++ {
+			id := r*waiters + w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				arb.Acquire()
+				got = append(got, id)
+				arb.Release()
+			}()
+			for queued() != w+1 { // one arrival at a time
+				runtime.Gosched()
+			}
+		}
+		arb.Release()
+		wg.Wait()
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("grant order %v, want %v", got, want)
 	}
 }
 

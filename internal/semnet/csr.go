@@ -1,7 +1,5 @@
 package semnet
 
-import "sync"
-
 // CSRView is a flat compressed-sparse-row snapshot of the knowledge
 // base's link structure, in both directions:
 //
@@ -32,24 +30,14 @@ func (v *CSRView) Out(id NodeID) []Link {
 	return v.Links[v.Off[id]:v.Off[id+1]]
 }
 
-// CSR returns the flat adjacency view of the knowledge base, building it
-// on first use and caching it until the next structural mutation (the
-// cache is keyed on the KB's generation counter). Building is O(nodes +
-// links) with a fixed handful of allocations; subsequent calls within
-// one generation are a lock and a pointer read, so every partitioning
-// pass, cut metric, and placement stage of one LoadKB shares a single
-// snapshot.
+// CSR builds the flat adjacency view of the knowledge base as of now.
+// Building is O(nodes + links) with a fixed handful of allocations, and
+// the view belongs to the caller: the KB keeps no reference to it, so a
+// view lives only as long as the pass that asked for it. Each
+// partitioning pass, cut metric or placement stage builds its own.
 func (kb *KB) CSR() *CSRView {
-	kb.csrMu.Lock()
-	defer kb.csrMu.Unlock()
-	// Lock order is csrMu then kb.mu; KB mutators never build the view,
-	// so the reverse order cannot occur.
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
-	gen := kb.gen.Load()
-	if kb.csr != nil && kb.csrGen == gen {
-		return kb.csr
-	}
 	n := len(kb.nodes)
 	v := &CSRView{
 		Off:   make([]int32, n+1),
@@ -80,14 +68,5 @@ func (kb *KB) CSR() *CSRView {
 			fill[l.To]++
 		}
 	}
-	kb.csr, kb.csrGen = v, gen
 	return v
-}
-
-// csrCache is the KB-embedded cache state for CSR (kept in its own file
-// with the view logic; the zero value is ready to use).
-type csrCache struct {
-	csrMu  sync.Mutex
-	csr    *CSRView
-	csrGen uint64
 }

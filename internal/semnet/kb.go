@@ -54,9 +54,6 @@ type KB struct {
 	// delta is the bounded mutation log for incremental replica sync
 	// (delta.go; disabled until EnableDeltaLog).
 	delta deltaLog
-
-	// csrCache holds the generation-keyed flat adjacency snapshot (csr.go).
-	csrCache
 }
 
 // Generation reports the knowledge base's structural revision counter.

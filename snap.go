@@ -188,7 +188,8 @@ var (
 
 // Engine construction options.
 var (
-	// WithReplicas sets the engine's machine-pool size.
+	// WithReplicas sets the engine's machine-pool size (default one
+	// replica per core, runtime.GOMAXPROCS(0)).
 	WithReplicas = engine.WithReplicas
 	// WithWrites enables the online write path: Engine.SubmitWrite
 	// commits topology-mutating programs on one writer machine, one at a

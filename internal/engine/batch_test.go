@@ -18,8 +18,8 @@ import (
 )
 
 // The guarantees a batch member has because SubmitBatch is Submit over a
-// set: retry under faults, singleflight, memoization, and admission that
-// does not depend on the batch's own size.
+// set: retry under faults, memoization, and admission that does not
+// depend on the batch's own size.
 
 // compileAll compiles srcs through e's compile cache.
 func compileAll(t *testing.T, e *Engine, srcs []string) []*isa.Program {
@@ -207,10 +207,10 @@ func TestBatchRecoversFromInjectedFaults(t *testing.T) {
 	}
 }
 
-// TestBatchMembersDedupAndMemoize: identical members of one batch
-// collapse onto one execution, whose result is memoized — the
-// batches after it, and Submit, are result-cache hits on that Result.
-func TestBatchMembersDedupAndMemoize(t *testing.T) {
+// TestBatchMembersMemoize: identical members of one batch that miss
+// together each run, and one of their Results is memoized — the batches
+// after it, and Submit, are result-cache hits on that Result.
+func TestBatchMembersMemoize(t *testing.T) {
 	g := fig15KB(t, 400)
 	e, err := New(g.KB, WithReplicas(1))
 	if err != nil {
@@ -219,31 +219,39 @@ func TestBatchMembersDedupAndMemoize(t *testing.T) {
 	defer e.Close()
 	p := compileAll(t, e, []string{inheritanceQuery(g, queryConcepts(g, 1)[0])})[0]
 	ctx := context.Background()
-	var first *machine.Result
+	var ran []*machine.Result // round 0's members, each its own run
+	var memo *machine.Result
 	for round := 0; round < 3; round++ {
 		results, errs := e.SubmitBatch(ctx, []*isa.Program{p, p})
 		for i, res := range results {
 			if errs[i] != nil {
 				t.Fatalf("round %d member %d: %v", round, i, errs[i])
 			}
-			if first == nil {
-				first = res
+			if round == 0 {
+				ran = append(ran, res)
+				continue
 			}
-			if res != first {
+			if memo == nil {
+				memo = res
+			}
+			if res != memo {
 				t.Errorf("round %d member %d: a second Result for the same query", round, i)
 			}
 		}
 	}
+	if memo != ran[0] && memo != ran[1] {
+		t.Error("the memoized Result is neither of the first round's runs")
+	}
 	st := e.Stats()
-	if st.Completed != 1 || st.DedupedQueries != 1 || st.ResultCacheSize != 1 {
-		t.Errorf("completed=%d deduped=%d result_cache_size=%d after 3 x {p, p}; want 1, 1, 1",
-			st.Completed, st.DedupedQueries, st.ResultCacheSize)
+	if st.Completed != 2 || st.ResultCacheSize != 1 {
+		t.Errorf("completed=%d result_cache_size=%d after 3 x {p, p}; want 2, 1",
+			st.Completed, st.ResultCacheSize)
 	}
 	res, err := e.Submit(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res != first || e.Stats().Completed != 1 {
+	if res != memo || e.Stats().Completed != 2 {
 		t.Error("Submit after the batches executed again instead of hitting the result cache")
 	}
 }
@@ -277,11 +285,11 @@ func TestBatchLargerThanQueueIsServed(t *testing.T) {
 	}
 }
 
-// TestFollowerNeverAdoptsAnOlderEpoch is monotonic reads across the
-// singleflight, at both read doors: a query admitted after a write was
-// acknowledged joins the flight of an identical query still running on
-// the epoch before it, and must run again rather than adopt that result.
-func TestFollowerNeverAdoptsAnOlderEpoch(t *testing.T) {
+// TestReadAfterWriteNeverGetsAnOlderEpoch is monotonic reads at both
+// read doors: a query admitted after a write was acknowledged, while an
+// identical query still runs on the epoch before it, must answer from
+// the write's epoch or a later one, never with the older run's result.
+func TestReadAfterWriteNeverGetsAnOlderEpoch(t *testing.T) {
 	for _, door := range []struct {
 		name   string
 		submit func(e *Engine, p *isa.Program) (*machine.Result, error)
@@ -304,15 +312,15 @@ func TestFollowerNeverAdoptsAnOlderEpoch(t *testing.T) {
 			// A run of a few hundred milliseconds: the write and the
 			// second submission below take well under one.
 			slow := fx.blocker(0)
-			leader := make(chan *machine.Result, 1)
+			older := make(chan *machine.Result, 1)
 			go func() {
 				res, err := e.Submit(context.Background(), slow)
 				if err != nil {
 					t.Error(err)
 				}
-				leader <- res
+				older <- res
 			}()
-			waitFor(t, "leader running", func() bool { return e.Stats().IdleReplicas == 0 })
+			waitFor(t, "first query running", func() bool { return e.Stats().IdleReplicas == 0 })
 			a, _ := fx.kb.Lookup("a")
 			b, _ := fx.kb.Lookup("b")
 			w, err := e.SubmitWrite(context.Background(), isa.NewProgram().Create(a, fx.kb.Relation("later"), 1, b))
@@ -323,14 +331,11 @@ func TestFollowerNeverAdoptsAnOlderEpoch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if old := <-leader; old != nil && old.KBGen >= w.KBGen {
-				t.Fatalf("leader observed generation %d: it did not run on the epoch before the write's %d", old.KBGen, w.KBGen)
-			}
-			if e.Stats().DedupedQueries == 0 {
-				t.Fatal("the second query never joined the leader's flight")
+			if old := <-older; old != nil && old.KBGen >= w.KBGen {
+				t.Fatalf("first query observed generation %d: it did not run on the epoch before the write's %d", old.KBGen, w.KBGen)
 			}
 			if res.KBGen < w.KBGen {
-				t.Errorf("follower admitted after generation %d was acknowledged got a result of generation %d", w.KBGen, res.KBGen)
+				t.Errorf("query admitted after generation %d was acknowledged got a result of generation %d", w.KBGen, res.KBGen)
 			}
 		})
 	}

@@ -140,8 +140,8 @@ func evictBefore(c *lruCache[resultKey, *answer], gen uint64) int {
 
 // sameProgram reports whether a and b run identically: the same program,
 // or equal instruction streams whose PROPAGATE rules have equal
-// fingerprints. Program.Hash is 64 bits; a cache or a flight found by it
-// is checked with this before it is used.
+// fingerprints. Program.Hash is 64 bits; a cache entry found by it is
+// checked with this before it is used.
 func sameProgram(a, b *isa.Program) bool {
 	if a == b {
 		return true

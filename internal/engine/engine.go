@@ -15,7 +15,6 @@
 //
 //	assembly → rule/program compilation (LRU-cached by content hash)
 //	         → result cache (by Program.Hash + KB generation)
-//	         → singleflight (identical in-flight queries collapse)
 //	         → execution on a pooled replica → collection
 //
 // A program runs as written: the served answer, virtual time included,
@@ -84,9 +83,10 @@ type Config struct {
 	// CacheCap is the compile-cache entry bound (default 128).
 	CacheCap int
 	// ResultCacheCap bounds the query result cache (default 1024).
-	// Negative disables result caching and singleflight deduplication.
-	// A memoized Result (virtual time included) is bit-identical to
-	// recomputation, because every replica is a lockstep machine.
+	// Negative disables result caching. Identical misses that overlap
+	// each run; a memoized Result (virtual time included) is
+	// bit-identical to recomputation, because every replica is a
+	// lockstep machine.
 	ResultCacheCap int
 	// MaxInFlight caps admitted-but-unfinished queries (waiting plus
 	// executing); submissions beyond it fail fast with ErrOverloaded.
@@ -98,7 +98,7 @@ type Config struct {
 	// whatever it says (the goroutine-per-cluster engine is the machine
 	// package's reference implementation; nothing serves on it), so
 	// identical queries report identical virtual times regardless of
-	// which replica serves them, and result caching, singleflight and
+	// which replica serves them, and result caching and
 	// retry-after-fault hold for every Engine.
 	Machine machine.Config
 	// Monitor, when non-nil, receives engine-level performance events
@@ -186,7 +186,7 @@ func WithQueueCap(n int) Option { return func(c *Config) { c.QueueCap = n } }
 func WithCacheCap(n int) Option { return func(c *Config) { c.CacheCap = n } }
 
 // WithResultCache sets the query-result-cache entry bound; n <= 0
-// disables result caching and singleflight deduplication.
+// disables result caching.
 func WithResultCache(n int) Option {
 	return func(c *Config) {
 		if n <= 0 {
@@ -259,10 +259,9 @@ func WithWrites(on bool) Option { return func(c *Config) { c.Writes = on } }
 // replicas sharing one knowledge base. Safe for use from any number of
 // goroutines.
 type Engine struct {
-	cfg   Config
-	kb    *semnet.KB
-	kbGen uint64 // KB generation at bring-up; result-cache key half
-	mon   *perfmon.Collector
+	cfg Config
+	kb  *semnet.KB
+	mon *perfmon.Collector
 
 	// Names enter the KB only through a door that can commit them: asm
 	// (Compile, /v1/mutate) interns a writing operand's new name when the
@@ -284,13 +283,13 @@ type Engine struct {
 
 	cache   *lruCache[uint64, compiled]   // assembly-source hash -> sealed program
 	results *lruCache[resultKey, *answer] // memoized query answers; nil when disabled
-	flights *flightGroup                  // nil when results is nil
 
 	// Write path (nil/zero unless Config.Writes; see writer.go). writes
 	// is the writer's pool: one rank, and the writes waiting for it.
 	// pubGen is the published KB generation — the epoch every new read
-	// observes; writeMu serializes writer execution against full-reload
-	// replica recovery, the one path that must see a quiescent KB.
+	// observes, which only a write moves; writeMu serializes writer
+	// execution against full-reload replica recovery, the one path that
+	// must see a quiescent KB.
 	writer  *machine.Machine
 	writes  *pool
 	writeMu sync.Mutex
@@ -301,11 +300,10 @@ type Engine struct {
 
 // New builds an engine over kb: the knowledge base is preprocessed,
 // partitioned, and downloaded once into a prototype machine, which is
-// then cloned to the remaining pool replicas concurrently (bounded by
-// GOMAXPROCS) over shared-immutable topology tables. kb must not be
-// mutated externally for the engine's lifetime: without Config.Writes
-// it is a frozen snapshot, with it the engine's writer is the only
-// legal mutator.
+// then cloned to the remaining pool replicas over shared-immutable
+// topology tables. kb must not be mutated externally for the engine's
+// lifetime: without Config.Writes it is a frozen snapshot, with it the
+// engine's writer is the only legal mutator.
 func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	cfg := Config{}
 	for _, o := range opts {
@@ -364,7 +362,6 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		cfg:      cfg,
 		kb:       kb,
-		kbGen:    kb.Generation(),
 		readAsm:  isa.NewAssembler(kb).LookupOnly(),
 		mon:      cfg.Monitor,
 		machines: machines,
@@ -376,13 +373,12 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	e.life, e.stop = context.WithCancel(context.Background())
 	if cfg.ResultCacheCap > 0 {
 		e.results = newLRUCache[resultKey, *answer](cfg.ResultCacheCap)
-		e.flights = newFlightGroup()
 	}
 	for i := range e.health {
 		e.health[i] = &replicaHealth{}
 	}
 	e.st.Replicas = cfg.Replicas
-	e.pubGen.Store(e.kbGen)
+	e.pubGen.Store(kb.Generation())
 
 	e.asm = e.readAsm
 	if cfg.Writes {
@@ -404,52 +400,20 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// clonePool stamps out the replica pool from the loaded prototype. The
-// prototype itself serves as replica 0; clones are brought up
-// concurrently, bounded by GOMAXPROCS, since a shared-topology clone is
-// dominated by marker-state allocation, which parallelizes cleanly.
+// clonePool stamps out the replica pool from the loaded prototype, which
+// itself serves as replica 0. A clone shares the topology tables and
+// allocates only marker state.
 func clonePool(proto *machine.Machine, replicas int) ([]*machine.Machine, error) {
-	machines := make([]*machine.Machine, replicas)
-	machines[0] = proto
-	if replicas == 1 {
-		return machines, nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > replicas-1 {
-		workers = replicas - 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	sem := make(chan struct{}, workers)
-	for i := 1; i < replicas; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			r, err := proto.Clone()
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			machines[i] = r
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		for _, m := range machines {
-			if m != nil {
+	machines := []*machine.Machine{proto}
+	for len(machines) < replicas {
+		r, err := proto.Clone()
+		if err != nil {
+			for _, m := range machines {
 				m.Close()
 			}
+			return nil, err
 		}
-		return nil, firstErr
+		machines = append(machines, r)
 	}
 	return machines, nil
 }
@@ -457,16 +421,10 @@ func clonePool(proto *machine.Machine, replicas int) ([]*machine.Machine, error)
 // KB returns the engine's knowledge base (for name resolution).
 func (e *Engine) KB() *semnet.KB { return e.kb }
 
-// readGen is the KB generation a newly admitted read observes. With
-// writes enabled this is the published epoch — the master KB may
-// already be ahead inside a write not yet published — otherwise the
-// KB's own (static) generation.
-func (e *Engine) readGen() uint64 {
-	if e.writer != nil {
-		return e.pubGen.Load()
-	}
-	return e.kb.Generation()
-}
+// readGen is the KB generation a newly admitted read observes: the
+// published epoch. The master KB may already be ahead inside a write not
+// yet published; without writes the epoch never moves.
+func (e *Engine) readGen() uint64 { return e.pubGen.Load() }
 
 // Submit runs a read-only program on the calling goroutine and returns
 // its result, or the context's cancellation/deadline, or ErrClosed after
@@ -474,9 +432,9 @@ func (e *Engine) readGen() uint64 {
 // marker state; collections and virtual time are identical to a
 // sequential Machine.Run of the same program on a fresh machine. With
 // result caching active (the default), a repeat of a completed query
-// returns the memoized Result — bit-identical, virtual time included —
-// and concurrent identical submissions collapse onto one execution. The
-// returned Result is shared and must be treated as immutable.
+// returns the memoized Result — bit-identical, virtual time included;
+// identical submissions that miss together each run. The returned Result
+// is shared and must be treated as immutable.
 func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result, error) {
 	_, res, err := e.submit(ctx, prog)
 	return res, err
@@ -495,8 +453,8 @@ func (e *Engine) submit(ctx context.Context, prog *isa.Program) (*answer, *machi
 		return nil, nil, err
 	}
 	q := query{prog: prog, h: h}
-	e.resolve(ctx, gen, []*query{&q})
-	return q.hit, q.res, q.err
+	e.resolve(ctx, []*query{&q})
+	return nil, q.res, q.err
 }
 
 // SubmitBatch is Submit over a set of independent read-only programs:
@@ -504,9 +462,9 @@ func (e *Engine) submit(ctx context.Context, prog *isa.Program) (*answer, *machi
 // on the caller's replica and on every other replica idle at admission.
 // Results and errors are positional: errs[i] is non-nil exactly when
 // results[i] is nil. Every member has what Submit gives one query —
-// validation, result-cache hits, singleflight, retry, memoization — and a
-// batch is never refused for its own size: it is admitted in pieces that
-// fit the engine's admission bounds, each answered before the next.
+// validation, result-cache hits, retry, memoization — and a batch is
+// never refused for its own size: it is admitted in pieces that fit the
+// engine's admission bounds, each answered before the next.
 func (e *Engine) SubmitBatch(ctx context.Context, progs []*isa.Program) ([]*machine.Result, []error) {
 	qs := e.submitBatch(ctx, progs)
 	results := make([]*machine.Result, len(qs))
@@ -538,7 +496,7 @@ func (e *Engine) submitBatch(ctx context.Context, progs []*isa.Program) []query 
 	}
 	for len(set) > 0 {
 		n := min(piece, len(set))
-		e.resolve(ctx, gen, set[:n])
+		e.resolve(ctx, set[:n])
 		set = set[n:]
 	}
 	return qs
@@ -549,81 +507,23 @@ type query struct {
 	prog *isa.Program
 	h    uint64  // prog.Hash()
 	hit  *answer // the result-cache entry that answered it; nil when none did
-	f    *flight // the flight joined for h; nil with deduplication off
 	res  *machine.Result
 	err  error
 }
 
-// resolve owns a set of read misses admitted under KB generation gen,
-// from admission to answer: each member joins the singleflight for its
-// hash; the leaders execute together (runSet) and memoize and publish
-// what they got; the followers adopt their flight's outcome, or go round
-// again when it is not theirs to adopt. Submit is resolve over one
-// program, SubmitBatch over a batch's.
-func (e *Engine) resolve(ctx context.Context, gen uint64, set []*query) {
-	for len(set) > 0 {
-		lead, follow := make([]*query, 0, len(set)), []*query(nil)
-		for _, m := range set {
-			if e.flights != nil {
-				var leader bool
-				if m.f, leader = e.flights.join(m.h, m.prog); !leader {
-					if !sameProgram(m.f.prog, m.prog) {
-						// Another program under the same hash: this one
-						// runs on its own, outside the flight.
-						m.f = nil
-						lead = append(lead, m)
-						continue
-					}
-					e.st.add(&e.st.DedupedQueries, 1)
-					follow = append(follow, m)
-					continue
-				}
-				// The previous leader may have memoized its result and
-				// left between this member's miss and its join: look
-				// again before executing, or the query runs twice.
-				if a, ok := e.cached(m.prog, m.h, gen); ok {
-					m.hit, m.res = a, a.res
-					e.flights.finish(m.h, m.f, a.res, nil)
-					continue
-				}
-			}
-			lead = append(lead, m)
-		}
-		e.runSet(ctx, lead)
-		for _, m := range lead {
-			if m.err == nil && e.results != nil {
-				// Keyed by the generation the run actually observed
-				// (under write churn the serving replica may have synced
-				// past the admission epoch).
-				e.results.put(resultKey{m.h, m.res.KBGen}, &answer{prog: m.prog, res: m.res})
-			}
-			if m.f != nil {
-				e.flights.finish(m.h, m.f, m.res, m.err)
-			}
-		}
-		// Every flight this set leads is finished, so no follower waits
-		// on a member of its own set.
-		set = follow[:0]
-		for _, m := range follow {
-			select {
-			case <-m.f.done:
-				if retryable(m.f.err) || m.f.err == nil && m.f.res.KBGen < gen {
-					// Not this member's to adopt: the leader's own context
-					// expired while this query is still live, or the
-					// leader ran against an epoch older than the one this
-					// member was admitted under (a write published in
-					// between; its result would violate monotonic reads
-					// here). Join again.
-					set = append(set, m)
-					continue
-				}
-				m.res, m.err = m.f.res, m.f.err
-			case <-ctx.Done():
-				e.st.add(&e.st.Canceled, 1)
-				m.err = ctx.Err()
-			case <-e.life.Done():
-				m.err = ErrClosed
-			}
+// resolve runs a set of read misses to an answer each (runSet) and
+// memoizes every result under the KB generation its run observed: under
+// write churn the serving replica may have synced past the admission
+// epoch, never behind it. Submit is resolve over one program, SubmitBatch
+// over a batch's.
+func (e *Engine) resolve(ctx context.Context, set []*query) {
+	e.runSet(ctx, set)
+	if e.results == nil {
+		return
+	}
+	for _, m := range set {
+		if m.err == nil {
+			e.results.put(resultKey{m.h, m.res.KBGen}, &answer{prog: m.prog, res: m.res})
 		}
 	}
 }
@@ -643,25 +543,15 @@ func (e *Engine) precheck(prog *isa.Program, gen uint64) (h uint64, hit *answer,
 	}
 	h = prog.Hash()
 	if e.results != nil {
-		if a, ok := e.cached(prog, h, gen); ok {
+		// An entry another program left under the same hash is not a hit.
+		if a, ok := e.results.get(resultKey{h, gen}); ok && sameProgram(a.prog, prog) {
+			e.st.add(&e.st.ResultHits, 1)
+			e.emit(-1, perfmon.EvResultHit, uint32(a.res.Time), a.res.Time)
 			return h, a, nil
 		}
 		e.st.add(&e.st.ResultMisses, 1)
 	}
 	return h, nil, nil
-}
-
-// cached looks prog, whose hash is h, up in the result cache (which must
-// be enabled) and counts the hit. An entry another program left under
-// the same hash is not a hit.
-func (e *Engine) cached(prog *isa.Program, h, gen uint64) (*answer, bool) {
-	a, ok := e.results.get(resultKey{h, gen})
-	if !ok || !sameProgram(a.prog, prog) {
-		return nil, false
-	}
-	e.st.add(&e.st.ResultHits, 1)
-	e.emit(-1, perfmon.EvResultHit, uint32(a.res.Time), a.res.Time)
-	return a, true
 }
 
 // runSet runs a set of misses to an answer each under the engine's

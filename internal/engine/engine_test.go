@@ -154,17 +154,17 @@ func TestConcurrentSubmitMatchesSequential(t *testing.T) {
 	}
 
 	st := e.Stats()
-	// Each unique source executes exactly once; every repeat submission
-	// is served by the result cache or collapsed onto the in-flight
-	// execution (singleflight).
-	if st.Completed != uint64(len(sources)) {
-		t.Errorf("completed = %d, want %d (one execution per unique source)", st.Completed, len(sources))
+	// Each submission either executes or is a result-cache hit. Every
+	// unique source executes at least once; identical misses that
+	// overlap each execute, so a source may execute more than once.
+	if got := st.Completed + st.ResultHits; got != submitters*perSubmitter {
+		t.Errorf("completed+hits = %d, want %d", got, submitters*perSubmitter)
 	}
-	if got := st.Completed + st.ResultHits + st.DedupedQueries; got != submitters*perSubmitter {
-		t.Errorf("completed+hits+deduped = %d, want %d", got, submitters*perSubmitter)
+	if st.Completed < uint64(len(sources)) {
+		t.Errorf("completed = %d, want >= %d (every unique source executes)", st.Completed, len(sources))
 	}
-	if st.ResultHits+st.DedupedQueries == 0 {
-		t.Error("no submission was served by the result cache or singleflight")
+	if st.ResultHits == 0 {
+		t.Error("no submission was served by the result cache")
 	}
 	if st.Batches == 0 {
 		t.Error("no batches dispatched")
@@ -230,9 +230,8 @@ func TestConcurrentSubmitUncached(t *testing.T) {
 	if st.Completed != submitters*perSubmitter {
 		t.Errorf("completed = %d, want %d with caching disabled", st.Completed, submitters*perSubmitter)
 	}
-	if st.ResultHits != 0 || st.DedupedQueries != 0 {
-		t.Errorf("result cache active despite WithResultCache(0): hits=%d deduped=%d",
-			st.ResultHits, st.DedupedQueries)
+	if st.ResultHits != 0 {
+		t.Errorf("result cache active despite WithResultCache(0): hits=%d", st.ResultHits)
 	}
 }
 

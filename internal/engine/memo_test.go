@@ -237,8 +237,7 @@ func TestMemoFirstHitsRace(t *testing.T) {
 	}
 }
 
-// A 64-bit hash keys every cache and the singleflight. The three tests
-// below plant what a colliding body would leave behind — another
+// A 64-bit hash keys both caches. The two tests below plant what a colliding body would leave behind — another
 // program's entry under this program's key — and require that nobody is
 // served what they did not ask for.
 
@@ -312,36 +311,5 @@ func TestResultCacheChecksProgram(t *testing.T) {
 	}
 	if hit, res, err := e.submit(context.Background(), twin); err != nil || hit == nil || res != resA {
 		t.Errorf("an equal program built apart missed: hit %p, %v", hit, err)
-	}
-}
-
-// TestSingleflightChecksProgram: a query whose hash has a flight in the
-// air for another program runs on its own instead of waiting for, and
-// adopting, that flight's answer.
-func TestSingleflightChecksProgram(t *testing.T) {
-	kb, ids := writeTestKB(t)
-	e, err := New(kb, WithReplicas(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	progA, progB := ancestryProg(kb, ids["a"]), ancestryProg(kb, ids["b"])
-	f, leader := e.flights.join(progA.Hash(), progB) // a flight for b that never lands
-	if !leader {
-		t.Fatal("no flight to plant")
-	}
-	defer e.flights.finish(progA.Hash(), f, nil, context.Canceled)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	res, err := e.Submit(ctx, progA)
-	if err != nil {
-		t.Fatalf("a waited on b's flight: %v", err)
-	}
-	if got := res.Names(0); len(got) != 2 {
-		t.Fatalf("a answered %v", got)
-	}
-	if st := e.Stats(); st.DedupedQueries != 0 {
-		t.Errorf("%d queries counted as deduplicated, want 0", st.DedupedQueries)
 	}
 }

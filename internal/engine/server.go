@@ -24,7 +24,8 @@ type QueryRequest struct {
 	// names resolve against the engine's knowledge base.
 	Program string `json:"program"`
 	// TimeoutMillis bounds the query's total residence (queue + run);
-	// 0 means no per-query deadline beyond the server's.
+	// 0 means no per-query deadline beyond the server's. A negative
+	// count, or one past what a time.Duration holds, is a bad request.
 	TimeoutMillis int `json:"timeout_ms,omitempty"`
 }
 
@@ -69,7 +70,8 @@ type BatchQueryRequest struct {
 	// the response.
 	Programs []string `json:"programs"`
 	// TimeoutMillis bounds the whole batch's residence (queue + runs);
-	// 0 means no deadline beyond the server's.
+	// 0 means no deadline beyond the server's; its range is
+	// QueryRequest.TimeoutMillis's.
 	TimeoutMillis int `json:"timeout_ms,omitempty"`
 }
 
@@ -173,12 +175,12 @@ func (e *Engine) handleProgram(w http.ResponseWriter, r *http.Request, write boo
 		return
 	}
 
-	ctx := r.Context()
-	if req.TimeoutMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
-		defer cancel()
+	ctx, cancel, err := requestContext(r, req.TimeoutMillis)
+	if err != nil {
+		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
+		return
 	}
+	defer cancel()
 
 	asm := e.readAsm
 	if write {
@@ -240,12 +242,12 @@ func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
-	if req.TimeoutMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMillis)*time.Millisecond)
-		defer cancel()
+	ctx, cancel, err := requestContext(r, req.TimeoutMillis)
+	if err != nil {
+		writeErrorCode(w, http.StatusBadRequest, "bad_request", false, err)
+		return
 	}
+	defer cancel()
 
 	// progs holds the programs that compiled, in request order; a nil
 	// compileErrs[i] says element i is answered by the next of them.
@@ -266,6 +268,24 @@ func (e *Engine) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 
 	*buf = e.appendBatchResponse((*buf)[:0], compileErrs, qs, wall)
 	writeBody(w, *buf)
+}
+
+// maxTimeoutMillis is the largest timeout_ms a time.Duration holds
+// (≈ 292 years); a larger count would wrap negative.
+const maxTimeoutMillis = math.MaxInt64 / int64(time.Millisecond)
+
+// requestContext is r's context bounded by a request's timeout_ms: 0
+// adds no deadline, and a count below 0 or above maxTimeoutMillis is an
+// error, answered 400 before anything is compiled.
+func requestContext(r *http.Request, ms int) (context.Context, context.CancelFunc, error) {
+	if ms < 0 || int64(ms) > maxTimeoutMillis {
+		return nil, nil, fmt.Errorf("timeout_ms %d out of range [0, %d]", ms, maxTimeoutMillis)
+	}
+	if ms == 0 {
+		return r.Context(), func() {}, nil
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
+	return ctx, cancel, nil
 }
 
 // readBody reads the request body into *buf, sized up front from

@@ -462,6 +462,69 @@ func TestServerMutateEndpoint(t *testing.T) {
 	}
 }
 
+// TestTimeoutMillisOutOfRange: a timeout_ms below 0, or one whose
+// time.Duration would wrap negative (10^13 ms is past ≈ 292 years), is a
+// 400 bad_request on every POST door, answered before anything is
+// admitted or written; 0 (no deadline) and an ordinary bound serve.
+func TestTimeoutMillisOutOfRange(t *testing.T) {
+	kb, _ := writeTestKB(t)
+	e, err := New(kb, WithReplicas(1), WithWrites(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(e))
+	defer func() { srv.Close(); e.Close() }()
+
+	const read = `search-node node=a marker=c1 value=0\ncollect-node marker=c1\n` // JSON-escaped
+	writes := map[string]string{
+		"0":    `create src=c rel=is-a w=1 dst=d\n`,
+		"5000": `create src=a rel=is-a w=1 dst=d\n`,
+	}
+	post := func(path, body string) (int, ErrorEnvelope) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env ErrorEnvelope
+		if resp.StatusCode != http.StatusOK {
+			_ = json.NewDecoder(resp.Body).Decode(&env)
+		}
+		return resp.StatusCode, env
+	}
+	for _, ms := range []string{"-1", "10000000000000", "0", "5000"} {
+		write := writes[ms]
+		if write == "" {
+			write = `create src=d rel=is-a w=1 dst=a\n`
+		}
+		for _, c := range []struct{ path, body string }{
+			{"/v1/query", `{"program":"` + read + `","timeout_ms":` + ms + `}`},
+			{"/v1/query/batch", `{"programs":["` + read + `","` + read + `"],"timeout_ms":` + ms + `}`},
+			{"/v1/mutate", `{"program":"` + write + `","timeout_ms":` + ms + `}`},
+		} {
+			before := e.Stats()
+			status, env := post(c.path, c.body)
+			after := e.Stats()
+			if _, ok := writes[ms]; ok {
+				if status != http.StatusOK {
+					t.Errorf("%s timeout_ms %s: %d %s: %s, want 200", c.path, ms, status, env.Error.Code, env.Error.Message)
+				}
+				continue
+			}
+			if status != http.StatusBadRequest || env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, "timeout_ms") {
+				t.Errorf("%s timeout_ms %s: %d %s: %s, want 400 bad_request on timeout_ms", c.path, ms, status, env.Error.Code, env.Error.Message)
+			}
+			if after.Submitted != before.Submitted || after.Writes+after.WriteFailures != before.Writes+before.WriteFailures ||
+				after.KBGeneration != before.KBGeneration {
+				t.Errorf("%s timeout_ms %s: submitted %d -> %d, writes run %d -> %d, generation %d -> %d; want each unchanged",
+					c.path, ms, before.Submitted, after.Submitted,
+					before.Writes+before.WriteFailures, after.Writes+after.WriteFailures, before.KBGeneration, after.KBGeneration)
+			}
+		}
+	}
+}
+
 // TestEnvelopeCodesDocumented asserts every stable envelope code —
 // classify sentinels and request-shape rejections alike — has a row in
 // docs/RESILIENCE.md, so a new code cannot ship undocumented.

@@ -170,103 +170,7 @@ func TestColdSubmitAllocations(t *testing.T) {
 
 // coldSubmitAllocs is what TestColdSubmitAllocations measured when its
 // fence was set (docs/PERF.md § "What is held exactly").
-const coldSubmitAllocs = 15
-
-// TestSingleflightCollapse launches identical concurrent submissions at
-// a single-replica engine: they must collapse onto few executions, and
-// every caller must receive the identical result.
-func TestSingleflightCollapse(t *testing.T) {
-	g := fig15KB(t, 800)
-	e, err := New(g.KB, WithReplicas(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	src := heavyQuery(queryConcepts(g, 1)[0], 60)
-	const callers = 8
-	var (
-		start   sync.WaitGroup
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		results []string
-	)
-	start.Add(1)
-	errs := make(chan error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			start.Wait()
-			res, err := e.SubmitSource(context.Background(), src)
-			if err != nil {
-				errs <- err
-				return
-			}
-			mu.Lock()
-			results = append(results, res.Time.String()+"/"+fmt.Sprint(res.Names(0)))
-			mu.Unlock()
-		}()
-	}
-	start.Done()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	for _, r := range results[1:] {
-		if r != results[0] {
-			t.Fatalf("collapsed submissions disagreed: %q vs %q", r, results[0])
-		}
-	}
-	st := e.Stats()
-	if got := st.Completed + st.ResultHits + st.DedupedQueries; got != callers {
-		t.Errorf("completed+hits+deduped = %d, want %d", got, callers)
-	}
-	if st.Completed == callers {
-		t.Error("no submission collapsed: every caller executed")
-	}
-	if st.ResultHits+st.DedupedQueries == 0 {
-		t.Error("neither singleflight nor result cache served any caller")
-	}
-}
-
-// TestSingleflightLeaderCancelDoesNotPoison cancels the leader of an
-// in-flight collapse; the follower must re-run the query under its own
-// live context rather than inherit the leader's context error.
-func TestSingleflightLeaderCancelDoesNotPoison(t *testing.T) {
-	g := fig15KB(t, 800)
-	e, err := New(g.KB, WithReplicas(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	src := heavyQuery(queryConcepts(g, 1)[0], 200)
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, err := e.SubmitSource(leaderCtx, src)
-		leaderDone <- err
-	}()
-	time.Sleep(2 * time.Millisecond) // let the leader take flight
-
-	followerDone := make(chan error, 1)
-	go func() {
-		_, err := e.SubmitSource(context.Background(), src)
-		followerDone <- err
-	}()
-	time.Sleep(2 * time.Millisecond)
-	cancelLeader()
-
-	if err := <-leaderDone; err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader returned %v, want nil or context.Canceled", err)
-	}
-	if err := <-followerDone; err != nil {
-		t.Fatalf("follower with a live context returned %v, want success", err)
-	}
-}
+const coldSubmitAllocs = 13
 
 // TestOverloadShed exercises admission control: both the in-flight
 // ceiling and the queue capacity must fail fast with ErrOverloaded, and

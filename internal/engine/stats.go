@@ -72,10 +72,8 @@ type Stats struct {
 	// quiescence Submitted == Completed + Failed + Canceled. A write ends
 	// the same way in Writes, WriteFailures or Canceled — its context had
 	// ended before it ran, in the writer's line or on the writer — counted
-	// by the caller that runs it or waited for the writer. Canceled also
-	// counts a caller that left before anything was admitted for it: one
-	// waiting on an identical in-flight query. Rejected and shed
-	// (Overloaded) submissions were never admitted.
+	// by the caller that runs it or waited for the writer. Rejected and
+	// shed (Overloaded) submissions were never admitted.
 	Submitted uint64 `json:"submitted"`
 	Completed uint64 `json:"completed"`
 	Failed    uint64 `json:"failed"`
@@ -102,13 +100,11 @@ type Stats struct {
 	CompileMisses uint64 `json:"compile_cache_misses"`
 
 	// Result-cache counters: hits served without touching a replica,
-	// misses that went to execution, queries collapsed onto an
-	// identical in-flight execution (singleflight), the cache's
-	// resident entry count, and entries swept out eagerly because a
-	// write publish superseded their generation.
+	// misses that went to execution, the cache's resident entry count,
+	// and entries swept out eagerly because a write publish superseded
+	// their generation.
 	ResultHits       uint64 `json:"result_cache_hits"`
 	ResultMisses     uint64 `json:"result_cache_misses"`
-	DedupedQueries   uint64 `json:"deduped_queries"`
 	ResultCacheSize  int    `json:"result_cache_size"`
 	ResultGenEvicted uint64 `json:"result_gen_evicted"`
 

@@ -225,8 +225,10 @@ func TestCloseAnswersTheWriteItLetsCommit(t *testing.T) {
 	a, _ := fx.kb.Lookup("a")
 	b, _ := fx.kb.Lookup("b")
 	// The chain walk keeps the writer busy long enough for Close to come
-	// in the middle; the create makes it a commit.
-	slow := fx.walk(0, 1000).Create(a, fx.kb.Relation("r"), 1, b)
+	// in the middle; the create makes it a commit. On one core the wait
+	// below sees the writer busy only once the scheduler preempts the
+	// write (≈ 10 ms), so the walk takes several times that.
+	slow := fx.walk(0, 5000).Create(a, fx.kb.Relation("r"), 1, b)
 	gen0 := fx.kb.Generation()
 	done := make(chan error, 1)
 	go func() {

@@ -202,7 +202,7 @@ var (
 	// WithCacheCap bounds the engine's compile cache.
 	WithCacheCap = engine.WithCacheCap
 	// WithResultCache bounds the engine's query result cache; n <= 0
-	// disables result caching and singleflight deduplication.
+	// disables result caching.
 	WithResultCache = engine.WithResultCache
 	// WithMaxInFlight caps admitted-but-unfinished queries; beyond it
 	// submissions fail fast with ErrEngineOverloaded.

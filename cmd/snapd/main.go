@@ -109,10 +109,12 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address, on its own listener (empty disables)")
 	_ = fs.Parse(args) // ExitOnError: exits on a bad flag, so no error comes back
 
+	start := time.Now()
 	kb, err := loadKB(*kbPath, *gen, *domain, *seed)
 	if err != nil {
 		return err
 	}
+	built := time.Since(start)
 
 	opts := []engine.Option{
 		engine.WithReplicas(*replicas),
@@ -141,12 +143,13 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 		log.Printf("fault plan armed: seed %d, %d rule(s)", plan.Seed, len(plan.Rules))
 		opts = append(opts, engine.WithFaultPlan(plan))
 	}
-	start := time.Now()
+	start = time.Now()
 	eng, err := engine.New(kb, opts...)
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
+	up := time.Since(start)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -155,8 +158,8 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	srv := &http.Server{Handler: engine.NewServer(eng)}
 	errc := make(chan error, 2)
 	go func() { errc <- srv.Serve(ln) }()
-	log.Printf("serving %d-node knowledge base on %d replicas at %s (pool up in %v)",
-		kb.NumNodes(), eng.Stats().Replicas, ln.Addr(), time.Since(start).Round(time.Millisecond))
+	log.Printf("serving %d-node knowledge base on %d replicas at %s (knowledge base built in %.1f ms, pool up in %.1f ms)",
+		kb.NumNodes(), eng.Stats().Replicas, ln.Addr(), millis(built), millis(up))
 
 	var pprofLn net.Addr
 	if *pprofAddr != "" {
@@ -191,6 +194,9 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	}
 	return nil
 }
+
+// millis is d in milliseconds, to the microsecond.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // pprofMux routes the net/http/pprof handlers on a mux of their own. The
 // package also registers them on http.DefaultServeMux as it is imported;

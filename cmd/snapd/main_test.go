@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"log"
 	"net"
 	"net/http"
+	"regexp"
+	"sync"
 	"testing"
 	"time"
 )
@@ -77,5 +81,64 @@ func TestServingPortNeverServesPprof(t *testing.T) {
 				t.Fatal("snapd did not shut down within 30s")
 			}
 		})
+	}
+}
+
+// lockedBuffer is a bytes.Buffer the daemon's goroutines may log into
+// while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// The start-up line splits bring-up into its two parts, so an operator
+// can see where start-up went: building the knowledge base, and bringing
+// the replica pool up on it.
+func TestStartupLineSplitsBringUp(t *testing.T) {
+	var logged lockedBuffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(prev) })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	up := make(chan struct{})
+	done := make(chan error, 1)
+	args := []string{"-addr", "127.0.0.1:0", "-gen", "64", "-replicas", "1", "-monitor", "0", "-drain", "2s"}
+	go func() {
+		done <- run(ctx, args, func(net.Addr, net.Addr) { close(up) })
+	}()
+	select {
+	case <-up:
+	case err := <-done:
+		t.Fatalf("run returned before listening: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("snapd did not come up within 30s")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("snapd did not shut down within 30s")
+	}
+
+	line := regexp.MustCompile(`serving \d+-node knowledge base .*\(knowledge base built in \d+\.\d ms, pool up in \d+\.\d ms\)`)
+	if !line.MatchString(logged.String()) {
+		t.Fatalf("no start-up line with both figures in:\n%s", logged.String())
 	}
 }

@@ -19,9 +19,30 @@ import (
 	"snap1/internal/semnet"
 )
 
-// Parse reads a knowledge base from r.
+// Parse reads a knowledge base from r. Nothing else can see the network
+// while it is read, so it is built through a semnet.Builder.
 func Parse(r io.Reader) (*semnet.KB, error) {
-	kb := semnet.NewKB()
+	b := semnet.NewBuilder(0)
+	if err := parse(r, b); err != nil {
+		return nil, err
+	}
+	return b.KB(), nil
+}
+
+// network is what Parse needs of the knowledge base it fills: a
+// semnet.Builder, or the per-element locked calls of *semnet.KB, which
+// must build the same network.
+type network interface {
+	AddNode(name string, color semnet.Color) (semnet.NodeID, error)
+	SetFn(id semnet.NodeID, fn semnet.FuncCode) error
+	AddLink(from semnet.NodeID, rel semnet.RelType, weight float32, to semnet.NodeID) error
+	Lookup(name string) (semnet.NodeID, bool)
+	InternRelation(name string) (semnet.RelType, error)
+	InternColor(name string) (semnet.Color, error)
+}
+
+// parse reads the text format from r into kb.
+func parse(r io.Reader, kb network) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	lineNo := 0
@@ -36,22 +57,23 @@ func Parse(r io.Reader) (*semnet.KB, error) {
 			continue
 		}
 		if err := parseLine(kb, fields); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return kb, nil
+	return sc.Err()
 }
 
-func parseLine(kb *semnet.KB, fields []string) error {
+func parseLine(kb network, fields []string) error {
 	switch fields[0] {
 	case "node":
 		if len(fields) < 3 || len(fields) > 4 {
 			return fmt.Errorf("node wants <name> <color> [fn], got %d operands", len(fields)-1)
 		}
-		id, err := kb.AddNode(fields[1], kb.ColorFor(fields[2]))
+		color, err := kb.InternColor(fields[2])
+		if err != nil {
+			return err
+		}
+		id, err := kb.AddNode(fields[1], color)
 		if err != nil {
 			return err
 		}
@@ -81,7 +103,11 @@ func parseLine(kb *semnet.KB, fields []string) error {
 		if err != nil {
 			return fmt.Errorf("bad weight %q", fields[3])
 		}
-		return kb.AddLink(from, kb.Relation(fields[2]), float32(w), to)
+		rel, err := kb.InternRelation(fields[2])
+		if err != nil {
+			return err
+		}
+		return kb.AddLink(from, rel, float32(w), to)
 	default:
 		return fmt.Errorf("unknown directive %q", fields[0])
 	}

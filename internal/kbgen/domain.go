@@ -2,6 +2,7 @@ package kbgen
 
 import (
 	"fmt"
+	"strconv"
 
 	"snap1/internal/semnet"
 )
@@ -179,13 +180,21 @@ var evaluationSentences = []Sentence{
 	},
 }
 
-// BuildDomain adds the micro-domain to a generated knowledge base whose
-// syntax and hierarchy roots already exist. Domain link weights are 1 on
+// domainNodes is the number of nodes buildDomain adds.
+func domainNodes() int {
+	n := len(domainClasses) + len(domainWords)
+	for _, ds := range domainSeqs {
+		n += 1 + len(ds.elems)
+	}
+	return n
+}
+
+// buildDomain adds the micro-domain to a knowledge base under generation
+// whose syntax and hierarchy roots already exist. Domain link weights are 1 on
 // is-a links and 0 on constraint reverse links, so a complex marker
 // propagated with FuncAdd measures exactly the is-a distance from word to
 // constraint — the specificity score hypothesis resolution minimizes.
-func BuildDomain(g *Generated) (*Domain, error) {
-	kb := g.KB
+func buildDomain(g *Generated, kb network) (*Domain, error) {
 	for _, dc := range domainClasses {
 		parent, ok := kb.Lookup(dc.parent)
 		if !ok {
@@ -233,7 +242,7 @@ func BuildDomain(g *Generated) (*Domain, error) {
 		g.Roots = append(g.Roots, root)
 		var prev semnet.NodeID
 		for e, el := range ds.elems {
-			eid := kb.MustAddNode(fmt.Sprintf("%s.e%d", ds.name, e), g.Col.Element[e%MaxSeqElements])
+			eid := kb.MustAddNode(ds.name+".e"+strconv.Itoa(e), g.Col.Element[e%MaxSeqElements])
 			kb.MustAddLink(root, g.Rel.Elem, 0, eid)
 			kb.MustAddLink(eid, g.Rel.ElemOf, 0, root)
 			sem, ok := kb.Lookup(el.sem)

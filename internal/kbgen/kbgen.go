@@ -16,6 +16,7 @@ package kbgen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"snap1/internal/semnet"
 )
@@ -32,7 +33,7 @@ type Params struct {
 	Seed int64
 	// Branching is the concept hierarchy's fan-out (default 4).
 	Branching int
-	// WithDomain embeds the newswire micro-domain (BuildDomain).
+	// WithDomain embeds the newswire micro-domain (buildDomain).
 	WithDomain bool
 }
 
@@ -83,8 +84,27 @@ type Generated struct {
 	domainClasses []semnet.NodeID // hand-built ontology classes, if any
 }
 
+// network is what generation needs of the knowledge base it grows. Generate
+// passes a semnet.Builder; the per-element locked calls of *semnet.KB
+// satisfy it too, and must build the same network.
+type network interface {
+	AddNode(name string, color semnet.Color) (semnet.NodeID, error)
+	MustAddNode(name string, color semnet.Color) semnet.NodeID
+	MustAddLink(from semnet.NodeID, rel semnet.RelType, weight float32, to semnet.NodeID)
+	Lookup(name string) (semnet.NodeID, bool)
+	Node(id semnet.NodeID) (*semnet.Node, error)
+	Relation(name string) semnet.RelType
+	ColorFor(name string) semnet.Color
+}
+
+// numbered returns prefix followed by i in decimal, in one allocation.
+func numbered(prefix string, i int) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], prefix...), int64(i), 10))
+}
+
 // internRelations fills the relation vocabulary on kb.
-func internRelations(kb *semnet.KB) Relations {
+func internRelations(kb network) Relations {
 	return Relations{
 		IsA:      kb.Relation("is-a"),
 		Subsumes: kb.Relation("subsumes"),
@@ -100,7 +120,7 @@ func internRelations(kb *semnet.KB) Relations {
 	}
 }
 
-func internColors(kb *semnet.KB) Colors {
+func internColors(kb network) Colors {
 	c := Colors{
 		Word:      kb.ColorFor("word"),
 		Class:     kb.ColorFor("class"),
@@ -111,7 +131,7 @@ func internColors(kb *semnet.KB) Colors {
 		Utterance: kb.ColorFor("utterance"),
 	}
 	for i := range c.Element {
-		c.Element[i] = kb.ColorFor(fmt.Sprintf("element-%d", i))
+		c.Element[i] = kb.ColorFor("element-" + strconv.Itoa(i))
 	}
 	return c
 }
@@ -123,49 +143,82 @@ var coreSyntaxCats = []string{
 	"np", "vp", "pp", "sentence",
 }
 
-// Generate builds a knowledge base of about p.Nodes nodes.
+// numUtterances is the number of utterance anchors every network has.
+const numUtterances = 8
+
+// layers is the node budget of each layer, following the paper's
+// proportions: a third lexicon; of the remainder 75 % concept sequences,
+// 15 % hierarchy, 5 % syntax, 5 % auxiliary — with a handful of utterance
+// anchors.
+type layers struct{ lex, cs, hier, syn, aux int }
+
+func budget(nodes int) layers {
+	rest := nodes - numUtterances
+	var l layers
+	l.lex = rest / 3
+	rest -= l.lex
+	l.cs = rest * 75 / 100
+	l.hier = rest * 15 / 100
+	l.syn = rest * 5 / 100
+	l.aux = rest - l.cs - l.hier - l.syn
+	return l
+}
+
+// nodeCount is how many nodes Generate(p) creates — or one more, when the
+// concept-sequence budget ends on a remainder too small for a sequence:
+// each layer's budget, with the syntax layer never below its core
+// categories.
+func nodeCount(p Params) int {
+	l := budget(p.Nodes)
+	n := l.lex + l.cs + l.hier + max(l.syn, len(coreSyntaxCats)+1) + l.aux + numUtterances
+	if p.WithDomain {
+		n += domainNodes()
+	}
+	return n
+}
+
+// Generate builds a knowledge base of about p.Nodes nodes. It is the
+// network's only owner until it returns, so it builds through a
+// semnet.Builder sized for the whole network.
 func Generate(p Params) (*Generated, error) {
 	if p.Nodes < 64 {
 		return nil, fmt.Errorf("kbgen: need at least 64 nodes, got %d", p.Nodes)
 	}
+	b := semnet.NewBuilder(nodeCount(p))
+	g, err := generate(p, b)
+	if err != nil {
+		return nil, err
+	}
+	g.KB = b.KB()
+	return g, nil
+}
+
+// generate grows the network of p on kb and returns its handles; the
+// caller fills in g.KB.
+func generate(p Params, kb network) (*Generated, error) {
 	if p.Branching <= 1 {
 		p.Branching = 4
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	kb := semnet.NewKB()
 	g := &Generated{
-		KB:  kb,
 		Rel: internRelations(kb),
 		Col: internColors(kb),
 	}
-
-	// Node budget, following the paper's layer proportions: a third
-	// lexicon; of the remainder 75 % concept sequences, 15 % hierarchy,
-	// 5 % syntax, 5 % auxiliary — with a handful of utterance anchors.
-	const numUtterances = 8
-	budget := p.Nodes - numUtterances
-	nLex := budget / 3
-	rest := budget - nLex
-	nCS := rest * 75 / 100
-	nHier := rest * 15 / 100
-	nSyn := rest * 5 / 100
-	nAux := rest - nCS - nHier - nSyn
-
-	g.buildSyntax(rng, nSyn)
-	g.buildHierarchy(rng, nHier, p.Branching)
+	l := budget(p.Nodes)
+	g.buildSyntax(kb, rng, l.syn)
+	g.buildHierarchy(kb, rng, l.hier, p.Branching)
 	if p.WithDomain {
-		d, err := BuildDomain(g)
+		d, err := buildDomain(g, kb)
 		if err != nil {
 			return nil, err
 		}
 		g.Domain = d
 	}
-	g.buildLexicon(rng, nLex)
-	g.buildSequences(rng, nCS)
-	g.buildAux(rng, nAux)
+	g.buildLexicon(kb, rng, l.lex)
+	g.buildSequences(kb, rng, l.cs)
+	g.buildAux(kb, rng, l.aux)
 	for i := 0; i < numUtterances; i++ {
-		g.Utterances = append(g.Utterances,
-			kb.MustAddNode(fmt.Sprintf("utterance-%d", i), g.Col.Utterance))
+		g.Utterances = append(g.Utterances, kb.MustAddNode(numbered("utterance-", i), g.Col.Utterance))
 	}
 	return g, nil
 }
@@ -179,8 +232,7 @@ func MustGenerate(p Params) *Generated {
 	return g
 }
 
-func (g *Generated) buildSyntax(rng *rand.Rand, n int) {
-	kb := g.KB
+func (g *Generated) buildSyntax(kb network, rng *rand.Rand, n int) {
 	g.SyntaxRoot = kb.MustAddNode("syntax-root", g.Col.Syntax)
 	for _, name := range coreSyntaxCats {
 		id := kb.MustAddNode(name, g.Col.Syntax)
@@ -188,7 +240,7 @@ func (g *Generated) buildSyntax(rng *rand.Rand, n int) {
 		g.SynCats = append(g.SynCats, id)
 	}
 	for i := len(coreSyntaxCats) + 1; i < n; i++ {
-		id := kb.MustAddNode(fmt.Sprintf("syn-%d", i), g.Col.Syntax)
+		id := kb.MustAddNode(numbered("syn-", i), g.Col.Syntax)
 		parent := g.SynCats[rng.Intn(len(g.SynCats))]
 		kb.MustAddLink(id, g.Rel.IsA, 1, parent)
 		g.SynCats = append(g.SynCats, id)
@@ -198,8 +250,7 @@ func (g *Generated) buildSyntax(rng *rand.Rand, n int) {
 // buildHierarchy grows the concept-type hierarchy breadth-first with the
 // configured branching factor; every node gets an upward is-a link and a
 // downward subsumes link so both inheritance directions propagate.
-func (g *Generated) buildHierarchy(rng *rand.Rand, n, branching int) {
-	kb := g.KB
+func (g *Generated) buildHierarchy(kb network, rng *rand.Rand, n, branching int) {
 	g.HierRoot = kb.MustAddNode("thing", g.Col.Class)
 	g.Classes = append(g.Classes, g.HierRoot)
 	frontier := []semnet.NodeID{g.HierRoot}
@@ -209,7 +260,7 @@ func (g *Generated) buildHierarchy(rng *rand.Rand, n, branching int) {
 		for _, parent := range frontier {
 			for b := 0; b < branching && made < n; b++ {
 				w := 0.2 + rng.Float32()*0.8
-				id := kb.MustAddNode(fmt.Sprintf("class-%d", made), g.Col.Class)
+				id := kb.MustAddNode(numbered("class-", made), g.Col.Class)
 				kb.MustAddLink(id, g.Rel.IsA, w, parent)
 				kb.MustAddLink(parent, g.Rel.Subsumes, w, id)
 				next = append(next, id)
@@ -261,10 +312,9 @@ func (g *Generated) pickClass(rng *rand.Rand) semnet.NodeID {
 	return g.Classes[rng.Intn(len(g.Classes))]
 }
 
-func (g *Generated) buildLexicon(rng *rand.Rand, n int) {
-	kb := g.KB
+func (g *Generated) buildLexicon(kb network, rng *rand.Rand, n int) {
 	for i := 0; i < n; i++ {
-		id := kb.MustAddNode(fmt.Sprintf("w-%d", i), g.Col.Word)
+		id := kb.MustAddNode(numbered("w-", i), g.Col.Word)
 		kb.MustAddLink(id, g.Rel.IsA, 0.3+rng.Float32()*0.7, g.pickClass(rng))
 		cat := g.SynCats[rng.Intn(len(g.SynCats))]
 		kb.MustAddLink(id, g.Rel.IsA, 1, cat)
@@ -275,8 +325,7 @@ func (g *Generated) buildLexicon(rng *rand.Rand, n int) {
 // buildSequences creates concept sequences: a root plus 2..MaxSeqElements
 // element nodes, each element carrying one semantic and one syntactic
 // constraint with reverse links for downward activation.
-func (g *Generated) buildSequences(rng *rand.Rand, budget int) {
-	kb := g.KB
+func (g *Generated) buildSequences(kb network, rng *rand.Rand, budget int) {
 	i := 0
 	for budget > 0 {
 		k := 2 + rng.Intn(MaxSeqElements-1)
@@ -286,11 +335,12 @@ func (g *Generated) buildSequences(rng *rand.Rand, budget int) {
 				break
 			}
 		}
-		root := kb.MustAddNode(fmt.Sprintf("cs-%d", i), g.Col.Root)
+		name := numbered("cs-", i)
+		root := kb.MustAddNode(name, g.Col.Root)
 		g.Roots = append(g.Roots, root)
 		var prev semnet.NodeID
 		for e := 0; e < k; e++ {
-			el := kb.MustAddNode(fmt.Sprintf("cs-%d.e%d", i, e), g.Col.Element[e%MaxSeqElements])
+			el := kb.MustAddNode(name+".e"+strconv.Itoa(e), g.Col.Element[e%MaxSeqElements])
 			w := 0.2 + rng.Float32()*0.8
 			kb.MustAddLink(root, g.Rel.Elem, w, el)
 			kb.MustAddLink(el, g.Rel.ElemOf, w, root)
@@ -320,10 +370,9 @@ func (g *Generated) buildSequences(rng *rand.Rand, budget int) {
 	}
 }
 
-func (g *Generated) buildAux(rng *rand.Rand, n int) {
-	kb := g.KB
+func (g *Generated) buildAux(kb network, rng *rand.Rand, n int) {
 	for i := 0; i < n; i++ {
-		id := kb.MustAddNode(fmt.Sprintf("aux-%d", i), g.Col.Aux)
+		id := kb.MustAddNode(numbered("aux-", i), g.Col.Aux)
 		if len(g.Roots) > 0 {
 			root := g.Roots[rng.Intn(len(g.Roots))]
 			kb.MustAddLink(id, g.Rel.AuxOf, 1, root)

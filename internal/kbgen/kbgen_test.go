@@ -190,6 +190,9 @@ func TestChainsWorkload(t *testing.T) {
 				if len(n.Out) != 1 || n.Out[0].Rel != w.Rel {
 					t.Fatalf("chain node %s has %d links", n.Name, len(n.Out))
 				}
+				if next := fmt.Sprintf("c%d.%d.%d", g, a, d+1); w.KB.Name(n.Out[0].To) != next {
+					t.Fatalf("chain node %s links to %s, want %s", n.Name, w.KB.Name(n.Out[0].To), next)
+				}
 			}
 		}
 	}
@@ -218,6 +221,16 @@ func TestNestedChains(t *testing.T) {
 	}
 	if counts[0] != 10 || counts[0]+counts[1] != 100 || counts[0]+counts[1]+counts[2] != 1000 {
 		t.Fatalf("nested seed counts = %v", counts)
+	}
+	// Each chain is a simple path from n<a>.0 to n<a>.6.
+	for a := 0; a < 1000; a++ {
+		for d := 0; d < 6; d++ {
+			id, _ := w.KB.Lookup(fmt.Sprintf("n%d.%d", a, d))
+			n, _ := w.KB.Node(id)
+			if next := fmt.Sprintf("n%d.%d", a, d+1); len(n.Out) != 1 || w.KB.Name(n.Out[0].To) != next {
+				t.Fatalf("chain node %s links %+v, want one link to %s", n.Name, n.Out, next)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package kbgen
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"snap1/internal/semnet"
 )
@@ -36,19 +37,19 @@ func Chains(groups, alpha, depth int, seed int64) *Workload {
 		depth = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	kb := semnet.NewKB()
+	kb := semnet.NewBuilder((depth + 1) * groups * alpha)
 	w := &Workload{
-		KB:    kb,
 		Rel:   kb.Relation("link"),
 		Alpha: alpha,
 		Depth: depth,
 	}
 	for g := 0; g < groups; g++ {
-		w.Seeds = append(w.Seeds, kb.ColorFor(fmt.Sprintf("seed-%d", g)))
+		w.Seeds = append(w.Seeds, kb.ColorFor("seed-"+strconv.Itoa(g)))
 	}
 	body := kb.ColorFor("chain")
 
-	// ids[g][a][d]: node d of chain a in group g.
+	// Node d of chain a in group g is "c<g>.<a>.<d>", created in
+	// depth-major order, so its ID is at(g, a, d).
 	for d := 0; d <= depth; d++ {
 		for g := 0; g < groups; g++ {
 			for a := 0; a < alpha; a++ {
@@ -56,14 +57,11 @@ func Chains(groups, alpha, depth int, seed int64) *Workload {
 				if d == 0 {
 					color = w.Seeds[g]
 				}
-				kb.MustAddNode(fmt.Sprintf("c%d.%d.%d", g, a, d), color)
+				kb.MustAddNode("c"+strconv.Itoa(g)+"."+strconv.Itoa(a)+"."+strconv.Itoa(d), color)
 			}
 		}
 	}
-	at := func(g, a, d int) semnet.NodeID {
-		id, _ := kb.Lookup(fmt.Sprintf("c%d.%d.%d", g, a, d))
-		return id
-	}
+	at := func(g, a, d int) semnet.NodeID { return semnet.NodeID((d*groups+g)*alpha + a) }
 	for g := 0; g < groups; g++ {
 		for a := 0; a < alpha; a++ {
 			for d := 0; d < depth; d++ {
@@ -71,6 +69,7 @@ func Chains(groups, alpha, depth int, seed int64) *Workload {
 			}
 		}
 	}
+	w.KB = kb.KB()
 	return w
 }
 
@@ -99,15 +98,14 @@ func NestedChains(levels []int, depth int, seed int64) (*Workload, error) {
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	kb := semnet.NewKB()
+	kb := semnet.NewBuilder((depth + 1) * total)
 	w := &Workload{
-		KB:    kb,
 		Rel:   kb.Relation("link"),
 		Alpha: total,
 		Depth: depth,
 	}
 	for j := range levels {
-		w.Seeds = append(w.Seeds, kb.ColorFor(fmt.Sprintf("seed-%d", j)))
+		w.Seeds = append(w.Seeds, kb.ColorFor("seed-"+strconv.Itoa(j)))
 	}
 	body := kb.ColorFor("chain")
 
@@ -125,17 +123,16 @@ func NestedChains(levels []int, depth int, seed int64) (*Workload, error) {
 			if d == 0 {
 				color = w.Seeds[levelOf(a)]
 			}
-			kb.MustAddNode(fmt.Sprintf("n%d.%d", a, d), color)
+			kb.MustAddNode("n"+strconv.Itoa(a)+"."+strconv.Itoa(d), color)
 		}
 	}
-	at := func(a, d int) semnet.NodeID {
-		id, _ := kb.Lookup(fmt.Sprintf("n%d.%d", a, d))
-		return id
-	}
+	// Node d of chain a is "n<a>.<d>", created in depth-major order.
+	at := func(a, d int) semnet.NodeID { return semnet.NodeID(d*total + a) }
 	for a := 0; a < total; a++ {
 		for d := 0; d < depth; d++ {
 			kb.MustAddLink(at(a, d), w.Rel, 0.1+rng.Float32()*0.9, at(a, d+1))
 		}
 	}
+	w.KB = kb.KB()
 	return w, nil
 }

@@ -140,29 +140,33 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 	tab := semnet.NewTable(m.cfg.Clusters, m.cfg.NodesPerCluster)
 	clusters := newClusters(&m.cfg, tab)
 	errs := make([]error, m.cfg.Clusters)
-	var wg sync.WaitGroup
-	for ci, c := range clusters {
-		wg.Add(1)
-		go func(ci int, c *cluster) {
-			defer wg.Done()
-			for _, id := range members[ci] {
-				node, err := kb.Node(id)
-				if err != nil {
-					errs[ci] = err
-					return
+	// One read lock covers every download: the per-cluster goroutines
+	// read node records through the view, not one lock pair per node.
+	kb.View(func(v semnet.View) {
+		var wg sync.WaitGroup
+		for ci, c := range clusters {
+			wg.Add(1)
+			go func(ci int, c *cluster) {
+				defer wg.Done()
+				for _, id := range members[ci] {
+					node, err := v.Node(id)
+					if err != nil {
+						errs[ci] = err
+						return
+					}
+					local, err := c.store.AddNode(id, node.Color, node.Fn)
+					if err == nil {
+						err = c.store.SetLinks(local, node.Out)
+					}
+					if err != nil {
+						errs[ci] = fmt.Errorf("cluster %d: %w", ci, err)
+						return
+					}
 				}
-				local, err := c.store.AddNode(id, node.Color, node.Fn)
-				if err == nil {
-					err = c.store.SetLinks(local, node.Out)
-				}
-				if err != nil {
-					errs[ci] = fmt.Errorf("cluster %d: %w", ci, err)
-					return
-				}
-			}
-		}(ci, c)
-	}
-	wg.Wait()
+			}(ci, c)
+		}
+		wg.Wait()
+	})
 	for _, e := range errs {
 		if e != nil {
 			return e

@@ -1,0 +1,140 @@
+package semnet
+
+import (
+	"fmt"
+	"maps"
+	"math"
+)
+
+// Builder constructs a knowledge base that no other goroutine can see
+// yet: the host-side bulk build that precedes the download (kbgen's
+// generator, kbfile's reader). Each method applies the same rule as the
+// KB method of the same name — they share one body — but takes no lock,
+// bumps no atomic and logs no delta record, since the builder is the
+// KB's only reader and writer until KB hands it over. The generation it
+// hands over counts one revision per node, link and function set, as
+// the per-element calls would have.
+type Builder struct {
+	kb  *KB
+	gen uint64
+}
+
+// NewBuilder returns a builder whose node table and name index are sized
+// for nodes nodes: a caller that knows the count pays no regrowth.
+func NewBuilder(nodes int) *Builder { return &Builder{kb: newKB(nodes)} }
+
+// KB hands the built knowledge base over. The builder must not be used
+// afterwards.
+func (b *Builder) KB() *KB {
+	kb := b.kb
+	kb.gen.Store(b.gen)
+	b.kb = nil
+	return kb
+}
+
+// AddNode is KB.AddNode.
+func (b *Builder) AddNode(name string, color Color) (NodeID, error) {
+	id, err := b.kb.addNode(name, color)
+	if err == nil {
+		b.gen++
+	}
+	return id, err
+}
+
+// MustAddNode is KB.MustAddNode.
+func (b *Builder) MustAddNode(name string, color Color) NodeID {
+	id, err := b.AddNode(name, color)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// SetFn is KB.SetFn.
+func (b *Builder) SetFn(id NodeID, fn FuncCode) error {
+	err := b.kb.setFn(id, fn)
+	if err == nil {
+		b.gen++
+	}
+	return err
+}
+
+// AddLink is KB.AddLink.
+func (b *Builder) AddLink(from NodeID, rel RelType, weight float32, to NodeID) error {
+	err := b.kb.addLink(from, Link{Rel: rel, Weight: weight, To: to})
+	if err == nil {
+		b.gen++
+	}
+	return err
+}
+
+// MustAddLink is KB.MustAddLink.
+func (b *Builder) MustAddLink(from NodeID, rel RelType, weight float32, to NodeID) {
+	if err := b.AddLink(from, rel, weight, to); err != nil {
+		panic(err)
+	}
+}
+
+// Lookup is KB.Lookup.
+func (b *Builder) Lookup(name string) (NodeID, bool) {
+	id, ok := b.kb.byName[name]
+	return id, ok
+}
+
+// Node is KB.Node.
+func (b *Builder) Node(id NodeID) (*Node, error) { return b.kb.nodeLocked(id) }
+
+// InternRelation is KB.InternRelation.
+func (b *Builder) InternRelation(name string) (RelType, error) { return b.kb.internRelation(name) }
+
+// InternColor is KB.InternColor.
+func (b *Builder) InternColor(name string) (Color, error) { return b.kb.internColor(name) }
+
+// Relation is KB.Relation.
+func (b *Builder) Relation(name string) RelType { return mustRelation(b.InternRelation(name)) }
+
+// ColorFor is KB.ColorFor.
+func (b *Builder) ColorFor(name string) Color { return mustColor(b.InternColor(name)) }
+
+// Diff reports the first difference between two knowledge bases, or nil
+// when they are equal: node for node the name, color, function, subnode
+// parent and links in order; the name index; the relation and color name
+// tables; the link count; and the generation. It is how a construction
+// path is held to building the same network as another.
+func Diff(a, b *KB) error {
+	if a == b {
+		return nil
+	}
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if len(a.nodes) != len(b.nodes) {
+		return fmt.Errorf("semnet: %d nodes against %d", len(a.nodes), len(b.nodes))
+	}
+	for id := range a.nodes {
+		x, y := &a.nodes[id], &b.nodes[id]
+		if x.Name != y.Name || x.Color != y.Color || x.Fn != y.Fn || x.parent != y.parent || len(x.Out) != len(y.Out) {
+			return fmt.Errorf("semnet: node %d is %+v against %+v", id, *x, *y)
+		}
+		for i, l := range x.Out {
+			m := y.Out[i]
+			if l.Rel != m.Rel || l.To != m.To || math.Float32bits(l.Weight) != math.Float32bits(m.Weight) {
+				return fmt.Errorf("semnet: node %d link %d is %+v against %+v", id, i, l, m)
+			}
+		}
+	}
+	switch {
+	case !maps.Equal(a.byName, b.byName):
+		return fmt.Errorf("semnet: name indexes differ")
+	case a.nextRel != b.nextRel || !maps.Equal(a.relNames, b.relNames) || !maps.Equal(a.relByName, b.relByName):
+		return fmt.Errorf("semnet: relation tables differ")
+	case a.nextColor != b.nextColor || !maps.Equal(a.colorNames, b.colorNames) || !maps.Equal(a.colorByNm, b.colorByNm):
+		return fmt.Errorf("semnet: color tables differ")
+	case a.numLinks != b.numLinks:
+		return fmt.Errorf("semnet: %d links against %d", a.numLinks, b.numLinks)
+	case a.gen.Load() != b.gen.Load():
+		return fmt.Errorf("semnet: generation %d against %d", a.gen.Load(), b.gen.Load())
+	}
+	return nil
+}

@@ -62,9 +62,14 @@ type KB struct {
 func (kb *KB) Generation() uint64 { return kb.gen.Load() }
 
 // NewKB returns an empty knowledge base.
-func NewKB() *KB {
+func NewKB() *KB { return newKB(0) }
+
+// newKB returns an empty knowledge base whose node table and name index
+// hold nodes nodes before they first grow.
+func newKB(nodes int) *KB {
 	return &KB{
-		byName:     make(map[string]NodeID),
+		nodes:      make([]Node, 0, nodes),
+		byName:     make(map[string]NodeID, nodes),
 		relNames:   make(map[RelType]string),
 		relByName:  make(map[string]RelType),
 		colorNames: make(map[Color]string),
@@ -85,15 +90,31 @@ var (
 func (kb *KB) AddNode(name string, color Color) (NodeID, error) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
+	id, err := kb.addNode(name, color)
+	if err != nil {
+		return InvalidNode, err
+	}
+	kb.commit(DeltaRec{Op: DeltaRebuild, Node: id})
+	return id, nil
+}
+
+// addNode is the body of AddNode and Builder.AddNode: the caller holds
+// kb.mu or owns kb alone, and counts the generation.
+func (kb *KB) addNode(name string, color Color) (NodeID, error) {
 	if _, ok := kb.byName[name]; ok {
 		return InvalidNode, fmt.Errorf("%w: %q", ErrDuplicateNode, name)
 	}
 	id := NodeID(len(kb.nodes))
 	kb.nodes = append(kb.nodes, Node{Name: name, Color: color, parent: InvalidNode})
 	kb.byName[name] = id
-	kb.gen.Add(1)
-	kb.record(DeltaRec{Op: DeltaRebuild, Node: id})
 	return id, nil
+}
+
+// commit bumps the generation for one mutation and logs it; the caller
+// holds kb.mu.
+func (kb *KB) commit(rec DeltaRec) {
+	kb.gen.Add(1)
+	kb.record(rec)
 }
 
 // MustAddNode is AddNode for construction code where duplicates are bugs.
@@ -109,12 +130,19 @@ func (kb *KB) MustAddNode(name string, color Color) NodeID {
 func (kb *KB) SetFn(id NodeID, fn FuncCode) error {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
+	if err := kb.setFn(id, fn); err != nil {
+		return err
+	}
+	kb.commit(DeltaRec{Op: DeltaSetFn, Node: id, Fn: fn})
+	return nil
+}
+
+// setFn is the body of SetFn and Builder.SetFn.
+func (kb *KB) setFn(id NodeID, fn FuncCode) error {
 	if int(id) >= len(kb.nodes) {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
 	kb.nodes[id].Fn = fn
-	kb.gen.Add(1)
-	kb.record(DeltaRec{Op: DeltaSetFn, Node: id, Fn: fn})
 	return nil
 }
 
@@ -131,8 +159,7 @@ func (kb *KB) SetColor(id NodeID, c Color) error {
 		return nil
 	}
 	kb.nodes[id].Color = c
-	kb.gen.Add(1)
-	kb.record(DeltaRec{Op: DeltaSetColor, Node: id, Color: c})
+	kb.commit(DeltaRec{Op: DeltaSetColor, Node: id, Color: c})
 	return nil
 }
 
@@ -142,13 +169,21 @@ func (kb *KB) SetColor(id NodeID, c Color) error {
 func (kb *KB) AddLink(from NodeID, rel RelType, weight float32, to NodeID) error {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	if int(from) >= len(kb.nodes) || int(to) >= len(kb.nodes) {
-		return fmt.Errorf("%w: link %d->%d", ErrUnknownNode, from, to)
+	l := Link{Rel: rel, Weight: weight, To: to}
+	if err := kb.addLink(from, l); err != nil {
+		return err
 	}
-	kb.nodes[from].Out = append(kb.nodes[from].Out, Link{Rel: rel, Weight: weight, To: to})
+	kb.commit(DeltaRec{Op: DeltaAddLink, Node: from, Link: l})
+	return nil
+}
+
+// addLink is the body of AddLink and Builder.AddLink.
+func (kb *KB) addLink(from NodeID, l Link) error {
+	if int(from) >= len(kb.nodes) || int(l.To) >= len(kb.nodes) {
+		return fmt.Errorf("%w: link %d->%d", ErrUnknownNode, from, l.To)
+	}
+	kb.nodes[from].Out = append(kb.nodes[from].Out, l)
 	kb.numLinks++
-	kb.gen.Add(1)
-	kb.record(DeltaRec{Op: DeltaAddLink, Node: from, Link: Link{Rel: rel, Weight: weight, To: to}})
 	return nil
 }
 
@@ -174,8 +209,7 @@ func (kb *KB) RemoveLink(from NodeID, rel RelType, to NodeID) bool {
 		if l.Rel == rel && l.To == to {
 			kb.nodes[from].Out = append(out[:i], out[i+1:]...)
 			kb.numLinks--
-			kb.gen.Add(1)
-			kb.record(DeltaRec{Op: DeltaRemoveLink, Node: from, Link: Link{Rel: rel, To: to}})
+			kb.commit(DeltaRec{Op: DeltaRemoveLink, Node: from, Link: Link{Rel: rel, To: to}})
 			return true
 		}
 	}
@@ -196,6 +230,10 @@ func (kb *KB) Lookup(name string) (NodeID, bool) {
 func (kb *KB) Node(id NodeID) (*Node, error) {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
+	return kb.nodeLocked(id)
+}
+
+func (kb *KB) nodeLocked(id NodeID) (*Node, error) {
 	if int(id) >= len(kb.nodes) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
@@ -263,8 +301,10 @@ func (kb *KB) NumLinks() int {
 // It panics when the type space is exhausted: construction code, where
 // that is a bug. Code resolving names it did not choose uses
 // LookupRelation or InternRelation.
-func (kb *KB) Relation(name string) RelType {
-	r, err := kb.InternRelation(name)
+func (kb *KB) Relation(name string) RelType { return mustRelation(kb.InternRelation(name)) }
+
+// mustRelation is the panic of Relation and Builder.Relation.
+func mustRelation(r RelType, err error) RelType {
 	if err != nil {
 		panic("semnet: relation type space exhausted")
 	}
@@ -276,6 +316,11 @@ func (kb *KB) Relation(name string) RelType {
 func (kb *KB) InternRelation(name string) (RelType, error) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
+	return kb.internRelation(name)
+}
+
+// internRelation is the body of InternRelation and Builder.InternRelation.
+func (kb *KB) internRelation(name string) (RelType, error) {
 	if r, ok := kb.relByName[name]; ok {
 		return r, nil
 	}
@@ -317,8 +362,10 @@ func (kb *KB) relationNameLocked(r RelType) string {
 // ColorFor interns a color name, assigning the next free color. Like
 // Relation it panics when the space is exhausted; see LookupColor and
 // InternColor.
-func (kb *KB) ColorFor(name string) Color {
-	c, err := kb.InternColor(name)
+func (kb *KB) ColorFor(name string) Color { return mustColor(kb.InternColor(name)) }
+
+// mustColor is the panic of ColorFor and Builder.ColorFor.
+func mustColor(c Color, err error) Color {
 	if err != nil {
 		panic("semnet: color space exhausted")
 	}
@@ -330,6 +377,11 @@ func (kb *KB) ColorFor(name string) Color {
 func (kb *KB) InternColor(name string) (Color, error) {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
+	return kb.internColor(name)
+}
+
+// internColor is the body of InternColor and Builder.InternColor.
+func (kb *KB) internColor(name string) (Color, error) {
 	if c, ok := kb.colorByNm[name]; ok {
 		return c, nil
 	}
@@ -381,6 +433,9 @@ func (kb *KB) View(fn func(View)) {
 	fn(View{kb})
 }
 
+// Node is KB.Node.
+func (v View) Node(id NodeID) (*Node, error) { return v.kb.nodeLocked(id) }
+
 // CanonicalName is Name(Canonical(id)).
 func (v View) CanonicalName(id NodeID) string {
 	return v.kb.nameLocked(v.kb.canonicalLocked(id))
@@ -424,6 +479,17 @@ func (kb *KB) Preprocess() {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
 	before := len(kb.nodes)
+	// Make room for every subnode at once: a node table sized exactly
+	// for the concepts would otherwise regrow by a quarter.
+	extra := 0
+	for i := range kb.nodes {
+		extra += subnodesFor(len(kb.nodes[i].Out))
+	}
+	if extra > cap(kb.nodes)-before {
+		grown := make([]Node, before, before+extra)
+		copy(grown, kb.nodes)
+		kb.nodes = grown
+	}
 	for id := 0; id < len(kb.nodes); id++ {
 		// Appended subnodes extend the loop range and are re-checked;
 		// a node whose continuation fanout still exceeds the budget is
@@ -461,9 +527,20 @@ func (kb *KB) Preprocess() {
 		}
 	}
 	if len(kb.nodes) != before {
-		kb.gen.Add(1)
-		kb.record(DeltaRec{Op: DeltaRebuild})
+		kb.commit(DeltaRec{Op: DeltaRebuild})
 	}
+}
+
+// subnodesFor is the number of continuation subnodes Preprocess splits a
+// node of fanout f into: a bank per RelationSlots links, and banks for
+// the continuation links while those still exceed the slots.
+func subnodesFor(f int) int {
+	n := 0
+	for f > RelationSlots {
+		f = (f + RelationSlots - 1) / RelationSlots
+		n += f
+	}
+	return n
 }
 
 // Validate checks structural invariants: link targets exist, colors and

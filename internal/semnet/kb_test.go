@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -227,5 +228,34 @@ func TestPreprocessRandomGraphs(t *testing.T) {
 		if real != links {
 			t.Fatalf("trial %d: %d real links after preprocess, want %d", trial, real, links)
 		}
+	}
+}
+
+// Preprocess makes room for all its subnodes at once: a table built to
+// the exact node count grows once, to exactly the count it ends with,
+// however deep the continuation trees (4 097 links split three levels).
+func TestPreprocessGrowsTheTableOnce(t *testing.T) {
+	fanouts := []int{0, 16, 17, 255, 256, 257, 4097}
+	b := NewBuilder(len(fanouts))
+	rel := b.Relation("r")
+	for i := range fanouts {
+		b.MustAddNode("n"+strconv.Itoa(i), 0)
+	}
+	for i, f := range fanouts {
+		for j := 0; j < f; j++ {
+			b.MustAddLink(NodeID(i), rel, 1, NodeID(j%len(fanouts)))
+		}
+	}
+	kb := b.KB()
+	want := len(fanouts)
+	for _, f := range fanouts {
+		want += subnodesFor(f)
+	}
+	kb.Preprocess()
+	if err := kb.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(kb.nodes) != want || cap(kb.nodes) != want {
+		t.Fatalf("%d nodes in a table of %d after Preprocess, want %d in %d", len(kb.nodes), cap(kb.nodes), want, want)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"snap1/internal/fault"
 	"snap1/internal/isa"
@@ -187,7 +186,7 @@ func TestBatchRecoversFromInjectedFaults(t *testing.T) {
 			}}
 			e := resilientEngine(t, g, plan,
 				WithReplicas(2),
-				WithRetryPolicy(RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}),
+				WithRetryPolicy(RetryPolicy{MaxAttempts: 6}),
 			)
 			want := sequentialReference(t, e, srcs)
 			for i, got := range door.batch(t, e) {

@@ -109,16 +109,14 @@ type Config struct {
 	Monitor *perfmon.Collector
 	// QueryTimeout bounds each execution attempt (the wait for a replica
 	// plus the run). An attempt that exceeds it fails with
-	// context.DeadlineExceeded, feeds replica health tracking, and is
-	// retried under Retry while the caller's context allows. 0 disables
+	// context.DeadlineExceeded, counts toward its replica's quarantine
+	// (health.go), and is retried under Retry while the caller's context
+	// allows. It also bounds a quarantined replica's probe. 0 disables
 	// per-attempt deadlines.
 	QueryTimeout time.Duration
 	// Retry bounds re-execution of retryable failures: runs poisoned by
 	// injected faults and per-attempt timeouts (see RetryPolicy).
 	Retry RetryPolicy
-	// Health governs replica quarantine and reintegration (see
-	// HealthPolicy).
-	Health HealthPolicy
 	// FaultPlan, when non-nil, arms deterministic fault injection on
 	// every replica, seeded per replica rank (soak testing).
 	FaultPlan *fault.Plan
@@ -149,7 +147,6 @@ func (c Config) Validate() error {
 		errs = append(errs, fmt.Errorf("QueryTimeout must be >= 0, got %v", c.QueryTimeout))
 	}
 	errs = append(errs, c.Retry.validate()...)
-	errs = append(errs, c.Health.validate()...)
 	if c.Machine.Clusters != 0 {
 		if err := c.Machine.Validate(); err != nil {
 			errs = append(errs, err)
@@ -227,11 +224,6 @@ func WithQueryTimeout(d time.Duration) Option {
 // WithRetryPolicy sets the retry budget for retryable query failures.
 func WithRetryPolicy(p RetryPolicy) Option {
 	return func(c *Config) { c.Retry = p }
-}
-
-// WithHealthPolicy sets the replica quarantine/reintegration policy.
-func WithHealthPolicy(p HealthPolicy) Option {
-	return func(c *Config) { c.Health = p }
 }
 
 // WithFaultPlan arms deterministic fault injection on every replica.
@@ -328,12 +320,13 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		cfg.Machine = machine.PaperConfig()
 	}
 	cfg.Machine.Deterministic = true
-	cfg.Retry = cfg.Retry.normalized()
-	cfg.Health = cfg.Health.normalized(cfg.QueryTimeout)
+	if cfg.Retry.MaxAttempts == 0 {
+		cfg.Retry.MaxAttempts = 3
+	}
 	if cfg.Writes {
 		// Start recording mutations before anything loads, so every
 		// replica's bring-up generation is above the log's floor.
-		kb.EnableDeltaLog(0)
+		kb.EnableDeltaLog()
 	}
 	kb.Preprocess()
 	if need := (kb.NumNodes() + cfg.Machine.Clusters - 1) / cfg.Machine.Clusters; need > cfg.Machine.NodesPerCluster {
@@ -566,7 +559,7 @@ func (e *Engine) runSet(ctx context.Context, set []*query) {
 		}
 		if attempt > 0 {
 			var err error
-			t := time.NewTimer(e.cfg.Retry.backoff(attempt, set[0].h))
+			t := time.NewTimer(backoff(attempt, set[0].h))
 			select {
 			case <-t.C:
 			case <-ctx.Done():

@@ -533,7 +533,7 @@ func TestStatsAccountEveryRequestOnce(t *testing.T) {
 		g := fig15KB(t, 200)
 		e := resilientEngine(t, g, &fault.Plan{Seed: 42, Rules: []fault.Rule{{Site: "icn-drop", Rate: 1, Count: 1}}},
 			WithReplicas(2),
-			WithRetryPolicy(RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}))
+			WithRetryPolicy(RetryPolicy{MaxAttempts: 6}))
 		var srcs []string
 		for _, c := range queryConcepts(g, 4) {
 			srcs = append(srcs, inheritanceQuery(g, c))

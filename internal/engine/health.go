@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -10,65 +9,18 @@ import (
 	"snap1/internal/perfmon"
 )
 
-// HealthPolicy governs replica quarantine and reintegration: a replica
-// whose queries time out FailureThreshold times in a row leaves the
-// replica pool for a prober, which runs an empty program on it every
-// ProbeInterval and returns it to the pool after ProbeSuccesses
-// consecutive passes. The zero value of any field selects its default.
-type HealthPolicy struct {
-	// FailureThreshold is the consecutive-timeout count that
-	// quarantines a replica (default 3); negative disables quarantine.
-	FailureThreshold int
-	// ProbeInterval is how often a quarantined replica is probed
-	// (default 100ms).
-	ProbeInterval time.Duration
-	// ProbeSuccesses is the consecutive probe passes that restore a
-	// quarantined replica (default 2).
-	ProbeSuccesses int
-	// ProbeTimeout bounds one probe run (default QueryTimeout, or
-	// 250ms when no query timeout is configured).
-	ProbeTimeout time.Duration
-}
-
-// DefaultHealthPolicy returns the defaults quarantine operates under.
-func DefaultHealthPolicy() HealthPolicy {
-	return HealthPolicy{FailureThreshold: 3, ProbeInterval: 100 * time.Millisecond, ProbeSuccesses: 2, ProbeTimeout: 250 * time.Millisecond}
-}
-
-func (p HealthPolicy) normalized(queryTimeout time.Duration) HealthPolicy {
-	d := DefaultHealthPolicy()
-	if p.FailureThreshold == 0 {
-		p.FailureThreshold = d.FailureThreshold
-	}
-	if p.ProbeInterval == 0 {
-		p.ProbeInterval = d.ProbeInterval
-	}
-	if p.ProbeSuccesses == 0 {
-		p.ProbeSuccesses = d.ProbeSuccesses
-	}
-	if p.ProbeTimeout == 0 {
-		if queryTimeout > 0 {
-			p.ProbeTimeout = queryTimeout
-		} else {
-			p.ProbeTimeout = d.ProbeTimeout
-		}
-	}
-	return p
-}
-
-func (p HealthPolicy) validate() []error {
-	var errs []error
-	if p.ProbeInterval < 0 {
-		errs = append(errs, fmt.Errorf("Health.ProbeInterval must be >= 0, got %v", p.ProbeInterval))
-	}
-	if p.ProbeSuccesses < 0 {
-		errs = append(errs, fmt.Errorf("Health.ProbeSuccesses must be >= 0, got %d", p.ProbeSuccesses))
-	}
-	if p.ProbeTimeout < 0 {
-		errs = append(errs, fmt.Errorf("Health.ProbeTimeout must be >= 0, got %v", p.ProbeTimeout))
-	}
-	return errs
-}
+// Quarantine and reintegration run on fixed values: a replica whose
+// runs blow the engine's per-attempt deadline (QueryTimeout)
+// quarantineAfter times in a row leaves the replica pool for a prober,
+// which runs an empty program on it every probeInterval, each probe
+// bounded by QueryTimeout (probeTimeout without one), and returns it to
+// the pool after restoreAfter consecutive passes.
+const (
+	quarantineAfter = 3
+	probeInterval   = 100 * time.Millisecond
+	restoreAfter    = 2
+	probeTimeout    = 250 * time.Millisecond
+)
 
 // replicaHealth is one replica's failure-tracking state.
 type replicaHealth struct {
@@ -89,14 +41,11 @@ func (h *replicaHealth) isQuarantined() bool {
 // deadline (QueryTimeout) on replica rank and quarantines it at the
 // failure threshold.
 func (e *Engine) noteTimeout(rank int) {
-	if e.cfg.Health.FailureThreshold < 0 {
-		return
-	}
 	h := e.health[rank]
 	h.mu.Lock()
 	h.consecTimeouts++
 	n := h.consecTimeouts
-	fire := n >= e.cfg.Health.FailureThreshold && !h.quarantined
+	fire := n >= quarantineAfter && !h.quarantined
 	if fire {
 		h.quarantined = true
 		h.quarantines++
@@ -123,7 +72,7 @@ func (e *Engine) noteSuccess(rank int) {
 var probeProgram = isa.NewProgram()
 
 // probeQuarantined owns quarantined replica rank, withdrawn from the pool:
-// it probes the replica every ProbeInterval and, after the policy's
+// it probes the replica every probeInterval and, after restoreAfter
 // consecutive passes, restores it to the pool. It gives up when the
 // engine closes, a probe in progress with it: a probe runs under the
 // engine's life, so a replica that wedges on it holds Close up for no
@@ -131,8 +80,11 @@ var probeProgram = isa.NewProgram()
 func (e *Engine) probeQuarantined(rank int) {
 	defer e.wg.Done()
 	m := e.machines[rank]
-	hp := e.cfg.Health
-	ticker := time.NewTicker(hp.ProbeInterval)
+	timeout := e.cfg.QueryTimeout
+	if timeout == 0 {
+		timeout = probeTimeout
+	}
+	ticker := time.NewTicker(probeInterval)
 	defer ticker.Stop()
 	streak := 0
 	for {
@@ -141,14 +93,14 @@ func (e *Engine) probeQuarantined(rank int) {
 			return
 		case <-ticker.C:
 		}
-		ctx, cancel := context.WithTimeout(e.life, hp.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(e.life, timeout)
 		_, err := m.RunContext(ctx, probeProgram)
 		cancel()
 		if err != nil {
 			streak = 0
 			continue
 		}
-		if streak++; streak < hp.ProbeSuccesses {
+		if streak++; streak < restoreAfter {
 			continue
 		}
 		h := e.health[rank]

@@ -49,7 +49,6 @@ func TestNewReportsAllInvalidOptions(t *testing.T) {
 		WithQueueCap(-1),
 		WithQueryTimeout(-time.Second),
 		WithRetryPolicy(RetryPolicy{MaxAttempts: -3}),
-		WithHealthPolicy(HealthPolicy{ProbeInterval: -time.Millisecond}),
 	)
 	if err == nil {
 		t.Fatal("New accepted an invalid configuration")
@@ -57,7 +56,7 @@ func TestNewReportsAllInvalidOptions(t *testing.T) {
 	for _, frag := range []string{
 		"engine: invalid configuration",
 		"Replicas", "QueueCap", "QueryTimeout",
-		"Retry.MaxAttempts", "Health.ProbeInterval",
+		"Retry.MaxAttempts",
 	} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("error %q does not mention %q", err, frag)
@@ -92,7 +91,7 @@ func TestRetryRecoversFromInjectedFaults(t *testing.T) {
 	}}
 	e := resilientEngine(t, g, plan,
 		WithReplicas(2),
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 6, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}),
+		WithRetryPolicy(RetryPolicy{MaxAttempts: 6}),
 	)
 	src := inheritanceQuery(g, queryConcepts(g, 1)[0])
 	want := sequentialReference(t, e, []string{src})[src]
@@ -124,7 +123,7 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 	}}
 	e := resilientEngine(t, g, plan,
 		WithReplicas(2),
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}),
+		WithRetryPolicy(RetryPolicy{MaxAttempts: 3}),
 	)
 	src := inheritanceQuery(g, queryConcepts(g, 1)[0])
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -143,14 +142,14 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 }
 
 // TestQuarantineAndReintegration walks the full replica lifecycle:
-// replica 0 wedges its first runs (bounded budget), times out, is
-// quarantined at the first failure, serves degraded from replica 1,
-// and is probed back into the ring once the wedge budget is spent.
+// replica 0 wedges its first three runs (bounded budget), times out on
+// each, is quarantined at the third, serves degraded from replica 1, and
+// is probed back into the ring once the wedge budget is spent.
 func TestQuarantineAndReintegration(t *testing.T) {
 	g := fig15KB(t, 200)
 	zero := 0
 	plan := &fault.Plan{Seed: 3, Rules: []fault.Rule{
-		{Site: "machine-wedge", Rate: 1, Count: 2, Replica: &zero},
+		{Site: "machine-wedge", Rate: 1, Count: 3, Replica: &zero},
 	}}
 	e := resilientEngine(t, g, plan,
 		WithReplicas(2),
@@ -158,8 +157,10 @@ func TestQuarantineAndReintegration(t *testing.T) {
 		// replica 0 is guaranteed to pick up a run eventually.
 		WithResultCache(-1),
 		WithQueryTimeout(50*time.Millisecond),
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}),
-		WithHealthPolicy(HealthPolicy{FailureThreshold: 1, ProbeInterval: 20 * time.Millisecond, ProbeSuccesses: 1, ProbeTimeout: 100 * time.Millisecond}),
+		// Three attempts time out on replica 0 — a lone submitter gets
+		// back the replica it released last — and the fourth runs on
+		// replica 1.
+		WithRetryPolicy(RetryPolicy{MaxAttempts: 4}),
 	)
 	srcs := make([]string, 0, 8)
 	for _, c := range queryConcepts(g, 8) {
@@ -188,8 +189,8 @@ func TestQuarantineAndReintegration(t *testing.T) {
 		t.Fatalf("degraded engine failed a query: %v", err)
 	}
 
-	// The wedge budget (2) is consumed by the query run plus at most one
-	// probe; the next probe passes and restores the replica.
+	// The wedge budget (3) is spent by the runs that quarantined the
+	// replica; the next two probes pass and restore it.
 	for e.Stats().Restores == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("replica 0 never restored")
@@ -271,10 +272,9 @@ func TestFaultSoak(t *testing.T) {
 		// No result cache: all rounds hit real hardware under the plan.
 		WithResultCache(-1),
 		WithQueryTimeout(500*time.Millisecond),
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond}),
-		// Probe interval beyond the test horizon: the wedged replica
-		// must still be quarantined when we read /v1/health state.
-		WithHealthPolicy(HealthPolicy{FailureThreshold: 1, ProbeInterval: time.Hour, ProbeSuccesses: 1}),
+		// Every probe of the wedged replica wedges too, so it is still
+		// quarantined when we read /v1/health state.
+		WithRetryPolicy(RetryPolicy{MaxAttempts: 8}),
 	)
 	srcs := make([]string, 0, 16)
 	for _, c := range queryConcepts(g, 16) {
@@ -347,9 +347,9 @@ func TestFaultSoak(t *testing.T) {
 
 // wedgedEngine is a two-replica engine whose replica 0 — the first the
 // pool hands out — wedges every run and every probe until its deadline,
-// quarantined at its first timeout, probed under probe. No result cache:
+// queryTimeout, and is quarantined at its third timeout. No result cache:
 // every submission reaches a replica.
-func wedgedEngine(t *testing.T, g *kbgen.Generated, probe HealthPolicy) *Engine {
+func wedgedEngine(t *testing.T, g *kbgen.Generated, queryTimeout time.Duration) *Engine {
 	t.Helper()
 	zero := 0
 	e, err := New(g.KB,
@@ -357,9 +357,8 @@ func wedgedEngine(t *testing.T, g *kbgen.Generated, probe HealthPolicy) *Engine 
 		WithFaultPlan(&fault.Plan{Seed: 3, Rules: []fault.Rule{{Site: "machine-wedge", Rate: 1, Replica: &zero}}}),
 		WithReplicas(2),
 		WithResultCache(-1),
-		WithQueryTimeout(50*time.Millisecond),
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}),
-		WithHealthPolicy(probe),
+		WithQueryTimeout(queryTimeout),
+		WithRetryPolicy(RetryPolicy{MaxAttempts: 4}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +367,7 @@ func wedgedEngine(t *testing.T, g *kbgen.Generated, probe HealthPolicy) *Engine 
 }
 
 // quarantineReplica0 submits distinct queries until replica 0 has been
-// quarantined; each is answered by replica 1 after a retry.
+// quarantined; each is answered by replica 1 after its retries.
 func quarantineReplica0(t *testing.T, e *Engine, g *kbgen.Generated) {
 	t.Helper()
 	concepts := queryConcepts(g, 8)
@@ -385,14 +384,15 @@ func quarantineReplica0(t *testing.T, e *Engine, g *kbgen.Generated) {
 
 // TestCloseDoesNotWaitOutAWedgedProbe: a probe runs under the engine's
 // life, so Close cancels a probe that a wedged replica holds instead of
-// waiting out its ProbeTimeout — snapd's SIGTERM path, where the probe
-// timeout defaults to the 10 s query timeout.
+// waiting out its timeout, QueryTimeout — snapd's SIGTERM path, where
+// that is the 10 s query timeout. Here it is 1 s, so a Close that waited
+// would return about 1.1 s after the quarantine.
 func TestCloseDoesNotWaitOutAWedgedProbe(t *testing.T) {
 	g := fig15KB(t, 200)
-	e := wedgedEngine(t, g, HealthPolicy{FailureThreshold: 1, ProbeInterval: 10 * time.Millisecond, ProbeSuccesses: 1, ProbeTimeout: 5 * time.Second})
+	e := wedgedEngine(t, g, time.Second)
 	quarantineReplica0(t, e, g)
 	quarantined := time.Now()
-	time.Sleep(50 * time.Millisecond) // the first probe is wedged by now
+	time.Sleep(150 * time.Millisecond) // the first probe is wedged by now
 	e.Close()
 	if d := time.Since(quarantined); d > 500*time.Millisecond {
 		t.Errorf("Close returned %v after the quarantine, want within 500ms", d)
@@ -404,7 +404,7 @@ func TestCloseDoesNotWaitOutAWedgedProbe(t *testing.T) {
 // out with its prober, cannot.
 func TestIdleReplicasLeaveOutQuarantined(t *testing.T) {
 	g := fig15KB(t, 200)
-	e := wedgedEngine(t, g, HealthPolicy{FailureThreshold: 1, ProbeInterval: time.Hour, ProbeSuccesses: 1})
+	e := wedgedEngine(t, g, 50*time.Millisecond)
 	defer e.Close()
 	quarantineReplica0(t, e, g)
 	if st := e.Stats(); st.IdleReplicas != 1 || st.HealthyReplicas != 1 {

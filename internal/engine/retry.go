@@ -11,69 +11,37 @@ import (
 )
 
 // RetryPolicy bounds re-execution of retryable query failures: runs
-// poisoned by injected faults and per-attempt timeouts. The zero value
-// of any field selects its default.
+// poisoned by injected faults and per-attempt timeouts. A retry waits
+// out an exponential back-off from baseBackoff, capped at maxBackoff.
 type RetryPolicy struct {
 	// MaxAttempts is the total execution attempts per query, the first
-	// included; 1 disables retries (default 3).
+	// included; 1 disables retries (0 selects 3).
 	MaxAttempts int
-	// BaseBackoff is the pause before the first retry; each further
-	// retry doubles it (default 2ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 100ms).
-	MaxBackoff time.Duration
 }
 
-// DefaultRetryPolicy returns the defaults Submit retries under.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
-}
-
-func (p RetryPolicy) normalized() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.BaseBackoff == 0 {
-		p.BaseBackoff = d.BaseBackoff
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = d.MaxBackoff
-	}
-	return p
-}
+const (
+	baseBackoff = 2 * time.Millisecond
+	maxBackoff  = 100 * time.Millisecond
+)
 
 func (p RetryPolicy) validate() []error {
-	var errs []error
 	if p.MaxAttempts < 0 {
-		errs = append(errs, fmt.Errorf("Retry.MaxAttempts must be >= 0, got %d", p.MaxAttempts))
+		return []error{fmt.Errorf("Retry.MaxAttempts must be >= 0, got %d", p.MaxAttempts)}
 	}
-	if p.BaseBackoff < 0 {
-		errs = append(errs, fmt.Errorf("Retry.BaseBackoff must be >= 0, got %v", p.BaseBackoff))
-	}
-	if p.MaxBackoff < 0 {
-		errs = append(errs, fmt.Errorf("Retry.MaxBackoff must be >= 0, got %v", p.MaxBackoff))
-	}
-	return errs
+	return nil
 }
 
 // backoff returns the pause before retry attempt (attempt >= 1):
-// exponential from BaseBackoff, capped at MaxBackoff, with ±25%
+// exponential from baseBackoff, capped at maxBackoff, with ±25%
 // deterministic jitter derived from the query hash and attempt number —
 // reproducible runs, but collapsed retries of distinct queries still
 // decorrelate.
-func (p RetryPolicy) backoff(attempt int, h uint64) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < attempt; i++ {
+func backoff(attempt int, h uint64) time.Duration {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
-		if d >= p.MaxBackoff || d <= 0 {
-			d = p.MaxBackoff
-			break
-		}
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
+	d = min(d, maxBackoff)
 	x := h ^ uint64(attempt)*0x9e3779b97f4a7c15
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd

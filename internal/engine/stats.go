@@ -112,8 +112,9 @@ type Stats struct {
 	// programs committed and failed; epoch publishes, one per write that
 	// moved the KB generation; incremental replica delta
 	// applications and the delta records they replayed; and replica
-	// syncs that had to fall back to a full KB re-download (truncated
-	// delta log or a non-replayable record). KBGeneration is the
+	// syncs that had to fall back to taking the writer's tables
+	// (truncated delta log or a non-replayable record), which never
+	// partitions the network again. KBGeneration is the
 	// currently published KB generation every new read observes.
 	Writes        uint64 `json:"writes"`
 	WriteFailures uint64 `json:"write_failures"`

@@ -28,10 +28,10 @@ import (
 // Reads never block on writes: admission reads the published epoch
 // (pubGen) with one atomic load, and each serving replica patches its
 // cluster tables forward by replaying the delta log before its next run
-// (syncReplica) — cost proportional to the delta, with full
-// re-download only as the truncation/rebuild fallback. A write returns
-// after its publish, so a caller whose write returned is guaranteed
-// read-your-writes on every subsequently admitted query.
+// (syncReplica) — cost proportional to the delta, with the writer's own
+// tables, shared copy-on-write, as the truncation/rebuild fallback. A
+// write returns after its publish, so a caller whose write returned is
+// guaranteed read-your-writes on every subsequently admitted query.
 
 // Write-path sentinel errors.
 var (
@@ -146,8 +146,11 @@ func classifyWriteErr(err error) error {
 // published epoch before it runs a query: replay the KB's delta records
 // in place — O(delta), partition-routed, marker state untouched — or,
 // when the log was truncated or carries a non-replayable rebuild
-// record, fall back to a full LoadKB re-download under the write lock
-// (the one sync path that must see a quiescent master KB).
+// record, fall back to taking the writer's tables under the write lock
+// (the one sync path that must see a quiescent writer). The fallback
+// never partitions the network again: the paper's mapping function
+// places it once, at download, and a replica on another partition would
+// answer with other virtual times than its siblings.
 func (e *Engine) syncReplica(rank int, m *machine.Machine) {
 	if e.writer == nil {
 		return
@@ -171,12 +174,12 @@ func (e *Engine) syncReplica(rank int, m *machine.Machine) {
 				e.emit(rank, perfmon.EvKBDeltaApplied, uint32(len(recs)), 0)
 				return
 			}
-			// Partial patch: the full re-download below rebuilds every
-			// table from the master KB, erasing any half-applied state.
+			// Partial patch: taking the writer's tables below replaces
+			// every table, erasing any half-applied state.
 		}
 	}
 	e.writeMu.Lock()
-	err := m.LoadKB(e.kb)
+	err := m.AdoptTopology(e.writer)
 	e.writeMu.Unlock()
 	if err != nil {
 		// Keep serving the stale snapshot; the next boundary retries.

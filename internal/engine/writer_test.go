@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"snap1/internal/isa"
+	"snap1/internal/kbgen"
 	"snap1/internal/machine"
 	"snap1/internal/rules"
 	"snap1/internal/semnet"
@@ -446,5 +447,121 @@ func TestReadWriteSoak(t *testing.T) {
 	}
 	if st.FullReloads != 0 {
 		t.Errorf("%d full reloads during a replayable-only soak, want 0", st.FullReloads)
+	}
+}
+
+// TestFullReloadKeepsTheWritersPartition: a replica that has fallen below
+// the delta log's floor takes the writer's tables, and the paper's
+// mapping function partitions the network once, at download. Partitioning
+// it again after a write moves nodes to other clusters, and the replica
+// then answers with other virtual times than its siblings.
+func TestFullReloadKeepsTheWritersPartition(t *testing.T) {
+	g, err := kbgen.Generate(kbgen.Params{Nodes: 12000, Seed: 42, WithDomain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb := g.KB
+	e, err := New(kb, WithReplicas(2), WithWrites(true), WithResultCache(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// One link from the first node with a free slot to the last node, then
+	// enough colour toggles on that node to drop the link's record.
+	last := semnet.NodeID(kb.NumNodes() - 1)
+	src := semnet.NodeID(0)
+	for ; ; src++ {
+		n, err := kb.Node(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(n.Out) < semnet.RelationSlots {
+			break
+		}
+	}
+	ctx := context.Background()
+	if _, err := e.SubmitWrite(ctx, isa.NewProgram().Create(src, g.Rel.IsA, 1, last)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := kb.Node(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	colors := [2]semnet.Color{g.Col.Aux, n.Color}
+	if colors[0] == colors[1] {
+		colors[0] = g.Col.Word
+	}
+	toggles := isa.NewProgram()
+	for i := 0; i < semnet.DefaultDeltaLogCap+2; i++ {
+		toggles.SetColor(src, colors[i%2])
+	}
+	if _, err := e.SubmitWrite(ctx, toggles); err != nil {
+		t.Fatal(err)
+	}
+
+	m := e.machines[1]
+	if _, ok := kb.DeltaRange(m.KBGeneration(), e.pubGen.Load()); ok {
+		t.Fatal("replica 1 is still above the delta log's floor")
+	}
+	e.syncReplica(1, m)
+	if st := e.Stats(); st.FullReloads != 1 {
+		t.Errorf("full reloads = %d, want 1", st.FullReloads)
+	}
+	moved := 0
+	for id := 0; id < kb.NumNodes(); id++ {
+		if m.ClusterOf(semnet.NodeID(id)) != e.writer.ClusterOf(semnet.NodeID(id)) {
+			moved++
+		}
+	}
+	if moved != 0 {
+		t.Errorf("after the reload %d of %d nodes sit on another cluster than on the writer", moved, kb.NumNodes())
+	}
+	for _, q := range []struct {
+		color semnet.Color
+		rel   semnet.RelType
+	}{{g.Col.Root, g.Rel.Elem}, {g.Col.Aux, g.Rel.AuxOf}} {
+		p := isa.NewProgram()
+		p.SearchColor(q.color, 1, 0)
+		p.Propagate(1, 2, rules.Path(q.rel), semnet.FuncAdd)
+		p.Barrier()
+		p.CollectNode(2)
+		var got [2]*machine.Result
+		for i, r := range []*machine.Machine{e.writer, m} {
+			r.ClearMarkers()
+			if got[i], err = r.Run(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got[0].Time != got[1].Time || fmt.Sprint(got[0].Collections) != fmt.Sprint(got[1].Collections) {
+			t.Errorf("search-color %d, path(%d): the writer runs %v, the reloaded replica %v", q.color, q.rel, got[0].Time, got[1].Time)
+		}
+	}
+
+	// Replica 0 is still below the floor: reads on both replicas beside
+	// writes take the writer's tables only while no write runs.
+	read := ancestryProg(kb, src)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if _, err := e.Submit(ctx, read); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := e.SubmitWrite(ctx, isa.NewProgram().SetColor(src, colors[i%2])); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	wg.Wait()
+	if st := e.Stats(); st.FullReloads < 2 {
+		t.Errorf("full reloads = %d, want replica 0's too", st.FullReloads)
 	}
 }

@@ -28,7 +28,8 @@ func (m *Machine) KBGeneration() uint64 { return m.kbGen }
 // A non-replayable record (semnet.ErrDeltaUnsupported: node creation or
 // a preprocessor reshape moved the partition assignment) or a routing
 // failure returns an error with the tables possibly partially patched;
-// the caller must recover with a full LoadKB re-download.
+// the caller must recover with whole tables: a full LoadKB re-download,
+// or AdoptTopology of a machine that kept the same partition.
 func (m *Machine) ApplyDelta(recs []semnet.DeltaRec, to uint64) error {
 	if m.kb == nil {
 		return ErrNoKB

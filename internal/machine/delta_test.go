@@ -135,7 +135,7 @@ func TestApplyDeltaMatchesReload(t *testing.T) {
 	kb, ids, rel := deltaTestKB(t)
 	patched := deltaTestMachine(t, kb)
 	defer patched.Close()
-	kb.EnableDeltaLog(0)
+	kb.EnableDeltaLog()
 
 	for round := 0; round < 3; round++ {
 		from := patched.KBGeneration()
@@ -175,7 +175,7 @@ func TestApplyDeltaErrors(t *testing.T) {
 	kb, ids, _ := deltaTestKB(t)
 	m := deltaTestMachine(t, kb)
 	defer m.Close()
-	kb.EnableDeltaLog(0)
+	kb.EnableDeltaLog()
 	from := m.KBGeneration()
 
 	// No KB loaded at all.
@@ -231,7 +231,7 @@ func FuzzDeltaApply(f *testing.F) {
 		kb, ids, rel := deltaTestKB(t)
 		patched := deltaTestMachine(t, kb)
 		defer patched.Close()
-		kb.EnableDeltaLog(0)
+		kb.EnableDeltaLog()
 		from := patched.KBGeneration()
 
 		// Decode: each byte is one mutation. Top two bits pick the op,

@@ -186,35 +186,45 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 // to stop again.
 func (m *Machine) Close() {}
 
-// Clone returns a replica of the machine sharing the loaded knowledge
-// base, partition assignment, and local index tables, with entirely
-// fresh marker state. The preprocessing and partitioning work of LoadKB
-// is not repeated, and the cluster node/relation tables are shared
-// copy-on-write (semnet.Table.CloneTopologyShared): cloning allocates
-// only marker state — one status slab — so a query-serving pool can
-// stamp out replicas in O(markers) per replica. The clone runs
-// independently — the first topology mutation on either side
-// materializes a private table copy, so nothing semantically mutable is
-// shared.
+// Clone returns a replica of the machine sharing its loaded topology
+// (see AdoptTopology), with entirely fresh marker state: a query-serving
+// pool stamps out replicas in O(markers) per replica.
 func (m *Machine) Clone() (*Machine, error) {
-	if m.kb == nil {
-		return nil, ErrNoKB
-	}
 	r := &Machine{
-		cfg:      m.cfg,
-		cost:     m.cost,
-		kb:       m.kb,
-		assign:   m.assign,
-		localIdx: m.localIdx,
-		kbGen:    m.kbGen,
-		net:      icn.New(m.cfg.Clusters, m.cfg.MailboxCap),
-		bar:      barrier.New(m.cfg.Clusters),
-		ctrl:     timing.NewClock(timing.ControllerClock),
-		dirty:    allDirty(),
+		cfg:  m.cfg,
+		cost: m.cost,
+		net:  icn.New(m.cfg.Clusters, m.cfg.MailboxCap),
+		bar:  barrier.New(m.cfg.Clusters),
+		ctrl: timing.NewClock(timing.ControllerClock),
 	}
-	r.tab = m.tab.CloneTopologyShared()
-	r.clusters = newClusters(&m.cfg, r.tab)
+	if err := r.AdoptTopology(m); err != nil {
+		return nil, err
+	}
 	return r, nil
+}
+
+// AdoptTopology makes m's loaded network src's, at src's KB generation:
+// the knowledge base, partition assignment and local index tables, with
+// the cluster node/relation tables shared copy-on-write
+// (semnet.Table.CloneTopologyShared). The preprocessing and partitioning
+// work of LoadKB is not repeated, so m's nodes sit on the clusters they
+// sit on in src. Marker state starts fresh; the fault injector stays.
+// The first topology mutation on either side materializes a private
+// table copy, so nothing semantically mutable is shared. src must be
+// idle, and both must have been built with the same array size.
+func (m *Machine) AdoptTopology(src *Machine) error {
+	if src.kb == nil {
+		return ErrNoKB
+	}
+	if m.cfg.Clusters != src.cfg.Clusters || m.cfg.NodesPerCluster != src.cfg.NodesPerCluster {
+		return fmt.Errorf("machine: adopt a %dx%d array's topology into a %dx%d one",
+			src.cfg.Clusters, src.cfg.NodesPerCluster, m.cfg.Clusters, m.cfg.NodesPerCluster)
+	}
+	m.kb, m.assign, m.localIdx, m.kbGen = src.kb, src.assign, src.localIdx, src.kbGen
+	m.tab = src.tab.CloneTopologyShared()
+	m.clusters = newClusters(&m.cfg, m.tab)
+	m.dirty = allDirty()
+	return nil
 }
 
 // Item is one retrieved result row. Fields beyond Node are populated

@@ -73,11 +73,6 @@ func WithCapacityFor(totalNodes int) Option {
 	})
 }
 
-// WithMaxDepth bounds propagation path length.
-func WithMaxDepth(n int) Option {
-	return optionFunc(func(c *Config) { c.MaxDepth = n })
-}
-
 // WithPartition selects the node-allocation strategy by name:
 // "sequential", "round-robin", "semantic", or "refined". An unknown name
 // surfaces as an error from New/NewFromOptions.
@@ -96,11 +91,6 @@ func WithPartition(name string) Option {
 // partitioning (see Config.Placement).
 func WithPlacement(on bool) Option {
 	return optionFunc(func(c *Config) { c.Placement = on })
-}
-
-// WithSeed sets the multiport-memory arbiter tie-break seed.
-func WithSeed(seed int64) Option {
-	return optionFunc(func(c *Config) { c.Seed = seed })
 }
 
 // WithDeterministic selects the lockstep engine (on, the default) or the

@@ -13,10 +13,11 @@ import (
 // replaying DeltaRange(g, g') — cost proportional to the delta, not the
 // knowledge base — instead of paying a full per-replica re-download.
 //
-// The log is bounded: once it outgrows its capacity the oldest records
-// are dropped and the truncation floor rises; a replica whose generation
-// has fallen below the floor must fall back to a full re-download
-// (DeltaRange reports ok=false). Records that cannot be replayed in
+// The log is bounded: once it outgrows DefaultDeltaLogCap the oldest
+// records are dropped and the truncation floor rises; a replica whose
+// generation has fallen below the floor must fall back to whole tables
+// (DeltaRange reports ok=false): a full re-download, or the engine's
+// copy of its writer's. Records that cannot be replayed in
 // place on a loaded array — node creation and preprocessor reshapes,
 // which change the partition assignment — are logged as DeltaRebuild
 // markers that force the same fallback.
@@ -80,35 +81,24 @@ var ErrDeltaUnsupported = errors.New("semnet: delta record not replayable in pla
 
 // deltaLog is the KB-embedded bounded mutation log (zero value: disabled).
 type deltaLog struct {
-	on      bool
-	cap     int
-	recs    []DeltaRec
-	floor   uint64 // highest generation dropped by truncation (or the enable point)
-	dropped uint64 // lifetime truncated record count
+	on    bool
+	recs  []DeltaRec
+	floor uint64 // highest generation dropped by truncation (or the enable point)
 }
 
-// DefaultDeltaLogCap bounds the delta log when EnableDeltaLog is called
-// with a non-positive capacity.
+// DefaultDeltaLogCap bounds the delta log.
 const DefaultDeltaLogCap = 4096
 
-// EnableDeltaLog starts recording topology mutations into a bounded
-// in-memory log (capacity <= 0 selects DefaultDeltaLogCap). The
-// truncation floor starts at the current generation: deltas are
-// available from this point forward. Enabling an already-enabled log
-// only raises its capacity.
-func (kb *KB) EnableDeltaLog(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultDeltaLogCap
-	}
+// EnableDeltaLog starts recording topology mutations into a log of at
+// most DefaultDeltaLogCap records. The truncation floor starts at the
+// current generation: deltas are available from this point forward.
+// Enabling an already-enabled log does nothing.
+func (kb *KB) EnableDeltaLog() {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	if kb.delta.on {
-		if capacity > kb.delta.cap {
-			kb.delta.cap = capacity
-		}
-		return
+	if !kb.delta.on {
+		kb.delta = deltaLog{on: true, floor: kb.gen.Load()}
 	}
-	kb.delta = deltaLog{on: true, cap: capacity, floor: kb.gen.Load()}
 }
 
 // record appends one mutation record. Caller holds kb.mu and has already
@@ -119,12 +109,11 @@ func (kb *KB) record(rec DeltaRec) {
 	}
 	rec.Gen = kb.gen.Load()
 	kb.delta.recs = append(kb.delta.recs, rec)
-	if len(kb.delta.recs) > kb.delta.cap {
+	if len(kb.delta.recs) > DefaultDeltaLogCap {
 		// Drop down to half capacity in one move so truncation cost is
 		// amortized O(1) per append rather than O(cap).
-		drop := len(kb.delta.recs) - kb.delta.cap/2
+		drop := len(kb.delta.recs) - DefaultDeltaLogCap/2
 		kb.delta.floor = kb.delta.recs[drop-1].Gen
-		kb.delta.dropped += uint64(drop)
 		kb.delta.recs = append(kb.delta.recs[:0], kb.delta.recs[drop:]...)
 	}
 }
@@ -143,21 +132,6 @@ func (kb *KB) DeltaRange(from, to uint64) (recs []DeltaRec, ok bool) {
 	lo := sort.Search(len(log), func(i int) bool { return log[i].Gen > from })
 	hi := sort.Search(len(log), func(i int) bool { return log[i].Gen > to })
 	return append([]DeltaRec(nil), log[lo:hi]...), true
-}
-
-// DeltaSince returns every retained record newer than generation from
-// (see DeltaRange).
-func (kb *KB) DeltaSince(from uint64) ([]DeltaRec, bool) {
-	return kb.DeltaRange(from, ^uint64(0))
-}
-
-// DeltaTruncated reports the lifetime number of records dropped by log
-// truncation (observability; a non-zero value means slow replicas may
-// be forced into full re-downloads).
-func (kb *KB) DeltaTruncated() uint64 {
-	kb.mu.RLock()
-	defer kb.mu.RUnlock()
-	return kb.delta.dropped
 }
 
 // ApplyDelta applies one routed delta record to the store's local node

@@ -11,7 +11,7 @@ func deltaKB(t *testing.T, nodes int) (*KB, []NodeID) {
 	for i := range ids {
 		ids[i] = kb.MustAddNode(string(rune('a'+i%26))+string(rune('0'+i/26)), kb.ColorFor("c"))
 	}
-	kb.EnableDeltaLog(0)
+	kb.EnableDeltaLog()
 	return kb, ids
 }
 
@@ -34,9 +34,9 @@ func TestDeltaLogRecordsMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, ok := kb.DeltaSince(base)
+	recs, ok := kb.DeltaRange(base, ^uint64(0))
 	if !ok {
-		t.Fatal("DeltaSince not ok on an enabled, untruncated log")
+		t.Fatal("DeltaRange not ok on an enabled, untruncated log")
 	}
 	wantOps := []DeltaOp{DeltaAddLink, DeltaRemoveLink, DeltaSetColor, DeltaSetFn}
 	if len(recs) != len(wantOps) {
@@ -82,7 +82,7 @@ func TestDeltaLogNoOpMutations(t *testing.T) {
 	if g := kb.Generation(); g != base {
 		t.Errorf("generation moved %d -> %d on no-op mutations", base, g)
 	}
-	if recs, ok := kb.DeltaSince(base); !ok || len(recs) != 0 {
+	if recs, ok := kb.DeltaRange(base, ^uint64(0)); !ok || len(recs) != 0 {
 		t.Errorf("no-op mutations recorded: ok=%v recs=%+v", ok, recs)
 	}
 }
@@ -109,13 +109,13 @@ func TestDeltaRangeWindows(t *testing.T) {
 	if recs, ok := kb.DeltaRange(head, head); !ok || len(recs) != 0 {
 		t.Errorf("empty window: ok=%v len=%d", ok, len(recs))
 	}
-	if recs, ok := kb.DeltaSince(base); !ok || len(recs) != 5 {
+	if recs, ok := kb.DeltaRange(base, ^uint64(0)); !ok || len(recs) != 5 {
 		t.Errorf("full window: ok=%v len=%d, want 5", ok, len(recs))
 	}
 
 	// A KB that never enabled its log answers ok=false.
 	cold := NewKB()
-	if _, ok := cold.DeltaSince(0); ok {
+	if _, ok := cold.DeltaRange(0, ^uint64(0)); ok {
 		t.Error("disabled log reported ok=true")
 	}
 }
@@ -124,41 +124,33 @@ func TestDeltaRangeWindows(t *testing.T) {
 // half, raises the floor so stale readers are refused (full-reload
 // fallback), and keeps recent windows servable.
 func TestDeltaLogTruncation(t *testing.T) {
-	small := NewKB()
-	a := small.MustAddNode("a", small.ColorFor("c"))
-	b := small.MustAddNode("b", small.ColorFor("c"))
-	small.EnableDeltaLog(8)
-	base := small.Generation()
-	for i := 0; i < 20; i++ {
-		small.MustAddLink(a, small.Relation("r"), float32(i), b)
+	kb := NewKB()
+	a := kb.MustAddNode("a", kb.ColorFor("c"))
+	kb.EnableDeltaLog()
+	base := kb.Generation()
+	colors := [2]Color{kb.ColorFor("c2"), kb.ColorFor("c")}
+	for i := 0; i < DefaultDeltaLogCap+4; i++ {
+		if err := kb.SetColor(a, colors[i%2]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if small.DeltaTruncated() == 0 {
-		t.Fatal("20 records through a cap-8 log never truncated")
+	if _, ok := kb.DeltaRange(base, ^uint64(0)); ok {
+		t.Errorf("%d records through a cap-%d log: the window from before them reported ok=true",
+			DefaultDeltaLogCap+4, DefaultDeltaLogCap)
 	}
-	if _, ok := small.DeltaSince(base); ok {
-		t.Error("window starting below the truncation floor reported ok=true")
-	}
-	head := small.Generation()
-	recs, ok := small.DeltaRange(head-2, head)
+	head := kb.Generation()
+	recs, ok := kb.DeltaRange(head-2, head)
 	if !ok || len(recs) != 2 {
 		t.Errorf("recent window after truncation: ok=%v len=%d, want 2", ok, len(recs))
 	}
+	if recs, ok := kb.DeltaRange(head-DefaultDeltaLogCap/2, head); !ok || len(recs) != DefaultDeltaLogCap/2 {
+		t.Errorf("the newest half after truncation: ok=%v len=%d, want %d", ok, len(recs), DefaultDeltaLogCap/2)
+	}
 
-	// Re-enabling never re-arms a fresh log (the floor must not regress);
-	// it only raises capacity.
-	drop := small.DeltaTruncated()
-	small.EnableDeltaLog(1024)
-	if small.DeltaTruncated() != drop {
-		t.Error("re-enable reset truncation accounting")
-	}
-	if _, ok := small.DeltaSince(base); ok {
+	// Re-enabling never re-arms a fresh log: the floor must not regress.
+	kb.EnableDeltaLog()
+	if _, ok := kb.DeltaRange(base, ^uint64(0)); ok {
 		t.Error("re-enable lowered the truncation floor")
-	}
-	for i := 0; i < 20; i++ {
-		small.MustAddLink(a, small.Relation("r2"), float32(i), b)
-	}
-	if small.DeltaTruncated() != drop {
-		t.Error("raised capacity still truncating at the old bound")
 	}
 }
 
@@ -170,7 +162,7 @@ func TestDeltaRebuildRecords(t *testing.T) {
 	base := kb.Generation()
 
 	kb.MustAddNode("late-arrival", kb.ColorFor("c"))
-	recs, ok := kb.DeltaSince(base)
+	recs, ok := kb.DeltaRange(base, ^uint64(0))
 	if !ok || len(recs) != 1 {
 		t.Fatalf("ok=%v len=%d, want the AddNode rebuild record", ok, len(recs))
 	}
@@ -188,9 +180,9 @@ func TestDeltaRebuildRecords(t *testing.T) {
 	}
 	pre := kb.Generation()
 	kb.Preprocess()
-	recs, ok = kb.DeltaSince(pre)
+	recs, ok = kb.DeltaRange(pre, ^uint64(0))
 	if !ok {
-		t.Fatal("DeltaSince(pre) not ok")
+		t.Fatal("DeltaRange(pre, …) not ok")
 	}
 	found := false
 	for _, r := range recs {

@@ -14,6 +14,12 @@
 //   - or serve many concurrent queries from a replica pool with
 //     NewEngine and Engine.Submit (internal/engine).
 //
+// An engine's resilience runs on fixed values (docs/RESILIENCE.md): three
+// per-attempt timeouts in a row quarantine a replica, a probe every
+// 100 ms restores it after two passes, and a retry backs off from 2 ms to
+// at most 100 ms. WithQueryTimeout and WithRetryPolicy's MaxAttempts are
+// the settings.
+//
 // A minimal session:
 //
 //	kb := snap1.NewKB()
@@ -109,10 +115,8 @@ type (
 	// EngineOption configures NewEngine.
 	EngineOption = engine.Option
 	// RetryPolicy bounds re-execution of retryable query failures
-	// (injected faults, per-attempt timeouts).
+	// (injected faults, per-attempt timeouts) by an attempt count.
 	RetryPolicy = engine.RetryPolicy
-	// HealthPolicy governs replica quarantine and reintegration.
-	HealthPolicy = engine.HealthPolicy
 	// EngineHealth is the engine's per-replica quarantine report.
 	EngineHealth = engine.HealthReport
 	// FaultPlan is a declarative, seeded fault-injection schedule for
@@ -178,10 +182,6 @@ var (
 	// engine (exactly reproducible virtual times). An Engine's replicas
 	// are lockstep regardless.
 	WithDeterministic = machine.WithDeterministic
-	// WithSeed sets the arbiter tie-break seed.
-	WithSeed = machine.WithSeed
-	// WithMaxDepth bounds propagation path length.
-	WithMaxDepth = machine.WithMaxDepth
 	// WithMonitor attaches a performance-collection board.
 	WithMonitor = machine.WithMonitor
 )
@@ -216,8 +216,6 @@ var (
 	// WithRetryPolicy bounds automatic re-execution of retryable
 	// failures (injected faults, per-attempt timeouts).
 	WithRetryPolicy = engine.WithRetryPolicy
-	// WithHealthPolicy tunes replica quarantine and reintegration.
-	WithHealthPolicy = engine.WithHealthPolicy
 	// WithFaultPlan arms deterministic, seeded fault injection in every
 	// pool replica's simulated hardware.
 	WithFaultPlan = engine.WithFaultPlan

@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", `which figure to regenerate: table4, 6, 8, 15, 16, 17, 18, 19, 20, 21, partition, mus, speech, scale, or "all"`)
+	fig := flag.String("fig", "all", `which figure to regenerate: table4, 6, 8, 15, 16, 17, 18, 19, 20, 21, partition, decision, mus, speech, scale, or "all"`)
 	million := flag.Bool("million", false, "include the million-concept point in -fig scale")
 	flag.Parse()
 
@@ -38,6 +38,7 @@ func main() {
 		{"20", func() (fmt.Stringer, error) { return experiments.Fig20(nil, 3) }},
 		{"21", func() (fmt.Stringer, error) { return experiments.Fig21(nil) }},
 		{"partition", func() (fmt.Stringer, error) { return experiments.AblationPartition() }},
+		{"decision", func() (fmt.Stringer, error) { return experiments.PartitionDecision() }},
 		{"mus", func() (fmt.Stringer, error) { return experiments.AblationMUs() }},
 		{"speech", func() (fmt.Stringer, error) { return experiments.SpeechStudy() }},
 		{"scale", func() (fmt.Stringer, error) {

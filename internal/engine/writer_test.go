@@ -364,11 +364,18 @@ func TestReadWriteSoak(t *testing.T) {
 	const readers, readsPerReader = 4, 40
 	samples := make([][]sample, readers)
 	ctx := context.Background()
+	// The readers start once the first write has committed and published
+	// (or a writer has given up), so some read must sync a replica by
+	// delta: left free, all of them could finish before any write did.
+	firstCommit := make(chan struct{})
+	var released sync.Once
+	release := func() { released.Do(func() { close(firstCommit) }) }
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer release()
 			tg := toggles[w]
 			for i := 0; i < togglesPerWriter; i++ {
 				var p *isa.Program
@@ -381,6 +388,7 @@ func TestReadWriteSoak(t *testing.T) {
 					t.Errorf("writer %d toggle %d: %v", w, i, err)
 					return
 				}
+				release()
 			}
 		}(w)
 	}
@@ -388,6 +396,7 @@ func TestReadWriteSoak(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			<-firstCommit
 			for i := 0; i < readsPerReader; i++ {
 				p := progs[(r+i)%len(progs)]
 				res, err := e.Submit(ctx, p)
@@ -454,14 +463,17 @@ func TestReadWriteSoak(t *testing.T) {
 // the delta log's floor takes the writer's tables, and the paper's
 // mapping function partitions the network once, at download. Partitioning
 // it again after a write moves nodes to other clusters, and the replica
-// then answers with other virtual times than its siblings.
+// then answers with other virtual times than its siblings. The test names
+// the semantic mapping: round-robin depends only on node order, so a
+// write that adds no node could not show a re-partition under it.
 func TestFullReloadKeepsTheWritersPartition(t *testing.T) {
 	g, err := kbgen.Generate(kbgen.Params{Nodes: 12000, Seed: 42, WithDomain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	kb := g.KB
-	e, err := New(kb, WithReplicas(2), WithWrites(true), WithResultCache(-1))
+	e, err := New(kb, WithReplicas(2), WithWrites(true), WithResultCache(-1),
+		WithMachineOptions(machine.WithPartition("semantic")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,12 +41,55 @@ func TestAblationPartition(t *testing.T) {
 		t.Errorf("placement raised hop cost: %.4f > %.4f",
 			byName["refined+place"].HopCost, byName["refined"].HopCost)
 	}
+	// The basis of the machine's default mapping function: at this
+	// setting round-robin parses faster than semantic because it spreads
+	// the marker units' work more evenly, whatever it costs in messages.
+	if rr, sem := byName["round-robin"], byName["semantic"]; rr.Time >= sem.Time {
+		t.Errorf("round-robin parse %s >= semantic %s", rr.Time, sem.Time)
+	}
+	if rr, sem := byName["round-robin"], byName["semantic"]; rr.Skew >= sem.Skew {
+		t.Errorf("round-robin MU-busy skew %.3f >= semantic %.3f", rr.Skew, sem.Skew)
+	}
 	for _, r := range res.Rows {
+		if r.Skew < 1 || r.Critical <= 0 || r.Critical > 1 {
+			t.Errorf("%s: MU-busy skew %.3f, critical busy share %.3f out of range", r.Name, r.Skew, r.Critical)
+		}
 		if r.Time <= 0 || r.Messages == 0 {
 			t.Errorf("%s: degenerate measurement %+v", r.Name, r)
 		}
 	}
 	if !strings.Contains(res.String(), "Ablation") {
+		t.Error("rendering")
+	}
+}
+
+// The decision's finding, held as a shape: round-robin parses faster
+// than semantic on every network of 4 000 nodes or more, at every array
+// size. (At 2 000 nodes semantic may win; that row is not ruled on.)
+func TestPartitionDecision(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full parse runs")
+	}
+	res, err := PartitionDecision()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 15 {
+		t.Fatalf("%d rows, want 5 sizes x 3 array sizes", len(res.Rows))
+	}
+	for _, r := range res.Rows {
+		if len(r.Time) != 2*len(mappings) {
+			t.Fatalf("%d x %d: %d times for %d mappings", r.Nodes, r.Clusters, len(r.Time), len(mappings))
+		}
+		rr, sem := r.Time[2], r.Time[4] // round-robin and semantic, without placement
+		if r.Nodes == 4000 && r.Clusters == 16 {
+			continue // TestAblationPartition's setting: it holds this row
+		}
+		if r.Nodes >= 4000 && rr >= sem {
+			t.Errorf("%d nodes, %d clusters: round-robin %s >= semantic %s", r.Nodes, r.Clusters, rr, sem)
+		}
+	}
+	if !strings.Contains(res.String(), "round-robin vs semantic") {
 		t.Error("rendering")
 	}
 }

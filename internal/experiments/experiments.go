@@ -15,12 +15,23 @@ import (
 	"snap1/internal/kbgen"
 	"snap1/internal/machine"
 	"snap1/internal/nlu"
+	"snap1/internal/partition"
 	"snap1/internal/semnet"
 	"snap1/internal/trace"
 )
 
 // kbSeed keeps every experiment's knowledge bases reproducible.
 const kbSeed = 42
+
+// paperConfig is the evaluation configuration under the semantic mapping
+// function, the one the figures here are measured and documented under.
+// The machine's default is round-robin, the faster mapping on the parse
+// (EXPERIMENTS.md, "Partition decision").
+func paperConfig() machine.Config {
+	cfg := machine.PaperConfig()
+	cfg.Partition = partition.Semantic
+	return cfg
+}
 
 // nluSetup builds a linguistic KB of about `nodes` nodes with the
 // newswire domain embedded, and a machine with the given cluster count

@@ -7,7 +7,6 @@ import (
 	"snap1/internal/baseline"
 	"snap1/internal/inherit"
 	"snap1/internal/kbgen"
-	"snap1/internal/machine"
 	"snap1/internal/timing"
 )
 
@@ -48,7 +47,7 @@ func Fig15(sizes []int) (*Fig15Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := loadMachine(machine.PaperConfig(), g.KB)
+		m, err := loadMachine(paperConfig(), g.KB)
 		if err != nil {
 			return nil, err
 		}

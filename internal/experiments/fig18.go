@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"snap1/internal/isa"
-	"snap1/internal/machine"
 	"snap1/internal/timing"
 	"snap1/internal/trace"
 )
@@ -61,7 +60,7 @@ func groupRow(clusters int, prof *trace.Profile) Fig18Row {
 // nluProfile parses the sentence batch on a fresh machine and returns the
 // merged profile.
 func nluProfile(nodes, clusters, repeat int) (*trace.Profile, error) {
-	m, g, err := nluSetup(nodes, clusters, machine.PaperConfig())
+	m, g, err := nluSetup(nodes, clusters, paperConfig())
 	if err != nil {
 		return nil, err
 	}

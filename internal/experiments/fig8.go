@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"snap1/internal/machine"
 )
 
 // Fig8Result is the marker-traffic time distribution: inter-cluster
@@ -20,7 +18,7 @@ type Fig8Result struct {
 // Fig8 parses the evaluation sentences on the 16-cluster configuration
 // and reports the per-barrier message series.
 func Fig8() (*Fig8Result, error) {
-	m, g, err := nluSetup(9000, 16, machine.PaperConfig())
+	m, g, err := nluSetup(9000, 16, paperConfig())
 	if err != nil {
 		return nil, err
 	}

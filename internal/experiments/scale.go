@@ -7,6 +7,7 @@ import (
 	"snap1/internal/kbgen"
 	"snap1/internal/machine"
 	"snap1/internal/nlu"
+	"snap1/internal/partition"
 	"snap1/internal/timing"
 )
 
@@ -64,6 +65,7 @@ func Scale(points []ScalePoint) (*ScaleResult, error) {
 			return nil, err
 		}
 		cfg := machine.DefaultConfig()
+		cfg.Partition = partition.Semantic
 		cfg.Clusters = pt.Clusters
 		cfg.NodesPerCluster = pt.NodesPerCluster
 		cfg.ExtraMUClusters = pt.Clusters / 2

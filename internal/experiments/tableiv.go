@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"snap1/internal/kbgen"
-	"snap1/internal/machine"
 	"snap1/internal/nlu"
 	"snap1/internal/timing"
 )
@@ -37,7 +36,7 @@ func TableIV() (*TableIVResult, error) {
 	}
 	passes := []pass{{nodes: 5000}, {nodes: 9000}}
 	for i := range passes {
-		m, g, err := nluSetup(passes[i].nodes, 16, machine.PaperConfig())
+		m, g, err := nluSetup(passes[i].nodes, 16, paperConfig())
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"math/bits"
+
 	"snap1/internal/mpmem"
 	"snap1/internal/rules"
 	"snap1/internal/semnet"
@@ -23,6 +25,10 @@ type cluster struct {
 	muFree []timing.Time // marker units' free-at times, earliest first (muRun)
 	cuFree timing.Time   // message (dis)assembly pipeline
 	last   timing.Time   // latest completion seen in this cluster
+
+	// load is this cluster's share of the current run's work, booked by
+	// muRun and reset with the clocks.
+	load clusterLoad
 
 	// Multiport-memory discipline (exercised by the concurrent engine).
 	arb  *mpmem.Arbiter
@@ -68,7 +74,6 @@ func newClusters(cfg *Config, tab *semnet.Table) []*cluster {
 			store:  tab.Store(id),
 			muFree: make([]timing.Time, cfg.musOf(id)),
 		}
-		c.visited.cap = cfg.NodesPerCluster
 		c.arb = mpmem.NewArbiter(cfg.Seed + int64(id))
 		c.sems = mpmem.NewTable(numClusterSems, c.arb)
 		clusters[id] = c
@@ -81,6 +86,23 @@ func (c *cluster) resetClocks() {
 	for i := range c.muFree {
 		c.muFree[i] = 0
 	}
+	c.load = clusterLoad{}
+}
+
+// clusterLoad is one cluster's counters over one run — the per-module
+// counters of the paper's performance-collection system, from which the
+// run's profile takes its load summary (trace.Profile.MUBusySkew,
+// CriticalBusyShare).
+type clusterLoad struct {
+	muBusy  timing.Time // marker-unit busy time, summed over the cluster's MUs
+	phaseMU timing.Time // muBusy when the current phase began
+}
+
+// muBusyPerMU is the cluster's marker-unit busy time per marker unit: the
+// time its MUs were busy, not the work they did, so a cluster with more
+// MUs is not read as loaded for taking more work.
+func (c *cluster) muBusyPerMU(busy timing.Time) timing.Time {
+	return busy / timing.Time(len(c.muFree))
 }
 
 // decode charges the PU pipeline for one broadcast instruction arriving at
@@ -105,6 +127,7 @@ func (c *cluster) muRun(ready, cost timing.Time) timing.Time {
 	mu := c.muFree
 	end := max(ready, mu[0]) + cost
 	mu[0] = end
+	c.load.muBusy += cost
 	for i := 1; i < len(mu); i++ {
 		a, b := mu[0], mu[i]
 		mu[0], mu[i] = min(a, b), max(a, b)
@@ -149,58 +172,80 @@ type transitMsg struct {
 	arrival timing.Time
 }
 
-// visitTable is the per-phase (marker, rule, state, node) visit record.
-// The seed used a Go map keyed by a four-field struct; its hashing and
-// probing dominated the host profile (~40% of phase time). The table
-// instead interns each phase's few (marker, rule, state) combinations
-// into dense per-node lanes, stamped with a phase epoch so reset is O(1)
-// and the lane storage is pooled for the machine's lifetime.
+// visitTable is the per-phase (marker, rule, state, node) visit record:
+// an open-addressed hash table with linear probing, its entries stamped
+// with a phase epoch so reset is O(1) and a stale entry is a free one.
+// It is sized by the entries a phase touches, not by its (marker, rule,
+// state) combinations times the node table: under round-robin mapping
+// nearly every combination of a phase reaches every cluster, and a lane
+// of the node table per combination held 2.6 MB on the parser's network.
 type visitTable struct {
-	epoch  uint32
-	combos []uint32 // packed (marker, rule, state), index = lane
-	lanes  [][]visitEntry
-	cap    int // node-table capacity; fixes every lane's length
+	epoch uint32
+	live  int          // entries stamped this phase
+	shift uint         // 64 − log2(len(slots))
+	slots []visitEntry // length a power of two, or empty
 }
 
 type visitEntry struct {
+	key   uint64
 	epoch uint32
 	val   float32
 }
 
-func packVisitKey(marker semnet.MarkerID, rule rules.Token, state rules.State) uint32 {
-	return uint32(marker)<<16 | uint32(rule)<<8 | uint32(state)
+// visitKey packs a task's visit identity: its (marker, rule, state)
+// combination above its node.
+func visitKey(marker semnet.MarkerID, rule rules.Token, state rules.State, local int32) uint64 {
+	return uint64(marker)<<48 | uint64(rule)<<40 | uint64(state)<<32 | uint64(uint32(local))
 }
 
-// slot returns the entry for (key, local), interning key's lane on first
-// use this phase. A phase touches a handful of combinations (one per
-// overlapped PROPAGATE and rule state), so the linear scan beats any
-// hash. An entry is live only when its epoch matches the table's.
-func (v *visitTable) slot(key uint32, local int) *visitEntry {
-	for i, k := range v.combos {
-		if k == key {
-			return &v.lanes[i][local]
+// slot returns key's entry and whether a task stamped it earlier this
+// phase. A new entry is stamped live for the caller to fill. The table
+// stays at most half full, and entries are never removed within a phase,
+// so a probe for a live key meets only live entries before it.
+func (v *visitTable) slot(key uint64) (e *visitEntry, seen bool) {
+	if 2*(v.live+1) > len(v.slots) {
+		v.grow()
+	}
+	mask := len(v.slots) - 1
+	for i := int((key * 0x9e3779b97f4a7c15) >> v.shift); ; i = (i + 1) & mask {
+		e = &v.slots[i]
+		if e.epoch != v.epoch {
+			e.key, e.epoch = key, v.epoch
+			v.live++
+			return e, false
+		}
+		if e.key == key {
+			return e, true
 		}
 	}
-	v.combos = append(v.combos, key)
-	if len(v.lanes) < len(v.combos) {
-		v.lanes = append(v.lanes, make([]visitEntry, v.cap))
-	}
-	return &v.lanes[len(v.combos)-1][local]
 }
 
-// reset invalidates every entry and forgets the phase's lane interning;
-// lane storage is retained for reuse. When the epoch wraps, stamps from
-// 2^32 phases ago would read as live again, so the lanes are wiped and
-// the count restarts above the zero they now hold.
+// grow doubles the table and moves this phase's entries into it.
+func (v *visitTable) grow() {
+	old := v.slots
+	n := max(64, 2*len(old))
+	v.slots = make([]visitEntry, n)
+	v.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	v.live = 0
+	for i := range old {
+		if e := &old[i]; e.epoch == v.epoch {
+			d, _ := v.slot(e.key)
+			d.val = e.val
+		}
+	}
+}
+
+// reset invalidates every entry; the slots are kept for the next phase.
+// When the epoch wraps, stamps from 2^32 phases ago would read as live
+// again, so the slots are wiped and the count restarts above the zero
+// they now hold.
 func (v *visitTable) reset() {
 	v.epoch++
 	if v.epoch == 0 {
-		for _, lane := range v.lanes {
-			clear(lane)
-		}
+		clear(v.slots)
 		v.epoch = 1
 	}
-	v.combos = v.combos[:0]
+	v.live = 0
 }
 
 // phaseStats accumulates one cluster's contribution to a phase's
@@ -224,6 +269,7 @@ func (c *cluster) resetPhase() {
 	c.relayQ, c.relayHead = c.relayQ[:0], 0
 	c.visited.reset()
 	c.stats = phaseStats{}
+	c.load.phaseMU = c.load.muBusy
 }
 
 // The task queue pops pending work in (ready, seq) order: marker units
@@ -379,18 +425,14 @@ func (c *cluster) expand(m *Machine, t task) (children []childSpec, cost timing.
 	value := t.value
 	if !t.isSource {
 		cycles += cm.StatusWordCycles // marker status read-modify-write
-		slot := c.visited.slot(packVisitKey(t.marker, t.rule, t.state), int(t.local))
-		if slot.epoch == c.visited.epoch {
-			merged := t.fn.Merge(slot.val, t.value)
-			if merged == slot.val {
-				doExpand = false
-			} else {
-				slot.val = merged
-				value = merged
-			}
-		} else {
-			slot.epoch = c.visited.epoch
+		slot, seen := c.visited.slot(visitKey(t.marker, t.rule, t.state, t.local))
+		if !seen {
 			slot.val = t.value
+		} else if merged := t.fn.Merge(slot.val, t.value); merged == slot.val {
+			doExpand = false
+		} else {
+			slot.val = merged
+			value = merged
 		}
 
 		newly := c.store.Set(int(t.local), t.marker)

@@ -70,7 +70,10 @@ type Config struct {
 	// Cost is the calibrated cycle-cost table.
 	Cost timing.CostModel
 
-	// Partition allocates knowledge-base nodes to clusters.
+	// Partition allocates knowledge-base nodes to clusters — the paper's
+	// mapping function. The default is round-robin, which parses faster
+	// than semantic on every network of 4 000 nodes or more in the
+	// partition decision (EXPERIMENTS.md): balance beats locality there.
 	Partition partition.Func
 
 	// Placement, when set, follows partitioning with the hop-aware
@@ -107,7 +110,7 @@ func DefaultConfig() Config {
 		InstrQueueCap:   isa.DefaultWindowDepth,
 		MaxDepth:        256,
 		Cost:            timing.DefaultCostModel(),
-		Partition:       partition.Semantic,
+		Partition:       partition.RoundRobin,
 		Seed:            1,
 		Deterministic:   true,
 	}

@@ -46,7 +46,7 @@ func deltaTestMachine(t testing.TB, kb *semnet.KB) *Machine {
 	cfg.NodesPerCluster = kb.NumNodes() + 32
 	cfg.MaxDepth = 32
 	// Round-robin keeps the node→cluster assignment a function of node
-	// order alone. The default semantic partitioner re-derives placement
+	// order alone. The semantic partitioner re-derives placement
 	// from the (mutated) topology on a fresh LoadKB, while delta patching
 	// deliberately keeps the serving assignment — placement-dependent
 	// virtual times would then differ even though collections agree. The

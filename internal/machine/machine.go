@@ -353,9 +353,14 @@ func (m *Machine) RunContext(ctx context.Context, prog *isa.Program) (*Result, e
 	m.flush(st)
 
 	end := m.ctrl.Now()
+	var busySum timing.Time
 	for _, c := range m.clusters {
 		end = timing.Max(end, c.last)
+		busy := c.muBusyPerMU(c.load.muBusy)
+		busySum += busy
+		st.prof.MUBusyMax = timing.Max(st.prof.MUBusyMax, busy)
 	}
+	st.prof.MUBusyMean = busySum / timing.Time(len(m.clusters))
 	st.prof.Elapsed = end
 	st.res.Time = end
 	st.res.Profile = st.prof

@@ -23,16 +23,28 @@ func (m *Machine) flush(st *runState) {
 		return
 	}
 	firstBAt := st.batch[0].bAt
-	var (
-		bstats barrier.Stats
-		agg    phaseStats
-		end    timing.Time
-	)
+	var bstats barrier.Stats
 	if m.cfg.Deterministic {
-		bstats, agg, end = m.runPhaseLockstep(st.batch)
+		bstats = m.runPhaseLockstep(st.batch)
 	} else {
-		bstats, agg, end = m.runPhaseConcurrent(st.batch)
+		bstats = m.runPhaseConcurrent(st.batch)
 	}
+
+	// Gather the clusters' phase statistics. The phase ends at the latest
+	// completion in the array; the cluster that set it is the critical
+	// one, and how busy its marker units were over the phase says whether
+	// it was short of work spread (busy) or of locality (waiting).
+	var agg phaseStats
+	var end timing.Time
+	crit := m.clusters[0]
+	for _, c := range m.clusters {
+		agg.add(&c.stats)
+		if c.last > end {
+			end, crit = c.last, c
+		}
+	}
+	st.prof.CriticalBusy += crit.muBusyPerMU(crit.load.muBusy - crit.load.phaseMU)
+	st.prof.CriticalSpan += end - firstBAt
 
 	// Tiered synchronization: the SCP samples the AND-tree and reconciles
 	// the per-level counter sums — cost grows (weakly) with cluster count
@@ -85,7 +97,7 @@ func (m *Machine) flush(st *runState) {
 // live termination detection.
 // ---------------------------------------------------------------------
 
-func (m *Machine) runPhaseConcurrent(entries []batchEntry) (barrier.Stats, phaseStats, timing.Time) {
+func (m *Machine) runPhaseConcurrent(entries []batchEntry) barrier.Stats {
 	m.bar.Reset()
 	var wg sync.WaitGroup
 	for _, c := range m.clusters {
@@ -97,14 +109,7 @@ func (m *Machine) runPhaseConcurrent(entries []batchEntry) (barrier.Stats, phase
 	// Every cluster has seen the barrier fire and returns; after the wait
 	// its clocks and statistics are the controller's to read.
 	wg.Wait()
-
-	var agg phaseStats
-	var end timing.Time
-	for _, c := range m.clusters {
-		agg.add(&c.stats)
-		end = timing.Max(end, c.last)
-	}
-	return bstats, agg, end
+	return bstats
 }
 
 func (s *phaseStats) add(o *phaseStats) {
@@ -330,7 +335,7 @@ func (c *cluster) processTaskConcurrent(m *Machine, t task) {
 // order for exactly reproducible measurements.
 // ---------------------------------------------------------------------
 
-func (m *Machine) runPhaseLockstep(entries []batchEntry) (barrier.Stats, phaseStats, timing.Time) {
+func (m *Machine) runPhaseLockstep(entries []batchEntry) barrier.Stats {
 	for _, c := range m.clusters {
 		c.resetPhase()
 	}
@@ -355,13 +360,7 @@ func (m *Machine) runPhaseLockstep(entries []batchEntry) (barrier.Stats, phaseSt
 		}
 	}
 
-	var agg phaseStats
-	var end timing.Time
-	for _, c := range m.clusters {
-		agg.add(&c.stats)
-		end = timing.Max(end, c.last)
-	}
-	return barrier.Stats{Messages: total, Levels: len(perLevel), PerLevel: perLevel}, agg, end
+	return barrier.Stats{Messages: total, Levels: len(perLevel), PerLevel: perLevel}
 }
 
 // lockstepTask processes one task, delivering remote children immediately

@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"snap1/internal/isa"
+	"snap1/internal/kbgen"
 	"snap1/internal/partition"
 	"snap1/internal/perfmon"
 	"snap1/internal/rules"
 	"snap1/internal/semnet"
+	"snap1/internal/timing"
 )
 
 // diamondKB: a -r-> b -r-> d, a -r-> c -r-> d with asymmetric weights, so
@@ -335,25 +337,101 @@ func TestBackpressureNoDeadlock(t *testing.T) {
 // The visit table stamps entries with a 32-bit phase epoch. An entry
 // written in phase 1 and never touched again must not read as live when
 // the count comes round to 1 again 2^32 phases later: the wrap wipes the
-// lanes and restarts above the zero they then hold.
+// slots and restarts above the zero they then hold.
 func TestVisitTableEpochWrap(t *testing.T) {
-	v := visitTable{cap: 8}
-	key := packVisitKey(3, 1, 2)
+	var v visitTable
+	key := visitKey(3, 1, 2, 5)
 	v.reset() // phase 1
-	e := v.slot(key, 5)
-	e.epoch, e.val = v.epoch, 7
-	if v.slot(key, 5).epoch != v.epoch {
+	e, seen := v.slot(key)
+	if seen {
+		t.Fatal("a fresh table has seen the key")
+	}
+	e.val = 7
+	if e, seen := v.slot(key); !seen || e.val != 7 {
 		t.Fatal("an entry written this phase is not live")
 	}
 	v.epoch = ^uint32(0) // the last phase before the wrap
-	if v.slot(key, 5).epoch == v.epoch {
+	if _, seen := v.slot(key); seen {
 		t.Fatal("phase 1's entry is live in the last phase")
 	}
 	v.reset()
 	if v.epoch == 0 {
 		t.Fatal("epoch 0 after the wrap: every wiped entry would read as live")
 	}
-	if e := v.slot(key, 5); e.epoch == v.epoch {
+	if e, seen := v.slot(key); seen {
 		t.Fatalf("after the wrap the epoch is %d again and phase 1's entry (value %v) reads as live", v.epoch, e.val)
+	}
+}
+
+// Growing the table keeps every entry of the phase, and no two keys share
+// an entry, whatever order they arrive in.
+func TestVisitTableGrows(t *testing.T) {
+	var v visitTable
+	v.reset()
+	const n = 1000
+	for i := range n {
+		e, seen := v.slot(visitKey(semnet.MarkerID(i%7), rules.Token(i%3), rules.State(i%5), int32(i)))
+		if seen {
+			t.Fatalf("key %d seen before it was stamped", i)
+		}
+		e.val = float32(i)
+	}
+	if len(v.slots) < 2*n {
+		t.Errorf("%d entries in %d slots: more than half full", n, len(v.slots))
+	}
+	for i := range n {
+		e, seen := v.slot(visitKey(semnet.MarkerID(i%7), rules.Token(i%3), rules.State(i%5), int32(i)))
+		if !seen || e.val != float32(i) {
+			t.Fatalf("key %d: seen %v, value %v after growth", i, seen, e.val)
+		}
+	}
+	v.reset()
+	if _, seen := v.slot(visitKey(0, 0, 0, 0)); seen {
+		t.Fatal("an entry of the last phase is live after reset")
+	}
+}
+
+// TestClusterLoadAccounting checks the per-cluster counters against the
+// profile on both engines: the load summary is the max and mean of each
+// cluster's marker-unit busy time per MU, and the critical cluster's busy
+// time fits in the phases' span.
+func TestClusterLoadAccounting(t *testing.T) {
+	for _, det := range []bool{true, false} {
+		w := kbgen.Chains(1, 63, 10, 1) // 63 a level: a chain hops clusters under round-robin
+		cfg := PaperConfig()
+		cfg.Deterministic = det
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadKB(w.KB); err != nil {
+			t.Fatal(err)
+		}
+		p := isa.NewProgram()
+		p.SearchColor(w.Seeds[0], 0, 0)
+		p.Propagate(0, 1, rules.Path(w.Rel), semnet.FuncAdd)
+		p.Barrier()
+		res, err := m.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := res.Profile
+		var sum, busiest timing.Time
+		for _, c := range m.clusters {
+			busy := c.load.muBusy / timing.Time(len(c.muFree))
+			sum += busy
+			busiest = max(busiest, busy)
+		}
+		mean := sum / timing.Time(len(m.clusters))
+		if busiest <= 0 || prof.MUBusyMax != busiest || prof.MUBusyMean != mean {
+			t.Errorf("det=%v: profile MU busy max %v mean %v, counters give %v and %v",
+				det, prof.MUBusyMax, prof.MUBusyMean, busiest, mean)
+		}
+		if s := prof.MUBusySkew(); s < 1 {
+			t.Errorf("det=%v: MU-busy skew %.3f below 1", det, s)
+		}
+		if prof.CriticalBusy <= 0 || prof.CriticalBusy > prof.CriticalSpan {
+			t.Errorf("det=%v: critical busy %v over a span of %v", det, prof.CriticalBusy, prof.CriticalSpan)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package trace accumulates the measurements the paper's evaluation
 // section reports: per-instruction-group counts and execution time
 // (Figs. 6, 18, 19, 20), marker traffic per barrier synchronization point
-// (Fig. 8), and the four parallel-overhead components — instruction
+// (Fig. 8), the four parallel-overhead components — instruction
 // broadcast, message communication, barrier synchronization, and result
-// collection (Fig. 21).
+// collection (Fig. 21) — and how evenly the partition spread the marker
+// units' work over the clusters.
 package trace
 
 import (
@@ -61,6 +62,16 @@ type Profile struct {
 	// Collection detail.
 	CollectedNodes int64
 
+	// Cluster load, the measure a mapping function is judged by (§ II-A).
+	// MUBusyMax and MUBusyMean are the busiest cluster's and the mean
+	// cluster's marker-unit busy time per MU over the run (MUBusySkew is
+	// their ratio). CriticalBusy sums, over propagation phases, the per-MU busy
+	// time of the cluster whose last completion set the phase's barrier;
+	// CriticalSpan sums those phases' spans, broadcast to barrier
+	// (CriticalBusyShare is their ratio).
+	MUBusyMax, MUBusyMean      timing.Time
+	CriticalBusy, CriticalSpan timing.Time
+
 	// End-to-end simulated execution time.
 	Elapsed timing.Time
 }
@@ -111,7 +122,33 @@ func (p *Profile) Merge(o *Profile) {
 		p.PropMaxDepth = o.PropMaxDepth
 	}
 	p.CollectedNodes += o.CollectedNodes
+	p.MUBusyMax += o.MUBusyMax
+	p.MUBusyMean += o.MUBusyMean
+	p.CriticalBusy += o.CriticalBusy
+	p.CriticalSpan += o.CriticalSpan
 	p.Elapsed += o.Elapsed
+}
+
+// MUBusySkew reports the busiest cluster's marker-unit busy time per MU
+// over the mean cluster's (1 is perfect balance; a merged profile weighs each run
+// by its busy time). It is 0 when no marker unit worked.
+func (p *Profile) MUBusySkew() float64 {
+	if p.MUBusyMean <= 0 {
+		return 0
+	}
+	return float64(p.MUBusyMax) / float64(p.MUBusyMean)
+}
+
+// CriticalBusyShare reports how much of the propagation phases' time the
+// critical cluster's marker units spent working: near 1 the slowest
+// cluster was saturated, and spreading its work would shorten the phase;
+// well below 1 it mostly waited on messages, and locality would. It is 0
+// when no phase ran.
+func (p *Profile) CriticalBusyShare() float64 {
+	if p.CriticalSpan <= 0 {
+		return 0
+	}
+	return float64(p.CriticalBusy) / float64(p.CriticalSpan)
 }
 
 // TotalInstrs reports the total instructions executed.
@@ -206,5 +243,7 @@ func (p *Profile) String() string {
 	fmt.Fprintf(&b, "  overhead: broadcast %s, comm %s, sync %s, collect %s\n",
 		p.Overhead.Broadcast, p.Overhead.Communication,
 		p.Overhead.Synchronization, p.Overhead.Collection)
+	fmt.Fprintf(&b, "  load: MU-busy skew %.2f, critical cluster busy %.1f%% of phase time\n",
+		p.MUBusySkew(), p.CriticalBusyShare()*100)
 	return b.String()
 }

@@ -75,6 +75,23 @@ func TestEmptyProfileSafe(t *testing.T) {
 	if p.Overhead.Total() != 0 {
 		t.Error("empty overhead")
 	}
+	if p.MUBusySkew() != 0 || p.CriticalBusyShare() != 0 {
+		t.Error("empty load summary")
+	}
+}
+
+// A merged profile's load ratios weigh each run by its busy time and
+// phase span: the ratio of the sums, not the mean of the ratios.
+func TestLoadSummaryMerges(t *testing.T) {
+	a := &Profile{MUBusyMax: 3, MUBusyMean: 2, CriticalBusy: 1, CriticalSpan: 4}
+	b := &Profile{MUBusyMax: 9, MUBusyMean: 8, CriticalBusy: 5, CriticalSpan: 6}
+	if a.MUBusySkew() != 1.5 || a.CriticalBusyShare() != 0.25 {
+		t.Fatalf("skew %v, share %v", a.MUBusySkew(), a.CriticalBusyShare())
+	}
+	a.Merge(b)
+	if a.MUBusySkew() != 1.2 || a.CriticalBusyShare() != 0.6 {
+		t.Fatalf("merged skew %v, share %v; want 1.2, 0.6", a.MUBusySkew(), a.CriticalBusyShare())
+	}
 }
 
 func TestMerge(t *testing.T) {
@@ -99,7 +116,7 @@ func TestString(t *testing.T) {
 	p := sample()
 	p.Elapsed = timing.Millisecond
 	s := p.String()
-	for _, want := range []string{"propagate", "overhead", "barriers"} {
+	for _, want := range []string{"propagate", "overhead", "barriers", "MU-busy skew"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report missing %q:\n%s", want, s)
 		}

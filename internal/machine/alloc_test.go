@@ -75,11 +75,13 @@ func TestPropagateSteadyStateAllocs(t *testing.T) {
 
 // TestCloneAllocatesOnlyMarkerState fences Clone's promise on the network
 // the serving benchmark's snapd loads (12K nodes with the newswire
-// domain, 16 clusters, semantic partition): a replica allocates its
-// marker state and per-run scratch and shares the topology, so cloning
-// costs well under half a megabyte. A per-cluster structure built
-// eagerly that only a contended run of the reference engine needs, or
-// topology copied instead of shared, fails here.
+// domain, 16 clusters), here under the library's default round-robin
+// partition, where snapd defaults to semantic: a clone's allocations are
+// the same under either. A replica allocates its marker state and
+// per-run scratch and shares the topology, so cloning costs ≈ 373 KB,
+// and no complex-marker register until a run writes one. A per-cluster
+// structure built eagerly that only a contended run of the reference
+// engine needs, or topology copied instead of shared, fails here.
 func TestCloneAllocatesOnlyMarkerState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -158,8 +158,8 @@ func (c *cluster) phaseLoop(m *Machine, entries []batchEntry, done *sync.WaitGro
 // denseSweepBits is the per-word popcount at which the source scan flips
 // from iterating set bits to walking every lane of the word in order —
 // the frontier-adaptive sweep. Near-full words (a SET-MARKER-seeded
-// frontier, a saturated closure) stream the status row, value row and
-// global-ID column sequentially instead of re-deriving each position
+// frontier, a saturated closure) stream the status row, register block
+// and global-ID column sequentially instead of re-deriving each position
 // from the mask.
 const denseSweepBits = semnet.HostWordBits / 4
 
@@ -175,24 +175,24 @@ func (c *cluster) injectSources(m *Machine, entries []batchEntry) {
 		ready := c.decode(m, e.bAt)
 		scanCost := m.cost.PECost(m.cost.StatusWordCycles * int64(c.store.Words()))
 		scanEnd := c.muRun(ready, scanCost)
-		vals := c.store.ValueRow(in.M1) // nil for binary or never-written markers
 		globals := c.store.Globals()
 		for w, word := range c.store.StatusRow(in.M1) {
 			if word == 0 {
 				continue
 			}
 			base := w * semnet.HostWordBits
+			regs := c.store.Registers(in.M1, w) // nil for binary or never-written registers
 			if bits.OnesCount64(word) >= denseSweepBits {
 				for b := 0; word != 0; b, word = b+1, word>>1 {
 					if word&1 != 0 {
-						c.pushSource(in, base+b, vals, globals, scanEnd)
+						c.pushSource(in, base+b, regs.Value(b), globals, scanEnd)
 					}
 				}
 			} else {
 				for word != 0 {
 					b := bits.TrailingZeros64(word)
 					word &^= 1 << uint(b)
-					c.pushSource(in, base+b, vals, globals, scanEnd)
+					c.pushSource(in, base+b, regs.Value(b), globals, scanEnd)
 				}
 			}
 		}
@@ -200,11 +200,7 @@ func (c *cluster) injectSources(m *Machine, entries []batchEntry) {
 }
 
 // pushSource queues one PROPAGATE source task found by the status scan.
-func (c *cluster) pushSource(in *isa.Instruction, local int, vals []float32, globals []semnet.NodeID, ready timing.Time) {
-	var val float32
-	if vals != nil {
-		val = vals[local]
-	}
+func (c *cluster) pushSource(in *isa.Instruction, local int, val float32, globals []semnet.NodeID, ready timing.Time) {
 	c.pushTask(task{
 		local:    int32(local),
 		marker:   in.M2,

@@ -1,6 +1,7 @@
 package nlu
 
 import (
+	"runtime"
 	"testing"
 
 	"snap1/internal/kbgen"
@@ -141,5 +142,51 @@ func TestParserSimulatedTimePinned(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParserMemoryPinned is the memory fence beside the time fence above:
+// on the machine sim-parse builds, a fresh machine's first parse of the
+// domain's sentences allocates its complex-marker registers only in the
+// 64-node blocks the parser's programs write, ≈ 1.3 MB of the ≈ 2.2 MB
+// the parse allocates. Dense per-marker register columns, a value and an
+// origin for every node of a cluster whether written or not, hold
+// ≈ 4.5 MB: the parse would allocate ≈ 5.1 MB and fail the bound.
+func TestParserMemoryPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	g, err := kbgen.Generate(kbgen.Params{Nodes: 12000, Seed: 42, WithDomain: true})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	g.KB.Preprocess()
+	m, err := machine.New(machine.ApplyOptions(machine.PaperConfig(),
+		machine.WithDeterministic(true), machine.WithCapacityFor(g.KB.NumNodes())))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer m.Close()
+	if err := m.LoadKB(g.KB); err != nil {
+		t.Fatalf("LoadKB: %v", err)
+	}
+	p := NewParser(m, g)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, s := range g.Domain.Sentences {
+		res, err := p.Parse(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.ID, err)
+		}
+		if res.Winner != s.Expect {
+			t.Errorf("%s: winner %q, want %q", s.ID, res.Winner, s.Expect)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("first parse of %d sentences allocates %d KB", len(g.Domain.Sentences), alloc>>10)
+	const bound = 3 << 20
+	if alloc > bound {
+		t.Errorf("first parse allocates %d KB, want <= %d KB", alloc>>10, bound>>10)
 	}
 }

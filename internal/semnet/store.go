@@ -10,7 +10,8 @@ import (
 // physical tables of the paper's Fig. 4:
 //
 //   - the node table (color, function, complex-marker value and origin
-//     registers, indexed by local node number),
+//     registers, indexed by local node number; the registers are kept in
+//     blocks of 64 nodes that exist only where a program wrote them),
 //   - the marker status table (one bit per node per marker; the simulated
 //     machine processes W=32 nodes per status-word operation and all
 //     timing charges that width, while the host packs the rows into
@@ -41,9 +42,12 @@ type Store struct {
 	status [NumMarkers][]uint64
 	valid  []uint64
 
-	// Complex-marker registers, allocated on first use per marker.
-	value  [NumComplexMarkers][]float32
-	origin [NumComplexMarkers][]NodeID
+	// Complex-marker registers, in blocks of 64 nodes allocated on first
+	// write: regs[m*len(valid)+w] holds marker m's value and origin
+	// registers at the locals of host status word w. A nil block, and the
+	// nil index of a store no program has written a register of, reads as
+	// a fresh machine's registers.
+	regs []*RegBlock
 
 	// Relation table: CSR arena. Node local's links occupy
 	// relLinks[relOff[local] : relOff[local]+relCnt[local]]. Mutators
@@ -232,11 +236,65 @@ func (s *Store) Links(local int) []Link {
 // NumLinks reports the number of live relation-table entries.
 func (s *Store) NumLinks() int { return len(s.relLinks) - s.relHoles }
 
-func (s *Store) ensureValues(m MarkerID) {
-	if s.value[m] == nil {
-		s.value[m] = make([]float32, s.capacity)
-		s.origin[m] = make([]NodeID, s.capacity)
+// RegBlock is one complex marker's value and origin registers at the 64
+// local nodes of one host status word: lane b is local w*64+b. A nil
+// *RegBlock is a block no program wrote, and reads as a fresh machine's.
+type RegBlock [HostWordBits]register
+
+// register is one node's value and origin registers.
+type register struct {
+	v float32
+	o NodeID
+}
+
+// Value reads lane b's value register.
+func (r *RegBlock) Value(b int) float32 {
+	if r == nil {
+		return 0
 	}
+	return r[b].v
+}
+
+// Origin reads lane b's origin-address register.
+func (r *RegBlock) Origin(b int) NodeID {
+	if r == nil {
+		return 0
+	}
+	return r[b].o
+}
+
+// Registers returns complex marker m's register block for host word w, or
+// nil when m is binary or the block was never written. Read-only: the
+// block is owned by the store.
+func (s *Store) Registers(m MarkerID, w int) *RegBlock {
+	if i := int(m)*len(s.valid) + w; m.IsComplex() && i < len(s.regs) {
+		return s.regs[i]
+	}
+	return nil
+}
+
+// block returns complex marker m's register block for host word w,
+// allocating it if it was never written, and the index on the store's
+// first register write. m must be complex.
+func (s *Store) block(m MarkerID, w int) *RegBlock {
+	if s.regs == nil {
+		s.regs = make([]*RegBlock, NumComplexMarkers*len(s.valid))
+	}
+	i := int(m)*len(s.valid) + w
+	if s.regs[i] == nil {
+		s.regs[i] = new(RegBlock)
+	}
+	return s.regs[i]
+}
+
+// markerBlocks returns complex marker m's slots of the block index, one
+// per host word (nil before the store's first register write).
+func (s *Store) markerBlocks(m MarkerID) []*RegBlock {
+	if s.regs == nil {
+		return nil
+	}
+	lo := int(m) * len(s.valid)
+	return s.regs[lo : lo+len(s.valid)]
 }
 
 // Set sets marker m at a local node and reports whether the bit was
@@ -267,42 +325,23 @@ func (s *Store) StatusRow(m MarkerID) []uint64 {
 	return s.status[m][:s.hostWords()]
 }
 
-// ValueRow returns marker m's value-register column, or nil when m is
-// binary or the registers were never written (all values zero either
-// way). Read-only: the slice is owned by the store.
-func (s *Store) ValueRow(m MarkerID) []float32 {
-	if !m.IsComplex() {
-		return nil
-	}
-	return s.value[m]
-}
-
 // SetValue writes the complex-marker value and origin registers.
 // Binary markers have no registers; the call is ignored for them.
 func (s *Store) SetValue(local int, m MarkerID, v float32, origin NodeID) {
-	if !m.IsComplex() {
-		return
+	if m.IsComplex() {
+		s.block(m, local/HostWordBits)[local%HostWordBits] = register{v, origin}
 	}
-	s.ensureValues(m)
-	s.value[m][local] = v
-	s.origin[m][local] = origin
 }
 
 // Value reads a complex marker's value register (0 for binary markers or
 // never-written registers).
 func (s *Store) Value(local int, m MarkerID) float32 {
-	if !m.IsComplex() || s.value[m] == nil {
-		return 0
-	}
-	return s.value[m][local]
+	return s.Registers(m, local/HostWordBits).Value(local % HostWordBits)
 }
 
 // Origin reads a complex marker's origin-address register.
 func (s *Store) Origin(local int, m MarkerID) NodeID {
-	if !m.IsComplex() || s.origin[m] == nil {
-		return 0
-	}
-	return s.origin[m][local]
+	return s.Registers(m, local/HostWordBits).Origin(local % HostWordBits)
 }
 
 // NotWhere is the value-conditional complement: m2 is set at every node
@@ -313,16 +352,12 @@ func (s *Store) Origin(local int, m MarkerID) NodeID {
 // Table.Not, the bits it sets carry a fresh machine's registers.
 func (s *Store) NotWhere(m1, m2 MarkerID, pass func(v float32) bool) int {
 	r1, r2 := s.status[m1], s.status[m2]
-	vals := s.ValueRow(m1)
 	for w, valid := range s.valid[:s.hostWords()] {
 		keep := r1[w] // m1's bits whose value passes: the only bits m2 clears
-		for set, base := keep, w*HostWordBits; set != 0; set &= set - 1 {
+		regs := s.Registers(m1, w)
+		for set := keep; set != 0; set &= set - 1 {
 			b := bits.TrailingZeros64(set)
-			var v float32
-			if vals != nil {
-				v = vals[base+b]
-			}
-			if !pass(v) {
+			if !pass(regs.Value(b)) {
 				keep &^= 1 << uint(b)
 			}
 		}
@@ -334,11 +369,29 @@ func (s *Store) NotWhere(m1, m2 MarkerID, pass func(v float32) bool) int {
 
 // zeroRegisters makes every register of complex marker m read as on a
 // fresh machine. Called by the kernels that turn m's bits on without an
-// operand register to copy, after their last read of m's registers.
+// operand register to copy, after their last read of m's registers. The
+// blocks are cleared, not freed, so a warmed store writes them again
+// without allocating.
 func (s *Store) zeroRegisters(m MarkerID) {
-	if m.IsComplex() && s.value[m] != nil {
-		clear(s.value[m][:s.n])
-		clear(s.origin[m][:s.n])
+	if !m.IsComplex() {
+		return
+	}
+	for _, r := range s.markerBlocks(m) {
+		if r != nil {
+			clear(r[:])
+		}
+	}
+}
+
+// fillRegisters writes v to complex marker m's value register and a fresh
+// machine's origin to its origin register at every local node (the
+// SET-MARKER sweep's registers).
+func (s *Store) fillRegisters(m MarkerID, v float32) {
+	for w := 0; w < s.hostWords(); w++ {
+		r := s.block(m, w)
+		for b := range min(HostWordBits, s.n-w*HostWordBits) {
+			r[b] = register{v, 0}
+		}
 	}
 }
 
@@ -363,11 +416,11 @@ func (s *Store) SearchColor(col Color, m MarkerID, v float32) {
 // is the first set complex operand's, and where neither operand has one
 // to give (two binary markers) a fresh machine's.
 func (s *Store) combineValues(w int, set, w1, w2 uint64, m1, m2, m3 MarkerID, fn FuncCode) {
-	s.ensureValues(m3)
+	r1, r2 := s.Registers(m1, w), s.Registers(m2, w)
+	r3 := s.block(m3, w)
 	for set != 0 {
 		b := bits.TrailingZeros64(set)
 		set &^= 1 << uint(b)
-		local := w*HostWordBits + b
 		set1 := w1&(1<<uint(b)) != 0
 		set2 := w2&(1<<uint(b)) != 0
 		// The function combines only values that exist: where a single
@@ -376,20 +429,20 @@ func (s *Store) combineValues(w int, set, w1, w2 uint64, m1, m2, m3 MarkerID, fn
 		var res float32
 		switch {
 		case set1 && set2:
-			res = fn.Apply(s.Value(local, m1), s.Value(local, m2))
+			res = fn.Apply(r1.Value(b), r2.Value(b))
 		case set1:
-			res = s.Value(local, m1)
+			res = r1.Value(b)
 		default:
-			res = s.Value(local, m2)
+			res = r2.Value(b)
 		}
 		var origin NodeID
 		switch {
 		case m1.IsComplex() && set1:
-			origin = s.Origin(local, m1)
+			origin = r1.Origin(b)
 		case m2.IsComplex() && set2:
-			origin = s.Origin(local, m2)
+			origin = r2.Origin(b)
 		}
-		s.value[m3][local], s.origin[m3][local] = res, origin
+		r3[b] = register{res, origin}
 	}
 }
 
@@ -401,16 +454,14 @@ func (s *Store) FuncAll(m MarkerID, fn FuncCode, operand float32) int {
 	if !m.IsComplex() {
 		return s.Words()
 	}
-	s.ensureValues(m)
-	vals := s.value[m]
-	hw := s.hostWords()
-	for w := 0; w < hw; w++ {
-		set := s.status[m][w]
-		for set != 0 {
+	for w, set := range s.status[m][:s.hostWords()] {
+		if set == 0 {
+			continue
+		}
+		r := s.block(m, w)
+		for ; set != 0; set &= set - 1 {
 			b := bits.TrailingZeros64(set)
-			set &^= 1 << uint(b)
-			local := w*HostWordBits + b
-			vals[local] = fn.Apply(vals[local], operand)
+			r[b].v = fn.Apply(r[b].v, operand)
 		}
 	}
 	return s.Words()

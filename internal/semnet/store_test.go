@@ -74,6 +74,104 @@ func TestStoreValueRegisters(t *testing.T) {
 	}
 }
 
+// TestRegisterBlocksFollowWrites fences the register layout: a complex
+// marker's registers exist only in the 64-node blocks a kernel wrote, a
+// missing block reads as a fresh machine's, and a block once allocated is
+// cleared, never freed, so a warmed store runs its kernels without
+// allocating.
+func TestRegisterBlocksFollowWrites(t *testing.T) {
+	const n = 200 // four host words of a 1024-node window
+	tab := NewTable(1, 1024)
+	s := tab.Store(0)
+	for i := 0; i < n; i++ {
+		if _, err := s.AddNode(NodeID(i), Color(i%7), FuncAdd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocks := func(m MarkerID) int {
+		k := 0
+		for _, r := range s.markerBlocks(m) {
+			if r != nil {
+				k++
+			}
+		}
+		return k
+	}
+	total := func() int {
+		k := 0
+		for m := MarkerID(0); m < NumComplexMarkers; m++ {
+			k += blocks(m)
+		}
+		return k
+	}
+	fresh := func(m MarkerID) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if s.Value(i, m) != 0 || s.Origin(i, m) != 0 {
+				t.Fatalf("marker %d node %d: value %v origin %d, want a fresh machine's", m, i, s.Value(i, m), s.Origin(i, m))
+			}
+		}
+	}
+
+	cm, bm := MarkerID(1), Binary(0)
+	s.SetValue(70, cm, 2.5, 9)
+	if got := total(); got != 1 {
+		t.Fatalf("one SetValue allocated %d blocks, want 1", got)
+	}
+	if s.Value(70, cm) != 2.5 || s.Origin(70, cm) != 9 || s.Value(71, cm) != 0 || s.Value(7, cm) != 0 {
+		t.Fatal("registers of the written block, or of a missing one, read wrong")
+	}
+
+	s.SetValue(70, bm, 9, 1)
+	tab.SetAll(bm, 4)
+	s.SearchColor(3, bm, 5)
+	if got := total(); got != 1 {
+		t.Fatalf("a binary marker allocated %d blocks", got-1)
+	}
+	if s.Value(70, bm) != 0 || s.Origin(70, bm) != 0 {
+		t.Fatal("binary marker reads a register")
+	}
+
+	sm := MarkerID(2)
+	tab.SetAll(sm, 1.5)
+	if got := blocks(sm); got != (n+HostWordBits-1)/HostWordBits {
+		t.Fatalf("SetAll on %d nodes allocated %d blocks, want %d", n, got, (n+HostWordBits-1)/HostWordBits)
+	}
+
+	// Not, NotWhere and zeroRegisters leave the registers fresh and keep
+	// every block.
+	tab.Not(bm, sm)
+	fresh(sm)
+	s.NotWhere(bm, cm, func(float32) bool { return true })
+	fresh(cm)
+	tab.SetAll(sm, 3)
+	s.zeroRegisters(sm)
+	fresh(sm)
+	if blocks(cm) != 1 || blocks(sm) != 4 {
+		t.Fatalf("clearing freed blocks: marker %d holds %d, marker %d holds %d", cm, blocks(cm), sm, blocks(sm))
+	}
+
+	// Every register-writing kernel, on a warmed store.
+	seq := func() {
+		tab.SetAll(sm, 2)
+		s.SetValue(130, cm, 1, 4)
+		s.SearchColor(5, cm, 3)
+		tab.Or(sm, cm, 3, FuncMin)
+		tab.And(sm, 3, 4, FuncAdd)
+		s.FuncAll(4, FuncMul, 2)
+		tab.Not(bm, cm)
+		s.NotWhere(4, 3, func(v float32) bool { return v > 1 })
+	}
+	seq()
+	warm := total()
+	if a := testing.AllocsPerRun(20, seq); a != 0 {
+		t.Errorf("kernels on a warmed store allocate %v times per sequence, want 0", a)
+	}
+	if got := total(); got != warm {
+		t.Errorf("repeating the sequence moved the block count %d -> %d", warm, got)
+	}
+}
+
 func TestSetAllClearAll(t *testing.T) {
 	tab, s := newStore(t, 70)
 	m := MarkerID(2)
@@ -121,9 +219,6 @@ func TestSearchColorAndNotWhere(t *testing.T) {
 		if hit && (s.Value(i, cm) != 2.5 || s.Origin(i, cm) != s.Global(i)) {
 			t.Fatalf("node %d: value %v origin %d, want 2.5 and the node itself", i, s.Value(i, cm), s.Origin(i, cm))
 		}
-	}
-	if s.ValueRow(bm) != nil {
-		t.Fatal("binary marker grew value registers")
 	}
 	s.SearchColor(200, cm, 1) // no node has it: nothing changes
 	if got := tab.CountSet(cm); got != 10 {

@@ -150,29 +150,15 @@ func (t *Table) Not(m1, m2 MarkerID) {
 
 // SetAll sets marker m at every node of the machine with the given
 // value (the SET-MARKER sweep): the plane takes the valid plane's words,
-// a complex marker's value registers are filled with a doubling memmove,
-// and its origin registers read as on a fresh machine.
+// a complex marker's value registers take v, and its origin registers
+// read as on a fresh machine.
 func (t *Table) SetAll(m MarkerID, v float32) {
 	copy(t.plane(m), t.valid)
 	if !m.IsComplex() {
 		return
 	}
 	for _, s := range t.stores {
-		s.ensureValues(m)
-		fillFloat32(s.value[m][:s.n], v)
-		clear(s.origin[m][:s.n])
-	}
-}
-
-// fillFloat32 sets every element of dst to v by doubling copy (memmove),
-// the scalar-row analogue of the status table's word fill.
-func fillFloat32(dst []float32, v float32) {
-	if len(dst) == 0 {
-		return
-	}
-	dst[0] = v
-	for i := 1; i < len(dst); i *= 2 {
-		copy(dst[i:], dst[:i])
+		s.fillRegisters(m, v)
 	}
 }
 

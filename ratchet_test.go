@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -20,10 +21,10 @@ const (
 	alwaysZeroCeiling = 3 // exported Stats fields documented as always 0
 )
 
-// TestDeadSurfaceRatchet fails when the tree holds more dead surface than
-// the ceilings above allow.
-func TestDeadSurfaceRatchet(t *testing.T) {
-	var deprecated, alwaysZero []string
+// walkSource parses every non-test Go file of the tree, comments
+// included, and hands each to visit.
+func walkSource(t *testing.T, visit func(path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -42,6 +43,19 @@ func TestDeadSurfaceRatchet(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		visit(path, fset, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeadSurfaceRatchet fails when the tree holds more dead surface than
+// the ceilings above allow.
+func TestDeadSurfaceRatchet(t *testing.T) {
+	var deprecated, alwaysZero []string
+	walkSource(t, func(path string, fset *token.FileSet, f *ast.File) {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if strings.HasPrefix(c.Text, "// Deprecated:") {
@@ -61,11 +75,7 @@ func TestDeadSurfaceRatchet(t *testing.T) {
 			}
 			return false
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Logf("%d Deprecated comments: %v", len(deprecated), deprecated)
 	t.Logf("%d Stats fields documented as always 0: %v", len(alwaysZero), alwaysZero)
 	if len(deprecated) > deprecatedCeiling {
@@ -74,6 +84,66 @@ func TestDeadSurfaceRatchet(t *testing.T) {
 	if len(alwaysZero) > alwaysZeroCeiling {
 		t.Errorf("%d Stats fields documented as always 0, ceiling %d", len(alwaysZero), alwaysZeroCeiling)
 	}
+}
+
+// TestSurfaceCounts reports the size of the tree and of its public
+// surface, and asserts nothing: non-test Go lines per package, and the
+// exported package-level names and methods of snap.go and
+// internal/engine. Run it with
+//
+//	go test -run TestSurfaceCounts -v .
+func TestSurfaceCounts(t *testing.T) {
+	lines := map[string]int{}
+	exported := map[string]int{}
+	walkSource(t, func(path string, fset *token.FileSet, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		lines[dir] += fset.File(f.Pos()).LineCount()
+		if path == "snap.go" || dir == "internal/engine" {
+			exported[dir] += exportedNames(f)
+		}
+	})
+	dirs := make([]string, 0, len(lines))
+	total := 0
+	for dir, n := range lines {
+		dirs = append(dirs, dir)
+		total += n
+	}
+	sort.Strings(dirs)
+	for _, dir := range dirs {
+		t.Logf("%-28s %6d lines", dir, lines[dir])
+	}
+	t.Logf("%-28s %6d lines", "total", total)
+	t.Logf("exported names: snap.go %d, internal/engine %d", exported["."], exported["internal/engine"])
+}
+
+// exportedNames counts f's exported package-level functions, types,
+// variables and constants, and its exported methods.
+func exportedNames(f *ast.File) int {
+	n := 0
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Name.IsExported() {
+				n++
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						n++
+					}
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						if id.IsExported() {
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+	return n
 }
 
 var alwaysZeroRE = regexp.MustCompile(`(?i)\balways (0|zero)\b`)

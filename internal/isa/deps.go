@@ -2,7 +2,6 @@ package isa
 
 import (
 	"fmt"
-	"math/bits"
 
 	"snap1/internal/semnet"
 )
@@ -13,8 +12,8 @@ import (
 type MarkerSet struct{ lo, hi uint64 }
 
 // Add inserts marker m. An out-of-range ID panics: silently dropping it
-// would under-report dependencies and let the overlap window or the
-// optimizer's renaming corrupt results without a trace. Marker IDs come
+// would under-report dependencies and let the overlap window or
+// fusion's renaming corrupt results without a trace. Marker IDs come
 // from validated instructions, so a bad one here is a compiler bug, not
 // user input.
 func (s *MarkerSet) Add(m semnet.MarkerID) {
@@ -24,18 +23,6 @@ func (s *MarkerSet) Add(m semnet.MarkerID) {
 		s.hi |= 1 << (m - 64)
 	} else {
 		panic(fmt.Sprintf("isa: MarkerSet.Add: marker %d out of range [0,%d)", m, semnet.NumMarkers))
-	}
-}
-
-// Remove deletes marker m from the set. Out-of-range IDs panic, as in
-// Add.
-func (s *MarkerSet) Remove(m semnet.MarkerID) {
-	if m < 64 {
-		s.lo &^= 1 << m
-	} else if m < semnet.NumMarkers {
-		s.hi &^= 1 << (m - 64)
-	} else {
-		panic(fmt.Sprintf("isa: MarkerSet.Remove: marker %d out of range [0,%d)", m, semnet.NumMarkers))
 	}
 }
 
@@ -60,9 +47,6 @@ func (s MarkerSet) Union(o MarkerSet) MarkerSet {
 	return MarkerSet{lo: s.lo | o.lo, hi: s.hi | o.hi}
 }
 
-// Empty reports whether the set holds no markers.
-func (s MarkerSet) Empty() bool { return s.lo == 0 && s.hi == 0 }
-
 // Bits exposes the set as two 64-bit rows — bit i of lo is complex
 // marker i, bit i of hi is binary marker 64+i — matching the status
 // slab's row order so plane-masked store operations (semnet.Store
@@ -83,9 +67,6 @@ func (s MarkerSet) ForEach(f func(m semnet.MarkerID)) {
 		}
 	}
 }
-
-// Count reports the number of markers in the set.
-func (s MarkerSet) Count() int { return bits.OnesCount64(s.lo) + bits.OnesCount64(s.hi) }
 
 // Reads returns the set of markers whose status or value the instruction
 // consumes.
@@ -140,31 +121,12 @@ func (in *Instruction) Serializing() bool {
 	return false
 }
 
-// Independent reports whether instructions a and b have no marker data
-// dependency in either direction, and so may overlap in the PU's issue
-// window (the β-parallelism condition: "there are no data dependencies in
-// the markers used").
-//
-// Serializing instructions — including COMM-END — are never independent:
-// they drain the window by definition, even though COMM-END itself
-// touches no markers. Query fusion must therefore NOT merge the
-// sub-programs' COMM-ENDs into one shared global barrier (which would
-// serialize against every plane); each fused sub-program keeps its own
-// termination, and the plane-level disjointness question is answered by
-// MarkerDisjoint instead.
-func Independent(a, b *Instruction) bool {
-	if a.Serializing() || b.Serializing() {
-		return false
-	}
-	return MarkerDisjoint(a, b)
-}
-
 // MarkerDisjoint reports whether a and b touch disjoint marker planes:
-// no write of either intersects the reads or writes of the other. Unlike
-// Independent it ignores the serializing property, so COMM-END (which
-// uses no markers) is disjoint with everything — the condition under
-// which renamed sub-programs may be concatenated into one fused program
-// without their instructions interfering.
+// no write of either intersects the reads or writes of the other. It
+// ignores the serializing property, so COMM-END (which uses no markers)
+// is disjoint with everything — the condition under which renamed
+// sub-programs may be concatenated into one fused program without their
+// instructions interfering.
 func MarkerDisjoint(a, b *Instruction) bool {
 	aw, bw := a.Writes(), b.Writes()
 	return !aw.Intersects(b.Reads()) && !aw.Intersects(bw) &&
@@ -199,9 +161,8 @@ const DefaultWindowDepth = 64
 // Window is the PU's overlap window: the marker planes the pending
 // PROPAGATEs read and write, and how many of them there are. Only
 // PROPAGATEs enter it; an instruction that conflicts with it, a
-// serializing instruction or a full queue flushes it. The machine's
-// dispatch loop and the optimizer's replay of it both decide with this
-// one rule. The zero Window is empty.
+// serializing instruction or a full queue flushes it: the machine's
+// issue loop decides with this one rule. The zero Window is empty.
 type Window struct {
 	n             int
 	reads, writes MarkerSet

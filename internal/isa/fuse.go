@@ -84,19 +84,6 @@ func Fusable(p *Program) (bool, string) {
 	return true, ""
 }
 
-// PlaneDemand reports how many complex and binary marker rows p needs
-// when fused — the size of its used-marker set, split by class.
-func PlaneDemand(p *Program) (complex, binary int) {
-	p.Markers().ForEach(func(m semnet.MarkerID) {
-		if m.IsComplex() {
-			complex++
-		} else {
-			binary++
-		}
-	})
-	return complex, binary
-}
-
 // FusedOrigin locates a fused instruction in its source program.
 type FusedOrigin struct {
 	Query int // index into the fused program set

@@ -86,8 +86,8 @@ func TestFuseDisjointPlanes(t *testing.T) {
 
 // TestFusePerQueryCommEnd pins the COMM-END regression: fused programs
 // must not share one global barrier — each sub-program keeps its own
-// COMM-END, and COMM-END stays serializing (never Independent) while
-// being marker-disjoint with everything.
+// COMM-END, and COMM-END stays serializing while being marker-disjoint
+// with everything.
 func TestFusePerQueryCommEnd(t *testing.T) {
 	progs := []*Program{
 		chainQuery(1, 10, 1),
@@ -111,8 +111,8 @@ func TestFusePerQueryCommEnd(t *testing.T) {
 
 	ce := Instruction{Op: OpCommEnd}
 	pr := prop(0, 1)
-	if Independent(&ce, &pr) {
-		t.Fatal("COMM-END must serialize (not Independent)")
+	if !ce.Serializing() {
+		t.Fatal("COMM-END must serialize")
 	}
 	if !MarkerDisjoint(&ce, &pr) {
 		t.Fatal("COMM-END touches no markers; must be MarkerDisjoint with everything")
@@ -189,18 +189,6 @@ func wantReason(t *testing.T, err error, reason string) {
 	var fe *FuseError
 	if !errors.As(err, &fe) || fe.Reason != reason {
 		t.Fatalf("error %v, want reason %q", err, reason)
-	}
-}
-
-func TestPlaneDemand(t *testing.T) {
-	p := NewProgram()
-	p.SearchColor(10, 5, 1)
-	p.Propagate(5, semnet.Binary(3), rules.Path(1), semnet.FuncNop)
-	p.Barrier()
-	p.CollectNode(semnet.Binary(3))
-	c, bn := PlaneDemand(p)
-	if c != 1 || bn != 1 {
-		t.Fatalf("PlaneDemand = %d complex, %d binary; want 1,1", c, bn)
 	}
 }
 

@@ -391,8 +391,8 @@ func TestUsedReplicaMatchesFresh(t *testing.T) {
 // whole, registers included, so what an earlier instruction of the run
 // wrote there does not show through either — not even under a bit that
 // was on all along. A destination that kept them where its bit was
-// already on would make a preceding CLEAR-MARKER observable, and the
-// optimizer deletes a CLEAR ahead of a whole redefinition as dead.
+// already on would make a preceding CLEAR-MARKER observable, so each
+// program also goes through TestClearAheadOfRedefinitionIsDead's check.
 func TestStatusKernelsOverwriteRegisters(t *testing.T) {
 	const c2 = semnet.MarkerID(2)
 	b1, b2 := semnet.Binary(1), semnet.Binary(2)
@@ -410,6 +410,8 @@ func TestStatusKernelsOverwriteRegisters(t *testing.T) {
 		{"and", seeded().Set(b1, 0).Set(b2, 0).And(b1, b2, c2, semnet.FuncAdd), 0},
 	} {
 		tc.p.CollectNode(c2)
+		kb, _ := gridKB(t)
+		checkDeadClears(t, kb, tc.p, 2)
 		for _, det := range []bool{true, false} {
 			m, _, ids := gridMachine(t, det)
 			res, err := m.Run(tc.p)

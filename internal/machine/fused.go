@@ -9,18 +9,16 @@ import (
 
 // Strict runs: executing a fused program (isa.Fused, N renamed queries
 // in one machine run) or an optimizer-rewritten one. Both are a plain
-// RunContext with the origin-tie detector armed. Fusing or reordering
-// perturbs task order, and while final marker bits and values are
-// order-free (the merge functions are commutative/associative/
-// idempotent), the origin register of a complex marker records the
-// source of the first task delivering the final value — which is
-// ambiguous when two distinct-origin final contributions tie. expand
-// detects exactly that tie during a strict run and the run fails, so
-// the caller can fall back to the programs as written instead of
-// committing a schedule-dependent origin register. (Fuse already
-// rejects the non-strict apply functions for which the tie is
-// undetectable; the optimizer's passes preserve all same-plane
-// orderings, so for it the detector is a backstop.)
+// RunContext with the origin-tie detector armed. Fusing perturbs task
+// order, and while final marker bits and values are order-free (the
+// merge functions are commutative/associative/idempotent), the origin
+// register of a complex marker records the source of the first task
+// delivering the final value — which is ambiguous when two
+// distinct-origin final contributions tie. expand detects exactly that
+// tie during a strict run and the run fails, so the caller can fall
+// back to the programs as written instead of committing a
+// schedule-dependent origin register. (Fuse already rejects the
+// non-strict apply functions for which the tie is undetectable.)
 
 // ErrFusionAmbiguous reports that a fused run observed an equal-value,
 // distinct-origin marker delivery tie — the one observable difference
@@ -43,9 +41,9 @@ func (m *Machine) RunFused(ctx context.Context, f *isa.Fused) (*Result, error) {
 }
 
 // RunOptimized executes an optimizer-rewritten program; a detected tie
-// fails the run with ErrOptAmbiguous. Collection.Instr indices refer to
-// the optimized instruction stream; callers remap them through
-// Optimized.OrigIndex (Result.RemapInstrs).
+// fails the run with ErrOptAmbiguous. Nothing reaches it while
+// isa.Optimize is the identity (Changed is always false); it goes with
+// that stub (ROADMAP item 1a).
 func (m *Machine) RunOptimized(ctx context.Context, p *isa.Program) (*Result, error) {
 	return m.runStrict(ctx, p, ErrOptAmbiguous)
 }

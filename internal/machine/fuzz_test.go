@@ -390,3 +390,209 @@ func TestLockstepVirtualTimeReproducible(t *testing.T) {
 		}
 	}
 }
+
+// captureFull is everything a run leaves observable, one line each:
+// every set marker with its value and origin registers, then every
+// collection row with the instruction that collected it.
+func captureFull(m *Machine, kb *semnet.KB, res *Result) []string {
+	var st []string
+	for id := 0; id < kb.NumNodes(); id++ {
+		for mk := 0; mk < semnet.NumMarkers; mk++ {
+			if n, pl := semnet.NodeID(id), semnet.MarkerID(mk); m.TestMarker(n, pl) {
+				st = append(st, fmt.Sprintf("marker %d/%d: %v@%d", id, mk, m.MarkerValue(n, pl), m.MarkerOrigin(n, pl)))
+			}
+		}
+	}
+	for _, c := range res.Collections {
+		for _, it := range c.Items {
+			st = append(st, fmt.Sprintf("row of %d: %d=%v@%d/%d:%v", c.Instr, it.Node, it.Value, it.Origin, it.Color, it.Weight))
+		}
+	}
+	return st
+}
+
+// diffFull fails at the first line where two captures differ.
+func diffFull(t *testing.T, label string, a, b []string) {
+	t.Helper()
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	if i < len(a) || i < len(b) {
+		t.Fatalf("%s: %q vs %q", label, a[i:min(i+1, len(a))], b[i:min(i+1, len(b))])
+	}
+}
+
+// randomOptProgram draws a program over a pool of six planes (four
+// complex, two binary), so that one plane is written, cleared and
+// redefined several times in a program. It is the generator the retired
+// compile-tier optimizer was fuzzed with, kept draw for draw so that a
+// seed found against it still names the same program.
+func randomOptProgram(rng *rand.Rand, kb *semnet.KB, rels []semnet.RelType, cols []semnet.Color) *isa.Program {
+	p := isa.NewProgram()
+	planes := []semnet.MarkerID{0, 1, 2, 3, 64, 65}
+	mk := func() semnet.MarkerID { return planes[rng.Intn(len(planes))] }
+	safeFns := []semnet.FuncCode{semnet.FuncNop, semnet.FuncAdd, semnet.FuncDec}
+	fn := func() semnet.FuncCode {
+		if rng.Intn(8) == 0 {
+			return semnet.FuncMin
+		}
+		return safeFns[rng.Intn(len(safeFns))]
+	}
+	rel := func() semnet.RelType { return rels[rng.Intn(len(rels))] }
+	spec := func() rules.Spec {
+		switch rng.Intn(3) {
+		case 0:
+			return rules.Step(rel())
+		case 1:
+			return rules.Path(rel())
+		default:
+			return rules.Spread(rel(), rel())
+		}
+	}
+	steps := 8 + rng.Intn(24)
+	for i := 0; i < steps; i++ {
+		switch rng.Intn(14) {
+		case 0:
+			p.SearchNode(semnet.NodeID(rng.Intn(kb.NumNodes())), mk(), float32(rng.Intn(8)))
+		case 1:
+			p.SearchColor(cols[rng.Intn(len(cols))], mk(), float32(1+rng.Intn(7)))
+		case 2, 3, 4:
+			p.Propagate(mk(), mk(), spec(), fn())
+		case 5:
+			p.And(mk(), mk(), mk(), fn())
+		case 6:
+			p.Or(mk(), mk(), mk(), fn())
+		case 7:
+			p.Not(mk(), mk(), float32(rng.Intn(8)), isa.Condition(rng.Intn(7)))
+		case 8:
+			p.Set(mk(), float32(rng.Intn(8)))
+		case 9:
+			p.ClearM(mk())
+		case 10:
+			p.Func(mk(), safeFns[rng.Intn(len(safeFns))], float32(rng.Intn(4)))
+		case 11:
+			p.CollectNode(mk())
+		case 12:
+			p.CollectColor(mk())
+		default:
+			p.Barrier()
+		}
+	}
+	p.CollectNode(mk())
+	p.Barrier()
+	return p
+}
+
+// redefined returns the marker that in rewrites whole — status bits,
+// value and origin registers — without reading it, if there is one:
+// SET-MARKER and CLEAR-MARKER of m1, NOT-MARKER into m2, AND/OR-MARKER
+// into m3 (TestStatusKernelsOverwriteRegisters pins each).
+func redefined(in *isa.Instruction) (semnet.MarkerID, bool) {
+	var d semnet.MarkerID
+	switch in.Op {
+	case isa.OpSetMarker, isa.OpClearMarker:
+		d = in.M1
+	case isa.OpNotMarker:
+		d = in.M2
+	case isa.OpAndMarker, isa.OpOrMarker:
+		d = in.M3
+	default:
+		return 0, false
+	}
+	return d, !in.Reads().Contains(d)
+}
+
+// deadClear reports whether instrs[k], a CLEAR-MARKER, is followed by a
+// whole redefinition of its marker with no read of it in between.
+func deadClear(instrs []isa.Instruction, k int) bool {
+	d := instrs[k].M1
+	for i := k + 1; i < len(instrs); i++ {
+		if r, ok := redefined(&instrs[i]); ok && r == d {
+			return true
+		}
+		if instrs[i].Reads().Contains(d) {
+			return false
+		}
+	}
+	return false
+}
+
+// checkDeadClears runs every dead CLEAR of p, and one put in ahead of
+// every whole redefinition in p, kept and deleted, on fresh lockstep
+// machines, fails unless the two runs show the same, and returns how
+// many CLEARs it checked. "Deleting" a CLEAR aims it at a plane of its
+// class that the program never touches: both runs then cost the same on
+// every cluster and keep one schedule, so an equal-value tie between two
+// origins resolves the same way in both.
+func checkDeadClears(t *testing.T, kb *semnet.KB, p *isa.Program, clusters int) int {
+	t.Helper()
+	run := func(instrs []isa.Instruction) []string {
+		m := newFusionMachine(t, kb, true, clusters)
+		res, err := m.Run(&isa.Program{Instrs: instrs, Rules: p.Rules})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return captureFull(m, kb, res)
+	}
+	check := func(instrs []isa.Instruction, k int) {
+		d, spare := instrs[k].M1, semnet.MarkerID(semnet.NumMarkers-1)
+		if d.IsComplex() {
+			spare = semnet.NumComplexMarkers - 1
+		}
+		deleted := append([]isa.Instruction(nil), instrs...)
+		deleted[k].M1 = spare
+		diffFull(t, fmt.Sprintf("CLEAR of %d at %d, kept vs deleted", d, k), run(instrs), run(deleted))
+	}
+	n := 0
+	for k := range p.Instrs {
+		d, ok := redefined(&p.Instrs[k])
+		switch {
+		case p.Instrs[k].Op == isa.OpClearMarker && deadClear(p.Instrs, k):
+			check(p.Instrs, k)
+		case ok && p.Instrs[k].Op != isa.OpClearMarker:
+			check(append(append(p.Instrs[:k:k], isa.Instruction{Op: isa.OpClearMarker, M1: d}), p.Instrs[k:]...), k)
+		default:
+			continue
+		}
+		n++
+	}
+	return n
+}
+
+// TestClearAheadOfRedefinitionIsDead fences the register rule: a kernel
+// that redefines a marker whole writes its registers whatever the
+// marker's old bits were, so a CLEAR-MARKER of d followed by a whole
+// redefinition of d, with no read of d in between, changes nothing a run
+// shows — collections (rows, values, origins) and final marker state
+// (status, value, origin) alike. The narrower rule, which zeroes only the
+// bits a kernel newly sets, makes such a CLEAR observable and fails here.
+// TestStatusKernelsOverwriteRegisters runs the same check on one program
+// per kernel.
+func TestClearAheadOfRedefinitionIsDead(t *testing.T) {
+	// The retired optimizer fuzzer's seeds and corpus, then its seeded sweep.
+	seeds := []int64{1, 42, -7, 987654, -314159, 523, 987166, -309, 467, 44}
+	for s := int64(5000); s < 5024; s++ {
+		seeds = append(seeds, s)
+	}
+	checked := 0
+	for _, seed := range seeds {
+		name := fmt.Sprint("seed", seed)
+		if seed == 523 {
+			name = "clear-ahead-of-or-into-complex" // CLEAR c2 just ahead of OR c1, b1 into c2
+		}
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			kb, rels, cols := randomKB(rng)
+			p := randomOptProgram(rng, kb, rels, cols)
+			n := checkDeadClears(t, kb, p, 1+rng.Intn(6))
+			if seed == 523 && n == 0 {
+				t.Fatal("the program has no dead CLEAR")
+			}
+			checked += n
+		})
+	}
+	if checked < 2*len(seeds) {
+		t.Fatalf("%d dead CLEARs over %d programs: the generator no longer exercises the rule", checked, len(seeds))
+	}
+}

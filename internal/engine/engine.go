@@ -33,8 +33,8 @@
 // instead: one at a time, each on its caller's goroutine, on a writer
 // machine over the master KB, and publish epoch-style (writer.go) — the
 // KB generation bump retires result-cache entries, and each replica
-// patches itself forward by replaying the KB's topology delta log before
-// its next run, so reads never block on writes and no global pause
+// adopts the published snapshot of the writer's tables before its next
+// run, with no lock, so reads never block on writes and no global pause
 // exists.
 package engine
 
@@ -123,7 +123,7 @@ type Config struct {
 	// Writes enables the online mutation pipeline: SubmitWrite accepts
 	// topology-mutating programs, executed serialized on a dedicated
 	// writer machine and published epoch-style; replicas follow by
-	// incremental delta replay (writer.go). Off by default — a
+	// adopting the published snapshot (writer.go). Off by default — a
 	// write-disabled engine serves a truly immutable snapshot.
 	Writes bool
 }
@@ -276,16 +276,15 @@ type Engine struct {
 	cache   *lruCache[uint64, compiled]   // assembly-source hash -> sealed program
 	results *lruCache[resultKey, *answer] // memoized query answers; nil when disabled
 
-	// Write path (nil/zero unless Config.Writes; see writer.go). writes
-	// is the writer's pool: one rank, and the writes waiting for it.
-	// pubGen is the published KB generation — the epoch every new read
-	// observes, which only a write moves; writeMu serializes writer
-	// execution against full-reload replica recovery, the one path that
-	// must see a quiescent KB.
-	writer  *machine.Machine
-	writes  *pool
-	writeMu sync.Mutex
-	pubGen  atomic.Uint64
+	// Write path (nil unless Config.Writes; see writer.go). writes is
+	// the writer's pool: one rank, and the writes waiting for it.
+	writer *machine.Machine
+	writes *pool
+
+	// snap is the published network: the epoch every new read observes
+	// and every replica adopts before it runs. Bring-up stores the first;
+	// only a committed write stores another.
+	snap atomic.Pointer[machine.Snapshot]
 
 	st stats
 }
@@ -324,8 +323,8 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		cfg.Retry.MaxAttempts = 3
 	}
 	if cfg.Writes {
-		// Start recording mutations before anything loads, so every
-		// replica's bring-up generation is above the log's floor.
+		// The engine never reads the delta log; benchmark/traced.go's
+		// follower replays it from this KB (ROADMAP item 3's log half).
 		kb.EnableDeltaLog()
 	}
 	kb.Preprocess()
@@ -371,7 +370,7 @@ func New(kb *semnet.KB, opts ...Option) (*Engine, error) {
 		e.health[i] = &replicaHealth{}
 	}
 	e.st.Replicas = cfg.Replicas
-	e.pubGen.Store(kb.Generation())
+	e.snap.Store(proto.Publish())
 
 	e.asm = e.readAsm
 	if cfg.Writes {
@@ -415,9 +414,9 @@ func clonePool(proto *machine.Machine, replicas int) ([]*machine.Machine, error)
 func (e *Engine) KB() *semnet.KB { return e.kb }
 
 // readGen is the KB generation a newly admitted read observes: the
-// published epoch. The master KB may already be ahead inside a write not
-// yet published; without writes the epoch never moves.
-func (e *Engine) readGen() uint64 { return e.pubGen.Load() }
+// published snapshot's. The master KB may already be ahead inside a
+// write not yet published; without writes the epoch never moves.
+func (e *Engine) readGen() uint64 { return e.snap.Load().Generation() }
 
 // Submit runs a read-only program on the calling goroutine and returns
 // its result, or the context's cancellation/deadline, or ErrClosed after
@@ -750,7 +749,7 @@ func sourceHash(src string) uint64 {
 // it waited for a replica.
 func (e *Engine) run(ctx context.Context, rank int, q *query, admitted time.Time) {
 	m := e.machines[rank]
-	e.syncReplica(rank, m)
+	e.syncReplica(m)
 	e.st.take(time.Since(admitted))
 	e.emit(rank, perfmon.EvBatchDispatch, 1, 0)
 	if err := ctx.Err(); err != nil {

@@ -109,17 +109,14 @@ type Stats struct {
 	ResultGenEvicted uint64 `json:"result_gen_evicted"`
 
 	// Write-path counters (zero unless Config.Writes): mutating
-	// programs committed and failed; epoch publishes, one per write that
-	// moved the KB generation; incremental replica delta
-	// applications and the delta records they replayed; and replica
-	// syncs that had to fall back to taking the writer's tables
-	// (truncated delta log or a non-replayable record), which never
-	// partitions the network again. KBGeneration is the
-	// currently published KB generation every new read observes.
+	// programs committed and failed, and epoch publishes, one per write
+	// that moved the KB generation. KBGeneration is the published KB
+	// generation every new read observes. DeltaNodes and FullReloads are
+	// always 0: a replica adopts the published snapshot, and the two stay
+	// only because benchmark/run.go still reads them (ROADMAP item 1a).
 	Writes        uint64 `json:"writes"`
 	WriteFailures uint64 `json:"write_failures"`
 	WriteCommits  uint64 `json:"write_commits"`
-	DeltasApplied uint64 `json:"deltas_applied"`
 	DeltaNodes    uint64 `json:"delta_nodes"`
 	FullReloads   uint64 `json:"full_reloads"`
 	KBGeneration  uint64 `json:"kb_generation"`
@@ -146,7 +143,7 @@ type Stats struct {
 	ICNBursts   uint64 `json:"icn_send_bursts"`
 
 	// Per-stage wall-clock latency: assembly+rule compilation, the wait
-	// from admission to a replica (its delta sync included), execution
+	// from admission to a replica (its snapshot adoption included), execution
 	// (including collection), and writes (the run on the writer).
 	Compile   LatencyHist `json:"compile_latency"`
 	QueueWait LatencyHist `json:"queue_latency"`
@@ -228,15 +225,6 @@ func (s *stats) write(d time.Duration, err error) {
 	} else {
 		s.WriteFailures++
 	}
-	s.mu.Unlock()
-}
-
-// deltaApplied records one incremental replica sync that replayed n
-// delta records.
-func (s *stats) deltaApplied(n int) {
-	s.mu.Lock()
-	s.DeltasApplied++
-	s.DeltaNodes += uint64(n)
 	s.mu.Unlock()
 }
 

@@ -19,19 +19,20 @@ import (
 //
 //	SubmitWrite → the writes pool (pool.go: one rank, a FIFO line)
 //	            → RunContext on the writer machine
-//	              (every store mutation mirrored into the KB, each
-//	               tagged in the KB's topology delta log)
-//	            → publish: pubGen := kb.Generation()
+//	              (every store mutation mirrored into the KB)
+//	            → publish: snap := writer.Publish(), one atomic store
 //	            → result-cache generation sweep, EvWriteCommitted
 //	            → release the writer, answer the caller
 //
 // Reads never block on writes: admission reads the published epoch
-// (pubGen) with one atomic load, and each serving replica patches its
-// cluster tables forward by replaying the delta log before its next run
-// (syncReplica) — cost proportional to the delta, with the writer's own
-// tables, shared copy-on-write, as the truncation/rebuild fallback. A
-// write returns after its publish, so a caller whose write returned is
-// guaranteed read-your-writes on every subsequently admitted query.
+// (the snapshot's generation) with one atomic load, and a serving
+// replica whose generation differs adopts the snapshot before its next
+// run (syncReplica): it takes the writer's tables as they were at the
+// publish, shared copy-on-write, with no lock. The writer copies a store
+// before its next mutation of it, so no published table is ever
+// written. A write returns after its publish, so a caller whose write
+// returned is guaranteed read-your-writes on every subsequently admitted
+// query.
 
 // Write-path sentinel errors.
 var (
@@ -96,19 +97,16 @@ func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.R
 		return nil, err
 	}
 
-	e.writeMu.Lock()
 	e.writer.ClearMarkers()
 	start := time.Now()
 	res, err := e.writer.RunContext(ctx, prog)
 	e.st.write(time.Since(start), err)
-	newGen := e.kb.Generation()
-	e.writeMu.Unlock()
 
 	// Publish before the writer is released and the caller answered, so an
 	// acked write is visible to every later-admitted read. A failed write
 	// may have committed a prefix: that publishes too.
-	if newGen != e.pubGen.Load() {
-		e.pubGen.Store(newGen)
+	if newGen := e.writer.KBGeneration(); newGen != e.readGen() {
+		e.snap.Store(e.writer.Publish())
 		if e.results != nil {
 			if n := evictBefore(e.results, newGen); n > 0 {
 				e.st.add(&e.st.ResultGenEvicted, n)
@@ -142,48 +140,15 @@ func classifyWriteErr(err error) error {
 	}
 }
 
-// syncReplica brings a serving replica's cluster tables up to the
-// published epoch before it runs a query: replay the KB's delta records
-// in place — O(delta), partition-routed, marker state untouched — or,
-// when the log was truncated or carries a non-replayable rebuild
-// record, fall back to taking the writer's tables under the write lock
-// (the one sync path that must see a quiescent writer). The fallback
-// never partitions the network again: the paper's mapping function
-// places it once, at download, and a replica on another partition would
-// answer with other virtual times than its siblings.
-func (e *Engine) syncReplica(rank int, m *machine.Machine) {
-	if e.writer == nil {
-		return
+// syncReplica brings a serving replica up to the published epoch before
+// it runs a query: a replica at another generation adopts the published
+// snapshot in place — the writer's tables, shared copy-on-write, and the
+// writer's partition, so the network is never partitioned again: the
+// paper's mapping function places it once, at download, and a replica on
+// another partition would answer with other virtual times than its
+// siblings.
+func (e *Engine) syncReplica(m *machine.Machine) {
+	if s := e.snap.Load(); m.KBGeneration() != s.Generation() {
+		m.Adopt(s)
 	}
-	to := e.pubGen.Load()
-	from := m.KBGeneration()
-	if from == to {
-		return
-	}
-	if recs, ok := e.kb.DeltaRange(from, to); ok {
-		replayable := true
-		for i := range recs {
-			if !recs[i].Replayable() {
-				replayable = false
-				break
-			}
-		}
-		if replayable {
-			if err := m.ApplyDelta(recs, to); err == nil {
-				e.st.deltaApplied(len(recs))
-				e.emit(rank, perfmon.EvKBDeltaApplied, uint32(len(recs)), 0)
-				return
-			}
-			// Partial patch: taking the writer's tables below replaces
-			// every table, erasing any half-applied state.
-		}
-	}
-	e.writeMu.Lock()
-	err := m.AdoptTopology(e.writer)
-	e.writeMu.Unlock()
-	if err != nil {
-		// Keep serving the stale snapshot; the next boundary retries.
-		return
-	}
-	e.st.add(&e.st.FullReloads, 1)
 }

@@ -24,14 +24,7 @@ type Machine struct {
 	cfg  Config
 	cost timing.CostModel
 
-	kb       *semnet.KB
-	assign   partition.Assignment
-	localIdx []int32
-
-	// kbGen is the KB generation the loaded cluster tables currently
-	// reflect. LoadKB and ApplyDelta advance it; the gap between it and
-	// kb.Generation() is the delta a replica still owes (delta.go).
-	kbGen uint64
+	network
 
 	// tab is the marker status table of the whole array; cluster c's
 	// store owns window c of it. The broadcast status instructions sweep
@@ -70,6 +63,17 @@ type Machine struct {
 	// each cluster transferred.
 	collectBits []uint64
 	collectRows []int64
+}
+
+// network is a loaded network apart from its cluster tables: the
+// knowledge base, the partition assignment and local index tables, and
+// the KB generation the cluster tables currently reflect (LoadKB, a
+// mutating run, Adopt and ApplyDelta advance it).
+type network struct {
+	kb       *semnet.KB
+	assign   partition.Assignment
+	localIdx []int32
+	kbGen    uint64
 }
 
 // allDirty marks every marker plane dirty.
@@ -186,45 +190,56 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 // to stop again.
 func (m *Machine) Close() {}
 
-// Clone returns a replica of the machine sharing its loaded topology
-// (see AdoptTopology), with entirely fresh marker state: a query-serving
-// pool stamps out replicas in O(markers) per replica.
-func (m *Machine) Clone() (*Machine, error) {
-	r := &Machine{
-		cfg:  m.cfg,
-		cost: m.cost,
-		net:  icn.New(m.cfg.Clusters, m.cfg.MailboxCap),
-		bar:  barrier.New(m.cfg.Clusters),
-		ctrl: timing.NewClock(timing.ControllerClock),
-	}
-	if err := r.AdoptTopology(m); err != nil {
-		return nil, err
-	}
-	return r, nil
+// Snapshot is one generation of a loaded network, frozen with every
+// cluster's node and relation tables (semnet.Topology): Publish takes
+// one, and any number of machines may Adopt it while its publisher goes
+// on mutating.
+type Snapshot struct {
+	network
+	topo semnet.Topology
 }
 
-// AdoptTopology makes m's loaded network src's, at src's KB generation:
-// the knowledge base, partition assignment and local index tables, with
-// the cluster node/relation tables shared copy-on-write
-// (semnet.Table.CloneTopologyShared). The preprocessing and partitioning
-// work of LoadKB is not repeated, so m's nodes sit on the clusters they
-// sit on in src. Marker state starts fresh; the fault injector stays.
-// The first topology mutation on either side materializes a private
-// table copy, so nothing semantically mutable is shared. src must be
-// idle, and both must have been built with the same array size.
-func (m *Machine) AdoptTopology(src *Machine) error {
-	if src.kb == nil {
-		return ErrNoKB
+// Generation reports the KB generation the snapshot's tables reflect.
+func (s *Snapshot) Generation() uint64 { return s.kbGen }
+
+// Publish freezes m's loaded network, at m's KB generation, into a
+// Snapshot. Every cluster store is marked shared, so m's next topology
+// mutation copies the store it touches first and the snapshot keeps the
+// tables it took. O(clusters); m must be idle.
+func (m *Machine) Publish() *Snapshot {
+	return &Snapshot{network: m.network, topo: m.tab.Share()}
+}
+
+// Adopt makes s m's loaded network, in place: each cluster store takes
+// the snapshot's tables, shared copy-on-write, and every node sits on
+// the cluster it sits on in the publisher — LoadKB's partitioning is not
+// repeated. Marker state, clusters and the fault injector stay. m must
+// be idle and have the publisher's array size.
+func (m *Machine) Adopt(s *Snapshot) {
+	m.tab.Adopt(s.topo)
+	m.network = s.network
+}
+
+// Clone returns a replica of the machine sharing its loaded topology
+// (see Publish), with entirely fresh marker state: a query-serving pool
+// stamps out replicas in O(markers) per replica. m must be idle.
+func (m *Machine) Clone() (*Machine, error) {
+	if m.kb == nil {
+		return nil, ErrNoKB
 	}
-	if m.cfg.Clusters != src.cfg.Clusters || m.cfg.NodesPerCluster != src.cfg.NodesPerCluster {
-		return fmt.Errorf("machine: adopt a %dx%d array's topology into a %dx%d one",
-			src.cfg.Clusters, src.cfg.NodesPerCluster, m.cfg.Clusters, m.cfg.NodesPerCluster)
+	s := m.Publish()
+	r := &Machine{
+		cfg:     m.cfg,
+		cost:    m.cost,
+		network: s.network,
+		tab:     semnet.NewSharedTable(s.topo),
+		net:     icn.New(m.cfg.Clusters, m.cfg.MailboxCap),
+		bar:     barrier.New(m.cfg.Clusters),
+		ctrl:    timing.NewClock(timing.ControllerClock),
+		dirty:   allDirty(),
 	}
-	m.kb, m.assign, m.localIdx, m.kbGen = src.kb, src.assign, src.localIdx, src.kbGen
-	m.tab = src.tab.CloneTopologyShared()
-	m.clusters = newClusters(&m.cfg, m.tab)
-	m.dirty = allDirty()
-	return nil
+	r.clusters = newClusters(&r.cfg, r.tab)
+	return r, nil
 }
 
 // Item is one retrieved result row. Fields beyond Node are populated

@@ -55,13 +55,11 @@ const (
 	EvHopTraffic // status: port-to-port ICN transfers this phase
 
 	_ // retired (compile-tier optimizer); later codes keep their numbers
+	_ // retired (delta replay); later codes keep their numbers
 
-	// Online write-path events. EvKBDeltaApplied is emitted by a
-	// serving replica that patched its cluster tables forward by delta
-	// replay; status carries the record count. EvWriteCommitted is
-	// emitted once per epoch publish, by the write that made it; status
-	// is 1, the writes the epoch carries.
-	EvKBDeltaApplied
+	// Online write-path events. EvWriteCommitted is emitted once per
+	// epoch publish, by the write that made it; status is 1, the writes
+	// the epoch carries.
 	EvWriteCommitted
 )
 
@@ -109,8 +107,6 @@ func (e EventCode) String() string {
 		return "cut-traffic"
 	case EvHopTraffic:
 		return "hop-traffic"
-	case EvKBDeltaApplied:
-		return "kb-delta-applied"
 	case EvWriteCommitted:
 		return "write-committed"
 	default:

@@ -74,7 +74,7 @@ func TestCloneTopologySharedEquivalent(t *testing.T) {
 	s.Set(3, 0)
 	s.SetValue(3, 4, 2.5, 9)
 
-	shared := src.CloneTopologyShared().Store(0)
+	shared := NewSharedTable(src.Share()).Store(0)
 	deep := deepCopy(t, s).Store(0)
 	if !topoEqual(shared, deep) {
 		t.Fatal("shared clone's topology differs from deep clone")
@@ -130,7 +130,7 @@ func TestCloneTopologySharedCopyOnWrite(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				tab := cowFixture(t)
-				src, clone := tab.Store(0), tab.CloneTopologyShared().Store(0)
+				src, clone := tab.Store(0), NewSharedTable(tab.Share()).Store(0)
 				before := deepCopy(t, src).Store(0)
 
 				target, other := src, clone
@@ -164,7 +164,7 @@ func TestCloneTopologySharedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := tab.CloneTopologyShared().Store(0)
+			c := NewSharedTable(tab.Share()).Store(0)
 			if err := c.SetColor(i%src.NumNodes(), Color(20+i)); err != nil {
 				t.Error(err)
 				return

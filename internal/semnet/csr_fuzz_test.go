@@ -129,7 +129,7 @@ func (p *pair) fork(t *testing.T, deep bool) *pair {
 	if deep {
 		return newPair(deepCopy(t, p.s), p.ref.clone())
 	}
-	return newPair(p.tab.CloneTopologyShared(), p.ref.clone())
+	return newPair(NewSharedTable(p.tab.Share()), p.ref.clone())
 }
 
 // mutateCSR applies one decoded operation to a pair. Every path of the

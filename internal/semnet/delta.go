@@ -6,21 +6,18 @@ import (
 	"sort"
 )
 
-// Topology delta log: the write path's unit of replication. Every KB
-// mutation that could change a query's result appends one compact record
-// tagged with the generation that produced it, so a replica holding the
-// topology of generation g can be patched forward to generation g' by
-// replaying DeltaRange(g, g') — cost proportional to the delta, not the
-// knowledge base — instead of paying a full per-replica re-download.
+// Topology delta log: every KB mutation that could change a query's
+// result appends one compact record tagged with the generation that
+// produced it, so a machine holding the topology of generation g can be
+// patched forward to g' by replaying DeltaRange(g, g'). The engine's
+// replicas do not replay (they adopt the writer's snapshot); the
+// benchmark's traced follower and the replay tests do.
 //
 // The log is bounded: once it outgrows DefaultDeltaLogCap the oldest
-// records are dropped and the truncation floor rises; a replica whose
-// generation has fallen below the floor must fall back to whole tables
-// (DeltaRange reports ok=false): a full re-download, or the engine's
-// copy of its writer's. Records that cannot be replayed in
-// place on a loaded array — node creation and preprocessor reshapes,
-// which change the partition assignment — are logged as DeltaRebuild
-// markers that force the same fallback.
+// records are dropped and the truncation floor rises, below which
+// DeltaRange reports ok=false. Node creation and preprocessor reshapes,
+// which change the partition assignment, are logged as DeltaRebuild
+// records that cannot be replayed in place.
 
 // DeltaOp identifies one topology delta record kind.
 type DeltaOp uint8

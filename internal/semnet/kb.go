@@ -51,8 +51,8 @@ type KB struct {
 	// can never satisfy a query against a newer one.
 	gen atomic.Uint64
 
-	// delta is the bounded mutation log for incremental replica sync
-	// (delta.go; disabled until EnableDeltaLog).
+	// delta is the bounded mutation log for delta replay (delta.go;
+	// disabled until EnableDeltaLog).
 	delta deltaLog
 }
 

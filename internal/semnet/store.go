@@ -26,13 +26,7 @@ import (
 // mutation; the cluster's multiport-memory discipline (internal/mpmem)
 // serializes writers exactly as the hardware arbiter does.
 type Store struct {
-	capacity int
-	n        int // local nodes stored
-
-	// Node table.
-	color  []Color
-	fn     []FuncCode
-	global []NodeID // local -> global ID
+	storeTopo
 
 	// Marker status table: status[m] is a view of this store's window of
 	// plane m of the machine's Table; bit b of word w means marker m is
@@ -49,6 +43,26 @@ type Store struct {
 	// a fresh machine's registers.
 	regs []*RegBlock
 
+	// sharedTopo marks the node and relation tables as aliased with a
+	// Topology (Table.Share) and the stores that adopted it. A shared
+	// store treats those tables as immutable: any topology mutator first
+	// materializes a private copy (copy-on-write), so siblings never
+	// observe writes. Atomic because a pool brings replicas up
+	// concurrently, and every clone of one prototype shares its stores.
+	sharedTopo atomic.Bool
+}
+
+// storeTopo is a store's node and relation tables, by value: what a
+// Topology holds of each window.
+type storeTopo struct {
+	capacity int
+	n        int // local nodes stored
+
+	// Node table.
+	color  []Color
+	fn     []FuncCode
+	global []NodeID // local -> global ID
+
 	// Relation table: CSR arena. Node local's links occupy
 	// relLinks[relOff[local] : relOff[local]+relCnt[local]]. Mutators
 	// patch blocks in place when they fit (or sit at the slab tail) and
@@ -60,26 +74,18 @@ type Store struct {
 	relCnt   []int32
 	relLinks []Link
 	relHoles int // dead slots abandoned by relocating mutators
-
-	// sharedTopo marks the node and relation tables as aliased with at
-	// least one other store (CloneTopologyShared). A shared store treats
-	// those tables as immutable: any topology mutator first materializes
-	// a private copy (copy-on-write), so siblings never observe writes.
-	// Atomic because a pool brings replicas up concurrently, and every
-	// clone of one prototype store marks the prototype shared.
-	sharedTopo atomic.Bool
 }
 
 // emptyStore returns an empty store not yet bound to a table window.
 func emptyStore(capacity int) *Store {
-	return &Store{
+	return &Store{storeTopo: storeTopo{
 		capacity: capacity,
 		color:    make([]Color, 0, capacity),
 		fn:       make([]FuncCode, 0, capacity),
 		global:   make([]NodeID, 0, capacity),
 		relOff:   make([]int32, 0, capacity),
 		relCnt:   make([]int32, 0, capacity),
-	}
+	}}
 }
 
 // Words reports the number of simulated W=32-bit status words per marker
@@ -90,26 +96,19 @@ func (s *Store) Words() int { return (s.n + WordBits - 1) / WordBits }
 // hostWords reports how many 64-bit host words cover the node range.
 func (s *Store) hostWords() int { return (s.n + HostWordBits - 1) / HostWordBits }
 
-// shareTopology returns a store aliasing s's node and relation tables,
-// not yet bound to a table window. Both stores are marked shared; the
-// first topology mutation on either side materializes a private copy
-// first (copy-on-write), so they stay semantically independent while the
-// common read-only case copies nothing.
-func (s *Store) shareTopology() *Store {
+// share marks s's node and relation tables shared and returns them: the
+// first topology mutation of s then materializes a private copy
+// (copy-on-write), so the tables returned are never written again.
+func (s *Store) share() storeTopo {
 	s.sharedTopo.Store(true)
-	c := &Store{
-		capacity: s.capacity,
-		n:        s.n,
-		color:    s.color,
-		fn:       s.fn,
-		global:   s.global,
-		relOff:   s.relOff,
-		relCnt:   s.relCnt,
-		relLinks: s.relLinks,
-		relHoles: s.relHoles,
-	}
-	c.sharedTopo.Store(true)
-	return c
+	return s.storeTopo
+}
+
+// adopt makes tp s's node and relation tables, marked shared. Marker
+// state — status rows, valid plane, registers — is left to the caller.
+func (s *Store) adopt(tp storeTopo) {
+	s.storeTopo = tp
+	s.sharedTopo.Store(true)
 }
 
 // own materializes a private copy of the shared node and relation tables

@@ -18,7 +18,7 @@ func (s *Store) SetColor(local int, c Color) error {
 }
 
 // SetFn rewrites the node-table propagation function of a local node
-// (delta-sync replay of a host-side KB.SetFn; there is no ISA
+// (delta replay of a host-side KB.SetFn; there is no ISA
 // instruction for it).
 func (s *Store) SetFn(local int, fn FuncCode) error {
 	if local < 0 || local >= s.n {

@@ -61,6 +61,12 @@ func (t *Table) bind(c int, s *Store) {
 		s.status[m] = t.plane(MarkerID(m))[lo:hi:hi]
 	}
 	s.valid = t.valid[lo:hi:hi]
+	s.fillValid()
+}
+
+// fillValid sets the valid words to the bits below the node count.
+func (s *Store) fillValid() {
+	clear(s.valid)
 	for w := range s.valid[:s.n/HostWordBits] {
 		s.valid[w] = ^uint64(0)
 	}
@@ -72,17 +78,50 @@ func (t *Table) bind(c int, s *Store) {
 // Store returns the store owning window c.
 func (t *Table) Store(c int) *Store { return t.stores[c] }
 
-// CloneTopologyShared returns a table of fresh (cleared) marker state —
-// one allocation — whose stores alias this table's node and relation
-// tables copy-on-write (Store.shareTopology, window by window): the
-// download-once/replicate step of a query-serving pool, O(markers) per
-// replica instead of O(nodes + links).
-func (t *Table) CloneTopologyShared() *Table {
-	c := newTable(len(t.stores), t.stores[0].capacity)
-	for i, s := range t.stores {
-		c.bind(i, s.shareTopology())
+// Topology is a table's node and relation tables, window by window, as
+// Share froze them: the one way a loaded network is shared. Nothing
+// writes the tables it holds, so any number of tables may read them.
+type Topology []storeTopo
+
+// Share freezes t's node and relation tables into a Topology, copying
+// nothing: every store is marked shared, so its next topology mutation
+// copies its tables first and the Topology keeps the ones it took.
+func (t *Table) Share() Topology {
+	tp := make(Topology, len(t.stores))
+	for c, s := range t.stores {
+		tp[c] = s.share()
 	}
-	return c
+	return tp
+}
+
+// NewSharedTable returns a table of fresh (cleared) marker state whose
+// stores read tp's tables copy-on-write: a query-serving pool's replica
+// costs O(markers), not O(nodes + links).
+func NewSharedTable(tp Topology) *Table {
+	t := newTable(len(tp), tp[0].capacity)
+	for c := range tp {
+		s := new(Store)
+		s.adopt(tp[c])
+		t.bind(c, s)
+	}
+	return t
+}
+
+// Adopt makes tp t's node and relation tables in place, window by
+// window, shared copy-on-write. Marker state stays: the status views
+// are fixed by capacity, and only a window whose node count changed has
+// its valid words rewritten. tp must come from a table of t's shape.
+func (t *Table) Adopt(tp Topology) {
+	if len(tp) != len(t.stores) || tp[0].capacity != t.stores[0].capacity {
+		panic("semnet: adopt a topology of another table shape")
+	}
+	for c, s := range t.stores {
+		n := s.n
+		s.adopt(tp[c])
+		if s.n != n {
+			s.fillValid()
+		}
+	}
 }
 
 // plane returns marker m's status words, every window's in cluster

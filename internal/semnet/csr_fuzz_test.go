@@ -186,7 +186,7 @@ func mutateCSR(t *testing.T, rng *rand.Rand, p *pair, op int) {
 		local := rng.Intn(n)
 		m := []MarkerID{0, 3, Binary(0), Binary(5)}[rng.Intn(4)]
 		if rng.Intn(3) == 0 {
-			p.s.Clear(local, m)
+			p.s.unset(local, m)
 			delete(p.ref.marks, [2]int{int(m), local})
 		} else {
 			p.s.Set(local, m)

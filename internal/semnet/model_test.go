@@ -226,7 +226,7 @@ func driveModel(t *testing.T, rng *rand.Rand, trial, capacity int, counts []int)
 			ref.set(local, m)
 		case op == 1:
 			local, m := rng.Intn(s.NumNodes()), mk()
-			s.Clear(local, m)
+			s.unset(local, m)
 			ref.clear(local, m)
 		case op == 2:
 			local, m := rng.Intn(s.NumNodes()), mk()

@@ -3,6 +3,7 @@ package semnet
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -10,8 +11,9 @@ import (
 // physical tables of the paper's Fig. 4:
 //
 //   - the node table (color, function, complex-marker value and origin
-//     registers, indexed by local node number; the registers are kept in
-//     blocks of 64 nodes that exist only where a program wrote them),
+//     registers, indexed by local node number; the registers are kept
+//     only at the nodes a program wrote them, in packed blocks of one
+//     host status word),
 //   - the marker status table (one bit per node per marker; the simulated
 //     machine processes W=32 nodes per status-word operation and all
 //     timing charges that width, while the host packs the rows into
@@ -36,11 +38,12 @@ type Store struct {
 	status [NumMarkers][]uint64
 	valid  []uint64
 
-	// Complex-marker registers, in blocks of 64 nodes allocated on first
-	// write: regs[m*len(valid)+w] holds marker m's value and origin
-	// registers at the locals of host status word w. A nil block, and the
-	// nil index of a store no program has written a register of, reads as
-	// a fresh machine's registers.
+	// Complex-marker registers, in one block per (marker, host status
+	// word) allocated on first write: regs[m*len(valid)+w] holds marker
+	// m's value and origin registers at the locals of word w, only the
+	// lanes a program wrote, packed behind a presence mask. An absent
+	// lane, a nil block, and the nil index of a store no program has
+	// written a register of, read as a fresh machine's registers.
 	regs []*RegBlock
 
 	// sharedTopo marks the node and relation tables as aliased with a
@@ -236,9 +239,15 @@ func (s *Store) Links(local int) []Link {
 func (s *Store) NumLinks() int { return len(s.relLinks) - s.relHoles }
 
 // RegBlock is one complex marker's value and origin registers at the 64
-// local nodes of one host status word: lane b is local w*64+b. A nil
-// *RegBlock is a block no program wrote, and reads as a fresh machine's.
-type RegBlock [HostWordBits]register
+// local nodes of one host status word: lane b is local w*64+b. It holds
+// only the lanes a program wrote, packed in lane order behind a presence
+// mask: lane b is present when bit b of mask is, and then lives at
+// r[popcount(mask & (1<<b - 1))]. An absent lane, and every lane of a nil
+// *RegBlock (a block no program wrote), reads as a fresh machine's.
+type RegBlock struct {
+	mask uint64
+	r    []register
+}
 
 // register is one node's value and origin registers.
 type register struct {
@@ -246,20 +255,53 @@ type register struct {
 	o NodeID
 }
 
-// Value reads lane b's value register.
+// Value reads lane b's value register. Value and Origin spell out
+// index(b): the call would cost (*Store).Value and Origin their inlining.
 func (r *RegBlock) Value(b int) float32 {
-	if r == nil {
+	if r == nil || r.mask&(1<<uint(b)) == 0 {
 		return 0
 	}
-	return r[b].v
+	return r.r[bits.OnesCount64(r.mask&(1<<uint(b)-1))].v
 }
 
 // Origin reads lane b's origin-address register.
 func (r *RegBlock) Origin(b int) NodeID {
-	if r == nil {
+	if r == nil || r.mask&(1<<uint(b)) == 0 {
 		return 0
 	}
-	return r[b].o
+	return r.r[bits.OnesCount64(r.mask&(1<<uint(b)-1))].o
+}
+
+// index is where lane b lives, or would be inserted, in r: the number of
+// present lanes below it.
+func (r *RegBlock) index(b int) int {
+	return bits.OnesCount64(r.mask & (1<<uint(b) - 1))
+}
+
+// ensure makes every lane of set present, inserting the absent ones with
+// a fresh machine's registers in one pass that moves the present entries
+// up from the top lane down. Writers call it ahead of their writes. A
+// lane is new to a block only on its first write since the block was
+// created or emptied, so ensure is kept out of line, out of the writers'
+// per-node loops.
+//
+//go:noinline
+func (r *RegBlock) ensure(set uint64) {
+	add := set &^ r.mask
+	j := len(r.r) - 1 // the next entry to move up
+	r.r = slices.Grow(r.r, bits.OnesCount64(add))[:len(r.r)+bits.OnesCount64(add)]
+	for i, rest := len(r.r)-1, r.mask|add; add != 0; i-- {
+		top := uint64(1) << (HostWordBits - 1 - bits.LeadingZeros64(rest))
+		rest &^= top
+		if add&top != 0 {
+			r.r[i] = register{}
+			add &^= top
+		} else {
+			r.r[i] = r.r[j]
+			j--
+		}
+	}
+	r.mask |= set
 }
 
 // Registers returns complex marker m's register block for host word w, or
@@ -305,8 +347,8 @@ func (s *Store) Set(local int, m MarkerID) bool {
 	return old&(1<<b) == 0
 }
 
-// Clear clears marker m at a local node.
-func (s *Store) Clear(local int, m MarkerID) {
+// unset clears marker m at a local node.
+func (s *Store) unset(local int, m MarkerID) {
 	w, b := local/HostWordBits, uint(local%HostWordBits)
 	s.status[m][w] &^= 1 << b
 }
@@ -328,7 +370,11 @@ func (s *Store) StatusRow(m MarkerID) []uint64 {
 // Binary markers have no registers; the call is ignored for them.
 func (s *Store) SetValue(local int, m MarkerID, v float32, origin NodeID) {
 	if m.IsComplex() {
-		s.block(m, local/HostWordBits)[local%HostWordBits] = register{v, origin}
+		r, b := s.block(m, local/HostWordBits), local%HostWordBits
+		if r.mask&(1<<uint(b)) == 0 {
+			r.ensure(1 << uint(b))
+		}
+		r.r[r.index(b)] = register{v, origin}
 	}
 }
 
@@ -369,27 +415,30 @@ func (s *Store) NotWhere(m1, m2 MarkerID, pass func(v float32) bool) int {
 // zeroRegisters makes every register of complex marker m read as on a
 // fresh machine. Called by the kernels that turn m's bits on without an
 // operand register to copy, after their last read of m's registers. The
-// blocks are cleared, not freed, so a warmed store writes them again
-// without allocating.
+// blocks lose their lanes but keep their entries' capacity and are not
+// freed, so a warmed store writes the same lanes again without
+// allocating.
 func (s *Store) zeroRegisters(m MarkerID) {
 	if !m.IsComplex() {
 		return
 	}
 	for _, r := range s.markerBlocks(m) {
 		if r != nil {
-			clear(r[:])
+			r.mask, r.r = 0, r.r[:0]
 		}
 	}
 }
 
 // fillRegisters writes v to complex marker m's value register and a fresh
 // machine's origin to its origin register at every local node (the
-// SET-MARKER sweep's registers).
+// SET-MARKER sweep's registers). A word's nodes are the lanes below a
+// bound, so once present they are its block's first entries.
 func (s *Store) fillRegisters(m MarkerID, v float32) {
-	for w := 0; w < s.hostWords(); w++ {
+	for w, valid := range s.valid[:s.hostWords()] {
 		r := s.block(m, w)
-		for b := range min(HostWordBits, s.n-w*HostWordBits) {
-			r[b] = register{v, 0}
+		r.ensure(valid)
+		for i := range r.r[:bits.OnesCount64(valid)] {
+			r.r[i] = register{v, 0}
 		}
 	}
 }
@@ -413,10 +462,14 @@ func (s *Store) SearchColor(col Color, m MarkerID, v float32) {
 // registers of markers that were not set contribute zero: a cleared
 // marker's stale register contents must not leak into results. The origin
 // is the first set complex operand's, and where neither operand has one
-// to give (two binary markers) a fresh machine's.
+// to give (two binary markers) a fresh machine's. When m3 aliases an
+// operand, m3's lanes are inserted into the operand's own block ahead of
+// the sweep; its reads stay right because the mask and the entries move
+// together and an inserted lane reads as an absent one did.
 func (s *Store) combineValues(w int, set, w1, w2 uint64, m1, m2, m3 MarkerID, fn FuncCode) {
 	r1, r2 := s.Registers(m1, w), s.Registers(m2, w)
 	r3 := s.block(m3, w)
+	r3.ensure(set)
 	for set != 0 {
 		b := bits.TrailingZeros64(set)
 		set &^= 1 << uint(b)
@@ -441,7 +494,7 @@ func (s *Store) combineValues(w int, set, w1, w2 uint64, m1, m2, m3 MarkerID, fn
 		case m2.IsComplex() && set2:
 			origin = r2.Origin(b)
 		}
-		r3[b] = register{res, origin}
+		r3.r[r3.index(b)] = register{res, origin}
 	}
 }
 
@@ -458,9 +511,10 @@ func (s *Store) FuncAll(m MarkerID, fn FuncCode, operand float32) int {
 			continue
 		}
 		r := s.block(m, w)
+		r.ensure(set)
 		for ; set != 0; set &= set - 1 {
-			b := bits.TrailingZeros64(set)
-			r[b].v = fn.Apply(r[b].v, operand)
+			l := &r.r[r.index(bits.TrailingZeros64(set))]
+			l.v = fn.Apply(l.v, operand)
 		}
 	}
 	return s.Words()

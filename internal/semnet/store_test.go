@@ -2,6 +2,7 @@ package semnet
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -52,9 +53,9 @@ func TestStoreMarkerBits(t *testing.T) {
 	if got := tab.CountSet(m); got != 1 {
 		t.Errorf("CountSet = %d", got)
 	}
-	s.Clear(33, m)
+	s.unset(33, m)
 	if s.Test(33, m) || tab.CountSet(m) != 0 {
-		t.Error("Clear failed")
+		t.Error("unset failed")
 	}
 }
 
@@ -75,10 +76,10 @@ func TestStoreValueRegisters(t *testing.T) {
 }
 
 // TestRegisterBlocksFollowWrites fences the register layout: a complex
-// marker's registers exist only in the 64-node blocks a kernel wrote, a
-// missing block reads as a fresh machine's, and a block once allocated is
-// cleared, never freed, so a warmed store runs its kernels without
-// allocating.
+// marker's registers exist only in the lanes a kernel wrote, packed into
+// one block per host status word, a missing lane or block reads as a fresh
+// machine's, and a block once allocated loses its lanes but is never
+// freed, so a warmed store runs its kernels without allocating.
 func TestRegisterBlocksFollowWrites(t *testing.T) {
 	const n = 200 // four host words of a 1024-node window
 	tab := NewTable(1, 1024)
@@ -88,21 +89,26 @@ func TestRegisterBlocksFollowWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blocks := func(m MarkerID) int {
-		k := 0
+	// census reports how many blocks complex marker m holds and how many
+	// lanes they hold between them.
+	census := func(m MarkerID) (blocks, lanes int) {
 		for _, r := range s.markerBlocks(m) {
 			if r != nil {
-				k++
+				if len(r.r) != bits.OnesCount64(r.mask) {
+					t.Fatalf("marker %d: a block holds %d entries behind a mask of %d lanes", m, len(r.r), bits.OnesCount64(r.mask))
+				}
+				blocks++
+				lanes += len(r.r)
 			}
 		}
-		return k
+		return blocks, lanes
 	}
-	total := func() int {
-		k := 0
+	total := func() (blocks, lanes int) {
 		for m := MarkerID(0); m < NumComplexMarkers; m++ {
-			k += blocks(m)
+			b, l := census(m)
+			blocks, lanes = blocks+b, lanes+l
 		}
-		return k
+		return blocks, lanes
 	}
 	fresh := func(m MarkerID) {
 		t.Helper()
@@ -115,18 +121,18 @@ func TestRegisterBlocksFollowWrites(t *testing.T) {
 
 	cm, bm := MarkerID(1), Binary(0)
 	s.SetValue(70, cm, 2.5, 9)
-	if got := total(); got != 1 {
-		t.Fatalf("one SetValue allocated %d blocks, want 1", got)
+	if blocks, lanes := total(); blocks != 1 || lanes != 1 {
+		t.Fatalf("one SetValue holds %d blocks and %d lanes, want 1 and 1", blocks, lanes)
 	}
 	if s.Value(70, cm) != 2.5 || s.Origin(70, cm) != 9 || s.Value(71, cm) != 0 || s.Value(7, cm) != 0 {
-		t.Fatal("registers of the written block, or of a missing one, read wrong")
+		t.Fatal("registers of the written lane, or of a missing one, read wrong")
 	}
 
 	s.SetValue(70, bm, 9, 1)
 	tab.SetAll(bm, 4)
 	s.SearchColor(3, bm, 5)
-	if got := total(); got != 1 {
-		t.Fatalf("a binary marker allocated %d blocks", got-1)
+	if blocks, lanes := total(); blocks != 1 || lanes != 1 {
+		t.Fatalf("a binary marker allocated %d blocks and %d lanes", blocks-1, lanes-1)
 	}
 	if s.Value(70, bm) != 0 || s.Origin(70, bm) != 0 {
 		t.Fatal("binary marker reads a register")
@@ -134,24 +140,34 @@ func TestRegisterBlocksFollowWrites(t *testing.T) {
 
 	sm := MarkerID(2)
 	tab.SetAll(sm, 1.5)
-	if got := blocks(sm); got != (n+HostWordBits-1)/HostWordBits {
-		t.Fatalf("SetAll on %d nodes allocated %d blocks, want %d", n, got, (n+HostWordBits-1)/HostWordBits)
+	if blocks, lanes := census(sm); blocks != (n+HostWordBits-1)/HostWordBits || lanes != n {
+		t.Fatalf("SetAll on %d nodes holds %d blocks and %d lanes, want %d and %d", n, blocks, lanes, (n+HostWordBits-1)/HostWordBits, n)
 	}
 
-	// Not, NotWhere and zeroRegisters leave the registers fresh and keep
-	// every block.
+	// Not, NotWhere and zeroRegisters leave the marker no lanes, so its
+	// registers read fresh, and keep every block.
 	tab.Not(bm, sm)
+	if _, lanes := census(sm); lanes != 0 {
+		t.Fatalf("Not leaves marker %d %d lanes, want 0", sm, lanes)
+	}
 	fresh(sm)
 	s.NotWhere(bm, cm, func(float32) bool { return true })
+	if _, lanes := census(cm); lanes != 0 {
+		t.Fatalf("NotWhere leaves marker %d %d lanes, want 0", cm, lanes)
+	}
 	fresh(cm)
 	tab.SetAll(sm, 3)
 	s.zeroRegisters(sm)
 	fresh(sm)
-	if blocks(cm) != 1 || blocks(sm) != 4 {
-		t.Fatalf("clearing freed blocks: marker %d holds %d, marker %d holds %d", cm, blocks(cm), sm, blocks(sm))
+	if cb, _ := census(cm); cb != 1 {
+		t.Fatalf("clearing freed blocks: marker %d holds %d, want 1", cm, cb)
+	}
+	if sb, _ := census(sm); sb != 4 {
+		t.Fatalf("clearing freed blocks: marker %d holds %d, want 4", sm, sb)
 	}
 
-	// Every register-writing kernel, on a warmed store.
+	// Every register-writing kernel, on a warmed store, rewrites the same
+	// lanes without allocating.
 	seq := func() {
 		tab.SetAll(sm, 2)
 		s.SetValue(130, cm, 1, 4)
@@ -163,12 +179,12 @@ func TestRegisterBlocksFollowWrites(t *testing.T) {
 		s.NotWhere(4, 3, func(v float32) bool { return v > 1 })
 	}
 	seq()
-	warm := total()
+	warmBlocks, warmLanes := total()
 	if a := testing.AllocsPerRun(20, seq); a != 0 {
 		t.Errorf("kernels on a warmed store allocate %v times per sequence, want 0", a)
 	}
-	if got := total(); got != warm {
-		t.Errorf("repeating the sequence moved the block count %d -> %d", warm, got)
+	if blocks, lanes := total(); blocks != warmBlocks || lanes != warmLanes {
+		t.Errorf("repeating the sequence moved the census from %d blocks and %d lanes to %d and %d", warmBlocks, warmLanes, blocks, lanes)
 	}
 }
 

@@ -263,7 +263,12 @@ func benchPhaseRun(b *testing.B, det bool, kb *semnet.KB, p *isa.Program) {
 // table plus the sixteen per-cluster clock bookings. Each run is 240
 // instructions of one kind cycling over 48 sparse operand markers and 16
 // destinations, so the planes it touches are as cold as the parser's,
-// not one line kept hot; ns/instr is the run divided by its length.
+// not one line kept hot; ns/instr is the run divided by its length. The
+// rows named -complex take their operands and destinations from the 64
+// complex markers, so they also read and write value and origin
+// registers: AND and OR combine the operands' values into the
+// destination's, NOT and SET rewrite the destination's, and COLLECT-NODE
+// reads a value and an origin per row.
 func BenchmarkSIMDPhase(b *testing.B) {
 	g, err := kbgen.Generate(kbgen.Params{Nodes: 12000, Seed: 42, WithDomain: true})
 	if err != nil {
@@ -279,29 +284,47 @@ func BenchmarkSIMDPhase(b *testing.B) {
 		b.Fatal(err)
 	}
 	const operands, dests, perRun = 48, 16, 240
-	seed := isa.NewProgram() // eight nodes under each operand marker
+	seed := isa.NewProgram() // eight nodes under each operand marker, binary and complex
 	for i := 0; i < operands*8; i++ {
-		seed.SearchNode(semnet.NodeID(i*1009%nodes), semnet.Binary(i%operands), 0)
+		node := semnet.NodeID(i * 1009 % nodes)
+		seed.SearchNode(node, semnet.Binary(i%operands), 0)
+		seed.SearchNode(node, semnet.MarkerID(i%operands), float32(1+i%5))
 	}
-	for _, k := range []struct {
-		name string
-		add  func(p *isa.Program, src, next, dst semnet.MarkerID, i int)
-	}{
-		{"clear", func(p *isa.Program, _, _, dst semnet.MarkerID, _ int) { p.ClearM(dst) }},
-		{"and", func(p *isa.Program, src, next, dst semnet.MarkerID, _ int) { p.And(src, next, dst, semnet.FuncNop) }},
-		{"or", func(p *isa.Program, src, next, dst semnet.MarkerID, _ int) { p.Or(src, next, dst, semnet.FuncNop) }},
-		{"not", func(p *isa.Program, src, _, dst semnet.MarkerID, _ int) { p.Not(src, dst, 0, isa.CondNone) }},
-		{"set", func(p *isa.Program, _, _, dst semnet.MarkerID, _ int) { p.Set(dst, 0) }},
-		{"search-node", func(p *isa.Program, _, _, dst semnet.MarkerID, i int) {
+	type kind struct {
+		name    string
+		complex bool
+		add     func(p *isa.Program, src, next, dst semnet.MarkerID, i int)
+	}
+	and := func(p *isa.Program, src, next, dst semnet.MarkerID, _ int) { p.And(src, next, dst, semnet.FuncAdd) }
+	or := func(p *isa.Program, src, next, dst semnet.MarkerID, _ int) { p.Or(src, next, dst, semnet.FuncMin) }
+	not := func(p *isa.Program, src, _, dst semnet.MarkerID, _ int) { p.Not(src, dst, 0, isa.CondNone) }
+	set := func(p *isa.Program, _, _, dst semnet.MarkerID, _ int) { p.Set(dst, 2) }
+	collect := func(p *isa.Program, src, _, _ semnet.MarkerID, _ int) { p.CollectNode(src) }
+	for _, k := range []kind{
+		{"clear", false, func(p *isa.Program, _, _, dst semnet.MarkerID, _ int) { p.ClearM(dst) }},
+		{"and", false, and},
+		{"or", false, or},
+		{"not", false, not},
+		{"set", false, set},
+		{"search-node", false, func(p *isa.Program, _, _, dst semnet.MarkerID, i int) {
 			p.SearchNode(semnet.NodeID(i*4099%nodes), dst, 0)
 		}},
-		{"search-color", func(p *isa.Program, _, _, dst semnet.MarkerID, _ int) { p.SearchColor(g.Col.Root, dst, 0) }},
-		{"collect-node", func(p *isa.Program, src, _, _ semnet.MarkerID, _ int) { p.CollectNode(src) }},
+		{"search-color", false, func(p *isa.Program, _, _, dst semnet.MarkerID, _ int) { p.SearchColor(g.Col.Root, dst, 0) }},
+		{"collect-node", false, collect},
+		{"and-complex", true, and},
+		{"or-complex", true, or},
+		{"not-complex", true, not},
+		{"set-complex", true, set},
+		{"collect-node-complex", true, collect},
 	} {
+		marker := semnet.Binary
+		if k.complex {
+			marker = func(i int) semnet.MarkerID { return semnet.MarkerID(i) }
+		}
 		b.Run(k.name, func(b *testing.B) {
 			p := isa.NewProgram()
 			for i := 0; i < perRun; i++ {
-				k.add(p, semnet.Binary(i%operands), semnet.Binary((i+1)%operands), semnet.Binary(operands+i%dests), i)
+				k.add(p, marker(i%operands), marker((i+1)%operands), marker(operands+i%dests), i)
 			}
 			m.ClearMarkers()
 			if _, err := m.Run(seed); err != nil {

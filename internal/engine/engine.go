@@ -426,7 +426,9 @@ func (e *Engine) readGen() uint64 { return e.snap.Load().Generation() }
 // result caching active (the default), a repeat of a completed query
 // returns the memoized Result — bit-identical, virtual time included;
 // identical submissions that miss together each run. The returned Result
-// is shared and must be treated as immutable.
+// is shared and must be treated as immutable. It carries no Profile, on a
+// miss or a hit: the run's interconnect counters go to Stats, and
+// Machine.Run is the door for a run's instrumentation.
 func (e *Engine) Submit(ctx context.Context, prog *isa.Program) (*machine.Result, error) {
 	_, res, err := e.submit(ctx, prog)
 	return res, err
@@ -776,11 +778,20 @@ func (e *Engine) run(ctx context.Context, rank int, q *query, admitted time.Time
 		return
 	}
 	e.noteSuccess(rank)
-	if p := res.Profile; p != nil {
-		e.st.icn(p.PropMessages, p.PropHops, p.SendBursts)
-	}
+	e.dropProfile(res)
 	e.emit(rank, perfmon.EvQueryDone, uint32(res.Time), res.Time)
 	q.res, q.err = res, nil
+}
+
+// dropProfile adds a run's interconnect counters to Stats and drops its
+// Profile: an engine answer carries collections, virtual time and KB
+// generation, and a result-cache entry keeps no more than it serves.
+// Machine.Run is the door for a run's instrumentation.
+func (e *Engine) dropProfile(res *machine.Result) {
+	if p := res.Profile; p != nil {
+		e.st.icn(p.PropMessages, p.PropHops, p.SendBursts)
+		res.Profile = nil
+	}
 }
 
 // emit forwards an engine-level event to the monitor, if attached. pe

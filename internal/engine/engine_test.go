@@ -835,3 +835,118 @@ func TestPooledReplicaAnswersLikeFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineResultsCarryNoProfile: no engine answer carries its run's
+// trace.Profile — not a miss, a hit, a batch member or a write — while
+// Stats' interconnect counters still advance by exactly the messages,
+// hops and send bursts of the runs the engine made, as Machine.Run of the
+// same programs on a reference machine counts them.
+func TestEngineResultsCarryNoProfile(t *testing.T) {
+	g := fig15KB(t, 400)
+	e, err := New(g.KB, WithReplicas(2), WithWrites(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// The reference runs on a second copy of the network, so the write
+	// it replays commits to that copy alone.
+	refKB := fig15KB(t, 400).KB
+	ref, err := machine.New(e.cfg.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.LoadKB(refKB); err != nil {
+		t.Fatal(err)
+	}
+	refAsm := isa.NewAssembler(refKB)
+
+	type icn struct{ messages, hops, bursts uint64 }
+	counters := func() icn {
+		st := e.Stats()
+		return icn{st.ICNMessages, st.ICNHops, st.ICNBursts}
+	}
+	// runOf is what the engine's run of src adds to the counters.
+	runOf := func(src string) icn {
+		p, err := refAsm.AssembleString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.ClearMarkers()
+		res, err := ref.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return icn{uint64(res.Profile.PropMessages), uint64(res.Profile.PropHops), uint64(res.Profile.SendBursts)}
+	}
+	check := func(what string, before icn, runs []string, results ...*machine.Result) {
+		t.Helper()
+		for i, res := range results {
+			if res.Profile != nil {
+				t.Errorf("%s: result %d carries a Profile", what, i)
+			}
+		}
+		want := before
+		for _, src := range runs {
+			r := runOf(src)
+			want = icn{want.messages + r.messages, want.hops + r.hops, want.bursts + r.bursts}
+		}
+		if got := counters(); got != want {
+			t.Errorf("%s: interconnect counters %+v, want %+v", what, got, want)
+		}
+	}
+	ctx := context.Background()
+	concepts := queryConcepts(g, 3)
+	compile := func(src string) *isa.Program {
+		p, err := e.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	srcs := make([]string, len(concepts))
+	for i, c := range concepts {
+		srcs[i] = inheritanceQuery(g, c)
+	}
+	if r := runOf(srcs[0]); r.messages == 0 {
+		t.Fatalf("the first query sends no interconnect message: the counters would prove nothing")
+	}
+
+	before := counters()
+	miss, err := e.Submit(ctx, compile(srcs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a miss", before, srcs[:1], miss)
+
+	before = counters()
+	hit, err := e.Submit(ctx, compile(srcs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit != miss {
+		t.Fatal("the repeat was not answered from the result cache")
+	}
+	check("a hit", before, nil, hit)
+
+	before = counters()
+	results, errs := e.SubmitBatch(ctx, []*isa.Program{compile(srcs[1]), compile(srcs[0]), compile(srcs[2])})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("batch member %d: %v", i, err)
+		}
+	}
+	check("a batch", before, []string{srcs[1], srcs[2]}, results...)
+
+	write := fmt.Sprintf("create src=%s rel=is-a w=1 dst=%s\n", concepts[1], concepts[2]) + srcs[1]
+	before = counters()
+	wres, err := e.SubmitWrite(ctx, compile(write))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a write", before, []string{write}, wres)
+
+	if st := e.Stats(); st.ResultHits != 2 || st.Writes != 1 {
+		t.Errorf("result hits %d and writes %d, want 2 and 1", st.ResultHits, st.Writes)
+	}
+}

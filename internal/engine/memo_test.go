@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -311,5 +313,76 @@ func TestResultCacheChecksProgram(t *testing.T) {
 	}
 	if hit, res, err := e.submit(context.Background(), twin); err != nil || hit == nil || res != resA {
 		t.Errorf("an equal program built apart missed: hit %p, %v", hit, err)
+	}
+}
+
+// TestResultCacheEntryBytes fences what a result-cache entry keeps: the
+// program it answers, its Result with its rows, and the cache's own
+// bookkeeping, but nothing of the run's instrumentation. It fills the
+// cache with distinct answers of one known row count, sweeps them out,
+// and divides the live heap the sweep frees by the entries. An entry of
+// this query's 3 rows read 529 bytes when measured, under the race
+// detector too. It read 1 145 with each run's trace.Profile kept, 625
+// with the program's rules interned through a map[rules.Spec]Token, and
+// 657 with that map and the instruction slice sized from the line count;
+// the ceiling fails each of them.
+func TestResultCacheEntryBytes(t *testing.T) {
+	const entries, ceiling = 512, 600
+	g := fig15KB(t, 400)
+	e, err := New(g.KB, WithReplicas(1), WithResultCache(entries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	asm := isa.NewAssembler(g.KB).LookupOnly() // no compile cache holds the programs
+	concept := queryConcepts(g, 1)[0]
+	rows := -1
+	// fill answers entries distinct queries, each a miss whose program
+	// only its entry keeps.
+	fill := func(first int) {
+		for i := first; i < first+entries; i++ {
+			p, err := asm.AssembleString(fmt.Sprintf("search-node node=%s marker=c1 value=%d\n"+
+				"propagate m1=c1 m2=c2 rule=path(is-a) fn=add\n"+
+				"collect-node marker=c2\n", concept, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Submit(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(res.Collected(0)); rows < 0 {
+				rows = n
+			} else if n != rows {
+				t.Fatalf("query %d collects %d rows, the first %d", i, n, rows)
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	sweep := func() int { return e.results.sweep(func(resultKey) bool { return true }) }
+	// A first fill and sweep grows the cache's index and warms the
+	// replica, so the second measures entries alone.
+	fill(0)
+	sweep()
+	fill(entries)
+	if st := e.Stats(); st.ResultMisses != 2*entries || st.ResultHits != 0 {
+		t.Fatalf("%d misses and %d hits, want %d and 0", st.ResultMisses, st.ResultHits, 2*entries)
+	}
+	held := liveHeap()
+	if n := sweep(); n != entries {
+		t.Fatalf("swept %d entries, want %d", n, entries)
+	}
+	per := int64(held-liveHeap()) / entries
+	t.Logf("a result-cache entry of %d rows holds %d bytes", rows, per)
+	if rows < 2 {
+		t.Fatalf("the query collects %d rows, want several", rows)
+	}
+	if per > ceiling {
+		t.Errorf("a result-cache entry of %d rows holds %d bytes, want <= %d", rows, per, ceiling)
 	}
 }

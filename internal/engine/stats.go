@@ -132,8 +132,8 @@ type Stats struct {
 	HealthyReplicas  int    `json:"healthy_replicas"`
 	Degraded         bool   `json:"degraded"`
 
-	// Interconnect locality counters, summed over every successfully
-	// served query's profile: inter-cluster marker activations, the
+	// Interconnect locality counters, summed over the profile of every
+	// successful read and write run: inter-cluster marker activations, the
 	// port-to-port hypercube transfers that carried them, and the
 	// coalesced same-next-hop send groups those activations rode in.
 	// ICNHops/ICNMessages is the served workload's mean hop distance —

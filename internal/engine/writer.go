@@ -65,7 +65,8 @@ const writeLineCap = 64
 // but Submit is the right door for them. A write is not idempotent: it
 // is never retried, deduplicated or memoized. The returned Result's
 // KBGen is the generation the write produced. Close waits for the write
-// in progress, so its answer is always the truth.
+// in progress, so its answer is always the truth. Like a read's, the
+// Result carries no Profile.
 //
 // A write that fails mid-program (ErrWriteFailed) may leave a committed
 // prefix of its mutations: the SNAP array has no transactional rollback,
@@ -118,6 +119,7 @@ func (e *Engine) SubmitWrite(ctx context.Context, prog *isa.Program) (*machine.R
 	if err != nil {
 		return nil, classifyWriteErr(err)
 	}
+	e.dropProfile(res)
 	return res, nil
 }
 

@@ -60,24 +60,17 @@ func (a *Assembler) Assemble(r io.Reader) (*Program, error) {
 // the text, nothing copied out of it. Every rejection wraps ErrBadProgram.
 func (a *Assembler) AssembleString(src string) (*Program, error) {
 	p := NewProgram()
-	// At most one instruction a line; the cap keeps a body of blank lines
-	// from reserving room for instructions it does not hold.
-	p.Instrs = make([]Instruction, 0, min(strings.Count(src, "\n")+1, maxPresize))
+	// Sized once, to the lines that hold an instruction, so a sealed
+	// program keeps no spare room; the cap keeps a long body that fails
+	// early from reserving room for instructions it never assembles.
+	p.Instrs = make([]Instruction, 0, min(instrLines(src), maxPresize))
 	for lineNo := 1; src != ""; lineNo++ {
-		line := src
-		if i := strings.IndexByte(src, '\n'); i >= 0 {
-			line, src = src[:i], src[i+1:]
-		} else {
-			src = ""
-		}
+		var line string
+		line, src = cutLine(src)
 		if len(line) >= maxLineBytes {
 			return nil, fmt.Errorf("%w: line %d is longer than %d bytes", ErrBadProgram, lineNo, maxLineBytes-1)
 		}
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		if line = code(line); line == "" {
 			continue
 		}
 		if err := a.assembleLine(p, line); err != nil {
@@ -85,6 +78,36 @@ func (a *Assembler) AssembleString(src string) (*Program, error) {
 		}
 	}
 	return p, nil
+}
+
+// instrLines counts the lines of src that hold an instruction.
+func instrLines(src string) int {
+	n := 0
+	for src != "" {
+		var line string
+		line, src = cutLine(src)
+		if code(line) != "" {
+			n++
+		}
+	}
+	return n
+}
+
+// cutLine cuts the first line, without its newline, off src.
+func cutLine(src string) (line, rest string) {
+	if i := strings.IndexByte(src, '\n'); i >= 0 {
+		return src[:i], src[i+1:]
+	}
+	return src, ""
+}
+
+// code is what an assembly line says: the line ahead of any '#',
+// trimmed of white space.
+func code(line string) string {
+	if i := strings.IndexByte(line, '#'); i >= 0 {
+		line = line[:i]
+	}
+	return strings.TrimSpace(line)
 }
 
 var opByName = func() map[string]Opcode {

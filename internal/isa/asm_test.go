@@ -215,8 +215,9 @@ func TestAsmRoundTrip(t *testing.T) {
 // TestAssembleAllocations fences what assembling costs the engine on a
 // cache miss, for the three query templates the serve-cold workload
 // sends, rendered as the benchmark renders them: the program, its rule
-// table, the instruction slice reserved once from the line count, and
-// each rule. It also holds the reservation to its cap: a 1 MiB body of
+// table, the table's rule slice and its one (spec, token) pair, and the
+// instruction slice reserved once from the lines that hold an
+// instruction. It also holds the reservation to its cap: a 1 MiB body of
 // newlines assembles to an empty program without reserving room for a
 // million instructions.
 func TestAssembleAllocations(t *testing.T) {
@@ -230,25 +231,31 @@ func TestAssembleAllocations(t *testing.T) {
 	}{
 		{"inherit", "search-node node=dog marker=c1 value=7\n" +
 			"propagate m1=c1 m2=c2 rule=path(is-a) fn=add\n" +
-			"collect-node marker=c2\n", 7},
+			"collect-node marker=c2\n", 5},
 		{"subsume", "search-node node=animate marker=c1 value=7\n" +
 			"propagate m1=c1 m2=c2 rule=path(subsumes) fn=add\n" +
-			"collect-node marker=c2\n", 7},
+			"collect-node marker=c2\n", 5},
 		{"classify", "search-node node=dog marker=c1 value=7\n" +
 			"search-node node=we marker=c3 value=7\n" +
 			"propagate m1=c1 m2=c2 rule=path(is-a) fn=add\n" +
 			"propagate m1=c3 m2=c4 rule=path(is-a) fn=add\n" +
 			"and-marker m1=c2 m2=c4 m3=c5 fn=add\n" +
-			"collect-node marker=c5\n", 7},
+			"collect-node marker=c5\n", 5},
 	} {
+		var p *Program
+		src := "# " + c.name + "\n" + c.src // a comment line holds no instruction
 		n := testing.AllocsPerRun(100, func() {
-			if _, err := asm.AssembleString(c.src); err != nil {
+			var err error
+			if p, err = asm.AssembleString(src); err != nil {
 				t.Fatal(err)
 			}
 		})
 		t.Logf("%s: %v allocations", c.name, n)
 		if n > c.allocs {
 			t.Errorf("assembling %s allocates %v times, want at most %v", c.name, n, c.allocs)
+		}
+		if cap(p.Instrs) != p.Len() {
+			t.Errorf("%s: %d instructions kept in a capacity of %d", c.name, p.Len(), cap(p.Instrs))
 		}
 	}
 

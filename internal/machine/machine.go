@@ -182,12 +182,11 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 	return nil
 }
 
-// Close releases the machine's host resources. Today there are none: both
-// engines start what goroutines they need inside a run and have waited for
-// them when it returns, so a machine holds nothing between runs. The
-// method stays because the engine, the commands and the harness call it
-// on every machine they retire, and ROADMAP item 9 would give it workers
-// to stop again.
+// Close is a no-op: both engines start what goroutines they need inside a
+// run and have waited for them when it returns, so a machine holds no
+// host resource between runs. It is kept for its callers — the engine,
+// the commands and the harness call it on every machine they retire —
+// until the deletions of ROADMAP item 1a remove it.
 func (m *Machine) Close() {}
 
 // Snapshot is one generation of a loaded network, frozen with every
@@ -262,7 +261,8 @@ type Collection struct {
 }
 
 // Result is one program run's outcome: total simulated time, the
-// instrumentation profile, and every retrieval instruction's rows.
+// instrumentation profile, and every retrieval instruction's rows. A
+// result an engine.Engine answers with carries no profile.
 type Result struct {
 	Time        timing.Time
 	Profile     *trace.Profile

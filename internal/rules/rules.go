@@ -300,19 +300,32 @@ func (b *Builder) Build() (*Compiled, error) {
 // cluster before execution. Token 0 is reserved as "no rule".
 type Table struct {
 	rules  []*Compiled
-	bySpec map[Spec]Token // made by the first Add
+	bySpec []specToken // the specs Add interned, in token order
 }
 
-// NewTable returns an empty rule table.
+// specToken is one spec Add interned and the token it got. A table holds
+// at most 255 rules, and a program names a few, so Add finds a spec by
+// scanning these pairs: a map would cost a sealed program more than its
+// rules.
+type specToken struct {
+	spec Spec
+	tok  Token
+}
+
+// NewTable returns an empty rule table, with room for its first rule:
+// most programs name one.
 func NewTable() *Table {
-	return &Table{rules: []*Compiled{nil}}
+	return &Table{rules: make([]*Compiled, 1, 2)}
 }
 
 // Add compiles and interns spec, returning its message token. Identical
-// specs share a token.
+// specs share a token; a rule AddCustom appended is not one of them, even
+// when it was compiled from spec.
 func (t *Table) Add(spec Spec) (Token, error) {
-	if tok, ok := t.bySpec[spec]; ok {
-		return tok, nil
+	for _, st := range t.bySpec {
+		if st.spec == spec {
+			return st.tok, nil
+		}
 	}
 	c, err := compileInterned(spec)
 	if err != nil {
@@ -322,10 +335,7 @@ func (t *Table) Add(spec Spec) (Token, error) {
 	if err != nil {
 		return 0, err
 	}
-	if t.bySpec == nil {
-		t.bySpec = make(map[Spec]Token)
-	}
-	t.bySpec[spec] = tok
+	t.bySpec = append(t.bySpec, specToken{spec, tok})
 	return tok, nil
 }
 

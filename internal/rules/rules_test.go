@@ -250,6 +250,47 @@ func TestTableAddPinned(t *testing.T) {
 	}
 }
 
+// TestTableSharesOnlyAddedSpecs fences the interning Add does by scanning
+// (spec, token) pairs: an identical spec gets the token it got, every
+// AddCustom a new one, and a rule AddCustom appended is no spec's token
+// even when it was compiled from that spec, so Add(spec) after
+// AddCustom(Compile(spec)) takes the next token, as when Add kept a map.
+// Re-adding each of a full table's specs finds its own token.
+func TestTableSharesOnlyAddedSpecs(t *testing.T) {
+	tbl := NewTable()
+	spec := Spread(rA, rB)
+	custom, err := tbl.AddCustom(compile(t, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	added, err := tbl.Add(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _ := tbl.Add(spec)
+	other, _ := tbl.AddCustom(tbl.Rule(added))
+	if custom != 1 || added != 2 || again != 2 || other != 3 {
+		t.Fatalf("AddCustom, Add, Add, AddCustom gave tokens %d %d %d %d, want 1 2 2 3", custom, added, again, other)
+	}
+	toks := map[Spec]Token{spec: added}
+	for i := 0; tbl.Len() < 255; i++ {
+		s := Spec{Kind: Kind(i % 5), R1: semnet.RelType(i / 5), R2: 7}
+		tok, err := tbl.Add(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks[s] = tok
+	}
+	for s, want := range toks {
+		if tok, err := tbl.Add(s); err != nil || tok != want {
+			t.Fatalf("re-adding %v to a full table gave token %d (%v), want %d", s, tok, err, want)
+		}
+	}
+	if _, err := tbl.Add(Path(rC)); err == nil {
+		t.Error("a new spec in a full table must fail")
+	}
+}
+
 // TestBuiltRuleIsDetachedFromItsBuilder: a Compiled is immutable, so a
 // builder used again must not reach into a rule it already built.
 func TestBuiltRuleIsDetachedFromItsBuilder(t *testing.T) {

@@ -39,12 +39,13 @@ type Store struct {
 	valid  []uint64
 
 	// Complex-marker registers, in one block per (marker, host status
-	// word) allocated on first write: regs[m*len(valid)+w] holds marker
-	// m's value and origin registers at the locals of word w, only the
-	// lanes a program wrote, packed behind a presence mask. An absent
-	// lane, a nil block, and the nil index of a store no program has
-	// written a register of, read as a fresh machine's registers.
-	regs []*RegBlock
+	// word) allocated on first write: regs[m][w] holds marker m's value
+	// and origin registers at the locals of word w, only the lanes a
+	// program wrote, packed behind a presence mask. The index of rows is
+	// allocated on the store's first register write, and marker m's row
+	// on m's first write. An absent lane, a nil block, a nil row and a
+	// nil index read as a fresh machine's registers.
+	regs [][]*RegBlock
 
 	// sharedTopo marks the node and relation tables as aliased with a
 	// Topology (Table.Share) and the stores that adopted it. A shared
@@ -308,34 +309,38 @@ func (r *RegBlock) ensure(set uint64) {
 // nil when m is binary or the block was never written. Read-only: the
 // block is owned by the store.
 func (s *Store) Registers(m MarkerID, w int) *RegBlock {
-	if i := int(m)*len(s.valid) + w; m.IsComplex() && i < len(s.regs) {
-		return s.regs[i]
+	if row := s.markerBlocks(m); w < len(row) {
+		return row[w]
 	}
 	return nil
 }
 
 // block returns complex marker m's register block for host word w,
-// allocating it if it was never written, and the index on the store's
-// first register write. m must be complex.
+// allocating it if it was never written, m's row of blocks on m's first
+// write, and the index of rows on the store's first register write. m
+// must be complex.
 func (s *Store) block(m MarkerID, w int) *RegBlock {
 	if s.regs == nil {
-		s.regs = make([]*RegBlock, NumComplexMarkers*len(s.valid))
+		s.regs = make([][]*RegBlock, NumComplexMarkers)
 	}
-	i := int(m)*len(s.valid) + w
-	if s.regs[i] == nil {
-		s.regs[i] = new(RegBlock)
+	row := s.regs[m]
+	if row == nil {
+		row = make([]*RegBlock, len(s.valid))
+		s.regs[m] = row
 	}
-	return s.regs[i]
+	if row[w] == nil {
+		row[w] = new(RegBlock)
+	}
+	return row[w]
 }
 
-// markerBlocks returns complex marker m's slots of the block index, one
-// per host word (nil before the store's first register write).
+// markerBlocks returns complex marker m's row of blocks, one slot per
+// host word (nil before m's first register write).
 func (s *Store) markerBlocks(m MarkerID) []*RegBlock {
-	if s.regs == nil {
-		return nil
+	if int(m) < len(s.regs) {
+		return s.regs[m]
 	}
-	lo := int(m) * len(s.valid)
-	return s.regs[lo : lo+len(s.valid)]
+	return nil
 }
 
 // Set sets marker m at a local node and reports whether the bit was

@@ -77,8 +77,9 @@ func TestStoreValueRegisters(t *testing.T) {
 
 // TestRegisterBlocksFollowWrites fences the register layout: a complex
 // marker's registers exist only in the lanes a kernel wrote, packed into
-// one block per host status word, a missing lane or block reads as a fresh
-// machine's, and a block once allocated loses its lanes but is never
+// one block per host status word, the store's index holds a row of blocks
+// only for the markers written, a missing lane, block or row reads as a
+// fresh machine's, and a block once allocated loses its lanes but is never
 // freed, so a warmed store runs its kernels without allocating.
 func TestRegisterBlocksFollowWrites(t *testing.T) {
 	const n = 200 // four host words of a 1024-node window
@@ -119,10 +120,27 @@ func TestRegisterBlocksFollowWrites(t *testing.T) {
 		}
 	}
 
+	// rows reports how many complex markers have a row of blocks.
+	rows := func() int {
+		n := 0
+		for _, row := range s.regs {
+			if row != nil {
+				if len(row) != len(s.valid) {
+					t.Fatalf("a row of %d blocks for %d host words", len(row), len(s.valid))
+				}
+				n++
+			}
+		}
+		return n
+	}
+
 	cm, bm := MarkerID(1), Binary(0)
+	if s.Value(70, cm) != 0 || s.regs != nil {
+		t.Fatal("a store no program wrote a register of holds an index, or reads one")
+	}
 	s.SetValue(70, cm, 2.5, 9)
-	if blocks, lanes := total(); blocks != 1 || lanes != 1 {
-		t.Fatalf("one SetValue holds %d blocks and %d lanes, want 1 and 1", blocks, lanes)
+	if blocks, lanes := total(); blocks != 1 || lanes != 1 || rows() != 1 {
+		t.Fatalf("one SetValue holds %d blocks and %d lanes in %d rows, want 1, 1 and 1", blocks, lanes, rows())
 	}
 	if s.Value(70, cm) != 2.5 || s.Origin(70, cm) != 9 || s.Value(71, cm) != 0 || s.Value(7, cm) != 0 {
 		t.Fatal("registers of the written lane, or of a missing one, read wrong")
@@ -131,8 +149,8 @@ func TestRegisterBlocksFollowWrites(t *testing.T) {
 	s.SetValue(70, bm, 9, 1)
 	tab.SetAll(bm, 4)
 	s.SearchColor(3, bm, 5)
-	if blocks, lanes := total(); blocks != 1 || lanes != 1 {
-		t.Fatalf("a binary marker allocated %d blocks and %d lanes", blocks-1, lanes-1)
+	if blocks, lanes := total(); blocks != 1 || lanes != 1 || rows() != 1 {
+		t.Fatalf("a binary marker allocated %d blocks, %d lanes and %d rows", blocks-1, lanes-1, rows()-1)
 	}
 	if s.Value(70, bm) != 0 || s.Origin(70, bm) != 0 {
 		t.Fatal("binary marker reads a register")
@@ -142,6 +160,9 @@ func TestRegisterBlocksFollowWrites(t *testing.T) {
 	tab.SetAll(sm, 1.5)
 	if blocks, lanes := census(sm); blocks != (n+HostWordBits-1)/HostWordBits || lanes != n {
 		t.Fatalf("SetAll on %d nodes holds %d blocks and %d lanes, want %d and %d", n, blocks, lanes, (n+HostWordBits-1)/HostWordBits, n)
+	}
+	if rows() != 2 {
+		t.Fatalf("two markers written hold %d rows, want 2", rows())
 	}
 
 	// Not, NotWhere and zeroRegisters leave the marker no lanes, so its
@@ -179,12 +200,15 @@ func TestRegisterBlocksFollowWrites(t *testing.T) {
 		s.NotWhere(4, 3, func(v float32) bool { return v > 1 })
 	}
 	seq()
+	if rows() != 4 {
+		t.Fatalf("four markers written hold %d rows, want 4", rows())
+	}
 	warmBlocks, warmLanes := total()
 	if a := testing.AllocsPerRun(20, seq); a != 0 {
 		t.Errorf("kernels on a warmed store allocate %v times per sequence, want 0", a)
 	}
-	if blocks, lanes := total(); blocks != warmBlocks || lanes != warmLanes {
-		t.Errorf("repeating the sequence moved the census from %d blocks and %d lanes to %d and %d", warmBlocks, warmLanes, blocks, lanes)
+	if blocks, lanes := total(); blocks != warmBlocks || lanes != warmLanes || rows() != 4 {
+		t.Errorf("repeating the sequence moved the census from %d blocks and %d lanes in 4 rows to %d, %d and %d", warmBlocks, warmLanes, blocks, lanes, rows())
 	}
 }
 

@@ -12,7 +12,9 @@
 //   - LoadKB, Run or RunContext, and inspect the Result and its
 //     instrumentation Profile,
 //   - or serve many concurrent queries from a replica pool with
-//     NewEngine and Engine.Submit (internal/engine).
+//     NewEngine and Engine.Submit (internal/engine). An engine result
+//     carries the collections, virtual time and KB generation, but no
+//     Profile: Machine.Run is the door for a run's instrumentation.
 //
 // An engine's resilience runs on fixed values (docs/RESILIENCE.md): three
 // per-attempt timeouts in a row quarantine a replica, a probe every

@@ -269,6 +269,13 @@ func benchPhaseRun(b *testing.B, det bool, kb *semnet.KB, p *isa.Program) {
 // registers: AND and OR combine the operands' values into the
 // destination's, NOT and SET rewrite the destination's, and COLLECT-NODE
 // reads a value and an origin per row.
+//
+// Its rows are noisy on a shared 2-CPU host: in 12 alternating rounds at
+// GOMAXPROCS=1 of two binaries that differed only in the register
+// layout, every row's parent IQR was about half its median, and the
+// binary and row, which runs no register code, moved 1.35×. A row here
+// tells a change apart only if it moves well beyond ±35 %; below that,
+// read the end-to-end workloads (docs/PERF.md § "How a claim is made").
 func BenchmarkSIMDPhase(b *testing.B) {
 	g, err := kbgen.Generate(kbgen.Params{Nodes: 12000, Seed: 42, WithDomain: true})
 	if err != nil {

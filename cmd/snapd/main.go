@@ -8,8 +8,12 @@
 //	snapd -gen 4000 -domain -addr :8080
 //	snapd -kb network.kb -max-inflight 512
 //
-// The pool holds one replica per core (GOMAXPROCS) unless -replicas says
-// otherwise: only that many can run at once.
+// snapd runs on one P (runtime.GOMAXPROCS(1)) unless $GOMAXPROCS is set:
+// like SNAP-1's controller, which waits for each COLLECT before it issues
+// the next program, a request's stages run one after another, and a
+// second P only adds the scheduler wake-ups that hand them between Ps.
+// Set $GOMAXPROCS to serve on more cores. The pool holds one replica per
+// P unless -replicas says otherwise: only that many can run at once.
 //
 // Endpoints:
 //
@@ -57,6 +61,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -72,6 +77,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("snapd: ")
+	runtime.GOMAXPROCS(serveProcs(os.Getenv))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop) // a second signal during the drain kills at once
@@ -79,6 +85,16 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("bye")
+}
+
+// serveProcs is the GOMAXPROCS snapd serves on: 1 when $GOMAXPROCS is
+// unset or empty, and otherwise 0, which leaves the runtime's own reading
+// of $GOMAXPROCS in place (runtime.GOMAXPROCS(0) changes nothing).
+func serveProcs(getenv func(string) string) int {
+	if getenv("GOMAXPROCS") == "" {
+		return 1
+	}
+	return 0
 }
 
 // run is the daemon: it parses args, brings the pool up, serves until ctx
@@ -92,7 +108,7 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	gen := fs.Int("gen", 0, "generate a synthetic knowledge base of N nodes instead")
 	domain := fs.Bool("domain", false, "embed the newswire micro-domain in the generated network")
 	seed := fs.Int64("seed", 42, "generation seed")
-	replicas := fs.Int("replicas", 0, "machine-pool size; 0: one per core (GOMAXPROCS)")
+	replicas := fs.Int("replicas", 0, "machine-pool size; 0: one per P (GOMAXPROCS: 1 unless $GOMAXPROCS is set)")
 	queueCap := fs.Int("queue-cap", 256, "bound on the callers waiting for a replica; beyond it queries shed with 503")
 	cacheCap := fs.Int("cache-cap", 128, "compile-cache entry bound")
 	resultCache := fs.Int("result-cache", 1024, "result-cache entry bound (0 disables result caching)")
@@ -158,8 +174,8 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	srv := &http.Server{Handler: engine.NewServer(eng)}
 	errc := make(chan error, 2)
 	go func() { errc <- srv.Serve(ln) }()
-	log.Printf("serving %d-node knowledge base on %d replicas at %s (knowledge base built in %.1f ms, pool up in %.1f ms)",
-		kb.NumNodes(), eng.Stats().Replicas, ln.Addr(), millis(built), millis(up))
+	log.Printf("serving %d-node knowledge base on %d replicas, %d procs at %s (knowledge base built in %.1f ms, pool up in %.1f ms)",
+		kb.NumNodes(), eng.Stats().Replicas, runtime.GOMAXPROCS(0), ln.Addr(), millis(built), millis(up))
 
 	var pprofLn net.Addr
 	if *pprofAddr != "" {

@@ -91,6 +91,11 @@ type Parser struct {
 	lastContent []semnet.NodeID
 	lastWinner  semnet.NodeID
 	lastValid   bool
+
+	// The three stages' programs, refilled for every sentence so that
+	// their instruction slices grow once, not once per parse. A run
+	// keeps no program, so reuse is safe once Run returns.
+	match, verify, resolve *isa.Program
 }
 
 // NewParser returns a parser over m, which must already hold g.KB.
@@ -189,12 +194,23 @@ func (p *Parser) Parse(s kbgen.Sentence) (*ParseResult, error) {
 	return res, nil
 }
 
+// refill empties *pr for the next sentence, keeping its instruction
+// capacity and giving it a fresh rule table, or makes it on first use.
+func refill(pr **isa.Program) *isa.Program {
+	if *pr == nil {
+		*pr = isa.NewProgram()
+	} else {
+		(*pr).Instrs, (*pr).Rules = (*pr).Instrs[:0], rules.NewTable()
+	}
+	return *pr
+}
+
 // matchProgram builds stage 1: lexical activation, constraint spread,
 // per-slot order-checked satisfaction, candidate scoring, incompleteness
 // cancellation, and candidate collection.
 func (p *Parser) matchProgram(content []semnet.NodeID) *isa.Program {
 	g := p.g
-	pr := isa.NewProgram()
+	pr := refill(&p.match)
 	L := len(content)
 
 	// Configuration phase: clear every working marker.
@@ -314,7 +330,7 @@ func (p *Parser) candidateRoots(items []machine.Item) []semnet.NodeID {
 // offending roots.
 func (p *Parser) verifyProgram(candidates []semnet.NodeID) *isa.Program {
 	g := p.g
-	pr := isa.NewProgram()
+	pr := refill(&p.verify)
 	chain := rules.Step(g.Rel.Elem)
 	pr.ClearM(bVerTmp)
 	pr.ClearM(bVerBad)
@@ -354,7 +370,7 @@ func (p *Parser) verifyProgram(candidates []semnet.NodeID) *isa.Program {
 // utterance binding, and final retrieval.
 func (p *Parser) resolveProgram(theta float32, anchor semnet.NodeID) *isa.Program {
 	g := p.g
-	pr := isa.NewProgram()
+	pr := refill(&p.resolve)
 
 	pr.Not(mFinal, bNotBest, theta, isa.CondLE)
 	pr.And(bWin1, bNotBest, bLoserRaw, semnet.FuncNop)

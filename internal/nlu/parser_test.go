@@ -27,6 +27,27 @@ func newTestParser(t *testing.T, nodes int, det bool) (*Parser, *kbgen.Generated
 	return NewParser(m, g), g
 }
 
+// newSimParseParser is a parser on the machine sim-parse builds: the
+// 12K-node domain network of seed 42 on a deterministic paper machine.
+func newSimParseParser(t *testing.T) (*Parser, *kbgen.Generated) {
+	t.Helper()
+	g, err := kbgen.Generate(kbgen.Params{Nodes: 12000, Seed: 42, WithDomain: true})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	g.KB.Preprocess()
+	m, err := machine.New(machine.ApplyOptions(machine.PaperConfig(),
+		machine.WithDeterministic(true), machine.WithCapacityFor(g.KB.NumNodes())))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(m.Close)
+	if err := m.LoadKB(g.KB); err != nil {
+		t.Fatalf("LoadKB: %v", err)
+	}
+	return NewParser(m, g), g
+}
+
 func TestParseEvaluationSentences(t *testing.T) {
 	for _, det := range []bool{true, false} {
 		p, g := newTestParser(t, 2000, det)
@@ -147,35 +168,24 @@ func TestParserSimulatedTimePinned(t *testing.T) {
 
 // TestParserMemoryPinned is the memory fence beside the time fence above:
 // on the machine sim-parse builds, a fresh machine's first parse of the
-// domain's sentences allocates 1 138 KB, because a complex marker's
+// domain's sentences allocates 888 KB, because a complex marker's
 // registers are held only at the nodes the parser's programs write,
-// packed into one small block per 64-node status word, and a store's
-// index of blocks has a row only for the markers written. The bound is
-// that figure plus ≈ 2 %, and the count repeats to the kilobyte at any
-// GOMAXPROCS. An index with a slot for every (marker, word) reads
-// 1 191 KB; blocks that hold all 64 lanes of every word a program
-// touched, ≈ 2.2 MB; dense per-marker register columns, a value and an
-// origin for every node of a cluster whether written or not, ≈ 5.1 MB:
-// all fail the bound.
+// packed into one small block per 64-node status word, a store's index
+// of blocks has a row only for the markers written, and the parser
+// refills its three stage programs instead of building them anew (three
+// new programs a sentence read 1 138 KB). The bound is that figure plus
+// ≈ 2.5 %, and the count repeats to within 2 KB at any GOMAXPROCS. Each
+// of the following was measured with new programs a sentence, and each
+// costs more than the margin: an index with a slot for every (marker,
+// word), 53 KB more; blocks that hold all 64 lanes of every word a
+// program touched, ≈ 1 MB more; dense per-marker register columns, a
+// value and an origin for every node of a cluster whether written or
+// not, ≈ 4 MB more.
 func TestParserMemoryPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	g, err := kbgen.Generate(kbgen.Params{Nodes: 12000, Seed: 42, WithDomain: true})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	g.KB.Preprocess()
-	m, err := machine.New(machine.ApplyOptions(machine.PaperConfig(),
-		machine.WithDeterministic(true), machine.WithCapacityFor(g.KB.NumNodes())))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer m.Close()
-	if err := m.LoadKB(g.KB); err != nil {
-		t.Fatalf("LoadKB: %v", err)
-	}
-	p := NewParser(m, g)
+	p, g := newSimParseParser(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, s := range g.Domain.Sentences {
@@ -190,8 +200,43 @@ func TestParserMemoryPinned(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	alloc := after.TotalAlloc - before.TotalAlloc
 	t.Logf("first parse of %d sentences allocates %d KB", len(g.Domain.Sentences), alloc>>10)
-	const bound = 1165 << 10
+	const bound = 910 << 10
 	if alloc > bound {
 		t.Errorf("first parse allocates %d KB, want <= %d KB", alloc>>10, bound>>10)
+	}
+}
+
+// TestParserSteadyStateBytes fences the parser's reuse of its three stage
+// programs: once they have grown, a parse refills them, and what it
+// allocates is its runs' results, its profile and its fresh rule tables,
+// 22 738 bytes a sentence at any GOMAXPROCS. The bound is that plus
+// ≈ 8 %. Building three new programs a sentence, whose instruction
+// slices grow by append doubling every time, reads 109 363 bytes.
+func TestParserSteadyStateBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p, g := newSimParseParser(t)
+	parseAll := func() {
+		for _, s := range g.Domain.Sentences {
+			if _, err := p.Parse(s); err != nil {
+				t.Fatalf("%s: %v", s.ID, err)
+			}
+		}
+	}
+	parseAll() // the programs, the store's register blocks and the profile grow here
+	parseAll()
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		parseAll()
+	}
+	runtime.ReadMemStats(&after)
+	perParse := (after.TotalAlloc - before.TotalAlloc) / uint64(rounds*len(g.Domain.Sentences))
+	t.Logf("a steady-state parse allocates %d bytes", perParse)
+	const bound = 24 << 10
+	if perParse > bound {
+		t.Errorf("a steady-state parse allocates %d bytes, want <= %d", perParse, bound)
 	}
 }

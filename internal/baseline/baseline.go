@@ -79,11 +79,10 @@ func (c CM2) Inherit(kb *semnet.KB, root semnet.NodeID, rel semnet.RelType) (*In
 		t += timing.Time(len(frontier)) * c.PerActive
 		var next []semnet.NodeID
 		for _, id := range frontier {
-			node, err := kb.Node(id)
-			if err != nil {
+			if _, err := kb.Node(id); err != nil {
 				return nil, err
 			}
-			for _, l := range node.Out {
+			for _, l := range kb.Links(id) {
 				follow := l.Rel == rel || l.Rel == semnet.RelCont
 				if follow && !visited[l.To] {
 					visited[l.To] = true

@@ -61,8 +61,7 @@ func countReachable(kb *semnet.KB, root semnet.NodeID, rel semnet.RelType) int {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		node, _ := kb.Node(id)
-		for _, l := range node.Out {
+		for _, l := range kb.Links(id) {
 			if (l.Rel == rel || l.Rel == semnet.RelCont) && !visited[l.To] {
 				visited[l.To] = true
 				stack = append(stack, l.To)

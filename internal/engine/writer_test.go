@@ -507,11 +507,10 @@ func TestFullReloadKeepsTheWritersPartition(t *testing.T) {
 	last := semnet.NodeID(kb.NumNodes() - 1)
 	src := semnet.NodeID(0)
 	for ; ; src++ {
-		n, err := kb.Node(src)
-		if err != nil {
+		if _, err := kb.Node(src); err != nil {
 			t.Fatal(err)
 		}
-		if len(n.Out) < semnet.RelationSlots {
+		if len(kb.Links(src)) < semnet.RelationSlots {
 			break
 		}
 	}

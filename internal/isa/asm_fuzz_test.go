@@ -125,7 +125,7 @@ func TestAssembleFullNameSpaceIsAnError(t *testing.T) {
 	asm := NewAssembler(kb)
 	var err error
 	n := 0
-	for ; err == nil && n < 2*semnet.NumColors; n++ {
+	for ; err == nil && n < 512; n++ { // twice the 256 colors a semnet.Color holds
 		_, err = asm.AssembleString(fmt.Sprintf("set-color node=we color=tint%d", n))
 	}
 	if !errors.Is(err, ErrBadProgram) || !errors.Is(err, semnet.ErrCapacity) {

@@ -39,12 +39,12 @@ func FuzzParse(f *testing.F) {
 		for id := semnet.NodeID(0); int(id) < kb.NumNodes(); id++ {
 			x, _ := kb.Node(id)
 			y, _ := back.Node(id)
-			if x.Name != y.Name || kb.ColorName(x.Color) != back.ColorName(y.Color) || x.Fn != y.Fn || len(x.Out) != len(y.Out) {
+			if x.Name != y.Name || kb.ColorName(x.Color) != back.ColorName(y.Color) || x.Fn != y.Fn || len(kb.Links(id)) != len(back.Links(id)) {
 				t.Fatalf("node %d: %s %s %s came back as %s %s %s",
 					id, x.Name, kb.ColorName(x.Color), x.Fn, y.Name, back.ColorName(y.Color), y.Fn)
 			}
-			for i, l := range x.Out {
-				m := y.Out[i]
+			for i, l := range kb.Links(id) {
+				m := back.Links(id)[i]
 				if kb.RelationName(l.Rel) != back.RelationName(m.Rel) || l.To != m.To ||
 					math.Float32bits(l.Weight) != math.Float32bits(m.Weight) {
 					t.Fatalf("node %s link %d: %+v came back as %+v", x.Name, i, l, m)

@@ -157,23 +157,22 @@ func Write(w io.Writer, kb *semnet.KB) error {
 		if n.IsSubnode() {
 			continue
 		}
-		if err := writeLinks(bw, kb, semnet.NodeID(id), n); err != nil {
+		if err := writeLinks(bw, kb, semnet.NodeID(id), kb.Links(semnet.NodeID(id))); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// writeLinks emits a node's links, flattening continuation subnodes back
+// writeLinks emits owner's links, flattening continuation subnodes back
 // into direct links so the file holds the logical network.
-func writeLinks(w io.Writer, kb *semnet.KB, owner semnet.NodeID, n *semnet.Node) error {
-	for _, l := range n.Out {
+func writeLinks(w io.Writer, kb *semnet.KB, owner semnet.NodeID, links []semnet.Link) error {
+	for _, l := range links {
 		if l.Rel == semnet.RelCont {
-			sub, err := kb.Node(l.To)
-			if err != nil {
+			if _, err := kb.Node(l.To); err != nil {
 				return err
 			}
-			if err := writeLinks(w, kb, owner, sub); err != nil {
+			if err := writeLinks(w, kb, owner, kb.Links(l.To)); err != nil {
 				return err
 			}
 			continue

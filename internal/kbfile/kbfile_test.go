@@ -33,9 +33,8 @@ func TestParse(t *testing.T) {
 		t.Error("node fn")
 	}
 	dog, _ := kb.Lookup("dog")
-	dn, _ := kb.Node(dog)
-	if len(dn.Out) != 1 || dn.Out[0].Weight != 0.5 {
-		t.Fatalf("dog links %+v", dn.Out)
+	if links := kb.Links(dog); len(links) != 1 || links[0].Weight != 0.5 {
+		t.Fatalf("dog links %+v", links)
 	}
 	if err := kb.Validate(); err != nil {
 		t.Fatal(err)
@@ -108,9 +107,8 @@ func TestWriteFlattensSubnodes(t *testing.T) {
 		t.Fatalf("reloaded %d nodes, want 41 logical", kb2.NumNodes())
 	}
 	h2, _ := kb2.Lookup("hub")
-	n, _ := kb2.Node(h2)
-	if len(n.Out) != 40 {
-		t.Fatalf("hub reloaded with %d links", len(n.Out))
+	if n := len(kb2.Links(h2)); n != 40 {
+		t.Fatalf("hub reloaded with %d links", n)
 	}
 	_ = hub
 }

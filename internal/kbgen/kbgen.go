@@ -92,7 +92,6 @@ type network interface {
 	MustAddNode(name string, color semnet.Color) semnet.NodeID
 	MustAddLink(from semnet.NodeID, rel semnet.RelType, weight float32, to semnet.NodeID)
 	Lookup(name string) (semnet.NodeID, bool)
-	Node(id semnet.NodeID) (*semnet.Node, error)
 	Relation(name string) semnet.RelType
 	ColorFor(name string) semnet.Color
 }
@@ -249,18 +248,22 @@ func (g *Generated) buildSyntax(kb network, rng *rand.Rand, n int) {
 
 // buildHierarchy grows the concept-type hierarchy breadth-first with the
 // configured branching factor; every node gets an upward is-a link and a
-// downward subsumes link so both inheritance directions propagate.
+// downward subsumes link so both inheritance directions propagate. The
+// last level is the leaf level, and its nodes are made with the leaf
+// color: a level is the last when it reaches the budget, which its size
+// (branching per node above it) decides before it is built.
 func (g *Generated) buildHierarchy(kb network, rng *rand.Rand, n, branching int) {
-	g.HierRoot = kb.MustAddNode("thing", g.Col.Class)
+	g.HierRoot = kb.MustAddNode("thing", g.levelColor(n <= 1))
 	g.Classes = append(g.Classes, g.HierRoot)
 	frontier := []semnet.NodeID{g.HierRoot}
 	made := 1
 	for made < n {
+		color := g.levelColor(made+branching*len(frontier) >= n)
 		var next []semnet.NodeID
 		for _, parent := range frontier {
 			for b := 0; b < branching && made < n; b++ {
 				w := 0.2 + rng.Float32()*0.8
-				id := kb.MustAddNode(numbered("class-", made), g.Col.Class)
+				id := kb.MustAddNode(numbered("class-", made), color)
 				kb.MustAddLink(id, g.Rel.IsA, w, parent)
 				kb.MustAddLink(parent, g.Rel.Subsumes, w, id)
 				next = append(next, id)
@@ -270,18 +273,19 @@ func (g *Generated) buildHierarchy(kb network, rng *rand.Rand, n, branching int)
 				break
 			}
 		}
-		if len(next) == 0 {
-			break
-		}
 		frontier = next
 		g.Classes = append(g.Classes, next...)
 	}
-	// The final frontier is the leaf level.
 	g.Leaves = frontier
-	for _, id := range g.Leaves {
-		node, _ := kb.Node(id)
-		node.Color = g.Col.Leaf
+}
+
+// levelColor is the color of a hierarchy level's nodes: the leaf color
+// for the last level, the class color above it.
+func (g *Generated) levelColor(last bool) semnet.Color {
+	if last {
+		return g.Col.Leaf
 	}
+	return g.Col.Class
 }
 
 // pickSyn samples a syntactic category for an element constraint. Most

@@ -48,7 +48,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	for i := 0; i < a.KB.NumNodes(); i++ {
 		na, _ := a.KB.Node(semnet.NodeID(i))
 		nb, _ := b.KB.Node(semnet.NodeID(i))
-		if na.Name != nb.Name || na.Color != nb.Color || len(na.Out) != len(nb.Out) {
+		if na.Name != nb.Name || na.Color != nb.Color || len(a.KB.Links(semnet.NodeID(i))) != len(b.KB.Links(semnet.NodeID(i))) {
 			t.Fatalf("node %d differs between runs", i)
 		}
 	}
@@ -75,7 +75,7 @@ func TestHierarchyBidirectional(t *testing.T) {
 		}
 		node, _ := g.KB.Node(id)
 		var parent semnet.NodeID = semnet.InvalidNode
-		for _, l := range node.Out {
+		for _, l := range g.KB.Links(id) {
 			if l.Rel == g.Rel.IsA {
 				parent = l.To
 			}
@@ -85,7 +85,7 @@ func TestHierarchyBidirectional(t *testing.T) {
 		}
 		pn, _ := g.KB.Node(parent)
 		found := false
-		for _, l := range pn.Out {
+		for _, l := range g.KB.Links(parent) {
 			if l.Rel == g.Rel.Subsumes && l.To == id {
 				found = true
 			}
@@ -103,16 +103,14 @@ func TestHierarchyBidirectional(t *testing.T) {
 func TestSequenceStructure(t *testing.T) {
 	g := MustGenerate(Params{Nodes: 2000, Seed: 3})
 	for _, root := range g.Roots[:10] {
-		node, _ := g.KB.Node(root)
 		elems := 0
-		for _, l := range node.Out {
+		for _, l := range g.KB.Links(root) {
 			if l.Rel != g.Rel.Elem {
 				continue
 			}
 			elems++
-			el, _ := g.KB.Node(l.To)
 			var hasElemOf, hasSem, hasSyn bool
-			for _, ll := range el.Out {
+			for _, ll := range g.KB.Links(l.To) {
 				switch ll.Rel {
 				case g.Rel.ElemOf:
 					hasElemOf = ll.To == root
@@ -124,11 +122,11 @@ func TestSequenceStructure(t *testing.T) {
 			}
 			if !hasElemOf || !hasSem || !hasSyn {
 				t.Fatalf("element %s incomplete: elemOf=%v sem=%v syn=%v",
-					el.Name, hasElemOf, hasSem, hasSyn)
+					g.KB.Name(l.To), hasElemOf, hasSem, hasSyn)
 			}
 		}
 		if elems < 1 || elems > MaxSeqElements {
-			t.Fatalf("root %s has %d elements", node.Name, elems)
+			t.Fatalf("root %s has %d elements", g.KB.Name(root), elems)
 		}
 	}
 }
@@ -186,12 +184,12 @@ func TestChainsWorkload(t *testing.T) {
 				if !ok {
 					t.Fatalf("missing chain node %d.%d.%d", g, a, d)
 				}
-				n, _ := w.KB.Node(id)
-				if len(n.Out) != 1 || n.Out[0].Rel != w.Rel {
-					t.Fatalf("chain node %s has %d links", n.Name, len(n.Out))
+				name, out := w.KB.Name(id), w.KB.Links(id)
+				if len(out) != 1 || out[0].Rel != w.Rel {
+					t.Fatalf("chain node %s has %d links", name, len(out))
 				}
-				if next := fmt.Sprintf("c%d.%d.%d", g, a, d+1); w.KB.Name(n.Out[0].To) != next {
-					t.Fatalf("chain node %s links to %s, want %s", n.Name, w.KB.Name(n.Out[0].To), next)
+				if next := fmt.Sprintf("c%d.%d.%d", g, a, d+1); w.KB.Name(out[0].To) != next {
+					t.Fatalf("chain node %s links to %s, want %s", name, w.KB.Name(out[0].To), next)
 				}
 			}
 		}
@@ -226,9 +224,9 @@ func TestNestedChains(t *testing.T) {
 	for a := 0; a < 1000; a++ {
 		for d := 0; d < 6; d++ {
 			id, _ := w.KB.Lookup(fmt.Sprintf("n%d.%d", a, d))
-			n, _ := w.KB.Node(id)
-			if next := fmt.Sprintf("n%d.%d", a, d+1); len(n.Out) != 1 || w.KB.Name(n.Out[0].To) != next {
-				t.Fatalf("chain node %s links %+v, want one link to %s", n.Name, n.Out, next)
+			out := w.KB.Links(id)
+			if next := fmt.Sprintf("n%d.%d", a, d+1); len(out) != 1 || w.KB.Name(out[0].To) != next {
+				t.Fatalf("chain node %s links %+v, want one link to %s", w.KB.Name(id), out, next)
 			}
 		}
 	}

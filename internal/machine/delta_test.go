@@ -104,12 +104,11 @@ func mutateKB(t testing.TB, kb *semnet.KB, ids []semnet.NodeID, rounds int) {
 	for r := 0; r < rounds; r++ {
 		for i := range ids {
 			src, dst := ids[i], ids[(i+3)%len(ids)]
-			nd, err := kb.Node(src)
-			if err != nil {
+			if _, err := kb.Node(src); err != nil {
 				t.Fatal(err)
 			}
 			if r%2 == 0 {
-				if len(nd.Out) > semnet.RelationSlots-2 {
+				if len(kb.Links(src)) > semnet.RelationSlots-2 {
 					continue
 				}
 				kb.MustAddLink(src, rel, float32(r+1), dst)
@@ -244,11 +243,10 @@ func FuzzDeltaApply(f *testing.F) {
 			dst := ids[(int(b&0x1f)+k)%len(ids)]
 			switch b >> 6 {
 			case 0, 1:
-				nd, err := kb.Node(src)
-				if err != nil {
+				if _, err := kb.Node(src); err != nil {
 					t.Fatal(err)
 				}
-				if len(nd.Out) > semnet.RelationSlots-2 {
+				if len(kb.Links(src)) > semnet.RelationSlots-2 {
 					continue
 				}
 				kb.MustAddLink(src, fuzzRel, float32(b%7), dst)

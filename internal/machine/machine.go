@@ -146,12 +146,18 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 	errs := make([]error, m.cfg.Clusters)
 	// One read lock covers every download: the per-cluster goroutines
 	// read node records through the view, not one lock pair per node.
+	// Each store's link arena is sized once, from its members' counts.
 	kb.View(func(v semnet.View) {
 		var wg sync.WaitGroup
 		for ci, c := range clusters {
 			wg.Add(1)
 			go func(ci int, c *cluster) {
 				defer wg.Done()
+				links := 0
+				for _, id := range members[ci] {
+					links += len(v.Links(id))
+				}
+				c.store.ReserveLinks(links)
 				for _, id := range members[ci] {
 					node, err := v.Node(id)
 					if err != nil {
@@ -160,7 +166,7 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 					}
 					local, err := c.store.AddNode(id, node.Color, node.Fn)
 					if err == nil {
-						err = c.store.SetLinks(local, node.Out)
+						err = c.store.SetLinks(local, v.Links(id))
 					}
 					if err != nil {
 						errs[ci] = fmt.Errorf("cluster %d: %w", ci, err)

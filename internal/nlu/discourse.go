@@ -118,11 +118,7 @@ func (d *Discourse) isPronoun(word semnet.NodeID) bool {
 	if !ok {
 		return false
 	}
-	node, err := d.p.g.KB.Node(word)
-	if err != nil {
-		return false
-	}
-	for _, l := range node.Out {
+	for _, l := range d.p.g.KB.Links(word) {
 		if l.Rel == d.p.g.Rel.IsA && l.To == pronounCat {
 			return true
 		}
@@ -133,11 +129,7 @@ func (d *Discourse) isPronoun(word semnet.NodeID) bool {
 // agreementClass returns the pronoun's is-a class constraint (the
 // non-syntax is-a target).
 func (d *Discourse) agreementClass(word semnet.NodeID) semnet.NodeID {
-	node, err := d.p.g.KB.Node(word)
-	if err != nil {
-		return semnet.InvalidNode
-	}
-	for _, l := range node.Out {
+	for _, l := range d.p.g.KB.Links(word) {
 		if l.Rel != d.p.g.Rel.IsA {
 			continue
 		}

@@ -168,7 +168,7 @@ func TestParserSimulatedTimePinned(t *testing.T) {
 
 // TestParserMemoryPinned is the memory fence beside the time fence above:
 // on the machine sim-parse builds, a fresh machine's first parse of the
-// domain's sentences allocates 888 KB, because a complex marker's
+// domain's sentences allocates 890 KB, because a complex marker's
 // registers are held only at the nodes the parser's programs write,
 // packed into one small block per 64-node status word, a store's index
 // of blocks has a row only for the markers written, and the parser

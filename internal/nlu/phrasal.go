@@ -122,11 +122,7 @@ func Chunk(g *kbgen.Generated, words []string) ([]Phrase, timing.Time, error) {
 // posOf resolves a lexical node's part of speech: the is-a link whose
 // target carries the syntax color.
 func posOf(g *kbgen.Generated, word semnet.NodeID) string {
-	node, err := g.KB.Node(word)
-	if err != nil {
-		return ""
-	}
-	for _, l := range node.Out {
+	for _, l := range g.KB.Links(word) {
 		if l.Rel != g.Rel.IsA {
 			continue
 		}
@@ -149,12 +145,8 @@ func rootCat(g *kbgen.Generated, cat semnet.NodeID) string {
 		if !strings.HasPrefix(name, "syn-") {
 			return name
 		}
-		node, err := g.KB.Node(cat)
-		if err != nil {
-			return name
-		}
 		advanced := false
-		for _, l := range node.Out {
+		for _, l := range g.KB.Links(cat) {
 			if l.Rel == g.Rel.IsA {
 				cat = l.To
 				advanced = true

@@ -14,21 +14,33 @@ import (
 // KB's only reader and writer until KB hands it over. The generation it
 // hands over counts one revision per node, link and function set, as
 // the per-element calls would have.
+//
+// Links are collected in one flat list, in the order they were added,
+// and laid into the KB's link arena once, by KB, which also sizes every
+// column for the subnodes Preprocess will add.
 type Builder struct {
-	kb  *KB
-	gen uint64
+	kb    *KB
+	links []sourced
+	gen   uint64
 }
 
-// NewBuilder returns a builder whose node table and name index are sized
-// for nodes nodes: a caller that knows the count pays no regrowth.
+// sourced is a link collected by a Builder, with the node it leaves.
+type sourced struct {
+	from NodeID
+	Link
+}
+
+// NewBuilder returns a builder whose node columns and name index are
+// sized for nodes nodes: a caller that knows the count pays no regrowth.
 func NewBuilder(nodes int) *Builder { return &Builder{kb: newKB(nodes)} }
 
 // KB hands the built knowledge base over. The builder must not be used
 // afterwards.
 func (b *Builder) KB() *KB {
 	kb := b.kb
+	kb.reserveNodes(kb.links.layOut(b.links))
 	kb.gen.Store(b.gen)
-	b.kb = nil
+	b.kb, b.links = nil, nil
 	return kb
 }
 
@@ -61,11 +73,13 @@ func (b *Builder) SetFn(id NodeID, fn FuncCode) error {
 
 // AddLink is KB.AddLink.
 func (b *Builder) AddLink(from NodeID, rel RelType, weight float32, to NodeID) error {
-	err := b.kb.addLink(from, Link{Rel: rel, Weight: weight, To: to})
-	if err == nil {
-		b.gen++
+	l := Link{Rel: rel, Weight: weight, To: to}
+	if err := b.kb.checkLink(from, l); err != nil {
+		return err
 	}
-	return err
+	b.links = append(b.links, sourced{from, l})
+	b.gen++
+	return nil
 }
 
 // MustAddLink is KB.MustAddLink.
@@ -76,13 +90,7 @@ func (b *Builder) MustAddLink(from NodeID, rel RelType, weight float32, to NodeI
 }
 
 // Lookup is KB.Lookup.
-func (b *Builder) Lookup(name string) (NodeID, bool) {
-	id, ok := b.kb.byName[name]
-	return id, ok
-}
-
-// Node is KB.Node.
-func (b *Builder) Node(id NodeID) (*Node, error) { return b.kb.nodeLocked(id) }
+func (b *Builder) Lookup(name string) (NodeID, bool) { return b.kb.index.find(b.kb.names, name) }
 
 // InternRelation is KB.InternRelation.
 func (b *Builder) InternRelation(name string) (RelType, error) { return b.kb.internRelation(name) }
@@ -98,9 +106,10 @@ func (b *Builder) ColorFor(name string) Color { return mustColor(b.InternColor(n
 
 // Diff reports the first difference between two knowledge bases, or nil
 // when they are equal: node for node the name, color, function, subnode
-// parent and links in order; the name index; the relation and color name
-// tables; the link count; and the generation. It is how a construction
-// path is held to building the same network as another.
+// parent and links in order; the name index, by resolving every name in
+// both; the relation and color name tables; the link count; and the
+// generation. It is how a construction path is held to building the same
+// network as another, whatever the layout of either's link arena.
 func Diff(a, b *KB) error {
 	if a == b {
 		return nil
@@ -109,30 +118,35 @@ func Diff(a, b *KB) error {
 	defer a.mu.RUnlock()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if len(a.nodes) != len(b.nodes) {
-		return fmt.Errorf("semnet: %d nodes against %d", len(a.nodes), len(b.nodes))
+	if len(a.names) != len(b.names) {
+		return fmt.Errorf("semnet: %d nodes against %d", len(a.names), len(b.names))
 	}
-	for id := range a.nodes {
-		x, y := &a.nodes[id], &b.nodes[id]
-		if x.Name != y.Name || x.Color != y.Color || x.Fn != y.Fn || x.parent != y.parent || len(x.Out) != len(y.Out) {
-			return fmt.Errorf("semnet: node %d is %+v against %+v", id, *x, *y)
+	for id := range a.names {
+		x, _ := a.nodeLocked(NodeID(id))
+		y, _ := b.nodeLocked(NodeID(id))
+		lx, ly := a.links.row(id), b.links.row(id)
+		if x != y || len(lx) != len(ly) {
+			return fmt.Errorf("semnet: node %d is %+v with %d links against %+v with %d", id, x, len(lx), y, len(ly))
 		}
-		for i, l := range x.Out {
-			m := y.Out[i]
+		for i, l := range lx {
+			m := ly[i]
 			if l.Rel != m.Rel || l.To != m.To || math.Float32bits(l.Weight) != math.Float32bits(m.Weight) {
 				return fmt.Errorf("semnet: node %d link %d is %+v against %+v", id, i, l, m)
 			}
 		}
+		ia, oka := a.index.find(a.names, x.Name)
+		ib, okb := b.index.find(b.names, x.Name)
+		if ia != ib || oka != okb {
+			return fmt.Errorf("semnet: name %q resolves to node %d against %d", x.Name, ia, ib)
+		}
 	}
 	switch {
-	case !maps.Equal(a.byName, b.byName):
-		return fmt.Errorf("semnet: name indexes differ")
 	case a.nextRel != b.nextRel || !maps.Equal(a.relNames, b.relNames) || !maps.Equal(a.relByName, b.relByName):
 		return fmt.Errorf("semnet: relation tables differ")
 	case a.nextColor != b.nextColor || !maps.Equal(a.colorNames, b.colorNames) || !maps.Equal(a.colorByNm, b.colorByNm):
 		return fmt.Errorf("semnet: color tables differ")
-	case a.numLinks != b.numLinks:
-		return fmt.Errorf("semnet: %d links against %d", a.numLinks, b.numLinks)
+	case a.links.live() != b.links.live():
+		return fmt.Errorf("semnet: %d links against %d", a.links.live(), b.links.live())
 	case a.gen.Load() != b.gen.Load():
 		return fmt.Errorf("semnet: generation %d against %d", a.gen.Load(), b.gen.Load())
 	}

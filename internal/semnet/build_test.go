@@ -81,9 +81,11 @@ func TestDiffFindsEachDifference(t *testing.T) {
 	}
 	for name, edit := range map[string]func(*KB){
 		"node":     func(kb *KB) { kb.MustAddNode("z", 0) },
-		"color":    func(kb *KB) { kb.nodes[0].Color = 7 },
-		"function": func(kb *KB) { kb.nodes[0].Fn = FuncAdd },
-		"weight":   func(kb *KB) { kb.nodes[0].Out[0].Weight = 0.25 },
+		"color":    func(kb *KB) { kb.color[0] = 7 },
+		"function": func(kb *KB) { kb.fn[0] = FuncAdd },
+		"parent":   func(kb *KB) { kb.parent[1] = 0 },
+		"weight":   func(kb *KB) { kb.links.row(0)[0].Weight = 0.25 },
+		"index":    func(kb *KB) { clear(kb.index.slots) },
 		"relation": func(kb *KB) { kb.Relation("s") },
 		"colors":   func(kb *KB) { kb.ColorFor("d") },
 		"gen":      func(kb *KB) { kb.gen.Add(1) },

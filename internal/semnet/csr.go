@@ -38,16 +38,16 @@ func (v *CSRView) Out(id NodeID) []Link {
 func (kb *KB) CSR() *CSRView {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
-	n := len(kb.nodes)
+	n := len(kb.names)
 	v := &CSRView{
 		Off:   make([]int32, n+1),
-		Links: make([]Link, 0, kb.numLinks),
+		Links: make([]Link, 0, kb.links.live()),
 		InOff: make([]int32, n+1),
 	}
 	// Out-links: one append pass, offsets as we go.
 	for id := 0; id < n; id++ {
 		v.Off[id] = int32(len(v.Links))
-		v.Links = append(v.Links, kb.nodes[id].Out...)
+		v.Links = append(v.Links, kb.links.row(id)...)
 	}
 	v.Off[n] = int32(len(v.Links))
 	// In-links: counting sort over the out slab.
@@ -61,7 +61,7 @@ func (kb *KB) CSR() *CSRView {
 	v.InRel = make([]RelType, len(v.Links))
 	fill := make([]int32, n)
 	for id := 0; id < n; id++ {
-		for _, l := range kb.nodes[id].Out {
+		for _, l := range v.Out(NodeID(id)) {
 			at := v.InOff[l.To] + fill[l.To]
 			v.InFrom[at] = NodeID(id)
 			v.InRel[at] = l.Rel

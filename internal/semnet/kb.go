@@ -4,27 +4,33 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// Node is the logical (host-side) view of a semantic network concept:
-// a name, a color, the propagation function stored in the node table,
-// and its outgoing links.
+// Node is one row of the knowledge base's node table, by value: a
+// concept's name, its color, the propagation function stored in the node
+// table, and the node a preprocessor subnode continues. Its links are
+// KB.Links.
 type Node struct {
 	Name   string
 	Color  Color
 	Fn     FuncCode
-	Out    []Link
-	parent NodeID // parent concept for preprocessor subnodes, else InvalidNode
+	Parent NodeID // the node a preprocessor subnode continues, else InvalidNode
 }
 
 // IsSubnode reports whether n was created by the fanout preprocessor.
-func (n *Node) IsSubnode() bool { return n.parent != InvalidNode }
+func (n Node) IsSubnode() bool { return n.Parent != InvalidNode }
 
 // KB is the logical knowledge base constructed on the host and downloaded
 // into the array. It owns the name tables for nodes, relations and colors;
 // the array stores only the binary-encoded tables.
+//
+// The node table is kept in columns indexed by NodeID — name, color,
+// function, subnode parent — beside one CSR link arena, the layout each
+// cluster store downloads into, and an open-addressed name index over
+// the name column. No node is a heap object of its own.
 //
 // The KB is safe for concurrent use: a single writer may mutate it while
 // readers resolve names or compile programs against it (mu). The online
@@ -32,9 +38,15 @@ func (n *Node) IsSubnode() bool { return n.parent != InvalidNode }
 // mutates the master KB while replica compiles and collection name
 // resolution keep reading it.
 type KB struct {
-	mu     sync.RWMutex
-	nodes  []Node
-	byName map[string]NodeID
+	mu sync.RWMutex
+
+	// Node table, one column per field.
+	names  []string
+	color  []Color
+	fn     []FuncCode
+	parent []NodeID // the node a preprocessor subnode continues, else InvalidNode
+	links  linkArena
+	index  nameIndex
 
 	relNames   map[RelType]string
 	relByName  map[string]RelType
@@ -42,8 +54,6 @@ type KB struct {
 	colorNames map[Color]string
 	colorByNm  map[string]Color
 	nextColor  Color
-
-	numLinks int
 
 	// gen counts structural revisions: every mutation that could change a
 	// query's result (node, link, color, function, or preprocessor change)
@@ -64,17 +74,24 @@ func (kb *KB) Generation() uint64 { return kb.gen.Load() }
 // NewKB returns an empty knowledge base.
 func NewKB() *KB { return newKB(0) }
 
-// newKB returns an empty knowledge base whose node table and name index
+// newKB returns an empty knowledge base whose node columns and name index
 // hold nodes nodes before they first grow.
 func newKB(nodes int) *KB {
-	return &KB{
-		nodes:      make([]Node, 0, nodes),
-		byName:     make(map[string]NodeID, nodes),
+	kb := &KB{
+		names:      make([]string, 0, nodes),
+		color:      make([]Color, 0, nodes),
+		fn:         make([]FuncCode, 0, nodes),
+		parent:     make([]NodeID, 0, nodes),
+		links:      newLinkArena(nodes),
 		relNames:   make(map[RelType]string),
 		relByName:  make(map[string]RelType),
 		colorNames: make(map[Color]string),
 		colorByNm:  make(map[string]Color),
 	}
+	if nodes > 0 {
+		kb.index.reserve(nil, nodes)
+	}
+	return kb
 }
 
 // Errors reported by knowledge-base construction.
@@ -101,13 +118,26 @@ func (kb *KB) AddNode(name string, color Color) (NodeID, error) {
 // addNode is the body of AddNode and Builder.AddNode: the caller holds
 // kb.mu or owns kb alone, and counts the generation.
 func (kb *KB) addNode(name string, color Color) (NodeID, error) {
-	if _, ok := kb.byName[name]; ok {
+	id, ok := kb.appendNode(name, color, FuncNop, InvalidNode)
+	if !ok {
 		return InvalidNode, fmt.Errorf("%w: %q", ErrDuplicateNode, name)
 	}
-	id := NodeID(len(kb.nodes))
-	kb.nodes = append(kb.nodes, Node{Name: name, Color: color, parent: InvalidNode})
-	kb.byName[name] = id
 	return id, nil
+}
+
+// appendNode adds a row to every node column and an empty block to the
+// link arena, and reports false, adding nothing, when the name is taken.
+func (kb *KB) appendNode(name string, color Color, fn FuncCode, parent NodeID) (NodeID, bool) {
+	id := NodeID(len(kb.names))
+	if !kb.index.insert(kb.names, name, id) {
+		return InvalidNode, false
+	}
+	kb.names = append(kb.names, name)
+	kb.color = append(kb.color, color)
+	kb.fn = append(kb.fn, fn)
+	kb.parent = append(kb.parent, parent)
+	kb.links.addRow()
+	return id, true
 }
 
 // commit bumps the generation for one mutation and logs it; the caller
@@ -139,10 +169,10 @@ func (kb *KB) SetFn(id NodeID, fn FuncCode) error {
 
 // setFn is the body of SetFn and Builder.SetFn.
 func (kb *KB) setFn(id NodeID, fn FuncCode) error {
-	if int(id) >= len(kb.nodes) {
+	if int(id) >= len(kb.names) {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
-	kb.nodes[id].Fn = fn
+	kb.fn[id] = fn
 	return nil
 }
 
@@ -152,13 +182,13 @@ func (kb *KB) setFn(id NodeID, fn FuncCode) error {
 func (kb *KB) SetColor(id NodeID, c Color) error {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	if int(id) >= len(kb.nodes) {
+	if int(id) >= len(kb.names) {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
-	if kb.nodes[id].Color == c {
+	if kb.color[id] == c {
 		return nil
 	}
-	kb.nodes[id].Color = c
+	kb.color[id] = c
 	kb.commit(DeltaRec{Op: DeltaSetColor, Node: id, Color: c})
 	return nil
 }
@@ -166,24 +196,24 @@ func (kb *KB) SetColor(id NodeID, c Color) error {
 // AddLink appends an outgoing relation from -> to with the given type and
 // weight. Fanout beyond RelationSlots is legal here; the Preprocess pass
 // splits such nodes before download, as the paper's preprocessor does.
+// The link arena is patched in place, as a cluster store's is.
 func (kb *KB) AddLink(from NodeID, rel RelType, weight float32, to NodeID) error {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
 	l := Link{Rel: rel, Weight: weight, To: to}
-	if err := kb.addLink(from, l); err != nil {
+	if err := kb.checkLink(from, l); err != nil {
 		return err
 	}
+	kb.links.add(int(from), l)
 	kb.commit(DeltaRec{Op: DeltaAddLink, Node: from, Link: l})
 	return nil
 }
 
-// addLink is the body of AddLink and Builder.AddLink.
-func (kb *KB) addLink(from NodeID, l Link) error {
-	if int(from) >= len(kb.nodes) || int(l.To) >= len(kb.nodes) {
+// checkLink is the rule of AddLink and Builder.AddLink: both ends exist.
+func (kb *KB) checkLink(from NodeID, l Link) error {
+	if int(from) >= len(kb.names) || int(l.To) >= len(kb.names) {
 		return fmt.Errorf("%w: link %d->%d", ErrUnknownNode, from, l.To)
 	}
-	kb.nodes[from].Out = append(kb.nodes[from].Out, l)
-	kb.numLinks++
 	return nil
 }
 
@@ -195,49 +225,59 @@ func (kb *KB) MustAddLink(from NodeID, rel RelType, weight float32, to NodeID) {
 }
 
 // RemoveLink deletes from's first outgoing link matching (rel, to),
-// preserving the order of the remaining links (mirroring the relation
-// arena's first-match DELETE semantics), and reports whether a link was
-// removed.
+// preserving the order of the remaining links (the relation arena's
+// first-match DELETE semantics), and reports whether a link was removed.
 func (kb *KB) RemoveLink(from NodeID, rel RelType, to NodeID) bool {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	if int(from) >= len(kb.nodes) {
+	if int(from) >= len(kb.names) {
 		return false
 	}
-	out := kb.nodes[from].Out
-	for i, l := range out {
-		if l.Rel == rel && l.To == to {
-			kb.nodes[from].Out = append(out[:i], out[i+1:]...)
-			kb.numLinks--
-			kb.commit(DeltaRec{Op: DeltaRemoveLink, Node: from, Link: Link{Rel: rel, To: to}})
-			return true
-		}
+	j := kb.links.find(int(from), rel, to)
+	if j < 0 {
+		return false
 	}
-	return false
+	kb.links.removeAt(int(from), j)
+	kb.commit(DeltaRec{Op: DeltaRemoveLink, Node: from, Link: Link{Rel: rel, To: to}})
+	return true
 }
 
 // Lookup resolves a node name to its ID.
 func (kb *KB) Lookup(name string) (NodeID, bool) {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
-	id, ok := kb.byName[name]
-	return id, ok
+	return kb.index.find(kb.names, name)
 }
 
-// Node returns the node record for id. The returned pointer stays valid
-// until the next AddNode or Preprocess call; under concurrent writes the
-// caller must hold the topology quiescent (the engine's write lock does).
-func (kb *KB) Node(id NodeID) (*Node, error) {
+// Node returns the node-table row of id.
+func (kb *KB) Node(id NodeID) (Node, error) {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
 	return kb.nodeLocked(id)
 }
 
-func (kb *KB) nodeLocked(id NodeID) (*Node, error) {
-	if int(id) >= len(kb.nodes) {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, id)
+func (kb *KB) nodeLocked(id NodeID) (Node, error) {
+	if int(id) >= len(kb.names) {
+		return Node{}, fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
-	return &kb.nodes[id], nil
+	return Node{Name: kb.names[id], Color: kb.color[id], Fn: kb.fn[id], Parent: kb.parent[id]}, nil
+}
+
+// Links returns node id's outgoing links in order, or nil for an unknown
+// id. Read-only: the slice is a block of the KB's link arena, which later
+// link mutations patch in place, so under concurrent writes the caller
+// must hold the topology quiescent (the engine's one writer does).
+func (kb *KB) Links(id NodeID) []Link {
+	kb.mu.RLock()
+	defer kb.mu.RUnlock()
+	return kb.linksLocked(id)
+}
+
+func (kb *KB) linksLocked(id NodeID) []Link {
+	if int(id) >= len(kb.names) {
+		return nil
+	}
+	return kb.links.row(int(id))
 }
 
 // Name returns the node's name, or a synthesized placeholder for IDs out
@@ -249,8 +289,8 @@ func (kb *KB) Name(id NodeID) string {
 }
 
 func (kb *KB) nameLocked(id NodeID) string {
-	if int(id) < len(kb.nodes) {
-		return kb.nodes[id].Name
+	if int(id) < len(kb.names) {
+		return kb.names[id]
 	}
 	return fmt.Sprintf("node#%d", id)
 }
@@ -264,8 +304,8 @@ func (kb *KB) Canonical(id NodeID) NodeID {
 }
 
 func (kb *KB) canonicalLocked(id NodeID) NodeID {
-	for int(id) < len(kb.nodes) && kb.nodes[id].parent != InvalidNode {
-		id = kb.nodes[id].parent
+	for int(id) < len(kb.parent) && kb.parent[id] != InvalidNode {
+		id = kb.parent[id]
 	}
 	return id
 }
@@ -274,27 +314,14 @@ func (kb *KB) canonicalLocked(id NodeID) NodeID {
 func (kb *KB) NumNodes() int {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
-	return len(kb.nodes)
-}
-
-// NumConcepts reports the node count excluding preprocessor subnodes.
-func (kb *KB) NumConcepts() int {
-	kb.mu.RLock()
-	defer kb.mu.RUnlock()
-	n := 0
-	for i := range kb.nodes {
-		if kb.nodes[i].parent == InvalidNode {
-			n++
-		}
-	}
-	return n
+	return len(kb.names)
 }
 
 // NumLinks reports the total number of relation-table entries.
 func (kb *KB) NumLinks() int {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
-	return kb.numLinks
+	return kb.links.live()
 }
 
 // Relation interns a relation-type name, assigning the next free type.
@@ -434,7 +461,10 @@ func (kb *KB) View(fn func(View)) {
 }
 
 // Node is KB.Node.
-func (v View) Node(id NodeID) (*Node, error) { return v.kb.nodeLocked(id) }
+func (v View) Node(id NodeID) (Node, error) { return v.kb.nodeLocked(id) }
+
+// Links is KB.Links.
+func (v View) Links(id NodeID) []Link { return v.kb.linksLocked(id) }
 
 // CanonicalName is Name(Canonical(id)).
 func (v View) CanonicalName(id NodeID) string {
@@ -473,61 +503,68 @@ func (kb *KB) Names(ids []NodeID) []string {
 // subnodes that still exceed the slot budget split again, so expansion of
 // a wide node proceeds through a shallow tree whose subnodes can be
 // processed in parallel rather than down a serial chain. Each subnode
-// carries ColorSubnode and inherits the parent's propagation function.
+// carries ColorSubnode, inherits the parent's propagation function and
+// is named after its concept and its ID, skipping a name some node
+// already has. The split happens inside the link arena (linkArena.split),
+// and every column grows at most once, by exactly the subnodes it adds:
+// not at all on a KB a Builder made, which sized them for Preprocess.
 // Preprocess is idempotent.
 func (kb *KB) Preprocess() {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	before := len(kb.nodes)
-	// Make room for every subnode at once: a node table sized exactly
-	// for the concepts would otherwise regrow by a quarter.
+	before := len(kb.names)
 	extra := 0
-	for i := range kb.nodes {
-		extra += subnodesFor(len(kb.nodes[i].Out))
+	for id := range before {
+		extra += subnodesFor(int(kb.links.cnt[id]))
 	}
-	if extra > cap(kb.nodes)-before {
-		grown := make([]Node, before, before+extra)
-		copy(grown, kb.nodes)
-		kb.nodes = grown
+	if extra == 0 {
+		return
 	}
-	for id := 0; id < len(kb.nodes); id++ {
+	kb.reserveNodes(extra)
+	kb.links.reserve(0, extra) // one continuation link per subnode
+	for id := 0; id < len(kb.names); id++ {
 		// Appended subnodes extend the loop range and are re-checked;
 		// a node whose continuation fanout still exceeds the budget is
 		// revisited immediately.
-		n := &kb.nodes[id]
-		if len(n.Out) <= RelationSlots {
+		if kb.links.cnt[id] <= RelationSlots {
 			continue
 		}
-		links := n.Out
-		canonical := kb.nameLocked(kb.canonicalLocked(NodeID(id)))
-		fn := n.Fn
-		var conts []Link
-		for start := 0; start < len(links); start += RelationSlots {
-			end := start + RelationSlots
-			if end > len(links) {
-				end = len(links)
-			}
-			group := append([]Link(nil), links[start:end]...)
-			subID := NodeID(len(kb.nodes))
-			subName := fmt.Sprintf("%s~%d", canonical, subID)
-			kb.nodes = append(kb.nodes, Node{
-				Name:   subName,
-				Color:  ColorSubnode,
-				Fn:     fn,
-				Out:    group,
-				parent: NodeID(id),
-			})
-			kb.byName[subName] = subID
-			conts = append(conts, Link{Rel: RelCont, Weight: 0, To: subID})
+		canonical := kb.names[kb.canonicalLocked(NodeID(id))]
+		first := len(kb.names)
+		for range (kb.links.cnt[id] + RelationSlots - 1) / RelationSlots {
+			kb.appendSubnode(canonical, NodeID(id))
 		}
-		kb.nodes[id].Out = conts // reacquired: appends moved the backing array
-		kb.numLinks += len(conts)
-		if len(conts) > RelationSlots {
+		kb.links.split(id, first, RelationSlots)
+		if kb.links.cnt[id] > RelationSlots {
 			id-- // split this node's continuation links again
 		}
 	}
-	if len(kb.nodes) != before {
-		kb.commit(DeltaRec{Op: DeltaRebuild})
+	kb.commit(DeltaRec{Op: DeltaRebuild})
+}
+
+// reserveNodes makes room for n more nodes in every node column and the
+// name index, growing each at most once and to exactly that.
+func (kb *KB) reserveNodes(n int) {
+	kb.names = growExact(kb.names, n)
+	kb.color = growExact(kb.color, n)
+	kb.fn = growExact(kb.fn, n)
+	kb.parent = growExact(kb.parent, n)
+	kb.links.reserve(n, 0)
+	kb.index.reserve(kb.names, len(kb.names)+n)
+}
+
+// appendSubnode appends a subnode continuing parent, link-less until
+// linkArena.split gives it its bank. Its name is canonical~id, or, when a
+// node already has that name, the first free canonical~id~k for k = 2,
+// 3, ….
+func (kb *KB) appendSubnode(canonical string, parent NodeID) {
+	id := canonical + "~" + strconv.Itoa(len(kb.names))
+	name := id
+	for k := 2; ; k++ {
+		if _, ok := kb.appendNode(name, ColorSubnode, kb.fn[parent], parent); ok {
+			return
+		}
+		name = id + "~" + strconv.Itoa(k)
 	}
 }
 
@@ -543,25 +580,29 @@ func subnodesFor(f int) int {
 	return n
 }
 
-// Validate checks structural invariants: link targets exist, colors and
-// markers are in range, and no post-Preprocess node exceeds the slot
-// budget. It returns the first violation found.
+// Validate checks structural invariants: every name resolves back to its
+// own node, link targets exist, functions are defined, and no
+// post-Preprocess node exceeds the slot budget. It returns the first
+// violation found.
 func (kb *KB) Validate() error {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
-	for id := range kb.nodes {
-		n := &kb.nodes[id]
-		if len(n.Out) > RelationSlots {
-			return fmt.Errorf("semnet: node %q fanout %d exceeds %d slots (run Preprocess)",
-				n.Name, len(n.Out), RelationSlots)
+	for id, name := range kb.names {
+		if got, ok := kb.index.find(kb.names, name); !ok || got != NodeID(id) {
+			return fmt.Errorf("semnet: node %d's name %q resolves to node %d", id, name, got)
 		}
-		for _, l := range n.Out {
-			if int(l.To) >= len(kb.nodes) {
-				return fmt.Errorf("semnet: node %q links to missing node %d", n.Name, l.To)
+		links := kb.links.row(id)
+		if len(links) > RelationSlots {
+			return fmt.Errorf("semnet: node %q fanout %d exceeds %d slots (run Preprocess)",
+				name, len(links), RelationSlots)
+		}
+		for _, l := range links {
+			if int(l.To) >= len(kb.names) {
+				return fmt.Errorf("semnet: node %q links to missing node %d", name, l.To)
 			}
 		}
-		if !n.Fn.Valid() {
-			return fmt.Errorf("semnet: node %q has invalid function %d", n.Name, n.Fn)
+		if !kb.fn[id].Valid() {
+			return fmt.Errorf("semnet: node %q has invalid function %d", name, kb.fn[id])
 		}
 	}
 	return nil

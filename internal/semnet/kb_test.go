@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestKBBuild(t *testing.T) {
@@ -25,11 +26,11 @@ func TestKBBuild(t *testing.T) {
 		t.Fatal("Lookup(a) failed")
 	}
 	n, err := kb.Node(a)
-	if err != nil || n.Name != "a" || len(n.Out) != 1 {
-		t.Fatalf("Node(a) = %+v, %v", n, err)
+	if err != nil || n.Name != "a" || n.IsSubnode() || len(kb.Links(a)) != 1 {
+		t.Fatalf("Node(a) = %+v with links %v, %v", n, kb.Links(a), err)
 	}
-	if n.Out[0] != (Link{Rel: isa, Weight: 1.5, To: b}) {
-		t.Fatalf("link = %+v", n.Out[0])
+	if l := kb.Links(a)[0]; l != (Link{Rel: isa, Weight: 1.5, To: b}) {
+		t.Fatalf("link = %+v", l)
 	}
 	if err := kb.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -114,11 +115,10 @@ func TestPreprocessSplitsFanout(t *testing.T) {
 			if depth > maxDepth {
 				maxDepth = depth
 			}
-			n, err := kb.Node(id)
-			if err != nil {
+			if _, err := kb.Node(id); err != nil {
 				t.Fatal(err)
 			}
-			for _, l := range n.Out {
+			for _, l := range kb.Links(id) {
 				if l.Rel == RelCont {
 					if kb.Canonical(l.To) != hub {
 						t.Fatalf("fanout %d: subnode %d canonicalizes to %d", fanout, l.To, kb.Canonical(l.To))
@@ -155,12 +155,21 @@ func TestPreprocessIdempotent(t *testing.T) {
 	}
 }
 
+// Preprocess adds nodes, and only the ones it adds are subnodes.
 func TestNumConcepts(t *testing.T) {
 	kb, _ := buildFan(t, 40)
 	before := kb.NumNodes()
 	kb.Preprocess()
-	if kb.NumConcepts() != before {
-		t.Errorf("NumConcepts = %d, want %d (subnodes excluded)", kb.NumConcepts(), before)
+	concepts := 0
+	for id := 0; id < kb.NumNodes(); id++ {
+		if n, _ := kb.Node(NodeID(id)); !n.IsSubnode() {
+			concepts++
+		} else if id < before {
+			t.Errorf("node %d, there before Preprocess, reads as a subnode", id)
+		}
+	}
+	if concepts != before {
+		t.Errorf("%d concepts, want %d (subnodes excluded)", concepts, before)
 	}
 	if kb.NumNodes() <= before {
 		t.Error("Preprocess should have added subnodes")
@@ -218,8 +227,7 @@ func TestPreprocessRandomGraphs(t *testing.T) {
 		// Count non-cont links; must equal the original count.
 		real := 0
 		for id := 0; id < kb.NumNodes(); id++ {
-			node, _ := kb.Node(NodeID(id))
-			for _, l := range node.Out {
+			for _, l := range kb.Links(NodeID(id)) {
 				if l.Rel != RelCont {
 					real++
 				}
@@ -231,9 +239,11 @@ func TestPreprocessRandomGraphs(t *testing.T) {
 	}
 }
 
-// Preprocess makes room for all its subnodes at once: a table built to
-// the exact node count grows once, to exactly the count it ends with,
-// however deep the continuation trees (4 097 links split three levels).
+// A KB a Builder made has every column sized once, at KB, for the
+// subnodes Preprocess will add, however deep the continuation trees
+// (4 097 links split three levels): each node column holds exactly the
+// final node count, the link slab the final links and a write's
+// headroom, and Preprocess grows none of them.
 func TestPreprocessGrowsTheTableOnce(t *testing.T) {
 	fanouts := []int{0, 16, 17, 255, 256, 257, 4097}
 	b := NewBuilder(len(fanouts))
@@ -241,21 +251,91 @@ func TestPreprocessGrowsTheTableOnce(t *testing.T) {
 	for i := range fanouts {
 		b.MustAddNode("n"+strconv.Itoa(i), 0)
 	}
+	links := 0
 	for i, f := range fanouts {
 		for j := 0; j < f; j++ {
 			b.MustAddLink(NodeID(i), rel, 1, NodeID(j%len(fanouts)))
 		}
+		links += f
 	}
 	kb := b.KB()
 	want := len(fanouts)
 	for _, f := range fanouts {
 		want += subnodesFor(f)
 	}
+	links += want - len(fanouts) // one continuation link per subnode
+	columns := func() map[string]column {
+		return map[string]column{
+			"names": shape(kb.names), "colors": shape(kb.color), "fns": shape(kb.fn),
+			"parent": shape(kb.parent), "off": shape(kb.links.off), "cnt": shape(kb.links.cnt),
+			"spare": shape(kb.links.spare), "slab": shape(kb.links.slab), "index": shape(kb.index.slots),
+		}
+	}
+	built := columns()
 	kb.Preprocess()
 	if err := kb.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(kb.nodes) != want || cap(kb.nodes) != want {
-		t.Fatalf("%d nodes in a table of %d after Preprocess, want %d in %d", len(kb.nodes), cap(kb.nodes), want, want)
+	after := columns()
+	for name, c := range after {
+		if c.at != built[name].at || c.cap != built[name].cap {
+			t.Errorf("%s: Preprocess grew the column from %d to %d", name, built[name].cap, c.cap)
+		}
+	}
+	for _, name := range []string{"names", "colors", "fns", "parent", "off", "cnt", "spare"} {
+		if c := after[name]; c.len != want || c.cap != want {
+			t.Errorf("%s: %d in a column of %d, want %d in %d", name, c.len, c.cap, want, want)
+		}
+	}
+	if c := after["slab"]; c.len != links || c.cap != links+headroom(links) {
+		t.Errorf("slab: %d links in %d, want %d in %d", c.len, c.cap, links, links+headroom(links))
+	}
+	if kb.links.holes != 0 {
+		t.Errorf("%d holes in the link slab after Preprocess, want none", kb.links.holes)
+	}
+	if slots := len(kb.index.slots); slots < 2*want || slots >= 4*want {
+		t.Errorf("name index of %d slots for %d names, want the least power of two of at least %d", slots, want, 2*want)
+	}
+}
+
+// column is a slice's length, capacity and array.
+type column struct {
+	len, cap int
+	at       unsafe.Pointer
+}
+
+func shape[E any](s []E) column { return column{len(s), cap(s), unsafe.Pointer(unsafe.SliceData(s))} }
+
+// A subnode is never named after a node that exists: node a's 17 links
+// split into subnodes 19 and 20, and node 18 is already called a~19.
+func TestPreprocessNeverShadowsAName(t *testing.T) {
+	kb := NewKB()
+	a := kb.MustAddNode("a", 0)
+	for i := 1; i < 18; i++ {
+		kb.MustAddNode("n"+strconv.Itoa(i), 0)
+	}
+	user := kb.MustAddNode("a~19", 0)
+	for j := 0; j < 17; j++ {
+		kb.MustAddLink(a, 0, 1, NodeID(1+j))
+	}
+	kb.Preprocess()
+	if kb.NumNodes() != 21 {
+		t.Fatalf("%d nodes after Preprocess, want 21", kb.NumNodes())
+	}
+	if id, ok := kb.Lookup("a~19"); !ok || id != user {
+		t.Fatalf("Lookup(a~19) = %d %v, want the user's node %d", id, ok, user)
+	}
+	for id := NodeID(0); int(id) < kb.NumNodes(); id++ {
+		if got, ok := kb.Lookup(kb.Name(id)); !ok || got != id {
+			t.Errorf("node %d's name %q resolves to %d %v", id, kb.Name(id), got, ok)
+		}
+	}
+	if err := kb.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Validate reports a name that resolves to another node.
+	kb.names[user] = kb.names[a]
+	if err := kb.Validate(); err == nil || !strings.Contains(err.Error(), "resolves") {
+		t.Fatalf("Validate of a shadowed name: %v", err)
 	}
 }

@@ -20,8 +20,8 @@ import (
 //     64-bit words and sweeps two simulated words per load). The bits
 //     live in the machine-wide Table; the store owns one window of it,
 //   - the relation table (up to 16 outgoing links per node), stored as a
-//     CSR arena: one packed []Link slab plus per-node offset and count
-//     columns, so a node's links are a contiguous sub-slice of one
+//     CSR arena (linkArena, the layout the host knowledge base keeps its
+//     links in too), so a node's links are a contiguous sub-slice of one
 //     allocation instead of a pointer-chased per-node heap slice.
 //
 // A Store is owned by a single cluster and is not safe for concurrent
@@ -67,17 +67,8 @@ type storeTopo struct {
 	fn     []FuncCode
 	global []NodeID // local -> global ID
 
-	// Relation table: CSR arena. Node local's links occupy
-	// relLinks[relOff[local] : relOff[local]+relCnt[local]]. Mutators
-	// patch blocks in place when they fit (or sit at the slab tail) and
-	// otherwise relocate the block to the tail, leaving a hole; holes
-	// are compacted away once they dominate the slab. Unlike a strict
-	// n+1-offset CSR, the explicit count column makes single-node
-	// mutation O(degree) instead of O(total links).
-	relOff   []int32
-	relCnt   []int32
-	relLinks []Link
-	relHoles int // dead slots abandoned by relocating mutators
+	// Relation table: node local's links are rel.row(local).
+	rel linkArena
 }
 
 // emptyStore returns an empty store not yet bound to a table window.
@@ -87,8 +78,7 @@ func emptyStore(capacity int) *Store {
 		color:    make([]Color, 0, capacity),
 		fn:       make([]FuncCode, 0, capacity),
 		global:   make([]NodeID, 0, capacity),
-		relOff:   make([]int32, 0, capacity),
-		relCnt:   make([]int32, 0, capacity),
+		rel:      newLinkArena(capacity),
 	}}
 }
 
@@ -127,13 +117,8 @@ func (s *Store) own() {
 	copy(fn, s.fn)
 	global := make([]NodeID, len(s.global), s.capacity)
 	copy(global, s.global)
-	relOff := make([]int32, len(s.relOff), s.capacity)
-	copy(relOff, s.relOff)
-	relCnt := make([]int32, len(s.relCnt), s.capacity)
-	copy(relCnt, s.relCnt)
-	relLinks := append([]Link(nil), s.relLinks...)
 	s.color, s.fn, s.global = color, fn, global
-	s.relOff, s.relCnt, s.relLinks = relOff, relCnt, relLinks
+	s.rel = s.rel.clone(s.capacity)
 	s.sharedTopo.Store(false)
 }
 
@@ -155,8 +140,7 @@ func (s *Store) AddNode(global NodeID, color Color, fn FuncCode) (int, error) {
 	s.color = append(s.color, color)
 	s.fn = append(s.fn, fn)
 	s.global = append(s.global, global)
-	s.relOff = append(s.relOff, int32(len(s.relLinks)))
-	s.relCnt = append(s.relCnt, 0)
+	s.rel.addRow()
 	return local, nil
 }
 
@@ -171,48 +155,16 @@ func (s *Store) SetLinks(local int, links []Link) error {
 		return fmt.Errorf("%w: %d links exceed %d relation slots", ErrCapacity, len(links), RelationSlots)
 	}
 	s.own()
-	s.setBlock(local, links)
+	s.rel.set(local, links)
 	return nil
 }
 
-// setBlock replaces node local's arena block with links: shrinking in
-// place when the new block fits, extending in place when the block sits
-// at the slab tail, and otherwise relocating to the tail.
-func (s *Store) setBlock(local int, links []Link) {
-	off, cnt := s.relOff[local], s.relCnt[local]
-	switch {
-	case len(links) <= int(cnt):
-		copy(s.relLinks[off:], links)
-		s.relHoles += int(cnt) - len(links)
-	case int(off)+int(cnt) == len(s.relLinks):
-		s.relLinks = append(s.relLinks[:off], links...)
-	default:
-		s.relHoles += int(cnt)
-		s.relOff[local] = int32(len(s.relLinks))
-		s.relLinks = append(s.relLinks, links...)
-	}
-	s.relCnt[local] = int32(len(links))
-	s.maybeCompact()
-}
-
-// maybeCompact repacks the arena once relocation holes dominate it.
-// Only called from mutators, after own(), so aliased slabs are never
-// rewritten.
-func (s *Store) maybeCompact() {
-	if s.relHoles > 64 && s.relHoles*2 > len(s.relLinks) {
-		s.compact()
-	}
-}
-
-// compact rebuilds the slab densely in local-node order.
-func (s *Store) compact() {
-	packed := make([]Link, 0, len(s.relLinks)-s.relHoles)
-	for i := 0; i < s.n; i++ {
-		off := s.relOff[i]
-		s.relOff[i] = int32(len(packed))
-		packed = append(packed, s.relLinks[off:off+s.relCnt[i]]...)
-	}
-	s.relLinks, s.relHoles = packed, 0
+// ReserveLinks makes room in the relation table for n more links and a
+// write's headroom at once, so a download that knows its link count sizes
+// the arena once instead of growing it by doubling.
+func (s *Store) ReserveLinks(n int) {
+	s.own()
+	s.rel.reserve(0, n+headroom(n))
 }
 
 // Global returns the global NodeID of a local node.
@@ -231,13 +183,10 @@ func (s *Store) Fn(local int) FuncCode { return s.fn[local] }
 // Links returns the relation-table entries of a local node: a contiguous
 // sub-slice of the CSR arena. The returned slice is owned by the store
 // and must not be modified.
-func (s *Store) Links(local int) []Link {
-	off, end := s.relOff[local], s.relOff[local]+s.relCnt[local]
-	return s.relLinks[off:end:end]
-}
+func (s *Store) Links(local int) []Link { return s.rel.row(local) }
 
 // NumLinks reports the number of live relation-table entries.
-func (s *Store) NumLinks() int { return len(s.relLinks) - s.relHoles }
+func (s *Store) NumLinks() int { return s.rel.live() }
 
 // RegBlock is one complex marker's value and origin registers at the 64
 // local nodes of one host status word: lane b is local w*64+b. It holds

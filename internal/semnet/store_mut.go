@@ -39,45 +39,27 @@ func (s *Store) AddLink(local int, l Link) error {
 	if local < 0 || local >= s.n {
 		return fmt.Errorf("%w: local %d", ErrUnknownNode, local)
 	}
-	if int(s.relCnt[local]) >= RelationSlots {
+	if int(s.rel.cnt[local]) >= RelationSlots {
 		return fmt.Errorf("%w: node %d relation slots full", ErrCapacity, s.global[local])
 	}
 	s.own()
-	off, cnt := s.relOff[local], s.relCnt[local]
-	if int(off)+int(cnt) == len(s.relLinks) {
-		s.relLinks = append(s.relLinks, l)
-	} else {
-		s.relHoles += int(cnt)
-		s.relOff[local] = int32(len(s.relLinks))
-		s.relLinks = append(s.relLinks, s.relLinks[off:off+cnt]...)
-		s.relLinks = append(s.relLinks, l)
-	}
-	s.relCnt[local] = cnt + 1
-	s.maybeCompact()
+	s.rel.add(local, l)
 	return nil
 }
 
 // RemoveLink deletes the first relation-table entry matching (rel, to) and
 // reports whether one was found. The block shrinks in place and the
-// vacated tail slot becomes a hole, also when the block ends the slab:
-// the slab never gets shorter, because a link-less node added after the
-// block keeps its offset at the old slab end.
+// vacated tail slot becomes a hole (linkArena.removeAt).
 func (s *Store) RemoveLink(local int, rel RelType, to NodeID) bool {
 	if local < 0 || local >= s.n {
 		return false
 	}
-	off, cnt := int(s.relOff[local]), int(s.relCnt[local])
-	for i := off; i < off+cnt; i++ {
-		if s.relLinks[i].Rel == rel && s.relLinks[i].To == to {
-			s.own()
-			// own() may have re-materialized the slab; the offsets are
-			// copied verbatim, so i stays valid.
-			copy(s.relLinks[i:off+cnt-1], s.relLinks[i+1:off+cnt])
-			s.relHoles++
-			s.relCnt[local] = int32(cnt - 1)
-			s.maybeCompact()
-			return true
-		}
+	j := s.rel.find(local, rel, to)
+	if j < 0 {
+		return false
 	}
-	return false
+	// own() copies the slab verbatim, so j stays valid.
+	s.own()
+	s.rel.removeAt(local, j)
+	return true
 }

@@ -16,15 +16,13 @@ type NodeID uint32
 const InvalidNode NodeID = ^NodeID(0)
 
 // Color distinguishes the type or class of a concept node. The paper
-// provides 256 colors.
+// provides 256 colors, the type's range.
 type Color uint8
 
 // Capacity limits taken directly from the paper (Section II-B, Fig. 4).
 const (
-	NumColors         = 256   // node colors
-	NumRelationTypes  = 65536 // distinct relation types (R = 64K)
-	NumComplexMarkers = 64    // M_C: value-carrying markers
-	NumBinaryMarkers  = 64    // M_B: set-membership markers
+	NumComplexMarkers = 64 // M_C: value-carrying markers
+	NumBinaryMarkers  = 64 // M_B: set-membership markers
 	NumMarkers        = NumComplexMarkers + NumBinaryMarkers
 	RelationSlots     = 16 // outgoing relation slots per node
 	WordBits          = 32 // W: the paper's status-word width, the unit all timing charges
@@ -42,7 +40,8 @@ const HostWordBits = 64
 // to continuation subnodes; color searches never match it.
 const ColorSubnode Color = 255
 
-// RelType identifies a relation (link) type. 64K types are supported.
+// RelType identifies a relation (link) type. The paper's 64K types
+// (R = 64K) are the type's range.
 type RelType uint16
 
 // RelCont is the reserved relation type used by the fanout preprocessor to

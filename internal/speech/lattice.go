@@ -53,11 +53,7 @@ func Confuse(g *kbgen.Generated, words []string, seed int64) (Lattice, error) {
 
 // categoryOf resolves a lexical node's syntactic category node.
 func categoryOf(g *kbgen.Generated, word semnet.NodeID) semnet.NodeID {
-	node, err := g.KB.Node(word)
-	if err != nil {
-		return semnet.InvalidNode
-	}
-	for _, l := range node.Out {
+	for _, l := range g.KB.Links(word) {
 		if l.Rel != g.Rel.IsA {
 			continue
 		}

@@ -203,15 +203,3 @@ func (b *Tiered) Reset() {
 		b.wakeSeq[i]++
 	}
 }
-
-// Snapshot returns the current created/consumed tier counters (diagnostic
-// view of the counter bank).
-func (b *Tiered) Snapshot() (created, consumed []int64, inFlight int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c := make([]int64, b.maxLevel)
-	copy(c, b.created[:b.maxLevel])
-	t := make([]int64, b.maxLevel)
-	copy(t, b.consumed[:b.maxLevel])
-	return c, t, b.inFlight
-}

@@ -83,7 +83,7 @@ func TestLevelClamping(t *testing.T) {
 	b := New(1)
 	b.Created(-5)
 	b.Created(MaxLevels + 100)
-	created, _, inFlight := b.Snapshot()
+	created, _, inFlight := snapshot(b)
 	if inFlight != 2 {
 		t.Fatalf("inFlight = %d", inFlight)
 	}
@@ -110,7 +110,7 @@ func TestReset(t *testing.T) {
 	if b.Done() {
 		t.Fatal("Reset must rearm")
 	}
-	_, _, inFlight := b.Snapshot()
+	_, _, inFlight := snapshot(b)
 	if inFlight != 0 {
 		t.Fatal("Reset must zero counters")
 	}
@@ -175,7 +175,7 @@ func TestTerminationDetectionStorm(t *testing.T) {
 				t.Fatalf("trial %d: queue %d not drained at termination", trial, c)
 			}
 		}
-		created, consumed, inFlight := b.Snapshot()
+		created, consumed, inFlight := snapshot(b)
 		if inFlight != 0 {
 			t.Fatalf("trial %d: inFlight = %d", trial, inFlight)
 		}
@@ -189,4 +189,12 @@ func TestTerminationDetectionStorm(t *testing.T) {
 			t.Fatalf("trial %d: only %d messages recorded", trial, s.Messages)
 		}
 	}
+}
+
+// snapshot reads b's created/consumed tier counters and its in-flight
+// count.
+func snapshot(b *Tiered) (created, consumed []int64, inFlight int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]int64(nil), b.created[:b.maxLevel]...), append([]int64(nil), b.consumed[:b.maxLevel]...), b.inFlight
 }

@@ -1,7 +1,6 @@
-// Package baseline implements the comparison systems of the paper's
+// Package baseline implements the comparison system of the paper's
 // evaluation: a CM-2-style SIMD machine model for the Fig. 15 inheritance
-// comparison, and the single-PE sequential configuration used as the
-// speedup denominator in Figs. 16-18.
+// comparison.
 //
 // The CM-2 disadvantage the paper identifies is structural, not raw speed:
 // a SIMD machine "had to iterate between the controller and array after
@@ -14,7 +13,6 @@ package baseline
 import (
 	"fmt"
 
-	"snap1/internal/machine"
 	"snap1/internal/semnet"
 	"snap1/internal/timing"
 )
@@ -95,19 +93,4 @@ func (c CM2) Inherit(kb *semnet.KB, root semnet.NodeID, rel semnet.RelType) (*In
 		steps++
 	}
 	return &InheritResult{Time: t, Steps: steps, Reached: reached}, nil
-}
-
-// SequentialConfig returns the single-marker-unit, single-cluster SNAP-1
-// configuration used as the uniprocessor reference for speedup curves.
-// The per-cluster capacity is widened so knowledge bases that normally
-// span the array still fit one cluster.
-func SequentialConfig(capacity int) machine.Config {
-	cfg := machine.DefaultConfig()
-	cfg.Clusters = 1
-	cfg.MUsPerCluster = 1
-	cfg.ExtraMUClusters = 0
-	if capacity > cfg.NodesPerCluster {
-		cfg.NodesPerCluster = capacity
-	}
-	return cfg
 }

@@ -106,8 +106,11 @@ func TestCM2StepCostsGrowWithVirtualization(t *testing.T) {
 	}
 }
 
+// TestSequentialConfig: the single-marker-unit, single-cluster SNAP-1,
+// widened to hold a network that normally spans the array, is a machine.
 func TestSequentialConfig(t *testing.T) {
-	cfg := SequentialConfig(5000)
+	cfg := machine.DefaultConfig()
+	cfg.Clusters, cfg.MUsPerCluster, cfg.ExtraMUClusters, cfg.NodesPerCluster = 1, 1, 0, 5000
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}

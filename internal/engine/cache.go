@@ -139,9 +139,9 @@ func evictBefore(c *lruCache[resultKey, *answer], gen uint64) int {
 }
 
 // sameProgram reports whether a and b run identically: the same program,
-// or equal instruction streams whose PROPAGATE rules have equal
-// fingerprints. Program.Hash is 64 bits; a cache entry found by it is
-// checked with this before it is used.
+// or equal instruction streams whose PROPAGATE rules have equal specs.
+// Program.Hash is 64 bits; a cache entry found by it is checked with this
+// before it is used.
 func sameProgram(a, b *isa.Program) bool {
 	if a == b {
 		return true
@@ -160,7 +160,7 @@ func sameProgram(a, b *isa.Program) bool {
 		}
 		if x.Op == isa.OpPropagate {
 			rx, ry := ruleOf(a, x.Rule), ruleOf(b, y.Rule)
-			if rx != ry && (rx == nil || ry == nil || rx.Fingerprint() != ry.Fingerprint()) {
+			if rx != ry && (rx == nil || ry == nil || rx.Spec() != ry.Spec()) {
 				return false
 			}
 		}

@@ -311,6 +311,23 @@ func TestResultCacheChecksProgram(t *testing.T) {
 	if !sameProgram(twin, progA) || sameProgram(progA, progB) {
 		t.Fatal("sameProgram does not tell programs apart by content")
 	}
+	// The same token bound to another spec is another program; a step
+	// with a stray R2 is the plain step.
+	isA := kb.Relation("is-a")
+	rule := func(spec rules.Spec) *isa.Program {
+		p := isa.NewProgram()
+		p.SearchNode(ids["a"], 1, 0)
+		p.Propagate(1, 2, spec, semnet.FuncAdd)
+		return p
+	}
+	path, spread := rule(rules.Path(isA)), rule(rules.Spread(isA, isA+1))
+	if path.Instrs[1] != spread.Instrs[1] || sameProgram(path, spread) {
+		t.Error("sameProgram matches two rules under one token")
+	}
+	step, stray := rule(rules.Step(isA)), rule(rules.Spec{Kind: rules.KindStep, R1: isA, R2: isA + 1})
+	if step.Hash() != stray.Hash() || !sameProgram(step, stray) {
+		t.Error("a step with a stray R2 is not the plain step")
+	}
 	if hit, res, err := e.submit(context.Background(), twin); err != nil || hit == nil || res != resA {
 		t.Errorf("an equal program built apart missed: hit %p, %v", hit, err)
 	}

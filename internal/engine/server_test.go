@@ -628,6 +628,49 @@ func TestHostileNamesAnswerTyped(t *testing.T) {
 	}
 }
 
+// TestRefusedMutateInternsNothing: /v1/mutate on an engine with writes
+// refuses programs that name a node the KB does not hold, after an
+// operand that would bring in a new name; three hundred of them leave the
+// relation and colour tables as they were, and a valid write with a new
+// colour still commits.
+func TestRefusedMutateInternsNothing(t *testing.T) {
+	kb, _ := writeTestKB(t)
+	e, err := New(kb, WithReplicas(1), WithWrites(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(e))
+	defer func() { srv.Close(); e.Close() }()
+	mutate := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/mutate", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	rels, colors := nameTableSizes(kb)
+	for i := 0; i < 300; i++ {
+		body := fmt.Sprintf("set-color color=x%d node=nosuch", i)
+		if i%2 == 1 {
+			body = fmt.Sprintf("create rel=r%d src=nosuch w=1 dst=a", i)
+		}
+		if code := mutate(body); code != http.StatusBadRequest {
+			t.Fatalf("%q: status %d, want 400", body, code)
+		}
+	}
+	if r2, c2 := nameTableSizes(kb); r2 != rels || c2 != colors {
+		t.Fatalf("refused writes grew the name tables: relations %d -> %d, colours %d -> %d", rels, r2, colors, c2)
+	}
+	if code := mutate("set-color color=zzz node=a"); code != http.StatusOK {
+		t.Fatalf("a valid write with a new colour: status %d, want 200", code)
+	}
+	if _, ok := kb.LookupColor("zzz"); !ok {
+		t.Error("the committed write's colour is not in the KB")
+	}
+}
+
 // nameTableSizes counts the KB's relation and colour names: ids are
 // handed out in order, and RelationName/ColorName answer a numeric
 // placeholder for one not handed out yet.

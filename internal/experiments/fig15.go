@@ -90,7 +90,7 @@ func extrapolateCrossover(rows []Fig15Row) int {
 	sSlope := float64(b.SNAP-a.SNAP) / float64(b.Nodes-a.Nodes)
 	stepCost := float64(b.CM2) / float64(b.Depth)
 	for n := b.Nodes; n < b.Nodes*1024; n += b.Nodes / 4 {
-		snap := float64(b.SNAP) + sSlope*float64(n-b.Nodes)
+		snap := float64(b.SNAP) + float64(sSlope*float64(n-b.Nodes)) // rounds the product: no FMA on any GOARCH
 		depth := float64(b.Depth) + math.Log(float64(n)/float64(b.Nodes))/math.Log(4)
 		cm2 := stepCost * depth
 		if snap >= cm2 {

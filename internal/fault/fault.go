@@ -220,7 +220,7 @@ func rateThreshold(rate float64) uint64 {
 	if rate <= 0 {
 		return 0
 	}
-	return uint64(rate * float64(1<<63) * 2)
+	return uint64(float64(rate*float64(1<<63)) * 2) // rounds the product: no FMA on any GOARCH
 }
 
 // mixSeed derives one site stream's initial state (splitmix64 of the

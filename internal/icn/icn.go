@@ -142,17 +142,6 @@ func (t Topology) Path(from, dest int) (next, hops int) {
 	return int(r.next), int(r.hops)
 }
 
-// Route returns the full hop sequence from -> ... -> dest (excluding from,
-// including dest). The empty route means from == dest.
-func (t Topology) Route(from, dest int) []int {
-	var route []int
-	for at := from; at != dest; {
-		at = t.NextHop(at, dest)
-		route = append(route, at)
-	}
-	return route
-}
-
 // Network is the array-wide interconnect: one inbound mailbox region per
 // cluster plus routing arithmetic and traffic statistics.
 type Network struct {

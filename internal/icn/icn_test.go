@@ -61,8 +61,8 @@ func TestRouteTableMatchesWalk(t *testing.T) {
 				if got := top.Hops(from, to); got != walked {
 					t.Fatalf("%d clusters: Hops(%d,%d) = %d, walked %d", n, from, to, got, walked)
 				}
-				if got := len(top.Route(from, to)); got != walked {
-					t.Fatalf("%d clusters: Route(%d,%d) has %d hops, walked %d", n, from, to, got, walked)
+				if got := len(hopsWalked(top, from, to)); got != walked {
+					t.Fatalf("%d clusters: route %d->%d has %d hops, walked %d", n, from, to, got, walked)
 				}
 			}
 		}
@@ -73,7 +73,7 @@ func TestRouteCorrectsOneDigitPerHop(t *testing.T) {
 	n := New(32, 8)
 	for from := 0; from < 32; from++ {
 		for to := 0; to < 32; to++ {
-			route := n.Route(from, to)
+			route := hopsWalked(n.Topology, from, to)
 			if len(route) != n.Hops(from, to) {
 				t.Fatalf("route %d->%d length %d, hops %d", from, to, len(route), n.Hops(from, to))
 			}
@@ -185,4 +185,15 @@ func TestPending(t *testing.T) {
 	if n.Pending(1) != 2 {
 		t.Fatalf("Pending = %d", n.Pending(1))
 	}
+}
+
+// hopsWalked is the hop sequence NextHop walks from -> ... -> dest
+// (excluding from, including dest); it is empty when from == dest.
+func hopsWalked(t Topology, from, dest int) []int {
+	var r []int
+	for at := from; at != dest; {
+		at = t.NextHop(at, dest)
+		r = append(r, at)
+	}
+	return r
 }

@@ -3,6 +3,7 @@ package isa
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -19,8 +20,11 @@ import (
 // the knowledge base (a node also by its number). A name the KB does not
 // hold is an error, except where the instruction writes it into the
 // network: the relation of create and marker-create, the color of
-// set-color and marker-set-color. Markers are written c0..c63 (complex),
-// b0..b63 (binary), or m<k> as an alias for c<k>. Example:
+// set-color and marker-set-color. An assembler that interns adds such a
+// name to the KB only once the whole program has assembled, so a program
+// it refuses leaves the KB's name space as it was. Markers are written
+// c0..c63 (complex), b0..b63 (binary), or m<k> as an alias for c<k>.
+// Example:
 //
 //	search-node node=we marker=c1 value=0
 //	propagate m1=c1 m2=c2 rule=spread(is-a,last) fn=add
@@ -57,8 +61,30 @@ func (a *Assembler) Assemble(r io.Reader) (*Program, error) {
 }
 
 // AssembleString parses a full program from src, in place: one pass over
-// the text, nothing copied out of it. Every rejection wraps ErrBadProgram.
+// the text, nothing copied out of it, or two when the program brings new
+// names into the KB: the first finds them, they are interned, all of them
+// or none, and the second assembles against the grown KB. Every rejection
+// wraps ErrBadProgram.
 func (a *Assembler) AssembleString(src string) (*Program, error) {
+	var fresh freshNames
+	p, err := a.assemble(src, &fresh)
+	if err != nil || fresh.empty() {
+		return p, err
+	}
+	if err := a.kb.InternNames(fresh.rels, fresh.colors); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadProgram, err)
+	}
+	return a.assemble(src, &fresh)
+}
+
+// freshNames are the relation and color names a program's writing
+// operands bring into the KB, each once, in the order they appear.
+type freshNames struct{ rels, colors []string }
+
+func (f *freshNames) empty() bool { return len(f.rels)+len(f.colors) == 0 }
+
+// assemble is one pass of AssembleString. A name in fresh resolves to 0.
+func (a *Assembler) assemble(src string, fresh *freshNames) (*Program, error) {
 	p := NewProgram()
 	// Sized once, to the lines that hold an instruction, so a sealed
 	// program keeps no spare room; the cap keeps a long body that fails
@@ -73,7 +99,7 @@ func (a *Assembler) AssembleString(src string) (*Program, error) {
 		if line = code(line); line == "" {
 			continue
 		}
-		if err := a.assembleLine(p, line); err != nil {
+		if err := a.assembleLine(p, line, fresh); err != nil {
 			return nil, fmt.Errorf("%w: line %d: %w", ErrBadProgram, lineNo, err)
 		}
 	}
@@ -156,15 +182,16 @@ type lineAsm struct {
 	in      Instruction
 	rule    rules.Spec
 	hasRule bool
+	fresh   *freshNames // the program's
 }
 
-func (a *Assembler) assembleLine(p *Program, line string) error {
+func (a *Assembler) assembleLine(p *Program, line string, fresh *freshNames) error {
 	name, rest := nextField(line)
 	op, ok := opByName[strings.ToLower(name)]
 	if !ok {
 		return fmt.Errorf("unknown opcode %q", name)
 	}
-	l := lineAsm{in: Instruction{Op: op}}
+	l := lineAsm{in: Instruction{Op: op}, fresh: fresh}
 	for f, rest := nextField(rest); f != ""; f, rest = nextField(rest) {
 		key, val, found := strings.Cut(f, "=")
 		if !found {
@@ -274,12 +301,12 @@ func (a *Assembler) setOperand(l *lineAsm, key, val string) error {
 	case opdEnd:
 		in.EndNode, err = a.node(val)
 	case opdRel:
-		in.Rel, err = a.relation(val, in.Op == OpCreate || in.Op == OpMarkerCreate)
+		in.Rel, err = a.relation(l.fresh, val, in.Op == OpCreate || in.Op == OpMarkerCreate)
 	case opdRev:
-		in.RevRel, err = a.relation(val, in.Op == OpMarkerCreate)
+		in.RevRel, err = a.relation(l.fresh, val, in.Op == OpMarkerCreate)
 		in.HasRev = true
 	case opdColor:
-		in.Color, err = a.color(val, in.Op == OpSetColor || in.Op == OpMarkerSetColor)
+		in.Color, err = a.color(l.fresh, val, in.Op == OpSetColor || in.Op == OpMarkerSetColor)
 	case opdM1:
 		in.M1, err = parseMarker(val)
 	case opdM2:
@@ -295,7 +322,7 @@ func (a *Assembler) setOperand(l *lineAsm, key, val string) error {
 	case opdCond:
 		in.Cond, err = parseCond(val)
 	case opdRule:
-		l.rule, err = a.parseRule(val)
+		l.rule, err = a.parseRule(l.fresh, val)
 		l.hasRule = true
 	}
 	return err
@@ -311,28 +338,41 @@ func parseFloat32(what, s string) (float32, error) {
 
 // relation resolves a relation-type name. Only an operand that writes
 // the relation into the network (create) may bring a new name into the
-// KB, and only on an assembler that interns; everywhere else an unknown
-// name is an error, so that reading never grows — or exhausts — the name
-// space.
-func (a *Assembler) relation(name string, create bool) (semnet.RelType, error) {
-	if create && a.intern {
-		return a.kb.InternRelation(name)
-	}
+// KB, and only on an assembler that interns: the name joins the
+// program's fresh names, and resolves from then on, also where the
+// program reads it. Everywhere else an unknown name is an error, so that
+// reading never grows — or exhausts — the name space.
+func (a *Assembler) relation(fresh *freshNames, name string, create bool) (semnet.RelType, error) {
 	if r, ok := a.kb.LookupRelation(name); ok {
 		return r, nil
 	}
-	return 0, fmt.Errorf("unknown relation %q", name)
+	if !a.intern || !bringIn(&fresh.rels, name, create) {
+		return 0, fmt.Errorf("unknown relation %q", name)
+	}
+	return 0, nil
 }
 
 // color resolves a color name under the same rule as relation.
-func (a *Assembler) color(name string, create bool) (semnet.Color, error) {
-	if create && a.intern {
-		return a.kb.InternColor(name)
-	}
+func (a *Assembler) color(fresh *freshNames, name string, create bool) (semnet.Color, error) {
 	if c, ok := a.kb.LookupColor(name); ok {
 		return c, nil
 	}
-	return 0, fmt.Errorf("unknown color %q", name)
+	if !a.intern || !bringIn(&fresh.colors, name, create) {
+		return 0, fmt.Errorf("unknown color %q", name)
+	}
+	return 0, nil
+}
+
+// bringIn reports whether name is one of the program's fresh names,
+// adding it to them first when create is set.
+func bringIn(names *[]string, name string, create bool) bool {
+	if slices.Contains(*names, name) {
+		return true
+	}
+	if create {
+		*names = append(*names, name)
+	}
+	return create
 }
 
 func (a *Assembler) node(name string) (semnet.NodeID, error) {
@@ -406,7 +446,7 @@ func parseCond(s string) (Condition, error) {
 	return 0, fmt.Errorf("unknown condition %q", s)
 }
 
-func (a *Assembler) parseRule(s string) (rules.Spec, error) {
+func (a *Assembler) parseRule(fresh *freshNames, s string) (rules.Spec, error) {
 	open := strings.IndexByte(s, '(')
 	if open < 0 || !strings.HasSuffix(s, ")") {
 		return rules.Spec{}, fmt.Errorf("bad rule %q (want kind(r1[,r2]))", s)
@@ -433,111 +473,13 @@ func (a *Assembler) parseRule(s string) (rules.Spec, error) {
 	}
 	spec := rules.Spec{Kind: kind}
 	var err error
-	if spec.R1, err = a.relation(strings.TrimSpace(r1), false); err != nil {
+	if spec.R1, err = a.relation(fresh, strings.TrimSpace(r1), false); err != nil {
 		return rules.Spec{}, err
 	}
 	if two {
-		if spec.R2, err = a.relation(strings.TrimSpace(r2), false); err != nil {
+		if spec.R2, err = a.relation(fresh, strings.TrimSpace(r2), false); err != nil {
 			return rules.Spec{}, err
 		}
 	}
 	return spec, nil
-}
-
-// Disassemble renders in as one line of assembly, resolving names via kb.
-// Rule tokens render through the accompanying table (nil table allowed).
-func Disassemble(in *Instruction, kb *semnet.KB, tbl *rules.Table) string {
-	var b strings.Builder
-	b.WriteString(strings.ToLower(in.Op.String()))
-	emit := func(k, v string) { fmt.Fprintf(&b, " %s=%s", k, v) }
-	mk := func(m semnet.MarkerID) string {
-		if m.IsComplex() {
-			return fmt.Sprintf("c%d", m)
-		}
-		return fmt.Sprintf("b%d", m-semnet.NumComplexMarkers)
-	}
-	switch in.Op {
-	case OpCreate:
-		emit("src", kb.Name(in.Node))
-		emit("rel", kb.RelationName(in.Rel))
-		emit("w", trimFloat(in.Weight))
-		emit("dst", kb.Name(in.EndNode))
-	case OpDelete:
-		emit("src", kb.Name(in.Node))
-		emit("rel", kb.RelationName(in.Rel))
-		emit("dst", kb.Name(in.EndNode))
-	case OpSetColor:
-		emit("node", kb.Name(in.Node))
-		emit("color", kb.ColorName(in.Color))
-	case OpSearchNode:
-		emit("node", kb.Name(in.Node))
-		emit("marker", mk(in.M1))
-		emit("value", trimFloat(in.Value))
-	case OpSearchRelation:
-		emit("rel", kb.RelationName(in.Rel))
-		emit("marker", mk(in.M1))
-		emit("value", trimFloat(in.Value))
-	case OpSearchColor:
-		emit("color", kb.ColorName(in.Color))
-		emit("marker", mk(in.M1))
-		emit("value", trimFloat(in.Value))
-	case OpPropagate:
-		emit("m1", mk(in.M1))
-		emit("m2", mk(in.M2))
-		name := fmt.Sprintf("token%d", in.Rule)
-		if tbl != nil {
-			if r := tbl.Rule(in.Rule); r != nil {
-				name = r.Name()
-				// A rule compiled from a spec renders as the text that
-				// assembles back to it.
-				if spec, ok := r.Spec(); ok {
-					name = spec.Kind.String() + "(" + kb.RelationName(spec.R1)
-					if spec.Kind.Arity() == 2 {
-						name += "," + kb.RelationName(spec.R2)
-					}
-					name += ")"
-				}
-			}
-		}
-		emit("rule", name)
-		emit("fn", in.Fn.String())
-	case OpMarkerCreate, OpMarkerDelete:
-		emit("marker", mk(in.M1))
-		emit("rel", kb.RelationName(in.Rel))
-		emit("dst", kb.Name(in.EndNode))
-		if in.HasRev {
-			emit("rev", kb.RelationName(in.RevRel))
-		}
-	case OpMarkerSetColor:
-		emit("marker", mk(in.M1))
-		emit("color", kb.ColorName(in.Color))
-	case OpAndMarker, OpOrMarker:
-		emit("m1", mk(in.M1))
-		emit("m2", mk(in.M2))
-		emit("m3", mk(in.M3))
-		emit("fn", in.Fn.String())
-	case OpNotMarker:
-		emit("m1", mk(in.M1))
-		emit("m2", mk(in.M2))
-		emit("value", trimFloat(in.Value))
-		emit("cond", in.Cond.String())
-	case OpSetMarker:
-		emit("marker", mk(in.M1))
-		emit("value", trimFloat(in.Value))
-	case OpClearMarker, OpCollectNode, OpCollectColor:
-		emit("marker", mk(in.M1))
-	case OpFuncMarker:
-		emit("marker", mk(in.M1))
-		emit("fn", in.Fn.String())
-		emit("operand", trimFloat(in.Value))
-	case OpCollectRelation:
-		emit("marker", mk(in.M1))
-		emit("rel", kb.RelationName(in.Rel))
-	case OpCommEnd:
-	}
-	return b.String()
-}
-
-func trimFloat(f float32) string {
-	return strconv.FormatFloat(float64(f), 'g', -1, 32)
 }

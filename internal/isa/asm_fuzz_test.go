@@ -12,7 +12,7 @@ import (
 
 // FuzzAssemble holds the HTTP-facing assembler to its contract on any
 // text: it never panics, every rejection wraps ErrBadProgram, and a
-// program it accepts validates and survives Disassemble → re-assemble
+// program it accepts validates and survives disassemble → re-assemble
 // with the same content hash. The checked-in corpus
 // (testdata/fuzz/FuzzAssemble) seeds the line-splitting and operand
 // edge cases.
@@ -37,7 +37,7 @@ func FuzzAssemble(f *testing.F) {
 		}
 		var text strings.Builder
 		for i := range p.Instrs {
-			text.WriteString(Disassemble(&p.Instrs[i], kb, p.Rules))
+			text.WriteString(disassemble(&p.Instrs[i], kb, p.Rules))
 			text.WriteByte('\n')
 		}
 		again, err := asm.AssembleString(text.String())
@@ -114,6 +114,60 @@ func TestAssembleResolvesNamesWithoutInterning(t *testing.T) {
 		if _, ok := kb.LookupColor(name); !ok {
 			t.Errorf("color %q not interned", name)
 		}
+	}
+}
+
+// TestFailedAssemblyInternsNothing: a writing operand's new name enters
+// the KB only with a program that assembles whole, so no number of
+// refused programs can fill the name space, and a program whose new names
+// do not all fit interns none of them.
+func TestFailedAssemblyInternsNothing(t *testing.T) {
+	kb := asmKB(t)
+	asm := NewAssembler(kb)
+	refuse := func(src string) {
+		t.Helper()
+		if _, err := asm.AssembleString(src); !errors.Is(err, ErrBadProgram) {
+			t.Fatalf("%q: %v, want ErrBadProgram", src, err)
+		}
+	}
+	refuse("create rel=fresh src=nosuch w=1 dst=we")
+	refuse("marker-create marker=c1 rel=fresh dst=animate rev=fresh2\nbogus")
+	refuse("set-color node=we color=fresh\nset-color node=nosuch color=fresh2")
+	for _, name := range []string{"fresh", "fresh2"} {
+		if _, ok := kb.LookupRelation(name); ok {
+			t.Errorf("a refused program interned relation %q", name)
+		}
+		if _, ok := kb.LookupColor(name); ok {
+			t.Errorf("a refused program interned color %q", name)
+		}
+	}
+	for i := 0; i < 300; i++ { // more than the 256 colors a semnet.Color holds
+		refuse(fmt.Sprintf("set-color color=x%d node=nosuch", i))
+	}
+	p, err := asm.AssembleString("set-color color=zzz node=we")
+	if err != nil {
+		t.Fatalf("a valid write after 300 refused ones: %v", err)
+	}
+	if c, ok := kb.LookupColor("zzz"); !ok || p.Instrs[0].Color != c {
+		t.Errorf("set-color wrote color %d, want zzz's", p.Instrs[0].Color)
+	}
+
+	// With the color space full, a program that names a new relation and
+	// a new color interns neither; the relation alone still fits.
+	for n := 0; ; n++ {
+		if _, err := kb.InternColor(fmt.Sprintf("fill%d", n)); err != nil {
+			break
+		}
+	}
+	const both = "create src=we rel=rnew w=1 dst=animate\nset-color node=we color=cnew"
+	if _, err := asm.AssembleString(both); !errors.Is(err, ErrBadProgram) || !errors.Is(err, semnet.ErrCapacity) {
+		t.Fatalf("%q on a full color space: %v, want ErrBadProgram wrapping ErrCapacity", both, err)
+	}
+	if _, ok := kb.LookupRelation("rnew"); ok {
+		t.Error("a program whose names did not all fit interned its relation")
+	}
+	if p, err := asm.AssembleString("create src=we rel=rnew w=1 dst=animate"); err != nil || p.Instrs[0].Rel != kb.Relation("rnew") {
+		t.Errorf("the relation alone: %v", err)
 	}
 }
 

@@ -191,7 +191,7 @@ func TestAsmRoundTrip(t *testing.T) {
 
 	var src strings.Builder
 	for i := range p.Instrs {
-		src.WriteString(Disassemble(&p.Instrs[i], kb, p.Rules))
+		src.WriteString(disassemble(&p.Instrs[i], kb, p.Rules))
 		src.WriteByte('\n')
 	}
 	p2, err := NewAssembler(kb).Assemble(strings.NewReader(src.String()))
@@ -207,7 +207,7 @@ func TestAsmRoundTrip(t *testing.T) {
 		a.Rule, b.Rule = 0, 0
 		if a != b {
 			t.Errorf("instruction %d: %+v != %+v\nasm: %s", i, a, b,
-				Disassemble(&p.Instrs[i], kb, p.Rules))
+				disassemble(&p.Instrs[i], kb, p.Rules))
 		}
 	}
 }

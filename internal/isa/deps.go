@@ -121,18 +121,6 @@ func (in *Instruction) Serializing() bool {
 	return false
 }
 
-// MarkerDisjoint reports whether a and b touch disjoint marker planes:
-// no write of either intersects the reads or writes of the other. It
-// ignores the serializing property, so COMM-END (which uses no markers)
-// is disjoint with everything — the condition under which renamed
-// sub-programs may be concatenated into one fused program without their
-// instructions interfering.
-func MarkerDisjoint(a, b *Instruction) bool {
-	aw, bw := a.Writes(), b.Writes()
-	return !aw.Intersects(b.Reads()) && !aw.Intersects(bw) &&
-		!bw.Intersects(a.Reads())
-}
-
 // Markers returns the set of marker planes the program reads or writes.
 func (p *Program) Markers() MarkerSet {
 	var s MarkerSet

@@ -13,8 +13,9 @@ import (
 // binary rows), the renamed instruction streams are interleaved so that
 // corresponding propagation phases share one PU overlap window, and
 // every retrieval instruction is tagged with its originating query so
-// the engine can demultiplex the fused result. Disjointness is the
-// MarkerDisjoint condition; each sub-program keeps its own COMM-END —
+// the engine can demultiplex the fused result. Instructions of two
+// sub-programs touch disjoint planes (neither writes what the other
+// reads or writes); each sub-program keeps its own COMM-END —
 // fused programs never share one global barrier (Independent still
 // treats COMM-END as serializing, so barrier semantics inside each
 // sub-program are unchanged).

@@ -54,7 +54,7 @@ func TestFuseDisjointPlanes(t *testing.T) {
 			if f.InstrOf(i).Query == f.InstrOf(j).Query {
 				continue
 			}
-			if !MarkerDisjoint(&f.Program.Instrs[i], &f.Program.Instrs[j]) {
+			if !markerDisjoint(&f.Program.Instrs[i], &f.Program.Instrs[j]) {
 				t.Fatalf("instrs %d and %d from different queries not disjoint", i, j)
 			}
 		}
@@ -114,11 +114,11 @@ func TestFusePerQueryCommEnd(t *testing.T) {
 	if !ce.Serializing() {
 		t.Fatal("COMM-END must serialize")
 	}
-	if !MarkerDisjoint(&ce, &pr) {
-		t.Fatal("COMM-END touches no markers; must be MarkerDisjoint with everything")
+	if !markerDisjoint(&ce, &pr) {
+		t.Fatal("COMM-END touches no markers; must be marker-disjoint with everything")
 	}
-	if !MarkerDisjoint(&ce, &ce) {
-		t.Fatal("two COMM-ENDs must be MarkerDisjoint")
+	if !markerDisjoint(&ce, &ce) {
+		t.Fatal("two COMM-ENDs must be marker-disjoint")
 	}
 }
 
@@ -221,4 +221,16 @@ func TestFuseClassPreserved(t *testing.T) {
 	if f.MarkerOf(0, semnet.Binary(9)) == f.MarkerOf(1, semnet.Binary(9)) {
 		t.Fatal("binary planes collide")
 	}
+}
+
+// markerDisjoint reports whether a and b touch disjoint marker planes:
+// no write of either intersects the reads or writes of the other. It
+// ignores the serializing property, so COMM-END (which uses no markers)
+// is disjoint with everything — the condition under which renamed
+// sub-programs may be concatenated into one fused program without their
+// instructions interfering.
+func markerDisjoint(a, b *Instruction) bool {
+	aw, bw := a.Writes(), b.Writes()
+	return !aw.Intersects(b.Reads()) && !aw.Intersects(bw) &&
+		!bw.Intersects(a.Reads())
 }

@@ -7,18 +7,17 @@ import (
 )
 
 // Hash returns a 64-bit FNV-1a digest of the program: every instruction's
-// operands in stream order, followed by the fingerprint of each compiled
-// rule the stream references. Programs that execute identically on the
-// same knowledge base hash equally; the converse does not hold. FNV-1a is
-// not collision-resistant, and a client who controls a program's text
+// operands in stream order, each PROPAGATE followed by the spec (kind, R1,
+// R2) of the rule its token names. Programs that execute identically on
+// the same knowledge base hash equally; the converse does not hold. FNV-1a
+// is not collision-resistant, and a client who controls a program's text
 // can construct a second program with the same 64 bits, so a cache or a
 // deduplication keyed by the digest must compare what it matched before
 // using it (the serving engine compares instruction streams and rule
-// fingerprints).
+// specs).
 //
-// The digest covers rule *behavior* (the compiled FSM), not rule table
-// tokens alone: the same token number bound to a different rule hashes
-// differently.
+// The digest covers the rule itself, not its table token alone: the same
+// token number bound to a different spec hashes differently.
 //
 // A sealed program (Seal) answers with the hash it was sealed with; any
 // other program is hashed afresh on every call, so the value cannot go
@@ -32,10 +31,10 @@ func (p *Program) Hash() uint64 {
 
 func (p *Program) contentHash() uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
+	var buf [4]byte
 	w32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(buf[:4], v)
-		h.Write(buf[:4])
+		binary.LittleEndian.PutUint32(buf[:], v)
+		h.Write(buf[:])
 	}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
@@ -49,8 +48,9 @@ func (p *Program) contentHash() uint64 {
 		w32(uint32(in.Color))
 		if in.Op == OpPropagate && p.Rules != nil {
 			if rule := p.Rules.Rule(in.Rule); rule != nil {
-				binary.LittleEndian.PutUint64(buf[:], rule.Fingerprint())
-				h.Write(buf[:])
+				spec := rule.Spec()
+				w32(uint32(spec.Kind))
+				w32(uint32(spec.R1) | uint32(spec.R2)<<16)
 			}
 		}
 	}

@@ -25,6 +25,10 @@ func TestProgramHashStable(t *testing.T) {
 	if a.Hash() != a.Hash() {
 		t.Error("hash not deterministic across calls")
 	}
+	// A single-relation rule's unused R2 is no part of the rule.
+	if c, d := hashProg(5, rules.Step(5), 0), hashProg(5, rules.Spec{Kind: rules.KindStep, R1: 5, R2: 9}, 0); c.Hash() != d.Hash() {
+		t.Error("step(5) with a stray R2 hashes apart from step(5)")
+	}
 }
 
 func TestProgramHashDiscriminates(t *testing.T) {

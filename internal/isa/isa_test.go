@@ -187,15 +187,3 @@ func TestAllEmittersValidate(t *testing.T) {
 		}
 	}
 }
-
-func TestPropagateCustom(t *testing.T) {
-	p := NewProgram()
-	c, err := rules.NewBuilder("x").On(0, 1, 1).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.PropagateCustom(1, 2, c, semnet.FuncNop)
-	if p.Rules.Rule(p.Instrs[0].Rule) != c {
-		t.Fatal("custom rule not interned")
-	}
-}

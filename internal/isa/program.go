@@ -98,15 +98,6 @@ func (p *Program) Propagate(m1, m2 semnet.MarkerID, spec rules.Spec, fn semnet.F
 	return p.mustAdd(Instruction{Op: OpPropagate, M1: m1, M2: m2, Rule: tok, Fn: fn})
 }
 
-// PropagateCustom emits PROPAGATE with a custom-built rule FSM.
-func (p *Program) PropagateCustom(m1, m2 semnet.MarkerID, rule *rules.Compiled, fn semnet.FuncCode) *Program {
-	tok, err := p.Rules.AddCustom(rule)
-	if err != nil {
-		panic(err)
-	}
-	return p.mustAdd(Instruction{Op: OpPropagate, M1: m1, M2: m2, Rule: tok, Fn: fn})
-}
-
 // MarkerCreate emits MARKER-CREATE marker, forward-relation, end-node,
 // reverse-relation. Pass hasRev=false to omit the reverse link.
 func (p *Program) MarkerCreate(m semnet.MarkerID, rel semnet.RelType, end semnet.NodeID, rev semnet.RelType, hasRev bool) *Program {

@@ -262,7 +262,7 @@ func (g *Generated) buildHierarchy(kb network, rng *rand.Rand, n, branching int)
 		var next []semnet.NodeID
 		for _, parent := range frontier {
 			for b := 0; b < branching && made < n; b++ {
-				w := 0.2 + rng.Float32()*0.8
+				w := 0.2 + float32(rng.Float32()*0.8) // rounds the product: no FMA on any GOARCH
 				id := kb.MustAddNode(numbered("class-", made), color)
 				kb.MustAddLink(id, g.Rel.IsA, w, parent)
 				kb.MustAddLink(parent, g.Rel.Subsumes, w, id)
@@ -319,7 +319,7 @@ func (g *Generated) pickClass(rng *rand.Rand) semnet.NodeID {
 func (g *Generated) buildLexicon(kb network, rng *rand.Rand, n int) {
 	for i := 0; i < n; i++ {
 		id := kb.MustAddNode(numbered("w-", i), g.Col.Word)
-		kb.MustAddLink(id, g.Rel.IsA, 0.3+rng.Float32()*0.7, g.pickClass(rng))
+		kb.MustAddLink(id, g.Rel.IsA, 0.3+float32(rng.Float32()*0.7), g.pickClass(rng)) // rounds the product: no FMA on any GOARCH
 		cat := g.SynCats[rng.Intn(len(g.SynCats))]
 		kb.MustAddLink(id, g.Rel.IsA, 1, cat)
 		g.Words = append(g.Words, id)
@@ -345,7 +345,7 @@ func (g *Generated) buildSequences(kb network, rng *rand.Rand, budget int) {
 		var prev semnet.NodeID
 		for e := 0; e < k; e++ {
 			el := kb.MustAddNode(name+".e"+strconv.Itoa(e), g.Col.Element[e%MaxSeqElements])
-			w := 0.2 + rng.Float32()*0.8
+			w := 0.2 + float32(rng.Float32()*0.8) // rounds the product: no FMA on any GOARCH
 			kb.MustAddLink(root, g.Rel.Elem, w, el)
 			kb.MustAddLink(el, g.Rel.ElemOf, w, root)
 			sem := g.pickClass(rng)

@@ -65,7 +65,7 @@ func Chains(groups, alpha, depth int, seed int64) *Workload {
 	for g := 0; g < groups; g++ {
 		for a := 0; a < alpha; a++ {
 			for d := 0; d < depth; d++ {
-				kb.MustAddLink(at(g, a, d), w.Rel, 0.1+rng.Float32()*0.9, at(g, a, d+1))
+				kb.MustAddLink(at(g, a, d), w.Rel, 0.1+float32(rng.Float32()*0.9), at(g, a, d+1)) // rounds the product: no FMA on any GOARCH
 			}
 		}
 	}
@@ -130,7 +130,7 @@ func NestedChains(levels []int, depth int, seed int64) (*Workload, error) {
 	at := func(a, d int) semnet.NodeID { return semnet.NodeID(d*total + a) }
 	for a := 0; a < total; a++ {
 		for d := 0; d < depth; d++ {
-			kb.MustAddLink(at(a, d), w.Rel, 0.1+rng.Float32()*0.9, at(a, d+1))
+			kb.MustAddLink(at(a, d), w.Rel, 0.1+float32(rng.Float32()*0.9), at(a, d+1)) // rounds the product: no FMA on any GOARCH
 		}
 	}
 	w.KB = kb.KB()

@@ -107,7 +107,7 @@ func TestCreateDeleteSetColor(t *testing.T) {
 	if _, err := m.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	links := m.LinksOf(ids["r2"])
+	links := linksOf(m, ids["r2"])
 	if len(links) != 1 || links[0].To != ids["b1"] || links[0].Weight != 0.5 {
 		t.Fatalf("CREATE result %+v", links)
 	}
@@ -116,7 +116,7 @@ func TestCreateDeleteSetColor(t *testing.T) {
 	if _, err := m.Run(p2); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.LinksOf(ids["r2"])) != 0 {
+	if len(linksOf(m, ids["r2"])) != 0 {
 		t.Fatal("DELETE left the link")
 	}
 	node, _ := kb.Node(ids["r2"])
@@ -136,11 +136,11 @@ func TestMarkerCreateDeleteWithReverse(t *testing.T) {
 	if _, err := m.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.LinksOf(ids["r0"])) != 2 { // original r link + instance-of
-		t.Fatalf("forward link missing: %+v", m.LinksOf(ids["r0"]))
+	if len(linksOf(m, ids["r0"])) != 2 { // original r link + instance-of
+		t.Fatalf("forward link missing: %+v", linksOf(m, ids["r0"]))
 	}
 	revLinks := 0
-	for _, l := range m.LinksOf(ids["b0"]) {
+	for _, l := range linksOf(m, ids["b0"]) {
 		if l.Rel == rev {
 			revLinks++
 		}
@@ -153,7 +153,7 @@ func TestMarkerCreateDeleteWithReverse(t *testing.T) {
 	if _, err := m.Run(p2); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.LinksOf(ids["r0"])) != 1 || len(m.LinksOf(ids["b0"])) != 0 {
+	if len(linksOf(m, ids["r0"])) != 1 || len(linksOf(m, ids["b0"])) != 0 {
 		t.Fatal("MARKER-DELETE did not reverse MARKER-CREATE")
 	}
 }
@@ -256,7 +256,7 @@ func TestRunErrors(t *testing.T) {
 		isa.NewProgram().MarkerCreate(0, rel, semnet.NodeID(999), 0, false),
 	} {
 		if _, err := m.Run(p); err == nil {
-			t.Errorf("program %v must fail", isa.Disassemble(&p.Instrs[0], kb, p.Rules))
+			t.Errorf("program %+v must fail", p.Instrs[0])
 		}
 	}
 
@@ -468,4 +468,15 @@ func TestSetAndNotLeaveTailsZero(t *testing.T) {
 			t.Errorf("marker %d set at %d nodes, want %d", mk, got, want)
 		}
 	}
+}
+
+// linksOf copies the relation-table entries the machine stores for
+// global node id.
+func linksOf(m *Machine, id semnet.NodeID) []semnet.Link {
+	return append([]semnet.Link(nil), m.clusters[m.assign[id]].store.Links(int(m.localIdx[id]))...)
+}
+
+// markerOrigin reads the complex-marker origin register at global node id.
+func markerOrigin(m *Machine, id semnet.NodeID, mk semnet.MarkerID) semnet.NodeID {
+	return m.clusters[m.assign[id]].store.Origin(int(m.localIdx[id]), mk)
 }

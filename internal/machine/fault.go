@@ -44,9 +44,6 @@ func (m *Machine) SetFaultInjector(inj *fault.Injector) error {
 	return nil
 }
 
-// FaultInjector returns the armed injector (nil when faults are off).
-func (m *Machine) FaultInjector() *fault.Injector { return m.inj }
-
 // injectRunFaults applies whole-run fault decisions at run entry: a
 // wedge holds the machine unresponsive until the caller's deadline; a
 // slowdown stalls the response in host time.

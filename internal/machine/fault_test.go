@@ -97,7 +97,7 @@ func TestArmingConcurrentMachineRefused(t *testing.T) {
 	if err := m.SetFaultInjector(plan.Injector(0)); !errors.Is(err, ErrFaultsNeedLockstep) {
 		t.Fatalf("arming a concurrent machine: %v, want ErrFaultsNeedLockstep", err)
 	}
-	if m.FaultInjector() != nil {
+	if m.inj != nil {
 		t.Fatal("refused injector was stored")
 	}
 	if _, err := m.Run(p); err != nil {
@@ -137,7 +137,7 @@ func TestStallAndSlowDoNotPoison(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stalled run must still succeed: %v", err)
 	}
-	if n := slow.FaultInjector().Total(); n != 1 {
+	if n := slow.inj.Total(); n != 1 {
 		t.Fatalf("%d injections fired, want the one slowdown", n)
 	}
 	if got.Time != want.Time {
@@ -187,7 +187,7 @@ func TestCloneStartsUnarmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.FaultInjector() != nil {
+	if r.inj != nil {
 		t.Fatal("clone inherited the injector")
 	}
 	if _, err := r.Run(p); err != nil {

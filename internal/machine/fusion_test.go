@@ -118,7 +118,7 @@ func soloView(m *Machine, kb *semnet.KB, res *Result, p *isa.Program) queryView 
 		for id := 0; id < kb.NumNodes(); id++ {
 			if m.TestMarker(semnet.NodeID(id), mk) {
 				v.markers[fmt.Sprintf("%d/%d", id, mk)] = fmt.Sprintf("%v@%d",
-					m.MarkerValue(semnet.NodeID(id), mk), m.MarkerOrigin(semnet.NodeID(id), mk))
+					m.MarkerValue(semnet.NodeID(id), mk), markerOrigin(m, semnet.NodeID(id), mk))
 			}
 		}
 	})
@@ -142,7 +142,7 @@ func fusedViews(m *Machine, kb *semnet.KB, f *isa.Fused, res *Result, progs []*i
 			for id := 0; id < kb.NumNodes(); id++ {
 				if m.TestMarker(semnet.NodeID(id), fm) {
 					views[q].markers[fmt.Sprintf("%d/%d", id, mk)] = fmt.Sprintf("%v@%d",
-						m.MarkerValue(semnet.NodeID(id), fm), m.MarkerOrigin(semnet.NodeID(id), fm))
+						m.MarkerValue(semnet.NodeID(id), fm), markerOrigin(m, semnet.NodeID(id), fm))
 				}
 			}
 		})

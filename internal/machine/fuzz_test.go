@@ -399,7 +399,7 @@ func captureFull(m *Machine, kb *semnet.KB, res *Result) []string {
 	for id := 0; id < kb.NumNodes(); id++ {
 		for mk := 0; mk < semnet.NumMarkers; mk++ {
 			if n, pl := semnet.NodeID(id), semnet.MarkerID(mk); m.TestMarker(n, pl) {
-				st = append(st, fmt.Sprintf("marker %d/%d: %v@%d", id, mk, m.MarkerValue(n, pl), m.MarkerOrigin(n, pl)))
+				st = append(st, fmt.Sprintf("marker %d/%d: %v@%d", id, mk, m.MarkerValue(n, pl), markerOrigin(m, n, pl)))
 			}
 		}
 	}

@@ -460,22 +460,8 @@ func (m *Machine) MarkerValue(id semnet.NodeID, mk semnet.MarkerID) float32 {
 	return c.store.Value(int(m.localIdx[id]), mk)
 }
 
-// MarkerOrigin reads the complex-marker origin register at global node id.
-func (m *Machine) MarkerOrigin(id semnet.NodeID, mk semnet.MarkerID) semnet.NodeID {
-	c := m.clusters[m.assign[id]]
-	return c.store.Origin(int(m.localIdx[id]), mk)
-}
-
 // MarkerCount reports how many nodes array-wide have mk set.
 func (m *Machine) MarkerCount(mk semnet.MarkerID) int { return m.tab.CountSet(mk) }
 
 // ClusterOf reports the cluster holding global node id.
 func (m *Machine) ClusterOf(id semnet.NodeID) int { return m.assign[id] }
-
-// LinksOf returns a copy of the relation-table entries currently stored
-// for global node id (inspection / test support).
-func (m *Machine) LinksOf(id semnet.NodeID) []semnet.Link {
-	c := m.clusters[m.assign[id]]
-	links := c.store.Links(int(m.localIdx[id]))
-	return append([]semnet.Link(nil), links...)
-}

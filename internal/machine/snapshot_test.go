@@ -46,7 +46,7 @@ func TestWriterTablesMatchReloadUnderItsAssignment(t *testing.T) {
 			n := kb.NumNodes()
 			for w := 0; w < 400; w++ {
 				src := semnet.NodeID(rng.Intn(n))
-				links := writer.LinksOf(src)
+				links := linksOf(writer, src)
 				p := isa.NewProgram()
 				switch op := rng.Intn(3); {
 				case op == 0 && len(links) < semnet.RelationSlots:
@@ -86,7 +86,7 @@ func TestWriterTablesMatchReloadUnderItsAssignment(t *testing.T) {
 				if sw.Color(lw) != sr.Color(lr) || sw.Fn(lw) != sr.Fn(lr) {
 					t.Fatalf("node %d: colour/function %d/%d on the writer, %d/%d on the reload", id, sw.Color(lw), sw.Fn(lw), sr.Color(lr), sr.Fn(lr))
 				}
-				if a, b := writer.LinksOf(v), reload.LinksOf(v); !slices.Equal(a, b) {
+				if a, b := linksOf(writer, v), linksOf(reload, v); !slices.Equal(a, b) {
 					t.Fatalf("node %d: links %v on the writer, %v on the reload", id, a, b)
 				}
 			}

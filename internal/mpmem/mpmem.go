@@ -18,9 +18,6 @@ import (
 	"sync/atomic"
 )
 
-// NumPorts is the port count of one four-port memory.
-const NumPorts = 4
-
 // Arbiter grants mutually exclusive access to a semaphore table. Requests
 // are served first-come-first-served; requests that arrive while no grant
 // is outstanding and race each other are resolved by randomly assigned

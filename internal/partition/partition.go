@@ -147,17 +147,6 @@ func Semantic(kb *semnet.KB, clusters, capacity int) (Assignment, error) {
 	return a, nil
 }
 
-// Balance reports the per-cluster node counts of an assignment.
-func Balance(a Assignment, clusters int) []int {
-	counts := make([]int, clusters)
-	for _, c := range a {
-		if c >= 0 && c < clusters {
-			counts[c]++
-		}
-	}
-	return counts
-}
-
 // CutRatio reports the fraction of links whose endpoints land in different
 // clusters — the traffic a partition sends through the interconnect. It
 // walks the knowledge base's flat CSR adjacency snapshot, so a full sweep

@@ -28,7 +28,7 @@ func checkAssignment(t *testing.T, name string, a Assignment, n, clusters, capac
 	if len(a) != n {
 		t.Fatalf("%s: assignment length %d, want %d", name, len(a), n)
 	}
-	counts := Balance(a, clusters)
+	counts := balance(a, clusters)
 	total := 0
 	for c, cnt := range counts {
 		if cnt > capacity {
@@ -131,4 +131,15 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("mystery"); err == nil {
 		t.Error("unknown strategy must fail")
 	}
+}
+
+// balance reports the per-cluster node counts of an assignment.
+func balance(a Assignment, clusters int) []int {
+	counts := make([]int, clusters)
+	for _, c := range a {
+		if c >= 0 && c < clusters {
+			counts[c]++
+		}
+	}
+	return counts
 }

@@ -39,7 +39,6 @@ const (
 	KindSeq
 	// KindComb follows links of either type freely.
 	KindComb
-	numKinds
 )
 
 func (k Kind) String() string {
@@ -99,9 +98,6 @@ type State uint8
 // single-byte token indicating the function to be performed").
 type Token uint8
 
-// MaxStates bounds rule FSM size so states pack into the fixed message.
-const MaxStates = 16
-
 // Transition is one FSM edge: on a link of type Rel, move to state Next.
 type Transition struct {
 	Rel  semnet.RelType
@@ -109,33 +105,15 @@ type Transition struct {
 }
 
 // Compiled is a rule FSM ready for the marker units. It is immutable once
-// built, so one Compiled may sit in any number of rule tables and be read
-// by any number of running machines at once.
+// compiled, so one Compiled may sit in any number of rule tables and be
+// read by any number of running machines at once.
 type Compiled struct {
-	name   string
+	spec   Spec
 	states [][]Transition
-	fp     uint64 // Fingerprint, fixed at construction
-
-	// spec is what Compile lowered; fromSpec is false for a Builder rule.
-	spec     Spec
-	fromSpec bool
 }
 
-func newCompiled(name string, states [][]Transition) *Compiled {
-	c := &Compiled{name: name, states: states}
-	c.fp = c.fingerprint()
-	return c
-}
-
-// Spec returns the spec the rule was compiled from; ok is false for a
-// rule assembled by a Builder.
-func (c *Compiled) Spec() (spec Spec, ok bool) { return c.spec, c.fromSpec }
-
-// Name returns the rule's diagnostic name.
-func (c *Compiled) Name() string { return c.name }
-
-// NumStates reports the FSM size.
-func (c *Compiled) NumStates() int { return len(c.states) }
+// Spec returns the spec the rule was compiled from.
+func (c *Compiled) Spec() Spec { return c.spec }
 
 // Next reports whether a link of type rel is followed from state s and,
 // if so, the state the marker assumes at the destination.
@@ -154,31 +132,6 @@ func (c *Compiled) Next(s State, rel semnet.RelType) (State, bool) {
 // Terminal reports whether state s has no outgoing transitions.
 func (c *Compiled) Terminal(s State) bool {
 	return int(s) >= len(c.states) || len(c.states[s]) == 0
-}
-
-// Fingerprint returns a 64-bit FNV-1a digest of the FSM's transition
-// structure. Two rules with equal fingerprints follow exactly the same
-// links, so the digest participates in program content hashing.
-func (c *Compiled) Fingerprint() uint64 { return c.fp }
-
-func (c *Compiled) fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime64
-	}
-	mix(uint64(len(c.states)))
-	for s, ts := range c.states {
-		mix(uint64(s))
-		for _, t := range ts {
-			mix(uint64(t.Rel)<<8 | uint64(t.Next))
-		}
-	}
-	return h
 }
 
 // Compile lowers a Spec to its FSM.
@@ -212,9 +165,7 @@ func Compile(spec Spec) (*Compiled, error) {
 	default:
 		return nil, fmt.Errorf("rules: unknown kind %d", spec.Kind)
 	}
-	c := newCompiled(fmt.Sprintf("%s(%d,%d)", spec.Kind, spec.R1, spec.R2), states)
-	c.spec, c.fromSpec = spec, true
-	return c, nil
+	return &Compiled{spec: spec, states: states}, nil
 }
 
 // interned memoizes Compile by Spec for every rule table in the process:
@@ -243,59 +194,6 @@ func compileInterned(spec Spec) (*Compiled, error) {
 	return c, nil
 }
 
-// Builder assembles a custom rule FSM state by state.
-type Builder struct {
-	name   string
-	states [][]Transition
-	err    error
-}
-
-// NewBuilder starts a custom rule with the given diagnostic name.
-func NewBuilder(name string) *Builder { return &Builder{name: name} }
-
-// On adds a transition from state s: follow links of type rel and assume
-// state next at the destination. States are created on demand.
-func (b *Builder) On(s State, rel semnet.RelType, next State) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if s >= MaxStates || next >= MaxStates {
-		b.err = fmt.Errorf("rules: state exceeds MaxStates (%d)", MaxStates)
-		return b
-	}
-	hi := s
-	if next > hi {
-		hi = next
-	}
-	for len(b.states) <= int(hi) {
-		b.states = append(b.states, nil)
-	}
-	for _, t := range b.states[s] {
-		if t.Rel == rel {
-			b.err = fmt.Errorf("rules: duplicate transition on relation %d from state %d", rel, s)
-			return b
-		}
-	}
-	b.states[s] = append(b.states[s], Transition{Rel: rel, Next: next})
-	return b
-}
-
-// Build finalizes the custom rule.
-func (b *Builder) Build() (*Compiled, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if len(b.states) == 0 {
-		return nil, fmt.Errorf("rules: rule %q has no states", b.name)
-	}
-	// Copy, so a builder used again cannot reach into the built rule.
-	states := make([][]Transition, len(b.states))
-	for s, ts := range b.states {
-		states[s] = append([]Transition(nil), ts...)
-	}
-	return newCompiled(b.name, states), nil
-}
-
 // Table is the per-program rule microcode table, downloaded to every
 // cluster before execution. Token 0 is reserved as "no rule".
 type Table struct {
@@ -320,8 +218,12 @@ func NewTable() *Table {
 
 // Add compiles and interns spec, returning its message token. Identical
 // specs share a token; a rule AddCustom appended is not one of them, even
-// when it was compiled from spec.
+// when it was compiled from spec. A single-relation kind's R2 is put to 0
+// first, so step(r1) written with a stray R2 is step(r1).
 func (t *Table) Add(spec Spec) (Token, error) {
+	if spec.Kind.Arity() == 1 {
+		spec.R2 = 0
+	}
 	for _, st := range t.bySpec {
 		if st.spec == spec {
 			return st.tok, nil
@@ -339,8 +241,9 @@ func (t *Table) Add(spec Spec) (Token, error) {
 	return tok, nil
 }
 
-// AddCustom appends a built rule under a token of its own, every time it
-// is called.
+// AddCustom appends a compiled rule under a token of its own, every time
+// it is called: isa.Fuse gives each member PROPAGATE its own token with
+// it, and it goes with fusion (ROADMAP item 1a).
 func (t *Table) AddCustom(c *Compiled) (Token, error) {
 	if len(t.rules) >= 256 {
 		return 0, fmt.Errorf("rules: table full (255 rules)")

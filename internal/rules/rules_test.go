@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -111,39 +112,6 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestBuilderCustomRule(t *testing.T) {
-	// Walk one rA then chains of rB, with an rC escape back to start.
-	c, err := NewBuilder("custom").
-		On(0, rA, 1).
-		On(1, rB, 1).
-		On(1, rC, 0).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumStates() != 2 {
-		t.Fatalf("states = %d", c.NumStates())
-	}
-	if next, _ := c.Next(1, rC); next != 0 {
-		t.Error("escape transition")
-	}
-	if c.Name() != "custom" {
-		t.Error("name")
-	}
-}
-
-func TestBuilderErrors(t *testing.T) {
-	if _, err := NewBuilder("dup").On(0, rA, 0).On(0, rA, 1).Build(); err == nil {
-		t.Error("duplicate transition must fail")
-	}
-	if _, err := NewBuilder("big").On(MaxStates, rA, 0).Build(); err == nil {
-		t.Error("state overflow must fail")
-	}
-	if _, err := NewBuilder("empty").Build(); err == nil {
-		t.Error("empty rule must fail")
-	}
-}
-
 func TestTableInterning(t *testing.T) {
 	tbl := NewTable()
 	tok1, err := tbl.Add(Spread(rA, rB))
@@ -170,14 +138,14 @@ func TestTableInterning(t *testing.T) {
 	if tbl.Rule(Token(200)) != nil {
 		t.Error("unknown token must resolve to nil")
 	}
-	if tbl.Rule(tok1).Name() == "" {
-		t.Error("rule name")
+	if tbl.Rule(tok1).Spec() != Spread(rA, rB) {
+		t.Error("rule spec")
 	}
 }
 
 func TestTableCustomAndCapacity(t *testing.T) {
 	tbl := NewTable()
-	c, _ := NewBuilder("x").On(0, rA, 0).Build()
+	c := compile(t, Path(rA))
 	tok, err := tbl.AddCustom(c)
 	if err != nil || tbl.Rule(tok) != c {
 		t.Fatal("custom rule round trip")
@@ -203,50 +171,43 @@ func TestNextOutOfRangeState(t *testing.T) {
 	}
 }
 
-// TestTableAddPinned holds Table.Add to the tokens, fingerprints and
-// names it gave when specs were keyed by a formatted string and compiled
-// afresh per table: program hashes are built from these.
+// TestTableAddPinned holds Table.Add to the tokens it gave when specs were
+// keyed by a formatted string and compiled afresh per table, and to the
+// specs it keeps: program hashes are built from both.
 func TestTableAddPinned(t *testing.T) {
 	tbl := NewTable()
 	for _, c := range []struct {
 		spec Spec
 		tok  Token
-		fp   uint64
-		name string
+		want Spec
 	}{
-		{Step(1), 1, 0x907d69904d19d4a1, "step(1,0)"},
-		{Path(1), 2, 0xd0a497186728e40c, "path(1,0)"},
-		{Spread(1, 2), 3, 0xd60fb7c006592d7a, "spread(1,2)"},
-		{Seq(1, 2), 4, 0x57f353df38ec7948, "seq(1,2)"},
-		{Comb(1, 2), 5, 0xb092ca774a7ee664, "comb(1,2)"},
-		{Path(1), 2, 0xd0a497186728e40c, "path(1,0)"},
-		{Step(2), 6, 0x864b6990447059a1, "step(2,0)"},
-		// An R2 a single-relation kind ignores still makes a spec of its own.
-		{Spec{Kind: KindStep, R1: 1, R2: 9}, 7, 0x907d69904d19d4a1, "step(1,9)"},
+		{Step(1), 1, Step(1)},
+		{Path(1), 2, Path(1)},
+		{Spread(1, 2), 3, Spread(1, 2)},
+		{Seq(1, 2), 4, Seq(1, 2)},
+		{Comb(1, 2), 5, Comb(1, 2)},
+		{Path(1), 2, Path(1)},
+		{Step(2), 6, Step(2)},
+		// An R2 a single-relation kind ignores is put to 0: the spec is
+		// step(1) and shares its token.
+		{Spec{Kind: KindStep, R1: 1, R2: 9}, 1, Step(1)},
+		{Spec{Kind: KindPath, R1: 1, R2: 9}, 2, Path(1)},
 	} {
 		tok, err := tbl.Add(c.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := tbl.Rule(tok)
-		if tok != c.tok || r.Fingerprint() != c.fp || r.Name() != c.name {
-			t.Errorf("%v: token %d fingerprint %#x name %s, want %d %#x %s",
-				c.spec, tok, r.Fingerprint(), r.Name(), c.tok, c.fp, c.name)
-		}
-		if spec, ok := r.Spec(); !ok || spec != c.spec {
-			t.Errorf("%v: Spec() = %v, %v", c.spec, spec, ok)
+		if spec := tbl.Rule(tok).Spec(); tok != c.tok || spec != c.want {
+			t.Errorf("%v: token %d spec %v, want %d %v", c.spec, tok, spec, c.tok, c.want)
 		}
 	}
 	// AddCustom gives every call a token of its own, the same rule or not
 	// (a fused program relies on it: one token per member PROPAGATE).
-	c, _ := NewBuilder("x").On(0, rA, 0).Build()
+	c := compile(t, Path(rA))
 	tok1, _ := tbl.AddCustom(c)
 	tok2, _ := tbl.AddCustom(c)
 	if tok1 == tok2 || tbl.Rule(tok1) != c || tbl.Rule(tok2) != c {
 		t.Errorf("AddCustom tokens %d, %d", tok1, tok2)
-	}
-	if _, ok := c.Spec(); ok {
-		t.Error("a Builder rule claims a spec")
 	}
 }
 
@@ -286,23 +247,8 @@ func TestTableSharesOnlyAddedSpecs(t *testing.T) {
 			t.Fatalf("re-adding %v to a full table gave token %d (%v), want %d", s, tok, err, want)
 		}
 	}
-	if _, err := tbl.Add(Path(rC)); err == nil {
+	if _, err := tbl.Add(Path(1000)); err == nil {
 		t.Error("a new spec in a full table must fail")
-	}
-}
-
-// TestBuiltRuleIsDetachedFromItsBuilder: a Compiled is immutable, so a
-// builder used again must not reach into a rule it already built.
-func TestBuiltRuleIsDetachedFromItsBuilder(t *testing.T) {
-	b := NewBuilder("x").On(0, rA, 1)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := c.Fingerprint()
-	b.On(0, rB, 1).On(1, rC, 0)
-	if _, ok := c.Next(0, rB); ok || !c.Terminal(1) || c.Fingerprint() != fp {
-		t.Error("the builder changed a built rule")
 	}
 }
 
@@ -316,9 +262,9 @@ func TestInternedRulesAreSharedAndImmutable(t *testing.T) {
 	for r := semnet.RelType(10); r < 310; r++ {
 		specs = append(specs, Path(r))
 	}
-	want := make([]uint64, len(specs))
+	want := make([]*Compiled, len(specs))
 	for i, s := range specs {
-		want[i] = compile(t, s).Fingerprint()
+		want[i] = compile(t, s)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -338,8 +284,8 @@ func TestInternedRulesAreSharedAndImmutable(t *testing.T) {
 						return
 					}
 					r := tbl.Rule(tok)
-					if spec, _ := r.Spec(); spec != specs[j] || r.Fingerprint() != want[j] {
-						t.Errorf("%v resolved to %v (%#x)", specs[j], spec, r.Fingerprint())
+					if r.Spec() != specs[j] || !reflect.DeepEqual(r.states, want[j].states) {
+						t.Errorf("%v resolved to %v %v", specs[j], r.Spec(), r.states)
 						return
 					}
 					if _, ok := r.Next(0, specs[j].R1); !ok || r.Terminal(0) {

@@ -30,7 +30,7 @@ func cowFixture(t *testing.T) *Table {
 // independent snapshot the copy-on-write tests compare against.
 func deepCopy(t *testing.T, s *Store) *Table {
 	t.Helper()
-	tab := NewTable(1, s.Capacity())
+	tab := NewTable(1, s.capacity)
 	c := tab.Store(0)
 	for i := 0; i < s.NumNodes(); i++ {
 		if _, err := c.AddNode(s.Global(i), s.Color(i), s.Fn(i)); err != nil {

@@ -422,6 +422,41 @@ func (kb *KB) internColor(name string) (Color, error) {
 	return c, nil
 }
 
+// InternNames interns every relation name of rels and color name of
+// colors, or, when the KB has no room for all of them, none: the names
+// the call added are taken back before it returns the ErrCapacity. An
+// interning assembler calls it once a program has assembled, so a
+// program that fails grows no name space.
+func (kb *KB) InternNames(rels, colors []string) error {
+	kb.mu.Lock()
+	defer kb.mu.Unlock()
+	nextRel, nextColor := kb.nextRel, kb.nextColor
+	var err error
+	for _, name := range rels {
+		if _, err = kb.internRelation(name); err != nil {
+			break
+		}
+	}
+	for _, name := range colors {
+		if err != nil {
+			break
+		}
+		_, err = kb.internColor(name)
+	}
+	if err != nil {
+		for r := nextRel; r < kb.nextRel; r++ {
+			delete(kb.relByName, kb.relNames[r])
+			delete(kb.relNames, r)
+		}
+		for c := nextColor; c < kb.nextColor; c++ {
+			delete(kb.colorByNm, kb.colorNames[c])
+			delete(kb.colorNames, c)
+		}
+		kb.nextRel, kb.nextColor = nextRel, nextColor
+	}
+	return err
+}
+
 // LookupColor resolves a color name without interning it.
 func (kb *KB) LookupColor(name string) (Color, bool) {
 	kb.mu.RLock()

@@ -300,7 +300,7 @@ func compareModel(t *testing.T, trial, step int, tab *Table, refs []*refModel, m
 		want := make([]uint64, (total+HostWordBits-1)/HostWordBits)
 		for c, ref := range refs {
 			s := tab.Store(c)
-			for i := 0; i < s.Capacity(); i++ {
+			for i := 0; i < s.capacity; i++ {
 				if s.Test(i, m) != ref.test(i, m) {
 					t.Fatalf("trial %d step %d: window %d marker %d at %d: store=%v ref=%v",
 						trial, step, c, m, i, s.Test(i, m), ref.test(i, m))

@@ -125,9 +125,6 @@ func (s *Store) own() {
 // NumNodes reports the number of local nodes stored.
 func (s *Store) NumNodes() int { return s.n }
 
-// Capacity reports the store's local node capacity.
-func (s *Store) Capacity() int { return s.capacity }
-
 // AddNode appends a node to the node table and returns its local index.
 func (s *Store) AddNode(global NodeID, color Color, fn FuncCode) (int, error) {
 	if s.n >= s.capacity {

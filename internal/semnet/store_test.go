@@ -24,7 +24,7 @@ func newStore(t *testing.T, n int) (*Table, *Store) {
 
 func TestStoreBasics(t *testing.T) {
 	_, s := newStore(t, 70) // crosses two status words + partial third
-	if s.NumNodes() != 70 || s.Capacity() != 70 {
+	if s.NumNodes() != 70 || s.capacity != 70 {
 		t.Fatal("size bookkeeping")
 	}
 	if s.Words() != 3 {

@@ -25,7 +25,7 @@ func Confuse(g *kbgen.Generated, words []string, seed int64) (Lattice, error) {
 		if !ok {
 			return nil, fmt.Errorf("speech: word %q not in lexicon", w)
 		}
-		slot := Slot{{Word: w, Acoustic: 0.2 + 0.3*rng.Float32()}}
+		slot := Slot{{Word: w, Acoustic: 0.2 + float32(0.3*rng.Float32())}} // rounds the product: no FMA on any GOARCH
 		// Confusions prefer hand-domain words (readable, semantically
 		// plausible) over synthetic filler vocabulary.
 		pool := cats[categoryOf(g, id)]
@@ -44,7 +44,7 @@ func Confuse(g *kbgen.Generated, words []string, seed int64) (Lattice, error) {
 			if len(slot) >= MaxAlternatives {
 				break
 			}
-			slot = append(slot, Alternative{Word: cand, Acoustic: 0.25 + 0.5*rng.Float32()})
+			slot = append(slot, Alternative{Word: cand, Acoustic: 0.25 + float32(0.5*rng.Float32())}) // rounds the product: no FMA on any GOARCH
 		}
 		lat = append(lat, slot)
 	}

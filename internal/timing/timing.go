@@ -115,9 +115,6 @@ func NewClock(freq Hz) *Clock { return &Clock{freq: freq} }
 // Now reports the clock's current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// Freq reports the clock's frequency.
-func (c *Clock) Freq() Hz { return c.freq }
-
 // Advance moves the clock forward by d. Negative d is ignored and
 // overflow saturates: virtual clocks are monotone.
 func (c *Clock) Advance(d Time) {

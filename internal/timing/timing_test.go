@@ -133,7 +133,7 @@ func TestClockMonotone(t *testing.T) {
 	if c.Now() != 0 {
 		t.Error("Reset must rewind to zero")
 	}
-	if c.Freq() != PEClock {
+	if c.freq != PEClock {
 		t.Error("Freq mismatch")
 	}
 }

@@ -205,18 +205,6 @@ func (p *Profile) MeanMessagesPerBarrier() float64 {
 	return float64(sum) / float64(len(p.Barriers))
 }
 
-// BurstsOver counts synchronization points whose traffic exceeded n
-// messages (the paper notes "bursts of over 30 messages are typical").
-func (p *Profile) BurstsOver(n int64) int {
-	c := 0
-	for _, b := range p.Barriers {
-		if b.Messages > n {
-			c++
-		}
-	}
-	return c
-}
-
 // String renders a compact multi-line profile report.
 func (p *Profile) String() string {
 	var b strings.Builder

@@ -52,9 +52,6 @@ func TestBarrierSeries(t *testing.T) {
 	if p.MeanMessagesPerBarrier() != 25 {
 		t.Fatalf("mean = %v", p.MeanMessagesPerBarrier())
 	}
-	if p.BurstsOver(30) != 1 {
-		t.Fatalf("bursts = %d", p.BurstsOver(30))
-	}
 	if p.PropMessages != 50 {
 		t.Fatalf("PropMessages = %d", p.PropMessages)
 	}

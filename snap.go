@@ -195,9 +195,8 @@ var (
 	WithReplicas = engine.WithReplicas
 	// WithWrites enables the online write path: Engine.SubmitWrite
 	// commits topology-mutating programs on one writer machine, one at a
-	// time, and publishes epoch-versioned KB snapshots; serving replicas
-	// catch up by incremental delta replay before taking their next
-	// request.
+	// time, and publishes epoch-versioned KB snapshots; a serving replica
+	// behind the published one adopts it before taking its next request.
 	WithWrites = engine.WithWrites
 	// WithQueueCap bounds the callers waiting for a replica.
 	WithQueueCap = engine.WithQueueCap

@@ -22,7 +22,7 @@ import (
 // Parse reads a knowledge base from r. Nothing else can see the network
 // while it is read, so it is built through a semnet.Builder.
 func Parse(r io.Reader) (*semnet.KB, error) {
-	b := semnet.NewBuilder(0)
+	b := semnet.NewBuilder(0, 0)
 	if err := parse(r, b); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"snap1/internal/semnet"
@@ -49,10 +50,12 @@ func TestBuiltKBMatchesPerElementKB(t *testing.T) {
 
 // Building the 12 000-node network costs one allocation per node name
 // and a handful for the columns, the name index, the builder's link list
-// and the arena it is laid into: 12 144 in all. A heap slice of links per
+// and the arena it is laid into: 12 129 in all. A heap slice of links per
 // node made it about 46 500, and the per-element path about 56 600 (its
-// node table and name index regrew, and fmt built every name). The bound
-// is the count plus ≈ 3 %.
+// node table and name index regrew, and fmt built every name). The
+// builder's link list is allocated once, at linkBound's size, so the
+// build allocates 2.57 MB; grown by doubling, the list made it 5.12 MB.
+// The bounds are the count plus ≈ 3 % and the bytes plus ≈ 10 %.
 func TestGenerateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -61,6 +64,28 @@ func TestGenerateAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() { MustGenerate(p) })
 	if allocs > 12500 {
 		t.Errorf("Generate made %.0f allocations, want at most 12 500", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	MustGenerate(p)
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 2_820_000 {
+		t.Errorf("Generate allocated %d B, want at most 2 820 000", bytes)
+	}
+}
+
+// linkBound is a bound: no network Generate builds adds more links than
+// it says, so the builder's link list never regrows.
+func TestLinkBoundHolds(t *testing.T) {
+	for _, p := range []Params{
+		{Nodes: 64, Seed: 1},
+		{Nodes: 3000, Seed: 11, WithDomain: true},
+		{Nodes: 12000, Seed: 42, WithDomain: true},
+		{Nodes: 20000, Seed: 7, Branching: 2},
+	} {
+		if links, bound := MustGenerate(p).KB.NumLinks(), linkBound(p); links > bound {
+			t.Errorf("%+v: %d links, more than the bound of %d", p, links, bound)
+		}
 	}
 }
 

@@ -189,6 +189,25 @@ func domainNodes() int {
 	return n
 }
 
+// domainLinks is the number of links buildDomain adds: an is-a and a
+// subsumes link per class, a word's is-a links to its class and its
+// category, six constraint links per sequence element and a next link
+// from each but the first, and the auxiliary cases' links to the four
+// event sequences.
+func domainLinks() int {
+	n := 2*len(domainClasses) + 2*4
+	for _, dw := range domainWords {
+		n++
+		if dw.class != "" {
+			n++
+		}
+	}
+	for _, ds := range domainSeqs {
+		n += 7*len(ds.elems) - 1
+	}
+	return n
+}
+
 // buildDomain adds the micro-domain to a knowledge base under generation
 // whose syntax and hierarchy roots already exist. Domain link weights are 1 on
 // is-a links and 0 on constraint reverse links, so a complex marker

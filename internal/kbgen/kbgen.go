@@ -176,14 +176,30 @@ func nodeCount(p Params) int {
 	return n
 }
 
+// linkBound bounds the number of links Generate(p) adds, layer by layer:
+// a syntax or auxiliary node adds at most one, a word or hierarchy node
+// two, and a concept-sequence node at most seven — an element adds at
+// most nine (elem, sem, a second sem and syn, each both ways, and next),
+// its sequence's first none of next, and a sequence of four elements
+// spreads those 35 over five nodes.
+func linkBound(p Params) int {
+	l := budget(p.Nodes)
+	n := max(l.syn, len(coreSyntaxCats)+1) + 2*l.hier + 2*l.lex + 7*l.cs + l.aux
+	if p.WithDomain {
+		n += domainLinks()
+	}
+	return n
+}
+
 // Generate builds a knowledge base of about p.Nodes nodes. It is the
 // network's only owner until it returns, so it builds through a
-// semnet.Builder sized for the whole network.
+// semnet.Builder sized for the whole network: its nodes, and a bound on
+// its links, so the builder's link list is allocated once.
 func Generate(p Params) (*Generated, error) {
 	if p.Nodes < 64 {
 		return nil, fmt.Errorf("kbgen: need at least 64 nodes, got %d", p.Nodes)
 	}
-	b := semnet.NewBuilder(nodeCount(p))
+	b := semnet.NewBuilder(nodeCount(p), linkBound(p))
 	g, err := generate(p, b)
 	if err != nil {
 		return nil, err

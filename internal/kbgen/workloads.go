@@ -37,7 +37,7 @@ func Chains(groups, alpha, depth int, seed int64) *Workload {
 		depth = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	kb := semnet.NewBuilder((depth + 1) * groups * alpha)
+	kb := semnet.NewBuilder((depth+1)*groups*alpha, depth*groups*alpha)
 	w := &Workload{
 		Rel:   kb.Relation("link"),
 		Alpha: alpha,
@@ -98,7 +98,7 @@ func NestedChains(levels []int, depth int, seed int64) (*Workload, error) {
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
-	kb := semnet.NewBuilder((depth + 1) * total)
+	kb := semnet.NewBuilder((depth+1)*total, depth*total)
 	w := &Workload{
 		Rel:   kb.Relation("link"),
 		Alpha: total,

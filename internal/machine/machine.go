@@ -109,9 +109,11 @@ func (m *Machine) KB() *semnet.KB { return m.kb }
 // nodes to clusters (followed by the hop-aware placement stage when
 // Config.Placement is set), and each cluster's three tables are filled —
 // in parallel, one download per cluster, since the per-cluster fills are
-// independent once the assignment is fixed. Any previously loaded
+// independent once the assignment is fixed. A download copies the node
+// table rows, but no link the KB laid out: each store indexes the KB's
+// frozen base slab (semnet.Store.Download). Any previously loaded
 // network and all marker state are discarded. The downloads read the
-// KB's node records directly, so nothing may mutate kb during the call.
+// KB's tables directly, so nothing may mutate kb during the call.
 func (m *Machine) LoadKB(kb *semnet.KB) error {
 	kb.Preprocess()
 	if err := kb.Validate(); err != nil {
@@ -145,33 +147,15 @@ func (m *Machine) LoadKB(kb *semnet.KB) error {
 	clusters := newClusters(&m.cfg, tab)
 	errs := make([]error, m.cfg.Clusters)
 	// One read lock covers every download: the per-cluster goroutines
-	// read node records through the view, not one lock pair per node.
-	// Each store's link arena is sized once, from its members' counts.
+	// read the KB's tables through the view, not one lock pair per node.
 	kb.View(func(v semnet.View) {
 		var wg sync.WaitGroup
 		for ci, c := range clusters {
 			wg.Add(1)
 			go func(ci int, c *cluster) {
 				defer wg.Done()
-				links := 0
-				for _, id := range members[ci] {
-					links += len(v.Links(id))
-				}
-				c.store.ReserveLinks(links)
-				for _, id := range members[ci] {
-					node, err := v.Node(id)
-					if err != nil {
-						errs[ci] = err
-						return
-					}
-					local, err := c.store.AddNode(id, node.Color, node.Fn)
-					if err == nil {
-						err = c.store.SetLinks(local, v.Links(id))
-					}
-					if err != nil {
-						errs[ci] = fmt.Errorf("cluster %d: %w", ci, err)
-						return
-					}
+				if err := c.store.Download(v, members[ci]); err != nil {
+					errs[ci] = fmt.Errorf("cluster %d: %w", ci, err)
 				}
 			}(ci, c)
 		}

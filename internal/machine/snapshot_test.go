@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"snap1/internal/isa"
@@ -112,5 +113,99 @@ func TestWriterTablesMatchReloadUnderItsAssignment(t *testing.T) {
 				t.Errorf("the probe on the writer:\n %s\non the reload:\n %s", got[0], got[1])
 			}
 		})
+	}
+}
+
+// TestFrozenRowsSurviveKBWrites pins what snapshot isolation rests on now
+// that stores index the knowledge base's frozen base slab: no write
+// rewrites a base position. A replica adopts a published snapshot whose
+// stores read the KB's own rows, and a goroutine reads them while the
+// writer commits a DELETE of a laid-out link and then its CREATE on the
+// odd nodes, and a CREATE and then its DELETE on the even ones. The
+// writes move the rows they touch into the private slabs of the KB and
+// of the writer's stores, and push the KB past a compaction into a fresh
+// base. Every row the replica reads must equal its copy from before the
+// first write, and under -race a write to memory the replica reads fails
+// as a race.
+func TestFrozenRowsSurviveKBWrites(t *testing.T) {
+	const nodes = 256
+	b := semnet.NewBuilder(nodes, 2*nodes)
+	rel, write := b.Relation("r"), b.Relation("w")
+	for i := range nodes {
+		b.MustAddNode(fmt.Sprint("n", i), 0)
+	}
+	next := func(id semnet.NodeID) semnet.NodeID { return (id + 1) % nodes }
+	for i := range semnet.NodeID(nodes) {
+		b.MustAddLink(i, rel, 1, next(i))
+		b.MustAddLink(i, rel, 2, (7*i+3)%nodes)
+	}
+	kb := b.KB()
+	writer, err := New(PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.LoadKB(kb); err != nil {
+		t.Fatal(err)
+	}
+	replica, err := New(PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica.Adopt(writer.Publish())
+	const untouched = semnet.NodeID(0)
+	laidOut := &kb.Links(untouched)[0]
+	if &replica.clusters[replica.assign[untouched]].store.Links(int(replica.localIdx[untouched]))[0] != laidOut {
+		t.Fatal("the replica's stores hold a copy of the KB's links, not its base")
+	}
+	rows := make([][]semnet.Link, nodes)
+	for id := range rows {
+		rows[id] = linksOf(replica, semnet.NodeID(id))
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			for id, want := range rows {
+				if got := linksOf(replica, semnet.NodeID(id)); !slices.Equal(got, want) {
+					t.Errorf("node %d: the snapshot's row became %v, was %v", id, got, want)
+					return
+				}
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for round := range 2 {
+		for id := semnet.NodeID(1); id < nodes; id++ {
+			p := isa.NewProgram()
+			switch {
+			case id%2 == 1 && round == 0:
+				p.Delete(id, rel, next(id))
+			case id%2 == 1:
+				p.Create(id, rel, 1, next(id))
+			case round == 0:
+				p.Create(id, write, 3, untouched)
+			default:
+				p.Delete(id, write, untouched)
+			}
+			if _, err := writer.Run(p); err != nil {
+				t.Fatal(err)
+			}
+			writer.Publish()
+		}
+	}
+	close(done)
+	wg.Wait()
+	if &kb.Links(untouched)[0] == laidOut {
+		t.Error("node 0's row is where the Builder laid it: the writes never pushed the KB past a compaction")
+	}
+	if kb.NumLinks() != 2*nodes {
+		t.Errorf("the KB holds %d links after the writes, want %d", kb.NumLinks(), 2*nodes)
 	}
 }

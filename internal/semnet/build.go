@@ -16,8 +16,8 @@ import (
 // the per-element calls would have.
 //
 // Links are collected in one flat list, in the order they were added,
-// and laid into the KB's link arena once, by KB, which also sizes every
-// column for the subnodes Preprocess will add.
+// and laid into the base slab of the KB's link arena once, by KB, which
+// also sizes every column for the subnodes Preprocess will add.
 type Builder struct {
 	kb    *KB
 	links []sourced
@@ -31,8 +31,11 @@ type sourced struct {
 }
 
 // NewBuilder returns a builder whose node columns and name index are
-// sized for nodes nodes: a caller that knows the count pays no regrowth.
-func NewBuilder(nodes int) *Builder { return &Builder{kb: newKB(nodes)} }
+// sized for nodes nodes and whose link list is sized for links links: a
+// caller that knows the counts, or bounds them, pays no regrowth.
+func NewBuilder(nodes, links int) *Builder {
+	return &Builder{kb: newKB(nodes), links: make([]sourced, 0, links)}
+}
 
 // KB hands the built knowledge base over. The builder must not be used
 // afterwards.

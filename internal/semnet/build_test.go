@@ -13,7 +13,7 @@ import (
 func TestBuilderMatchesPerElementCalls(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		b, kb := NewBuilder(64), NewKB()
+		b, kb := NewBuilder(64, 0), NewKB()
 		same := func(what string, x, y error) {
 			t.Helper()
 			if (x == nil) != (y == nil) || (x != nil && x.Error() != y.Error()) {
@@ -99,7 +99,7 @@ func TestDiffFindsEachDifference(t *testing.T) {
 // Capacity errors come back through the Builder as they do through the
 // KB, so a reader of untrusted input can answer them.
 func TestBuilderCapacityErrors(t *testing.T) {
-	b := NewBuilder(0)
+	b := NewBuilder(0, 0)
 	for i := 0; i < int(ColorSubnode); i++ {
 		if _, err := b.InternColor("c" + strconv.Itoa(i)); err != nil {
 			t.Fatalf("color %d: %v", i, err)

@@ -17,7 +17,7 @@ func cowFixture(t *testing.T) *Table {
 			t.Fatal(err)
 		}
 		if i > 0 {
-			if err := s.SetLinks(local, []Link{{Rel: 1, Weight: 1, To: NodeID(i - 1)}}); err != nil {
+			if err := s.setLinks(local, []Link{{Rel: 1, Weight: 1, To: NodeID(i - 1)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -36,7 +36,7 @@ func deepCopy(t *testing.T, s *Store) *Table {
 		if _, err := c.AddNode(s.Global(i), s.Color(i), s.Fn(i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SetLinks(i, s.Links(i)); err != nil {
+		if err := c.setLinks(i, s.Links(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestCloneTopologySharedCopyOnWrite(t *testing.T) {
 			}
 		}},
 		{"set-links", func(t *testing.T, s *Store) {
-			if err := s.SetLinks(4, []Link{{Rel: 5, Weight: 2, To: 11}}); err != nil {
+			if err := s.setLinks(4, []Link{{Rel: 5, Weight: 2, To: 11}}); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -1,7 +1,9 @@
 package semnet
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -156,8 +158,8 @@ func mutateCSR(t *testing.T, rng *rand.Rand, p *pair, op int) {
 			return
 		}
 		local, links := rng.Intn(n), randLinks()
-		if err := p.s.SetLinks(local, links); err != nil {
-			t.Fatalf("SetLinks: %v", err)
+		if err := p.s.setLinks(local, links); err != nil {
+			t.Fatalf("setLinks: %v", err)
 		}
 		p.ref.setLinks(local, links)
 	case 2:
@@ -227,23 +229,111 @@ func TestCSRStoreDifferential(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		cap := 8 + rng.Intn(120)
-		pairs := []*pair{newPair(NewTable(1, cap), newRefTopo())}
-		for step := 0; step < 400; step++ {
-			i := rng.Intn(len(pairs))
-			p := pairs[i]
-			op := rng.Intn(9)
-			switch {
-			case op < 7:
-				mutateCSR(t, rng, p, op)
-			case len(pairs) < 4:
-				// Fork a clone and keep mutating both sides.
-				pairs = append(pairs, p.fork(t, op == 7))
+		driveCSR(t, rng, trial, newPair(NewTable(1, cap), newRefTopo()))
+	}
+}
+
+// driveCSR applies 400 random steps to pairs forked from p, at most four.
+func driveCSR(t *testing.T, rng *rand.Rand, trial int, p *pair) {
+	t.Helper()
+	pairs := []*pair{p}
+	for step := 0; step < 400; step++ {
+		i := rng.Intn(len(pairs))
+		p := pairs[i]
+		op := rng.Intn(9)
+		switch {
+		case op < 7:
+			mutateCSR(t, rng, p, op)
+		case len(pairs) < 4:
+			// Fork a clone and keep mutating both sides.
+			pairs = append(pairs, p.fork(t, op == 7))
+		}
+		for j, q := range pairs {
+			q.ref.checkAgainst(t, q.tab, trialTag(trial, step, j))
+		}
+	}
+}
+
+// TestDownloadedStoreDifferential is TestCSRStoreDifferential on a store
+// downloaded from a knowledge base, whose arena indexes the KB's frozen
+// base slab and holds copies only of the rows the KB keeps privately.
+// The store's writes, its forks' and their compactions must read as the
+// reference does, and must leave every row of the KB as it was: no
+// store mutator writes the base it shares.
+func TestDownloadedStoreDifferential(t *testing.T) {
+	for trial := 0; trial < 12; trial++ {
+		rng := rand.New(rand.NewSource(int64(2000 + trial)))
+		capacity := 8 + rng.Intn(120)
+		b := NewBuilder(capacity, 0)
+		for i := range capacity {
+			b.MustAddNode(itoa(i), Color(rng.Intn(4)))
+		}
+		link := func(add func(NodeID, RelType, float32, NodeID), from NodeID) {
+			add(from, RelType(rng.Intn(4)), float32(rng.Intn(8)), NodeID(rng.Intn(capacity)))
+		}
+		for i := range NodeID(capacity) {
+			for range rng.Intn(RelationSlots + 1) {
+				link(b.MustAddLink, i)
 			}
-			for j, q := range pairs {
-				q.ref.checkAgainst(t, q.tab, trialTag(trial, step, j))
+		}
+		kb := b.KB()
+		// Rows the KB moves into its private slab, which a download copies.
+		for range capacity / 8 {
+			if from := NodeID(rng.Intn(capacity)); len(kb.Links(from)) < RelationSlots {
+				link(kb.MustAddLink, from)
+			}
+		}
+		ids := make([]NodeID, capacity)
+		kbRows := make([][]Link, capacity)
+		for i := range ids {
+			ids[i] = NodeID(i)
+			kbRows[i] = slices.Clone(kb.Links(NodeID(i)))
+		}
+		tab := NewTable(1, 2*capacity)
+		var err error
+		kb.View(func(v View) { err = tab.Store(0).Download(v, ids) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefTopo()
+		for i, id := range ids {
+			n, _ := kb.Node(id)
+			ref.addNode(n.Color)
+			ref.setLinks(i, kbRows[i])
+		}
+		driveCSR(t, rng, trial, newPair(tab, ref))
+		for i, want := range kbRows {
+			if got := kb.Links(NodeID(i)); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: the KB's row %d became %v, was %v", trial, i, got, want)
 			}
 		}
 	}
+}
+
+// Download fills only an empty store, and refuses a row wider than the
+// relation slots, as setLinks does.
+func TestDownloadRefusals(t *testing.T) {
+	b := NewBuilder(2, 0)
+	a, c := b.MustAddNode("a", 0), b.MustAddNode("c", 0)
+	for range RelationSlots + 1 {
+		b.MustAddLink(a, 0, 1, c)
+	}
+	kb := b.KB()
+	kb.View(func(v View) {
+		if err := NewTable(1, 4).Store(0).Download(v, []NodeID{a}); !errors.Is(err, ErrCapacity) {
+			t.Errorf("a row of %d links: %v, want ErrCapacity", RelationSlots+1, err)
+		}
+		s := NewTable(1, 4).Store(0)
+		if err := s.Download(v, []NodeID{c}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Download(v, []NodeID{c}); err == nil {
+			t.Error("a second download into a filled store succeeded")
+		}
+		if err := NewTable(1, 4).Store(0).Download(v, []NodeID{7}); !errors.Is(err, ErrUnknownNode) {
+			t.Errorf("an unknown node: %v, want ErrUnknownNode", err)
+		}
+	})
 }
 
 func trialTag(trial, step, pair int) string {

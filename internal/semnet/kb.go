@@ -28,9 +28,10 @@ func (n Node) IsSubnode() bool { return n.Parent != InvalidNode }
 // the array stores only the binary-encoded tables.
 //
 // The node table is kept in columns indexed by NodeID — name, color,
-// function, subnode parent — beside one CSR link arena, the layout each
-// cluster store downloads into, and an open-addressed name index over
-// the name column. No node is a heap object of its own.
+// function, subnode parent — beside one CSR link arena, whose frozen
+// base slab each cluster store indexes instead of copying, and an
+// open-addressed name index over the name column. No node is a heap
+// object of its own.
 //
 // The KB is safe for concurrent use: a single writer may mutate it while
 // readers resolve names or compile programs against it (mu). The online
@@ -196,7 +197,9 @@ func (kb *KB) SetColor(id NodeID, c Color) error {
 // AddLink appends an outgoing relation from -> to with the given type and
 // weight. Fanout beyond RelationSlots is legal here; the Preprocess pass
 // splits such nodes before download, as the paper's preprocessor does.
-// The link arena is patched in place, as a cluster store's is.
+// The row moves out of the arena's frozen base into its private slab,
+// if it is not there already, and is patched there, as a cluster
+// store's is.
 func (kb *KB) AddLink(from NodeID, rel RelType, weight float32, to NodeID) error {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
@@ -264,9 +267,11 @@ func (kb *KB) nodeLocked(id NodeID) (Node, error) {
 }
 
 // Links returns node id's outgoing links in order, or nil for an unknown
-// id. Read-only: the slice is a block of the KB's link arena, which later
-// link mutations patch in place, so under concurrent writes the caller
-// must hold the topology quiescent (the engine's one writer does).
+// id. Read-only: the slice is a block of the KB's link arena. A block of
+// the frozen base is never written, but a block of the private slab is
+// patched in place by later link mutations, so under concurrent writes
+// the caller must hold the topology quiescent (the engine's one writer
+// does).
 func (kb *KB) Links(id NodeID) []Link {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()

@@ -169,11 +169,22 @@ type kbWriter interface {
 	Lookup(name string) (NodeID, bool)
 }
 
+// alias is an arena forked from the KB's mid-tape, as a cluster store
+// downloaded then would hold it, sharing the KB's base, and the rows it
+// read when it was taken.
+type alias struct {
+	a    linkArena
+	rows [][]Link
+}
+
 // kbTape applies one operation tape to a KB and to the reference and
 // compares them after every step; the KB is held to the reference by
 // semnet.Diff against the reference's per-element twin at the end. The
-// tape's first steps go through a Builder, as many as its first byte
-// says, so the arena a Builder lays out is mutated too.
+// tape's first steps go through a Builder, as many as its second byte
+// says, so the arena a Builder lays out is mutated too. An alias of the
+// KB's arena, taken at any step, must read the rows it read then after
+// every later one: no KB mutator, compaction included, writes the base
+// the alias shares.
 func kbTape(t *testing.T, tape []byte) {
 	next := func() byte {
 		if len(tape) == 0 {
@@ -184,11 +195,13 @@ func kbTape(t *testing.T, tape []byte) {
 		return b
 	}
 	relNames, colorNames := []string{"r0", "r1", "r2"}, []string{"c0", "c1"}
-	b, built := NewBuilder(int(next()%8)), int(next()%16)
+	hint := int(next() % 8)
+	b, built := NewBuilder(hint, 4*hint), int(next()%16)
 	rels := []RelType{b.Relation(relNames[0]), b.Relation(relNames[1]), b.Relation(relNames[2])}
 	cols := []Color{b.ColorFor(colorNames[0]), b.ColorFor(colorNames[1])}
 	var kb *KB
 	var w kbWriter = b
+	var aliases []alias
 	ref := &refKB{}
 	node := func() NodeID { return NodeID(int(next()) % (len(ref.names) + 1)) } // one past the end too
 	link := func() Link {
@@ -199,7 +212,7 @@ func kbTape(t *testing.T, tape []byte) {
 			kb = b.KB()
 			w = kb
 		}
-		switch op := next() % 9; {
+		switch op := next() % 10; {
 		case op == 0:
 			name, c := kbName(next()), cols[next()%2]
 			_, err := w.AddNode(name, c)
@@ -243,6 +256,16 @@ func kbTape(t *testing.T, tape []byte) {
 			if err := kb.SetFn(id, fn); (err == nil) != ref.setFn(id, fn) {
 				t.Fatalf("step %d: SetFn(%d): %v", step, id, err)
 			}
+		case op == 9 && next()%2 == 1:
+			// Compact now, as holes would make a write do later.
+			kb.links.compact()
+		case op == 9:
+			a := kb.links.fork(0)
+			al := alias{a: a, rows: make([][]Link, len(a.off))}
+			for i := range al.rows {
+				al.rows[i] = slices.Clone(a.row(i))
+			}
+			aliases = append(aliases, al)
 		case op == 7:
 			kb.Preprocess()
 			ref.preprocess()
@@ -252,6 +275,13 @@ func kbTape(t *testing.T, tape []byte) {
 		}
 		if kb == nil {
 			continue
+		}
+		for k, al := range aliases {
+			for i, want := range al.rows {
+				if got := al.a.row(i); !slices.Equal(got, want) {
+					t.Fatalf("step %d: alias %d's row %d = %v, want %v as taken", step, k, i, got, want)
+				}
+			}
 		}
 		if kb.NumNodes() != len(ref.names) || kb.Generation() != ref.gen {
 			t.Fatalf("step %d: %d nodes at generation %d, reference %d at %d",
@@ -302,5 +332,8 @@ func FuzzKBLinks(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 1, 0, 4, 0, 1, 0, 1, 23, 1, 2, 1, 7, 8, 3})
 	// Three steps through a Builder, then writes on the KB it made.
 	f.Add([]byte{2, 3, 0, 2, 0, 0, 6, 1, 1, 0, 5, 0, 1, 6, 0, 2, 3, 0, 2, 0, 0, 1, 7, 3, 1, 4})
+	// An alias of the Builder's base, then writes that thaw its rows,
+	// Preprocess, another alias, a compaction and more writes.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 20, 9, 0, 3, 0, 4, 0, 1, 0, 1, 1, 0, 2, 1, 7, 9, 0, 9, 1, 2, 1, 6, 3, 0, 4, 1, 0})
 	f.Fuzz(kbTape)
 }

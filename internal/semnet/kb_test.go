@@ -242,11 +242,12 @@ func TestPreprocessRandomGraphs(t *testing.T) {
 // A KB a Builder made has every column sized once, at KB, for the
 // subnodes Preprocess will add, however deep the continuation trees
 // (4 097 links split three levels): each node column holds exactly the
-// final node count, the link slab the final links and a write's
-// headroom, and Preprocess grows none of them.
+// final node count, the base slab the links the Builder collected, the
+// private slab the continuation links and a write's headroom, and
+// Preprocess grows none of them.
 func TestPreprocessGrowsTheTableOnce(t *testing.T) {
 	fanouts := []int{0, 16, 17, 255, 256, 257, 4097}
-	b := NewBuilder(len(fanouts))
+	b := NewBuilder(len(fanouts), 0)
 	rel := b.Relation("r")
 	for i := range fanouts {
 		b.MustAddNode("n"+strconv.Itoa(i), 0)
@@ -263,12 +264,13 @@ func TestPreprocessGrowsTheTableOnce(t *testing.T) {
 	for _, f := range fanouts {
 		want += subnodesFor(f)
 	}
-	links += want - len(fanouts) // one continuation link per subnode
+	conts := want - len(fanouts) // one continuation link per subnode
 	columns := func() map[string]column {
 		return map[string]column{
 			"names": shape(kb.names), "colors": shape(kb.color), "fns": shape(kb.fn),
 			"parent": shape(kb.parent), "off": shape(kb.links.off), "cnt": shape(kb.links.cnt),
-			"spare": shape(kb.links.spare), "slab": shape(kb.links.slab), "index": shape(kb.index.slots),
+			"spare": shape(kb.links.spare), "base": shape(kb.links.base), "slab": shape(kb.links.slab),
+			"index": shape(kb.index.slots),
 		}
 	}
 	built := columns()
@@ -287,11 +289,14 @@ func TestPreprocessGrowsTheTableOnce(t *testing.T) {
 			t.Errorf("%s: %d in a column of %d, want %d in %d", name, c.len, c.cap, want, want)
 		}
 	}
-	if c := after["slab"]; c.len != links || c.cap != links+headroom(links) {
-		t.Errorf("slab: %d links in %d, want %d in %d", c.len, c.cap, links, links+headroom(links))
+	if c := after["base"]; c.len != links || c.cap != links {
+		t.Errorf("base: %d links in %d, want %d in %d", c.len, c.cap, links, links)
 	}
-	if kb.links.holes != 0 {
-		t.Errorf("%d holes in the link slab after Preprocess, want none", kb.links.holes)
+	if c, room := after["slab"], conts+headroom(links+conts); c.len != conts || c.cap != room {
+		t.Errorf("private slab: %d links in %d, want %d in %d", c.len, c.cap, conts, room)
+	}
+	if kb.links.holes != 0 || kb.links.live() != links+conts {
+		t.Errorf("%d links and %d holes after Preprocess, want %d and none", kb.links.live(), kb.links.holes, links+conts)
 	}
 	if slots := len(kb.index.slots); slots < 2*want || slots >= 4*want {
 		t.Errorf("name index of %d slots for %d names, want the least power of two of at least %d", slots, want, 2*want)

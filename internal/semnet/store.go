@@ -22,7 +22,10 @@ import (
 //   - the relation table (up to 16 outgoing links per node), stored as a
 //     CSR arena (linkArena, the layout the host knowledge base keeps its
 //     links in too), so a node's links are a contiguous sub-slice of one
-//     allocation instead of a pointer-chased per-node heap slice.
+//     allocation instead of a pointer-chased per-node heap slice. A
+//     downloaded store indexes the knowledge base's frozen base slab
+//     (Download): it holds a copy only of the rows the KB keeps in its
+//     private slab and of the rows its own writes moved.
 //
 // A Store is owned by a single cluster and is not safe for concurrent
 // mutation; the cluster's multiport-memory discipline (internal/mpmem)
@@ -106,7 +109,9 @@ func (s *Store) adopt(tp storeTopo) {
 }
 
 // own materializes a private copy of the shared node and relation tables
-// before a topology mutation. No-op on an unshared store.
+// before a topology mutation: the node columns, the arena's columns and
+// its private slab. The base slab, which no mutator writes, stays
+// shared. No-op on an unshared store.
 func (s *Store) own() {
 	if !s.sharedTopo.Load() {
 		return
@@ -118,7 +123,7 @@ func (s *Store) own() {
 	global := make([]NodeID, len(s.global), s.capacity)
 	copy(global, s.global)
 	s.color, s.fn, s.global = color, fn, global
-	s.rel = s.rel.clone(s.capacity)
+	s.rel = s.rel.fork(s.capacity)
 	s.sharedTopo.Store(false)
 }
 
@@ -141,10 +146,37 @@ func (s *Store) AddNode(global NodeID, color Color, fn FuncCode) (int, error) {
 	return local, nil
 }
 
-// SetLinks installs the relation-table entries for a local node. The
+// Download fills s, which must be empty, with the nodes ids of the
+// knowledge base v views, in order, as locals 0, 1, …: their node-table
+// rows and their links. Links are not copied where the KB laid them out:
+// s's arena takes the KB's frozen base as its own and points each row
+// that lives there at the KB's block. Only the rows the KB keeps in its
+// private slab — Preprocess's continuation blocks and rows a write moved
+// — are copied, into a private slab sized once.
+func (s *Store) Download(v View, ids []NodeID) error {
+	if s.n != 0 {
+		return fmt.Errorf("semnet: download into a store of %d nodes", s.n)
+	}
+	kb := v.kb
+	for _, id := range ids {
+		if int(id) >= len(kb.names) {
+			return fmt.Errorf("%w: %d", ErrUnknownNode, id)
+		}
+		if c := kb.links.cnt[id]; c > RelationSlots {
+			return fmt.Errorf("%w: %d links exceed %d relation slots", ErrCapacity, c, RelationSlots)
+		}
+		if _, err := s.AddNode(id, kb.color[id], kb.fn[id]); err != nil {
+			return err
+		}
+	}
+	s.rel.index(&kb.links, ids)
+	return nil
+}
+
+// setLinks installs the relation-table entries for a local node. The
 // links are copied into the store's CSR arena; the caller keeps ownership
 // of the argument slice.
-func (s *Store) SetLinks(local int, links []Link) error {
+func (s *Store) setLinks(local int, links []Link) error {
 	if local < 0 || local >= s.n {
 		return fmt.Errorf("%w: local %d", ErrUnknownNode, local)
 	}
@@ -154,14 +186,6 @@ func (s *Store) SetLinks(local int, links []Link) error {
 	s.own()
 	s.rel.set(local, links)
 	return nil
-}
-
-// ReserveLinks makes room in the relation table for n more links and a
-// write's headroom at once, so a download that knows its link count sizes
-// the arena once instead of growing it by doubling.
-func (s *Store) ReserveLinks(n int) {
-	s.own()
-	s.rel.reserve(0, n+headroom(n))
 }
 
 // Global returns the global NodeID of a local node.

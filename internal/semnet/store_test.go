@@ -540,7 +540,7 @@ func TestStoreKernelAllocs(t *testing.T) {
 				for j := range links {
 					links[j] = Link{Rel: RelType(j), Weight: 1, To: NodeID((i + j + 1) % n)}
 				}
-				if err := s.SetLinks(i, links); err != nil {
+				if err := s.setLinks(i, links); err != nil {
 					t.Fatal(err)
 				}
 			}

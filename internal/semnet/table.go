@@ -85,7 +85,8 @@ type Topology []storeTopo
 
 // Share freezes t's node and relation tables into a Topology, copying
 // nothing: every store is marked shared, so its next topology mutation
-// copies its tables first and the Topology keeps the ones it took.
+// copies its tables first — all but the base slab of links, which no
+// mutator writes — and the Topology keeps the ones it took.
 func (t *Table) Share() Topology {
 	tp := make(Topology, len(t.stores))
 	for c, s := range t.stores {

@@ -32,8 +32,9 @@ func (s *Store) SetFn(local int, fn FuncCode) error {
 // AddLink appends one relation-table entry at runtime. Unlike the host
 // preprocessor, the array cannot split subnodes on the fly, so exceeding
 // the slot budget is an error — the same limit the hardware has. In the
-// CSR arena the node's block grows in place when it sits at the slab
-// tail and is otherwise relocated there, leaving a hole for the next
+// CSR arena a row in the frozen base moves to the private slab first;
+// there the node's block grows in place when it sits at the slab tail
+// and is otherwise relocated there, leaving a hole for the next
 // compaction.
 func (s *Store) AddLink(local int, l Link) error {
 	if local < 0 || local >= s.n {
@@ -48,8 +49,9 @@ func (s *Store) AddLink(local int, l Link) error {
 }
 
 // RemoveLink deletes the first relation-table entry matching (rel, to) and
-// reports whether one was found. The block shrinks in place and the
-// vacated tail slot becomes a hole (linkArena.removeAt).
+// reports whether one was found. The block, moved to the private slab
+// first if it was in the frozen base, shrinks in place and the vacated
+// tail slot becomes a hole (linkArena.removeAt).
 func (s *Store) RemoveLink(local int, rel RelType, to NodeID) bool {
 	if local < 0 || local >= s.n {
 		return false
@@ -58,7 +60,8 @@ func (s *Store) RemoveLink(local int, rel RelType, to NodeID) bool {
 	if j < 0 {
 		return false
 	}
-	// own() copies the slab verbatim, so j stays valid.
+	// own() copies the private slab verbatim and removeAt's thaw keeps
+	// the row's order, so j stays valid.
 	s.own()
 	s.rel.removeAt(local, j)
 	return true

@@ -115,7 +115,7 @@ func run(ctx context.Context, args []string, listening func(serving, profiling n
 	maxInFlight := fs.Int("max-inflight", 0, "in-flight query ceiling, 0 = no ceiling beyond -queue-cap")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight queries")
 	clusters := fs.Int("clusters", 16, "cluster count per replica")
-	part := fs.String("partition", "semantic", "partitioning: sequential, round-robin, semantic, or refined")
+	part := fs.String("partition", "semantic", "partitioning: sequential, round-robin, or semantic")
 	place := fs.Bool("place", false, "follow partitioning with hop-aware hypercube placement")
 	monCap := fs.Int("monitor", 4096, "perfmon FIFO capacity (0 disables)")
 	faultPlan := fs.String("fault-plan", "", "seeded fault-injection plan (JSON file; see docs/RESILIENCE.md)")

@@ -38,7 +38,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "generation seed")
 	clusters := flag.Int("clusters", 16, "cluster count")
 	mus := flag.Int("mus", 2, "marker units per cluster")
-	part := flag.String("partition", "semantic", "partitioning: sequential, round-robin, semantic, or refined")
+	part := flag.String("partition", "semantic", "partitioning: sequential, round-robin, or semantic")
 	place := flag.Bool("place", false, "follow partitioning with hop-aware hypercube placement")
 	det := flag.Bool("det", true, "run on the lockstep engine (exact virtual times); -det=false selects the goroutine-per-cluster reference engine")
 	verbose := flag.Bool("v", false, "print the instruction profile")

@@ -38,7 +38,6 @@ var mappings = []struct {
 	{"sequential", partition.Sequential},
 	{"round-robin", partition.RoundRobin},
 	{"semantic", partition.Semantic},
-	{"refined", partition.Refined},
 }
 
 // measurePartition parses the sentence batch once on a network of about
@@ -81,7 +80,7 @@ type PartitionResult struct {
 }
 
 // AblationPartition parses the sentence batch under each mapping function,
-// and the refined one followed by placement, on the 16-cluster array.
+// and the semantic one followed by placement, on the 16-cluster array.
 func AblationPartition() (*PartitionResult, error) {
 	out := &PartitionResult{}
 	add := func(name string, f partition.Func, place bool) error {
@@ -94,7 +93,7 @@ func AblationPartition() (*PartitionResult, error) {
 			return nil, err
 		}
 	}
-	if err := add("refined+place", partition.Refined, true); err != nil {
+	if err := add("semantic+place", partition.Semantic, true); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -122,7 +121,7 @@ func (r *PartitionResult) String() string {
 
 // DecisionRow is one network and array size's parse time per sentence
 // under every mapping function: Time[2*i] is the i'th of the mappings
-// (sequential, round-robin, semantic, refined) alone, and Time[2*i+1] the
+// (sequential, round-robin, semantic) alone, and Time[2*i+1] the
 // same followed by placement.
 type DecisionRow struct {
 	Nodes, Clusters int

@@ -27,19 +27,10 @@ func TestAblationPartition(t *testing.T) {
 		t.Errorf("semantic messages %d >= round-robin %d",
 			byName["semantic"].Messages, byName["round-robin"].Messages)
 	}
-	// The refinement pass must improve on plain semantic BFS growth, and
-	// the placement stage must not worsen the mean hop distance.
-	if byName["refined"].Cut >= byName["semantic"].Cut {
-		t.Errorf("refined cut %.2f >= semantic cut %.2f",
-			byName["refined"].Cut, byName["semantic"].Cut)
-	}
-	if byName["refined"].Hops >= byName["semantic"].Hops {
-		t.Errorf("refined hops %d >= semantic hops %d",
-			byName["refined"].Hops, byName["semantic"].Hops)
-	}
-	if byName["refined+place"].HopCost > byName["refined"].HopCost {
+	// The placement stage must not worsen the mean hop distance.
+	if byName["semantic+place"].HopCost > byName["semantic"].HopCost {
 		t.Errorf("placement raised hop cost: %.4f > %.4f",
-			byName["refined+place"].HopCost, byName["refined"].HopCost)
+			byName["semantic+place"].HopCost, byName["semantic"].HopCost)
 	}
 	// The basis of the machine's default mapping function: at this
 	// setting round-robin parses faster than semantic because it spreads

@@ -172,7 +172,7 @@ func collectAll(p *isa.Program, mk semnet.MarkerID, rels []semnet.RelType) *isa.
 }
 
 func TestCollectMatchesSortReference(t *testing.T) {
-	for _, name := range []string{"sequential", "round-robin", "semantic", "refined"} {
+	for _, name := range []string{"sequential", "round-robin", "semantic"} {
 		strat, err := partition.ByName(name)
 		if err != nil {
 			t.Fatal(err)

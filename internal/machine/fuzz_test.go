@@ -315,8 +315,8 @@ func TestRandomProgramsPartitionInvariance(t *testing.T) {
 		{"sequential", partition.Sequential, false},
 		{"round-robin", partition.RoundRobin, false},
 		{"semantic", partition.Semantic, false},
-		{"refined", partition.Refined, false},
-		{"refined+place", partition.Refined, true},
+		{"round-robin+place", partition.RoundRobin, true},
+		{"semantic+place", partition.Semantic, true},
 	}
 	trials := 12
 	if testing.Short() {

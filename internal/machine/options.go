@@ -13,7 +13,7 @@ import (
 // legacy struct form composes with the functional form:
 //
 //	m, err := machine.NewFromOptions(machine.PaperConfig(),
-//		machine.WithPartition("refined"))
+//		machine.WithPartition("semantic"))
 type Option interface {
 	applyOption(*Config)
 }
@@ -74,8 +74,8 @@ func WithCapacityFor(totalNodes int) Option {
 }
 
 // WithPartition selects the node-allocation strategy by name:
-// "sequential", "round-robin", "semantic", or "refined". An unknown name
-// surfaces as an error from New/NewFromOptions.
+// "sequential", "round-robin", or "semantic". An unknown name surfaces as
+// an error from New/NewFromOptions.
 func WithPartition(name string) Option {
 	return optionFunc(func(c *Config) {
 		fn, err := partition.ByName(name)

@@ -23,7 +23,7 @@ import (
 // collections and virtual time must agree, under every partition
 // strategy: the assignment is handed over, never derived again.
 func TestWriterTablesMatchReloadUnderItsAssignment(t *testing.T) {
-	for _, name := range []string{"sequential", "round-robin", "semantic", "refined"} {
+	for _, name := range []string{"sequential", "round-robin", "semantic"} {
 		t.Run(name, func(t *testing.T) {
 			g, err := kbgen.Generate(kbgen.Params{Nodes: 3000, Seed: 11, WithDomain: true})
 			if err != nil {

@@ -98,8 +98,35 @@ func Semantic(kb *semnet.KB, clusters, capacity int) (Assignment, error) {
 	if err := check(kb, clusters, capacity); err != nil {
 		return nil, err
 	}
-	v := kb.CSR()
+	var a Assignment
+	kb.View(func(v semnet.View) { a = semantic(v, clusters, capacity) })
+	return a, nil
+}
+
+func semantic(v semnet.View, clusters, capacity int) Assignment {
 	n := v.NumNodes()
+	// The in-links the KB does not index: a counting sort over the
+	// out-links, so the nodes linking into id, in ascending order, are
+	// inFrom[inOff[id]:inOff[id+1]].
+	inOff := make([]int32, n+1)
+	for id := 0; id < n; id++ {
+		for _, l := range v.Links(semnet.NodeID(id)) {
+			inOff[l.To+1]++
+		}
+	}
+	for id := 0; id < n; id++ {
+		inOff[id+1] += inOff[id]
+	}
+	inFrom := make([]semnet.NodeID, inOff[n])
+	fill := make([]int32, n)
+	copy(fill, inOff)
+	for id := 0; id < n; id++ {
+		for _, l := range v.Links(semnet.NodeID(id)) {
+			inFrom[fill[l.To]] = semnet.NodeID(id)
+			fill[l.To]++
+		}
+	}
+
 	a := make(Assignment, n)
 	for i := range a {
 		a[i] = -1
@@ -132,40 +159,51 @@ func Semantic(kb *semnet.KB, clusters, capacity int) (Assignment, error) {
 		for len(queue) > 0 {
 			id := queue[0]
 			queue = queue[1:]
-			for _, l := range v.Out(semnet.NodeID(id)) {
+			for _, l := range v.Links(semnet.NodeID(id)) {
 				if place(int(l.To)) {
 					queue = append(queue, int(l.To))
 				}
 			}
-			for _, from := range v.InFrom[v.InOff[id]:v.InOff[id+1]] {
+			for _, from := range inFrom[inOff[id]:inOff[id+1]] {
 				if place(int(from)) {
 					queue = append(queue, int(from))
 				}
 			}
 		}
 	}
-	return a, nil
+	return a
+}
+
+// eachLink calls fn for every link of kb in ascending source order,
+// reading the KB's own rows under one read lock, and reports how many
+// links there were.
+func eachLink(kb *semnet.KB, fn func(from int, l semnet.Link)) int {
+	links := 0
+	kb.View(func(v semnet.View) {
+		for id, n := 0, v.NumNodes(); id < n; id++ {
+			row := v.Links(semnet.NodeID(id))
+			for _, l := range row {
+				fn(id, l)
+			}
+			links += len(row)
+		}
+	})
+	return links
 }
 
 // CutRatio reports the fraction of links whose endpoints land in different
-// clusters — the traffic a partition sends through the interconnect. It
-// walks the knowledge base's flat CSR adjacency snapshot, so a full sweep
-// is a linear scan of one link slab.
+// clusters — the traffic a partition sends through the interconnect.
 func CutRatio(kb *semnet.KB, a Assignment) float64 {
-	v := kb.CSR()
-	if len(v.Links) == 0 {
+	cut := 0
+	links := eachLink(kb, func(from int, l semnet.Link) {
+		if a[l.To] != a[from] {
+			cut++
+		}
+	})
+	if links == 0 {
 		return 0
 	}
-	cut := 0
-	for id, n := 0, v.NumNodes(); id < n; id++ {
-		home := a[id]
-		for _, l := range v.Links[v.Off[id]:v.Off[id+1]] {
-			if a[l.To] != home {
-				cut++
-			}
-		}
-	}
-	return float64(cut) / float64(len(v.Links))
+	return float64(cut) / float64(links)
 }
 
 // HopCost reports the mean number of hypercube hops a message sent down
@@ -175,19 +213,15 @@ func CutRatio(kb *semnet.KB, a Assignment) float64 {
 // also scores how far it travels, which is what the placement stage
 // (Place) minimizes.
 func HopCost(kb *semnet.KB, a Assignment, clusters int) float64 {
-	v := kb.CSR()
-	if len(v.Links) == 0 {
-		return 0
-	}
 	t := icn.NewTopology(clusters)
 	var total int64
-	for id, n := 0, v.NumNodes(); id < n; id++ {
-		home := a[id]
-		for _, l := range v.Links[v.Off[id]:v.Off[id+1]] {
-			total += int64(t.Hops(home, a[l.To]))
-		}
+	links := eachLink(kb, func(from int, l semnet.Link) {
+		total += int64(t.Hops(a[from], a[l.To]))
+	})
+	if links == 0 {
+		return 0
 	}
-	return float64(total) / float64(len(v.Links))
+	return float64(total) / float64(links)
 }
 
 // ByName resolves a strategy name for command-line tools.
@@ -199,8 +233,6 @@ func ByName(name string) (Func, error) {
 		return RoundRobin, nil
 	case "semantic", "sem":
 		return Semantic, nil
-	case "refined", "ref":
-		return Refined, nil
 	default:
 		return nil, fmt.Errorf("partition: unknown strategy %q", name)
 	}

@@ -1,10 +1,15 @@
 package partition
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"strings"
 	"testing"
 
+	"snap1/internal/kbgen"
 	"snap1/internal/semnet"
 )
 
@@ -50,8 +55,7 @@ func TestAllStrategiesRespectCapacity(t *testing.T) {
 	} {
 		kb := lineKB(t, tc.n)
 		for name, f := range map[string]Func{
-			"sequential": Sequential, "round-robin": RoundRobin,
-			"semantic": Semantic, "refined": Refined,
+			"sequential": Sequential, "round-robin": RoundRobin, "semantic": Semantic,
 		} {
 			a, err := f(kb, tc.clusters, tc.capacity)
 			if err != nil {
@@ -64,7 +68,7 @@ func TestAllStrategiesRespectCapacity(t *testing.T) {
 
 func TestTooLarge(t *testing.T) {
 	kb := lineKB(t, 100)
-	for _, f := range []Func{Sequential, RoundRobin, Semantic, Refined} {
+	for _, f := range []Func{Sequential, RoundRobin, Semantic} {
 		if _, err := f(kb, 4, 10); !errors.Is(err, ErrTooLarge) {
 			t.Errorf("expected ErrTooLarge, got %v", err)
 		}
@@ -123,13 +127,15 @@ func TestCutRatioEmpty(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"sequential", "seq", "round-robin", "rr", "semantic", "sem", "refined", "ref"} {
+	for _, name := range []string{"sequential", "seq", "round-robin", "rr", "semantic", "sem"} {
 		if _, err := ByName(name); err != nil {
 			t.Errorf("ByName(%q): %v", name, err)
 		}
 	}
-	if _, err := ByName("mystery"); err == nil {
-		t.Error("unknown strategy must fail")
+	for _, name := range []string{"mystery", "refined", "ref"} {
+		if _, err := ByName(name); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+			t.Errorf("ByName(%q) = %v, want an unknown strategy error", name, err)
+		}
 	}
 }
 
@@ -142,4 +148,65 @@ func balance(a Assignment, clusters int) []int {
 		}
 	}
 	return counts
+}
+
+// TestPartitionsPinned pins every mapping function's assignment, with
+// and without placement, on the seed-42 12K network after Preprocess: an
+// FNV-1a-64 digest of the cluster of each node, and the bits of its link
+// cut and hop cost. A rewrite of how a strategy reads the knowledge base
+// must leave all three exactly as they are.
+func TestPartitionsPinned(t *testing.T) {
+	g, err := kbgen.Generate(kbgen.Params{Nodes: 12000, Seed: 42, WithDomain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb := g.KB
+	kb.Preprocess()
+	type pin struct {
+		name         string
+		place        bool
+		clusters     int
+		digest       uint64
+		cut, hopCost uint64 // math.Float64bits
+	}
+	funcs := map[string]Func{"sequential": Sequential, "round-robin": RoundRobin, "semantic": Semantic}
+	for _, want := range []pin{
+		{"sequential", false, 4, 0x25047f8ac0a514a5, 0x3fe2fc94ab214678, 0x3fe2fc94ab214678},
+		{"sequential", false, 16, 0x64eb01b6d23e8aa5, 0x3fe6b8dcd59b4ffa, 0x3ff25819a9f7ce0d},
+		{"sequential", false, 32, 0x2fe4465c9a289ea5, 0x3fe6dd833febb7ca, 0x3ff82d9716445466},
+		{"sequential", true, 4, 0x4b157bba00a634a5, 0x3fe2fc94ab214678, 0x3fe2fc94ab214678},
+		{"sequential", true, 16, 0xf8cb4533e7d8aaa5, 0x3fe6b8dcd59b4ffa, 0x3ff1253352833e7f},
+		{"sequential", true, 32, 0xb0b4ab6024b9d105, 0x3fe6dd833febb7ca, 0x3ff58c5e235f0e37},
+		{"round-robin", false, 4, 0xa98c49c743606125, 0x3fe96d4cb8297f89, 0x3fe96d4cb8297f89},
+		{"round-robin", false, 16, 0xaa616179331f8f25, 0x3fee8c84913e600a, 0x3ff788ee8967847c},
+		{"round-robin", false, 32, 0x7a447cefb4146a5, 0x3fef414701019e2e, 0x3ffde87b6d55425b},
+		{"round-robin", true, 4, 0x811738e364dd4f25, 0x3fe96d4cb8297f89, 0x3fe96d4cb8297f89},
+		{"round-robin", true, 16, 0x9ea1f0396bca2a45, 0x3fee8c84913e600a, 0x3ff72d7c0b51d873},
+		{"round-robin", true, 32, 0x1470caf0d58ff685, 0x3fef414701019e2e, 0x3ffcf98b8b7d419a},
+		{"semantic", false, 4, 0x8fd272653e0462b5, 0x3fe40ffd6b96578b, 0x3fe40ffd6b96578b},
+		{"semantic", false, 16, 0xbfb8032d30a20605, 0x3feb5ad4817f948a, 0x3ff52e84c7544502},
+		{"semantic", false, 32, 0xe3425648b0fe08c5, 0x3fecad93875a5190, 0x3ffbf92c2efdc269},
+		{"semantic", true, 4, 0x5ab8ca64f5e82395, 0x3fe40ffd6b96578b, 0x3fe40ffd6b96578b},
+		{"semantic", true, 16, 0xf2c2ebfc21910d5, 0x3feb5ad4817f948a, 0x3ff25a0eaaac907d},
+		{"semantic", true, 32, 0xf3fcb1b5e4be9725, 0x3fecad93875a5190, 0x3ff7104e8c6dcb65},
+	} {
+		a, err := funcs[want.name](kb, want.clusters, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.place {
+			a = Place(kb, a, want.clusters)
+		}
+		h := fnv.New64a()
+		var buf [4]byte
+		for _, c := range a {
+			binary.LittleEndian.PutUint32(buf[:], uint32(c))
+			h.Write(buf[:])
+		}
+		got := pin{want.name, want.place, want.clusters, h.Sum64(),
+			math.Float64bits(CutRatio(kb, a)), math.Float64bits(HopCost(kb, a, want.clusters))}
+		if got != want {
+			t.Errorf("got  %#v\nwant %#v", got, want)
+		}
+	}
 }

@@ -48,20 +48,17 @@ func PlaceOrder(kb *semnet.KB, a Assignment, clusters int) []int {
 	}
 
 	// Weighted inter-region traffic of cut links (symmetric matrix).
-	v := kb.CSR()
 	w := make([]int64, clusters*clusters)
 	cross := false
-	for id, n := 0, v.NumNodes(); id < n; id++ {
-		home := a[id]
-		for _, l := range v.Links[v.Off[id]:v.Off[id+1]] {
-			if dst := a[l.To]; dst != home {
-				lw := linkWeight(l.Rel)
-				w[home*clusters+dst] += lw
-				w[dst*clusters+home] += lw
-				cross = true
-			}
+	eachLink(kb, func(from int, l semnet.Link) {
+		home, dst := a[from], a[l.To]
+		if dst != home {
+			lw := linkWeight(l.Rel)
+			w[home*clusters+dst] += lw
+			w[dst*clusters+home] += lw
+			cross = true
 		}
-	}
+	})
 	if !cross {
 		return perm
 	}

@@ -487,8 +487,9 @@ func (kb *KB) colorNameLocked(c Color) string {
 	return fmt.Sprintf("color#%d", c)
 }
 
-// View is a read-only window on the name tables, handed to the function
-// passed to KB.View and valid only until that function returns.
+// View is a read-only window on the name tables and link rows, handed to
+// the function passed to KB.View and valid only until that function
+// returns.
 type View struct{ kb *KB }
 
 // View calls fn with the KB read-locked once for the whole call, so
@@ -499,6 +500,9 @@ func (kb *KB) View(fn func(View)) {
 	defer kb.mu.RUnlock()
 	fn(View{kb})
 }
+
+// NumNodes is KB.NumNodes.
+func (v View) NumNodes() int { return len(v.kb.names) }
 
 // Node is KB.Node.
 func (v View) Node(id NodeID) (Node, error) { return v.kb.nodeLocked(id) }

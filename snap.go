@@ -177,7 +177,7 @@ var (
 	// WithCapacityFor grows capacity to fit a knowledge base of N nodes.
 	WithCapacityFor = machine.WithCapacityFor
 	// WithPartition selects node allocation by name: "sequential",
-	// "round-robin", "semantic", or "refined".
+	// "round-robin", or "semantic".
 	WithPartition = machine.WithPartition
 	// WithDeterministic(false) asks for the goroutine-per-cluster
 	// reference engine in place of a Machine's default, the lockstep
